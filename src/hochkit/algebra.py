@@ -120,6 +120,7 @@ class Algebra:
         self._semisimple: Optional[bool] = None
         self._left_mult: dict[int, SparseMatrix] = {}
         self._right_mult: dict[int, SparseMatrix] = {}
+        self._unit_split = None  # set by modules.a_unit_split
         if not validated:
             validate(self)
 
@@ -347,7 +348,9 @@ def group_algebra(mult_table: Sequence[Sequence[int]],
 
 def matrix_algebra(n: int) -> Algebra:
     """Full matrix algebra with basis e_ij (row-major) and trace Frobenius form."""
-    assert n >= 1
+    if n < 1:
+        raise HochkitError(f"matrix algebra needs n >= 1, got {n}")
+
     def idx(i, j):
         return i * n + j
     table: dict[tuple[int, int], SparseVec] = {}

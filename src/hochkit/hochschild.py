@@ -21,11 +21,9 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .algebra import Algebra, center_basis, commutator_subspace
-from .errors import (
-    DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle,
-)
+from .errors import DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle
 from .linalg import SparseMatrix, Vector, cokernel_projector, rank, solve, unit_vector
-from .modules import a_unit_split
+from .modules import a_unit_split, check_maxdeg
 from .scalars import CycScalar, ONE, ZERO
 
 MAX_CHAIN_COORDINATES = 200_000
@@ -127,11 +125,7 @@ def _interior_dim(a: Algebra, normalized: bool) -> int:
     return a.dim - 1 if normalized else a.dim
 
 
-def _guard_sizes(a: Algebra, maxdeg: int, normalized: bool, size_guard: int,
-                 degree_cap: int):
-    if maxdeg > degree_cap:
-        raise DegreeCapExceeded(
-            f"degree {maxdeg} exceeds the configured cap {degree_cap}")
+def _guard_sizes(a: Algebra, maxdeg: int, normalized: bool, size_guard: int):
     d = a.dim
     dbar = _interior_dim(a, normalized)
     for n in range(maxdeg + 1):
@@ -146,8 +140,8 @@ def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
                       size_guard: int = MAX_CHAIN_COORDINATES,
                       degree_cap: int = MAX_DEGREE) -> ChainComplex:
     """Hochschild chain complex C_n = A (x) Abar^(x n) through degree maxdeg."""
-    assert maxdeg >= 0
-    _guard_sizes(a, maxdeg, normalized, size_guard, degree_cap)
+    check_maxdeg(maxdeg, degree_cap)
+    _guard_sizes(a, maxdeg, normalized, size_guard)
     d = a.dim
     split = a_unit_split(a) if normalized else None
     dbar = _interior_dim(a, normalized)
@@ -219,8 +213,8 @@ def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
                           + (-1)^(n+1) f(a_1..a_n) a_{n+1}.
     Maps are built for n = 0..maxdeg, so homology is complete through maxdeg.
     """
-    assert maxdeg >= 0
-    _guard_sizes(a, maxdeg + 1, normalized, size_guard, degree_cap + 1)
+    check_maxdeg(maxdeg, degree_cap)
+    _guard_sizes(a, maxdeg + 1, normalized, size_guard)
     d = a.dim
     split = a_unit_split(a) if normalized else None
     dbar = _interior_dim(a, normalized)
@@ -295,20 +289,18 @@ def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
                      want_representatives: bool = False) -> HHResult:
     """dim HH_k for 0 <= k <= maxdeg.  Degree 0 is cross-checked against the
     direct computation dim(A) - dim[A, A]."""
-    if maxdeg > degree_cap:
-        raise DegreeCapExceeded(
-            f"degree {maxdeg} exceeds the configured cap {degree_cap}")
+    check_maxdeg(maxdeg, degree_cap)
     complex_ = bar_chain_complex(a, maxdeg + 1, normalized=normalized,
                                  size_guard=size_guard, degree_cap=degree_cap + 1)
     dims = [complex_.homology_dim(k) for k in range(maxdeg + 1)]
     direct0 = a.dim - commutator_subspace(a).dim
-    if dims and dims[0] != direct0:
+    if dims[0] != direct0:
         raise HochkitError(
             f"degree-0 homology {dims[0]} disagrees with dim A/[A,A] = {direct0}")
     reps = None
-    if want_representatives and maxdeg >= 0:
-        complement, _proj = cokernel_projector(complex_.maps[1])
-        reps = list(complement.basis)
+    if want_representatives:
+        free_coords, _proj = cokernel_projector(complex_.maps[1])
+        reps = [unit_vector(complex_.dims[0], f) for f in free_coords]
     return HHResult("homology", dims, maxdeg, representatives=reps,
                     normalized=normalized)
 
@@ -319,14 +311,11 @@ def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
                        want_representatives: bool = False) -> HHResult:
     """dim HH^k for 0 <= k <= maxdeg.  Degree 0 is cross-checked against the
     direct center computation."""
-    if maxdeg > degree_cap:
-        raise DegreeCapExceeded(
-            f"degree {maxdeg} exceeds the configured cap {degree_cap}")
     complex_ = bar_cochain_complex(a, maxdeg, normalized=normalized,
                                    size_guard=size_guard, degree_cap=degree_cap)
     dims = [complex_.homology_dim(k) for k in range(maxdeg + 1)]
     direct0 = len(center_basis(a))
-    if dims and dims[0] != direct0:
+    if dims[0] != direct0:
         raise HochkitError(
             f"degree-0 cohomology {dims[0]} disagrees with dim Z(A) = {direct0}")
     reps = None

@@ -2,10 +2,12 @@
 
 Matrices are immutable dict-of-rows structures whose entries are nonzero
 CycScalars.  Rank, nullspace, solving and cokernel computations all run
-fraction-managed Gaussian elimination with a fill-minimizing pivot rule
-(fewest nonzeros in row, then fewest rows in column); pivot choice only
-affects speed, never results.  A dense elimination path takes over when
-the matrix is small and dense.
+fraction-managed Gaussian elimination on sparse dict rows with a
+fill-minimizing pivot rule (fewest nonzeros in row, then fewest rows in
+column); pivot choice only affects speed, never results.  There is one
+elimination path: `_eliminate`, followed by `_canonical_rref` wherever a
+canonical reduced basis is needed (`_reduced_rows`); matrix rows and
+columns reach it as dict rows and are never densified on the way.
 """
 
 from __future__ import annotations
@@ -16,9 +18,6 @@ from typing import Iterable, Iterator, Sequence
 from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar
 
 Vector = tuple[CycScalar, ...]
-
-DENSE_FALLBACK_THRESHOLD = 0.3  # density above which small matrices go dense
-DENSE_FALLBACK_MAX_CELLS = 40_000
 
 
 def vec(values: Iterable) -> Vector:
@@ -133,10 +132,6 @@ class SparseMatrix:
     def nnz(self) -> int:
         return sum(len(row) for row in self._rows)
 
-    def density(self) -> float:
-        cells = self.rows * self.cols
-        return self.nnz() / cells if cells else 0.0
-
     def is_zero(self) -> bool:
         return all(not row for row in self._rows)
 
@@ -151,12 +146,6 @@ class SparseMatrix:
     def row_vector(self, r: int) -> Vector:
         row = self._rows[r]
         return tuple(row.get(c, ZERO) for c in range(self.cols))
-
-    def column_vector(self, c: int) -> Vector:
-        return tuple(row.get(c, ZERO) for row in self._rows)
-
-    def to_dense(self) -> list[list[CycScalar]]:
-        return [[self.entry(r, c) for c in range(self.cols)] for r in range(self.rows)]
 
     def dump(self) -> str:
         """Debug format: header `rows cols field_order`, then one
@@ -348,33 +337,22 @@ def _copy_rows(m: SparseMatrix) -> list[dict[int, CycScalar]]:
     return [dict(row) for row in m._rows]
 
 
-def _dense_rank(m: SparseMatrix) -> int:
-    grid = m.to_dense()
-    rows, cols = m.rows, m.cols
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if grid[r][c]), None)
-        if piv is None:
-            continue
-        grid[rank], grid[piv] = grid[piv], grid[rank]
-        inv = grid[rank][c].inverse()
-        for r in range(rank + 1, rows):
-            if grid[r][c]:
-                f = grid[r][c] * inv
-                grid[r] = [a - f * b for a, b in zip(grid[r], grid[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+def rank(m: SparseMatrix) -> int:
+    return len(_eliminate(_copy_rows(m), m.cols))
 
 
-def rank(m: SparseMatrix, dense_threshold: float = DENSE_FALLBACK_THRESHOLD,
-         dense_max_cells: int = DENSE_FALLBACK_MAX_CELLS) -> int:
-    cells = m.rows * m.cols
-    if 0 < cells <= dense_max_cells and m.density() > dense_threshold:
-        return _dense_rank(m)
-    data = _copy_rows(m)
-    return len(_eliminate(data, m.cols))
+def _reduced_rows(rows: list[dict[int, CycScalar]],
+                  ambient: int) -> list[dict[int, CycScalar]]:
+    """Canonical reduced echelon basis of the span of sparse rows, sorted by
+    pivot; each row's pivot is min(row) and equals 1.  Consumes `rows`."""
+    data = [row for row in rows if row]
+    # thin out with the fill-minimizing eliminator, then canonicalize
+    pivots = _eliminate(data, ambient, want_reduced=True)
+    return _canonical_rref([data[r] for r, _ in pivots])
+
+
+def _dense_rows(rows: Sequence[dict[int, CycScalar]], ambient: int) -> list[Vector]:
+    return [tuple(row.get(j, ZERO) for j in range(ambient)) for row in rows]
 
 
 class Subspace:
@@ -388,16 +366,16 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: Sequence[Vector], *, _canonical=False):
         if not _canonical:
-            basis = _rref_rows(basis, ambient_dim)
+            sparse = []
+            for v in basis:
+                assert len(v) == ambient_dim
+                sparse.append({i: x for i, x in enumerate(v) if x})
+            basis = _dense_rows(_reduced_rows(sparse, ambient_dim), ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(basis))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
-
-    @staticmethod
-    def from_vectors(vectors: Sequence[Vector], ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, vectors)
 
     @property
     def dim(self) -> int:
@@ -457,22 +435,8 @@ def _canonical_rref(data: list[dict[int, CycScalar]]) -> list[dict[int, CycScala
     return [row for _, row in done]
 
 
-def _rref_rows(vectors: Sequence[Vector], ambient: int) -> list[Vector]:
-    data = []
-    for v in vectors:
-        assert len(v) == ambient
-        row = {i: x for i, x in enumerate(v) if x}
-        if row:
-            data.append(row)
-    # thin out with the fill-minimizing eliminator, then canonicalize
-    pivots = _eliminate(data, ambient, want_reduced=True)
-    thin = [data[r] for r, _ in pivots]
-    reduced = _canonical_rref(thin)
-    return [tuple(row.get(j, ZERO) for j in range(ambient)) for row in reduced]
-
-
 def rref(vectors: Sequence[Vector], ambient: int) -> Subspace:
-    return Subspace(ambient, _rref_rows(vectors, ambient), _canonical=True)
+    return Subspace(ambient, vectors)
 
 
 def nullspace(m: SparseMatrix) -> Subspace:
@@ -484,14 +448,14 @@ def nullspace(m: SparseMatrix) -> Subspace:
     free = [c for c in range(m.cols) if c not in pivot_of]
     basis = []
     for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
+        v = {f: ONE}
         for c in pivot_cols:
-            coeff = data[pivot_of[c]].get(f, ZERO)
+            coeff = data[pivot_of[c]].get(f)
             if coeff:
                 v[c] = -coeff
-        basis.append(tuple(v))
-    return Subspace(m.cols, basis)
+        basis.append(v)
+    reduced = _reduced_rows(basis, m.cols)
+    return Subspace(m.cols, _dense_rows(reduced, m.cols), _canonical=True)
 
 
 def solve(m: SparseMatrix, b: Vector) -> Vector | None:
@@ -513,32 +477,20 @@ def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     return tuple(x)
 
 
-def cokernel_projector(m: SparseMatrix) -> tuple[Subspace, SparseMatrix]:
-    """Complement of the column space (coordinates avoiding its pivots) and
-    the projection of the ambient space onto it; projection * m = 0."""
-    colspace = rref([m.column_vector(c) for c in range(m.cols)], m.rows)
-    pivot_coords = []
-    for row in colspace.basis:
-        pivot_coords.append(next(i for i, x in enumerate(row) if x))
+def cokernel_projector(m: SparseMatrix) -> tuple[tuple[int, ...], SparseMatrix]:
+    """Cokernel of m in coordinates: `free_coords`, the ambient coordinates
+    (increasing) that are not pivots of the canonical reduced column space,
+    and the projection (one row per free coordinate) of the ambient space
+    onto them.  projection * m = 0, and the projection is the identity on
+    the free coordinates."""
+    colspace = _reduced_rows(m.transpose()._rows, m.rows)
+    pivot_coords = [min(row) for row in colspace]
     pivot_set = set(pivot_coords)
-    free = [i for i in range(m.rows) if i not in pivot_set]
-    proj_rows: list[dict[int, CycScalar]] = []
+    free = tuple(i for i in range(m.rows) if i not in pivot_set)
     pos = {f: k for k, f in enumerate(free)}
-    for f in free:
-        proj_rows.append({f: ONE})
-    for row, p in zip(colspace.basis, pivot_coords):
-        for i, x in enumerate(row):
-            if x and i in pos:
-                prow = proj_rows[pos[i]]
-                s = prow.get(p, ZERO) - x
-                if s:
-                    prow[p] = s
-                elif p in prow:
-                    del prow[p]
-    projection = SparseMatrix.from_rows(proj_rows, m.rows)
-    complement = Subspace(m.rows, [unit_vector(m.rows, f) for f in free], _canonical=True)
-    return complement, projection
-
-
-def column_space_dim(m: SparseMatrix) -> int:
-    return rank(m)
+    proj_rows: list[dict[int, CycScalar]] = [{f: ONE} for f in free]
+    for row, p in zip(colspace, pivot_coords):
+        for i, x in row.items():
+            if i in pos:
+                proj_rows[pos[i]][p] = -x
+    return free, SparseMatrix._wrap(len(free), m.rows, proj_rows)

@@ -23,10 +23,12 @@ from typing import Callable, Sequence
 
 from .algebra import Algebra, opposite, tensor
 from .errors import (
-    AlgebraMismatch, DegreeCapExceeded, HochkitError, MiddleNotSemisimple,
-    MissingSerreData, MissingSimples, ModuleDefect,
+    AlgebraMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError,
+    MiddleNotSemisimple, MissingSerreData, MissingSimples, ModuleDefect,
 )
-from .linalg import SparseMatrix, Vector, kron, nullspace, rank, unit_vector
+from .linalg import (
+    SparseMatrix, Vector, cokernel_projector, kron, nullspace, rank, unit_vector,
+)
 from .scalars import CycScalar, ONE, ZERO
 
 MAX_COORDINATES = 200_000  # size guard for quotient/resolution spaces
@@ -237,9 +239,11 @@ def _as_module_over(m: ModuleRep, a: Algebra) -> ModuleRep:
 # --- balanced tensor products ---------------------------------------------------
 
 class BalancedTensor:
-    """M (x)_A N presented as a quotient of M (x) N: a projection onto
-    complement coordinates, the coordinate section, and the relation matrix
-    that was quotiented out (kept for well-definedness checks)."""
+    """M (x)_A N presented as a quotient of M (x) N.  Its basis is the free
+    coordinates of `cokernel_projector(relations)`: `project` maps M (x) N
+    onto them, `include` embeds them back as ambient unit vectors, and
+    `relations` is the matrix that was quotiented out (kept for
+    well-definedness checks)."""
 
     def __init__(self, dim: int, project: SparseMatrix, include: SparseMatrix,
                  relations: SparseMatrix):
@@ -283,14 +287,10 @@ def balanced_tensor(mid: Algebra,
             entries[(r, offset + c)] = v
         offset += b.cols
     relations = SparseMatrix(ambient, total_cols, entries)
-    from .linalg import cokernel_projector
-    complement, project = cokernel_projector(relations)
-    include_entries = {}
-    for k, basis_vec in enumerate(complement.basis):
-        coord = next(i for i, x in enumerate(basis_vec) if x)
-        include_entries[(coord, k)] = ONE
-    include = SparseMatrix(ambient, complement.dim, include_entries)
-    return BalancedTensor(complement.dim, project, include, relations)
+    free_coords, project = cokernel_projector(relations)
+    include = SparseMatrix(ambient, len(free_coords),
+                           {(f, k): ONE for k, f in enumerate(free_coords)})
+    return BalancedTensor(len(free_coords), project, include, relations)
 
 
 def tensor_over(m: ModuleRep, n: ModuleRep) -> BalancedTensor:
@@ -466,14 +466,21 @@ def parallel_kernels(k1: Bimodule, k2: Bimodule) -> Bimodule:
 MAX_EXT_DEGREE = 32
 
 
+def check_maxdeg(maxdeg: int, degree_cap: int):
+    """Refuse a maximum degree outside 0..degree_cap."""
+    if maxdeg < 0:
+        raise DegreeUnderflow(f"maximum degree {maxdeg} is negative")
+    if maxdeg > degree_cap:
+        raise DegreeCapExceeded(
+            f"degree {maxdeg} exceeds the configured cap {degree_cap}")
+
+
 def ext_dims(m: ModuleRep, n: ModuleRep, maxdeg: int,
              max_coordinates: int = MAX_COORDINATES,
              degree_cap: int = MAX_EXT_DEGREE) -> list[int]:
     """dim Ext^i(M, N) for 0 <= i <= maxdeg, from the reduced bar resolution
     of M; degree 0 always agrees with hom_space."""
-    if maxdeg > degree_cap:
-        raise DegreeCapExceeded(
-            f"degree {maxdeg} exceeds the configured cap {degree_cap}")
+    check_maxdeg(maxdeg, degree_cap)
     if m.algebra != n.algebra:
         raise AlgebraMismatch("ext needs modules over the same algebra")
     a = m.algebra
@@ -538,14 +545,10 @@ class UnitSplit:
         return got
 
 
-_SPLIT_CACHE: dict[int, UnitSplit] = {}
-
-
 def a_unit_split(a: Algebra) -> UnitSplit:
-    key = id(a)
-    if key not in _SPLIT_CACHE:
-        _SPLIT_CACHE[key] = UnitSplit(a)
-    return _SPLIT_CACHE[key]
+    if a._unit_split is None:
+        a._unit_split = UnitSplit(a)
+    return a._unit_split
 
 
 def _ext_delta(a: Algebra, split: UnitSplit, m: ModuleRep, n: ModuleRep,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hochkit
 from hochkit.cli import load_algebra, run
 from hochkit.errors import ParseError
 from hochkit.specfiles import parse_algebra_file, parse_module_file
@@ -214,3 +219,24 @@ def test_cli_verify_cardy_fixture_filter(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0 failed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["hh", "s3", "--max-degree", "-1"],
+    ["hh", "s3", "--max-degree", "-1", "--cohomology"],
+    ["pushforward", "morita:s3:x", "[1,0,0,0,0,0]"],
+    ["pushforward", "morita:s3:0", "[1,0,0,0,0,0]"],
+])
+def test_cli_bad_degree_or_morita_size_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_morita_size_guard_survives_optimize():
+    # the guard must not be an assert, which `python -O` strips
+    env = dict(os.environ, PYTHONPATH=str(Path(hochkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hochkit.cli", "pushforward", "morita:s3:0",
+         "[1,0,0,0,0,0]"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

@@ -154,6 +154,13 @@ def test_size_guard():
         hh_homology_dims(s3, 5, size_guard=1000)
 
 
+@pytest.mark.parametrize("fn", [hh_homology_dims, hh_cohomology_dims,
+                                bar_chain_complex, bar_cochain_complex])
+def test_negative_degree_refused(fn):
+    with pytest.raises(DegreeUnderflow):
+        fn(algebra_fixture("s3"), -1)
+
+
 def test_degree_zero_representatives():
     s3 = algebra_fixture("s3")
     h = hh_homology_dims(s3, 1, want_representatives=True)

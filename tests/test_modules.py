@@ -1,15 +1,18 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from hochkit.algebra import field_algebra, opposite
+from hochkit.algebra import field_algebra, matrix_algebra, opposite
 from hochkit.errors import (
-    AlgebraMismatch, MiddleNotSemisimple, MissingSerreData, ModuleDefect,
+    AlgebraMismatch, DegreeUnderflow, MiddleNotSemisimple, MissingSerreData,
+    ModuleDefect,
 )
 from hochkit.fixtures import algebra_fixture
 from hochkit.linalg import SparseMatrix
 from hochkit.modules import (
-    ModuleRep, apply_kernel, apply_kernel_full, convolve, dual_kernel,
+    ModuleRep, a_unit_split, apply_kernel, apply_kernel_full, convolve, dual_kernel,
     ext_dims, hom_space, is_intertwiner, multiplicity_vector, outer_kernel,
     regular_bimodule, regular_module, simples_of, tensor_over,
 )
@@ -224,6 +227,21 @@ def test_ext_dual_numbers_periodic():
                   name="point", check=True)
     dims = ext_dims(m, m, 4)
     assert dims == [1, 1, 1, 1, 1]
+
+
+def test_ext_negative_degree_refused():
+    m = simples_of(algebra_fixture("zn:2"))[0]
+    with pytest.raises(DegreeUnderflow):
+        ext_dims(m, m, -1)
+
+
+def test_unit_split_does_not_pin_algebra():
+    a = matrix_algebra(2)
+    assert a_unit_split(a) is a_unit_split(a)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
 
 
 def test_ext_degree_zero_matches_hom():
