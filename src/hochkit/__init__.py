@@ -41,7 +41,7 @@ from .mukai import (
     morita_kernel, mukai_pairing, pairing_report, pushforward, serre_trace,
     todd, todd_hrr_check, trace_triangle_check,
 )
-from .scalars import CycScalar, Rational, cyc, format_scalar, parse_scalar, zeta
+from .scalars import CycScalar, cyc, format_scalar, parse_scalar, zeta
 from .tqft import (
     CobordismWord, SurfaceInvariant, commutator_solution_count, evaluate,
     parse_word, trivial_representation,

@@ -8,7 +8,9 @@ multiplication table.
 
 Constructed algebras are validated (group tables, matrix algebras and
 file input eagerly; combinators inherit validity from their factors) and
-immutable afterwards, so they are safe to share between threads.
+immutable afterwards.  Derived data (multiplication matrices, the center
+basis, the unit split) is cached on the algebra when first asked for; it
+is deterministic, so a cache filled twice holds the same value.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ class Algebra:
         self._left_mult: dict[int, SparseMatrix] = {}
         self._right_mult: dict[int, SparseMatrix] = {}
         self._unit_split = None  # set by modules.a_unit_split
+        self._center: Optional[tuple] = None  # set by center_basis
         if not validated:
             validate(self)
 
@@ -425,23 +428,26 @@ def enveloping(a: Algebra) -> Algebra:
 
 # --- structural operations ---------------------------------------------------
 
-def center_basis(a: Algebra) -> list[CentralElement]:
-    """Basis of { z : z e_i = e_i z for all i } via one nullspace computation."""
-    entries = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            row = dict(a.sc.product(j, i))
-            for k, v in a.sc.product(i, j).items():
-                s = row.get(k, ZERO) - v
-                if s:
-                    row[k] = s
-                elif k in row:
-                    del row[k]
-            for k, v in row.items():
-                entries[(i * a.dim + k, j)] = v
-    system = SparseMatrix(a.dim * a.dim, a.dim, entries)
-    basis = nullspace(system).basis
-    return [CentralElement(a, v) for v in basis]
+def center_basis(a: Algebra) -> tuple[CentralElement, ...]:
+    """Basis of { z : z e_i = e_i z for all i } via one nullspace computation,
+    computed once per algebra.  It is the canonical reduced echelon basis, so
+    a central element's coordinates are its entries at the basis pivots."""
+    if a._center is None:
+        entries = {}
+        for i in range(a.dim):
+            for j in range(a.dim):
+                row = dict(a.sc.product(j, i))
+                for k, v in a.sc.product(i, j).items():
+                    s = row.get(k, ZERO) - v
+                    if s:
+                        row[k] = s
+                    elif k in row:
+                        del row[k]
+                for k, v in row.items():
+                    entries[(i * a.dim + k, j)] = v
+        system = SparseMatrix(a.dim * a.dim, a.dim, entries)
+        a._center = tuple(CentralElement(a, v) for v in nullspace(system).basis)
+    return a._center
 
 
 def commutator_subspace(a: Algebra) -> Subspace:

@@ -47,7 +47,7 @@ from .mukai import (
     CheckReport, MukaiClass, adjointness_check, cardy_check, chern,
     chern_commutation_check, functoriality_check, generalized_trace,
     hochschild_trace, hrr_check, iota_solve, morita_isometry_check,
-    mukai_pairing, assemble_split_map, serre_trace, trace_triangle_check,
+    assemble_split_map, serre_trace, trace_triangle_check,
 )
 from .scalars import ZERO, cyc, format_scalar, parse_scalar
 from .specfiles import load_algebra_text, parse_module_file

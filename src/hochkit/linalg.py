@@ -24,34 +24,8 @@ def vec(values: Iterable) -> Vector:
     return tuple(cyc(v) for v in values)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def add_vectors(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sub_vectors(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def scale_vector(c, a: Vector) -> Vector:
-    c = cyc(c)
-    return tuple(c * x for x in a)
-
-
-def dot(a: Vector, b: Vector) -> CycScalar:
-    assert len(a) == len(b)
-    out = ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            out = out + x * y
-    return out
 
 
 class SparseMatrix:

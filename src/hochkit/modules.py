@@ -124,22 +124,20 @@ class HomBasis:
         return len(self.basis)
 
     def coordinates_of(self, t: SparseMatrix) -> Vector:
-        """Coordinates of an intertwiner in this basis (it must lie in the span)."""
-        cols = [_vectorize(b) for b in self.basis]
-        target = _vectorize(t)
-        system = SparseMatrix.from_columns(cols, len(target))
-        from .linalg import solve
-        x = solve(system, target)
-        if x is None:
+        """Coordinates of an intertwiner in this basis (it must lie in the
+        span).  The basis from hom_space is in reduced echelon form in the
+        row-major order of entries, so the coordinates are the entries of t
+        at the basis pivots; they are checked to recombine to t."""
+        back = SparseMatrix.zero(self.target.dim, self.source.dim)
+        coords = ()
+        if (t.rows, t.cols) == (back.rows, back.cols):
+            coords = tuple(t.entry(*min((r, c) for r, c, _ in b.entries()))
+                           for b in self.basis)
+            for x, b in zip(coords, self.basis):
+                back = back + b.scale(x)
+        if back != t:
             raise HochkitError("matrix is not in the span of the Hom basis")
-        return x
-
-
-def _vectorize(t: SparseMatrix) -> Vector:
-    out = [ZERO] * (t.rows * t.cols)
-    for r, c, v in t.entries():
-        out[r * t.cols + c] = v
-    return tuple(out)
+        return coords
 
 
 def hom_space(m: ModuleRep, n: ModuleRep) -> HomBasis:
@@ -317,6 +315,7 @@ class Bimodule:
         if underlying.algebra != self.carrier:
             raise AlgebraMismatch("underlying module must live over tensor(target, op(source))")
         self.name = name
+        self._transfer: dict = {}  # transfer data, filled lazily by mukai
 
     @property
     def dim(self) -> int:

@@ -1,6 +1,13 @@
 """Serre/partial traces, the pairing on HH_0, Chern characters, transfer
 maps, and the identity verifiers built from them.
 
+The three transfer maps of a kernel (pushforward on HH_0, its adjoint, and
+the transport on HH^0) are linear.  Each is computed once per kernel, as the
+images of a center basis, from one pass over the kernel applied to each
+simple, and cached on the kernel.  An input class is read in coordinates at
+the pivots of the reduced echelon center basis and mapped by combining the
+images; `_solve_central` is the one place a central system is solved.
+
 Normalization, fixed throughout: the trace on End(M) is the ordinary
 matrix trace, and the trace on bimodule endomorphisms (central elements)
 is the regular trace of the algebra.  That pair is forced by asking the
@@ -18,7 +25,7 @@ the module's dimension.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from .algebra import (
     Algebra, CentralElement, center_basis, matrix_algebra, opposite,
@@ -30,7 +37,7 @@ from .errors import (
 )
 from .linalg import SparseMatrix, Vector, kron, rank, solve, vec
 from .modules import (
-    Bimodule, ModuleRep, apply_kernel, apply_kernel_full, convolve,
+    AppliedKernel, Bimodule, ModuleRep, apply_kernel, apply_kernel_full, convolve,
     dual_kernel, hom_space, is_intertwiner, simples_of,
 )
 from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar
@@ -249,19 +256,45 @@ def _center_gram(a: Algebra) -> tuple[list[CentralElement], SparseMatrix]:
     return basis, SparseMatrix(n, n, entries)
 
 
+def _combine(a: Algebra, x: Sequence[CycScalar], images: Sequence[Vector]) -> MukaiClass:
+    """The class sum_i x_i images_i over `a`."""
+    coords = [ZERO] * a.dim
+    for c, image in zip(x, images):
+        if c:
+            coords = [acc + c * v for acc, v in zip(coords, image)]
+    return MukaiClass(a, tuple(coords), _checked=True)
+
+
+def _solve_central(a: Algebra, system: SparseMatrix, rhs_columns: Sequence[Vector],
+                   why: str) -> list[MukaiClass]:
+    """For each right-hand side b, the central element sum_i x_i z_i with
+    system x = b, where z_i is center_basis(a).  Raises SingularGram(why)
+    unless the system fixes every answer."""
+    basis = [z.coords for z in center_basis(a)]
+    if rank(system) < len(basis):
+        raise SingularGram(why)
+    out = []
+    for rhs in rhs_columns:
+        x = solve(system, tuple(rhs))
+        if x is None:
+            raise SingularGram(why)
+        out.append(_combine(a, x, basis))
+    return out
+
+
+def _center_coords(a: Algebra, coords: Vector) -> Vector:
+    """Coordinates of a central element in center_basis(a): its entries at
+    the pivots of that reduced echelon basis."""
+    return tuple(coords[next(i for i, c in enumerate(z.coords) if c)]
+                 for z in center_basis(a))
+
+
 def _solve_against_center(a: Algebra, rhs_of: Callable[[CentralElement], CycScalar]) -> MukaiClass:
     """The unique central z with hochschild_trace(z * f) = rhs(f) for every
     central f, via the Gram system of the pairing on the center."""
     basis, gram = _center_gram(a)
-    rhs = tuple(rhs_of(f) for f in basis)
-    x = solve(gram, rhs)
-    if x is None or rank(gram) != len(basis):
-        raise SingularGram("trace pairing on the center is singular here")
-    coords = [ZERO] * a.dim
-    for c, z in zip(x, basis):
-        if c:
-            coords = [acc + c * zc for acc, zc in zip(coords, z.coords)]
-    return MukaiClass(a, tuple(coords), _checked=True)
+    return _solve_central(a, gram, [[rhs_of(f) for f in basis]],
+                          "trace pairing on the center is singular here")[0]
 
 
 def iota_solve(m: ModuleRep, e: SparseMatrix) -> MukaiClass:
@@ -377,42 +410,47 @@ def cardy_check(e_mod: ModuleRep, f_mod: ModuleRep,
 
 # --- transfer maps ----------------------------------------------------------------
 
+def _applied_simples(k: Bimodule) -> list[tuple[ModuleRep, AppliedKernel]]:
+    """(S, K applied to S) for every simple S of the source, once per kernel."""
+    if "applied" not in k._transfer:
+        k._transfer["applied"] = [(s, apply_kernel_full(k, s)) for s in simples_of(k.source)]
+    return k._transfer["applied"]
+
+
 def adjoint_transfer(k: Bimodule, nu: MukaiClass) -> MukaiClass:
     """Pull a class on the target back along the kernel: the unique central z
     over the source with trace(z on S o mu) = trace(nu on K(S) o K(mu)) for
-    every simple S and every basis intertwiner mu of End(S)."""
+    every simple S and every basis intertwiner mu of End(S).  The images of
+    the target center basis are solved once per kernel."""
     a, b = k.source, k.target
     if nu.algebra != b:
         raise AlgebraMismatch("class must live over the kernel's target")
     if a.serre is None or b.serre is None:
         raise MissingSerreData("adjoint transfer needs Frobenius data on both sides")
-    simples = simples_of(a)
-    rows: list[list[CycScalar]] = []
-    rhs: list[CycScalar] = []
-    zbasis = center_basis(a)
-    for s in simples:
-        applied = apply_kernel_full(k, s)
-        nu_action = applied.module.act(nu.coords)
-        for mu in hom_space(s, s).basis:
-            rows.append([(s.act(z.coords) * mu).trace() for z in zbasis])
-            rhs.append((nu_action * applied.map_morphism(mu)).trace())
-    system = SparseMatrix.from_dense(rows)
-    x = solve(system, tuple(rhs))
-    if x is None or rank(system) < len(zbasis):
-        raise SingularGram("character system of the simples does not determine z")
-    coords = [ZERO] * a.dim
-    for c, z in zip(x, zbasis):
-        if c:
-            coords = [acc + c * zc for acc, zc in zip(coords, z.coords)]
-    return MukaiClass(a, tuple(coords), _checked=True)
+    if "adjoint" not in k._transfer:
+        zbasis, targets = center_basis(a), center_basis(b)
+        rows: list[list[CycScalar]] = []
+        rhs: list[list[CycScalar]] = []
+        for s, applied in _applied_simples(k):
+            on_s = [s.act(z.coords) for z in zbasis]
+            on_ks = [applied.module.act(z.coords) for z in targets]
+            for mu in hom_space(s, s).basis:
+                k_mu = applied.map_morphism(mu)
+                rows.append([(act * mu).trace() for act in on_s])
+                rhs.append([(act * k_mu).trace() for act in on_ks])
+        k._transfer["adjoint"] = [z.coords for z in _solve_central(
+            a, SparseMatrix.from_dense(rows), list(zip(*rhs)),
+            "character system of the simples does not determine z")]
+    return _combine(a, _center_coords(b, nu.coords), k._transfer["adjoint"])
 
 
 def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
-    """The map on HH_0 induced by a kernel, computed by two independent
-    routes that must agree exactly:
+    """The map on HH_0 induced by a kernel.  Its images of the source center
+    basis are computed once per kernel by two independent routes that must
+    agree exactly:
 
-    route A: expand v over the Chern characters of the source simples and
-    map ch(S) to ch(K(S));
+    route A: expand each basis vector over the Chern characters of the
+    source simples and map ch(S) to ch(K(S));
     route B: solve the adjoint-transfer system <transfer(nu), v> = <nu, w>
     against the center of the target.
 
@@ -422,39 +460,28 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
     a, b = k.source, k.target
     if v.algebra != a:
         raise AlgebraMismatch("class must live over the kernel's source")
-    # route A
-    simples = simples_of(a)
-    columns = [chern(s).coords for s in simples]
-    system = SparseMatrix.from_columns(columns, a.dim)
-    x = solve(system, v.coords)
-    if x is None:
-        raise SingularGram("simples' Chern characters do not span the center")
-    route_a: Optional[MukaiClass] = None
-    for c, s in zip(x, simples):
-        if c:
-            term = chern(apply_kernel(k, s)).scale(c)
-            route_a = term if route_a is None else route_a + term
-    if route_a is None:
-        route_a = MukaiClass(b, (ZERO,) * b.dim, _checked=True)
-    # route B
-    zbasis_b, gram_b = _center_gram(b)
-    rhs = []
-    for z in zbasis_b:
-        nu = MukaiClass(b, z.coords, _checked=True)
-        pulled = adjoint_transfer(k, nu)
-        rhs.append(hochschild_trace(a, a.mul(pulled.coords, v.coords)))
-    y = solve(gram_b, tuple(rhs))
-    if y is None:
-        raise SingularGram("pairing on the target center is singular")
-    coords = [ZERO] * b.dim
-    for c, z in zip(y, zbasis_b):
-        if c:
-            coords = [acc + c * zc for acc, zc in zip(coords, z.coords)]
-    route_b = MukaiClass(b, tuple(coords), _checked=True)
-    if route_a != route_b:
-        raise RoutesDisagree(
-            f"pushforward routes disagree: {route_a!r} vs {route_b!r}")
-    return route_a
+    if "pushforward" not in k._transfer:
+        zbasis = center_basis(a)
+        # route A
+        system = SparseMatrix.from_columns([chern(s).coords for s in simples_of(a)], a.dim)
+        expansions = [solve(system, z.coords) for z in zbasis]
+        if None in expansions:
+            raise SingularGram("simples' Chern characters do not span the center")
+        pushed = [chern(applied.module).coords for _, applied in _applied_simples(k)]
+        route_a = [_combine(b, x, pushed) for x in expansions]
+        # route B
+        zbasis_b, gram_b = _center_gram(b)
+        pulled = [adjoint_transfer(k, MukaiClass(b, z.coords, _checked=True))
+                  for z in zbasis_b]
+        rhs = [[hochschild_trace(a, a.mul(p.coords, z.coords)) for p in pulled]
+               for z in zbasis]
+        route_b = _solve_central(b, gram_b, rhs, "pairing on the target center is singular")
+        for image_a, image_b in zip(route_a, route_b):
+            if image_a != image_b:
+                raise RoutesDisagree(
+                    f"pushforward routes disagree: {image_a!r} vs {image_b!r}")
+        k._transfer["pushforward"] = [image.coords for image in route_a]
+    return _combine(b, _center_coords(a, v.coords), k._transfer["pushforward"])
 
 
 def adjointness_check(k: Bimodule) -> CheckReport:
@@ -519,27 +546,23 @@ def cohomology_transport(k: Bimodule, nu: MukaiClass) -> MukaiClass:
     """Transport a central element along an equivalence kernel: the unique
     central element of the target acting on each K(S) by the same scalar by
     which nu acts on the simple S.  This is the degree-0 piece of the ring
-    isomorphism on cohomology (distinct from the pushforward on homology)."""
+    isomorphism on cohomology (distinct from the pushforward on homology).
+    The images of the source center basis are solved once per kernel."""
     a, b = k.source, k.target
     if nu.algebra != a:
         raise AlgebraMismatch("element must live over the kernel's source")
-    simples = simples_of(a)
-    zbasis = center_basis(b)
-    rows, rhs = [], []
-    for s in simples:
-        applied = apply_kernel_full(k, s)
-        omega = s.act(nu.coords).trace() / cyc(s.dim)  # scalar action on S
-        rows.append([applied.module.character(z.coords) for z in zbasis])
-        rhs.append(omega * cyc(applied.module.dim))
-    system = SparseMatrix.from_dense(rows)
-    x = solve(system, tuple(rhs))
-    if x is None or rank(system) < len(zbasis):
-        raise SingularGram("kernel images do not determine the transported element")
-    coords = [ZERO] * b.dim
-    for c, z in zip(x, zbasis):
-        if c:
-            coords = [acc + c * zc for acc, zc in zip(coords, z.coords)]
-    return MukaiClass(b, tuple(coords), _checked=True)
+    if "transport" not in k._transfer:
+        zbasis, sources = center_basis(b), center_basis(a)
+        rows, rhs = [], []
+        for s, applied in _applied_simples(k):
+            rows.append([applied.module.character(z.coords) for z in zbasis])
+            # the scalar by which each source basis vector acts on S
+            omegas = [s.act(z.coords).trace() / cyc(s.dim) for z in sources]
+            rhs.append([omega * cyc(applied.module.dim) for omega in omegas])
+        k._transfer["transport"] = [z.coords for z in _solve_central(
+            b, SparseMatrix.from_dense(rows), list(zip(*rhs)),
+            "kernel images do not determine the transported element")]
+    return _combine(b, _center_coords(a, nu.coords), k._transfer["transport"])
 
 
 def morita_isometry_check(a: Algebra, n: int,
@@ -553,34 +576,26 @@ def morita_isometry_check(a: Algebra, n: int,
         raise MissingSerreData("morita check needs Frobenius data")
     k = morita_kernel(a, n)
     b = k.target
-    za = center_basis(a)
-    zb = center_basis(b)
-    report.compare("HH_0 dimensions equal", len(za), len(zb))
-    images = []
-    for z in za:
-        images.append(pushforward(k, MukaiClass(a, z.coords, _checked=True)))
+    za = [MukaiClass(a, z.coords, _checked=True) for z in center_basis(a)]
+    report.compare("HH_0 dimensions equal", len(za), len(center_basis(b)))
+    images = [pushforward(k, v) for v in za]
     image_matrix = SparseMatrix.from_columns([im.coords for im in images], b.dim)
     report.compare("pushforward is injective on HH_0", rank(image_matrix), len(za))
     # isometry on all basis pairs
-    for i in range(len(za)):
-        vi = MukaiClass(a, za[i].coords, _checked=True)
-        for j in range(len(za)):
-            vj = MukaiClass(a, za[j].coords, _checked=True)
+    for i, vi in enumerate(za):
+        for j, vj in enumerate(za):
             report.compare(
                 f"pairing preserved ({i}, {j})",
                 mukai_pairing(images[i], images[j]),
                 mukai_pairing(vi, vj))
     # ring structure on HH^0 transports multiplicatively
-    transports = [cohomology_transport(k, MukaiClass(a, z.coords, _checked=True))
-                  for z in za]
+    transports = [cohomology_transport(k, v) for v in za]
     unit_a = MukaiClass(a, a.unit, _checked=True)
     report.compare("ring transport sends unit to unit",
                    cohomology_transport(k, unit_a),
                    MukaiClass(b, b.unit, _checked=True))
-    for i in range(len(za)):
-        vi = MukaiClass(a, za[i].coords, _checked=True)
-        for j in range(len(za)):
-            vj = MukaiClass(a, za[j].coords, _checked=True)
+    for i, vi in enumerate(za):
+        for j, vj in enumerate(za):
             report.compare(
                 f"ring transport multiplicative ({i}, {j})",
                 cohomology_transport(k, vi.mul(vj)),

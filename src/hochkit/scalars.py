@@ -19,8 +19,6 @@ from typing import Iterable, Union
 
 from .errors import ParseError
 
-Rational = Fraction
-
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
 
@@ -319,11 +317,11 @@ class CycScalar:
         if self.order == 1:
             q = self.coeffs[0]
             return CycScalar(other.order, tuple(q * c for c in other.coeffs),
-                             _canonical=True) if q else _ZERO_SCALAR
+                             _canonical=True) if q else ZERO
         if other.order == 1:
             q = other.coeffs[0]
             return CycScalar(self.order, tuple(q * c for c in self.coeffs),
-                             _canonical=True) if q else _ZERO_SCALAR
+                             _canonical=True) if q else ZERO
         n, a, b = (self.order, self.coeffs, other.coeffs) if self.order == other.order \
             else self._unify(other)
         prod = [_Q0] * (len(a) + len(b) - 1)
@@ -455,7 +453,6 @@ def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
 # --- module-level API ------------------------------------------------------
 
 ZERO = CycScalar(1, (_Q0,), _canonical=True)
-_ZERO_SCALAR = ZERO
 ONE = CycScalar(1, (_Q1,), _canonical=True)
 
 
@@ -469,14 +466,6 @@ def cyc(x: Coercible) -> CycScalar:
 
 def zeta(n: int, k: int = 1) -> CycScalar:
     return CycScalar.zeta(n, k)
-
-
-def cyc_add(a: Coercible, b: Coercible) -> CycScalar:
-    return cyc(a) + cyc(b)
-
-
-def cyc_mul(a: Coercible, b: Coercible) -> CycScalar:
-    return cyc(a) * cyc(b)
 
 
 def cyc_inv(a: Coercible) -> CycScalar:

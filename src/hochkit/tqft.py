@@ -270,10 +270,6 @@ class SurfaceInvariant:
         return f"SurfaceInvariant(dim {self.dims} for word '{self.word}')"
 
 
-def generator_kernels(a: Algebra, augmentation: ModuleRep) -> GeneratorKernels:
-    return GeneratorKernels(a, augmentation)
-
-
 def trivial_representation(a: Algebra) -> ModuleRep:
     """The trivial representation of a group algebra: every group element
     acts as 1."""

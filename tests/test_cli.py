@@ -240,3 +240,16 @@ def test_cli_morita_size_guard_survives_optimize():
          "[1,0,0,0,0,0]"], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+def test_python_m_hochkit_matches_in_process_run(capsys):
+    # `python -m hochkit` runs the CLI; under -O no transfer result may hinge
+    # on an assert
+    assert run(["verify", "adjoint", "--seed", "0", "--format", "machine"]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(hochkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "hochkit", "verify", "adjoint", "--seed", "0",
+         "--format", "machine"], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected

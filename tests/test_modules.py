@@ -6,8 +6,8 @@ import pytest
 
 from hochkit.algebra import field_algebra, matrix_algebra, opposite
 from hochkit.errors import (
-    AlgebraMismatch, DegreeUnderflow, MiddleNotSemisimple, MissingSerreData,
-    ModuleDefect,
+    AlgebraMismatch, DegreeUnderflow, HochkitError, MiddleNotSemisimple,
+    MissingSerreData, ModuleDefect,
 )
 from hochkit.fixtures import algebra_fixture
 from hochkit.linalg import SparseMatrix
@@ -270,3 +270,33 @@ def test_ext_over_enveloping_recovers_hochschild_cohomology():
         a = algebra_fixture(name)
         diag = regular_bimodule(a).underlying
         assert ext_dims(diag, diag, deg) == hh_cohomology_dims(a, deg).dims
+
+
+@pytest.mark.parametrize("name,simple", [("q8", "std"), ("zn:3", "chi1")])
+def test_hom_coordinates_round_trip(name, simple):
+    from hochkit.fixtures import module_fixture
+    from hochkit.scalars import cyc
+    rng = random.Random(53)
+    s = module_fixture(algebra_fixture(name), simple)
+    m = s.direct_sum(s)
+    homs = hom_space(m, m)
+    assert homs.dim == 4
+    for _ in range(10):
+        x = tuple(cyc(rng.randint(-3, 3)) for _ in homs.basis)
+        t = SparseMatrix.zero(m.dim, m.dim)
+        for c, b in zip(x, homs.basis):
+            t = t + b.scale(c)
+        assert homs.coordinates_of(t) == x
+    with pytest.raises(HochkitError, match="not in the span"):
+        homs.coordinates_of(SparseMatrix.identity(m.dim + 1))
+
+
+def test_hom_coordinates_refuse_non_intertwiner():
+    from hochkit.fixtures import module_fixture
+    from hochkit.scalars import cyc
+    std = module_fixture(algebra_fixture("q8"), "std")
+    m = std.direct_sum(std)
+    bad = SparseMatrix(m.dim, m.dim, {(0, 0): cyc(1)})
+    assert not is_intertwiner(bad, m, m)
+    with pytest.raises(HochkitError, match="not in the span"):
+        hom_space(m, m).coordinates_of(bad)

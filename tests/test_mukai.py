@@ -498,3 +498,209 @@ def test_isometry_of_pushforward_along_morita_kernel():
             vj = MukaiClass(z2, zj.coords, _checked=True)
             assert mukai_pairing(pushforward(K, vi), pushforward(K, vj)) == \
                 mukai_pairing(vi, vj)
+
+
+# --- transfer maps as whole maps, once per kernel --------------------------------
+#
+# The routes below are the per-vector computations the transfer maps replaced:
+# every call solves its own system and applies the kernel to every simple
+# again.  They stay here as oracles.
+
+def _old_combine(a, x, basis):
+    coords = [ZERO] * a.dim
+    for c, z in zip(x, basis):
+        if c:
+            coords = [acc + c * zc for acc, zc in zip(coords, z.coords)]
+    return MukaiClass(a, tuple(coords), _checked=True)
+
+
+def old_adjoint_transfer(k, nu):
+    from hochkit.linalg import solve
+    from hochkit.modules import apply_kernel_full
+    a = k.source
+    rows, rhs = [], []
+    zbasis = center_basis(a)
+    for s in simples_of(a):
+        applied = apply_kernel_full(k, s)
+        nu_action = applied.module.act(nu.coords)
+        for mu in hom_space(s, s).basis:
+            rows.append([(s.act(z.coords) * mu).trace() for z in zbasis])
+            rhs.append((nu_action * applied.map_morphism(mu)).trace())
+    system = SparseMatrix.from_dense(rows)
+    x = solve(system, tuple(rhs))
+    if x is None or rank(system) < len(zbasis):
+        raise SingularGram("character system of the simples does not determine z")
+    return _old_combine(a, x, zbasis)
+
+
+def old_pushforward(k, v):
+    from hochkit.linalg import solve
+    from hochkit.modules import apply_kernel
+    a, b = k.source, k.target
+    simples = simples_of(a)
+    system = SparseMatrix.from_columns([chern(s).coords for s in simples], a.dim)
+    x = solve(system, v.coords)
+    route_a = MukaiClass(b, (ZERO,) * b.dim, _checked=True)
+    for c, s in zip(x, simples):
+        if c:
+            route_a = route_a + chern(apply_kernel(k, s)).scale(c)
+    zbasis_b = center_basis(b)
+    gram_b = pairing_gram(b)
+    rhs = [hochschild_trace(a, a.mul(old_adjoint_transfer(
+        k, MukaiClass(b, z.coords, _checked=True)).coords, v.coords)) for z in zbasis_b]
+    route_b = _old_combine(b, solve(gram_b, tuple(rhs)), zbasis_b)
+    assert route_a == route_b
+    return route_a
+
+
+def old_cohomology_transport(k, nu):
+    from hochkit.linalg import solve
+    from hochkit.modules import apply_kernel_full
+    a, b = k.source, k.target
+    zbasis = center_basis(b)
+    rows, rhs = [], []
+    for s in simples_of(a):
+        applied = apply_kernel_full(k, s)
+        omega = s.act(nu.coords).trace() / cyc(s.dim)
+        rows.append([applied.module.character(z.coords) for z in zbasis])
+        rhs.append(omega * cyc(applied.module.dim))
+    system = SparseMatrix.from_dense(rows)
+    x = solve(system, tuple(rhs))
+    if x is None or rank(system) < len(zbasis):
+        raise SingularGram("kernel images do not determine the transported element")
+    return _old_combine(b, x, zbasis)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SingularGram as exc:
+        return ("SingularGram", str(exc))
+
+
+def _transfer_kernels():
+    """(label, builder) pairs; each builder returns a fresh kernel."""
+    from hochkit.mukai import morita_kernel
+
+    def outer(src, i, dst, j):
+        a, b = algebra_fixture(src), algebra_fixture(dst)
+        return lambda: outer_kernel(simples_of(a)[i].dual(), simples_of(b)[j], a)
+
+    def to_field():
+        s3 = algebra_fixture("s3")
+        point = ModuleRep(algebra_fixture("field"), 2, [SparseMatrix.identity(2)],
+                          name="C2", check=False)
+        return outer_kernel(simples_of(s3)[2].dual(), point, s3)
+
+    return [
+        ("outer zn:3 -> zn:4", outer("zn:3", 1, "zn:4", 3)),
+        ("outer s3 -> q8", outer("s3", 2, "q8", 4)),
+        ("outer zn:2 -> s3", outer("zn:2", 1, "s3", 2)),
+        ("morita s3", lambda: morita_kernel(algebra_fixture("s3"), 2)),
+        ("regular zn:3", lambda: regular_bimodule(algebra_fixture("zn:3"))),
+        ("s3 -> field", to_field),
+    ]
+
+
+@pytest.mark.parametrize("label,build", _transfer_kernels(),
+                         ids=[label for label, _ in _transfer_kernels()])
+def test_transfer_maps_match_per_vector_routes(label, build):
+    rng = random.Random(41)
+    probe = build()
+    a, b = probe.source, probe.target
+    sources = [rand_central(rng, a) for _ in range(2)] + [MukaiClass(a, a.unit, _checked=True)]
+    targets = [rand_central(rng, b) for _ in range(2)]
+    expected = ([old_pushforward(probe, v) for v in sources],
+                [old_adjoint_transfer(probe, nu) for nu in targets],
+                [_outcome(old_cohomology_transport, probe, v) for v in sources])
+    # pushforward first on one fresh kernel, the two other maps first on another
+    k = build()
+    pushed = [pushforward(k, v) for v in sources]
+    got = (pushed, [adjoint_transfer(k, nu) for nu in targets],
+           [_outcome(cohomology_transport, k, v) for v in sources])
+    assert got == expected
+    k = build()
+    transported = [_outcome(cohomology_transport, k, v) for v in sources]
+    pulled = [adjoint_transfer(k, nu) for nu in targets]
+    assert ([pushforward(k, v) for v in sources], pulled, transported) == expected
+
+
+def test_transfer_applies_kernel_once_per_simple(monkeypatch):
+    import hochkit.mukai as mukai
+    calls = []
+    real = mukai.apply_kernel_full
+
+    def counted(k, m):
+        calls.append(m.name)
+        return real(k, m)
+
+    monkeypatch.setattr(mukai, "apply_kernel_full", counted)
+    rng = random.Random(43)
+    s3 = algebra_fixture("s3")
+    K = regular_bimodule(s3)
+    for _ in range(10):
+        v = rand_central(rng, s3)
+        assert pushforward(K, v) == v
+    adjoint_transfer(K, rand_central(rng, s3))
+    cohomology_transport(K, rand_central(rng, s3))
+    assert sorted(calls) == sorted(s.name for s in simples_of(s3))
+
+
+def test_pushforward_routes_disagree_is_raised(monkeypatch):
+    import hochkit.mukai as mukai
+    from hochkit.errors import RoutesDisagree
+    z2, z3 = algebra_fixture("zn:2"), algebra_fixture("zn:3")
+    K = outer_kernel(simples_of(z2)[1].dual(), simples_of(z3)[2], z2)
+    real = mukai.chern
+
+    def corrupted(m):
+        # doubles the classes of route A's images on the target side only
+        return real(m).scale(2) if m.algebra == z3 else real(m)
+
+    monkeypatch.setattr(mukai, "chern", corrupted)
+    with pytest.raises(RoutesDisagree, match="pushforward routes disagree"):
+        pushforward(K, MukaiClass(z2, z2.unit, _checked=True))
+    monkeypatch.undo()
+    v = chern(simples_of(z2)[1])
+    assert pushforward(K, v) == chern(simples_of(z3)[2])
+
+
+def _rebased(a):
+    """`a` in the basis f_i = e_i + e_(i+1) (f_last = e_last), so that its
+    center basis is no longer made of class sums with equal entries."""
+    from hochkit.algebra import Algebra, DictSC, SerreData
+    n = a.dim
+
+    def to_e(i):
+        return {i: ONE, i + 1: ONE} if i + 1 < n else {i: ONE}
+
+    def to_f(x):
+        y = []
+        for k in range(n):
+            y.append(x[k] - (y[k - 1] if k else ZERO))
+        return tuple(y)
+
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            prod = [ZERO] * n
+            for p, u in to_e(i).items():
+                for q, w in to_e(j).items():
+                    for k, c in a.sc.product(p, q).items():
+                        prod[k] = prod[k] + u * w * c
+            table[(i, j)] = dict(enumerate(to_f(prod)))
+    functional = [sum((a.serre.functional[k] for k in to_e(i)), ZERO) for i in range(n)]
+    return Algebra(n, DictSC(table), to_f(a.unit), serre=SerreData(functional),
+                   field_order=a.field_order, provenance=("custom", "rebased"))
+
+
+@pytest.mark.parametrize("name", ["s3", "zn:6", "d4", "q8", "mat:3", "a4", "rebased s3"])
+def test_center_coordinates_round_trip(name):
+    from hochkit.mukai import _center_coords, _combine
+    rng = random.Random(47)
+    a = _rebased(algebra_fixture("s3")) if name == "rebased s3" else algebra_fixture(name)
+    assert 6 <= a.dim <= 12
+    basis = [z.coords for z in center_basis(a)]
+    for _ in range(5):
+        v = rand_central(rng, a)
+        assert _combine(a, _center_coords(a, v.coords), basis) == v
