@@ -124,6 +124,7 @@ class Algebra:
         self._right_mult: dict[int, SparseMatrix] = {}
         self._unit_split = None  # set by modules.a_unit_split
         self._center: Optional[tuple] = None  # set by center_basis
+        self._center_gram = None  # set by mukai.pairing_gram
         if not validated:
             validate(self)
 

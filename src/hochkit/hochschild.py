@@ -6,10 +6,15 @@ The chain complex C_n = A (x) Abar^(x n) carries the boundary
                              + (-1)^n a_n a_0 (x) a_1 (x) ... (x) a_{n-1}
 
 and the cochain complex C^n = Hom(Abar^(x n), A) the matching coboundary.
-The reduced (normalized) variant is the default: interior slots live in a
-complement of the unit, which shrinks dim(A)^n to (dim(A)-1)^n and is what
-makes degree-3 computations feasible at dim 6-8.  The unnormalized variant
-is retained as an independent cross-check route.
+Both builders share the word codec (`itertools.product` plus `_index`), the
+interior merges (`_merges`) and the guarded dims; each writes only its two
+end terms.  The alphabet (`_alphabet`) is the only place the two routes
+differ.  The reduced (normalized) route is the default: interior letters
+span a complement of the unit, which shrinks dim(A)^n to (dim(A)-1)^n and is
+what makes degree-3 computations feasible at dim 6-8.  The unnormalized
+route, on which cup and cap live, is retained as an independent cross-check.
+Ext over A (x) A^op (`modules.ext_dims`) builds its own coboundary and
+shares none of this code, so its agreement with HH^* is a second route.
 
 A homology dimension in degree k is only reported when both adjacent
 differentials were built (`complete_through` tracks this); the CLI marks
@@ -18,46 +23,46 @@ anything beyond as incomplete rather than guessing.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import product
+from typing import Iterable, Optional, Sequence
 
 from .algebra import Algebra, center_basis, commutator_subspace
-from .errors import DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle
+from .errors import (
+    AlgebraMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle,
+    ShapeMismatch,
+)
 from .linalg import SparseMatrix, Vector, cokernel_projector, rank, solve, unit_vector
 from .modules import a_unit_split, check_maxdeg
 from .scalars import CycScalar, ONE, ZERO
 
 MAX_CHAIN_COORDINATES = 200_000
 MAX_DEGREE = 32
+_SIGNS = (ONE, -ONE)  # (-1)^k is _SIGNS[k % 2]
 
 
 class ChainComplex:
     """Graded spaces with differentials between adjacent degrees.
 
-    direction 'down' stores maps[n]: C_n -> C_(n-1); direction 'up' stores
-    maps[n]: C^n -> C^(n+1).  d o d = 0 is asserted at assembly.
+    maps[n] leaves degree n and lands in degree n + step: step is -1 for
+    direction 'down' (maps[n]: C_n -> C_(n-1)) and +1 for 'up'
+    (maps[n]: C^n -> C^(n+1)).  d o d = 0 is checked exactly at assembly.
     """
 
     def __init__(self, dims: Sequence[int], maps: dict[int, SparseMatrix],
                  direction: str = "down"):
-        assert direction in ("down", "up")
+        self.step = {"down": -1, "up": 1}[direction]
         self.dims = tuple(dims)
         self.maps = dict(maps)
         self.direction = direction
         self._rank_cache: dict[int, int] = {}
         for n, m in self.maps.items():
-            if direction == "down":
-                assert m.cols == self.dims[n] and m.rows == self.dims[n - 1]
-            else:
-                assert m.cols == self.dims[n] and m.rows == self.dims[n + 1]
+            assert (m.rows, m.cols) == (self.dims[n + self.step], self.dims[n])
         self._check_dd()
 
     def _check_dd(self):
         for n, m in self.maps.items():
-            nxt = self.maps.get(n + 1)
-            if nxt is None:
-                continue
-            composite = m * nxt if self.direction == "down" else nxt * m
-            if not composite.is_zero():
+            nxt = self.maps.get(n + self.step)
+            if nxt is not None and not (nxt * m).is_zero():
                 raise HochkitError(f"differential composite at degree {n} is nonzero")
 
     @property
@@ -73,15 +78,11 @@ class ChainComplex:
 
     def complete_through(self) -> int:
         """Largest degree whose homology both adjacent maps determine;
-        degree k needs the incoming and the outgoing differential."""
+        degree k needs the maps out of it (maps[k]) and into it
+        (maps[k - step]), each built or zero (b_0 and delta^-1)."""
         for k in range(self.top_degree, -1, -1):
-            if self.direction == "down":
-                in_ok = k == 0 or k in self.maps
-                out_ok = k + 1 in self.maps
-            else:
-                in_ok = k == 0 or k - 1 in self.maps
-                out_ok = k in self.maps
-            if in_ok and out_ok:
+            if all(n in self.maps or min(n, n + self.step) < 0
+                   for n in (k, k - self.step)):
                 return k
         return -1
 
@@ -90,12 +91,8 @@ class ChainComplex:
             raise HochkitError(
                 f"homology at degree {k} is not determined by the built "
                 f"differentials (complete through {self.complete_through()})")
-        if self.direction == "down":
-            kernel = self.dims[k] - self.rank_of_map(k)  # rank(b_0) = 0
-            image = self.rank_of_map(k + 1)
-        else:
-            kernel = self.dims[k] - self.rank_of_map(k)
-            image = self.rank_of_map(k - 1) if k >= 1 else 0
+        kernel = self.dims[k] - self.rank_of_map(k)
+        image = self.rank_of_map(k - self.step)
         assert kernel - image >= 0, "d o d = 0 violated upstream"
         return kernel - image
 
@@ -105,15 +102,13 @@ class HHResult:
     degree-0 representatives."""
 
     def __init__(self, kind: str, dims: list[int], truncation: int,
-                 representatives: Optional[list[Vector]] = None,
-                 normalized: bool = True):
+                 representatives: Optional[list[Vector]] = None):
         assert kind in ("homology", "cohomology")
         assert all(d >= 0 for d in dims)
         self.kind = kind
         self.dims = list(dims)
         self.truncation = truncation
         self.representatives = representatives
-        self.normalized = normalized
 
     def __repr__(self):
         return f"HH{'^*' if self.kind == 'cohomology' else '_*'}{self.dims}"
@@ -121,177 +116,129 @@ class HHResult:
 
 # --- bar complexes ----------------------------------------------------------
 
-def _interior_dim(a: Algebra, normalized: bool) -> int:
-    return a.dim - 1 if normalized else a.dim
+def _index(word: Sequence[int], radix: int) -> int:
+    """The word read in base `radix`, first letter most significant."""
+    w = 0
+    for t in word:
+        w = w * radix + t
+    return w
 
 
-def _guard_sizes(a: Algebra, maxdeg: int, normalized: bool, size_guard: int):
-    d = a.dim
-    dbar = _interior_dim(a, normalized)
-    for n in range(maxdeg + 1):
-        size = d * (dbar ** n)
+def _alphabet(a: Algebra, normalized: bool):
+    """(letters, merge): the basis index of each interior letter, and the
+    product of two letters as {letter: coefficient}.  Normalized letters
+    span a complement of the unit, and merge drops the unit part."""
+    if not normalized:
+        return tuple(range(a.dim)), a.sc.product
+    split = a_unit_split(a)
+    return split.bar_indices, lambda s, t: split.bar_product(s, t)[1]
+
+
+def _merges(word: tuple[int, ...], merge) -> Iterable[tuple[tuple[int, ...], CycScalar]]:
+    """Interior terms of the bar differential: (-1)^(i+1) times the word
+    with letters i and i+1 multiplied together."""
+    for i in range(len(word) - 1):
+        sign = _SIGNS[(i + 1) % 2]
+        for t, c in merge(word[i], word[i + 1]).items():
+            yield word[:i] + (t,) + word[i + 2:], sign * c
+
+
+def _guarded_dims(a: Algebra, top: int, radix: int, size_guard: int) -> list[int]:
+    """dim(A) * radix^n for n = 0..top; refuses before anything is built."""
+    dims = [a.dim * radix ** n for n in range(top + 1)]
+    for n, size in enumerate(dims):
         if size > size_guard:
             raise DegreeCapExceeded(
                 f"chain space at degree {n} has {size} coordinates "
                 f"(guard {size_guard})")
+    return dims
+
+
+def _matrix(rows: int, cols: int, terms) -> SparseMatrix:
+    """Sum of (row, col, value) terms, entries kept in first-insertion order."""
+    entries: dict[tuple[int, int], CycScalar] = {}
+    for r, c, v in terms:
+        s = entries.get((r, c), ZERO) + v
+        if s:
+            entries[(r, c)] = s
+        else:
+            entries.pop((r, c), None)
+    return SparseMatrix(rows, cols, entries)
 
 
 def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
-                      size_guard: int = MAX_CHAIN_COORDINATES,
-                      degree_cap: int = MAX_DEGREE) -> ChainComplex:
+                      size_guard: int = MAX_CHAIN_COORDINATES) -> ChainComplex:
     """Hochschild chain complex C_n = A (x) Abar^(x n) through degree maxdeg."""
-    check_maxdeg(maxdeg, degree_cap)
-    _guard_sizes(a, maxdeg, normalized, size_guard)
-    d = a.dim
-    split = a_unit_split(a) if normalized else None
-    dbar = _interior_dim(a, normalized)
-    interior = split.bar_indices if normalized else tuple(range(d))
-    dims = [d * (dbar ** n) for n in range(maxdeg + 1)]
-    maps: dict[int, SparseMatrix] = {}
+    check_maxdeg(maxdeg, MAX_DEGREE + 1)  # homology is complete one degree lower
+    letters, merge = _alphabet(a, normalized)
+    r = len(letters)
+    dims = _guarded_dims(a, maxdeg, r, size_guard)
+    mul = a.sc.product
 
-    def chain_index(a0: int, word: tuple[int, ...]) -> int:
-        w = 0
-        for t in word:
-            w = w * dbar + t
-        return a0 * (dbar ** len(word)) + w
+    def terms(n):
+        last_sign = _SIGNS[n % 2]
+        for col, chain in enumerate(product(range(a.dim), *[range(r)] * n)):
+            a0, word = chain[0], chain[1:]
+            # i = 0: (a0 a_1) (x) a_2 ...
+            for k, v in mul(a0, letters[word[0]]).items():
+                yield _index((k,) + word[1:], r), col, v
+            for merged, v in _merges(word, merge):
+                yield _index((a0,) + merged, r), col, v
+            # cyclic term: (-1)^n a_n a_0 (x) a_1 ... a_{n-1}
+            for k, v in mul(letters[word[-1]], a0).items():
+                yield _index((k,) + word[:-1], r), col, last_sign * v
 
-    for n in range(1, maxdeg + 1):
-        entries: dict[tuple[int, int], CycScalar] = {}
-
-        def add(r, c, v):
-            if not v:
-                return
-            s = entries.get((r, c), ZERO) + v
-            if s:
-                entries[(r, c)] = s
-            elif (r, c) in entries:
-                del entries[(r, c)]
-
-        for a0 in range(d):
-            for w in range(dbar ** n):
-                word = []
-                x = w
-                for _ in range(n):
-                    word.append(x % dbar)
-                    x //= dbar
-                word.reverse()
-                word = tuple(word)
-                col = a0 * (dbar ** n) + w
-                # i = 0: (a0 a_1) (x) a_2 ...
-                prod = a.sc.product(a0, interior[word[0]])
-                for k, v in prod.items():
-                    add(chain_index(k, word[1:]), col, v)
-                # interior merges
-                sign = ONE
-                for i in range(n - 1):
-                    sign = -sign
-                    if normalized:
-                        _eps, reduced = split.bar_product(word[i], word[i + 1])
-                        for t, coeff in reduced.items():
-                            add(chain_index(a0, word[:i] + (t,) + word[i + 2:]),
-                                col, sign * coeff)
-                    else:
-                        prod = a.sc.product(word[i], word[i + 1])
-                        for k, coeff in prod.items():
-                            add(chain_index(a0, word[:i] + (k,) + word[i + 2:]),
-                                col, sign * coeff)
-                # cyclic term: (-1)^n a_n a_0 (x) a_1 ... a_{n-1}
-                last_sign = ONE if n % 2 == 0 else -ONE
-                prod = a.sc.product(interior[word[n - 1]], a0)
-                for k, v in prod.items():
-                    add(chain_index(k, word[:n - 1]), col, last_sign * v)
-        maps[n] = SparseMatrix(dims[n - 1], dims[n], entries)
+    maps = {n: _matrix(dims[n - 1], dims[n], terms(n)) for n in range(1, maxdeg + 1)}
     return ChainComplex(dims, maps, direction="down")
 
 
 def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
-                        size_guard: int = MAX_CHAIN_COORDINATES,
-                        degree_cap: int = MAX_DEGREE) -> ChainComplex:
+                        size_guard: int = MAX_CHAIN_COORDINATES) -> ChainComplex:
     """Hochschild cochain complex C^n = Hom(Abar^(x n), A) with coboundary
 
     (df)(a_1..a_{n+1}) = a_1 f(a_2..) + sum_i (-1)^i f(.. a_i a_{i+1} ..)
                           + (-1)^(n+1) f(a_1..a_n) a_{n+1}.
     Maps are built for n = 0..maxdeg, so homology is complete through maxdeg.
+    The coordinate of f(word) at basis element `out` is _index(word) * dim(A) + out.
     """
-    check_maxdeg(maxdeg, degree_cap)
-    _guard_sizes(a, maxdeg + 1, normalized, size_guard)
-    d = a.dim
-    split = a_unit_split(a) if normalized else None
-    dbar = _interior_dim(a, normalized)
-    interior = split.bar_indices if normalized else tuple(range(d))
-    dims = [(dbar ** n) * d for n in range(maxdeg + 2)]
-    maps: dict[int, SparseMatrix] = {}
+    check_maxdeg(maxdeg, MAX_DEGREE)
+    letters, merge = _alphabet(a, normalized)
+    r, d = len(letters), a.dim
+    dims = _guarded_dims(a, maxdeg + 1, r, size_guard)
+    mul = a.sc.product
 
-    def cochain_index(word_val: int, out: int) -> int:
-        return word_val * d + out
-
-    for n in range(0, maxdeg + 1):
-        entries: dict[tuple[int, int], CycScalar] = {}
-
-        def add(r, c, v):
-            if not v:
-                return
-            s = entries.get((r, c), ZERO) + v
-            if s:
-                entries[(r, c)] = s
-            elif (r, c) in entries:
-                del entries[(r, c)]
-
-        last_sign = ONE if (n + 1) % 2 == 0 else -ONE
-        for w in range(dbar ** (n + 1)):
-            word = []
-            x = w
-            for _ in range(n + 1):
-                word.append(x % dbar)
-                x //= dbar
-            word.reverse()
-            word = tuple(word)
-
-            def word_val(ws: tuple[int, ...]) -> int:
-                v = 0
-                for t in ws:
-                    v = v * dbar + t
-                return v
-
-            rest_val = word_val(word[1:])
-            head_val = word_val(word[:n])
+    def terms(n):
+        last_sign = _SIGNS[(n + 1) % 2]
+        for w, word in enumerate(product(range(r), repeat=n + 1)):
+            rest, head = _index(word[1:], r) * d, _index(word[:n], r) * d
             # a_1 f(a_2 ..): left multiplication on the output slot
-            for out_mid in range(d):
-                for k, v in a.sc.product(interior[word[0]], out_mid).items():
-                    add(cochain_index(w, k), cochain_index(rest_val, out_mid), v)
-            sign = ONE
-            for i in range(n):
-                sign = -sign
-                if normalized:
-                    _eps, reduced = split.bar_product(word[i], word[i + 1])
-                    pieces = reduced.items()
-                else:
-                    pieces = a.sc.product(word[i], word[i + 1]).items()
-                for t, coeff in pieces:
-                    nw = word_val(word[:i] + (t,) + word[i + 2:])
-                    for out in range(d):
-                        add(cochain_index(w, out), cochain_index(nw, out),
-                            sign * coeff)
+            for out in range(d):
+                for k, v in mul(letters[word[0]], out).items():
+                    yield w * d + k, rest + out, v
+            for merged, v in _merges(word, merge):
+                col = _index(merged, r) * d
+                for out in range(d):
+                    yield w * d + out, col + out, v
             # (-1)^(n+1) f(a_1..a_n) a_{n+1}: right multiplication on output
-            for out_mid in range(d):
-                for k, v in a.sc.product(out_mid, interior[word[n]]).items():
-                    add(cochain_index(w, k), cochain_index(head_val, out_mid),
-                        last_sign * v)
-        maps[n] = SparseMatrix(dims[n + 1], dims[n], entries)
+            for out in range(d):
+                for k, v in mul(out, letters[word[n]]).items():
+                    yield w * d + k, head + out, last_sign * v
+
+    maps = {n: _matrix(dims[n + 1], dims[n], terms(n)) for n in range(maxdeg + 1)}
     return ChainComplex(dims, maps, direction="up")
 
 
 # --- dimension reports --------------------------------------------------------
 
+
 def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
                      size_guard: int = MAX_CHAIN_COORDINATES,
-                     degree_cap: int = MAX_DEGREE,
                      want_representatives: bool = False) -> HHResult:
     """dim HH_k for 0 <= k <= maxdeg.  Degree 0 is cross-checked against the
     direct computation dim(A) - dim[A, A]."""
-    check_maxdeg(maxdeg, degree_cap)
+    check_maxdeg(maxdeg, MAX_DEGREE)
     complex_ = bar_chain_complex(a, maxdeg + 1, normalized=normalized,
-                                 size_guard=size_guard, degree_cap=degree_cap + 1)
+                                 size_guard=size_guard)
     dims = [complex_.homology_dim(k) for k in range(maxdeg + 1)]
     direct0 = a.dim - commutator_subspace(a).dim
     if dims[0] != direct0:
@@ -301,18 +248,16 @@ def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
     if want_representatives:
         free_coords, _proj = cokernel_projector(complex_.maps[1])
         reps = [unit_vector(complex_.dims[0], f) for f in free_coords]
-    return HHResult("homology", dims, maxdeg, representatives=reps,
-                    normalized=normalized)
+    return HHResult("homology", dims, maxdeg, representatives=reps)
 
 
 def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
                        size_guard: int = MAX_CHAIN_COORDINATES,
-                       degree_cap: int = MAX_DEGREE,
                        want_representatives: bool = False) -> HHResult:
     """dim HH^k for 0 <= k <= maxdeg.  Degree 0 is cross-checked against the
     direct center computation."""
     complex_ = bar_cochain_complex(a, maxdeg, normalized=normalized,
-                                   size_guard=size_guard, degree_cap=degree_cap)
+                                   size_guard=size_guard)
     dims = [complex_.homology_dim(k) for k in range(maxdeg + 1)]
     direct0 = len(center_basis(a))
     if dims[0] != direct0:
@@ -321,32 +266,36 @@ def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
     reps = None
     if want_representatives:
         reps = [z.coords for z in center_basis(a)]
-    return HHResult("cohomology", dims, maxdeg, representatives=reps,
-                    normalized=normalized)
+    return HHResult("cohomology", dims, maxdeg, representatives=reps)
 
 
 # --- cochains, cup and cap on the unnormalized complex -------------------------
 #
 # Cup and cap are implemented on the unnormalized complex, where the
 # formulas are the textbook ones with no splitting bookkeeping; the spaces
-# involved in tests are small.
+# involved in tests are small.  Coordinates are those of the complexes above,
+# with every basis element a letter.
 
-class Cochain:
-    """An element of C^p = Hom(A^(x p), A) on the unnormalized complex."""
+class _BarElement:
+    """dim(A)^(degree + 1) coordinates in one degree of the unnormalized complex."""
 
     def __init__(self, algebra: Algebra, degree: int, coords: Vector):
-        d = algebra.dim
-        assert len(coords) == (d ** degree) * d
+        if len(coords) != algebra.dim ** (degree + 1):
+            raise ShapeMismatch(
+                f"a degree-{degree} {type(self).__name__.lower()} needs "
+                f"{algebra.dim ** (degree + 1)} coordinates, got {len(coords)}")
         self.algebra = algebra
         self.degree = degree
         self.coords = tuple(coords)
 
+
+class Cochain(_BarElement):
+    """An element of C^p = Hom(A^(x p), A) on the unnormalized complex."""
+
     def value(self, word: tuple[int, ...]) -> Vector:
         d = self.algebra.dim
-        w = 0
-        for t in word:
-            w = w * d + t
-        return tuple(self.coords[w * d + k] for k in range(d))
+        w = _index(word, d) * d
+        return self.coords[w:w + d]
 
     @staticmethod
     def from_element(algebra: Algebra, coords: Vector) -> "Cochain":
@@ -357,15 +306,8 @@ class Cochain:
         return Cochain(algebra, 0, algebra.unit)
 
 
-class Chain:
+class Chain(_BarElement):
     """An element of C_n = A^(x (n+1)) on the unnormalized complex."""
-
-    def __init__(self, algebra: Algebra, degree: int, coords: Vector):
-        d = algebra.dim
-        assert len(coords) == d ** (degree + 1)
-        self.algebra = algebra
-        self.degree = degree
-        self.coords = tuple(coords)
 
 
 def _unnormalized_cochain_map(a: Algebra, n: int) -> SparseMatrix:
@@ -408,24 +350,13 @@ def cup_product(f: Cochain, g: Cochain) -> Cochain:
     if not is_cocycle(f) or not is_cocycle(g):
         raise NotACocycle("cup product requires cocycle inputs")
     a = f.algebra
-    d = a.dim
     p, q = f.degree, g.degree
-    out = [ZERO] * ((d ** (p + q)) * d)
-    for w in range(d ** (p + q)):
-        word = []
-        x = w
-        for _ in range(p + q):
-            word.append(x % d)
-            x //= d
-        word.reverse()
-        fv = f.value(tuple(word[:p]))
-        gv = g.value(tuple(word[p:]))
-        prod = a.mul(fv, gv)
-        for k, v in enumerate(prod):
-            if v:
-                out[w * d + k] = v
+    out: list[CycScalar] = []
+    for word in product(range(a.dim), repeat=p + q):
+        out.extend(a.mul(f.value(word[:p]), g.value(word[p:])))
     result = Cochain(a, p + q, tuple(out))
-    assert is_cocycle(result)
+    if not is_cocycle(result):
+        raise HochkitError("cup product of cocycles is not a cocycle")
     return result
 
 
@@ -448,7 +379,8 @@ def cap_product(f: Cochain, z: Chain) -> Chain:
     if not is_cycle(z):
         raise NotACocycle("cap product requires a cycle")
     result = _cap_raw(f, z)
-    assert is_cycle(result)
+    if not is_cycle(result):
+        raise HochkitError("cap product of a cocycle and a cycle is not a cycle")
     return result
 
 
@@ -457,31 +389,29 @@ def _cap_raw(f: Cochain, z: Chain) -> Chain:
     d = a.dim
     p, n = f.degree, z.degree
     out = [ZERO] * (d ** (n - p + 1))
-    for idx, c in enumerate(z.coords):
+    for c, word in zip(z.coords, product(range(d), repeat=n + 1)):
         if not c:
             continue
-        digits = []
-        x = idx
-        for _ in range(n + 1):
-            digits.append(x % d)
-            x //= d
-        digits.reverse()
-        a0, middle, tail = digits[0], tuple(digits[1:p + 1]), digits[p + 1:]
-        fv = f.value(middle)
-        head = a.mul(unit_vector(d, a0), fv)
+        head = a.mul(unit_vector(d, word[0]), f.value(word[1:p + 1]))
         for k, v in enumerate(head):
             if v:
-                w = k
-                for t in tail:
-                    w = w * d + t
+                w = _index((k,) + word[p + 1:], d)
                 out[w] = out[w] + c * v
     return Chain(a, n - p, tuple(out))
 
 
+def _difference(x: _BarElement, y: _BarElement) -> Vector:
+    """x - y for two chains or two cochains of one degree over one algebra."""
+    if x.degree != y.degree:
+        raise ShapeMismatch(f"cannot compare degrees {x.degree} and {y.degree}")
+    if x.algebra != y.algebra:
+        raise AlgebraMismatch("cannot compare classes over different algebras")
+    return tuple(a - b for a, b in zip(x.coords, y.coords))
+
+
 def class_difference_is_boundary(x: Chain, y: Chain) -> bool:
     """Whether two cycles agree in homology (difference is a boundary)."""
-    assert x.degree == y.degree and x.algebra == y.algebra
-    diff = tuple(a - b for a, b in zip(x.coords, y.coords))
+    diff = _difference(x, y)
     if not any(diff):
         return True
     b = _unnormalized_chain_map(x.algebra, x.degree + 1)
@@ -489,8 +419,7 @@ def class_difference_is_boundary(x: Chain, y: Chain) -> bool:
 
 
 def cochain_difference_is_coboundary(x: Cochain, y: Cochain) -> bool:
-    assert x.degree == y.degree and x.algebra == y.algebra
-    diff = tuple(a - b for a, b in zip(x.coords, y.coords))
+    diff = _difference(x, y)
     if not any(diff):
         return True
     if x.degree == 0:

@@ -244,7 +244,7 @@ def hochschild_trace(a: Algebra, z: Vector) -> CycScalar:
 
 # --- Chern characters and the pairing --------------------------------------------
 
-def _center_gram(a: Algebra) -> tuple[list[CentralElement], SparseMatrix]:
+def _center_gram(a: Algebra) -> SparseMatrix:
     basis = center_basis(a)
     n = len(basis)
     entries = {}
@@ -253,7 +253,15 @@ def _center_gram(a: Algebra) -> tuple[list[CentralElement], SparseMatrix]:
             v = hochschild_trace(a, a.mul(basis[i].coords, basis[j].coords))
             if v:
                 entries[(i, j)] = v
-    return basis, SparseMatrix(n, n, entries)
+    return SparseMatrix(n, n, entries)
+
+
+def pairing_gram(a: Algebra) -> SparseMatrix:
+    """Gram matrix of the pairing on the center basis, computed once per
+    algebra; full rank exactly when the pairing is nondegenerate on HH_0."""
+    if a._center_gram is None:
+        a._center_gram = _center_gram(a)
+    return a._center_gram
 
 
 def _combine(a: Algebra, x: Sequence[CycScalar], images: Sequence[Vector]) -> MukaiClass:
@@ -292,8 +300,8 @@ def _center_coords(a: Algebra, coords: Vector) -> Vector:
 def _solve_against_center(a: Algebra, rhs_of: Callable[[CentralElement], CycScalar]) -> MukaiClass:
     """The unique central z with hochschild_trace(z * f) = rhs(f) for every
     central f, via the Gram system of the pairing on the center."""
-    basis, gram = _center_gram(a)
-    return _solve_central(a, gram, [[rhs_of(f) for f in basis]],
+    rhs = [rhs_of(f) for f in center_basis(a)]
+    return _solve_central(a, pairing_gram(a), [rhs],
                           "trace pairing on the center is singular here")[0]
 
 
@@ -470,12 +478,12 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
         pushed = [chern(applied.module).coords for _, applied in _applied_simples(k)]
         route_a = [_combine(b, x, pushed) for x in expansions]
         # route B
-        zbasis_b, gram_b = _center_gram(b)
         pulled = [adjoint_transfer(k, MukaiClass(b, z.coords, _checked=True))
-                  for z in zbasis_b]
+                  for z in center_basis(b)]
         rhs = [[hochschild_trace(a, a.mul(p.coords, z.coords)) for p in pulled]
                for z in zbasis]
-        route_b = _solve_central(b, gram_b, rhs, "pairing on the target center is singular")
+        route_b = _solve_central(b, pairing_gram(b), rhs,
+                                 "pairing on the target center is singular")
         for image_a, image_b in zip(route_a, route_b):
             if image_a != image_b:
                 raise RoutesDisagree(
@@ -616,10 +624,3 @@ def morita_isometry_check(a: Algebra, n: int,
     else:
         report.note("hochschild dimension comparison skipped (no degree requested)")
     return report
-
-
-def pairing_gram(a: Algebra) -> SparseMatrix:
-    """Gram matrix of the pairing on the center basis; full rank exactly when
-    the pairing is nondegenerate on HH_0."""
-    _, gram = _center_gram(a)
-    return gram

@@ -704,3 +704,37 @@ def test_center_coordinates_round_trip(name):
     for _ in range(5):
         v = rand_central(rng, a)
         assert _combine(a, _center_coords(a, v.coords), basis) == v
+
+
+def test_pairing_gram_built_once_per_algebra(monkeypatch):
+    import hochkit.mukai as mukai
+    from hochkit.mukai import morita_kernel
+    built = []
+    real = mukai._center_gram
+
+    def counted(a):
+        built.append(a)
+        return real(a)
+
+    monkeypatch.setattr(mukai, "_center_gram", counted)
+    rng = random.Random(61)
+    s3 = algebra_fixture("s3")
+    monkeypatch.setattr(s3, "_center_gram", None)  # the fixture is shared
+    K = morita_kernel(s3, 2)
+    pushforward(K, rand_central(rng, s3))
+    assert len(built) == 2
+    assert {id(a) for a in built} == {id(s3), id(K.target)}
+    assert pairing_gram(s3) is pairing_gram(s3)
+    assert pairing_gram(K.target) is pairing_gram(K.target)
+    assert len(built) == 2
+
+
+def test_pairing_gram_does_not_pin_algebra():
+    import gc
+    import weakref
+    a = algebra_fixture("mat:2")  # built fresh, unlike the group fixtures
+    assert pairing_gram(a) is pairing_gram(a)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None

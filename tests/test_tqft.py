@@ -1,8 +1,10 @@
+from itertools import product
+
 import pytest
 
 from hochkit.algebra import center_basis
-from hochkit.errors import ArityMismatch, MissingAugmentation, ParseError
-from hochkit.fixtures import algebra_fixture
+from hochkit.errors import ArityMismatch, DegreeUnderflow, MissingAugmentation, ParseError
+from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.hochschild import hh_homology_dims
 from hochkit.modules import simples_of
 from hochkit.tqft import (
@@ -83,16 +85,12 @@ def test_genus_two_with_commutator_oracle():
 
 
 def test_commutator_count_oracle_values():
-    # Frobenius: |Hom(pi_1 Sigma_2, G)| = |G|^3 sum_i (1/d_i)^2
-    for name in ["zn:2", "zn:3", "s3", "q8"]:
+    # Frobenius: |Hom(pi_1 Sigma_g, G)| / |G| = sum_S (|G| / dim S)^(2g - 2)
+    for name in ["zn:2", "zn:3", "s3", "q8", "a4"]:
         a = algebra_fixture(name)
-        dims = [s.dim for s in simples_of(a)]
-        total = 0
-        n3 = a.dim ** 3
-        for d in dims:
-            assert n3 % (d * d) == 0
-            total += n3 // (d * d)
-        assert commutator_solution_count(a, 2) == total // a.dim
+        for genus in range(1, 7):
+            expected = sum((a.dim // s.dim) ** (2 * genus - 2) for s in simples_of(a))
+            assert commutator_solution_count(a, genus) == expected
 
 
 def test_word_order_robustness_sphere():
@@ -157,3 +155,30 @@ def test_connected_genus_via_components():
     assert parse_word("genus:2").component_genera == (2,)
     w = parse_word("cap_in pants_split pants_split@1 pants_merge@1 pants_merge cap_out")
     assert w.genus == 2
+
+
+def brute_force_commutator_count(a, genus):
+    """#{(a_1, b_1, .., a_g, b_g) : prod [a_i, b_i] = 1} / |G|, enumerated."""
+    _, _, table, identity = a.provenance
+    inverse = {g: h for g in range(a.dim) for h in range(a.dim) if table[g][h] == identity}
+    count = 0
+    for pairs in product(range(a.dim), repeat=2 * genus):
+        acc = identity
+        for x, y in zip(pairs[::2], pairs[1::2]):
+            acc = table[acc][table[table[x][y]][table[inverse[x]][inverse[y]]]]
+        count += acc == identity
+    return count // a.dim
+
+
+@pytest.mark.parametrize("name", ALL_GROUP_FIXTURES)
+def test_commutator_count_matches_enumeration(name):
+    a = algebra_fixture(name)
+    for genus in (1, 2):
+        assert commutator_solution_count(a, genus) == brute_force_commutator_count(a, genus)
+
+
+def test_commutator_count_refusals():
+    with pytest.raises(MissingAugmentation):
+        commutator_solution_count(algebra_fixture("mat:2"), 2)
+    with pytest.raises(DegreeUnderflow):
+        commutator_solution_count(algebra_fixture("s3"), 0)
