@@ -8,7 +8,9 @@ The chain complex C_n = A (x) Abar^(x n) carries the boundary
 and the cochain complex C^n = Hom(Abar^(x n), A) the matching coboundary.
 Both builders share the word codec (`itertools.product` plus `_index`), the
 interior merges (`_merges`) and the guarded dims; each writes only its two
-end terms.  The alphabet (`_alphabet`) is the only place the two routes
+end terms, one degree at a time (`_boundary`, `_coboundary`), so a single
+differential is built alone where only it is read (cup, cap and the class
+comparisons).  The alphabet (`_alphabet`) is the only place the two routes
 differ.  The reduced (normalized) route is the default: interior letters
 span a complement of the unit, which shrinks dim(A)^n to (dim(A)-1)^n and is
 what makes degree-3 computations feasible at dim 6-8.  The unnormalized
@@ -166,17 +168,13 @@ def _matrix(rows: int, cols: int, terms) -> SparseMatrix:
     return SparseMatrix(rows, cols, entries)
 
 
-def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
-                      size_guard: int = MAX_CHAIN_COORDINATES) -> ChainComplex:
-    """Hochschild chain complex C_n = A (x) Abar^(x n) through degree maxdeg."""
-    check_maxdeg(maxdeg, MAX_DEGREE + 1)  # homology is complete one degree lower
-    letters, merge = _alphabet(a, normalized)
+def _boundary(a: Algebra, n: int, letters: tuple[int, ...], merge) -> SparseMatrix:
+    """b_n: C_n -> C_(n-1) over the alphabet `letters`, n >= 1."""
     r = len(letters)
-    dims = _guarded_dims(a, maxdeg, r, size_guard)
     mul = a.sc.product
+    last_sign = _SIGNS[n % 2]
 
-    def terms(n):
-        last_sign = _SIGNS[n % 2]
+    def terms():
         for col, chain in enumerate(product(range(a.dim), *[range(r)] * n)):
             a0, word = chain[0], chain[1:]
             # i = 0: (a0 a_1) (x) a_2 ...
@@ -188,27 +186,16 @@ def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
             for k, v in mul(letters[word[-1]], a0).items():
                 yield _index((k,) + word[:-1], r), col, last_sign * v
 
-    maps = {n: _matrix(dims[n - 1], dims[n], terms(n)) for n in range(1, maxdeg + 1)}
-    return ChainComplex(dims, maps, direction="down")
+    return _matrix(a.dim * r ** (n - 1), a.dim * r ** n, terms())
 
 
-def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
-                        size_guard: int = MAX_CHAIN_COORDINATES) -> ChainComplex:
-    """Hochschild cochain complex C^n = Hom(Abar^(x n), A) with coboundary
-
-    (df)(a_1..a_{n+1}) = a_1 f(a_2..) + sum_i (-1)^i f(.. a_i a_{i+1} ..)
-                          + (-1)^(n+1) f(a_1..a_n) a_{n+1}.
-    Maps are built for n = 0..maxdeg, so homology is complete through maxdeg.
-    The coordinate of f(word) at basis element `out` is _index(word) * dim(A) + out.
-    """
-    check_maxdeg(maxdeg, MAX_DEGREE)
-    letters, merge = _alphabet(a, normalized)
+def _coboundary(a: Algebra, n: int, letters: tuple[int, ...], merge) -> SparseMatrix:
+    """delta^n: C^n -> C^(n+1) over the alphabet `letters`, n >= 0."""
     r, d = len(letters), a.dim
-    dims = _guarded_dims(a, maxdeg + 1, r, size_guard)
     mul = a.sc.product
+    last_sign = _SIGNS[(n + 1) % 2]
 
-    def terms(n):
-        last_sign = _SIGNS[(n + 1) % 2]
+    def terms():
         for w, word in enumerate(product(range(r), repeat=n + 1)):
             rest, head = _index(word[1:], r) * d, _index(word[:n], r) * d
             # a_1 f(a_2 ..): left multiplication on the output slot
@@ -224,7 +211,32 @@ def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
                 for k, v in mul(out, letters[word[n]]).items():
                     yield w * d + k, head + out, last_sign * v
 
-    maps = {n: _matrix(dims[n + 1], dims[n], terms(n)) for n in range(maxdeg + 1)}
+    return _matrix(d * r ** (n + 1), d * r ** n, terms())
+
+
+def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
+                      size_guard: int = MAX_CHAIN_COORDINATES) -> ChainComplex:
+    """Hochschild chain complex C_n = A (x) Abar^(x n) through degree maxdeg."""
+    check_maxdeg(maxdeg, MAX_DEGREE + 1)  # homology is complete one degree lower
+    letters, merge = _alphabet(a, normalized)
+    dims = _guarded_dims(a, maxdeg, len(letters), size_guard)
+    maps = {n: _boundary(a, n, letters, merge) for n in range(1, maxdeg + 1)}
+    return ChainComplex(dims, maps, direction="down")
+
+
+def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
+                        size_guard: int = MAX_CHAIN_COORDINATES) -> ChainComplex:
+    """Hochschild cochain complex C^n = Hom(Abar^(x n), A) with coboundary
+
+    (df)(a_1..a_{n+1}) = a_1 f(a_2..) + sum_i (-1)^i f(.. a_i a_{i+1} ..)
+                          + (-1)^(n+1) f(a_1..a_n) a_{n+1}.
+    Maps are built for n = 0..maxdeg, so homology is complete through maxdeg.
+    The coordinate of f(word) at basis element `out` is _index(word) * dim(A) + out.
+    """
+    check_maxdeg(maxdeg, MAX_DEGREE)
+    letters, merge = _alphabet(a, normalized)
+    dims = _guarded_dims(a, maxdeg + 1, len(letters), size_guard)
+    maps = {n: _coboundary(a, n, letters, merge) for n in range(maxdeg + 1)}
     return ChainComplex(dims, maps, direction="up")
 
 
@@ -310,12 +322,21 @@ class Chain(_BarElement):
     """An element of C_n = A^(x (n+1)) on the unnormalized complex."""
 
 
+# One differential alone, under the guards of the complex that would hold it;
+# no complex and no d o d product is built.
+
 def _unnormalized_cochain_map(a: Algebra, n: int) -> SparseMatrix:
-    return bar_cochain_complex(a, n, normalized=False).maps[n]
+    check_maxdeg(n, MAX_DEGREE)
+    letters, merge = _alphabet(a, False)
+    _guarded_dims(a, n + 1, a.dim, MAX_CHAIN_COORDINATES)
+    return _coboundary(a, n, letters, merge)
 
 
 def _unnormalized_chain_map(a: Algebra, n: int) -> SparseMatrix:
-    return bar_chain_complex(a, n, normalized=False).maps[n]
+    check_maxdeg(n, MAX_DEGREE + 1)
+    letters, merge = _alphabet(a, False)
+    _guarded_dims(a, n, a.dim, MAX_CHAIN_COORDINATES)
+    return _boundary(a, n, letters, merge)
 
 
 def coboundary(f: Cochain) -> Cochain:

@@ -2,19 +2,31 @@
 
 Matrices are immutable dict-of-rows structures whose entries are nonzero
 CycScalars.  Rank, nullspace, solving and cokernel computations all run
-fraction-managed Gaussian elimination on sparse dict rows with a
-fill-minimizing pivot rule (fewest nonzeros in row, then fewest rows in
-column); pivot choice only affects speed, never results.  There is one
-elimination path: `_eliminate`, followed by `_canonical_rref` wherever a
-canonical reduced basis is needed (`_reduced_rows`); matrix rows and
-columns reach it as dict rows and are never densified on the way.
+Gaussian elimination on sparse dict rows with a fill-minimizing pivot rule
+(fewest nonzeros in row, then fewest rows in column); pivot choice only
+affects speed, never results.  There is one elimination path: `_eliminate`,
+followed by `_canonical_rref` wherever a canonical reduced basis is needed
+(`_reduced_rows`); matrix rows and columns reach it as dict rows and are
+never densified on the way.
+
+When every entry is rational (conductor 1), `_eliminate` and the matrix
+product run on Python ints and convert to and from CycScalar only at the
+boundary.  The elimination then keeps each row a primitive integer vector
+and updates it fraction-free, t <- (p/g) t - (t[c]/g) r with
+g = gcd(p, t[c]) (Bareiss, Math. Comp. 22, 1968, in its one-step form),
+dividing out the row's content afterwards.  Each integer row is a nonzero
+rational multiple of the row the field update t <- t - (t[c]/p) r gives, so
+the zero pattern, the pivot sequence and every normalized output are the
+same on both routes.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from .errors import ShapeMismatch
 from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar
 
 Vector = tuple[CycScalar, ...]
@@ -71,7 +83,8 @@ class SparseMatrix:
         cols = len(table[0]) if rows else 0
         data = []
         for row in table:
-            assert len(row) == cols
+            if len(row) != cols:
+                raise ShapeMismatch(f"dense rows of lengths {cols} and {len(row)}")
             data.append({c: cyc(v) for c, v in enumerate(row) if cyc(v)})
         return SparseMatrix._wrap(rows, cols, data)
 
@@ -87,7 +100,8 @@ class SparseMatrix:
     def from_columns(columns: Sequence[Vector], rows: int) -> "SparseMatrix":
         data: list[dict[int, CycScalar]] = [dict() for _ in range(rows)]
         for c, col in enumerate(columns):
-            assert len(col) == rows
+            if len(col) != rows:
+                raise ShapeMismatch(f"column {c} has {len(col)} entries, not {rows}")
             for r, v in enumerate(col):
                 if v:
                     data[r][c] = v
@@ -140,7 +154,9 @@ class SparseMatrix:
         return hash((self.rows, self.cols, self.nnz()))
 
     def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeMismatch(
+                f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
         data = []
         for ra, rb in zip(self._rows, other._rows):
             row = dict(ra)
@@ -164,17 +180,16 @@ class SparseMatrix:
         return SparseMatrix._wrap(self.rows, self.cols, data)
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
-        assert self.cols == other.rows, f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}"
-        data: list[dict[int, CycScalar]] = [dict() for _ in range(self.rows)]
-        for r, row in enumerate(self._rows):
-            acc = data[r]
-            for k, a in row.items():
-                for c, b in other._rows[k].items():
-                    s = acc.get(c, ZERO) + a * b
-                    if s:
-                        acc[c] = s
-                    elif c in acc:
-                        del acc[c]
+        if self.cols != other.rows:
+            raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if _all_rational(self._rows) and _all_rational(other._rows):
+            left, den_left = _scaled_to_integers(self._rows)
+            right, den_right = _scaled_to_integers(other._rows)
+            den = den_left * den_right
+            data = [{c: _rational(Fraction(s, den)) for c, s in acc.items()}
+                    for acc in _row_products(left, right, 0)]
+        else:
+            data = _row_products(self._rows, other._rows, ZERO)
         return SparseMatrix._wrap(self.rows, other.cols, data)
 
     def transpose(self) -> "SparseMatrix":
@@ -185,7 +200,8 @@ class SparseMatrix:
         return SparseMatrix._wrap(self.cols, self.rows, data)
 
     def apply(self, v: Vector) -> Vector:
-        assert len(v) == self.cols
+        if len(v) != self.cols:
+            raise ShapeMismatch(f"{self.rows}x{self.cols} applied to a vector of length {len(v)}")
         out = []
         for row in self._rows:
             s = ZERO
@@ -196,12 +212,29 @@ class SparseMatrix:
         return tuple(out)
 
     def trace(self) -> CycScalar:
-        assert self.rows == self.cols
+        if self.rows != self.cols:
+            raise ShapeMismatch(f"trace of a {self.rows}x{self.cols} matrix")
         s = ZERO
         for r, row in enumerate(self._rows):
             if r in row:
                 s = s + row[r]
         return s
+
+
+def _row_products(left: list[dict], right: list[dict], zero) -> list[dict]:
+    """Rows of left * right; entries that cancel are dropped on the spot."""
+    data = []
+    for row in left:
+        acc = {}
+        for k, a in row.items():
+            for c, b in right[k].items():
+                s = acc.get(c, zero) + a * b
+                if s:
+                    acc[c] = s
+                elif c in acc:
+                    del acc[c]
+        data.append(acc)
+    return data
 
 
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
@@ -212,6 +245,44 @@ def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
         for rb, cb, vb in b.entries():
             data[ra * b.rows + rb][ca * b.cols + cb] = va * vb
     return SparseMatrix._wrap(a.rows * b.rows, a.cols * b.cols, data)
+
+
+# --- integer rows for rational matrices --------------------------------------
+
+def _rational(q: Fraction) -> CycScalar:
+    return CycScalar(1, (q,), _canonical=True)
+
+
+def _all_rational(rows: Sequence[dict[int, CycScalar]]) -> bool:
+    return all(v.order == 1 for row in rows for v in row.values())
+
+
+def _scaled_to_integers(rows: Sequence[dict[int, CycScalar]]) -> tuple[list[dict[int, int]], int]:
+    """(den * rows as ints, den) for rational rows, den the lcm of every
+    denominator: one common denominator for the whole matrix."""
+    den = lcm(*{v.coeffs[0].denominator for row in rows for v in row.values()})
+    return [{j: v.coeffs[0].numerator * (den // v.coeffs[0].denominator)
+             for j, v in row.items()} for row in rows], den
+
+
+def _divide_content(row: dict[int, int]):
+    """Divide an integer row, in place, by the gcd of its entries."""
+    content = gcd(*row.values())
+    if content > 1:
+        for j, v in row.items():
+            row[j] = v // content
+
+
+def _integer_rows(data: list[dict[int, CycScalar]]) -> bool:
+    """When every entry is rational, replace each row in place by its
+    primitive integer multiple and return True.  The CycScalar rows are
+    released one by one, so the two copies are never alive together."""
+    if not _all_rational(data):
+        return False
+    for i, row in enumerate(data):
+        data[i] = _scaled_to_integers([row])[0][0]
+        _divide_content(data[i])
+    return True
 
 
 # --- elimination core -------------------------------------------------------
@@ -230,7 +301,14 @@ def _eliminate(data: list[dict[int, CycScalar]], cols: int,
     Pivot positions need not be at leading columns, so the result is an
     echelon basis but not the canonical reduced form; `_canonical_rref`
     finishes the job where canonical output matters.
+
+    Rational rows are eliminated as primitive integer vectors (see the
+    module docstring); only the row update differs.  Non-pivot rows then
+    hold ints, and with want_reduced the pivot rows are wrapped back into
+    CycScalar rows with pivot 1, as on the field route.
     """
+    integral = _integer_rows(data)
+    zero = 0 if integral else ZERO
     nrows = len(data)
     col_rows: dict[int, dict[int, None]] = {}
     for r, row in enumerate(data):
@@ -283,9 +361,16 @@ def _eliminate(data: list[dict[int, CycScalar]], cols: int,
         targets = [t for t in col_rows[c] if t != r and (is_active[t] or want_reduced)]
         for t in targets:
             trow = data[t]
-            factor = trow[c] / piv
+            if integral:  # t <- (p/g) t - (t[c]/g) r, then divide out the content
+                g = gcd(piv, trow[c])
+                factor, scale = trow[c] // g, piv // g
+                if scale != 1:
+                    for j, v in trow.items():
+                        trow[j] = scale * v
+            else:  # t <- t - (t[c]/p) r
+                factor = trow[c] / piv
             for j, v in row.items():
-                s = trow.get(j, ZERO) - factor * v
+                s = trow.get(j, zero) - factor * v
                 if s:
                     if j not in trow:
                         col_rows.setdefault(j, {})[t] = None
@@ -294,13 +379,17 @@ def _eliminate(data: list[dict[int, CycScalar]], cols: int,
                     if j in trow:
                         del trow[j]
                         col_rows[j].pop(t, None)
+            if integral:
+                _divide_content(trow)
             if is_active[t]:
                 rebucket(t)
         col_rows[c] = {r: None}
     if want_reduced:
         for r, c in pivots:
             piv = data[r][c]
-            if piv != ONE:
+            if integral:
+                data[r] = {j: _rational(Fraction(v, piv)) for j, v in data[r].items()}
+            elif piv != ONE:
                 inv = piv.inverse()
                 data[r] = {j: inv * v for j, v in data[r].items()}
     pivots.sort(key=lambda rc: rc[1])
@@ -320,6 +409,7 @@ def _reduced_rows(rows: list[dict[int, CycScalar]],
     """Canonical reduced echelon basis of the span of sparse rows, sorted by
     pivot; each row's pivot is min(row) and equals 1.  Consumes `rows`."""
     data = [row for row in rows if row]
+    rows.clear()  # `_eliminate` may now release each row as it converts it
     # thin out with the fill-minimizing eliminator, then canonicalize
     pivots = _eliminate(data, ambient, want_reduced=True)
     return _canonical_rref([data[r] for r, _ in pivots])
@@ -342,7 +432,9 @@ class Subspace:
         if not _canonical:
             sparse = []
             for v in basis:
-                assert len(v) == ambient_dim
+                if len(v) != ambient_dim:
+                    raise ShapeMismatch(
+                        f"a vector of length {len(v)} in a subspace of dimension {ambient_dim}")
                 sparse.append({i: x for i, x in enumerate(v) if x})
             basis = _dense_rows(_reduced_rows(sparse, ambient_dim), ambient_dim)
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -356,7 +448,9 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Vector) -> bool:
-        assert len(v) == self.ambient_dim
+        if len(v) != self.ambient_dim:
+            raise ShapeMismatch(
+                f"a vector of length {len(v)} tested against a subspace of {self.ambient_dim}")
         residue = list(v)
         for row in self.basis:
             lead = next(i for i, x in enumerate(row) if x)
@@ -377,36 +471,46 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
+def _subtract(row: dict[int, CycScalar], f: CycScalar, other: dict[int, CycScalar]):
+    """row -= f * other, in place."""
+    for j, v in other.items():
+        s = row.get(j, ZERO) - f * v
+        if s:
+            row[j] = s
+        elif j in row:
+            del row[j]
+
+
 def _canonical_rref(data: list[dict[int, CycScalar]]) -> list[dict[int, CycScalar]]:
     """Gauss-Jordan with leading-column pivots on an already-thin row list;
-    output rows are the canonical reduced echelon basis, sorted by pivot."""
-    rows = [row for row in data if row]
-    done: list[tuple[int, dict[int, CycScalar]]] = []
-    while rows:
-        lead, idx = None, None
-        for i, row in enumerate(rows):
-            m = min(row)
-            if lead is None or m < lead:
-                lead, idx = m, i
-        row = rows.pop(idx)
+    output rows are the canonical reduced echelon basis, sorted by pivot.
+
+    Rows wait in buckets by leading column, so a pivot row only meets the
+    rows that share its lead; back substitution then runs from the last
+    pivot up, each row meeting only the pivot rows in its own support."""
+    by_lead: dict[int, list[dict[int, CycScalar]]] = {}
+    for row in data:
+        if row:
+            by_lead.setdefault(min(row), []).append(row)
+    pivot_rows: dict[int, dict[int, CycScalar]] = {}  # increasing lead
+    while by_lead:
+        lead = min(by_lead)
+        row, *others = by_lead.pop(lead)
         piv = row[lead]
         if piv != ONE:
             inv = piv.inverse()
             row = {j: inv * v for j, v in row.items()}
-        for other_list in (rows, [d for _, d in done]):
-            for other in other_list:
-                f = other.get(lead)
-                if f:
-                    for j, v in row.items():
-                        s = other.get(j, ZERO) - f * v
-                        if s:
-                            other[j] = s
-                        elif j in other:
-                            del other[j]
-        done.append((lead, row))
-        rows = [r for r in rows if r]
-    done.sort(key=lambda t: t[0])
-    return [row for _, row in done]
+        for other in others:
+            _subtract(other, other[lead], row)
+            if other:
+                by_lead.setdefault(min(other), []).append(other)
+        pivot_rows[lead] = row
+    # a pivot row below has no entry in any other pivot column, so clearing
+    # one column of a row leaves its other pivot columns untouched
+    for lead, row in reversed(pivot_rows.items()):
+        for p in [j for j in row if j != lead and j in pivot_rows]:
+            _subtract(row, row[p], pivot_rows[p])
+    return list(pivot_rows.values())
 
 
 def rref(vectors: Sequence[Vector], ambient: int) -> Subspace:
@@ -434,7 +538,8 @@ def nullspace(m: SparseMatrix) -> Subspace:
 
 def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     """Some x with m.apply(x) = b, or None when the system is inconsistent."""
-    assert len(b) == m.rows
+    if len(b) != m.rows:
+        raise ShapeMismatch(f"{m.rows}x{m.cols} system with a right-hand side of length {len(b)}")
     data = _copy_rows(m)
     aug = m.cols  # augmented column index, protected from pivoting
     for r, v in enumerate(b):

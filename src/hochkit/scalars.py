@@ -236,8 +236,10 @@ class CycScalar:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Fraction], *, _canonical: bool = False):
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if not _canonical:
+        if _canonical:  # callers pass Fractions already at the conductor
+            coeffs = tuple(coeffs)
+        else:
+            coeffs = tuple(Fraction(c) for c in coeffs)
             assert len(coeffs) == euler_phi(order)
             order, coeffs = _conductor_form(order, coeffs)
         object.__setattr__(self, "order", order)

@@ -8,16 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from hochkit import hochschild
 from hochkit.algebra import center_basis, commutator_subspace
-from hochkit.errors import DegreeCapExceeded, DegreeUnderflow, NotACocycle
+from hochkit.errors import DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle
 from hochkit.fixtures import algebra_fixture
 from hochkit.hochschild import (
-    Chain, Cochain, bar_chain_complex, bar_cochain_complex, boundary,
-    cap_product, class_difference_is_boundary, coboundary,
-    cochain_difference_is_coboundary, cup_product, hh_cohomology_dims,
-    hh_homology_dims, is_cocycle, is_cycle,
+    Chain, ChainComplex, Cochain, _unnormalized_chain_map, _unnormalized_cochain_map,
+    bar_chain_complex, bar_cochain_complex, boundary, cap_product,
+    class_difference_is_boundary, coboundary, cochain_difference_is_coboundary,
+    cup_product, hh_cohomology_dims, hh_homology_dims, is_cocycle, is_cycle,
 )
-from hochkit.linalg import SparseMatrix
+from hochkit.linalg import SparseMatrix, vec
 from hochkit.scalars import ONE, ZERO, cyc
 
 
@@ -93,6 +94,17 @@ def test_field_bar_complex():
         expected = SparseMatrix.zero(1, 1) if n % 2 == 1 else SparseMatrix.identity(1)
         assert unnorm.maps[n] == expected
     assert hh_homology_dims(f, 3, normalized=False).dims == [1, 0, 0, 0]
+
+
+def test_dd_check_is_exact_on_non_integer_rationals():
+    # d1 d2 = 0 only through cancellation between non-integer entries, and a
+    # perturbation far below any float resolution must still be caught
+    d1 = SparseMatrix.from_dense([[Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6)]])
+    columns = [vec([Fraction(3, 2), 1, 0]), vec([0, Fraction(10, 9), 1])]
+    ChainComplex([1, 3, 2], {1: d1, 2: SparseMatrix.from_columns(columns, 3)})
+    columns[1] = vec([Fraction(1, 10 ** 30), Fraction(10, 9), 1])
+    with pytest.raises(HochkitError):
+        ChainComplex([1, 3, 2], {1: d1, 2: SparseMatrix.from_columns(columns, 3)})
 
 
 def test_boundary_squares_to_zero_is_asserted():
@@ -397,6 +409,86 @@ def test_unnormalized_differentials_match_entrywise_oracle(name):
         assert cochains.maps[n] == _oracle_coboundary(a, n)
 
 
+# --- one differential alone -----------------------------------------------------
+
+def test_single_differentials_match_the_complexes():
+    for name, top in [("mat:2", 3), ("dual", 4), ("trunc:3", 3), ("s3", 2)]:
+        a = algebra_fixture(name)
+        chains = bar_chain_complex(a, top, normalized=False)
+        cochains = bar_cochain_complex(a, top - 1, normalized=False)
+        for n in range(1, top + 1):
+            assert _unnormalized_chain_map(a, n) == chains.maps[n]
+        for n in range(top):
+            assert _unnormalized_cochain_map(a, n) == cochains.maps[n]
+
+
+def test_single_differentials_keep_the_guards(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a differential was built past its guard")
+    monkeypatch.setattr(hochschild, "_boundary", refuse)
+    monkeypatch.setattr(hochschild, "_coboundary", refuse)
+    s3 = algebra_fixture("s3")
+    for build in (_unnormalized_chain_map, _unnormalized_cochain_map):
+        with pytest.raises(DegreeUnderflow):
+            build(s3, -1)
+        with pytest.raises(DegreeCapExceeded):
+            build(s3, 7)  # 6^8 coordinates
+
+
+def _whole_complex_route(monkeypatch):
+    """The replaced route: each differential read off a whole unnormalized
+    complex built (with its d o d products) for the purpose."""
+    monkeypatch.setattr(hochschild, "_unnormalized_chain_map",
+                        lambda a, n: bar_chain_complex(a, n, normalized=False).maps[n])
+    monkeypatch.setattr(hochschild, "_unnormalized_cochain_map",
+                        lambda a, n: bar_cochain_complex(a, n, normalized=False).maps[n])
+
+
+def _count_complexes(monkeypatch):
+    built = []
+    init = ChainComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(ChainComplex, "__init__", counting)
+    return built
+
+
+def test_cup_and_cap_build_no_complex(monkeypatch):
+    rng = random.Random(31)
+    mat2 = algebra_fixture("mat:2")
+    f, g = random_cocycle(rng, mat2, 1), random_cocycle(rng, mat2, 1)
+    z = random_cycle(rng, mat2, 2)
+    assert any(f.coords) and any(g.coords) and any(z.coords)
+    built = _count_complexes(monkeypatch)
+    fg, fz = cup_product(f, g), cap_product(f, z)
+    assert built == []
+    _whole_complex_route(monkeypatch)
+    assert cup_product(f, g).coords == fg.coords
+    assert len(built) == 3  # cocycle checks on f, g and f cup g
+    assert cap_product(f, z).coords == fz.coords
+    assert len(built) == 6
+
+
+def test_class_comparisons_match_whole_complex_route(monkeypatch):
+    rng = random.Random(37)
+    dual = algebra_fixture("dual")
+    pairs = []
+    for p in (1, 2):
+        f = random_cocycle(rng, dual, p)
+        h = Cochain(dual, p - 1, tuple(cyc(rng.randint(-2, 2)) for _ in range(dual.dim ** p)))
+        shifted = Cochain(dual, p, tuple(x + y for x, y in zip(f.coords, coboundary(h).coords)))
+        pairs.append((cochain_difference_is_coboundary, f, shifted))
+        pairs.append((cochain_difference_is_coboundary, f, random_cocycle(rng, dual, p)))
+        pairs.append((class_difference_is_boundary, random_cycle(rng, dual, p),
+                      random_cycle(rng, dual, p)))
+    verdicts = [check(x, y) for check, x, y in pairs]
+    assert True in verdicts and False in verdicts
+    _whole_complex_route(monkeypatch)
+    assert [check(x, y) for check, x, y in pairs] == verdicts
+
+
 # --- checks that must survive `python -O` ----------------------------------------
 
 def _run_python(code, *flags):
@@ -463,14 +555,17 @@ t = tracer.install()
 t.active = True
 hh_homology_dims(algebra_fixture("zn:2"), 1)
 print(t.sums["hochschild.chain_coords"], t.calls["hochschild.assembly"],
-      t.calls["hochschild.dd_check"])
+      t.calls["hochschild.dd_check"], t.calls["linalg.rank"], t.calls["linalg.matmul"])
 """
 
 
 def test_benchmark_tracer_still_wraps_the_bar_complexes():
     # perfbench/tracer.py patches these functions by name and reads the dims
-    # of ChainComplex.__init__ positionally; a rename must fail here
+    # of ChainComplex.__init__ positionally; a rename must fail here.  The
+    # integer route for rational matrices must stay inside the traced rank
+    # and SparseMatrix.__mul__.
     proc = _run_python(TRACER_SCRIPT)
     assert proc.returncode == 0, proc.stderr
-    coords, assembly, dd_check = map(int, proc.stdout.split())
+    coords, assembly, dd_check, ranks, products = map(int, proc.stdout.split())
     assert coords > 0 and assembly > 0 and dd_check > 0
+    assert ranks > 0 and products > 0

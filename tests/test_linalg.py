@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from hochkit import linalg
 from hochkit.linalg import (
-    SparseMatrix, Subspace, cokernel_projector, kron, nullspace, rank,
-    rref, solve, unit_vector, vec,
+    SparseMatrix, Subspace, _canonical_rref, _copy_rows, _eliminate, _reduced_rows,
+    cokernel_projector, kron, nullspace, rank, rref, solve, unit_vector, vec,
 )
 from hochkit.scalars import ONE, ZERO, cyc, zeta
 
@@ -209,6 +214,42 @@ def test_cokernel_matches_column_rref_route():
         assert cokernel_projector(m) == _cokernel_via_column_rref(m)
 
 
+def _dense_gauss_jordan(rows, ambient):
+    """Textbook reduced row echelon form: leading-column pivots, left to
+    right, on dense rows; returns the nonzero rows as sparse dicts."""
+    m = [[row.get(j, ZERO) for j in range(ambient)] for row in rows]
+    top = 0
+    for c in range(ambient):
+        src = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if src is None:
+            continue
+        m[top], m[src] = m[src], m[top]
+        inv = m[top][c].inverse()
+        m[top] = [inv * x for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
+        top += 1
+    return [{j: x for j, x in enumerate(row) if x} for row in m[:top]]
+
+
+def test_canonical_rref_matches_dense_gauss_jordan():
+    # _canonical_rref is shared by both sides of the cokernel comparison
+    # above, so it gets an oracle of its own
+    rng = random.Random(43)
+    for trial in range(60):
+        ambient, count = rng.randint(0, 8), rng.randint(0, 8)
+        make = _mixed_matrix if trial % 2 else _rational_matrix
+        if trial % 3:
+            m = make(rng, count, ambient)
+        else:  # rank at most 2: dependent rows
+            m = make(rng, count, 2) * make(rng, 2, ambient)
+        expected = _dense_gauss_jordan(m._rows, ambient)
+        assert _canonical_rref(_copy_rows(m)) == expected
+        assert _reduced_rows(_copy_rows(m), ambient) == expected
+
+
 def test_rref_idempotent():
     rng = random.Random(23)
     for _ in range(8):
@@ -265,3 +306,118 @@ def test_mixed_field_orders_under_elimination():
         b = m.apply(x0)
         x = solve(m, b)
         assert x is not None and m.apply(x) == b
+
+
+# --- the integer route for rational matrices ------------------------------------
+#
+# A matrix whose entries are all rational is eliminated and multiplied on
+# Python ints; the field route (CycScalar arithmetic throughout) is kept as
+# the oracle by patching out the rationality test.
+
+def _rational_matrix(rng, rows, cols):
+    """Integers, non-integer and very large rationals, and some zero rows."""
+    entries = {}
+    for r in range(rows):
+        if rng.random() < 0.2:
+            continue
+        for c in range(cols):
+            roll = rng.random()
+            if roll < 0.25:
+                entries[(r, c)] = cyc(rng.randint(-3, 3))
+            elif roll < 0.4:
+                entries[(r, c)] = cyc(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+            elif roll < 0.45:
+                entries[(r, c)] = cyc(Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                                               rng.randint(1, 10 ** 12)))
+    return SparseMatrix(rows, cols, entries)
+
+
+def _rational_cases():
+    rng = random.Random(53)
+    shapes = [(0, 0), (0, 4), (5, 0), (1, 1), (3, 3)]
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
+    for rows, cols in shapes:
+        yield _rational_matrix(rng, rows, cols), rng
+    for _ in range(15):  # low rank: nontrivial nullspaces and cokernels
+        rows, cols, k = rng.randint(2, 9), rng.randint(2, 9), rng.randint(1, 3)
+        yield _rational_matrix(rng, rows, k) * _rational_matrix(rng, k, cols), rng
+
+
+def _right_hand_sides(rng, m):
+    """Consistent, random, and nonzero on a zero row of m (a row supported
+    only on the augmented column that `solve` protects from pivoting)."""
+    x = [cyc(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(m.cols)]
+    bs = [m.apply(tuple(x)),
+          tuple(cyc(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(m.rows))]
+    zero_rows = [r for r in range(m.rows) if not m._rows[r]]
+    if zero_rows:
+        b = list(m.apply(tuple(x)))
+        b[zero_rows[0]] = cyc(Fraction(7, 3))
+        bs.append(tuple(b))
+    return bs
+
+
+def _elimination_outputs(m, bs, other):
+    data = _copy_rows(m)
+    pivots = _eliminate(data, m.cols, want_reduced=True)
+    return {"pivots": pivots, "pivot rows": [data[r] for r, _ in pivots],
+            "reduced rows": _reduced_rows(_copy_rows(m), m.cols),
+            "rank": rank(m), "nullspace": nullspace(m),
+            "solve": [solve(m, b) for b in bs],
+            "cokernel": cokernel_projector(m),
+            "product": m * other, "transposed product": other.transpose() * m.transpose()}
+
+
+def test_integer_route_matches_field_route(monkeypatch):
+    cases, solved = 0, set()
+    for m, rng in _rational_cases():
+        bs = _right_hand_sides(rng, m)
+        other = _rational_matrix(rng, m.cols, rng.randint(0, 5))
+        data = _copy_rows(m)
+        _eliminate(data, m.cols)
+        assert all(type(v) is int for row in data for v in row.values())
+        integer = _elimination_outputs(m, bs, other)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_all_rational", lambda rows: False)
+            field = _elimination_outputs(m, bs, other)
+        for key in field:
+            assert integer[key] == field[key], key
+        solved.update(x is None for x in integer["solve"])
+        cases += 1
+    assert cases >= 50 and solved == {True, False}
+
+
+SHAPE_ERRORS_SCRIPT = """
+from hochkit.errors import ShapeMismatch
+from hochkit.linalg import SparseMatrix, Subspace, solve, vec
+
+m = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
+plane = Subspace(3, [vec([1, 2, 3])])
+cases = {
+    "from_dense": lambda: SparseMatrix.from_dense([[1, 2], [3]]),
+    "from_columns": lambda: SparseMatrix.from_columns([vec([1, 2])], 3),
+    "__add__": lambda: m + SparseMatrix.identity(2),
+    "__mul__": lambda: m * m,
+    "apply": lambda: m.apply(vec([1, 2])),
+    "trace": lambda: m.trace(),
+    "Subspace": lambda: Subspace(3, [vec([1, 2])]),
+    "contains": lambda: plane.contains(vec([1])),
+    "solve": lambda: solve(m, vec([1, 2, 3])),
+}
+for name, call in cases.items():
+    try:
+        call()
+    except ShapeMismatch:
+        continue
+    raise SystemExit(f"{name} did not raise ShapeMismatch")
+print("ok")
+"""
+
+
+def test_shape_errors_are_typed_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", SHAPE_ERRORS_SCRIPT],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "ok\n"
