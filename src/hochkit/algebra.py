@@ -152,35 +152,15 @@ class Algebra:
 
     def left_mult_matrix(self, x: Vector) -> SparseMatrix:
         """Matrix of a |-> x * a on the basis."""
-        entries = {}
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for k in range(self.dim):
-                for r, c in self.sc.product(i, k).items():
-                    key = (r, k)
-                    s = entries.get(key, ZERO) + xi * c
-                    if s:
-                        entries[key] = s
-                    elif key in entries:
-                        del entries[key]
-        return SparseMatrix(self.dim, self.dim, entries)
+        return SparseMatrix(self.dim, self.dim, (
+            ((r, k), xi * c) for i, xi in enumerate(x) if xi
+            for k in range(self.dim) for r, c in self.sc.product(i, k).items()))
 
     def right_mult_matrix(self, x: Vector) -> SparseMatrix:
         """Matrix of a |-> a * x on the basis."""
-        entries = {}
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            for k in range(self.dim):
-                for r, c in self.sc.product(k, j).items():
-                    key = (r, k)
-                    s = entries.get(key, ZERO) + xj * c
-                    if s:
-                        entries[key] = s
-                    elif key in entries:
-                        del entries[key]
-        return SparseMatrix(self.dim, self.dim, entries)
+        return SparseMatrix(self.dim, self.dim, (
+            ((r, k), xj * c) for j, xj in enumerate(x) if xj
+            for k in range(self.dim) for r, c in self.sc.product(k, j).items()))
 
     def basis_left_mult(self, i: int) -> SparseMatrix:
         m = self._left_mult.get(i)
@@ -223,16 +203,10 @@ class Algebra:
         criterion for semisimplicity."""
         if self._semisimple is None:
             traces = [regular_trace(self, self.basis_vector(k)) for k in range(self.dim)]
-            entries = {}
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    s = ZERO
-                    for k, c in self.sc.product(i, j).items():
-                        if traces[k]:
-                            s = s + c * traces[k]
-                    if s:
-                        entries[(i, j)] = s
-            self._semisimple = rank(SparseMatrix(self.dim, self.dim, entries)) == self.dim
+            form = SparseMatrix(self.dim, self.dim, (
+                ((i, j), c * traces[k]) for i in range(self.dim) for j in range(self.dim)
+                for k, c in self.sc.product(i, j).items() if traces[k]))
+            self._semisimple = rank(form) == self.dim
         return self._semisimple
 
 
@@ -434,19 +408,14 @@ def center_basis(a: Algebra) -> tuple[CentralElement, ...]:
     computed once per algebra.  It is the canonical reduced echelon basis, so
     a central element's coordinates are its entries at the basis pivots."""
     if a._center is None:
-        entries = {}
-        for i in range(a.dim):
-            for j in range(a.dim):
-                row = dict(a.sc.product(j, i))
-                for k, v in a.sc.product(i, j).items():
-                    s = row.get(k, ZERO) - v
-                    if s:
-                        row[k] = s
-                    elif k in row:
-                        del row[k]
-                for k, v in row.items():
-                    entries[(i * a.dim + k, j)] = v
-        system = SparseMatrix(a.dim * a.dim, a.dim, entries)
+        def terms():  # coordinate k of e_j e_i - e_i e_j, for every i and j
+            for i in range(a.dim):
+                for j in range(a.dim):
+                    for k, v in a.sc.product(j, i).items():
+                        yield (i * a.dim + k, j), v
+                    for k, v in a.sc.product(i, j).items():
+                        yield (i * a.dim + k, j), -v
+        system = SparseMatrix(a.dim * a.dim, a.dim, terms())
         a._center = tuple(CentralElement(a, v) for v in nullspace(system).basis)
     return a._center
 

@@ -8,15 +8,17 @@ The chain complex C_n = A (x) Abar^(x n) carries the boundary
 and the cochain complex C^n = Hom(Abar^(x n), A) the matching coboundary.
 Both builders share the word codec (`itertools.product` plus `_index`), the
 interior merges (`_merges`) and the guarded dims; each writes only its two
-end terms, one degree at a time (`_boundary`, `_coboundary`), so a single
-differential is built alone where only it is read (cup, cap and the class
-comparisons).  The alphabet (`_alphabet`) is the only place the two routes
-differ.  The reduced (normalized) route is the default: interior letters
-span a complement of the unit, which shrinks dim(A)^n to (dim(A)-1)^n and is
-what makes degree-3 computations feasible at dim 6-8.  The unnormalized
-route, on which cup and cap live, is retained as an independent cross-check.
-Ext over A (x) A^op (`modules.ext_dims`) builds its own coboundary and
-shares none of this code, so its agreement with HH^* is a second route.
+end terms, one degree at a time (`_boundary`, `_coboundary`), as
+((row, col), value) terms that the `SparseMatrix` constructor sums (over Q
+straight into integer rows), so a single differential is built alone where
+only it is read (cup, cap and the class comparisons).  The alphabet
+(`_alphabet`) is the only place the two routes differ.  The reduced
+(normalized) route is the default: interior letters span a complement of
+the unit, which shrinks dim(A)^n to (dim(A)-1)^n and is what makes degree-3
+computations feasible at dim 6-8.  The unnormalized route, on which cup and
+cap live, is retained as an independent cross-check.  Ext over A (x) A^op
+(`modules.ext_dims`) builds its own coboundary and shares none of this code,
+so its agreement with HH^* is a second route.
 
 A homology dimension in degree k is only reported when both adjacent
 differentials were built (`complete_through` tracks this); the CLI marks
@@ -156,18 +158,6 @@ def _guarded_dims(a: Algebra, top: int, radix: int, size_guard: int) -> list[int
     return dims
 
 
-def _matrix(rows: int, cols: int, terms) -> SparseMatrix:
-    """Sum of (row, col, value) terms, entries kept in first-insertion order."""
-    entries: dict[tuple[int, int], CycScalar] = {}
-    for r, c, v in terms:
-        s = entries.get((r, c), ZERO) + v
-        if s:
-            entries[(r, c)] = s
-        else:
-            entries.pop((r, c), None)
-    return SparseMatrix(rows, cols, entries)
-
-
 def _boundary(a: Algebra, n: int, letters: tuple[int, ...], merge) -> SparseMatrix:
     """b_n: C_n -> C_(n-1) over the alphabet `letters`, n >= 1."""
     r = len(letters)
@@ -179,14 +169,14 @@ def _boundary(a: Algebra, n: int, letters: tuple[int, ...], merge) -> SparseMatr
             a0, word = chain[0], chain[1:]
             # i = 0: (a0 a_1) (x) a_2 ...
             for k, v in mul(a0, letters[word[0]]).items():
-                yield _index((k,) + word[1:], r), col, v
+                yield (_index((k,) + word[1:], r), col), v
             for merged, v in _merges(word, merge):
-                yield _index((a0,) + merged, r), col, v
+                yield (_index((a0,) + merged, r), col), v
             # cyclic term: (-1)^n a_n a_0 (x) a_1 ... a_{n-1}
             for k, v in mul(letters[word[-1]], a0).items():
-                yield _index((k,) + word[:-1], r), col, last_sign * v
+                yield (_index((k,) + word[:-1], r), col), last_sign * v
 
-    return _matrix(a.dim * r ** (n - 1), a.dim * r ** n, terms())
+    return SparseMatrix(a.dim * r ** (n - 1), a.dim * r ** n, terms())
 
 
 def _coboundary(a: Algebra, n: int, letters: tuple[int, ...], merge) -> SparseMatrix:
@@ -201,17 +191,17 @@ def _coboundary(a: Algebra, n: int, letters: tuple[int, ...], merge) -> SparseMa
             # a_1 f(a_2 ..): left multiplication on the output slot
             for out in range(d):
                 for k, v in mul(letters[word[0]], out).items():
-                    yield w * d + k, rest + out, v
+                    yield (w * d + k, rest + out), v
             for merged, v in _merges(word, merge):
                 col = _index(merged, r) * d
                 for out in range(d):
-                    yield w * d + out, col + out, v
+                    yield (w * d + out, col + out), v
             # (-1)^(n+1) f(a_1..a_n) a_{n+1}: right multiplication on output
             for out in range(d):
                 for k, v in mul(out, letters[word[n]]).items():
-                    yield w * d + k, head + out, last_sign * v
+                    yield (w * d + k, head + out), last_sign * v
 
-    return _matrix(d * r ** (n + 1), d * r ** n, terms())
+    return SparseMatrix(d * r ** (n + 1), d * r ** n, terms())
 
 
 def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True,

@@ -1,23 +1,26 @@
 """Exact sparse linear algebra over Q(zeta_n).
 
-Matrices are immutable dict-of-rows structures whose entries are nonzero
-CycScalars.  Rank, nullspace, solving and cokernel computations all run
-Gaussian elimination on sparse dict rows with a fill-minimizing pivot rule
-(fewest nonzeros in row, then fewest rows in column); pivot choice only
-affects speed, never results.  There is one elimination path: `_eliminate`,
-followed by `_canonical_rref` wherever a canonical reduced basis is needed
-(`_reduced_rows`); matrix rows and columns reach it as dict rows and are
-never densified on the way.
+Matrices are immutable lists of sparse dict rows, and the representation is
+chosen once, when a matrix is made (`_normal_form`): a matrix whose entries
+are all rational holds integer rows over one positive common denominator
+`den`, in lowest terms; a matrix with an irrational entry holds CycScalar
+rows and `den` is None.  Equal matrices therefore have equal rows, and
+every operation (`+`, `scale`, `*`, `kron`, `transpose` and the
+eliminations) runs on the stored rows.  Scalars and vectors leave this
+module as CycScalars: `entry`, `entries`, `row_vector`, `apply`, `trace`,
+`Subspace.basis` and `solve`'s answer.
 
-When every entry is rational (conductor 1), `_eliminate` and the matrix
-product run on Python ints and convert to and from CycScalar only at the
-boundary.  The elimination then keeps each row a primitive integer vector
-and updates it fraction-free, t <- (p/g) t - (t[c]/g) r with
-g = gcd(p, t[c]) (Bareiss, Math. Comp. 22, 1968, in its one-step form),
-dividing out the row's content afterwards.  Each integer row is a nonzero
-rational multiple of the row the field update t <- t - (t[c]/p) r gives, so
-the zero pattern, the pivot sequence and every normalized output are the
-same on both routes.
+Rank, nullspace, solving and cokernel computations all run Gaussian
+elimination on sparse dict rows with a fill-minimizing pivot rule (fewest
+nonzeros in row, then fewest rows in column); pivot choice only affects
+speed, never results.  There is one elimination path: `_eliminate`,
+followed by `_canonical_rref` wherever a canonical reduced basis is needed
+(`_reduced_rows`).  Only the row update depends on the field.  Over
+Q(zeta_n), n > 1, it is t <- t - (t[c]/p) r.  On integer rows it is the
+fraction-free t <- (p/g) t - (t[c]/g) r with g = gcd(p, t[c]) (Bareiss,
+Math. Comp. 22, 1968, in its one-step form), after which the row's content
+is divided out.  A reduced integer row is primitive with a positive pivot,
+the integer form of pivot 1.
 """
 
 from __future__ import annotations
@@ -40,82 +43,118 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def _scalar(num: int, den: int) -> CycScalar:
+    return CycScalar(1, (Fraction(num, den),), _canonical=True)
+
+
+def _normal_form(data: list[dict], den: int | None) -> tuple[list[dict], int | None]:
+    """The one place a matrix representation is chosen.  `data` holds
+    integer rows over `den`, or (den None) rows of scalars: CycScalars, or
+    ints and Fractions.  Rows with an irrational entry stay CycScalar rows;
+    all other rows become integer rows over a lowest-terms denominator."""
+    if den is None:
+        if any(isinstance(v, CycScalar) and v.order != 1 for row in data for v in row.values()):
+            return data, None
+        data = [{j: v.coeffs[0] if isinstance(v, CycScalar) else v for j, v in row.items()}
+                for row in data]
+        den = lcm(*{v.denominator for row in data for v in row.values()})
+        # the least common denominator of reduced fractions is in lowest terms
+        return [{j: v.numerator * (den // v.denominator) for j, v in row.items()}
+                for row in data], den
+    g = den
+    for row in data:
+        if g == 1:
+            return data, den
+        g = gcd(g, *row.values())
+    if g == 1:
+        return data, den
+    return [{j: v // g for j, v in row.items()} for row in data], den // g
+
+
 class SparseMatrix:
-    """Immutable sparse matrix; absent entries are zero, stored ones are not."""
+    """Immutable sparse matrix; absent entries are zero, stored ones are not.
 
-    __slots__ = ("rows", "cols", "_rows")
+    `SparseMatrix(rows, cols, entries)` takes a dict or an iterable of
+    ((row, col), value) pairs; values at a repeated position are summed and
+    entries that cancel are dropped."""
 
-    def __init__(self, rows: int, cols: int, entries=None):
-        data: list[dict[int, CycScalar]] = [dict() for _ in range(rows)]
-        if entries:
-            items = entries.items() if isinstance(entries, dict) else entries
-            for (r, c), v in items:
-                v = cyc(v)
-                if not (0 <= r < rows and 0 <= c < cols):
-                    raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
-                if v:
-                    data[r][c] = v
-                elif c in data[r]:
-                    del data[r][c]
+    __slots__ = ("rows", "cols", "den", "_rows")
+
+    def __init__(self, rows: int, cols: int, entries=()):
+        data: list[dict] = [dict() for _ in range(rows)]
+        zero = 0  # ints and Fractions are summed until an irrational value comes
+        for (r, c), v in entries.items() if isinstance(entries, dict) else entries:
+            if not (0 <= r < rows and 0 <= c < cols):
+                raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
+            v = cyc(v)
+            if zero is not ZERO:
+                if v.order == 1:
+                    q = v.coeffs[0]
+                    v = q.numerator if q.denominator == 1 else q
+                else:  # the first irrational value
+                    zero = ZERO
+                    data = [{j: cyc(x) for j, x in row.items()} for row in data]
+            row = data[r]
+            s = row.get(c, zero) + v
+            if s:
+                row[c] = s
+            else:
+                row.pop(c, None)
+        self._set(rows, cols, *_normal_form(data, None))
+
+    def _set(self, rows: int, cols: int, data: list[dict], den: int | None):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "_rows", data)
 
     def __setattr__(self, *a):
         raise AttributeError("SparseMatrix is immutable")
 
     @staticmethod
-    def _wrap(rows: int, cols: int, data: list[dict[int, CycScalar]]) -> "SparseMatrix":
+    def _of(rows: int, cols: int, data: list[dict], den: int | None) -> "SparseMatrix":
         m = SparseMatrix.__new__(SparseMatrix)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "_rows", data)
+        m._set(rows, cols, *_normal_form(data, den))
         return m
-
-    @staticmethod
-    def from_rows(rows_data: Sequence[dict[int, CycScalar]], cols: int) -> "SparseMatrix":
-        data = [{c: cyc(v) for c, v in row.items() if cyc(v)} for row in rows_data]
-        return SparseMatrix._wrap(len(data), cols, data)
 
     @staticmethod
     def from_dense(table: Sequence[Sequence]) -> "SparseMatrix":
         rows = len(table)
         cols = len(table[0]) if rows else 0
-        data = []
         for row in table:
             if len(row) != cols:
                 raise ShapeMismatch(f"dense rows of lengths {cols} and {len(row)}")
-            data.append({c: cyc(v) for c, v in enumerate(row) if cyc(v)})
-        return SparseMatrix._wrap(rows, cols, data)
+        return SparseMatrix(rows, cols, (((r, c), v) for r, row in enumerate(table)
+                                         for c, v in enumerate(row)))
 
     @staticmethod
     def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix._wrap(n, n, [{i: ONE} for i in range(n)])
+        return SparseMatrix._of(n, n, [{i: 1} for i in range(n)], 1)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "SparseMatrix":
-        return SparseMatrix._wrap(rows, cols, [dict() for _ in range(rows)])
+        return SparseMatrix._of(rows, cols, [dict() for _ in range(rows)], 1)
 
     @staticmethod
     def from_columns(columns: Sequence[Vector], rows: int) -> "SparseMatrix":
-        data: list[dict[int, CycScalar]] = [dict() for _ in range(rows)]
         for c, col in enumerate(columns):
             if len(col) != rows:
                 raise ShapeMismatch(f"column {c} has {len(col)} entries, not {rows}")
-            for r, v in enumerate(col):
-                if v:
-                    data[r][c] = v
-        return SparseMatrix._wrap(rows, len(columns), data)
+        return SparseMatrix(rows, len(columns), (((r, c), v) for c, col in enumerate(columns)
+                                                 for r, v in enumerate(col)))
 
     # --- inspection ---
 
     def entry(self, r: int, c: int) -> CycScalar:
-        return self._rows[r].get(c, ZERO)
+        v = self._rows[r].get(c)
+        if v is None:
+            return ZERO
+        return v if self.den is None else _scalar(v, self.den)
 
     def entries(self) -> Iterator[tuple[int, int, CycScalar]]:
         for r, row in enumerate(self._rows):
             for c, v in row.items():
-                yield r, c, v
+                yield r, c, v if self.den is None else _scalar(v, self.den)
 
     def nnz(self) -> int:
         return sum(len(row) for row in self._rows)
@@ -125,15 +164,12 @@ class SparseMatrix:
 
     @property
     def field_order(self) -> int:
-        n = 1
-        for row in self._rows:
-            for v in row.values():
-                n = lcm(n, v.order)
-        return n
+        if self.den is not None:
+            return 1
+        return lcm(1, *(v.order for row in self._rows for v in row.values()))
 
     def row_vector(self, r: int) -> Vector:
-        row = self._rows[r]
-        return tuple(row.get(c, ZERO) for c in range(self.cols))
+        return tuple(self.entry(r, c) for c in range(self.cols))
 
     def dump(self) -> str:
         """Debug format: header `rows cols field_order`, then one
@@ -148,7 +184,8 @@ class SparseMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
+        return (self.rows, self.cols, self.den) == (other.rows, other.cols, other.den) \
+            and self._rows == other._rows
 
     def __hash__(self):
         return hash((self.rows, self.cols, self.nnz()))
@@ -157,68 +194,88 @@ class SparseMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch(
                 f"{self.rows}x{self.cols} + {other.rows}x{other.cols}")
+        left, right, den = _common(self, other)
         data = []
-        for ra, rb in zip(self._rows, other._rows):
+        for ra, rb in zip(left, right):
             row = dict(ra)
             for c, v in rb.items():
-                s = row.get(c, ZERO) + v
+                s = row.get(c, ZERO if den is None else 0) + v
                 if s:
                     row[c] = s
                 elif c in row:
                     del row[c]
             data.append(row)
-        return SparseMatrix._wrap(self.rows, self.cols, data)
+        return SparseMatrix._of(self.rows, self.cols, data, den)
 
     def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
         return self + other.scale(-1)
 
     def scale(self, c) -> "SparseMatrix":
         c = cyc(c)
+        if c == ONE:
+            return self
         if not c:
             return SparseMatrix.zero(self.rows, self.cols)
-        data = [{j: c * v for j, v in row.items()} for row in self._rows]
-        return SparseMatrix._wrap(self.rows, self.cols, data)
+        if self.den is not None and c.order == 1:
+            q = c.coeffs[0]
+            return SparseMatrix._of(self.rows, self.cols, _times(self, q.numerator),
+                                    self.den * q.denominator)
+        data = [{j: c * v for j, v in row.items()} for row in _scalar_rows(self)]
+        return SparseMatrix._of(self.rows, self.cols, data, None)
 
     def __mul__(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        if _all_rational(self._rows) and _all_rational(other._rows):
-            left, den_left = _scaled_to_integers(self._rows)
-            right, den_right = _scaled_to_integers(other._rows)
-            den = den_left * den_right
-            data = [{c: _rational(Fraction(s, den)) for c, s in acc.items()}
-                    for acc in _row_products(left, right, 0)]
-        else:
-            data = _row_products(self._rows, other._rows, ZERO)
-        return SparseMatrix._wrap(self.rows, other.cols, data)
+        left, right, den = _common(self, other)
+        data = _row_products(left, right, ZERO if den is None else 0)
+        return SparseMatrix._of(self.rows, other.cols, data, None if den is None else den * den)
 
     def transpose(self) -> "SparseMatrix":
-        data: list[dict[int, CycScalar]] = [dict() for _ in range(self.cols)]
+        data: list[dict] = [dict() for _ in range(self.cols)]
         for r, row in enumerate(self._rows):
             for c, v in row.items():
                 data[c][r] = v
-        return SparseMatrix._wrap(self.cols, self.rows, data)
+        return SparseMatrix._of(self.cols, self.rows, data, self.den)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ShapeMismatch(f"{self.rows}x{self.cols} applied to a vector of length {len(v)}")
-        out = []
-        for row in self._rows:
-            s = ZERO
-            for c, a in row.items():
-                if v[c]:
-                    s = s + a * v[c]
-            out.append(s)
-        return tuple(out)
+        out = (sum((a * v[c] for c, a in row.items() if v[c]), ZERO) for row in self._rows)
+        if self.den is None:
+            return tuple(out)
+        inverse = Fraction(1, self.den)
+        return tuple(s * inverse for s in out)
 
     def trace(self) -> CycScalar:
         if self.rows != self.cols:
             raise ShapeMismatch(f"trace of a {self.rows}x{self.cols} matrix")
-        s = ZERO
-        for r, row in enumerate(self._rows):
-            if r in row:
-                s = s + row[r]
-        return s
+        s = sum((row[r] for r, row in enumerate(self._rows) if r in row),
+                ZERO if self.den is None else 0)
+        return s if self.den is None else _scalar(s, self.den)
+
+
+def _scalar_rows(m: SparseMatrix) -> list[dict[int, CycScalar]]:
+    """The rows of m as CycScalars (its own rows when they already are)."""
+    if m.den is None:
+        return m._rows
+    return [{j: _scalar(v, m.den) for j, v in row.items()} for row in m._rows]
+
+
+def _times(m: SparseMatrix, k: int) -> list[dict[int, int]]:
+    """The integer rows of a rational matrix, times the integer k."""
+    if k == 1:
+        return m._rows
+    return [{j: k * v for j, v in row.items()} for row in m._rows]
+
+
+def _common(a: SparseMatrix, b: SparseMatrix) -> tuple[list[dict], list[dict], int | None]:
+    """The rows of a and b in one representation, read-only: integer rows
+    over their common denominator den, or CycScalar rows (den None) when
+    either is irrational."""
+    if a.den is None or b.den is None:
+        return _scalar_rows(a), _scalar_rows(b), None
+    den = lcm(a.den, b.den)
+    return _times(a, den // a.den), _times(b, den // b.den), den
 
 
 def _row_products(left: list[dict], right: list[dict], zero) -> list[dict]:
@@ -240,29 +297,20 @@ def _row_products(left: list[dict], right: list[dict], zero) -> list[dict]:
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     """Kronecker product with row-major index convention
     (i_a * rows_b + i_b, j_a * cols_b + j_b)."""
-    data: list[dict[int, CycScalar]] = [dict() for _ in range(a.rows * b.rows)]
-    for ra, ca, va in a.entries():
-        for rb, cb, vb in b.entries():
-            data[ra * b.rows + rb][ca * b.cols + cb] = va * vb
-    return SparseMatrix._wrap(a.rows * b.rows, a.cols * b.cols, data)
+    left, right, den = _common(a, b)
+    data = [{ca * b.cols + cb: va * vb for ca, va in ra.items() for cb, vb in rb.items()}
+            for ra in left for rb in right]
+    return SparseMatrix._of(a.rows * b.rows, a.cols * b.cols, data,
+                            None if den is None else den * den)
 
 
-# --- integer rows for rational matrices --------------------------------------
+# --- elimination core -------------------------------------------------------
+#
+# The helpers below work on lists of mutable dict rows: integer rows when
+# `integral`, CycScalar rows otherwise.
 
-def _rational(q: Fraction) -> CycScalar:
-    return CycScalar(1, (q,), _canonical=True)
-
-
-def _all_rational(rows: Sequence[dict[int, CycScalar]]) -> bool:
-    return all(v.order == 1 for row in rows for v in row.values())
-
-
-def _scaled_to_integers(rows: Sequence[dict[int, CycScalar]]) -> tuple[list[dict[int, int]], int]:
-    """(den * rows as ints, den) for rational rows, den the lcm of every
-    denominator: one common denominator for the whole matrix."""
-    den = lcm(*{v.coeffs[0].denominator for row in rows for v in row.values()})
-    return [{j: v.coeffs[0].numerator * (den // v.coeffs[0].denominator)
-             for j, v in row.items()} for row in rows], den
+def _copy_rows(m: SparseMatrix) -> list[dict]:
+    return [dict(row) for row in m._rows]
 
 
 def _divide_content(row: dict[int, int]):
@@ -273,41 +321,35 @@ def _divide_content(row: dict[int, int]):
             row[j] = v // content
 
 
-def _integer_rows(data: list[dict[int, CycScalar]]) -> bool:
-    """When every entry is rational, replace each row in place by its
-    primitive integer multiple and return True.  The CycScalar rows are
-    released one by one, so the two copies are never alive together."""
-    if not _all_rational(data):
-        return False
-    for i, row in enumerate(data):
-        data[i] = _scaled_to_integers([row])[0][0]
-        _divide_content(data[i])
-    return True
+def _factor(t: dict, c: int, piv, integral: bool):
+    """The multiple of the pivot row (pivot `piv` in column c) that clears
+    column c of row t.  On integer rows t is first scaled in place by
+    piv/g, g = gcd(piv, t[c]), so that the update stays integral."""
+    if not integral:
+        return t[c] / piv
+    g = gcd(piv, t[c])
+    factor, scale = t[c] // g, piv // g
+    if scale != 1:
+        for j, v in t.items():
+            t[j] = scale * v
+    return factor
 
 
-# --- elimination core -------------------------------------------------------
-
-def _eliminate(data: list[dict[int, CycScalar]], cols: int,
-               want_reduced: bool = False,
+def _eliminate(data: list[dict], cols: int, integral: bool, reduced: bool = False,
                pivot_limit: int | None = None) -> list[tuple[int, int]]:
     """In-place forward elimination with fill-minimizing pivoting.
 
     Pivot rule: a minimum-nnz active row, then its least-populated column.
     Returns pivots as (row_index, col) pairs sorted by column.  With
-    want_reduced, pivot rows are normalized to 1 and cleared above as well.
-    Columns >= pivot_limit are never chosen as pivots (used by `solve` to
-    protect the augmented column); rows supported only there are left alone.
+    `reduced`, pivot rows are cleared above as well, and over Q(zeta_n),
+    n > 1, normalized to pivot 1.  Columns >= pivot_limit are never chosen
+    as pivots (used by `solve` to protect the augmented column); rows
+    supported only there are left alone.
 
     Pivot positions need not be at leading columns, so the result is an
     echelon basis but not the canonical reduced form; `_canonical_rref`
     finishes the job where canonical output matters.
-
-    Rational rows are eliminated as primitive integer vectors (see the
-    module docstring); only the row update differs.  Non-pivot rows then
-    hold ints, and with want_reduced the pivot rows are wrapped back into
-    CycScalar rows with pivot 1, as on the field route.
     """
-    integral = _integer_rows(data)
     zero = 0 if integral else ZERO
     nrows = len(data)
     col_rows: dict[int, dict[int, None]] = {}
@@ -358,17 +400,10 @@ def _eliminate(data: list[dict[int, CycScalar]], cols: int,
             c = min(row, key=lambda j: (len(col_rows[j]), j))
         piv = row[c]
         pivots.append((r, c))
-        targets = [t for t in col_rows[c] if t != r and (is_active[t] or want_reduced)]
+        targets = [t for t in col_rows[c] if t != r and (is_active[t] or reduced)]
         for t in targets:
             trow = data[t]
-            if integral:  # t <- (p/g) t - (t[c]/g) r, then divide out the content
-                g = gcd(piv, trow[c])
-                factor, scale = trow[c] // g, piv // g
-                if scale != 1:
-                    for j, v in trow.items():
-                        trow[j] = scale * v
-            else:  # t <- t - (t[c]/p) r
-                factor = trow[c] / piv
+            factor = _factor(trow, c, piv, integral)
             for j, v in row.items():
                 s = trow.get(j, zero) - factor * v
                 if s:
@@ -384,39 +419,39 @@ def _eliminate(data: list[dict[int, CycScalar]], cols: int,
             if is_active[t]:
                 rebucket(t)
         col_rows[c] = {r: None}
-    if want_reduced:
+    if reduced and not integral:
         for r, c in pivots:
             piv = data[r][c]
-            if integral:
-                data[r] = {j: _rational(Fraction(v, piv)) for j, v in data[r].items()}
-            elif piv != ONE:
+            if piv != ONE:
                 inv = piv.inverse()
                 data[r] = {j: inv * v for j, v in data[r].items()}
     pivots.sort(key=lambda rc: rc[1])
     return pivots
 
 
-def _copy_rows(m: SparseMatrix) -> list[dict[int, CycScalar]]:
-    return [dict(row) for row in m._rows]
-
-
 def rank(m: SparseMatrix) -> int:
-    return len(_eliminate(_copy_rows(m), m.cols))
+    return len(_eliminate(_copy_rows(m), m.cols, m.den is not None))
 
 
-def _reduced_rows(rows: list[dict[int, CycScalar]],
-                  ambient: int) -> list[dict[int, CycScalar]]:
+def _reduced_rows(rows: list[dict], ambient: int, integral: bool) -> list[dict]:
     """Canonical reduced echelon basis of the span of sparse rows, sorted by
-    pivot; each row's pivot is min(row) and equals 1.  Consumes `rows`."""
+    pivot; each row's pivot is min(row).  Consumes `rows`."""
     data = [row for row in rows if row]
-    rows.clear()  # `_eliminate` may now release each row as it converts it
+    rows.clear()
     # thin out with the fill-minimizing eliminator, then canonicalize
-    pivots = _eliminate(data, ambient, want_reduced=True)
-    return _canonical_rref([data[r] for r, _ in pivots])
+    pivots = _eliminate(data, ambient, integral, reduced=True)
+    return _canonical_rref([data[r] for r, _ in pivots], integral)
 
 
-def _dense_rows(rows: Sequence[dict[int, CycScalar]], ambient: int) -> list[Vector]:
-    return [tuple(row.get(j, ZERO) for j in range(ambient)) for row in rows]
+def _dense_rows(rows: Sequence[dict], ambient: int, integral: bool) -> list[Vector]:
+    """Reduced rows as dense CycScalar vectors with pivot 1."""
+    out = []
+    for row in rows:
+        if integral:
+            lead = row[min(row)]
+            row = {j: _scalar(v, lead) for j, v in row.items()}
+        out.append(tuple(row.get(j, ZERO) for j in range(ambient)))
+    return out
 
 
 class Subspace:
@@ -430,13 +465,15 @@ class Subspace:
 
     def __init__(self, ambient_dim: int, basis: Sequence[Vector], *, _canonical=False):
         if not _canonical:
-            sparse = []
             for v in basis:
                 if len(v) != ambient_dim:
                     raise ShapeMismatch(
                         f"a vector of length {len(v)} in a subspace of dimension {ambient_dim}")
-                sparse.append({i: x for i, x in enumerate(v) if x})
-            basis = _dense_rows(_reduced_rows(sparse, ambient_dim), ambient_dim)
+            m = SparseMatrix(len(basis), ambient_dim, (((i, j), x) for i, v in enumerate(basis)
+                                                       for j, x in enumerate(v)))
+            integral = m.den is not None
+            reduced = _reduced_rows(_copy_rows(m), ambient_dim, integral)
+            basis = _dense_rows(reduced, ambient_dim, integral)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(basis))
 
@@ -471,45 +508,55 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def _subtract(row: dict[int, CycScalar], f: CycScalar, other: dict[int, CycScalar]):
-    """row -= f * other, in place."""
-    for j, v in other.items():
-        s = row.get(j, ZERO) - f * v
+def _clear(row: dict, c: int, pivot_row: dict, integral: bool):
+    """Clear column c of `row` with `pivot_row`, in place."""
+    zero = 0 if integral else ZERO
+    f = _factor(row, c, pivot_row[c], integral)
+    for j, v in pivot_row.items():
+        s = row.get(j, zero) - f * v
         if s:
             row[j] = s
         elif j in row:
             del row[j]
+    if integral:
+        _divide_content(row)
 
 
-def _canonical_rref(data: list[dict[int, CycScalar]]) -> list[dict[int, CycScalar]]:
+def _canonical_rref(data: list[dict], integral: bool) -> list[dict]:
     """Gauss-Jordan with leading-column pivots on an already-thin row list;
-    output rows are the canonical reduced echelon basis, sorted by pivot.
+    output rows are the canonical reduced echelon basis, sorted by pivot:
+    pivot 1 over Q(zeta_n), n > 1; primitive with a positive pivot on
+    integer rows.
 
     Rows wait in buckets by leading column, so a pivot row only meets the
     rows that share its lead; back substitution then runs from the last
     pivot up, each row meeting only the pivot rows in its own support."""
-    by_lead: dict[int, list[dict[int, CycScalar]]] = {}
+    by_lead: dict[int, list[dict]] = {}
     for row in data:
         if row:
             by_lead.setdefault(min(row), []).append(row)
-    pivot_rows: dict[int, dict[int, CycScalar]] = {}  # increasing lead
+    pivot_rows: dict[int, dict] = {}  # increasing lead
     while by_lead:
         lead = min(by_lead)
         row, *others = by_lead.pop(lead)
-        piv = row[lead]
-        if piv != ONE:
-            inv = piv.inverse()
+        if integral:
+            _divide_content(row)
+            if row[lead] < 0:
+                row = {j: -v for j, v in row.items()}
+        elif row[lead] != ONE:
+            inv = row[lead].inverse()
             row = {j: inv * v for j, v in row.items()}
         for other in others:
-            _subtract(other, other[lead], row)
+            _clear(other, lead, row, integral)
             if other:
                 by_lead.setdefault(min(other), []).append(other)
         pivot_rows[lead] = row
     # a pivot row below has no entry in any other pivot column, so clearing
-    # one column of a row leaves its other pivot columns untouched
+    # one column of a row leaves its other pivot columns untouched; the
+    # positive pivots below keep each lead positive on integer rows
     for lead, row in reversed(pivot_rows.items()):
         for p in [j for j in row if j != lead and j in pivot_rows]:
-            _subtract(row, row[p], pivot_rows[p])
+            _clear(row, p, pivot_rows[p], integral)
     return list(pivot_rows.values())
 
 
@@ -519,40 +566,45 @@ def rref(vectors: Sequence[Vector], ambient: int) -> Subspace:
 
 def nullspace(m: SparseMatrix) -> Subspace:
     """Canonical basis of { v : m.apply(v) = 0 }."""
+    integral = m.den is not None
     data = _copy_rows(m)
-    pivots = _eliminate(data, m.cols, want_reduced=True)
-    pivot_cols = [c for _, c in pivots]
-    pivot_of = {c: r for r, c in pivots}
-    free = [c for c in range(m.cols) if c not in pivot_of]
+    pivots = _eliminate(data, m.cols, integral, reduced=True)
+    pivot_of = {c: data[r] for r, c in pivots}
     basis = []
-    for f in free:
-        v = {f: ONE}
-        for c in pivot_cols:
-            coeff = data[pivot_of[c]].get(f)
-            if coeff:
-                v[c] = -coeff
+    for f in range(m.cols):
+        if f in pivot_of:
+            continue
+        hits = [(c, row) for c, row in pivot_of.items() if f in row]
+        if integral:  # scale * (e_f - sum_c row[f]/row[c] e_c), kept integral
+            scale = lcm(*(row[c] for c, row in hits))
+            v = {f: scale}
+            v.update((c, -row[f] * scale // row[c]) for c, row in hits)
+        else:
+            v = {f: ONE}
+            v.update((c, -row[f]) for c, row in hits)
         basis.append(v)
-    reduced = _reduced_rows(basis, m.cols)
-    return Subspace(m.cols, _dense_rows(reduced, m.cols), _canonical=True)
+    reduced = _reduced_rows(basis, m.cols, integral)
+    return Subspace(m.cols, _dense_rows(reduced, m.cols, integral), _canonical=True)
 
 
 def solve(m: SparseMatrix, b: Vector) -> Vector | None:
     """Some x with m.apply(x) = b, or None when the system is inconsistent."""
     if len(b) != m.rows:
         raise ShapeMismatch(f"{m.rows}x{m.cols} system with a right-hand side of length {len(b)}")
-    data = _copy_rows(m)
+    left, right, den = _common(m, SparseMatrix.from_columns([b], m.rows))
+    integral = den is not None
     aug = m.cols  # augmented column index, protected from pivoting
-    for r, v in enumerate(b):
-        if v:
-            data[r][aug] = v
-    pivots = _eliminate(data, m.cols + 1, want_reduced=True, pivot_limit=m.cols)
+    data = [{**row, aug: rb[0]} if rb else dict(row) for row, rb in zip(left, right)]
+    pivots = _eliminate(data, m.cols + 1, integral, reduced=True, pivot_limit=m.cols)
     pivot_rows = {r for r, _ in pivots}
     for r, row in enumerate(data):
         if r not in pivot_rows and aug in row:
             return None  # a residual equation 0 = nonzero
     x = [ZERO] * m.cols
     for r, c in pivots:
-        x[c] = data[r].get(aug, ZERO)
+        v = data[r].get(aug)
+        if v:
+            x[c] = _scalar(v, data[r][c]) if integral else v
     return tuple(x)
 
 
@@ -562,14 +614,17 @@ def cokernel_projector(m: SparseMatrix) -> tuple[tuple[int, ...], SparseMatrix]:
     and the projection (one row per free coordinate) of the ambient space
     onto them.  projection * m = 0, and the projection is the identity on
     the free coordinates."""
-    colspace = _reduced_rows(m.transpose()._rows, m.rows)
+    integral = m.den is not None
+    colspace = _reduced_rows(m.transpose()._rows, m.rows, integral)
     pivot_coords = [min(row) for row in colspace]
     pivot_set = set(pivot_coords)
     free = tuple(i for i in range(m.rows) if i not in pivot_set)
     pos = {f: k for k, f in enumerate(free)}
-    proj_rows: list[dict[int, CycScalar]] = [{f: ONE} for f in free]
+    # over Q the projection is kept as integer rows over den, the lcm of the pivots
+    den = lcm(*(row[p] for row, p in zip(colspace, pivot_coords))) if integral else None
+    proj_rows: list[dict] = [{f: den if integral else ONE} for f in free]
     for row, p in zip(colspace, pivot_coords):
         for i, x in row.items():
             if i in pos:
-                proj_rows[pos[i]][p] = -x
-    return free, SparseMatrix._wrap(len(free), m.rows, proj_rows)
+                proj_rows[pos[i]][p] = -x * (den // row[p]) if integral else -x
+    return free, SparseMatrix._of(len(free), m.rows, proj_rows, den)

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from .algebra import Algebra, opposite, tensor
 from .errors import (
     AlgebraMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError,
-    MiddleNotSemisimple, MissingSerreData, MissingSimples, ModuleDefect,
+    MiddleNotSemisimple, MissingSerreData, MissingSimples, ModuleDefect, ShapeMismatch,
 )
 from .linalg import (
     SparseMatrix, Vector, cokernel_projector, kron, nullspace, rank, unit_vector,
@@ -39,9 +39,13 @@ class ModuleRep:
 
     def __init__(self, algebra: Algebra, dim: int, action: Sequence[SparseMatrix],
                  name: str = "", check: bool = True):
-        assert len(action) == algebra.dim
+        if len(action) != algebra.dim:
+            raise ShapeMismatch(
+                f"{len(action)} action matrices for an algebra of dimension {algebra.dim}")
         for m in action:
-            assert m.rows == dim and m.cols == dim
+            if (m.rows, m.cols) != (dim, dim):
+                raise ShapeMismatch(f"a {m.rows}x{m.cols} action matrix on a module of "
+                                    f"dimension {dim}")
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
@@ -51,11 +55,13 @@ class ModuleRep:
 
     def act(self, coords: Vector) -> SparseMatrix:
         """Action matrix of the algebra element with the given coordinates."""
-        out = SparseMatrix.zero(self.dim, self.dim)
-        for i, c in enumerate(coords):
-            if c:
-                out = out + self.action[i].scale(c)
-        return out
+        return self._act({i: c for i, c in enumerate(coords) if c})
+
+    def _act(self, coords: dict[int, CycScalar]) -> SparseMatrix:
+        """Action matrix of sum_i c_i e_i, from its nonzero coordinates; a
+        basis element acts by its own action matrix."""
+        terms = [self.action[i].scale(c) for i, c in coords.items()]
+        return sum(terms[1:], terms[0]) if terms else SparseMatrix.zero(self.dim, self.dim)
 
     def character(self, coords: Vector) -> CycScalar:
         out = ZERO
@@ -92,11 +98,7 @@ def validate_module(m: ModuleRep) -> None:
         raise ModuleDefect("unit does not act as the identity")
     for i in range(a.dim):
         for j in range(a.dim):
-            lhs = m.action[i] * m.action[j]
-            rhs = SparseMatrix.zero(m.dim, m.dim)
-            for k, c in a.sc.product(i, j).items():
-                rhs = rhs + m.action[k].scale(c)
-            if lhs != rhs:
+            if m.action[i] * m.action[j] != m._act(a.sc.product(i, j)):
                 raise ModuleDefect(f"action is not multiplicative at basis pair ({i}, {j})")
 
 
@@ -146,29 +148,20 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> HomBasis:
         raise AlgebraMismatch("hom_space needs modules over the same algebra")
     a = m.algebra
     gens = a.gens or [unit_vector(a.dim, i) for i in range(a.dim)]
-    # unknowns: T[r, c], r < n.dim, c < m.dim, vectorized row-major
-    rows: list[dict[int, CycScalar]] = []
-    for g in gens:
-        rho_m = m.act(g)
-        rho_n = n.act(g)
-        for r in range(n.dim):
-            for c in range(m.dim):
-                row: dict[int, CycScalar] = {}
-                for k, v in ((k, rho_m.entry(k, c)) for k in range(m.dim)):
-                    if v:
-                        row[r * m.dim + k] = row.get(r * m.dim + k, ZERO) + v
-                for k in range(n.dim):
-                    v = rho_n.entry(r, k)
-                    if v:
-                        key = k * m.dim + c
-                        s = row.get(key, ZERO) - v
-                        if s:
-                            row[key] = s
-                        elif key in row:
-                            del row[key]
-                if row:
-                    rows.append(row)
-    system = SparseMatrix.from_rows(rows, n.dim * m.dim)
+    size = n.dim * m.dim
+
+    def terms():
+        # unknowns: T[r, c], r < n.dim, c < m.dim, vectorized row-major; one
+        # equation (T rho_M(g) - rho_N(g) T)[r, c] = 0 per generator g and (r, c)
+        for eq, g in enumerate(gens):
+            for k, c, v in m.act(g).entries():
+                for r in range(n.dim):
+                    yield (eq * size + r * m.dim + c, r * m.dim + k), v
+            for r, k, v in n.act(g).entries():
+                for c in range(m.dim):
+                    yield (eq * size + r * m.dim + c, k * m.dim + c), -v
+
+    system = SparseMatrix(len(gens) * size, size, terms())
     basis = []
     for v in nullspace(system).basis:
         entries = {}
@@ -323,13 +316,17 @@ class Bimodule:
 
     def left_action(self, coords_target: Vector) -> SparseMatrix:
         """Action of an element of the target algebra (the left structure)."""
-        return self.underlying.act(
-            tuple(tc * us for tc in coords_target for us in self.source.unit))
+        ds = self.source.dim
+        return self.underlying._act({t * ds + s: tc * us
+                                     for t, tc in enumerate(coords_target) if tc
+                                     for s, us in enumerate(self.source.unit) if us})
 
     def right_action(self, coords_source: Vector) -> SparseMatrix:
         """Action of an element of the source algebra (the right structure)."""
-        return self.underlying.act(
-            tuple(ut * sc for ut in self.target.unit for sc in coords_source))
+        ds = self.source.dim
+        return self.underlying._act({t * ds + s: ut * sc
+                                     for t, ut in enumerate(self.target.unit) if ut
+                                     for s, sc in enumerate(coords_source) if sc})
 
     def __repr__(self):
         return f"Bimodule({self.name or '?'}: {self.source!r} -> {self.target!r}, dim {self.dim})"
@@ -567,47 +564,39 @@ def _ext_delta(a: Algebra, split: UnitSplit, m: ModuleRep, n: ModuleRep,
             w = w * dbar + d
         return nu + n.dim * (mu + m.dim * w)
 
-    entries: dict[tuple[int, int], CycScalar] = {}
-
-    def add(r: int, c: int, v: CycScalar):
-        if not v:
-            return
-        s = entries.get((r, c), ZERO) + v
-        if s:
-            entries[(r, c)] = s
-        elif (r, c) in entries:
-            del entries[(r, c)]
-
     last_sign = ONE if (p + 1) % 2 == 0 else -ONE
-    for w in range(dbar ** (p + 1)):
-        word = []
-        x = w
-        for _ in range(p + 1):
-            word.append(x % dbar)
-            x //= dbar
-        word.reverse()
-        word = tuple(word)
-        rho_first = n.action[split.bar_indices[word[0]]]
-        rho_last = m.action[split.bar_indices[word[p]]]
-        rest, head = word[1:], word[:p]
-        for mu in range(m.dim):
-            # rho_N(a_1) f(a_2..a_{p+1}, mu)
-            for r_out, nu_mid, v in rho_first.entries():
-                add(f_index(word, mu, r_out), f_index(rest, mu, nu_mid), v)
-            # interior merges; the unit component of a product is degenerate
-            sign = ONE
-            for i in range(p):
-                sign = -sign
-                _eps, reduced = split.bar_product(word[i], word[i + 1])
-                for d, coeff in reduced.items():
-                    new_word = word[:i] + (d,) + word[i + 2:]
-                    for nu in range(n.dim):
-                        add(f_index(word, mu, nu),
-                            f_index(new_word, mu, nu), sign * coeff)
-            # (-1)^(p+1) f(a_1..a_p, a_{p+1}.m)
-            for r_, v in ((r_, rho_last.entry(r_, mu)) for r_ in range(m.dim)):
-                if v:
-                    for nu in range(n.dim):
-                        add(f_index(word, mu, nu),
-                            f_index(head, r_, nu), last_sign * v)
-    return SparseMatrix(size_q, size_p, entries)
+
+    def terms():
+        for w in range(dbar ** (p + 1)):
+            word = []
+            x = w
+            for _ in range(p + 1):
+                word.append(x % dbar)
+                x //= dbar
+            word.reverse()
+            word = tuple(word)
+            rho_first = n.action[split.bar_indices[word[0]]]
+            rho_last = m.action[split.bar_indices[word[p]]]
+            rest, head = word[1:], word[:p]
+            for mu in range(m.dim):
+                # rho_N(a_1) f(a_2..a_{p+1}, mu)
+                for r_out, nu_mid, v in rho_first.entries():
+                    yield (f_index(word, mu, r_out), f_index(rest, mu, nu_mid)), v
+                # interior merges; the unit component of a product is degenerate
+                sign = ONE
+                for i in range(p):
+                    sign = -sign
+                    _eps, reduced = split.bar_product(word[i], word[i + 1])
+                    for d, coeff in reduced.items():
+                        new_word = word[:i] + (d,) + word[i + 2:]
+                        for nu in range(n.dim):
+                            yield (f_index(word, mu, nu),
+                                   f_index(new_word, mu, nu)), sign * coeff
+                # (-1)^(p+1) f(a_1..a_p, a_{p+1}.m)
+                for r_, v in ((r_, rho_last.entry(r_, mu)) for r_ in range(m.dim)):
+                    if v:
+                        for nu in range(n.dim):
+                            yield (f_index(word, mu, nu),
+                                   f_index(head, r_, nu)), last_sign * v
+
+    return SparseMatrix(size_q, size_p, terms())

@@ -151,19 +151,8 @@ def generalized_trace(mu: SparseMatrix, f_dim: int, g_dim: int, e_dim: int) -> S
     if mu.rows != g_dim * e_dim or mu.cols != f_dim * e_dim:
         raise ShapeMismatch(
             f"expected {g_dim * e_dim}x{f_dim * e_dim}, got {mu.rows}x{mu.cols}")
-    entries: dict[tuple[int, int], CycScalar] = {}
-    for r, c, v in mu.entries():
-        ig, ie_out = divmod(r, e_dim)
-        if_, ie_in = divmod(c, e_dim)
-        if ie_out != ie_in:
-            continue
-        key = (ig, if_)
-        s = entries.get(key, ZERO) + v
-        if s:
-            entries[key] = s
-        elif key in entries:
-            del entries[key]
-    return SparseMatrix(g_dim, f_dim, entries)
+    return SparseMatrix(g_dim, f_dim, (((r // e_dim, c // e_dim), v)
+                                       for r, c, v in mu.entries() if r % e_dim == c % e_dim))
 
 
 def assemble_split_map(e: SparseMatrix, g: SparseMatrix, phi: SparseMatrix,

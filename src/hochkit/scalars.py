@@ -265,14 +265,6 @@ class CycScalar:
 
     # --- predicates ---
 
-    def is_rational(self) -> bool:
-        return self.order == 1
-
-    def as_rational(self) -> Fraction:
-        if self.order != 1:
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 

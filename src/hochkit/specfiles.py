@@ -70,6 +70,13 @@ def _parse_vector(text: str, dim: int, lineno: int) -> tuple[CycScalar, ...]:
     return tuple(_scalar_at(p, lineno) for p in parts)
 
 
+def _int_at(text: str, what: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}", line=lineno) from None
+
+
 def _parse_sparse(text: str, dim: int, lineno: int) -> dict[int, CycScalar]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
@@ -82,10 +89,7 @@ def _parse_sparse(text: str, dim: int, lineno: int) -> dict[int, CycScalar]:
         if ":" not in part:
             raise ParseError(f"expected k:scalar in {part!r}", line=lineno)
         k_text, _, s_text = part.partition(":")
-        try:
-            k = int(k_text)
-        except ValueError:
-            raise ParseError(f"bad index {k_text!r}", line=lineno) from None
+        k = _int_at(k_text, "index", lineno)
         if not (0 <= k < dim):
             raise ParseError(f"index {k} out of range 0..{dim - 1}", line=lineno)
         v = _scalar_at(s_text, lineno)
@@ -118,11 +122,11 @@ def parse_algebra_file(text: str, name: str = "file") -> Algebra:
     for lineno, key, value in _parse_assignments(text):
         words = key.split()
         if words[0] == "dim":
-            dim = int(value)
+            dim = _int_at(value, "dim", lineno)
         elif words[0] == "field_order":
-            field_order = int(value)
+            field_order = _int_at(value, "field_order", lineno)
         elif words[0] == "label":
-            labels[int(words[1])] = value
+            labels[_int_at(" ".join(words[1:]), "label index", lineno)] = value
         elif words[0] == "unit":
             if dim is None:
                 raise ParseError("dim must come before unit", line=lineno)
@@ -132,7 +136,7 @@ def parse_algebra_file(text: str, name: str = "file") -> Algebra:
                 raise ParseError("dim must come before mult", line=lineno)
             if len(words) != 3:
                 raise ParseError("expected 'mult i j = [...]'", line=lineno)
-            i, j = int(words[1]), int(words[2])
+            i, j = (_int_at(w, "mult index", lineno) for w in words[1:])
             if not (0 <= i < dim and 0 <= j < dim):
                 raise ParseError(f"mult indices ({i}, {j}) out of range", line=lineno)
             mult[(i, j)] = _parse_sparse(value, dim, lineno)
@@ -162,11 +166,11 @@ def parse_module_file(text: str, resolve_algebra: Callable[[str], Algebra],
         if words[0] == "algebra":
             algebra = resolve_algebra(value)
         elif words[0] == "dim":
-            dim = int(value)
+            dim = _int_at(value, "dim", lineno)
         elif words[0] == "action":
             if algebra is None or dim is None:
                 raise ParseError("algebra and dim must come before actions", line=lineno)
-            i = int(words[1])
+            i = _int_at(" ".join(words[1:]), "action index", lineno)
             if not (0 <= i < algebra.dim):
                 raise ParseError(f"action index {i} out of range", line=lineno)
             actions[i] = _parse_matrix(value, dim, lineno)

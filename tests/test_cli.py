@@ -62,6 +62,25 @@ def test_parse_module_file_rejects_non_module():
         parse_module_file(bad, load_algebra)
 
 
+@pytest.mark.parametrize("kind, line, bad", [
+    ("alg", "dim = 2", "dim = x"),
+    ("alg", "field_order = 2", "field_order = q"),
+    ("alg", "label 0 = e", "label x = a"),
+    ("alg", "mult 0 1 = [1:1]", "mult 0 x = [1:1]"),
+    ("mod", "dim = 1", "dim = y"),
+    ("mod", "action 1 = [[-1]]", "action z = [[1]]"),
+])
+def test_malformed_integer_in_spec_file_is_usage_error(kind, line, bad, tmp_path, capsys):
+    text = Z2_ALGEBRA_TEXT if kind == "alg" else SIGN_MODULE_TEXT
+    assert line in text
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text.replace(line, bad))
+    argv = ["validate", str(path)] if kind == "alg" else ["chern", "zn:2", str(path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_load_algebra_from_file(tmp_path):
     path = tmp_path / "z2.alg"
     path.write_text(Z2_ALGEBRA_TEXT)

@@ -562,8 +562,8 @@ print(t.sums["hochschild.chain_coords"], t.calls["hochschild.assembly"],
 def test_benchmark_tracer_still_wraps_the_bar_complexes():
     # perfbench/tracer.py patches these functions by name and reads the dims
     # of ChainComplex.__init__ positionally; a rename must fail here.  The
-    # integer route for rational matrices must stay inside the traced rank
-    # and SparseMatrix.__mul__.
+    # integer-row elimination and products of rational matrices must stay
+    # inside the traced rank and SparseMatrix.__mul__.
     proc = _run_python(TRACER_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     coords, assembly, dd_check, ranks, products = map(int, proc.stdout.split())

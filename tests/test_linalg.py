@@ -3,16 +3,16 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from hochkit import linalg
 from hochkit.linalg import (
-    SparseMatrix, Subspace, _canonical_rref, _copy_rows, _eliminate, _reduced_rows,
+    SparseMatrix, Subspace, _canonical_rref, _copy_rows, _reduced_rows,
     cokernel_projector, kron, nullspace, rank, rref, solve, unit_vector, vec,
 )
-from hochkit.scalars import ONE, ZERO, cyc, zeta
+from hochkit.scalars import ONE, ZERO, CycScalar, cyc, zeta
 
 _entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -214,10 +214,10 @@ def test_cokernel_matches_column_rref_route():
         assert cokernel_projector(m) == _cokernel_via_column_rref(m)
 
 
-def _dense_gauss_jordan(rows, ambient):
+def _gauss_jordan(table, ambient):
     """Textbook reduced row echelon form: leading-column pivots, left to
-    right, on dense rows; returns the nonzero rows as sparse dicts."""
-    m = [[row.get(j, ZERO) for j in range(ambient)] for row in rows]
+    right, on dense rows of CycScalars; returns the nonzero rows, pivot 1."""
+    m = [list(row) for row in table]
     top = 0
     for c in range(ambient):
         src = next((i for i in range(top, len(m)) if m[i][c]), None)
@@ -231,7 +231,20 @@ def _dense_gauss_jordan(rows, ambient):
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[top])]
         top += 1
-    return [{j: x for j, x in enumerate(row) if x} for row in m[:top]]
+    return m[:top]
+
+
+def _row_form(dense_rows, integral):
+    """Reduced rows as the linalg stores them: pivot 1 over Q(zeta_n), and
+    primitive integer rows with a positive pivot over Q."""
+    out = []
+    for row in dense_rows:
+        if integral:
+            scale = lcm(*(x.coeffs[0].denominator for x in row))
+            out.append({j: int(x.coeffs[0] * scale) for j, x in enumerate(row) if x})
+        else:
+            out.append({j: x for j, x in enumerate(row) if x})
+    return out
 
 
 def test_canonical_rref_matches_dense_gauss_jordan():
@@ -245,9 +258,10 @@ def test_canonical_rref_matches_dense_gauss_jordan():
             m = make(rng, count, ambient)
         else:  # rank at most 2: dependent rows
             m = make(rng, count, 2) * make(rng, 2, ambient)
-        expected = _dense_gauss_jordan(m._rows, ambient)
-        assert _canonical_rref(_copy_rows(m)) == expected
-        assert _reduced_rows(_copy_rows(m), ambient) == expected
+        integral = m.den is not None
+        expected = _row_form(_gauss_jordan(_table(m), ambient), integral)
+        assert _canonical_rref(_copy_rows(m), integral) == expected
+        assert _reduced_rows(_copy_rows(m), ambient, integral) == expected
 
 
 def test_rref_idempotent():
@@ -308,83 +322,201 @@ def test_mixed_field_orders_under_elimination():
         assert x is not None and m.apply(x) == b
 
 
-# --- the integer route for rational matrices ------------------------------------
+# --- the stored representation against a dense CycScalar oracle -------------
 #
-# A matrix whose entries are all rational is eliminated and multiplied on
-# Python ints; the field route (CycScalar arithmetic throughout) is kept as
-# the oracle by patching out the rationality test.
+# A rational matrix holds integer rows over one lowest-terms denominator, any
+# other matrix CycScalar rows.  Every operation is checked against dense
+# CycScalar arithmetic kept here, on rational, Q(zeta_8), Q(zeta_12),
+# mixed-field and Q(zeta_4) matrices (whose products and multiples by
+# zeta_4 cancel into Q).
 
 def _rational_matrix(rng, rows, cols):
     """Integers, non-integer and very large rationals, and some zero rows."""
-    entries = {}
+    return SparseMatrix(rows, cols, _nonzero(_random_table(rng, rows, cols, "q")))
+
+
+def _random_scalar(rng, field):
+    roll = rng.random()
+    if roll < 0.4:
+        q = cyc(rng.randint(-3, 3))
+    elif roll < 0.8:
+        q = cyc(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+    else:
+        q = cyc(Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 12)))
+    if field == "mixed":
+        field = rng.choice(["q", "z8", "z12"])
+    if field == "z8" and rng.random() < 0.5:
+        return q * zeta(8, rng.randrange(8))
+    if field == "z12" and rng.random() < 0.5:
+        return zeta(12, rng.randrange(12)) + q
+    if field == "z4" and rng.random() < 0.7:
+        return q * zeta(4)
+    return q
+
+
+def _random_table(rng, rows, cols, field, density=0.5):
+    table = []
+    for _ in range(rows):
+        zero_row = rng.random() < 0.2
+        table.append([_random_scalar(rng, field) if not zero_row and rng.random() < density
+                      else ZERO for _ in range(cols)])
+    return table
+
+
+def _table(m):
+    return [[m.entry(r, c) for c in range(m.cols)] for r in range(m.rows)]
+
+
+def _nonzero(table):
+    return {(r, c): x for r, row in enumerate(table) for c, x in enumerate(row) if x}
+
+
+def _check(m, rows, cols, table):
+    """m has the given shape and entries, and stores them in normal form."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert _table(m) == table
+    assert {(r, c): v for r, c, v in m.entries()} == _nonzero(table)
+    assert m == SparseMatrix(rows, cols, _nonzero(table))
+    values = [v for row in m._rows for v in row.values()]
+    assert len(values) == len(_nonzero(table))
+    if all(x.order == 1 for row in table for x in row):
+        assert type(m.den) is int and m.den > 0
+        assert all(type(v) is int for v in values)
+        assert gcd(m.den, *values) == 1  # lowest terms
+    else:
+        assert m.den is None
+        assert all(isinstance(v, CycScalar) for v in values)
+
+
+def _d_mul(a, b, inner, cols):
+    return [[sum((a[i][k] * b[k][j] for k in range(inner)), ZERO)
+             for j in range(cols)] for i in range(len(a))]
+
+
+def _d_kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _transposed(table, cols):
+    return [[row[c] for row in table] for c in range(cols)]
+
+
+def _summed_pairs(rng, rows, cols, table, field):
+    """((r, c), value) pairs that sum to the table: each entry split in two,
+    plus pairs that cancel at zero positions; ints and Fractions raw."""
+    pairs = []
     for r in range(rows):
-        if rng.random() < 0.2:
-            continue
         for c in range(cols):
-            roll = rng.random()
-            if roll < 0.25:
-                entries[(r, c)] = cyc(rng.randint(-3, 3))
-            elif roll < 0.4:
-                entries[(r, c)] = cyc(Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
-            elif roll < 0.45:
-                entries[(r, c)] = cyc(Fraction(rng.randint(-10 ** 30, 10 ** 30),
-                                               rng.randint(1, 10 ** 12)))
-    return SparseMatrix(rows, cols, entries)
+            x = table[r][c]
+            w = _random_scalar(rng, field)
+            if x:
+                pairs += [((r, c), x - w), ((r, c), w)]
+            elif w and rng.random() < 0.3:
+                pairs += [((r, c), w), ((r, c), -w)]
+    rng.shuffle(pairs)
+    return [(rc, v.coeffs[0] if v.order == 1 and rng.random() < 0.5 else v)
+            for rc, v in pairs]
 
 
-def _rational_cases():
-    rng = random.Random(53)
-    shapes = [(0, 0), (0, 4), (5, 0), (1, 1), (3, 3)]
-    shapes += [(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(40)]
-    for rows, cols in shapes:
-        yield _rational_matrix(rng, rows, cols), rng
-    for _ in range(15):  # low rank: nontrivial nullspaces and cokernels
-        rows, cols, k = rng.randint(2, 9), rng.randint(2, 9), rng.randint(1, 3)
-        yield _rational_matrix(rng, rows, k) * _rational_matrix(rng, k, cols), rng
+def _oracle_nullspace(table, cols):
+    reduced = _gauss_jordan(table, cols)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    basis = []
+    for f in range(cols):
+        if f not in pivots:
+            v = [ZERO] * cols
+            v[f] = ONE
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            basis.append(v)
+    return tuple(tuple(row) for row in _gauss_jordan(basis, cols))
 
 
-def _right_hand_sides(rng, m):
-    """Consistent, random, and nonzero on a zero row of m (a row supported
-    only on the augmented column that `solve` protects from pivoting)."""
-    x = [cyc(Fraction(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(m.cols)]
-    bs = [m.apply(tuple(x)),
-          tuple(cyc(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(m.rows))]
-    zero_rows = [r for r in range(m.rows) if not m._rows[r]]
-    if zero_rows:
-        b = list(m.apply(tuple(x)))
-        b[zero_rows[0]] = cyc(Fraction(7, 3))
-        bs.append(tuple(b))
-    return bs
+def _oracle_cokernel(table, rows, cols):
+    reduced = _gauss_jordan(_transposed(table, cols), rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    free = tuple(i for i in range(rows) if i not in pivots)
+    entries = {}
+    for k, f in enumerate(free):
+        entries[(k, f)] = ONE
+        for row, p in zip(reduced, pivots):
+            if row[f]:
+                entries[(k, p)] = -row[f]
+    return free, entries
 
 
-def _elimination_outputs(m, bs, other):
-    data = _copy_rows(m)
-    pivots = _eliminate(data, m.cols, want_reduced=True)
-    return {"pivots": pivots, "pivot rows": [data[r] for r, _ in pivots],
-            "reduced rows": _reduced_rows(_copy_rows(m), m.cols),
-            "rank": rank(m), "nullspace": nullspace(m),
-            "solve": [solve(m, b) for b in bs],
-            "cokernel": cokernel_projector(m),
-            "product": m * other, "transposed product": other.transpose() * m.transpose()}
+def _representation_cases():
+    rng = random.Random(59)
+    fields = ["q", "z8", "z12", "mixed", "z4"]
+    shapes = [(0, 0), (0, 3), (4, 0), (1, 1)]
+    for trial in range(70):
+        rows, cols = shapes[trial] if trial < len(shapes) else \
+            (rng.randint(1, 6), rng.randint(1, 6))
+        yield rng, fields[trial % len(fields)], rows, cols
 
 
-def test_integer_route_matches_field_route(monkeypatch):
-    cases, solved = 0, set()
-    for m, rng in _rational_cases():
-        bs = _right_hand_sides(rng, m)
-        other = _rational_matrix(rng, m.cols, rng.randint(0, 5))
-        data = _copy_rows(m)
-        _eliminate(data, m.cols)
-        assert all(type(v) is int for row in data for v in row.values())
-        integer = _elimination_outputs(m, bs, other)
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "_all_rational", lambda rows: False)
-            field = _elimination_outputs(m, bs, other)
-        for key in field:
-            assert integer[key] == field[key], key
-        solved.update(x is None for x in integer["solve"])
-        cases += 1
-    assert cases >= 50 and solved == {True, False}
+def test_operations_match_dense_oracle():
+    scalars = [cyc(0), cyc(1), cyc(-1), cyc(Fraction(10 ** 30, 7)), cyc(Fraction(-3, 4)),
+               zeta(4), zeta(8, 3), zeta(12) + 1]
+    cancelled, solved = 0, set()
+    for rng, field, rows, cols in _representation_cases():
+        ta = _random_table(rng, rows, cols, field)
+        a = SparseMatrix(rows, cols, _nonzero(ta))
+        _check(a, rows, cols, ta)
+        _check(SparseMatrix(rows, cols, _summed_pairs(rng, rows, cols, ta, field)),
+               rows, cols, ta)
+        other = rng.choice(["q", field])
+        tb = _random_table(rng, rows, cols, other)
+        b = SparseMatrix(rows, cols, _nonzero(tb))
+        _check(a + b, rows, cols, [[x + y for x, y in zip(p, q)] for p, q in zip(ta, tb)])
+        _check(a - b, rows, cols, [[x - y for x, y in zip(p, q)] for p, q in zip(ta, tb)])
+        _check(a - a, rows, cols, [[ZERO] * cols for _ in range(rows)])
+        for c in scalars:
+            _check(a.scale(c), rows, cols, [[c * x for x in row] for row in ta])
+        _check(a.transpose(), cols, rows, _transposed(ta, cols))
+        k = rng.randint(0, 4)
+        tc = _random_table(rng, cols, k, other)
+        _check(a * SparseMatrix(cols, k, _nonzero(tc)), rows, k, _d_mul(ta, tc, cols, k))
+        _check(a * a.transpose(), rows, rows, _d_mul(ta, _transposed(ta, cols), cols, rows))
+        small = [row[:3] for row in ta[:3]]
+        ts = _random_table(rng, 2, 3, other)
+        _check(kron(SparseMatrix(len(small), min(cols, 3), _nonzero(small)),
+                    SparseMatrix(2, 3, _nonzero(ts))),
+               2 * len(small), 3 * min(cols, 3), _d_kron(small, ts))
+        if field == "z4" and (a * a.transpose()).den is not None and a.den is None:
+            cancelled += 1  # an irrational matrix whose product landed in Q
+        v = tuple(_random_scalar(rng, rng.choice(["q", field])) for _ in range(cols))
+        assert a.apply(v) == tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in ta)
+        if rows == cols:
+            assert a.trace() == sum((ta[i][i] for i in range(rows)), ZERO)
+        reduced = _gauss_jordan(ta, cols)
+        assert rank(a) == len(reduced)
+        assert Subspace(cols, [tuple(row) for row in ta]).basis == tuple(map(tuple, reduced))
+        assert nullspace(a).basis == _oracle_nullspace(ta, cols)
+        free, entries = _oracle_cokernel(ta, rows, cols)
+        assert cokernel_projector(a) == (free, SparseMatrix(len(free), rows, entries))
+        x0 = tuple(_random_scalar(rng, rng.choice(["q", field])) for _ in range(cols))
+        for b_vec in (a.apply(x0), tuple(_random_scalar(rng, other) for _ in range(rows))):
+            x = solve(a, b_vec)
+            consistent = len(_gauss_jordan([row + [y] for row, y in zip(ta, b_vec)],
+                                           cols + 1)) == len(reduced)
+            assert (x is not None) == consistent
+            solved.add(consistent)
+            if x is not None:
+                assert a.apply(x) == b_vec
+    assert cancelled > 0 and solved == {True, False}
+
+
+def test_constructor_sums_repeated_positions():
+    m = SparseMatrix(2, 2, [((0, 0), 1), ((0, 0), Fraction(1, 2)), ((1, 1), zeta(8)),
+                            ((1, 1), -zeta(8)), ((0, 1), 3), ((0, 1), -3)])
+    assert m == SparseMatrix(2, 2, {(0, 0): Fraction(3, 2)})
+    assert (m.den, m._rows) == (2, [{0: 3}, {}])
+    m = SparseMatrix(1, 2, [((0, 0), zeta(4)), ((0, 1), zeta(4)), ((0, 1), 1)])
+    assert m.den is None and m.entry(0, 1) == zeta(4) + 1
+    m = SparseMatrix(1, 2, [((0, 0), zeta(4)), ((0, 1), Fraction(1, 2) * zeta(4))])
+    assert m.scale(zeta(4)) == SparseMatrix(1, 2, {(0, 0): -1, (0, 1): Fraction(-1, 2)})
+    assert (m.scale(zeta(4)).den, m.scale(zeta(4))._rows) == (2, [{0: -2, 1: -1}])
 
 
 SHAPE_ERRORS_SCRIPT = """

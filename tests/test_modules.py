@@ -1,6 +1,10 @@
 import gc
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +304,35 @@ def test_hom_coordinates_refuse_non_intertwiner():
     assert not is_intertwiner(bad, m, m)
     with pytest.raises(HochkitError, match="not in the span"):
         hom_space(m, m).coordinates_of(bad)
+
+
+MODULE_SHAPE_SCRIPT = """
+from hochkit.errors import ShapeMismatch
+from hochkit.fixtures import algebra_fixture
+from hochkit.linalg import SparseMatrix
+from hochkit.modules import ModuleRep
+
+z2 = algebra_fixture("zn:2")
+one = SparseMatrix.identity(1)
+cases = {
+    "action count": lambda: ModuleRep(z2, 1, [one], check=False),
+    "action shape": lambda: ModuleRep(z2, 1, [one, SparseMatrix.identity(2)], check=False),
+    "non-square action": lambda: ModuleRep(z2, 1, [one, SparseMatrix.zero(1, 2)], check=False),
+}
+for name, call in cases.items():
+    try:
+        call()
+    except ShapeMismatch:
+        continue
+    raise SystemExit(f"{name} did not raise ShapeMismatch")
+print("ok")
+"""
+
+
+def test_module_shape_errors_are_typed_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", MODULE_SHAPE_SCRIPT],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "ok\n"
