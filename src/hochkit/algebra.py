@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     DegenerateFrobeniusForm, HochkitError, NotAGroup, NotAssociative,
-    UnitLawFails,
+    ShapeMismatch, UnitLawFails,
 )
 from .linalg import (
     SparseMatrix, Subspace, Vector, nullspace, rank, rref, unit_vector, vec,
@@ -110,7 +110,9 @@ class Algebra:
         self.sc = sc
         self.unit = vec(unit)
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
-        assert len(self.labels) == dim and len(self.unit) == dim
+        if len(self.labels) != dim or len(self.unit) != dim:
+            raise ShapeMismatch(f"{len(self.labels)} labels and a unit of length "
+                                f"{len(self.unit)} for an algebra of dimension {dim}")
         self.serre = serre
         self.field_order = field_order
         # generating set (as coordinate vectors); products of generators span,
@@ -200,7 +202,12 @@ class Algebra:
 
     def is_semisimple(self) -> bool:
         """Nondegeneracy of the regular trace form, the characteristic-zero
-        criterion for semisimplicity."""
+        criterion for semisimplicity.  In characteristic zero A (x) B is
+        semisimple iff A and B are, and op(A) iff A is, so combinators ask
+        their factors instead."""
+        kind, *factors = self.provenance
+        if kind in ("tensor", "opposite"):
+            return all(f.is_semisimple() for f in factors)
         if self._semisimple is None:
             traces = [regular_trace(self, self.basis_vector(k)) for k in range(self.dim)]
             form = SparseMatrix(self.dim, self.dim, (
@@ -217,7 +224,8 @@ class CentralElement:
 
     def __init__(self, algebra: Algebra, coords: Vector, *, _checked=False):
         coords = vec(coords)
-        assert len(coords) == algebra.dim
+        if len(coords) != algebra.dim:
+            raise ShapeMismatch(f"{len(coords)} coordinates in a {algebra.dim}-dimensional algebra")
         if not _checked:
             for i in range(algebra.dim):
                 e = algebra.basis_vector(i)
@@ -355,7 +363,8 @@ def matrix_algebra(n: int) -> Algebra:
 def truncated_poly(k: int) -> Algebra:
     """C[x]/x^k; not symmetric-Frobenius here (no Serre data), but all
     Hochschild computations apply."""
-    assert k >= 2
+    if k < 2:
+        raise HochkitError(f"truncated polynomial algebra needs k >= 2, got {k}")
     table = {(i, j): ({i + j: ONE} if i + j < k else {})
              for i in range(k) for j in range(k)}
     labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, k)]

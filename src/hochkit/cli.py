@@ -194,7 +194,9 @@ def _resolve_kernel(spec: str):
         rest = spec[len("morita:"):]
         alg_name, _, n_text = rest.rpartition(":")
         from .mukai import morita_kernel
-        return morita_kernel(load_algebra(alg_name), fixtures._positive_int(n_text, spec))
+        a, n = load_algebra(alg_name), fixtures._positive_int(n_text, spec)
+        fixtures._bounded(n * n * a.dim, spec)  # the target is tensor(mat:n, a)
+        return morita_kernel(a, n)
     if spec.startswith("outer(") and spec.endswith(")"):
         inner = spec[len("outer("):-1]
         left, right = fixtures._split_args(inner, spec)

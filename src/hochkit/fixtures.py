@@ -9,6 +9,8 @@ registry is the authoritative list of simples per fixture.
 `algebra_fixture` accepts the combinator grammar used by the CLI:
     zn:<k>  s3  d4  q8  a4  mat:<n>  dual  trunc:<k>  field
     tensor(<a>,<b>)  op(<a>)  env(<a>)
+and refuses, before building it, any term whose algebra would have more
+than MAX_FIXTURE_DIM basis elements.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .algebra import (
     Algebra, enveloping, field_algebra, group_algebra, matrix_algebra,
     opposite, tensor, truncated_poly,
 )
-from .errors import ParseError
+from .errors import DegreeCapExceeded, ParseError
 from .linalg import SparseMatrix
 from .modules import ModuleRep, attach_simples, regular_module
 from .scalars import zeta
@@ -299,26 +301,43 @@ def _a4_algebra() -> Algebra:
 
 # --- registry -------------------------------------------------------------------
 
+MAX_FIXTURE_DIM = 64  # largest algebra dimension the fixture grammar builds
+
+
+def _bounded(dim: int, name: str) -> None:
+    """Refuse a fixture of dimension above MAX_FIXTURE_DIM before building it."""
+    if dim > MAX_FIXTURE_DIM:
+        raise DegreeCapExceeded(f"{name!r} would build an algebra of dimension {dim}, "
+                                f"above the fixture bound {MAX_FIXTURE_DIM}")
+
+
 def algebra_fixture(name: str) -> Algebra:
     """Resolve a fixture name or combinator expression to an algebra."""
     name = name.strip()
     if name.startswith("tensor(") and name.endswith(")"):
         inner = name[len("tensor("):-1]
-        left, right = _split_args(inner, name)
-        return tensor(algebra_fixture(left), algebra_fixture(right))
+        left, right = (algebra_fixture(x) for x in _split_args(inner, name))
+        _bounded(left.dim * right.dim, name)
+        return tensor(left, right)
     if name.startswith("op(") and name.endswith(")"):
         return opposite(algebra_fixture(name[3:-1]))
     if name.startswith("env(") and name.endswith(")"):
-        return enveloping(algebra_fixture(name[4:-1]))
+        a = algebra_fixture(name[4:-1])
+        _bounded(a.dim * a.dim, name)
+        return enveloping(a)
     if name.startswith("zn:"):
         n = _positive_int(name[3:], name)
+        _bounded(n, name)
         return _cyclic_algebra(n)
     if name.startswith("mat:"):
-        return matrix_algebra(_positive_int(name[4:], name))
+        n = _positive_int(name[4:], name)
+        _bounded(n * n, name)
+        return matrix_algebra(n)
     if name.startswith("trunc:"):
         k = _positive_int(name[6:], name)
         if k < 2:
             raise ParseError(f"trunc:{k} needs k >= 2")
+        _bounded(k, name)
         return truncated_poly(k)
     if name == "dual":
         return truncated_poly(2)

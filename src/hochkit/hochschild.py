@@ -107,8 +107,8 @@ class HHResult:
 
     def __init__(self, kind: str, dims: list[int], truncation: int,
                  representatives: Optional[list[Vector]] = None):
-        assert kind in ("homology", "cohomology")
-        assert all(d >= 0 for d in dims)
+        if kind not in ("homology", "cohomology") or any(d < 0 for d in dims):
+            raise HochkitError(f"no {kind} result has dimensions {list(dims)}")
         self.kind = kind
         self.dims = list(dims)
         self.truncation = truncation

@@ -278,6 +278,21 @@ def _common(a: SparseMatrix, b: SparseMatrix) -> tuple[list[dict], list[dict], i
     return _times(a, den // a.den), _times(b, den // b.den), den
 
 
+def hstack(rows: int, blocks: Sequence[SparseMatrix]) -> SparseMatrix:
+    """The blocks, each with `rows` rows, side by side, joined on their stored
+    rows: integer rows over a common denominator unless a block is irrational."""
+    if any(b.rows != rows for b in blocks):
+        raise ShapeMismatch(f"blocks of {[b.rows for b in blocks]} rows in a stack of {rows}")
+    den = None if any(b.den is None for b in blocks) else lcm(1, *(b.den for b in blocks))
+    data: list[dict] = [dict() for _ in range(rows)]
+    offset = 0
+    for b in blocks:
+        for row, part in zip(data, _scalar_rows(b) if den is None else _times(b, den // b.den)):
+            row.update((offset + c, v) for c, v in part.items())
+        offset += b.cols
+    return SparseMatrix._of(rows, offset, data, den)
+
+
 def _row_products(left: list[dict], right: list[dict], zero) -> list[dict]:
     """Rows of left * right; entries that cancel are dropped on the spot."""
     data = []

@@ -6,8 +6,9 @@ Conventions (fixed once, used everywhere):
   column vectors with action(e_i) action(e_j) = sum_k c_ij^k action(e_k).
 * A right A-module is carried as a ModuleRep over opposite(A).
 * A kernel from A to B (Bimodule with source A, target B) is a (B, A)-
-  bimodule: its underlying ModuleRep lives over tensor(B, opposite(A)),
-  and the induced integral transform is M |-> K (x)_A M : LMod(A) -> LMod(B).
+  bimodule, kept as its two commuting actions on one space: `left`, a
+  ModuleRep over B, and `right`, a ModuleRep over opposite(A).  The
+  induced integral transform is M |-> K (x)_A M : LMod(A) -> LMod(B).
   Composition is convolve(k1: A->B, k2: B->C) = K2 (x)_B K1, so that
   apply(convolve(k1, k2)) = apply(k2) o apply(k1) on the nose.
 * outer_kernel(V, W) for V over opposite(A) and W over B is the kernel
@@ -27,7 +28,7 @@ from .errors import (
     MiddleNotSemisimple, MissingSerreData, MissingSimples, ModuleDefect, ShapeMismatch,
 )
 from .linalg import (
-    SparseMatrix, Vector, cokernel_projector, kron, nullspace, rank, unit_vector,
+    SparseMatrix, Vector, cokernel_projector, hstack, kron, nullspace, rank, unit_vector,
 )
 from .scalars import CycScalar, ONE, ZERO
 
@@ -266,18 +267,8 @@ def balanced_tensor(mid: Algebra,
     gens = mid.gens or [unit_vector(mid.dim, i) for i in range(mid.dim)]
     id_m = SparseMatrix.identity(m_dim)
     id_n = SparseMatrix.identity(n_dim)
-    blocks = []
-    for g in gens:
-        rel = kron(right_act(g), id_n) - kron(id_m, left_act(g))
-        blocks.append(rel)
-    total_cols = sum(b.cols for b in blocks)
-    entries = {}
-    offset = 0
-    for b in blocks:
-        for r, c, v in b.entries():
-            entries[(r, offset + c)] = v
-        offset += b.cols
-    relations = SparseMatrix(ambient, total_cols, entries)
+    relations = hstack(ambient, [kron(right_act(g), id_n) - kron(id_m, left_act(g))
+                                 for g in gens])
     free_coords, project = cokernel_projector(relations)
     include = SparseMatrix(ambient, len(free_coords),
                            {(f, k): ONE for k, f in enumerate(free_coords)})
@@ -296,52 +287,47 @@ def tensor_over(m: ModuleRep, n: ModuleRep) -> BalancedTensor:
 # --- bimodule kernels -----------------------------------------------------------
 
 class Bimodule:
-    """A kernel from `source` to `target`: a (target, source)-bimodule whose
-    underlying module lives over tensor(target, opposite(source))."""
+    """A kernel from `source` to `target`: a (target, source)-bimodule, kept as
+    its two commuting actions on one space, `left` over target and `right`
+    over opposite(source).  Constructors list dim(target) + dim(source)
+    action matrices; t (x) s acts by left.action[t] * right.action[s]."""
 
-    def __init__(self, source: Algebra, target: Algebra, underlying: ModuleRep,
+    def __init__(self, source: Algebra, target: Algebra, dim: int,
+                 left: Sequence[SparseMatrix], right: Sequence[SparseMatrix],
                  name: str = ""):
         self.source = source
         self.target = target
-        self.underlying = underlying
-        self.carrier = tensor(target, opposite(source))
-        if underlying.algebra != self.carrier:
-            raise AlgebraMismatch("underlying module must live over tensor(target, op(source))")
+        self.left = ModuleRep(target, dim, left, name=name, check=False)
+        self.right = ModuleRep(opposite(source), dim, right, name=name, check=False)
+        self.dim = dim
         self.name = name
         self._transfer: dict = {}  # transfer data, filled lazily by mukai
 
     @property
-    def dim(self) -> int:
-        return self.underlying.dim
+    def underlying(self) -> ModuleRep:
+        """The same kernel as one module over tensor(target, opposite(source)),
+        built on each call; the library itself never needs it."""
+        action = [lt * rs for lt in self.left.action for rs in self.right.action]
+        return ModuleRep(tensor(self.target, opposite(self.source)), self.dim, action,
+                         name=self.name, check=False)
 
     def left_action(self, coords_target: Vector) -> SparseMatrix:
         """Action of an element of the target algebra (the left structure)."""
-        ds = self.source.dim
-        return self.underlying._act({t * ds + s: tc * us
-                                     for t, tc in enumerate(coords_target) if tc
-                                     for s, us in enumerate(self.source.unit) if us})
+        return self.left.act(coords_target)
 
     def right_action(self, coords_source: Vector) -> SparseMatrix:
         """Action of an element of the source algebra (the right structure)."""
-        ds = self.source.dim
-        return self.underlying._act({t * ds + s: ut * sc
-                                     for t, ut in enumerate(self.target.unit) if ut
-                                     for s, sc in enumerate(coords_source) if sc})
+        return self.right.act(coords_source)
 
     def __repr__(self):
         return f"Bimodule({self.name or '?'}: {self.source!r} -> {self.target!r}, dim {self.dim})"
 
 
 def regular_bimodule(a: Algebra) -> Bimodule:
-    """The identity kernel: the algebra over its enveloping algebra."""
-    action = []
-    for i in range(a.dim):
-        li = a.basis_left_mult(i)
-        for j in range(a.dim):
-            action.append(li * a.basis_right_mult(j))
-    underlying = ModuleRep(tensor(a, opposite(a)), a.dim, action,
-                           name="regular-bimodule", check=False)
-    return Bimodule(a, a, underlying, name=f"id_{a.provenance[0]}")
+    """The identity kernel: the algebra with both multiplications."""
+    return Bimodule(a, a, a.dim, [a.basis_left_mult(i) for i in range(a.dim)],
+                    [a.basis_right_mult(j) for j in range(a.dim)],
+                    name=f"id_{a.provenance[0]}")
 
 
 def outer_kernel(v: ModuleRep, w: ModuleRep, source: Algebra) -> Bimodule:
@@ -349,14 +335,10 @@ def outer_kernel(v: ModuleRep, w: ModuleRep, source: Algebra) -> Bimodule:
     `source`-module (a ModuleRep over opposite(source)) and W a left module."""
     if v.algebra != opposite(source):
         raise AlgebraMismatch("outer kernel needs V over opposite(source)")
-    b = w.algebra
-    action = []
-    for i in range(b.dim):
-        for j in range(source.dim):
-            action.append(kron(w.action[i], v.action[j]))
-    underlying = ModuleRep(tensor(b, opposite(source)), w.dim * v.dim, action,
-                           name=f"{w.name}(x){v.name}", check=False)
-    return Bimodule(source, b, underlying, name=f"outer({v.name},{w.name})")
+    id_v, id_w = SparseMatrix.identity(v.dim), SparseMatrix.identity(w.dim)
+    return Bimodule(source, w.algebra, w.dim * v.dim,
+                    [kron(m, id_v) for m in w.action], [kron(id_w, m) for m in v.action],
+                    name=f"outer({v.name},{w.name})")
 
 
 class AppliedKernel:
@@ -376,19 +358,14 @@ class AppliedKernel:
 def apply_kernel_full(k: Bimodule, m: ModuleRep) -> AppliedKernel:
     if m.algebra != k.source:
         raise AlgebraMismatch("module must live over the kernel's source algebra")
-    a = k.source
-    bt = balanced_tensor(a, lambda g: k.right_action(g), k.dim,
+    bt = balanced_tensor(k.source, lambda g: k.right_action(g), k.dim,
                          lambda g: m.act(g), m.dim)
-    target = k.target
     id_m = SparseMatrix.identity(m.dim)
     # well-definedness on target generators; unit and products descend with them
-    for g in target.gens:
+    for g in k.target.gens:
         bt.descend(kron(k.left_action(g), id_m), check=True)
-    action = []
-    for i in range(target.dim):
-        big = kron(k.left_action(unit_vector(target.dim, i)), id_m)
-        action.append(bt.descend(big, check=False))
-    module = ModuleRep(target, bt.dim, action,
+    action = [bt.descend(kron(t, id_m), check=False) for t in k.left.action]
+    module = ModuleRep(k.target, bt.dim, action,
                        name=f"{k.name}({m.name})", check=False)
     return AppliedKernel(module, bt, k)
 
@@ -402,24 +379,19 @@ def convolve(k1: Bimodule, k2: Bimodule) -> Bimodule:
     """Composite kernel: apply(convolve(k1, k2)) = apply(k2) o apply(k1)."""
     if k1.target != k2.source:
         raise AlgebraMismatch("middle algebras do not match")
-    b = k1.target
-    bt = balanced_tensor(b, lambda g: k2.right_action(g), k2.dim,
+    bt = balanced_tensor(k1.target, lambda g: k2.right_action(g), k2.dim,
                          lambda g: k1.left_action(g), k1.dim)
     a, c = k1.source, k2.target
+    id1, id2 = SparseMatrix.identity(k1.dim), SparseMatrix.identity(k2.dim)
     # well-definedness on the outer generators
     for g in c.gens:
-        bt.descend(kron(k2.left_action(g), SparseMatrix.identity(k1.dim)), check=True)
+        bt.descend(kron(k2.left_action(g), id1), check=True)
     for g in a.gens:
-        bt.descend(kron(SparseMatrix.identity(k2.dim), k1.right_action(g)), check=True)
-    action = []
-    for i in range(c.dim):
-        left = k2.left_action(unit_vector(c.dim, i))
-        for j in range(a.dim):
-            right = k1.right_action(unit_vector(a.dim, j))
-            action.append(bt.descend(kron(left, right), check=False))
-    underlying = ModuleRep(tensor(c, opposite(a)), bt.dim, action,
-                           name=f"{k2.name}*{k1.name}", check=False)
-    return Bimodule(a, c, underlying, name=f"({k2.name} o {k1.name})")
+        bt.descend(kron(id2, k1.right_action(g)), check=True)
+    return Bimodule(a, c, bt.dim,
+                    [bt.descend(kron(t, id1), check=False) for t in k2.left.action],
+                    [bt.descend(kron(id2, s), check=False) for s in k1.right.action],
+                    name=f"({k2.name} o {k1.name})")
 
 
 def dual_kernel(k: Bimodule) -> Bimodule:
@@ -428,33 +400,19 @@ def dual_kernel(k: Bimodule) -> Bimodule:
     adjoint, which is why both algebras must carry Frobenius data."""
     if k.source.serre is None or k.target.serre is None:
         raise MissingSerreData("dual kernel needs Frobenius data on both algebras")
-    a, b = k.source, k.target
-    action = []
-    for i in range(a.dim):
-        for j in range(b.dim):
-            action.append(k.underlying.action[j * a.dim + i].transpose())
-    underlying = ModuleRep(tensor(a, opposite(b)), k.dim, action,
-                           name=f"{k.underlying.name}^", check=False)
-    return Bimodule(b, a, underlying, name=f"dual({k.name})")
+    return Bimodule(k.target, k.source, k.dim,
+                    [m.transpose() for m in k.right.action],
+                    [m.transpose() for m in k.left.action], name=f"dual({k.name})")
 
 
 def parallel_kernels(k1: Bimodule, k2: Bimodule) -> Bimodule:
     """Disjoint-union kernel: acts as k1 on the first tensor factor and k2 on
     the second (used by the surface evaluator for bystander circles)."""
-    a = tensor(k1.source, k2.source)
-    b = tensor(k1.target, k2.target)
-    u1, u2 = k1.underlying, k2.underlying
-    action = []
-    for bi in range(b.dim):
-        b1, b2 = divmod(bi, k2.target.dim)
-        for ai in range(a.dim):
-            a1, a2 = divmod(ai, k2.source.dim)
-            m1 = u1.action[b1 * k1.source.dim + a1]
-            m2 = u2.action[b2 * k2.source.dim + a2]
-            action.append(kron(m1, m2))
-    underlying = ModuleRep(tensor(b, opposite(a)), k1.dim * k2.dim, action,
-                           name=f"{u1.name}||{u2.name}", check=False)
-    return Bimodule(a, b, underlying, name=f"({k1.name} || {k2.name})")
+    return Bimodule(tensor(k1.source, k2.source), tensor(k1.target, k2.target),
+                    k1.dim * k2.dim,
+                    [kron(l1, l2) for l1 in k1.left.action for l2 in k2.left.action],
+                    [kron(r1, r2) for r1 in k1.right.action for r2 in k2.right.action],
+                    name=f"({k1.name} || {k2.name})")
 
 
 # --- Ext via the reduced bar resolution ----------------------------------------

@@ -28,8 +28,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from .algebra import (
-    Algebra, CentralElement, center_basis, matrix_algebra, opposite,
-    regular_trace, tensor,
+    Algebra, CentralElement, center_basis, matrix_algebra, regular_trace, tensor,
 )
 from .errors import (
     AlgebraMismatch, AugmentationNot1Dim, MissingSerreData, NotIntertwiner,
@@ -521,22 +520,14 @@ def chern_commutation_check(k: Bimodule, m: ModuleRep) -> CheckReport:
 
 def morita_kernel(a: Algebra, n: int) -> Bimodule:
     """The row-space kernel implementing the equivalence between A and
-    M_n (x) A: carrier C^n (x) A with matrix action on the left and algebra
+    M_n (x) A: the space C^n (x) A with matrix action on the left and algebra
     multiplication on both sides."""
-    b = tensor(matrix_algebra(n), a)
-    dim_k = n * a.dim
-    action = []
-    for p in range(n):
-        for q in range(n):
-            e_pq = SparseMatrix(n, n, {(p, q): ONE})
-            for x in range(a.dim):
-                lx = a.basis_left_mult(x)
-                for y in range(a.dim):
-                    ry = a.basis_right_mult(y)
-                    action.append(kron(e_pq, lx * ry))
-    underlying = ModuleRep(tensor(b, opposite(a)), dim_k, action,
-                           name=f"rows({n})", check=False)
-    return Bimodule(a, b, underlying, name=f"morita({n})")
+    id_n = SparseMatrix.identity(n)
+    left = [kron(SparseMatrix(n, n, {(p, q): ONE}), a.basis_left_mult(x))
+            for p in range(n) for q in range(n) for x in range(a.dim)]
+    return Bimodule(a, tensor(matrix_algebra(n), a), n * a.dim, left,
+                    [kron(id_n, a.basis_right_mult(y)) for y in range(a.dim)],
+                    name=f"morita({n})")
 
 
 def cohomology_transport(k: Bimodule, nu: MukaiClass) -> MukaiClass:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Union
 
-from .errors import ParseError
+from .errors import ParseError, ShapeMismatch
 
 _Q0 = Fraction(0)
 _Q1 = Fraction(1)
@@ -240,7 +240,9 @@ class CycScalar:
             coeffs = tuple(coeffs)
         else:
             coeffs = tuple(Fraction(c) for c in coeffs)
-            assert len(coeffs) == euler_phi(order)
+            if len(coeffs) != euler_phi(order):
+                raise ShapeMismatch(f"{len(coeffs)} coefficients for Q(zeta_{order}), "
+                                    f"which has degree {euler_phi(order)}")
             order, coeffs = _conductor_form(order, coeffs)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)

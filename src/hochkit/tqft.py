@@ -10,7 +10,9 @@ right, starting and ending with empty boundary:
 
 A generator may carry a position suffix `@i` naming the circle it acts
 on; bystander circles pass through identity kernels.  `genus:g` expands
-to cap_in (pants_split pants_merge)^g cap_out.
+to cap_in (pants_split pants_merge)^g cap_out.  Words are bounded at
+MAX_WORD_STEPS steps, and `evaluate` refuses a word whose step kernels
+would exceed the size guard before it builds any of them.
 
 Each circle carries the group algebra A; a word evaluates by convolving
 the generator kernels, and a closed word lands in a kernel from the base
@@ -30,11 +32,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import Algebra, field_algebra, opposite, tensor
-from .errors import ArityMismatch, DegreeUnderflow, MissingAugmentation, ParseError
+from .algebra import Algebra, field_algebra, tensor
+from .errors import (
+    ArityMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError, MissingAugmentation,
+    ParseError,
+)
 from .linalg import SparseMatrix, kron
 from .modules import (
-    Bimodule, ModuleRep, convolve, parallel_kernels, regular_bimodule,
+    MAX_COORDINATES, Bimodule, ModuleRep, convolve, parallel_kernels, regular_bimodule,
 )
 GENERATORS = {
     "cap_in": (0, 1),
@@ -42,6 +47,12 @@ GENERATORS = {
     "pants_split": (1, 2),
     "pants_merge": (2, 1),
 }
+MAX_WORD_STEPS = 64  # longest cobordism word accepted (genus:31)
+
+
+def _check_length(steps: int, what: str) -> None:
+    if steps > MAX_WORD_STEPS:
+        raise DegreeCapExceeded(f"{what} has {steps} steps, above the bound {MAX_WORD_STEPS}")
 
 
 class CobordismWord:
@@ -49,6 +60,9 @@ class CobordismWord:
 
     def __init__(self, steps: Sequence[tuple[str, int]]):
         self.steps = tuple(steps)
+        if not self.steps:
+            raise ArityMismatch("empty cobordism word", 0)
+        _check_length(len(self.steps), "the cobordism word")
         self.arities = self._validate()
 
     def _validate(self) -> tuple[int, ...]:
@@ -140,6 +154,7 @@ def parse_word(text: str) -> CobordismWord:
             raise ParseError(f"invalid genus in {text!r}") from None
         if g < 0:
             raise ParseError("genus must be non-negative")
+        _check_length(2 * g + 2, f"the genus-{g} word")
         steps = [("cap_in", 0)]
         steps += [("pants_split", 0), ("pants_merge", 0)] * g
         steps.append(("cap_out", 0))
@@ -183,65 +198,48 @@ class GeneratorKernels:
         self.algebra = a
         self.augmentation = augmentation
         self.field = field_algebra()
-        self._table = a.provenance[2]
         self._cache: dict[str, Bimodule] = {}
 
     def cap_in(self) -> Bimodule:
         """field -> A: the structure module as a kernel."""
         if "cap_in" not in self._cache:
-            aug = self.augmentation
-            underlying = ModuleRep(tensor(self.algebra, opposite(self.field)),
-                                   1, list(aug.action), name="cap_in", check=False)
-            self._cache["cap_in"] = Bimodule(self.field, self.algebra, underlying,
-                                             name="cap_in")
+            self._cache["cap_in"] = Bimodule(
+                self.field, self.algebra, 1, self.augmentation.action,
+                [SparseMatrix.identity(1)], name="cap_in")
         return self._cache["cap_in"]
 
     def cap_out(self) -> Bimodule:
         """A -> field: the structure module on the other side."""
         if "cap_out" not in self._cache:
-            aug = self.augmentation
-            underlying = ModuleRep(tensor(self.field, opposite(self.algebra)),
-                                   1, list(aug.action), name="cap_out", check=False)
-            self._cache["cap_out"] = Bimodule(self.algebra, self.field, underlying,
-                                              name="cap_out")
+            self._cache["cap_out"] = Bimodule(
+                self.algebra, self.field, 1, [SparseMatrix.identity(1)],
+                self.augmentation.action, name="cap_out")
         return self._cache["cap_out"]
 
     def pants_split(self) -> Bimodule:
-        """A -> A(x)A: induction along the diagonal; carrier A(x)A with the
-        regular left action and the diagonal right action."""
+        """A -> A(x)A: induction along the diagonal; A(x)A with the regular
+        left action and the diagonal right action."""
         if "pants_split" not in self._cache:
-            a = self.algebra
-            aa = tensor(a, a)
-            d = a.dim
-            carrier = tensor(aa, opposite(a))
-            action = []
-            for li in range(aa.dim):
-                l1, l2 = divmod(li, d)
-                left = kron(a.basis_left_mult(l1), a.basis_left_mult(l2))
-                for g in range(d):
-                    right = kron(a.basis_right_mult(g), a.basis_right_mult(g))
-                    action.append(left * right)
-            underlying = ModuleRep(carrier, d * d, action, name="split", check=False)
-            self._cache["pants_split"] = Bimodule(a, aa, underlying, name="pants_split")
+            a, d = self.algebra, self.algebra.dim
+            self._cache["pants_split"] = Bimodule(
+                a, tensor(a, a), d * d,
+                [kron(a.basis_left_mult(l1), a.basis_left_mult(l2))
+                 for l1 in range(d) for l2 in range(d)],
+                [kron(a.basis_right_mult(g), a.basis_right_mult(g)) for g in range(d)],
+                name="pants_split")
         return self._cache["pants_split"]
 
     def pants_merge(self) -> Bimodule:
-        """A(x)A -> A: restriction along the diagonal; carrier A(x)A with the
+        """A(x)A -> A: restriction along the diagonal; A(x)A with the
         diagonal left action and the regular right action."""
         if "pants_merge" not in self._cache:
-            a = self.algebra
-            aa = tensor(a, a)
-            d = a.dim
-            carrier = tensor(a, opposite(aa))
-            action = []
-            for g in range(d):
-                left = kron(a.basis_left_mult(g), a.basis_left_mult(g))
-                for ri in range(aa.dim):
-                    r1, r2 = divmod(ri, d)
-                    right = kron(a.basis_right_mult(r1), a.basis_right_mult(r2))
-                    action.append(left * right)
-            underlying = ModuleRep(carrier, d * d, action, name="merge", check=False)
-            self._cache["pants_merge"] = Bimodule(aa, a, underlying, name="pants_merge")
+            a, d = self.algebra, self.algebra.dim
+            self._cache["pants_merge"] = Bimodule(
+                tensor(a, a), a, d * d,
+                [kron(a.basis_left_mult(g), a.basis_left_mult(g)) for g in range(d)],
+                [kron(a.basis_right_mult(r1), a.basis_right_mult(r2))
+                 for r1 in range(d) for r2 in range(d)],
+                name="pants_merge")
         return self._cache["pants_merge"]
 
     def step_kernel(self, gen: str, pos: int, arity: int) -> Bimodule:
@@ -261,7 +259,8 @@ class GeneratorKernels:
 
 class SurfaceInvariant:
     def __init__(self, dims: int, word: CobordismWord, algebra: Algebra):
-        assert dims >= 0
+        if dims < 0:
+            raise HochkitError(f"negative invariant dimension {dims}")
         self.dims = dims
         self.word = word
         self.algebra = algebra
@@ -282,18 +281,22 @@ def trivial_representation(a: Algebra) -> ModuleRep:
 def evaluate(a: Algebra, word: CobordismWord,
              augmentation: Optional[ModuleRep] = None) -> SurfaceInvariant:
     """Convolve the generator kernels left to right; the closed word ends as
-    a kernel field -> field whose carrier dimension is the invariant."""
+    a kernel field -> field whose dimension is the invariant."""
+    # the elementary kernel on c + p circles has dimension d^(c + p - 1) and
+    # each bystander circle multiplies it by d
+    for i, ((gen, _), arity) in enumerate(zip(word.steps, word.arities)):
+        size = a.dim ** (arity + GENERATORS[gen][1] - 1)
+        if size > MAX_COORDINATES:
+            raise DegreeCapExceeded(
+                f"step {i} ({gen} at arity {arity}) needs a kernel of dimension {size} "
+                f"over {a!r}, above the size guard {MAX_COORDINATES}")
     if augmentation is None:
         augmentation = trivial_representation(a)
     gens = GeneratorKernels(a, augmentation)
-    total: Optional[Bimodule] = None
-    arity = 0
-    for gen, pos in word.steps:
+    total = None
+    for (gen, pos), arity in zip(word.steps, word.arities):
         step = gens.step_kernel(gen, pos, arity)
         total = step if total is None else convolve(total, step)
-        consumed, produced = GENERATORS[gen]
-        arity = arity - consumed + produced
-    assert total is not None and total.source.dim == 1 and total.target.dim == 1
     return SurfaceInvariant(total.dim, word, a)
 
 

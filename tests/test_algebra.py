@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hochkit.algebra import (
@@ -198,3 +203,65 @@ def test_field_order_is_group_exponent():
     assert algebra_fixture("q8").field_order == 4
     assert algebra_fixture("a4").field_order == 6
     assert algebra_fixture("tensor(zn:2,zn:3)").field_order == 6
+
+
+def test_semisimplicity_of_combinators_follows_their_factors():
+    # the tensor/opposite rule against the trace-form criterion, which a
+    # copy of the same structure constants without provenance still uses
+    def by_trace_form(a):
+        return Algebra(a.dim, a.sc, a.unit, validated=True).is_semisimple()
+
+    leaves = {name: algebra_fixture(name)
+              for name in ["field", "zn:2", "s3", "mat:2", "dual", "trunc:3"]}
+    combos = []
+    for x in leaves.values():
+        combos.append(opposite(x))
+        for y in leaves.values():
+            combos += [tensor(x, y), tensor(opposite(x), y), opposite(tensor(x, y))]
+    combos.append(tensor(tensor(leaves["zn:2"], leaves["mat:2"]), opposite(leaves["dual"])))
+    verdicts = set()
+    for a in combos:
+        assert a.is_semisimple() == by_trace_form(a), a
+        verdicts.add(a.is_semisimple())
+    assert verdicts == {True, False}
+
+
+TYPED_INPUT_ERRORS_SCRIPT = """
+from hochkit.algebra import Algebra, CentralElement, DictSC, truncated_poly
+from hochkit.errors import HochkitError
+from hochkit.fixtures import algebra_fixture
+from hochkit.hochschild import HHResult
+from hochkit.scalars import CycScalar
+from hochkit.tqft import CobordismWord, SurfaceInvariant, evaluate
+
+z2 = algebra_fixture("zn:2")
+sphere = CobordismWord([("cap_in", 0), ("cap_out", 0)])
+cases = {
+    "CycScalar length": lambda: CycScalar(3, [1]),
+    "truncated_poly": lambda: truncated_poly(1),
+    "Algebra labels": lambda: Algebra(1, DictSC({(0, 0): {0: 1}}), [1], labels=["a", "b"],
+                                      validated=True),
+    "Algebra unit": lambda: Algebra(2, DictSC({}), [1], validated=True),
+    "CentralElement": lambda: CentralElement(z2, [1]),
+    "SurfaceInvariant": lambda: SurfaceInvariant(-1, sphere, z2),
+    "HHResult kind": lambda: HHResult("homotopy", [1], 0),
+    "HHResult dims": lambda: HHResult("homology", [1, -1], 1),
+    "empty word": lambda: evaluate(z2, CobordismWord([])),
+}
+for name, call in cases.items():
+    try:
+        call()
+    except HochkitError:
+        continue
+    raise SystemExit(f"{name} did not raise a HochkitError")
+print("ok")
+"""
+
+
+def test_input_errors_are_typed_under_optimize():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-O", "-c", TYPED_INPUT_ERRORS_SCRIPT],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "ok\n"

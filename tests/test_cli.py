@@ -2,13 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import hochkit
+from hochkit import fixtures
 from hochkit.cli import load_algebra, run
-from hochkit.errors import ParseError
+from hochkit.errors import DegreeCapExceeded, ParseError
 from hochkit.specfiles import parse_algebra_file, parse_module_file
 
 
@@ -171,6 +173,33 @@ def test_cli_tqft_genus2_reports_oracle(capsys):
     assert code == 0
     assert "invariant dimension: 4" in out
     assert "oracle" in out and "8" in out
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["center", "zn:100000"], "'zn:100000' would build an algebra of dimension 100000"),
+    (["center", "mat:50"], "'mat:50' would build an algebra of dimension 2500"),
+    (["hh", "mat:99", "--max-degree", "1"], "'mat:99' would build an algebra of dimension 9801"),
+    (["tqft", "zn:2", "--genus", "99999"], "genus-99999 word has 200000 steps"),
+    (["pushforward", "morita:s3:40", "[1,0,0,0,0,0]"],
+     "'morita:s3:40' would build an algebra of dimension 9600"),
+])
+def test_oversized_inputs_are_refused_before_building(argv, refused, capsys):
+    t0 = time.monotonic()
+    assert run(argv) == 2
+    assert time.monotonic() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and refused in err and "Traceback" not in err
+
+
+def test_fixture_bound_keeps_the_test_and_benchmark_fixtures():
+    for name in ["zn:8", "mat:3", "trunc:4", "env(zn:2)", "op(s3)", "tensor(mat:2,zn:2)",
+                 "tensor(mat:2,dual)", "tensor(zn:2,zn:3)", "tensor(mat:2,mat:4)",
+                 "op(tensor(q8,q8))"]:
+        fixtures.algebra_fixture(name)
+    for name, dim in [("zn:65", 65), ("mat:9", 81), ("trunc:65", 65),
+                      ("tensor(s3,mat:4)", 96), ("env(mat:3)", 81), ("op(tensor(q8,zn:9))", 72)]:
+        with pytest.raises(DegreeCapExceeded, match=f"dimension {dim},"):
+            fixtures.algebra_fixture(name)
 
 
 def test_cli_machine_format_deterministic(capsys):

@@ -6,11 +6,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from hochkit.errors import ShapeMismatch
 from hochkit.linalg import (
     SparseMatrix, Subspace, _canonical_rref, _copy_rows, _reduced_rows,
-    cokernel_projector, kron, nullspace, rank, rref, solve, unit_vector, vec,
+    cokernel_projector, hstack, kron, nullspace, rank, rref, solve, unit_vector, vec,
 )
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, zeta
 
@@ -517,6 +519,17 @@ def test_constructor_sums_repeated_positions():
     m = SparseMatrix(1, 2, [((0, 0), zeta(4)), ((0, 1), Fraction(1, 2) * zeta(4))])
     assert m.scale(zeta(4)) == SparseMatrix(1, 2, {(0, 0): -1, (0, 1): Fraction(-1, 2)})
     assert (m.scale(zeta(4)).den, m.scale(zeta(4))._rows) == (2, [{0: -2, 1: -1}])
+
+
+def test_hstack_matches_dense_oracle():
+    for rng, field, rows, _ in _representation_cases():
+        widths = [rng.randint(0, 4) for _ in range(rng.randint(1, 3))]
+        tables = [_random_table(rng, rows, w, rng.choice(["q", field])) for w in widths]
+        blocks = [SparseMatrix(rows, w, _nonzero(t)) for t, w in zip(tables, widths)]
+        joined = [sum((t[r] for t in tables), []) for r in range(rows)]
+        _check(hstack(rows, blocks), rows, sum(widths), joined)
+    with pytest.raises(ShapeMismatch):
+        hstack(2, [SparseMatrix.identity(2), SparseMatrix.identity(3)])
 
 
 SHAPE_ERRORS_SCRIPT = """

@@ -8,18 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from hochkit.algebra import field_algebra, matrix_algebra, opposite
+from hochkit.algebra import field_algebra, matrix_algebra, opposite, tensor
 from hochkit.errors import (
     AlgebraMismatch, DegreeUnderflow, HochkitError, MiddleNotSemisimple,
-    MissingSerreData, ModuleDefect,
+    MissingSerreData, ModuleDefect, ShapeMismatch,
 )
 from hochkit.fixtures import algebra_fixture
-from hochkit.linalg import SparseMatrix
+from hochkit.linalg import SparseMatrix, kron, unit_vector
 from hochkit.modules import (
-    ModuleRep, a_unit_split, apply_kernel, apply_kernel_full, convolve, dual_kernel,
-    ext_dims, hom_space, is_intertwiner, multiplicity_vector, outer_kernel,
-    regular_bimodule, regular_module, simples_of, tensor_over,
+    Bimodule, ModuleRep, a_unit_split, apply_kernel, apply_kernel_full, balanced_tensor,
+    convolve, dual_kernel, ext_dims, hom_space, is_intertwiner, multiplicity_vector,
+    outer_kernel, parallel_kernels, regular_bimodule, regular_module, simples_of,
+    tensor_over, validate_module,
 )
+from hochkit.scalars import ONE
+from hochkit.tqft import trivial_representation
 
 
 def test_hom_schur():
@@ -336,3 +339,168 @@ def test_module_shape_errors_are_typed_under_optimize():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# --- the enveloping-module construction, kept as the oracle of Bimodule -------
+#
+# Before kernels were stored as their two actions, a kernel from A to B was
+# one module over tensor(B, opposite(A)) with dim(B) * dim(A) action
+# matrices, and its one-sided actions were recovered by padding with the
+# other algebra's unit.  The functions below rebuild every kernel that way,
+# from reference inputs only, and `underlying` must agree with them exactly.
+
+class EnvelopingKernel:
+    def __init__(self, source, target, action):
+        self.source, self.target = source, target
+        self.module = ModuleRep(tensor(target, opposite(source)), action[0].rows,
+                                action, check=False)
+
+    @property
+    def dim(self):
+        return self.module.dim
+
+    def left_action(self, coords):
+        return self.module.act(tuple(t * u for t in coords for u in self.source.unit))
+
+    def right_action(self, coords):
+        return self.module.act(tuple(u * s for u in self.target.unit for s in coords))
+
+
+def _ref_regular(a):
+    return EnvelopingKernel(a, a, [a.basis_left_mult(i) * a.basis_right_mult(j)
+                                   for i in range(a.dim) for j in range(a.dim)])
+
+
+def _ref_outer(v, w, source):
+    return EnvelopingKernel(source, w.algebra,
+                            [kron(wi, vj) for wi in w.action for vj in v.action])
+
+
+def _ref_dual(k):
+    a, b = k.source, k.target
+    return EnvelopingKernel(b, a, [k.module.action[j * a.dim + i].transpose()
+                                   for i in range(a.dim) for j in range(b.dim)])
+
+
+def _ref_parallel(k1, k2):
+    a, b = tensor(k1.source, k2.source), tensor(k1.target, k2.target)
+    action = []
+    for bi in range(b.dim):
+        b1, b2 = divmod(bi, k2.target.dim)
+        for ai in range(a.dim):
+            a1, a2 = divmod(ai, k2.source.dim)
+            action.append(kron(k1.module.action[b1 * k1.source.dim + a1],
+                               k2.module.action[b2 * k2.source.dim + a2]))
+    return EnvelopingKernel(a, b, action)
+
+
+def _ref_convolve(k1, k2):
+    bt = balanced_tensor(k1.target, k2.right_action, k2.dim, k1.left_action, k1.dim)
+    a, c = k1.source, k2.target
+    action = [bt.descend(kron(k2.left_action(unit_vector(c.dim, i)),
+                              k1.right_action(unit_vector(a.dim, j))), check=False)
+              for i in range(c.dim) for j in range(a.dim)]
+    return EnvelopingKernel(a, c, action)
+
+
+def _ref_apply(k, m):
+    bt = balanced_tensor(k.source, k.right_action, k.dim, m.act, m.dim)
+    return [bt.descend(kron(k.left_action(unit_vector(k.target.dim, i)),
+                            SparseMatrix.identity(m.dim)), check=False)
+            for i in range(k.target.dim)]
+
+
+def _ref_morita(a, n):
+    action = [kron(SparseMatrix(n, n, {(p, q): ONE}), a.basis_left_mult(x) * a.basis_right_mult(y))
+              for p in range(n) for q in range(n) for x in range(a.dim) for y in range(a.dim)]
+    return EnvelopingKernel(a, tensor(matrix_algebra(n), a), action)
+
+
+def _ref_generators(a, aug):
+    f, d = field_algebra(), a.dim
+    left, right = a.basis_left_mult, a.basis_right_mult
+    return {
+        "cap_in": EnvelopingKernel(f, a, list(aug.action)),
+        "cap_out": EnvelopingKernel(a, f, list(aug.action)),
+        "pants_split": EnvelopingKernel(a, tensor(a, a), [
+            kron(left(l1), left(l2)) * kron(right(g), right(g))
+            for l1 in range(d) for l2 in range(d) for g in range(d)]),
+        "pants_merge": EnvelopingKernel(tensor(a, a), a, [
+            kron(left(g), left(g)) * kron(right(r1), right(r2))
+            for g in range(d) for r1 in range(d) for r2 in range(d)]),
+    }
+
+
+def _agree(k, ref):
+    assert (k.source, k.target, k.dim) == (ref.source, ref.target, ref.dim)
+    assert k.underlying.algebra == ref.module.algebra
+    assert k.underlying.action == ref.module.action
+
+
+def _outer_pair(source, v_name, target, w_name):
+    from hochkit.fixtures import module_fixture
+    a, b = algebra_fixture(source), algebra_fixture(target)
+    v, w = module_fixture(a, v_name).dual(), module_fixture(b, w_name)
+    return (outer_kernel(v, w, a), _ref_outer(v, w, a))
+
+
+@pytest.fixture(scope="module")
+def kernel_pairs():
+    """(kernel, enveloping reference) pairs over Q, Q(zeta_3) and Q(zeta_4)."""
+    return {
+        "zn:3->s3": _outer_pair("zn:3", "chi1", "s3", "std"),
+        "s3->q8": _outer_pair("s3", "std", "q8", "std"),
+        "zn:2->zn:3": _outer_pair("zn:2", "chi1", "zn:3", "chi2"),
+        "id_s3": (regular_bimodule(algebra_fixture("s3")),
+                  _ref_regular(algebra_fixture("s3"))),
+        "id_zn:3": (regular_bimodule(algebra_fixture("zn:3")),
+                    _ref_regular(algebra_fixture("zn:3"))),
+    }
+
+
+def test_constructors_match_enveloping_oracle(kernel_pairs):
+    for k, ref in kernel_pairs.values():
+        _agree(k, ref)
+        validate_module(k.underlying)  # the two actions commute
+    for name in ("zn:3->s3", "s3->q8", "id_s3"):
+        k, ref = kernel_pairs[name]
+        _agree(dual_kernel(k), _ref_dual(ref))
+    for first, second in (("zn:3->s3", "s3->q8"), ("zn:3->s3", "id_s3"),
+                          ("id_s3", "s3->q8"), ("id_zn:3", "zn:3->s3")):
+        (k1, r1), (k2, r2) = kernel_pairs[first], kernel_pairs[second]
+        _agree(convolve(k1, k2), _ref_convolve(r1, r2))
+    for first, second in (("zn:2->zn:3", "zn:3->s3"), ("zn:3->s3", "id_zn:3"),
+                          ("id_zn:3", "zn:3->s3")):
+        (k1, r1), (k2, r2) = kernel_pairs[first], kernel_pairs[second]
+        _agree(parallel_kernels(k1, k2), _ref_parallel(r1, r2))
+
+
+def test_apply_kernel_matches_enveloping_oracle(kernel_pairs):
+    for name in ("zn:3->s3", "s3->q8", "id_s3"):
+        k, ref = kernel_pairs[name]
+        for s in simples_of(k.source):
+            m = s.direct_sum(s)
+            assert apply_kernel_full(k, m).module.action == tuple(_ref_apply(ref, m))
+
+
+def test_morita_and_surface_kernels_match_enveloping_oracle():
+    from hochkit.mukai import morita_kernel
+    from hochkit.tqft import GeneratorKernels
+    for name in ("s3", "zn:3"):
+        a = algebra_fixture(name)
+        _agree(morita_kernel(a, 2), _ref_morita(a, 2))
+        aug = trivial_representation(a)
+        gens, refs = GeneratorKernels(a, aug), _ref_generators(a, aug)
+        for gen, ref in refs.items():
+            _agree(getattr(gens, gen)(), ref)
+
+
+def test_bimodule_shape_errors_are_typed():
+    z2, z3 = algebra_fixture("zn:2"), algebra_fixture("zn:3")
+    one, two = SparseMatrix.identity(1), SparseMatrix.identity(2)
+    with pytest.raises(ShapeMismatch):  # dim(source) right matrices expected
+        Bimodule(z2, z3, 1, [one] * 3, [one] * 3)
+    with pytest.raises(ShapeMismatch):  # dim(target) left matrices expected
+        Bimodule(z2, z3, 1, [one] * 2, [one] * 2)
+    with pytest.raises(ShapeMismatch):  # left and right act on different spaces
+        Bimodule(z2, z3, 1, [one] * 3, [one, two])

@@ -3,12 +3,15 @@ from itertools import product
 import pytest
 
 from hochkit.algebra import center_basis
-from hochkit.errors import ArityMismatch, DegreeUnderflow, MissingAugmentation, ParseError
+from hochkit.errors import (
+    ArityMismatch, DegreeCapExceeded, DegreeUnderflow, MissingAugmentation, ParseError,
+)
 from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.hochschild import hh_homology_dims
 from hochkit.modules import simples_of
 from hochkit.tqft import (
-    commutator_solution_count, evaluate, parse_word, trivial_representation,
+    MAX_WORD_STEPS, CobordismWord, GeneratorKernels, commutator_solution_count, evaluate,
+    parse_word, trivial_representation,
 )
 
 
@@ -182,3 +185,24 @@ def test_commutator_count_refusals():
         commutator_solution_count(algebra_fixture("mat:2"), 2)
     with pytest.raises(DegreeUnderflow):
         commutator_solution_count(algebra_fixture("s3"), 0)
+
+
+def test_word_and_kernel_size_guards(monkeypatch):
+    assert len(parse_word("genus:31").steps) == MAX_WORD_STEPS == 64
+    with pytest.raises(DegreeCapExceeded, match="genus-32 word has 66 steps"):
+        parse_word("genus:32")
+    with pytest.raises(DegreeCapExceeded, match="66 steps"):
+        CobordismWord([("cap_in", 0), ("cap_out", 0)] * 33)
+    with pytest.raises(ArityMismatch, match="empty"):
+        CobordismWord([])
+    # zn:2 split 17 times: the last split acts at arity 17 with a kernel of
+    # dimension 2^18, refused before any kernel is built
+    word = parse_word("cap_in " + "pants_split " * 17 + "pants_merge " * 17 + "cap_out")
+
+    def built(*args):
+        raise AssertionError("a kernel was built before the guard")
+    monkeypatch.setattr(GeneratorKernels, "step_kernel", built)
+    with pytest.raises(DegreeCapExceeded,
+                       match=r"step 17 \(pants_split at arity 17\) needs a kernel of "
+                             r"dimension 262144"):
+        evaluate(algebra_fixture("zn:2"), word)
