@@ -15,6 +15,7 @@ than MAX_FIXTURE_DIM basis elements.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations
 
 from .algebra import (
@@ -376,6 +377,16 @@ def _positive_int(text: str, context: str) -> int:
     return n
 
 
+def _simple_index(text: str, count: int, context: str) -> int:
+    try:
+        idx = int(text)
+    except ValueError:
+        raise ParseError(f"expected a simple index in {context!r}") from None
+    if not 0 <= idx < count:
+        raise ParseError(f"simple index {idx} out of range in {context!r} (have {count})")
+    return idx
+
+
 def module_fixture(a: Algebra, name: str) -> ModuleRep:
     """Named modules over a fixture algebra: `reg`, `triv`/`sign`/`std`/...
     by simple name, `simple:<i>` by index, or `sum:<i>,<j>,...`."""
@@ -385,18 +396,13 @@ def module_fixture(a: Algebra, name: str) -> ModuleRep:
     from .modules import simples_of
     simples = simples_of(a)
     if name.startswith("simple:"):
-        idx = int(name[len("simple:"):])
-        if not (0 <= idx < len(simples)):
-            raise ParseError(f"simple index {idx} out of range (have {len(simples)})")
-        return simples[idx]
+        return simples[_simple_index(name[len("simple:"):], len(simples), name)]
     if name.startswith("sum:"):
-        parts = [int(x) for x in name[len("sum:"):].split(",") if x]
+        parts = [simples[_simple_index(x, len(simples), name)]
+                 for x in name[len("sum:"):].split(",") if x]
         if not parts:
             raise ParseError("empty direct sum")
-        out = simples[parts[0]]
-        for idx in parts[1:]:
-            out = out.direct_sum(simples[idx])
-        return out
+        return reduce(ModuleRep.direct_sum, parts)
     for s in simples:
         if s.name == name:
             return s

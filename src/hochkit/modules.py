@@ -94,13 +94,18 @@ class ModuleRep:
 
 
 def validate_module(m: ModuleRep) -> None:
+    """Unit and multiplicativity on (generator, basis) pairs: products of
+    generators span the algebra, so rho(x) rho(y) = rho(xy) follows for
+    every pair by induction on word length."""
     a = m.algebra
     if m.act(a.unit) != SparseMatrix.identity(m.dim):
         raise ModuleDefect("unit does not act as the identity")
-    for i in range(a.dim):
+    for g in a.gens:
+        act_g = m.act(g)
         for j in range(a.dim):
-            if m.action[i] * m.action[j] != m._act(a.sc.product(i, j)):
-                raise ModuleDefect(f"action is not multiplicative at basis pair ({i}, {j})")
+            if act_g * m.action[j] != m.act(a.mul(g, unit_vector(a.dim, j))):
+                raise ModuleDefect(
+                    f"action is not multiplicative at generator {list(g)} and basis element {j}")
 
 
 def regular_module(a: Algebra) -> ModuleRep:
@@ -111,8 +116,7 @@ def regular_module(a: Algebra) -> ModuleRep:
 def is_intertwiner(t: SparseMatrix, m: ModuleRep, n: ModuleRep) -> bool:
     if m.algebra != n.algebra or t.cols != m.dim or t.rows != n.dim:
         return False
-    gens = m.algebra.gens or [unit_vector(m.algebra.dim, i) for i in range(m.algebra.dim)]
-    return all(t * m.act(g) == n.act(g) * t for g in gens)
+    return all(t * m.act(g) == n.act(g) * t for g in m.algebra.gens)
 
 
 class HomBasis:
@@ -148,13 +152,12 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> HomBasis:
     if m.algebra != n.algebra:
         raise AlgebraMismatch("hom_space needs modules over the same algebra")
     a = m.algebra
-    gens = a.gens or [unit_vector(a.dim, i) for i in range(a.dim)]
     size = n.dim * m.dim
 
     def terms():
         # unknowns: T[r, c], r < n.dim, c < m.dim, vectorized row-major; one
         # equation (T rho_M(g) - rho_N(g) T)[r, c] = 0 per generator g and (r, c)
-        for eq, g in enumerate(gens):
+        for eq, g in enumerate(a.gens):
             for k, c, v in m.act(g).entries():
                 for r in range(n.dim):
                     yield (eq * size + r * m.dim + c, r * m.dim + k), v
@@ -162,7 +165,7 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> HomBasis:
                 for c in range(m.dim):
                     yield (eq * size + r * m.dim + c, k * m.dim + c), -v
 
-    system = SparseMatrix(len(gens) * size, size, terms())
+    system = SparseMatrix(len(a.gens) * size, size, terms())
     basis = []
     for v in nullspace(system).basis:
         entries = {}
@@ -264,11 +267,10 @@ def balanced_tensor(mid: Algebra,
     ambient = m_dim * n_dim
     if ambient > MAX_COORDINATES:
         raise DegreeCapExceeded(f"tensor ambient {ambient} exceeds size guard")
-    gens = mid.gens or [unit_vector(mid.dim, i) for i in range(mid.dim)]
     id_m = SparseMatrix.identity(m_dim)
     id_n = SparseMatrix.identity(n_dim)
     relations = hstack(ambient, [kron(right_act(g), id_n) - kron(id_m, left_act(g))
-                                 for g in gens])
+                                 for g in mid.gens])
     free_coords, project = cokernel_projector(relations)
     include = SparseMatrix(ambient, len(free_coords),
                            {(f, k): ONE for k, f in enumerate(free_coords)})

@@ -5,6 +5,21 @@ Q[x]/Phi_n(x) and are always reduced to their conductor: the smallest n
 such that the value lies in Q(zeta_n).  Rationals therefore always carry
 order 1, and equality is a plain field-by-field comparison.
 
+Descent and inversion are index arithmetic; nothing here solves a linear
+system.  A value of Q(zeta_n) descends to Q(zeta_m), m = n/p for a prime
+p dividing n, in one of two ways:
+
+* p^2 divides n: Phi_n(x) = Phi_m(x^p), so Q(zeta_m) is spanned by the
+  power-basis coordinates at the multiples of p;
+* p divides n once: Q(zeta_n) = Q(zeta_m) (x) Q(zeta_p), and
+  zeta_n^k = zeta_m^(k/p mod m) * zeta_p^(k/m mod p) rewrites the value
+  in the product basis; it lies in Q(zeta_m) when no zeta_p^j part with
+  j > 0 remains.
+
+A nonzero x of conductor n is inverted one field step at a time: with y
+the product of the other conjugates of x over Q(zeta_m), x*y is the
+relative norm, an element of Q(zeta_m), and 1/x = y * (x*y)^(-1).
+
 Everything here is immutable and pure; no floating point is used except
 in the `to_complex` embedding, which exists only as a sanity oracle for
 tests and is never fed back into a computation.
@@ -14,8 +29,10 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Union
+from functools import cache, reduce
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Optional, Union
 
 from .errors import ParseError, ShapeMismatch
 
@@ -25,24 +42,8 @@ _Q1 = Fraction(1)
 Coercible = Union["CycScalar", Fraction, int]
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("order must be positive")
-    result = n
-    d = 2
-    m = n
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-def _prime_divisors(n: int) -> list[int]:
+@cache
+def _prime_divisors(n: int) -> tuple[int, ...]:
     out = []
     d = 2
     while d * d <= n:
@@ -53,19 +54,26 @@ def _prime_divisors(n: int) -> list[int]:
         d += 1
     if n > 1:
         out.append(n)
-    return out
+    return tuple(out)
+
+
+def euler_phi(n: int) -> int:
+    if n < 1:
+        raise ValueError("order must be positive")
+    result = n
+    for p in _prime_divisors(n):
+        result -= result // p
+    return result
 
 
 def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p in _prime_divisors(n):
+        for d in out[:]:
+            while n % (d * p) == 0:
+                d *= p
+                out.append(d)
+    return out
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -84,30 +92,21 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return q
 
 
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@cache
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, low degree first (monic, length phi(n)+1)."""
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in _divisors(n):
         if d != n:
             poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
     out = tuple(poly)
     assert len(out) == euler_phi(n) + 1 and out[-1] == 1
-    _CYCLO_CACHE[n] = out
     return out
 
 
-_RESIDUE_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _power_residues(n: int) -> list[tuple[int, ...]]:
+@cache
+def _power_residues(n: int) -> tuple[tuple[int, ...], ...]:
     """x^e mod Phi_n for 0 <= e < max(n, 2*phi(n) - 1), as integer vectors."""
-    if n in _RESIDUE_CACHE:
-        return _RESIDUE_CACHE[n]
     phi = euler_phi(n)
     top = max(n, 2 * phi - 1)
     cyclo = cyclotomic_polynomial(n)
@@ -126,8 +125,7 @@ def _power_residues(n: int) -> list[tuple[int, ...]]:
                     shifted[k] -= carry * cyclo[k]
             row = shifted
         rows.append(tuple(row))
-    _RESIDUE_CACHE[n] = rows
-    return rows
+    return tuple(rows)
 
 
 def _reduce_poly(n: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
@@ -151,68 +149,29 @@ def _reduce_poly(n: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
 
 # --- descent to the conductor --------------------------------------------
 
-_DESCENT_CACHE: dict[tuple[int, int], object] = {}
-
-
-def _descent_solver(n: int, m: int):
-    """Solver mapping coords in Q(zeta_n) to coords in Q(zeta_m) when the
-    value lies in the subfield, else None.  m divides n."""
-    key = (n, m)
-    if key in _DESCENT_CACHE:
-        return _DESCENT_CACHE[key]
-    phi_n, phi_m = euler_phi(n), euler_phi(m)
-    step = n // m
-    residues = _power_residues(n)
-    cols = [residues[(step * j) % n] for j in range(phi_m)]
-    # Row-reduce the phi_n x phi_m system once; replay on each query.
-    mat = [[Fraction(cols[j][i]) for j in range(phi_m)] for i in range(phi_n)]
-    ops: list[tuple] = []  # elimination script
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(phi_m):
-        piv = next((i for i in range(r, phi_n) if mat[i][c]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            mat[r], mat[piv] = mat[piv], mat[r]
-            ops.append(("swap", r, piv))
-        inv = _Q1 / mat[r][c]
-        if inv != 1:
-            mat[r] = [x * inv for x in mat[r]]
-            ops.append(("scale", r, inv))
-        for i in range(phi_n):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-                ops.append(("axpy", i, r, f))
-        pivots.append((r, c))
-        r += 1
-    if r < phi_m:  # embedding must be injective
-        raise AssertionError("subfield embedding lost rank")
-
-    def solve(vec: tuple[Fraction, ...]):
-        b = list(vec)
-        for op in ops:
-            if op[0] == "swap":
-                _, i, j = op
-                b[i], b[j] = b[j], b[i]
-            elif op[0] == "scale":
-                _, i, f = op
-                b[i] *= f
-            else:
-                _, i, j, f = op
-                b[i] -= f * b[j]
-        x = [_Q0] * phi_m
-        for r_, c_ in pivots:
-            x[c_] = b[r_]
-        # membership: rows beyond the pivot rows must have cancelled
-        for i in range(len(pivots), phi_n):
-            if b[i]:
-                return None
-        return tuple(x)
-
-    _DESCENT_CACHE[key] = solve
-    return solve
+def _descend(n: int, p: int, coeffs: tuple[Fraction, ...]) -> Optional[tuple[Fraction, ...]]:
+    """Coordinates in Q(zeta_(n/p)) of a value of Q(zeta_n), or None when it
+    does not lie in that subfield; p is a prime divisor of n."""
+    m = n // p
+    if m == 1:  # the subfield is Q, and the caller has tested for a rational
+        return None
+    if m % p == 0:  # Phi_n(x) = Phi_m(x^p): read the multiples of p
+        if any(c for k, c in enumerate(coeffs) if k % p):
+            return None
+        return coeffs[::p]
+    # zeta_n^k = zeta_m^(k p' mod m) * zeta_p^(k m' mod p), p p' = 1 mod m and
+    # m m' = 1 mod p; parts[j] collects the zeta_m-polynomial beside zeta_p^j
+    p_inv, m_inv = pow(p, -1, m), pow(m, -1, p)
+    parts = [[_Q0] * m for _ in range(p)]
+    for k, c in enumerate(coeffs):
+        if c:
+            parts[k * m_inv % p][k * p_inv % m] = c
+    # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)), so the zeta_p^j part is
+    # parts[j] - parts[p-1]; the value descends when it vanishes for 0 < j < p-1
+    last = _reduce_poly(m, parts[-1])
+    if any(_reduce_poly(m, parts[j]) != last for j in range(1, p - 1)):
+        return None
+    return tuple(a - b for a, b in zip(_reduce_poly(m, parts[0]), last))
 
 
 def _conductor_form(n: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
@@ -220,10 +179,9 @@ def _conductor_form(n: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fr
         if all(c == 0 for c in coeffs[1:]):
             return 1, (coeffs[0],)
         for p in _prime_divisors(n):
-            m = n // p
-            reduced = _descent_solver(n, m)(coeffs)
+            reduced = _descend(n, p, coeffs)
             if reduced is not None:
-                n, coeffs = m, reduced
+                n, coeffs = n // p, reduced
                 break
         else:
             return n, coeffs
@@ -251,10 +209,6 @@ class CycScalar:
         raise AttributeError("CycScalar is immutable")
 
     # --- constructors ---
-
-    @staticmethod
-    def from_rational(q) -> "CycScalar":
-        return CycScalar(1, (Fraction(q),), _canonical=True)
 
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycScalar":
@@ -333,24 +287,13 @@ class CycScalar:
     def inverse(self) -> "CycScalar":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        if self.order == 1:
-            return CycScalar(1, (1 / self.coeffs[0],), _canonical=True)
-        # extended Euclid between the representative and Phi_n in Q[x]
         n = self.order
-        a = list(self.coeffs)
-        b = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        # invariants: u * self + (...) * Phi == r
-        u0, u1 = [_Q1], [_Q0]
-        r0, r1 = a, b
-        while any(r1):
-            q, rem = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, rem
-            u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        deg = _poly_deg(r0)
-        assert deg == 0, "gcd with irreducible Phi_n must be constant"
-        c = r0[0]
-        inv = [x / c for x in u0]
-        return CycScalar(n, _reduce_poly(n, inv))
+        if n == 1:
+            return CycScalar(1, (1 / self.coeffs[0],), _canonical=True)
+        # the other conjugates over Q(zeta_m) are sigma_a, a = 1 mod m, a != 1
+        m = n // _prime_divisors(n)[0]
+        others = reduce(mul, (self._galois(a) for a in range(1 + m, n, m) if gcd(a, n) == 1))
+        return others * (self * others).inverse()
 
     def __truediv__(self, other: Coercible) -> "CycScalar":
         return self * cyc(other).inverse()
@@ -370,16 +313,19 @@ class CycScalar:
             k >>= 1
         return out
 
-    def conjugate(self) -> "CycScalar":
-        """The field automorphism zeta -> zeta^(-1) (complex conjugation)."""
-        if self.order == 1:
-            return self
+    def _galois(self, a: int) -> "CycScalar":
+        """The field automorphism zeta -> zeta^a, for a prime to the order; it
+        keeps the conductor."""
         n = self.order
         dense = [_Q0] * n
         for e, c in enumerate(self.coeffs):
             if c:
-                dense[(n - e) % n] += c
-        return CycScalar(n, _reduce_poly(n, dense))
+                dense[a * e % n] = c
+        return CycScalar(n, _reduce_poly(n, dense), _canonical=True)
+
+    def conjugate(self) -> "CycScalar":
+        """The field automorphism zeta -> zeta^(-1) (complex conjugation)."""
+        return self._galois(-1)
 
     # --- comparison / hashing ---
 
@@ -406,46 +352,6 @@ class CycScalar:
         return sum(complex(c) * z ** e for e, c in enumerate(self.coeffs))
 
 
-# --- polynomial helpers over Fraction (used by inverse) -------------------
-
-def _poly_deg(p: list[Fraction]) -> int:
-    for i in range(len(p) - 1, -1, -1):
-        if p[i]:
-            return i
-    return -1
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else _Q0) - (b[i] if i < len(b) else _Q0) for i in range(n)]
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_Q0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def _poly_divmod_frac(a: list[Fraction], b: list[Fraction]):
-    db = _poly_deg(b)
-    assert db >= 0
-    rem = list(a)
-    q = [_Q0] * max(1, len(a) - db)
-    while _poly_deg(rem) >= db:
-        da = _poly_deg(rem)
-        c = rem[da] / b[db]
-        q[da - db] += c
-        for j in range(db + 1):
-            rem[da - db + j] -= c * b[j]
-    return q, rem
-
-
 # --- module-level API ------------------------------------------------------
 
 ZERO = CycScalar(1, (_Q0,), _canonical=True)
@@ -456,20 +362,12 @@ def cyc(x: Coercible) -> CycScalar:
     if isinstance(x, CycScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return CycScalar.from_rational(x)
+        return CycScalar(1, (Fraction(x),), _canonical=True)
     raise TypeError(f"cannot coerce {type(x).__name__} to CycScalar")
 
 
 def zeta(n: int, k: int = 1) -> CycScalar:
     return CycScalar.zeta(n, k)
-
-
-def cyc_inv(a: Coercible) -> CycScalar:
-    return cyc(a).inverse()
-
-
-def cyc_conj(a: Coercible) -> CycScalar:
-    return cyc(a).conjugate()
 
 
 # --- text syntax -----------------------------------------------------------

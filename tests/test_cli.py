@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hochkit
 from hochkit import fixtures
@@ -62,6 +65,27 @@ def test_parse_module_file_rejects_non_module():
     from hochkit.errors import ModuleDefect
     with pytest.raises(ModuleDefect):
         parse_module_file(bad, load_algebra)
+
+
+def test_module_file_wrong_only_off_the_generators_is_rejected():
+    # validation checks (generator, basis) pairs; a defect at an element that
+    # is neither a generator nor the unit must still surface
+    s3 = load_algebra("s3")
+    gens = {g.index(1) for g in s3.gens}
+    bad = next(i for i in range(s3.dim) if i not in gens and not s3.unit[i])
+    text = "algebra = s3\ndim = 1\n" + "".join(
+        f"action {i} = [[{-1 if i == bad else 1}]]\n" for i in range(s3.dim))
+    from hochkit.errors import ModuleDefect
+    parse_module_file(text.replace("[[-1]]", "[[1]]"), load_algebra)  # trivial: fine
+    with pytest.raises(ModuleDefect):
+        parse_module_file(text, load_algebra)
+
+
+@pytest.mark.parametrize("module", ["simple:x", "sum:a", "sum:0,9", "sum:-1"])
+def test_bad_simple_index_is_usage_error(module, capsys):
+    assert run(["chern", "s3", module]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind, line, bad", [
@@ -301,3 +325,98 @@ def test_python_m_hochkit_matches_in_process_run(capsys):
          "--format", "machine"], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_acceptance_suite_passes_under_optimize():
+    # `python -O` strips asserts: no shipped guarantee may hinge on one
+    env = dict(os.environ, PYTHONPATH=str(Path(hochkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(Path(__file__).with_name("test_acceptance.py"))],
+        capture_output=True, text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+# --- fuzz: argv drawn from the CLI grammar over cheap algebras, plus junk ------
+
+_JUNK = st.sampled_from(["", " ", "x", "-1", "9", "[", "]", "[1,", ",", ":", "#", "z",
+                         "z0", "1/0", "()", "sum:", "simple:", "genus:", "@", "--max-degree",
+                         "zn:0", "mat:x", "tensor(s3)"])
+_DIMS = {"field": 1, "dual": 2, "zn:2": 2, "zn:3": 3, "s3": 6}
+
+
+def _or_junk(strategy):
+    """A junk token one time in four, else the strategy."""
+    return st.tuples(st.sampled_from([1, 1, 1, 2]), strategy, _JUNK).map(lambda t: t[t[0]])
+
+
+_ALGEBRAS = _or_junk(st.sampled_from(sorted(_DIMS)))
+_INDEX = _or_junk(st.integers(-2, 4).map(str))
+_MODULES = _or_junk(st.sampled_from(["reg", "triv", "sign", "std", "chi0", "chi1", "chi2"])
+                    | _INDEX.map("simple:{}".format)
+                    | st.lists(_INDEX, max_size=3).map(lambda xs: "sum:" + ",".join(xs)))
+_SCALARS = st.sampled_from(["0", "1", "-1", "1/2", "-2/3", "z3", "z4^3", "1+z3", "(1", "z0"])
+_DEGREE = _or_junk(st.integers(-1, 2).map(str))
+_WORDS = _or_junk(
+    _DEGREE.map("genus:{}".format)
+    | st.lists(st.tuples(st.sampled_from(["cap_in", "cap_out", "pants_split", "pants_merge",
+                                          "cup"]),
+                         st.sampled_from(["", "", "@0", "@1", "@x"])).map("".join),
+               max_size=4).map(" ".join))
+
+
+def _central(algebra):
+    """A central element: coordinates, often as many as the algebra's
+    dimension, or ch:<module>."""
+    dim = _DIMS.get(algebra, 2)
+    coords = st.lists(_SCALARS, min_size=dim, max_size=dim) | st.lists(_SCALARS, max_size=7)
+    return _or_junk(coords.map(lambda xs: "[" + ",".join(xs) + "]")
+                    | _MODULES.map("ch:{}".format))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["validate", "center", "hh", "chern", "iota", "pairing",
+                                    "pushforward", "tqft", "junk"]))
+    a = draw(_ALGEBRAS)
+    if command in ("validate", "center"):
+        argv = [command, a]
+    elif command == "hh":
+        argv = ["hh", a, "--max-degree", draw(_DEGREE)]
+        argv += draw(st.sampled_from([[], ["--cohomology"], ["--unnormalized"]]))
+    elif command == "chern":
+        argv = ["chern", a, draw(_MODULES)]
+    elif command == "iota":
+        argv = ["iota", a, draw(_MODULES)]
+        if draw(st.booleans()):
+            argv += ["--endo", draw(_or_junk(st.sampled_from(
+                ["[[1]]", "[[2,0],[0,2]]", "[[0,1],[1,z3]]", "[[1,2]]"])))]
+    elif command == "pairing":
+        argv = ["pairing", a, draw(_central(a)), draw(_central(a))]
+    elif command == "pushforward":
+        kernel = draw(_or_junk(
+            st.sampled_from(["regular:{}", "morita:{}:1", "morita:{}:2", "morita:{}:0"]).map(
+                lambda spec: spec.format(a))
+            | st.tuples(_MODULES, _ALGEBRAS, _MODULES).map(
+                lambda t: f"outer({a}#{t[0]},{t[1]}#{t[2]})")))
+        argv = ["pushforward", kernel, draw(_central(a))]
+    elif command == "tqft":
+        argv = ["tqft", a] + draw(st.just([]) | _DEGREE.map(lambda g: ["--genus", g])
+                                  | _WORDS.map(lambda w: ["--word", w]))
+    else:
+        argv = draw(st.lists(_ALGEBRAS, max_size=4))
+    if draw(st.booleans()):
+        argv += ["--format", "machine", "--seed", draw(st.integers(-1, 3).map(str))]
+    return argv
+
+
+@settings(max_examples=150, deadline=10_000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_cli_fuzz_exit_code_contract(argv):
+    # 0 = every identity held, 1 = a mismatch, 2 = usage error; nothing escapes
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -1,12 +1,15 @@
+import cmath
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hochkit.errors import ParseError
 from hochkit.scalars import (
-    CycScalar, cyc, cyc_conj, cyc_inv, euler_phi,
-    cyclotomic_polynomial, format_scalar, parse_scalar, zeta, ONE, ZERO,
+    CycScalar, cyc, euler_phi, cyclotomic_polynomial, format_scalar, parse_scalar,
+    zeta, ONE, ZERO,
 )
 
 
@@ -54,32 +57,42 @@ def test_inverse_round_trip():
 
 
 def test_inverse_rational():
-    assert cyc_inv(cyc(2)) == cyc(Fraction(1, 2))
+    assert cyc(2).inverse() == cyc(Fraction(1, 2))
 
 
 def test_inverse_zeta4():
-    assert cyc_inv(zeta(4)) == -zeta(4)
+    assert zeta(4).inverse() == -zeta(4)
 
 
 def test_inverse_one_plus_zeta3():
     # (1 + z3)(-z3) = -z3 - z3^2 = 1
-    inv = cyc_inv(cyc(1) + zeta(3))
+    inv = (cyc(1) + zeta(3)).inverse()
     assert inv == -zeta(3)
     assert (cyc(1) + zeta(3)) * inv == ONE
 
 
+def test_inverse_descends_through_several_fields():
+    # each step multiplies by the other conjugates over Q(zeta_(n/p)); these
+    # orders need two to six steps, through both kinds of descent
+    for n in (8, 9, 15, 16, 20, 21, 24, 36, 64):
+        x = ONE + zeta(n) + cyc(Fraction(2, 3)) * zeta(n, 2) - zeta(n, 5)
+        assert x.order == n
+        assert x * x.inverse() == ONE
+        assert abs(x.inverse().to_complex() - 1 / x.to_complex()) < 1e-9
+
+
 def test_inverse_of_zero_raises():
     with pytest.raises(ZeroDivisionError):
-        cyc_inv(ZERO)
+        ZERO.inverse()
 
 
 def test_conj_rational_fixed():
     q = cyc(Fraction(-3, 5))
-    assert cyc_conj(q) == q
+    assert q.conjugate() == q
 
 
 def test_conj_zeta3():
-    assert cyc_conj(zeta(3)) == zeta(3, 2)
+    assert zeta(3).conjugate() == zeta(3, 2)
 
 
 def test_conductor_reduction():
@@ -90,6 +103,59 @@ def test_conductor_reduction():
     assert (zeta(5) - zeta(5)).order == 1
 
 
+def _embedded_coords(m, n, coeffs):
+    """Power-basis coordinates in Q(zeta_n) of sum_k c_k zeta_m^k, reduced by
+    long division by Phi_n here, not by the library."""
+    step = n // m
+    poly = [Fraction(0)] * (step * len(coeffs))
+    for k, c in enumerate(coeffs):
+        poly[k * step] = Fraction(c)
+    phi_poly = cyclotomic_polynomial(n)
+    deg = len(phi_poly) - 1
+    for e in range(len(poly) - 1, deg - 1, -1):
+        c = poly[e]
+        if c:
+            for j, d in enumerate(phi_poly):
+                poly[e - deg + j] -= c * d
+    return (poly + [Fraction(0)] * deg)[:deg]
+
+
+def _float_conductor(n, coords):
+    """Smallest d | n such that every sigma_a with a = 1 mod d fixes the value,
+    judged on its complex embedding: the conductor, by Galois theory."""
+    def embed(a):
+        return sum(complex(c) * cmath.exp(2j * cmath.pi * a * e / n)
+                   for e, c in enumerate(coords))
+    value = embed(1)
+    for d in range(1, n + 1):
+        if n % d == 0 and all(abs(embed(a) - value) < 1e-9 for a in range(1, n, d)
+                              if gcd(a, n) == 1):
+            return d, value
+
+
+@pytest.mark.parametrize("n", [8, 9, 10, 12, 15, 16, 18, 20, 21, 24, 30, 36])
+def test_descent_matches_float_galois_oracle(n):
+    # every subfield Q(zeta_m) of Q(zeta_n): random elements, sparse ones
+    # (whose conductor is often below m) and single roots of unity
+    rng = random.Random(n)
+    for m in (d for d in range(1, n + 1) if n % d == 0):
+        samples = [[0] * euler_phi(m) for _ in range(euler_phi(m))]
+        for k, row in enumerate(samples):
+            row[k] = 1
+        for density in (1.0, 0.5, 0.2):
+            for _ in range(3):
+                samples.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                if rng.random() < density else 0
+                                for _ in range(euler_phi(m))])
+        for coeffs in samples:
+            coords = _embedded_coords(m, n, coeffs)
+            conductor, value = _float_conductor(n, coords)
+            back = CycScalar(n, coords)
+            assert back == CycScalar(m, coeffs)
+            assert back.order == conductor, (n, m, coeffs)
+            assert abs(back.to_complex() - value) < 1e-9
+
+
 def test_pow_and_div():
     assert zeta(5) ** 5 == ONE
     assert (zeta(7) / zeta(7)) == ONE
@@ -98,7 +164,7 @@ def test_pow_and_div():
 
 # --- randomized field axioms (exact) ---------------------------------------
 
-_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12])
+_orders = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 20, 24])
 _small_q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
@@ -129,7 +195,7 @@ def test_nonzero_inverse(a):
 @settings(max_examples=40, deadline=None)
 @given(scalars())
 def test_conj_involution(a):
-    assert cyc_conj(cyc_conj(a)) == a
+    assert a.conjugate().conjugate() == a
 
 
 @settings(max_examples=40, deadline=None)
