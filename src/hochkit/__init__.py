@@ -34,11 +34,11 @@ from .modules import (
     regular_module, simples_of, tensor_over,
 )
 from .mukai import (
-    CheckReport, MukaiClass, PairingReport, adjoint_transfer,
+    CheckReport, MukaiClass, adjoint_transfer,
     adjointness_check, cardy_check, chern, chern_additivity_check,
     cohomology_transport, functoriality_check, generalized_trace,
     hochschild_trace, hrr_check, iota_solve, morita_isometry_check,
-    morita_kernel, mukai_pairing, pairing_report, pushforward, serre_trace,
+    morita_kernel, mukai_pairing, pushforward, serre_trace,
     todd, todd_hrr_check, trace_triangle_check,
 )
 from .scalars import CycScalar, cyc, format_scalar, parse_scalar, zeta

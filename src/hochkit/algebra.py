@@ -19,7 +19,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
-    DegenerateFrobeniusForm, HochkitError, NotAGroup, NotAssociative,
+    AlgebraDefect, DegenerateFrobeniusForm, HochkitError, NotAGroup, NotAssociative,
     ShapeMismatch, UnitLawFails,
 )
 from .linalg import (
@@ -82,13 +82,10 @@ class SerreData:
     """Symmetric Frobenius trace data; only the trivial Nakayama twist is
     supported, which is exactly the symmetric-algebra case."""
 
-    __slots__ = ("functional", "nakayama")
+    __slots__ = ("functional",)
 
-    def __init__(self, functional: Vector, nakayama: str = "identity"):
-        if nakayama != "identity":
-            raise HochkitError("only the identity Nakayama twist is supported")
+    def __init__(self, functional: Vector):
         self.functional = vec(functional)
-        self.nakayama = nakayama
 
     def value(self, coords: Vector) -> CycScalar:
         out = ZERO
@@ -245,21 +242,33 @@ class CentralElement:
 # --- validation -------------------------------------------------------------
 
 def validate(a: Algebra) -> None:
-    """Check unit laws, associativity on all basis triples, and (if present)
+    """Check unit laws, that products of the generators span the algebra,
+    associativity on (generator, basis, basis) triples, and (if present)
     symmetry and nondegeneracy of the Frobenius form.  Raises the first
-    defect found, with its witness."""
+    defect found, with its witness.
+
+    Associativity on all triples follows by induction on word length: the x
+    with (xy)z = x(yz) for all y, z form a subspace holding the unit and
+    closed under left multiplication by each generator that passed."""
     for i in range(a.dim):
         e = a.basis_vector(i)
         if a.mul(a.unit, e) != e or a.mul(e, a.unit) != e:
             raise UnitLawFails(i)
-    for i in range(a.dim):
-        ei = a.basis_vector(i)
+    words = Subspace(a.dim, [a.unit])
+    while words.dim < a.dim:
+        grown = Subspace(a.dim, words.basis + tuple(a.mul(g, w) for g in a.gens
+                                                    for w in words.basis))
+        if grown.dim == words.dim:
+            raise AlgebraDefect(f"products of the {len(a.gens)} generators span "
+                                f"{words.dim} of {a.dim} dimensions")
+        words = grown
+    for i, g in enumerate(a.gens):
         for j in range(a.dim):
             ej = a.basis_vector(j)
-            left = a.mul(ei, ej)
+            left = a.mul(g, ej)
             for k in range(a.dim):
                 ek = a.basis_vector(k)
-                if a.mul(left, ek) != a.mul(ei, a.mul(ej, ek)):
+                if a.mul(left, ek) != a.mul(g, a.mul(ej, ek)):
                     raise NotAssociative(i, j, k)
     if a.serre is not None:
         _validate_serre(a)
@@ -353,11 +362,9 @@ def matrix_algebra(n: int) -> Algebra:
         gens = [vec([1])]
     else:
         gens = [unit_vector(n * n, idx(i, (i + 1) % n)) for i in range(n)]
-    a = Algebra(n * n, DictSC(table), unit, labels=labels,
-                serre=SerreData(functional), field_order=1, gens=gens,
-                provenance=("matrix", n), validated=True)
-    validate(a)
-    return a
+    return Algebra(n * n, DictSC(table), unit, labels=labels,
+                   serre=SerreData(functional), field_order=1, gens=gens,
+                   provenance=("matrix", n))
 
 
 def truncated_poly(k: int) -> Algebra:
@@ -368,11 +375,9 @@ def truncated_poly(k: int) -> Algebra:
     table = {(i, j): ({i + j: ONE} if i + j < k else {})
              for i in range(k) for j in range(k)}
     labels = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, k)]
-    a = Algebra(k, DictSC(table), unit_vector(k, 0), labels=labels,
-                serre=None, field_order=1, gens=[unit_vector(k, 1)],
-                provenance=("trunc", k), validated=True)
-    validate(a)
-    return a
+    return Algebra(k, DictSC(table), unit_vector(k, 0), labels=labels,
+                   serre=None, field_order=1, gens=[unit_vector(k, 1)],
+                   provenance=("trunc", k))
 
 
 def field_algebra() -> Algebra:

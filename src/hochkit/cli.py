@@ -1,6 +1,6 @@
 """Command-line surface.
 
-    hochkit hh <algebra> --max-degree N [--cohomology] [--unnormalized]
+    hochkit hh <algebra> --max-degree N [--size-guard N] [--cohomology] [--unnormalized]
     hochkit center <algebra>
     hochkit validate <algebra>
     hochkit chern <algebra> <module>
@@ -47,7 +47,7 @@ from .mukai import (
     CheckReport, MukaiClass, adjointness_check, cardy_check, chern,
     chern_commutation_check, functoriality_check, generalized_trace,
     hochschild_trace, hrr_check, iota_solve, morita_isometry_check,
-    assemble_split_map, serre_trace, trace_triangle_check,
+    assemble_split_map, mukai_pairing, serre_trace, trace_triangle_check,
 )
 from .scalars import ZERO, cyc, format_scalar, parse_scalar
 from .specfiles import load_algebra_text, parse_module_file
@@ -138,17 +138,13 @@ class Report:
 # --- input resolution -----------------------------------------------------------
 
 def load_algebra(name: str) -> Algebra:
-    if os.path.isfile(name):
-        a = load_algebra_text(name)
-        validate(a)
-        return a
+    if os.path.isfile(name):  # file algebras are validated as they are built
+        return load_algebra_text(name)
     fixtures_dir = os.environ.get("HOCHKIT_FIXTURES")
     if fixtures_dir:
         candidate = os.path.join(fixtures_dir, f"{name}.alg")
         if os.path.isfile(candidate):
-            a = load_algebra_text(candidate)
-            validate(a)
-            return a
+            return load_algebra_text(candidate)
     return fixtures.algebra_fixture(name)
 
 
@@ -478,10 +474,8 @@ def _cmd_pairing(args, report: Report) -> int:
     a = load_algebra(args.algebra)
     v = _parse_central(a, args.z1)
     w = _parse_central(a, args.z2)
-    from .mukai import pairing_report
-    pr = pairing_report(v, w)
-    report.line(f"<{args.z1}, {args.z2}> = {format_scalar(pr.value)}  "
-                f"[{pr.method}]")
+    report.line(f"<{args.z1}, {args.z2}> = {format_scalar(mukai_pairing(v, w))}  "
+                "[trace-of-central-product]")
     return 0
 
 
@@ -539,8 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "machine"), default="table")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--size-guard", type=int, default=200_000)
-    common.add_argument("--max-degree", type=int, default=None)
     parser = argparse.ArgumentParser(
         prog="hochkit",
         description="exact Hochschild structure computations on "
@@ -558,6 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hh", parents=[common],
                        help="hochschild (co)homology dimensions")
     p.add_argument("algebra")
+    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--size-guard", type=int, default=200_000)
     p.add_argument("--cohomology", action="store_true")
     p.add_argument("--unnormalized", action="store_true")
     p.set_defaults(fn=_cmd_hh)
@@ -623,7 +617,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     output = report.render_machine() if args.format == "machine" else report.render_table()
     if output:
-        print(output)
+        try:
+            print(output)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left; send the rest, and the flush at exit, nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if code != 0:
         return code
     return 0 if report.ok else 1

@@ -20,7 +20,7 @@ class AlgebraDefect(HochkitError):
 
 class NotAssociative(AlgebraDefect):
     def __init__(self, i: int, j: int, k: int):
-        super().__init__(f"associativity fails on basis triple ({i}, {j}, {k})")
+        super().__init__(f"associativity fails on (generator {i}, basis {j}, basis {k})")
         self.triple = (i, j, k)
 
 

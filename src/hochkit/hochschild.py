@@ -426,7 +426,7 @@ def class_difference_is_boundary(x: Chain, y: Chain) -> bool:
     if not any(diff):
         return True
     b = _unnormalized_chain_map(x.algebra, x.degree + 1)
-    return solve(b, diff) is not None
+    return solve(b, SparseMatrix.from_columns([diff], b.rows)) is not None
 
 
 def cochain_difference_is_coboundary(x: Cochain, y: Cochain) -> bool:
@@ -436,4 +436,4 @@ def cochain_difference_is_coboundary(x: Cochain, y: Cochain) -> bool:
     if x.degree == 0:
         return False  # no (-1)-cochains
     delta = _unnormalized_cochain_map(x.algebra, x.degree - 1)
-    return solve(delta, diff) is not None
+    return solve(delta, SparseMatrix.from_columns([diff], delta.rows)) is not None

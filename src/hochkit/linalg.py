@@ -7,8 +7,8 @@ are all rational holds integer rows over one positive common denominator
 rows and `den` is None.  Equal matrices therefore have equal rows, and
 every operation (`+`, `scale`, `*`, `kron`, `transpose` and the
 eliminations) runs on the stored rows.  Scalars and vectors leave this
-module as CycScalars: `entry`, `entries`, `row_vector`, `apply`, `trace`,
-`Subspace.basis` and `solve`'s answer.
+module as CycScalars: `entry`, `entries`, `row_vector`, `apply`, `trace` and
+`Subspace.basis`; `solve` answers with a matrix, a column per right-hand side.
 
 Rank, nullspace, solving and cokernel computations all run Gaussian
 elimination on sparse dict rows with a fill-minimizing pivot rule (fewest
@@ -358,7 +358,7 @@ def _eliminate(data: list[dict], cols: int, integral: bool, reduced: bool = Fals
     Returns pivots as (row_index, col) pairs sorted by column.  With
     `reduced`, pivot rows are cleared above as well, and over Q(zeta_n),
     n > 1, normalized to pivot 1.  Columns >= pivot_limit are never chosen
-    as pivots (used by `solve` to protect the augmented column); rows
+    as pivots (used by `solve` to protect the augmented columns); rows
     supported only there are left alone.
 
     Pivot positions need not be at leading columns, so the result is an
@@ -602,25 +602,25 @@ def nullspace(m: SparseMatrix) -> Subspace:
     return Subspace(m.cols, _dense_rows(reduced, m.cols, integral), _canonical=True)
 
 
-def solve(m: SparseMatrix, b: Vector) -> Vector | None:
-    """Some x with m.apply(x) = b, or None when the system is inconsistent."""
-    if len(b) != m.rows:
-        raise ShapeMismatch(f"{m.rows}x{m.cols} system with a right-hand side of length {len(b)}")
-    left, right, den = _common(m, SparseMatrix.from_columns([b], m.rows))
+def solve(m: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:
+    """Some X with m * X = b, from one elimination of [m | b] with b's columns
+    at m.cols + j, never pivots; None when a column of b is inconsistent."""
+    if b.rows != m.rows:
+        raise ShapeMismatch(f"{m.rows}x{m.cols} system with {b.rows}x{b.cols} right-hand sides")
+    left, right, den = _common(m, b)
     integral = den is not None
-    aug = m.cols  # augmented column index, protected from pivoting
-    data = [{**row, aug: rb[0]} if rb else dict(row) for row, rb in zip(left, right)]
-    pivots = _eliminate(data, m.cols + 1, integral, reduced=True, pivot_limit=m.cols)
+    n = m.cols
+    data = [{**row, **{n + j: v for j, v in rb.items()}} for row, rb in zip(left, right)]
+    pivots = _eliminate(data, n + b.cols, integral, reduced=True, pivot_limit=n)
     pivot_rows = {r for r, _ in pivots}
-    for r, row in enumerate(data):
-        if r not in pivot_rows and aug in row:
-            return None  # a residual equation 0 = nonzero
-    x = [ZERO] * m.cols
-    for r, c in pivots:
-        v = data[r].get(aug)
-        if v:
-            x[c] = _scalar(v, data[r][c]) if integral else v
-    return tuple(x)
+    if any(row for r, row in enumerate(data) if r not in pivot_rows):
+        return None  # a residual equation 0 = nonzero
+    x: list[dict] = [dict() for _ in range(n)]
+    den = lcm(1, *(data[r][c] for r, c in pivots)) if integral else None
+    for r, c in pivots:  # x[c] = row[n + j] / row[c], and row[c] is 1 off the integers
+        scale = den // data[r][c] if integral else 1
+        x[c] = {j - n: v if scale == 1 else scale * v for j, v in data[r].items() if j >= n}
+    return SparseMatrix._of(n, b.cols, x, den)
 
 
 def cokernel_projector(m: SparseMatrix) -> tuple[tuple[int, ...], SparseMatrix]:

@@ -431,12 +431,10 @@ def check_maxdeg(maxdeg: int, degree_cap: int):
             f"degree {maxdeg} exceeds the configured cap {degree_cap}")
 
 
-def ext_dims(m: ModuleRep, n: ModuleRep, maxdeg: int,
-             max_coordinates: int = MAX_COORDINATES,
-             degree_cap: int = MAX_EXT_DEGREE) -> list[int]:
+def ext_dims(m: ModuleRep, n: ModuleRep, maxdeg: int) -> list[int]:
     """dim Ext^i(M, N) for 0 <= i <= maxdeg, from the reduced bar resolution
     of M; degree 0 always agrees with hom_space."""
-    check_maxdeg(maxdeg, degree_cap)
+    check_maxdeg(maxdeg, MAX_EXT_DEGREE)
     if m.algebra != n.algebra:
         raise AlgebraMismatch("ext needs modules over the same algebra")
     a = m.algebra
@@ -446,7 +444,7 @@ def ext_dims(m: ModuleRep, n: ModuleRep, maxdeg: int,
     dims = []
     for p in range(maxdeg + 2):
         size = (dbar ** p) * m.dim * n.dim
-        if size > max_coordinates:
+        if size > MAX_COORDINATES:
             raise DegreeCapExceeded(
                 f"cochain space at degree {p} has {size} coordinates")
         dims.append(size)

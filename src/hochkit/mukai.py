@@ -2,11 +2,11 @@
 maps, and the identity verifiers built from them.
 
 The three transfer maps of a kernel (pushforward on HH_0, its adjoint, and
-the transport on HH^0) are linear.  Each is computed once per kernel, as the
-images of a center basis, from one pass over the kernel applied to each
-simple, and cached on the kernel.  An input class is read in coordinates at
-the pivots of the reduced echelon center basis and mapped by combining the
-images; `_solve_central` is the one place a central system is solved.
+the transport on HH^0) are linear.  Each is cached on the kernel as one
+matrix, the images of a center basis (from one pass over the kernel applied
+to each simple) times the map reading coordinates at the basis pivots, and
+applied to an input class.  `_solve_central` is the one place a central
+system is solved, in one elimination for all of its right-hand sides.
 
 Normalization, fixed throughout: the trace on End(M) is the ordinary
 matrix trace, and the trace on bimodule endomorphisms (central elements)
@@ -25,7 +25,7 @@ the module's dimension.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .algebra import (
     Algebra, CentralElement, center_basis, matrix_algebra, regular_trace, tensor,
@@ -252,45 +252,39 @@ def pairing_gram(a: Algebra) -> SparseMatrix:
     return a._center_gram
 
 
-def _combine(a: Algebra, x: Sequence[CycScalar], images: Sequence[Vector]) -> MukaiClass:
-    """The class sum_i x_i images_i over `a`."""
-    coords = [ZERO] * a.dim
-    for c, image in zip(x, images):
-        if c:
-            coords = [acc + c * v for acc, v in zip(coords, image)]
-    return MukaiClass(a, tuple(coords), _checked=True)
+def _classes(a: Algebra, m: SparseMatrix) -> list[MukaiClass]:
+    """The columns of m as classes over `a`."""
+    t = m.transpose()
+    return [MukaiClass(a, t.row_vector(j), _checked=True) for j in range(t.rows)]
 
 
-def _solve_central(a: Algebra, system: SparseMatrix, rhs_columns: Sequence[Vector],
-                   why: str) -> list[MukaiClass]:
-    """For each right-hand side b, the central element sum_i x_i z_i with
-    system x = b, where z_i is center_basis(a).  Raises SingularGram(why)
-    unless the system fixes every answer."""
-    basis = [z.coords for z in center_basis(a)]
-    if rank(system) < len(basis):
+def _solve_central(a: Algebra, system: SparseMatrix, rhs: SparseMatrix,
+                   why: str) -> SparseMatrix:
+    """Z_a X with system X = rhs, where Z_a holds center_basis(a) as columns.
+    Raises SingularGram(why) unless the system fixes every answer."""
+    basis = SparseMatrix.from_columns([z.coords for z in center_basis(a)], a.dim)
+    if rank(system) < basis.cols:
         raise SingularGram(why)
-    out = []
-    for rhs in rhs_columns:
-        x = solve(system, tuple(rhs))
-        if x is None:
-            raise SingularGram(why)
-        out.append(_combine(a, x, basis))
-    return out
+    x = solve(system, rhs)
+    if x is None:
+        raise SingularGram(why)
+    return basis * x
 
 
-def _center_coords(a: Algebra, coords: Vector) -> Vector:
-    """Coordinates of a central element in center_basis(a): its entries at
-    the pivots of that reduced echelon basis."""
-    return tuple(coords[next(i for i, c in enumerate(z.coords) if c)]
-                 for z in center_basis(a))
+def _center_coords(a: Algebra) -> SparseMatrix:
+    """The |Z_a| x a.dim map reading a central element's coordinates in
+    center_basis(a): its entries at the pivots of that reduced echelon basis."""
+    pivots = [next(i for i, c in enumerate(z.coords) if c) for z in center_basis(a)]
+    return SparseMatrix(len(pivots), a.dim, {(i, p): 1 for i, p in enumerate(pivots)})
 
 
 def _solve_against_center(a: Algebra, rhs_of: Callable[[CentralElement], CycScalar]) -> MukaiClass:
     """The unique central z with hochschild_trace(z * f) = rhs(f) for every
     central f, via the Gram system of the pairing on the center."""
     rhs = [rhs_of(f) for f in center_basis(a)]
-    return _solve_central(a, pairing_gram(a), [rhs],
-                          "trace pairing on the center is singular here")[0]
+    z = _solve_central(a, pairing_gram(a), SparseMatrix.from_columns([rhs], len(rhs)),
+                       "trace pairing on the center is singular here")
+    return _classes(a, z)[0]
 
 
 def iota_solve(m: ModuleRep, e: SparseMatrix) -> MukaiClass:
@@ -329,30 +323,6 @@ def mukai_pairing(v: MukaiClass, w: MukaiClass) -> CycScalar:
     if v.algebra != w.algebra:
         raise AlgebraMismatch("pairing needs classes over the same algebra")
     return hochschild_trace(v.algebra, v.algebra.mul(_tau(v).coords, w.coords))
-
-
-class PairingReport:
-    """A pairing evaluation with enough context to recompute it: the value is
-    always the trace of the central product of the two classes."""
-
-    __slots__ = ("left", "right", "value", "method")
-
-    def __init__(self, left: MukaiClass, right: MukaiClass, value: CycScalar,
-                 method: str):
-        assert value == hochschild_trace(left.algebra,
-                                         left.algebra.mul(left.coords, right.coords))
-        self.left = left
-        self.right = right
-        self.value = value
-        self.method = method
-
-    def __repr__(self):
-        return f"PairingReport({format_scalar(self.value)} via {self.method})"
-
-
-def pairing_report(v: MukaiClass, w: MukaiClass,
-                   method: str = "trace-of-central-product") -> PairingReport:
-    return PairingReport(v, w, mukai_pairing(v, w), method)
 
 
 def euler_pairing(m: ModuleRep, n: ModuleRep) -> int:
@@ -434,10 +404,10 @@ def adjoint_transfer(k: Bimodule, nu: MukaiClass) -> MukaiClass:
                 k_mu = applied.map_morphism(mu)
                 rows.append([(act * mu).trace() for act in on_s])
                 rhs.append([(act * k_mu).trace() for act in on_ks])
-        k._transfer["adjoint"] = [z.coords for z in _solve_central(
-            a, SparseMatrix.from_dense(rows), list(zip(*rhs)),
-            "character system of the simples does not determine z")]
-    return _combine(a, _center_coords(b, nu.coords), k._transfer["adjoint"])
+        images = _solve_central(a, SparseMatrix.from_dense(rows), SparseMatrix.from_dense(rhs),
+                                "character system of the simples does not determine z")
+        k._transfer["adjoint"] = images * _center_coords(b)
+    return MukaiClass(a, k._transfer["adjoint"].apply(nu.coords), _checked=True)
 
 
 def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
@@ -460,24 +430,26 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
         zbasis = center_basis(a)
         # route A
         system = SparseMatrix.from_columns([chern(s).coords for s in simples_of(a)], a.dim)
-        expansions = [solve(system, z.coords) for z in zbasis]
-        if None in expansions:
+        expansions = solve(system, SparseMatrix.from_columns([z.coords for z in zbasis], a.dim))
+        if expansions is None:
             raise SingularGram("simples' Chern characters do not span the center")
-        pushed = [chern(applied.module).coords for _, applied in _applied_simples(k)]
-        route_a = [_combine(b, x, pushed) for x in expansions]
+        pushed = SparseMatrix.from_columns(
+            [chern(applied.module).coords for _, applied in _applied_simples(k)], b.dim)
+        route_a = pushed * expansions
         # route B
         pulled = [adjoint_transfer(k, MukaiClass(b, z.coords, _checked=True))
                   for z in center_basis(b)]
-        rhs = [[hochschild_trace(a, a.mul(p.coords, z.coords)) for p in pulled]
-               for z in zbasis]
-        route_b = _solve_central(b, pairing_gram(b), rhs,
+        rhs = [[hochschild_trace(a, a.mul(p.coords, z.coords)) for z in zbasis]
+               for p in pulled]
+        route_b = _solve_central(b, pairing_gram(b), SparseMatrix.from_dense(rhs),
                                  "pairing on the target center is singular")
-        for image_a, image_b in zip(route_a, route_b):
-            if image_a != image_b:
-                raise RoutesDisagree(
-                    f"pushforward routes disagree: {image_a!r} vs {image_b!r}")
-        k._transfer["pushforward"] = [image.coords for image in route_a]
-    return _combine(b, _center_coords(a, v.coords), k._transfer["pushforward"])
+        if route_a != route_b:
+            for image_a, image_b in zip(_classes(b, route_a), _classes(b, route_b)):
+                if image_a != image_b:
+                    raise RoutesDisagree(
+                        f"pushforward routes disagree: {image_a!r} vs {image_b!r}")
+        k._transfer["pushforward"] = route_a * _center_coords(a)
+    return MukaiClass(b, k._transfer["pushforward"].apply(v.coords), _checked=True)
 
 
 def adjointness_check(k: Bimodule) -> CheckReport:
@@ -547,10 +519,10 @@ def cohomology_transport(k: Bimodule, nu: MukaiClass) -> MukaiClass:
             # the scalar by which each source basis vector acts on S
             omegas = [s.act(z.coords).trace() / cyc(s.dim) for z in sources]
             rhs.append([omega * cyc(applied.module.dim) for omega in omegas])
-        k._transfer["transport"] = [z.coords for z in _solve_central(
-            b, SparseMatrix.from_dense(rows), list(zip(*rhs)),
-            "kernel images do not determine the transported element")]
-    return _combine(b, _center_coords(a, nu.coords), k._transfer["transport"])
+        images = _solve_central(b, SparseMatrix.from_dense(rows), SparseMatrix.from_dense(rhs),
+                                "kernel images do not determine the transported element")
+        k._transfer["transport"] = images * _center_coords(a)
+    return MukaiClass(b, k._transfer["transport"].apply(nu.coords), _checked=True)
 
 
 def morita_isometry_check(a: Algebra, n: int,

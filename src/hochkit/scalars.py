@@ -406,6 +406,9 @@ def _format_q(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+MAX_PARSED_ORDER = 1024  # the largest order a parsed scalar may reach
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -413,6 +416,10 @@ class _Tokens:
 
     def error(self, msg: str):
         raise ParseError(msg, line=1, col=self.pos + 1)
+
+    def bound_order(self, n: int):
+        if n > MAX_PARSED_ORDER:
+            self.error(f"a scalar of order {n} is above the bound {MAX_PARSED_ORDER}")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -438,6 +445,9 @@ class _Tokens:
 
 
 def parse_scalar(text: str) -> CycScalar:
+    """Parse scalar syntax such as `1/2 + 1/2*z3^1`.  No literal z<n>, and no
+    sum, difference or product, may reach an order above MAX_PARSED_ORDER:
+    order n builds tables of about n * phi(n) entries."""
     toks = _Tokens(text)
     value = _parse_sum(toks)
     toks.skip_ws()
@@ -451,6 +461,7 @@ def _parse_sum(toks: _Tokens) -> CycScalar:
     while toks.peek() in ("+", "-"):
         op = toks.take()
         rhs = _parse_term(toks)
+        toks.bound_order(lcm(value.order, rhs.order))
         value = value + rhs if op == "+" else value - rhs
     return value
 
@@ -459,7 +470,9 @@ def _parse_term(toks: _Tokens) -> CycScalar:
     value = _parse_factor(toks)
     while toks.peek() == "*":
         toks.take()
-        value = value * _parse_factor(toks)
+        rhs = _parse_factor(toks)
+        toks.bound_order(lcm(value.order, rhs.order))
+        value = value * rhs
     return value
 
 
@@ -485,6 +498,7 @@ def _parse_atom(toks: _Tokens) -> CycScalar:
         n = toks.int_()
         if n < 1:
             toks.error("root order must be positive")
+        toks.bound_order(n)
         k = 1
         if toks.peek() == "^":
             toks.take()

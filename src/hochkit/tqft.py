@@ -278,8 +278,7 @@ def trivial_representation(a: Algebra) -> ModuleRep:
     return ModuleRep(a, 1, [one] * a.dim, name="triv", check=True)
 
 
-def evaluate(a: Algebra, word: CobordismWord,
-             augmentation: Optional[ModuleRep] = None) -> SurfaceInvariant:
+def evaluate(a: Algebra, word: CobordismWord) -> SurfaceInvariant:
     """Convolve the generator kernels left to right; the closed word ends as
     a kernel field -> field whose dimension is the invariant."""
     # the elementary kernel on c + p circles has dimension d^(c + p - 1) and
@@ -290,9 +289,7 @@ def evaluate(a: Algebra, word: CobordismWord,
             raise DegreeCapExceeded(
                 f"step {i} ({gen} at arity {arity}) needs a kernel of dimension {size} "
                 f"over {a!r}, above the size guard {MAX_COORDINATES}")
-    if augmentation is None:
-        augmentation = trivial_representation(a)
-    gens = GeneratorKernels(a, augmentation)
+    gens = GeneratorKernels(a, trivial_representation(a))
     total = None
     for (gen, pos), arity in zip(word.steps, word.arities):
         step = gens.step_kernel(gen, pos, arity)

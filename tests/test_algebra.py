@@ -10,7 +10,7 @@ from hochkit.algebra import (
     group_algebra, matrix_algebra, opposite, regular_trace, tensor,
     truncated_poly, validate,
 )
-from hochkit.errors import NotAGroup, NotAssociative, UnitLawFails
+from hochkit.errors import AlgebraDefect, NotAGroup, NotAssociative, UnitLawFails
 from hochkit.fixtures import algebra_fixture, cyclic_group
 from hochkit.linalg import unit_vector, vec
 from hochkit.scalars import ONE, ZERO, cyc
@@ -104,6 +104,19 @@ def test_validate_not_associative():
     with pytest.raises(NotAssociative) as exc:
         Algebra(3, sc4, unit_vector(3, 0), provenance=("custom",))
     assert len(exc.value.triple) == 3
+
+
+def test_validate_catches_non_associativity_off_the_generator_triples():
+    # unit e0, x = e1, y = e2; x kills x and y, y y = x and y x = y, so
+    # (y y) y = 0 but y (y y) = y, while every triple led by x associates
+    sc = DictSC({(0, 0): {0: ONE}, (0, 1): {1: ONE}, (0, 2): {2: ONE}, (1, 0): {1: ONE},
+                 (2, 0): {2: ONE}, (2, 1): {2: ONE}, (2, 2): {1: ONE}})
+    x, y = unit_vector(3, 1), unit_vector(3, 2)
+    with pytest.raises(AlgebraDefect, match="span 2 of 3"):  # words in x alone
+        Algebra(3, sc, unit_vector(3, 0), gens=[x])
+    with pytest.raises(NotAssociative, match="generator 1") as exc:
+        Algebra(3, sc, unit_vector(3, 0), gens=[x, y])
+    assert exc.value.triple[0] == 1
 
 
 def test_matrix_algebra():

@@ -114,6 +114,23 @@ def test_load_algebra_from_file(tmp_path):
     assert a.dim == 2
 
 
+def test_load_algebra_validates_a_file_algebra_once(tmp_path, monkeypatch):
+    import hochkit.algebra
+    import hochkit.cli
+    real, calls = hochkit.algebra.validate, []
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(hochkit.algebra, "validate", counted)
+    monkeypatch.setattr(hochkit.cli, "validate", counted)
+    path = tmp_path / "z2.alg"
+    path.write_text(Z2_ALGEBRA_TEXT)
+    load_algebra(str(path))
+    assert len(calls) == 1
+
+
 def test_load_algebra_fixture_dir_override(tmp_path, monkeypatch):
     (tmp_path / "mything.alg").write_text(Z2_ALGEBRA_TEXT)
     monkeypatch.setenv("HOCHKIT_FIXTURES", str(tmp_path))
@@ -302,6 +319,46 @@ def test_cli_verify_cardy_fixture_filter(capsys):
 def test_cli_bad_degree_or_morita_size_is_usage_error(argv, capsys):
     assert run(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_degree_options_belong_to_hh(capsys):
+    assert run(["chern", "s3", "triv", "--max-degree", "3"]) == 2
+    assert run(["tqft", "s3", "--genus", "1", "--size-guard", "10"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("literal", ["[z100003,0]", "[z1021*z1019,0]"])
+def test_scalar_order_is_bounded_before_it_allocates(literal):
+    # unbounded, order n builds residue tables of about n * phi(n) entries:
+    # gigabytes here, though each factor of the product is small; the address
+    # space limit and the timeout fail the test instead of the host
+    env = dict(os.environ, PYTHONPATH=str(Path(hochkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "hochkit", "pairing", "zn:2", literal, "[1,0]"],
+                          capture_output=True, text=True, env=env, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "above the bound 1024" in proc.stderr
+
+
+def test_closed_stdout_is_not_a_traceback():
+    # a reader such as `head -c 10` may close the pipe before the report is printed
+    env = dict(os.environ, PYTHONPATH=str(Path(hochkit.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "hochkit", "verify", "traces",
+                             "--format", "machine"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code == 0 and "Traceback" not in err, err
 
 
 def test_cli_morita_size_guard_survives_optimize():

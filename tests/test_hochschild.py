@@ -569,3 +569,27 @@ def test_benchmark_tracer_still_wraps_the_bar_complexes():
     coords, assembly, dd_check, ranks, products = map(int, proc.stdout.split())
     assert coords > 0 and assembly > 0 and dd_check > 0
     assert ranks > 0 and products > 0
+
+
+TRANSFER_TRACER_SCRIPT = """
+import tracer
+import hochkit.mukai as mukai
+from hochkit.fixtures import algebra_fixture
+from hochkit.modules import outer_kernel, simples_of
+
+z3, z4 = algebra_fixture("zn:3"), algebra_fixture("zn:4")
+k = outer_kernel(simples_of(z3)[1].dual(), simples_of(z4)[3], z3)  # over Q(zeta_12)
+t = tracer.install()
+t.active = True
+mukai.pushforward(k, mukai.MukaiClass(z3, z3.unit, _checked=True))
+print(t.calls["linalg.solve"], t.calls["mukai.pushforward"], t.calls["mukai.chern"],
+      t.sums["scalars.descent.calls"])
+"""
+
+
+def test_benchmark_tracer_still_wraps_the_transfer_maps():
+    # the transfer workload's per-layer rows come from these spans and counters
+    proc = _run_python(TRANSFER_TRACER_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    solves, pushforwards, cherns, descents = map(int, proc.stdout.split())
+    assert solves > 0 and pushforwards > 0 and cherns > 0 and descents > 0

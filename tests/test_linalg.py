@@ -108,12 +108,12 @@ def test_rank_nullity():
 
 
 def test_solve_identity():
-    b = vec([2, Fraction(1, 3), -1])
+    b = SparseMatrix.from_columns([vec([2, Fraction(1, 3), -1])], 3)
     assert solve(SparseMatrix.identity(3), b) == b
 
 
 def test_solve_inconsistent():
-    assert solve(SparseMatrix.zero(2, 3), vec([1, 0])) is None
+    assert solve(SparseMatrix.zero(2, 3), SparseMatrix.from_columns([vec([1, 0])], 2)) is None
 
 
 def test_solve_substitute_back():
@@ -121,10 +121,10 @@ def test_solve_substitute_back():
     for _ in range(8):
         m = random_matrix(rng, 5, 7, density=0.4, order=4)
         x0 = vec([rng.randint(-3, 3) for _ in range(7)])
-        b = m.apply(x0)
+        b = SparseMatrix.from_columns([m.apply(x0)], 5)
         x = solve(m, b)
         assert x is not None
-        assert m.apply(x) == b
+        assert m * x == b
 
 
 def test_kron_identities():
@@ -319,9 +319,9 @@ def test_mixed_field_orders_under_elimination():
         for v in ns.basis:
             assert all(not x for x in m.apply(v))
         x0 = vec([rng.randint(-2, 2) for _ in range(6)])
-        b = m.apply(x0)
+        b = SparseMatrix.from_columns([m.apply(x0)], 5)
         x = solve(m, b)
-        assert x is not None and m.apply(x) == b
+        assert x is not None and m * x == b
 
 
 # --- the stored representation against a dense CycScalar oracle -------------
@@ -499,14 +499,52 @@ def test_operations_match_dense_oracle():
         assert cokernel_projector(a) == (free, SparseMatrix(len(free), rows, entries))
         x0 = tuple(_random_scalar(rng, rng.choice(["q", field])) for _ in range(cols))
         for b_vec in (a.apply(x0), tuple(_random_scalar(rng, other) for _ in range(rows))):
-            x = solve(a, b_vec)
+            b = SparseMatrix.from_columns([b_vec], rows)
+            x = solve(a, b)
             consistent = len(_gauss_jordan([row + [y] for row, y in zip(ta, b_vec)],
                                            cols + 1)) == len(reduced)
             assert (x is not None) == consistent
             solved.add(consistent)
             if x is not None:
-                assert a.apply(x) == b_vec
+                assert a * x == b
     assert cancelled > 0 and solved == {True, False}
+
+
+def test_block_solve_matches_per_column_oracle():
+    """One elimination of [m | B] against dense Gauss-Jordan on each column
+    of B, over Q and over mixed Q(zeta_8)/Q(zeta_12)."""
+    rng = random.Random(71)
+    seen = set()
+    for trial in range(80):
+        field = ("q", "mixed")[trial % 2]
+        rows, cols, k = rng.randint(0, 5), rng.randint(1, 5), rng.randint(0, 4)
+        ta = _random_table(rng, rows, cols, field)
+        m = SparseMatrix(rows, cols, _nonzero(ta))
+        columns = _transposed(_d_mul(ta, _random_table(rng, cols, k, field), cols, k), k)
+        if k > 1 and trial % 3:  # a later column, most often outside the column space
+            columns[rng.randrange(1, k)] = [_random_scalar(rng, field) for _ in range(rows)]
+        b = SparseMatrix.from_columns([tuple(col) for col in columns], rows)
+        x = solve(m, b)
+        rank_m = len(_gauss_jordan(ta, cols))
+        per_column = [_gauss_jordan([row + [y] for row, y in zip(ta, col)], cols + 1)
+                      for col in columns]
+        consistent = [len(reduced) == rank_m for reduced in per_column]
+        assert (x is None) == (not all(consistent))
+        if k == 0:
+            seen.add("no columns")
+        if any(not any(row) for row in ta):
+            seen.add("zero row")
+        if consistent[:1] == [True] and not all(consistent):
+            seen.add("later column")
+        if x is None:
+            continue
+        assert (x.rows, x.cols) == (cols, k)
+        assert m * x == b
+        if rank_m == cols:  # the solution is unique: each column's last entries
+            seen.update({"unique"} if k else ())
+            assert _table(x) == _transposed([[row[-1] for row in reduced]
+                                             for reduced in per_column], cols)
+    assert seen == {"no columns", "zero row", "later column", "unique"}
 
 
 def test_constructor_sums_repeated_positions():
@@ -547,7 +585,7 @@ cases = {
     "trace": lambda: m.trace(),
     "Subspace": lambda: Subspace(3, [vec([1, 2])]),
     "contains": lambda: plane.contains(vec([1])),
-    "solve": lambda: solve(m, vec([1, 2, 3])),
+    "solve": lambda: solve(m, SparseMatrix.from_dense([[1], [2], [3]])),
 }
 for name, call in cases.items():
     try:
