@@ -1,7 +1,9 @@
 """Fixed-seed machine output stays byte-identical to the files in golden/.
 
-The files were written by the commands below before rational matrices were
-stored as integer rows; a change that alters any byte of them fails here.
+The first three files were written by their commands before rational
+matrices were stored as integer rows; the chern, iota and pushforward files
+were written before Chern classes were solved through the dual basis of the
+pairing.  A change that alters any byte of them fails here.
 """
 
 from pathlib import Path
@@ -16,6 +18,12 @@ COMMANDS = {
     "hh_s3.txt": ["hh", "s3", "--max-degree", "3", "--format", "machine"],
     "hh_dual.txt": ["hh", "dual", "--max-degree", "4", "--cohomology", "--unnormalized",
                     "--format", "machine"],
+    "chern_a4.txt": ["chern", "a4", "std", "--format", "machine"],
+    "iota_q8.txt": ["iota", "q8", "std", "--format", "machine"],
+    "pushforward_outer.txt": ["pushforward", "outer(zn:3#chi1,zn:4#chi3)", "ch:chi1",
+                              "--format", "machine"],
+    "pushforward_morita_s3.txt": ["pushforward", "morita:s3:2", "ch:std",
+                                  "--format", "machine"],
 }
 
 
