@@ -123,7 +123,7 @@ class Algebra:
         self._right_mult: dict[int, SparseMatrix] = {}
         self._unit_split = None  # set by modules.a_unit_split
         self._center: Optional[tuple] = None  # set by center_basis
-        self._center_gram = None  # set by mukai.pairing_gram
+        self._pairing_dual = None  # set by mukai._dual_basis
         if not validated:
             validate(self)
 

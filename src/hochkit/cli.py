@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from . import fixtures
 from .algebra import Algebra, center_basis, validate
-from .errors import HochkitError, ParseError, RoutesDisagree
+from .errors import AlgebraMismatch, HochkitError, ParseError, RoutesDisagree
 from .hochschild import hh_cohomology_dims, hh_homology_dims
 from .linalg import SparseMatrix
 from .modules import (
@@ -428,9 +428,12 @@ def _cmd_hh(args, report: Report) -> int:
 
 
 def _cmd_chern(args, report: Report) -> int:
-    a, m = load_module(f"{args.algebra}#{args.module}"
-                       if "#" not in args.module and not os.path.isfile(args.module)
-                       else args.module)
+    if "#" in args.module or os.path.isfile(args.module):
+        a, m = load_module(args.module)
+        if a != load_algebra(args.algebra):
+            raise AlgebraMismatch(f"module {args.module!r} is not over {args.algebra}")
+    else:
+        a, m = load_module(f"{args.algebra}#{args.module}")
     ch = chern(m)
     report.line(f"ch({m.name}) = [" +
                 ", ".join(format_scalar(c) for c in ch.coords) + "]")

@@ -28,14 +28,14 @@ anything beyond as incomplete rather than guessing.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .algebra import Algebra, center_basis, commutator_subspace
 from .errors import (
     AlgebraMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle,
     ShapeMismatch,
 )
-from .linalg import SparseMatrix, Vector, cokernel_projector, rank, solve, unit_vector
+from .linalg import SparseMatrix, Vector, rank, solve, unit_vector
 from .modules import a_unit_split, check_maxdeg
 from .scalars import CycScalar, ONE, ZERO
 
@@ -102,17 +102,14 @@ class ChainComplex:
 
 
 class HHResult:
-    """Dimensions of HH_* or HH^* through a truncation degree, plus optional
-    degree-0 representatives."""
+    """Dimensions of HH_* or HH^* through a truncation degree."""
 
-    def __init__(self, kind: str, dims: list[int], truncation: int,
-                 representatives: Optional[list[Vector]] = None):
+    def __init__(self, kind: str, dims: list[int], truncation: int):
         if kind not in ("homology", "cohomology") or any(d < 0 for d in dims):
             raise HochkitError(f"no {kind} result has dimensions {list(dims)}")
         self.kind = kind
         self.dims = list(dims)
         self.truncation = truncation
-        self.representatives = representatives
 
     def __repr__(self):
         return f"HH{'^*' if self.kind == 'cohomology' else '_*'}{self.dims}"
@@ -234,8 +231,7 @@ def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
 
 
 def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
-                     size_guard: int = MAX_CHAIN_COORDINATES,
-                     want_representatives: bool = False) -> HHResult:
+                     size_guard: int = MAX_CHAIN_COORDINATES) -> HHResult:
     """dim HH_k for 0 <= k <= maxdeg.  Degree 0 is cross-checked against the
     direct computation dim(A) - dim[A, A]."""
     check_maxdeg(maxdeg, MAX_DEGREE)
@@ -246,16 +242,11 @@ def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
     if dims[0] != direct0:
         raise HochkitError(
             f"degree-0 homology {dims[0]} disagrees with dim A/[A,A] = {direct0}")
-    reps = None
-    if want_representatives:
-        free_coords, _proj = cokernel_projector(complex_.maps[1])
-        reps = [unit_vector(complex_.dims[0], f) for f in free_coords]
-    return HHResult("homology", dims, maxdeg, representatives=reps)
+    return HHResult("homology", dims, maxdeg)
 
 
 def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
-                       size_guard: int = MAX_CHAIN_COORDINATES,
-                       want_representatives: bool = False) -> HHResult:
+                       size_guard: int = MAX_CHAIN_COORDINATES) -> HHResult:
     """dim HH^k for 0 <= k <= maxdeg.  Degree 0 is cross-checked against the
     direct center computation."""
     complex_ = bar_cochain_complex(a, maxdeg, normalized=normalized,
@@ -265,10 +256,7 @@ def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
     if dims[0] != direct0:
         raise HochkitError(
             f"degree-0 cohomology {dims[0]} disagrees with dim Z(A) = {direct0}")
-    reps = None
-    if want_representatives:
-        reps = [z.coords for z in center_basis(a)]
-    return HHResult("cohomology", dims, maxdeg, representatives=reps)
+    return HHResult("cohomology", dims, maxdeg)
 
 
 # --- cochains, cup and cap on the unnormalized complex -------------------------

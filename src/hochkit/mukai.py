@@ -6,7 +6,9 @@ the transport on HH^0) are linear.  Each is cached on the kernel as one
 matrix, the images of a center basis (from one pass over the kernel applied
 to each simple) times the map reading coordinates at the basis pivots, and
 applied to an input class.  `_solve_central` is the one place a central
-system is solved, in one elimination for all of its right-hand sides.
+system is solved, in one elimination for all of its right-hand sides; the
+pairing's Gram is one such system, solved once per algebra for its dual
+basis.
 
 Normalization, fixed throughout: the trace on End(M) is the ordinary
 matrix trace, and the trace on bimodule endomorphisms (central elements)
@@ -17,15 +19,18 @@ algebras only); `_tau` is the explicit hook where a nontrivial twist
 would act, and it is the identity here.
 
 Chern characters are never written down from idempotent formulas: they
-are solved from the defining trace property, so the Riemann-Roch and
-Cardy checks are genuine theorem tests rather than circular ones.  For an
-irreducible module the solved class is the block idempotent divided by
-the module's dimension.
+are solved from the defining trace property <ch(M), f> = tr(f on M), so
+the Riemann-Roch and Cardy checks are genuine theorem tests rather than
+circular ones.  With z^v the basis of the center dual to the center basis
+z under the pairing, ch(M) = sum_j tr(z_j on M) z_j^v, and the class of an
+endomorphism e is sum_j tr(z_j|_M o e) z_j^v.  For an irreducible module
+the solved class is the block idempotent divided by the module's
+dimension.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .algebra import (
     Algebra, CentralElement, center_basis, matrix_algebra, regular_trace, tensor,
@@ -232,7 +237,9 @@ def hochschild_trace(a: Algebra, z: Vector) -> CycScalar:
 
 # --- Chern characters and the pairing --------------------------------------------
 
-def _center_gram(a: Algebra) -> SparseMatrix:
+def pairing_gram(a: Algebra) -> SparseMatrix:
+    """Gram matrix of the pairing on the center basis; full rank exactly when
+    the pairing is nondegenerate on HH_0."""
     basis = center_basis(a)
     n = len(basis)
     entries = {}
@@ -242,14 +249,6 @@ def _center_gram(a: Algebra) -> SparseMatrix:
             if v:
                 entries[(i, j)] = v
     return SparseMatrix(n, n, entries)
-
-
-def pairing_gram(a: Algebra) -> SparseMatrix:
-    """Gram matrix of the pairing on the center basis, computed once per
-    algebra; full rank exactly when the pairing is nondegenerate on HH_0."""
-    if a._center_gram is None:
-        a._center_gram = _center_gram(a)
-    return a._center_gram
 
 
 def _classes(a: Algebra, m: SparseMatrix) -> list[MukaiClass]:
@@ -278,33 +277,43 @@ def _center_coords(a: Algebra) -> SparseMatrix:
     return SparseMatrix(len(pivots), a.dim, {(i, p): 1 for i, p in enumerate(pivots)})
 
 
-def _solve_against_center(a: Algebra, rhs_of: Callable[[CentralElement], CycScalar]) -> MukaiClass:
-    """The unique central z with hochschild_trace(z * f) = rhs(f) for every
-    central f, via the Gram system of the pairing on the center."""
-    rhs = [rhs_of(f) for f in center_basis(a)]
-    z = _solve_central(a, pairing_gram(a), SparseMatrix.from_columns([rhs], len(rhs)),
-                       "trace pairing on the center is singular here")
-    return _classes(a, z)[0]
+def _dual_basis(a: Algebra) -> SparseMatrix:
+    """D_a = Z_a G_a^-1 (a.dim x |Z_a|), solved once per algebra: column j is
+    the central z_j^v with hochschild_trace(z_j^v * z_i) = [i == j] for the
+    center basis z_i.  Raises SingularGram when the pairing is degenerate."""
+    if a._pairing_dual is None:
+        a._pairing_dual = _solve_central(a, pairing_gram(a),
+                                         SparseMatrix.identity(len(center_basis(a))),
+                                         "trace pairing on the center is singular here")
+    return a._pairing_dual
+
+
+def _from_traces(a: Algebra, traces: Vector) -> MukaiClass:
+    """The unique central z with hochschild_trace(z * z_j) = traces[j] for
+    the center basis z_j, which is sum_j traces[j] z_j^v."""
+    return MukaiClass(a, _dual_basis(a).apply(traces), _checked=True)
 
 
 def iota_solve(m: ModuleRep, e: SparseMatrix) -> MukaiClass:
     """The class of an endomorphism: the unique central z with
-    hochschild_trace(z * f) = trace(f_M o e) for every central f."""
+    hochschild_trace(z * f) = trace(f_M o e) for every central f, that is
+    sum_j tr(z_j|_M o e) z_j^v over the dual basis of the pairing."""
     a = m.algebra
     if a.serre is None:
         raise MissingSerreData("iota_solve needs Frobenius data")
     if not is_intertwiner(e, m, m):
         raise NotIntertwiner("iota_solve needs an algebra-linear endomorphism")
-    return _solve_against_center(a, lambda f: (m.act(f.coords) * e).trace())
+    return _from_traces(a, tuple((m.act(z.coords) * e).trace() for z in center_basis(a)))
 
 
 def chern(m: ModuleRep) -> MukaiClass:
     """Chern character: the class of the identity endomorphism, solved from
-    the defining property  trace_{HH}(ch(M) * f) = trace(f on M)."""
+    the defining property  trace_{HH}(ch(M) * f) = trace(f on M), that is
+    ch(M) = sum_j tr(z_j on M) z_j^v over the dual basis of the pairing."""
     a = m.algebra
     if a.serre is None:
         raise MissingSerreData("chern needs Frobenius data")
-    return _solve_against_center(a, lambda f: m.character(f.coords))
+    return _from_traces(a, tuple(m.character(z.coords) for z in center_basis(a)))
 
 
 def chern_additivity_check(m: ModuleRep, n: ModuleRep) -> CheckReport:
@@ -417,8 +426,8 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
 
     route A: expand each basis vector over the Chern characters of the
     source simples and map ch(S) to ch(K(S));
-    route B: solve the adjoint-transfer system <transfer(nu), v> = <nu, w>
-    against the center of the target.
+    route B: pair the adjoint transfer of each target basis vector nu with
+    v, which gives <nu, w>, and apply the target's dual basis.
 
     Disagreement raises RoutesDisagree: it indicates an implementation bug
     and is never swallowed.
@@ -441,8 +450,7 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
                   for z in center_basis(b)]
         rhs = [[hochschild_trace(a, a.mul(p.coords, z.coords)) for z in zbasis]
                for p in pulled]
-        route_b = _solve_central(b, pairing_gram(b), SparseMatrix.from_dense(rhs),
-                                 "pairing on the target center is singular")
+        route_b = _dual_basis(b) * SparseMatrix.from_dense(rhs)
         if route_a != route_b:
             for image_a, image_b in zip(_classes(b, route_a), _classes(b, route_b)):
                 if image_a != image_b:

@@ -189,6 +189,20 @@ def test_cli_chern_documents_idempotent_scale(capsys):
     assert "dim(M) * ch = [2/3, 0, -1/3, 0, 0, -1/3]" in out
 
 
+def test_cli_chern_refuses_a_module_over_another_algebra(tmp_path, capsys):
+    path = tmp_path / "sign.mod"
+    path.write_text(SIGN_MODULE_TEXT)  # a module over zn:2
+    for argv in (["chern", "s3", "zn:3#chi1"], ["chern", "s3", str(path)],
+                 ["chern", "zn:3", str(path)]):
+        assert run(argv + ["--format", "machine"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "is not over" in captured.err
+    assert run(["chern", "zn:2", str(path), "--format", "machine"]) == 0
+    assert '"inputs": "zn:2#sign.mod"' in capsys.readouterr().out
+    assert run(["chern", "zn:3", "zn:3#chi1"]) == 0
+
+
 def test_cli_pairing(capsys):
     code = run(["pairing", "zn:2", "[1/2,1/2]", "[1/2,-1/2]"])
     out = capsys.readouterr().out

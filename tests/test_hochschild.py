@@ -178,14 +178,6 @@ def test_negative_degree_refused(fn):
         fn(algebra_fixture("s3"), -1)
 
 
-def test_degree_zero_representatives():
-    s3 = algebra_fixture("s3")
-    h = hh_homology_dims(s3, 1, want_representatives=True)
-    assert len(h.representatives) == 3
-    c = hh_cohomology_dims(s3, 1, want_representatives=True)
-    assert len(c.representatives) == 3
-
-
 def test_complete_through():
     a = algebra_fixture("zn:2")
     down = bar_chain_complex(a, 3)

@@ -711,34 +711,103 @@ def test_center_coordinates_round_trip(name):
 
 
 def test_pairing_gram_built_once_per_algebra(monkeypatch):
+    # the Gram is built only to solve the dual basis, which is kept on the algebra
     import hochkit.mukai as mukai
-    from hochkit.mukai import morita_kernel
+    from hochkit.mukai import _dual_basis, morita_kernel
     built = []
-    real = mukai._center_gram
+    real = mukai.pairing_gram
 
     def counted(a):
         built.append(a)
         return real(a)
 
-    monkeypatch.setattr(mukai, "_center_gram", counted)
+    monkeypatch.setattr(mukai, "pairing_gram", counted)
     rng = random.Random(61)
     s3 = algebra_fixture("s3")
-    monkeypatch.setattr(s3, "_center_gram", None)  # the fixture is shared
+    monkeypatch.setattr(s3, "_pairing_dual", None)  # the fixture is shared
+    for m in simples_of(s3):
+        chern(m)
+        iota_solve(m, rand_intertwiner(rng, m))
+    assert [id(a) for a in built] == [id(s3)]
     K = morita_kernel(s3, 2)
     pushforward(K, rand_central(rng, s3))
     assert len(built) == 2
     assert {id(a) for a in built} == {id(s3), id(K.target)}
-    assert pairing_gram(s3) is pairing_gram(s3)
-    assert pairing_gram(K.target) is pairing_gram(K.target)
+    assert _dual_basis(s3) is _dual_basis(s3)
+    assert _dual_basis(K.target) is _dual_basis(K.target)
     assert len(built) == 2
 
 
 def test_pairing_gram_does_not_pin_algebra():
     import gc
     import weakref
+    from hochkit.mukai import _dual_basis
     a = algebra_fixture("mat:2")  # built fresh, unlike the group fixtures
-    assert pairing_gram(a) is pairing_gram(a)
+    assert _dual_basis(a) is _dual_basis(a)
     ref = weakref.ref(a)
     del a
     gc.collect()
     assert ref() is None
+
+
+# --- Chern classes through the dual basis of the pairing ---------------------------
+
+def _gram_solve(a, traces):
+    """The central z with hochschild_trace(z * z_j) = traces[j] for the
+    center basis z_j, solved as one column against the pairing Gram: the
+    per-module route the dual basis replaced, kept as the oracle."""
+    gram = pairing_gram(a)
+    x = _old_solve(gram, traces)
+    if x is None or rank(gram) < gram.rows:
+        raise SingularGram("trace pairing on the center is singular here")
+    return _old_combine(a, x, center_basis(a))
+
+
+def _rebased_module(ra, m):
+    """The module m of `a` as a module of _rebased(a): f_i acts as e_i + e_(i+1)."""
+    n = ra.dim
+    action = [m.act(tuple(ONE if k in (i, i + 1) else ZERO for k in range(n)))
+              for i in range(n)]
+    return ModuleRep(ra, m.dim, action, name=m.name, check=True)
+
+
+def _dual_basis_cases():
+    from hochkit.fixtures import ALL_GROUP_FIXTURES
+    cases = [(name, lambda name=name: algebra_fixture(name))
+             for name in ALL_GROUP_FIXTURES + ("mat:3", "tensor(zn:3,zn:4)")]
+
+    def rebased():
+        s3 = algebra_fixture("s3")
+        ra = _rebased(s3)
+        return ra, tuple(_rebased_module(ra, m) for m in simples_of(s3))
+
+    return cases + [("rebased s3", rebased)]
+
+
+@pytest.mark.parametrize("label,build", _dual_basis_cases(),
+                         ids=[label for label, _ in _dual_basis_cases()])
+def test_chern_and_iota_match_one_column_gram_solves(label, build):
+    rng = random.Random(67)
+    built = build()
+    a, simples = built if isinstance(built, tuple) else (built, simples_of(built))
+    modules = list(simples) + [simples[0].direct_sum(simples[-1])]
+    zs = center_basis(a)
+    for m in modules:
+        assert chern(m) == _gram_solve(a, [m.character(z.coords) for z in zs])
+        e = rand_intertwiner(rng, m)
+        assert iota_solve(m, e) == \
+            _gram_solve(a, [(m.act(z.coords) * e).trace() for z in zs])
+
+
+def test_iota_singular_gram_on_weird_input():
+    # the degenerate symmetric form of test_chern_singular_gram_on_weird_input
+    from hochkit.algebra import Algebra, DictSC, SerreData
+    from hochkit.linalg import unit_vector
+    sc = DictSC({(0, 0): {0: ONE}, (0, 1): {1: ONE},
+                 (1, 0): {1: ONE}, (1, 1): {}})
+    a = Algebra(2, sc, unit_vector(2, 0), serre=SerreData(vec([0, 1])),
+                provenance=("custom", "dual-with-form"))
+    m = ModuleRep(a, 1, [SparseMatrix.identity(1), SparseMatrix.zero(1, 1)],
+                  name="pt", check=True)
+    with pytest.raises(SingularGram):
+        iota_solve(m, SparseMatrix.identity(1))
