@@ -4,7 +4,7 @@ algebras over cyclotomic fields.
 The layers, bottom up:
 
 * scalars   - exact arithmetic in Q and Q(zeta_n)
-* linalg    - sparse rank / nullspace / solving / cokernels over Q(zeta_n)
+* linalg    - sparse rank / rref / nullspace / solving / cokernels over Q(zeta_n)
 * algebra   - unital associative algebras with optional Frobenius data
 * modules   - representations, bimodule kernels, convolution, Ext
 * hochschild- bar complexes, HH_* and HH^* dims, cup and cap products
@@ -26,7 +26,7 @@ from .hochschild import (
     hh_homology_dims,
 )
 from .linalg import (
-    SparseMatrix, Subspace, cokernel_projector, kron, nullspace, rank, solve,
+    SparseMatrix, cokernel_projector, kron, nullspace, rank, rref, solve,
 )
 from .modules import (
     Bimodule, HomBasis, ModuleRep, apply_kernel, convolve, dual_kernel,

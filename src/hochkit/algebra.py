@@ -22,9 +22,7 @@ from .errors import (
     AlgebraDefect, DegenerateFrobeniusForm, HochkitError, NotAGroup, NotAssociative,
     ShapeMismatch, UnitLawFails,
 )
-from .linalg import (
-    SparseMatrix, Subspace, Vector, nullspace, rank, rref, unit_vector, vec,
-)
+from .linalg import SparseMatrix, Vector, nullspace, rank, rref, unit_vector, vec
 from .scalars import CycScalar, ONE, ZERO
 
 SparseVec = dict[int, CycScalar]
@@ -124,6 +122,7 @@ class Algebra:
         self._unit_split = None  # set by modules.a_unit_split
         self._center: Optional[tuple] = None  # set by center_basis
         self._pairing_dual = None  # set by mukai._dual_basis
+        self._validated_on_build = not validated
         if not validated:
             validate(self)
 
@@ -254,13 +253,14 @@ def validate(a: Algebra) -> None:
         e = a.basis_vector(i)
         if a.mul(a.unit, e) != e or a.mul(e, a.unit) != e:
             raise UnitLawFails(i)
-    words = Subspace(a.dim, [a.unit])
-    while words.dim < a.dim:
-        grown = Subspace(a.dim, words.basis + tuple(a.mul(g, w) for g in a.gens
-                                                    for w in words.basis))
-        if grown.dim == words.dim:
+    words = rref(SparseMatrix.from_dense([a.unit]))
+    while words.rows < a.dim:
+        span = [words.row_vector(r) for r in range(words.rows)]
+        grown = rref(SparseMatrix.from_dense(span + [a.mul(g, w) for g in a.gens
+                                                     for w in span]))
+        if grown.rows == words.rows:
             raise AlgebraDefect(f"products of the {len(a.gens)} generators span "
-                                f"{words.dim} of {a.dim} dimensions")
+                                f"{words.rows} of {a.dim} dimensions")
         words = grown
     for i, g in enumerate(a.gens):
         for j in range(a.dim):
@@ -430,25 +430,22 @@ def center_basis(a: Algebra) -> tuple[CentralElement, ...]:
                     for k, v in a.sc.product(i, j).items():
                         yield (i * a.dim + k, j), -v
         system = SparseMatrix(a.dim * a.dim, a.dim, terms())
-        a._center = tuple(CentralElement(a, v) for v in nullspace(system).basis)
+        basis = nullspace(system)
+        a._center = tuple(CentralElement(a, basis.row_vector(r)) for r in range(basis.rows))
     return a._center
 
 
-def commutator_subspace(a: Algebra) -> Subspace:
-    """Span of all e_i e_j - e_j e_i; its codimension is dim HH_0."""
-    vectors = []
-    for i in range(a.dim):
-        for j in range(i + 1, a.dim):
-            row = dict(a.sc.product(i, j))
-            for k, v in a.sc.product(j, i).items():
-                s = row.get(k, ZERO) - v
-                if s:
-                    row[k] = s
-                elif k in row:
-                    del row[k]
-            if row:
-                vectors.append(tuple(row.get(k, ZERO) for k in range(a.dim)))
-    return rref(vectors, a.dim)
+def commutator_subspace(a: Algebra) -> SparseMatrix:
+    """Span of all e_i e_j - e_j e_i, as the rows of its canonical reduced
+    echelon basis (`rref`); its codimension is dim HH_0."""
+    def terms():  # row i * dim + j holds e_i e_j - e_j e_i, for i < j
+        for i in range(a.dim):
+            for j in range(i + 1, a.dim):
+                for k, v in a.sc.product(i, j).items():
+                    yield (i * a.dim + j, k), v
+                for k, v in a.sc.product(j, i).items():
+                    yield (i * a.dim + j, k), -v
+    return rref(SparseMatrix(a.dim * a.dim, a.dim, terms()))
 
 
 def regular_trace(a: Algebra, x: Vector) -> CycScalar:

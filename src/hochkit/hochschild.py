@@ -60,7 +60,11 @@ class ChainComplex:
         self.direction = direction
         self._rank_cache: dict[int, int] = {}
         for n, m in self.maps.items():
-            assert (m.rows, m.cols) == (self.dims[n + self.step], self.dims[n])
+            t = n + self.step  # None stands for a degree outside the complex
+            want = tuple(self.dims[k] if 0 <= k < len(self.dims) else None for k in (t, n))
+            if (m.rows, m.cols) != want:
+                raise ShapeMismatch(f"the map from degree {n} to {t} has shape "
+                                    f"{(m.rows, m.cols)}, not {want}")
         self._check_dd()
 
     def _check_dd(self):
@@ -238,7 +242,7 @@ def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
     complex_ = bar_chain_complex(a, maxdeg + 1, normalized=normalized,
                                  size_guard=size_guard)
     dims = [complex_.homology_dim(k) for k in range(maxdeg + 1)]
-    direct0 = a.dim - commutator_subspace(a).dim
+    direct0 = a.dim - commutator_subspace(a).rows
     if dims[0] != direct0:
         raise HochkitError(
             f"degree-0 homology {dims[0]} disagrees with dim A/[A,A] = {direct0}")

@@ -7,8 +7,10 @@ are all rational holds integer rows over one positive common denominator
 rows and `den` is None.  Equal matrices therefore have equal rows, and
 every operation (`+`, `scale`, `*`, `kron`, `transpose` and the
 eliminations) runs on the stored rows.  Scalars and vectors leave this
-module as CycScalars: `entry`, `entries`, `row_vector`, `apply`, `trace` and
-`Subspace.basis`; `solve` answers with a matrix, a column per right-hand side.
+module as CycScalars: `entry`, `entries`, `row_vector`, `apply` and `trace`.
+`solve` answers with a matrix, a column per right-hand side, and `rref` and
+`nullspace` with the matrix whose rows are a canonical reduced echelon
+basis at pivot 1, so that equal spans give equal matrices.
 
 Rank, nullspace, solving and cokernel computations all run Gaussian
 elimination on sparse dict rows with a fill-minimizing pivot rule (fewest
@@ -458,69 +460,16 @@ def _reduced_rows(rows: list[dict], ambient: int, integral: bool) -> list[dict]:
     return _canonical_rref([data[r] for r, _ in pivots], integral)
 
 
-def _dense_rows(rows: Sequence[dict], ambient: int, integral: bool) -> list[Vector]:
-    """Reduced rows as dense CycScalar vectors with pivot 1."""
-    out = []
-    for row in rows:
-        if integral:
-            lead = row[min(row)]
-            row = {j: _scalar(v, lead) for j, v in row.items()}
-        out.append(tuple(row.get(j, ZERO) for j in range(ambient)))
-    return out
-
-
-class Subspace:
-    """A subspace of Q(zeta)^n held as a reduced-echelon row basis.
-
-    The representation is canonical: two Subspace objects are equal exactly
-    when they describe the same subspace.
-    """
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim: int, basis: Sequence[Vector], *, _canonical=False):
-        if not _canonical:
-            for v in basis:
-                if len(v) != ambient_dim:
-                    raise ShapeMismatch(
-                        f"a vector of length {len(v)} in a subspace of dimension {ambient_dim}")
-            m = SparseMatrix(len(basis), ambient_dim, (((i, j), x) for i, v in enumerate(basis)
-                                                       for j, x in enumerate(v)))
-            integral = m.den is not None
-            reduced = _reduced_rows(_copy_rows(m), ambient_dim, integral)
-            basis = _dense_rows(reduced, ambient_dim, integral)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(basis))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def contains(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise ShapeMismatch(
-                f"a vector of length {len(v)} tested against a subspace of {self.ambient_dim}")
-        residue = list(v)
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x)
-            if residue[lead]:
-                f = residue[lead]  # pivot normalized to 1
-                residue = [a - f * b for a, b in zip(residue, row)]
-        return not any(residue)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.dim))
-
-    def __repr__(self):
-        return f"Subspace(dim {self.dim} of {self.ambient_dim})"
+def _basis_matrix(rows: list[dict], cols: int, integral: bool) -> SparseMatrix:
+    """The canonical reduced echelon basis of the span of `rows` (consumed)
+    as a matrix, one row per basis vector, each scaled to pivot 1."""
+    rows = _reduced_rows(rows, cols, integral)
+    if not integral:  # already at pivot 1
+        return SparseMatrix._of(len(rows), cols, rows, None)
+    leads = [row[min(row)] for row in rows]
+    den = lcm(1, *leads)
+    return SparseMatrix._of(len(rows), cols, [{j: v * (den // p) for j, v in row.items()}
+                                              for row, p in zip(rows, leads)], den)
 
 
 def _clear(row: dict, c: int, pivot_row: dict, integral: bool):
@@ -575,12 +524,16 @@ def _canonical_rref(data: list[dict], integral: bool) -> list[dict]:
     return list(pivot_rows.values())
 
 
-def rref(vectors: Sequence[Vector], ambient: int) -> Subspace:
-    return Subspace(ambient, vectors)
+def rref(m: SparseMatrix) -> SparseMatrix:
+    """The canonical reduced echelon basis of the row space of m, one row per
+    basis vector, pivot 1, sorted by pivot: equal spans give equal matrices."""
+    integral = m.den is not None
+    return _basis_matrix(_copy_rows(m), m.cols, integral)
 
 
-def nullspace(m: SparseMatrix) -> Subspace:
-    """Canonical basis of { v : m.apply(v) = 0 }."""
+def nullspace(m: SparseMatrix) -> SparseMatrix:
+    """The canonical reduced echelon basis of { v : m.apply(v) = 0 }, as the
+    rows of a matrix, in the form `rref` gives."""
     integral = m.den is not None
     data = _copy_rows(m)
     pivots = _eliminate(data, m.cols, integral, reduced=True)
@@ -598,8 +551,7 @@ def nullspace(m: SparseMatrix) -> Subspace:
             v = {f: ONE}
             v.update((c, -row[f]) for c, row in hits)
         basis.append(v)
-    reduced = _reduced_rows(basis, m.cols, integral)
-    return Subspace(m.cols, _dense_rows(reduced, m.cols, integral), _canonical=True)
+    return _basis_matrix(basis, m.cols, integral)
 
 
 def solve(m: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:

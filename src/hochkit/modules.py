@@ -165,15 +165,11 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> HomBasis:
                 for c in range(m.dim):
                     yield (eq * size + r * m.dim + c, k * m.dim + c), -v
 
-    system = SparseMatrix(len(a.gens) * size, size, terms())
-    basis = []
-    for v in nullspace(system).basis:
-        entries = {}
-        for idx, x in enumerate(v):
-            if x:
-                entries[divmod(idx, m.dim)] = x
-        basis.append(SparseMatrix(n.dim, m.dim, entries))
-    return HomBasis(m, n, basis)
+    solutions = nullspace(SparseMatrix(len(a.gens) * size, size, terms()))
+    entries: list[list] = [[] for _ in range(solutions.rows)]
+    for b, idx, x in solutions.entries():
+        entries[b].append((divmod(idx, m.dim), x))
+    return HomBasis(m, n, [SparseMatrix(n.dim, m.dim, e) for e in entries])
 
 
 def multiplicity_vector(m: ModuleRep, simples: Sequence[ModuleRep]) -> tuple[int, ...]:

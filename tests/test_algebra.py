@@ -126,7 +126,7 @@ def test_matrix_algebra():
     assert len(center_basis(m2)) == 1
     m3 = matrix_algebra(3)
     # commutator subspace of M_3 = traceless matrices, dim 8
-    assert commutator_subspace(m3).dim == 8
+    assert commutator_subspace(m3).rows == 8
 
 
 def test_truncated_poly():
@@ -134,7 +134,7 @@ def test_truncated_poly():
     assert d.dim == 2 and d.serre is None
     t = truncated_poly(3)
     assert len(center_basis(t)) == 3          # commutative
-    assert commutator_subspace(t).dim == 0
+    assert commutator_subspace(t).rows == 0
     x = unit_vector(3, 1)
     x2 = t.mul(x, unit_vector(3, 2))          # x * x^2 = 0
     assert all(not c for c in x2)
@@ -178,7 +178,7 @@ def test_validate_passes_on_all_fixtures():
 def test_center_plus_commutator_dim_for_semisimple():
     for name in ["zn:3", "s3", "d4", "q8", "a4", "mat:2"]:
         a = algebra_fixture(name)
-        assert len(center_basis(a)) + commutator_subspace(a).dim == a.dim
+        assert len(center_basis(a)) + commutator_subspace(a).rows == a.dim
 
 
 def test_regular_trace_group_algebra():

@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hochkit
 from hochkit import fixtures
-from hochkit.cli import load_algebra, run
-from hochkit.errors import DegreeCapExceeded, ParseError
+from hochkit.cli import _module_over, load_algebra, run
+from hochkit.errors import AlgebraMismatch, DegreeCapExceeded, ParseError
 from hochkit.specfiles import parse_algebra_file, parse_module_file
 
 
@@ -114,7 +114,9 @@ def test_load_algebra_from_file(tmp_path):
     assert a.dim == 2
 
 
-def test_load_algebra_validates_a_file_algebra_once(tmp_path, monkeypatch):
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """The algebras passed to `validate`, wherever it is called from."""
     import hochkit.algebra
     import hochkit.cli
     real, calls = hochkit.algebra.validate, []
@@ -125,10 +127,26 @@ def test_load_algebra_validates_a_file_algebra_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hochkit.algebra, "validate", counted)
     monkeypatch.setattr(hochkit.cli, "validate", counted)
+    return calls
+
+
+def test_load_algebra_validates_a_file_algebra_once(tmp_path, validate_calls):
     path = tmp_path / "z2.alg"
     path.write_text(Z2_ALGEBRA_TEXT)
     load_algebra(str(path))
-    assert len(calls) == 1
+    assert len(validate_calls) == 1
+
+
+def test_cli_validate_calls_validate_once(tmp_path, validate_calls, capsys):
+    # a file algebra is validated as it is built, s3 is trusted as built;
+    # either way the command validates it exactly once
+    path = tmp_path / "z2.alg"
+    path.write_text(Z2_ALGEBRA_TEXT)
+    for name in (str(path), "s3"):
+        validate_calls.clear()
+        assert run(["validate", name]) == 0
+        assert len(validate_calls) == 1, name
+    assert capsys.readouterr().out.count(": ok") == 2
 
 
 def test_load_algebra_fixture_dir_override(tmp_path, monkeypatch):
@@ -300,6 +318,18 @@ def test_cli_iota_default_is_chern(capsys):
     assert code == 0
     assert "iota of the identity is the chern class" in out
     assert "pass" in out
+
+
+def test_cli_iota_resolves_modules_like_chern(tmp_path, capsys):
+    path = tmp_path / "sign.mod"
+    path.write_text(SIGN_MODULE_TEXT)  # a module over zn:2
+    for argv in (["iota", "s3", "s3#std"], ["iota", "zn:2", str(path)]):
+        assert run(argv) == 0, argv
+        assert "iota of the identity is the chern class" in capsys.readouterr().out
+    assert run(["iota", "s3", "zn:3#chi1"]) == 2
+    assert capsys.readouterr().err.startswith("error: module 'zn:3#chi1' is not over s3")
+    with pytest.raises(AlgebraMismatch):
+        _module_over("s3", "zn:3#chi1")
 
 
 def test_cli_iota_with_endo(capsys):

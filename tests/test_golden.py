@@ -3,7 +3,8 @@
 The first three files were written by their commands before rational
 matrices were stored as integer rows; the chern, iota and pushforward files
 were written before Chern classes were solved through the dual basis of the
-pairing.  A change that alters any byte of them fails here.
+pairing; the center files were written before `nullspace` returned its
+basis as a matrix.  A change that alters any byte of them fails here.
 """
 
 from pathlib import Path
@@ -24,6 +25,9 @@ COMMANDS = {
                               "--format", "machine"],
     "pushforward_morita_s3.txt": ["pushforward", "morita:s3:2", "ch:std",
                                   "--format", "machine"],
+    "center_s3.txt": ["center", "s3", "--format", "machine"],
+    "center_a4.txt": ["center", "a4", "--format", "machine"],
+    "center_tensor.txt": ["center", "tensor(zn:3,zn:4)", "--format", "machine"],
 }
 
 

@@ -141,7 +141,7 @@ def test_degree_zero_cross_checks():
     for name in ["zn:4", "s3", "q8", "dual", "trunc:3", "mat:2"]:
         a = algebra_fixture(name)
         h = hh_homology_dims(a, 1)
-        assert h.dims[0] == a.dim - commutator_subspace(a).dim
+        assert h.dims[0] == a.dim - commutator_subspace(a).rows
         c = hh_cohomology_dims(a, 1)
         assert c.dims[0] == len(center_basis(a))
 
@@ -202,11 +202,8 @@ def random_cocycle(rng, a, p):
     from hochkit.hochschild import _unnormalized_cochain_map
     from hochkit.linalg import nullspace
     delta = _unnormalized_cochain_map(a, p)
-    basis = nullspace(delta).basis
-    coords = [ZERO] * delta.cols
-    for v in basis:
-        c = cyc(rng.randint(-2, 2))
-        coords = [acc + c * x for acc, x in zip(coords, v)]
+    basis = nullspace(delta)  # one row per basis vector
+    coords = basis.transpose().apply(tuple(cyc(rng.randint(-2, 2)) for _ in range(basis.rows)))
     return Cochain(a, p, tuple(coords))
 
 
@@ -216,11 +213,8 @@ def random_cycle(rng, a, n):
     if n == 0:
         return Chain(a, 0, tuple(cyc(rng.randint(-2, 2)) for _ in range(a.dim)))
     b = _unnormalized_chain_map(a, n)
-    basis = nullspace(b).basis
-    coords = [ZERO] * b.cols
-    for v in basis:
-        c = cyc(rng.randint(-2, 2))
-        coords = [acc + c * x for acc, x in zip(coords, v)]
+    basis = nullspace(b)  # one row per basis vector
+    coords = basis.transpose().apply(tuple(cyc(rng.randint(-2, 2)) for _ in range(basis.rows)))
     return Chain(a, n, tuple(coords))
 
 

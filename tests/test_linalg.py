@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from hochkit.errors import ShapeMismatch
 from hochkit.linalg import (
-    SparseMatrix, Subspace, _canonical_rref, _copy_rows, _reduced_rows,
+    SparseMatrix, _canonical_rref, _copy_rows, _reduced_rows,
     cokernel_projector, hstack, kron, nullspace, rank, rref, solve, unit_vector, vec,
 )
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, zeta
@@ -43,17 +43,26 @@ def test_rank_transpose_property(m):
 @given(matrices())
 def test_nullspace_annihilates_property(m):
     ns = nullspace(m)
-    assert ns.dim == m.cols - rank(m)
-    for v in ns.basis:
-        assert all(not x for x in m.apply(v))
+    assert (ns.rows, ns.cols) == (m.cols - rank(m), m.cols)
+    assert (m * ns.transpose()).is_zero()
 
 
 @settings(max_examples=30, deadline=None)
 @given(matrices())
 def test_rref_idempotent_property(m):
-    s1 = rref([m.row_vector(r) for r in range(m.rows)], m.cols)
-    s2 = rref(s1.basis, m.cols)
-    assert s1 == s2
+    s1 = rref(m)
+    assert (s1.rows, s1.cols) == (rank(m), m.cols)
+    assert rref(s1) == s1
+
+
+def _row_vectors(m):
+    return tuple(m.row_vector(r) for r in range(m.rows))
+
+
+def _contains(space, v):
+    """Whether v lies in the row space of the reduced matrix `space`: the
+    rref of the rows with v appended is `space` again."""
+    return rref(SparseMatrix.from_dense(_row_vectors(space) + (v,))) == space
 
 
 def random_matrix(rng, rows, cols, density=0.4, order=1):
@@ -87,14 +96,15 @@ def test_rank_transpose_invariance():
 
 
 def test_nullspace_identity():
-    assert nullspace(SparseMatrix.identity(3)).dim == 0
+    assert nullspace(SparseMatrix.identity(3)) == SparseMatrix.zero(0, 3)
 
 
 def test_nullspace_rank_one():
     m = SparseMatrix.from_dense([[1, 1], [1, 1]])
     ns = nullspace(m)
-    assert ns.dim == 1
-    assert ns.contains(vec([1, -1]))
+    assert ns == SparseMatrix.from_dense([[1, -1]])
+    assert _contains(ns, vec([-3, 3]))
+    assert not _contains(ns, vec([1, 1]))
 
 
 def test_rank_nullity():
@@ -102,9 +112,8 @@ def test_rank_nullity():
     for _ in range(8):
         m = random_matrix(rng, 6, 10, density=0.35, order=3)
         ns = nullspace(m)
-        assert ns.dim == 10 - rank(m)
-        for v in ns.basis:
-            assert all(not x for x in m.apply(v))
+        assert ns.rows == 10 - rank(m)
+        assert (m * ns.transpose()).is_zero()
 
 
 def test_solve_identity():
@@ -179,8 +188,7 @@ def test_cokernel_dimension_and_annihilation():
 def _cokernel_via_column_rref(m):
     """The dense route: rref of the columns as vectors, pivot coordinates
     read off the reduced basis, and the projection built from them."""
-    columns = [tuple(m.entry(r, c) for r in range(m.rows)) for c in range(m.cols)]
-    basis = rref(columns, m.rows).basis
+    basis = _row_vectors(rref(m.transpose()))
     pivots = [next(i for i, x in enumerate(row) if x) for row in basis]
     free = tuple(i for i in range(m.rows) if i not in pivots)
     entries = {}
@@ -269,19 +277,61 @@ def test_canonical_rref_matches_dense_gauss_jordan():
 def test_rref_idempotent():
     rng = random.Random(23)
     for _ in range(8):
-        vs = [vec([rng.randint(-2, 2) for _ in range(6)]) for _ in range(4)]
-        s1 = rref(vs, 6)
-        s2 = rref(s1.basis, 6)
-        assert s1 == s2
+        m = SparseMatrix.from_dense([[rng.randint(-2, 2) for _ in range(6)] for _ in range(4)])
+        s1 = rref(m)
+        assert rref(s1) == s1
 
 
 def test_subspace_canonical_form():
-    # two spanning sets of the same plane give identical objects
-    s1 = Subspace(3, [vec([1, 1, 0]), vec([0, 0, 1])])
-    s2 = Subspace(3, [vec([2, 2, 2]), vec([0, 0, -5]), vec([1, 1, 1])])
-    assert s1 == s2
-    assert s1.contains(vec([3, 3, 7]))
-    assert not s1.contains(vec([1, 0, 0]))
+    # two spanning sets of the same plane give identical matrices
+    s1 = rref(SparseMatrix.from_dense([[1, 1, 0], [0, 0, 1]]))
+    s2 = rref(SparseMatrix.from_dense([[2, 2, 2], [0, 0, -5], [1, 1, 1]]))
+    assert s1 == s2 == SparseMatrix.from_dense([[1, 1, 0], [0, 0, 1]])
+    assert _contains(s1, vec([3, 3, 7]))
+    assert not _contains(s1, vec([1, 0, 0]))
+
+
+def test_rref_scales_rows_to_pivot_one():
+    assert rref(SparseMatrix.from_dense([[2, 4], [0, 3]])) == SparseMatrix.identity(2)
+    assert rref(SparseMatrix.from_dense([[0, 3, 3], [2, 4, 6]])) == \
+        SparseMatrix.from_dense([[1, 0, 1], [0, 1, 1]])
+    assert rref(SparseMatrix.from_dense([[6, 9, 0]])) == \
+        SparseMatrix.from_dense([[1, Fraction(3, 2), 0]])
+    r = rref(SparseMatrix.from_dense([[2 * zeta(8), 1], [4 * zeta(8), 2]]))
+    assert r == SparseMatrix.from_dense([[1, (2 * zeta(8)).inverse()]])
+    ns = nullspace(SparseMatrix.from_dense([[0, 2, 4, 6], [0, 0, 0, 3]]))
+    assert ns == SparseMatrix.from_dense([[1, 0, 0, 0], [0, 1, Fraction(-1, 2), 0]])
+    for m in (r, ns):
+        assert all(next(x for x in row if x) == ONE for row in _row_vectors(m))
+
+
+def test_rref_and_nullspace_of_empty_shapes():
+    for n in (0, 3):
+        assert rref(SparseMatrix.zero(0, n)) == SparseMatrix.zero(0, n)
+        assert rref(SparseMatrix.zero(n, 0)) == SparseMatrix.zero(0, 0)
+        assert nullspace(SparseMatrix.zero(0, n)) == SparseMatrix.identity(n)
+        assert nullspace(SparseMatrix.zero(n, 0)) == SparseMatrix.zero(0, 0)
+    assert rref(SparseMatrix.zero(2, 3)) == SparseMatrix.zero(0, 3)
+    assert nullspace(SparseMatrix.zero(2, 3)) == SparseMatrix.identity(3)
+
+
+def test_containment_is_rref_of_augmented_rows():
+    # v lies in the row space exactly when appending it leaves the rref, and
+    # the rank, unchanged
+    rng = random.Random(29)
+    seen = set()
+    for trial in range(40):
+        m = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 6), order=(1, 8)[trial % 2])
+        space = rref(m)
+        if trial % 3:  # a combination of the rows
+            weights = [cyc(rng.randint(-2, 2)) for _ in range(m.rows)]
+            v = m.transpose().apply(tuple(weights))
+        else:
+            v = tuple(cyc(rng.randint(-2, 2)) for _ in range(m.cols))
+        inside = _contains(space, v)
+        assert inside == (rank(SparseMatrix.from_dense(_row_vectors(m) + (v,))) == rank(m))
+        seen.add(inside)
+    assert seen == {True, False}
 
 
 def test_matmul_and_trace():
@@ -315,9 +365,8 @@ def test_mixed_field_orders_under_elimination():
                     entries[(r, c)] = zeta(12, rng.randrange(12)) + cyc(rng.randint(-1, 1))
         m = SparseMatrix(5, 6, entries)
         ns = nullspace(m)
-        assert ns.dim == 6 - rank(m)
-        for v in ns.basis:
-            assert all(not x for x in m.apply(v))
+        assert ns.rows == 6 - rank(m)
+        assert (m * ns.transpose()).is_zero()
         x0 = vec([rng.randint(-2, 2) for _ in range(6)])
         b = SparseMatrix.from_columns([m.apply(x0)], 5)
         x = solve(m, b)
@@ -493,8 +542,9 @@ def test_operations_match_dense_oracle():
             assert a.trace() == sum((ta[i][i] for i in range(rows)), ZERO)
         reduced = _gauss_jordan(ta, cols)
         assert rank(a) == len(reduced)
-        assert Subspace(cols, [tuple(row) for row in ta]).basis == tuple(map(tuple, reduced))
-        assert nullspace(a).basis == _oracle_nullspace(ta, cols)
+        assert (rref(a).cols, _row_vectors(rref(a))) == (cols, tuple(map(tuple, reduced)))
+        assert (nullspace(a).cols, _row_vectors(nullspace(a))) == \
+            (cols, _oracle_nullspace(ta, cols))
         free, entries = _oracle_cokernel(ta, rows, cols)
         assert cokernel_projector(a) == (free, SparseMatrix(len(free), rows, entries))
         x0 = tuple(_random_scalar(rng, rng.choice(["q", field])) for _ in range(cols))
@@ -572,10 +622,10 @@ def test_hstack_matches_dense_oracle():
 
 SHAPE_ERRORS_SCRIPT = """
 from hochkit.errors import ShapeMismatch
-from hochkit.linalg import SparseMatrix, Subspace, solve, vec
+from hochkit.hochschild import ChainComplex
+from hochkit.linalg import SparseMatrix, solve, vec
 
 m = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
-plane = Subspace(3, [vec([1, 2, 3])])
 cases = {
     "from_dense": lambda: SparseMatrix.from_dense([[1, 2], [3]]),
     "from_columns": lambda: SparseMatrix.from_columns([vec([1, 2])], 3),
@@ -583,9 +633,8 @@ cases = {
     "__mul__": lambda: m * m,
     "apply": lambda: m.apply(vec([1, 2])),
     "trace": lambda: m.trace(),
-    "Subspace": lambda: Subspace(3, [vec([1, 2])]),
-    "contains": lambda: plane.contains(vec([1])),
     "solve": lambda: solve(m, SparseMatrix.from_dense([[1], [2], [3]])),
+    "ChainComplex": lambda: ChainComplex([2, 3], {1: m.transpose()}),
 }
 for name, call in cases.items():
     try:
