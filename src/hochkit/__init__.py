@@ -16,7 +16,7 @@ The layers, bottom up:
 """
 
 from .algebra import (
-    Algebra, CentralElement, SerreData, center_basis, commutator_subspace,
+    Algebra, SerreData, center_basis, commutator_subspace,
     enveloping, field_algebra, group_algebra, matrix_algebra, opposite,
     regular_trace, tensor, truncated_poly, validate,
 )
@@ -43,8 +43,8 @@ from .mukai import (
 )
 from .scalars import CycScalar, cyc, format_scalar, parse_scalar, zeta
 from .tqft import (
-    CobordismWord, SurfaceInvariant, commutator_solution_count, evaluate,
-    parse_word, trivial_representation,
+    CobordismWord, SurfaceInvariant, evaluate, orbit_count, parse_word,
+    trivial_representation,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

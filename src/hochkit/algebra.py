@@ -11,6 +11,11 @@ file input eagerly; combinators inherit validity from their factors) and
 immutable afterwards.  Derived data (multiplication matrices, the center
 basis, the unit split) is cached on the algebra when first asked for; it
 is deterministic, so a cache filled twice holds the same value.
+
+Subspaces are canonical row matrices: the center (`center_basis`) and the
+commutator subspace (`commutator_subspace`) are each the reduced echelon
+basis `linalg.rref` gives, one row per basis vector, so equal subspaces
+are equal matrices.
 """
 
 from __future__ import annotations
@@ -120,7 +125,7 @@ class Algebra:
         self._left_mult: dict[int, SparseMatrix] = {}
         self._right_mult: dict[int, SparseMatrix] = {}
         self._unit_split = None  # set by modules.a_unit_split
-        self._center: Optional[tuple] = None  # set by center_basis
+        self._center: Optional[SparseMatrix] = None  # set by center_basis
         self._pairing_dual = None  # set by mukai._dual_basis
         self._validated_on_build = not validated
         if not validated:
@@ -211,31 +216,6 @@ class Algebra:
                 for k, c in self.sc.product(i, j).items() if traces[k]))
             self._semisimple = rank(form) == self.dim
         return self._semisimple
-
-
-class CentralElement:
-    """An element commuting with every basis element, checked at creation."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: Algebra, coords: Vector, *, _checked=False):
-        coords = vec(coords)
-        if len(coords) != algebra.dim:
-            raise ShapeMismatch(f"{len(coords)} coordinates in a {algebra.dim}-dimensional algebra")
-        if not _checked:
-            for i in range(algebra.dim):
-                e = algebra.basis_vector(i)
-                if algebra.mul(coords, e) != algebra.mul(e, coords):
-                    raise HochkitError(f"element is not central (fails at basis {i})")
-        self.algebra = algebra
-        self.coords = coords
-
-    def __eq__(self, other):
-        return isinstance(other, CentralElement) and self.coords == other.coords \
-            and self.algebra == other.algebra
-
-    def __repr__(self):
-        return f"CentralElement({[str(c) for c in self.coords]})"
 
 
 # --- validation -------------------------------------------------------------
@@ -417,10 +397,11 @@ def enveloping(a: Algebra) -> Algebra:
 
 # --- structural operations ---------------------------------------------------
 
-def center_basis(a: Algebra) -> tuple[CentralElement, ...]:
-    """Basis of { z : z e_i = e_i z for all i } via one nullspace computation,
-    computed once per algebra.  It is the canonical reduced echelon basis, so
-    a central element's coordinates are its entries at the basis pivots."""
+def center_basis(a: Algebra) -> SparseMatrix:
+    """Z(A) = { z : z e_i = e_i z for all i } as the rows of its canonical
+    reduced echelon basis (`nullspace` of the commutator system), computed
+    once per algebra; a central element's coordinates in it are its entries
+    at the row pivots."""
     if a._center is None:
         def terms():  # coordinate k of e_j e_i - e_i e_j, for every i and j
             for i in range(a.dim):
@@ -429,9 +410,7 @@ def center_basis(a: Algebra) -> tuple[CentralElement, ...]:
                         yield (i * a.dim + k, j), v
                     for k, v in a.sc.product(i, j).items():
                         yield (i * a.dim + k, j), -v
-        system = SparseMatrix(a.dim * a.dim, a.dim, terms())
-        basis = nullspace(system)
-        a._center = tuple(CentralElement(a, basis.row_vector(r)) for r in range(basis.rows))
+        a._center = nullspace(SparseMatrix(a.dim * a.dim, a.dim, terms()))
     return a._center
 
 

@@ -36,10 +36,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import SparseMatrix, Vector, rank, solve, unit_vector
-from .modules import a_unit_split, check_maxdeg
+from .modules import MAX_COORDINATES, a_unit_split, check_maxdeg
 from .scalars import CycScalar, ONE, ZERO
 
-MAX_CHAIN_COORDINATES = 200_000
 MAX_DEGREE = 32
 _SIGNS = (ONE, -ONE)  # (-1)^k is _SIGNS[k % 2]
 
@@ -148,14 +147,14 @@ def _merges(word: tuple[int, ...], merge) -> Iterable[tuple[tuple[int, ...], Cyc
             yield word[:i] + (t,) + word[i + 2:], sign * c
 
 
-def _guarded_dims(a: Algebra, top: int, radix: int, size_guard: int) -> list[int]:
+def _guarded_dims(a: Algebra, top: int, radix: int) -> list[int]:
     """dim(A) * radix^n for n = 0..top; refuses before anything is built."""
     dims = [a.dim * radix ** n for n in range(top + 1)]
     for n, size in enumerate(dims):
-        if size > size_guard:
+        if size > MAX_COORDINATES:
             raise DegreeCapExceeded(
                 f"chain space at degree {n} has {size} coordinates "
-                f"(guard {size_guard})")
+                f"(guard {MAX_COORDINATES})")
     return dims
 
 
@@ -205,18 +204,16 @@ def _coboundary(a: Algebra, n: int, letters: tuple[int, ...], merge) -> SparseMa
     return SparseMatrix(d * r ** (n + 1), d * r ** n, terms())
 
 
-def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
-                      size_guard: int = MAX_CHAIN_COORDINATES) -> ChainComplex:
+def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True) -> ChainComplex:
     """Hochschild chain complex C_n = A (x) Abar^(x n) through degree maxdeg."""
     check_maxdeg(maxdeg, MAX_DEGREE + 1)  # homology is complete one degree lower
     letters, merge = _alphabet(a, normalized)
-    dims = _guarded_dims(a, maxdeg, len(letters), size_guard)
+    dims = _guarded_dims(a, maxdeg, len(letters))
     maps = {n: _boundary(a, n, letters, merge) for n in range(1, maxdeg + 1)}
     return ChainComplex(dims, maps, direction="down")
 
 
-def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
-                        size_guard: int = MAX_CHAIN_COORDINATES) -> ChainComplex:
+def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True) -> ChainComplex:
     """Hochschild cochain complex C^n = Hom(Abar^(x n), A) with coboundary
 
     (df)(a_1..a_{n+1}) = a_1 f(a_2..) + sum_i (-1)^i f(.. a_i a_{i+1} ..)
@@ -226,7 +223,7 @@ def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
     """
     check_maxdeg(maxdeg, MAX_DEGREE)
     letters, merge = _alphabet(a, normalized)
-    dims = _guarded_dims(a, maxdeg + 1, len(letters), size_guard)
+    dims = _guarded_dims(a, maxdeg + 1, len(letters))
     maps = {n: _coboundary(a, n, letters, merge) for n in range(maxdeg + 1)}
     return ChainComplex(dims, maps, direction="up")
 
@@ -234,13 +231,11 @@ def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True,
 # --- dimension reports --------------------------------------------------------
 
 
-def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
-                     size_guard: int = MAX_CHAIN_COORDINATES) -> HHResult:
+def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True) -> HHResult:
     """dim HH_k for 0 <= k <= maxdeg.  Degree 0 is cross-checked against the
     direct computation dim(A) - dim[A, A]."""
     check_maxdeg(maxdeg, MAX_DEGREE)
-    complex_ = bar_chain_complex(a, maxdeg + 1, normalized=normalized,
-                                 size_guard=size_guard)
+    complex_ = bar_chain_complex(a, maxdeg + 1, normalized=normalized)
     dims = [complex_.homology_dim(k) for k in range(maxdeg + 1)]
     direct0 = a.dim - commutator_subspace(a).rows
     if dims[0] != direct0:
@@ -249,14 +244,12 @@ def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
     return HHResult("homology", dims, maxdeg)
 
 
-def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True,
-                       size_guard: int = MAX_CHAIN_COORDINATES) -> HHResult:
+def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True) -> HHResult:
     """dim HH^k for 0 <= k <= maxdeg.  Degree 0 is cross-checked against the
     direct center computation."""
-    complex_ = bar_cochain_complex(a, maxdeg, normalized=normalized,
-                                   size_guard=size_guard)
+    complex_ = bar_cochain_complex(a, maxdeg, normalized=normalized)
     dims = [complex_.homology_dim(k) for k in range(maxdeg + 1)]
-    direct0 = len(center_basis(a))
+    direct0 = center_basis(a).rows
     if dims[0] != direct0:
         raise HochkitError(
             f"degree-0 cohomology {dims[0]} disagrees with dim Z(A) = {direct0}")
@@ -310,14 +303,14 @@ class Chain(_BarElement):
 def _unnormalized_cochain_map(a: Algebra, n: int) -> SparseMatrix:
     check_maxdeg(n, MAX_DEGREE)
     letters, merge = _alphabet(a, False)
-    _guarded_dims(a, n + 1, a.dim, MAX_CHAIN_COORDINATES)
+    _guarded_dims(a, n + 1, a.dim)
     return _coboundary(a, n, letters, merge)
 
 
 def _unnormalized_chain_map(a: Algebra, n: int) -> SparseMatrix:
     check_maxdeg(n, MAX_DEGREE + 1)
     letters, merge = _alphabet(a, False)
-    _guarded_dims(a, n, a.dim, MAX_CHAIN_COORDINATES)
+    _guarded_dims(a, n, a.dim)
     return _boundary(a, n, letters, merge)
 
 

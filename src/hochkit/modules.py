@@ -32,7 +32,7 @@ from .linalg import (
 )
 from .scalars import CycScalar, ONE, ZERO
 
-MAX_COORDINATES = 200_000  # size guard for quotient/resolution spaces
+MAX_COORDINATES = 200_000  # size guard for chain, quotient and resolution spaces
 
 
 class ModuleRep:

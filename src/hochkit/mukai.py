@@ -1,14 +1,20 @@
 """Serre/partial traces, the pairing on HH_0, Chern characters, transfer
 maps, and the identity verifiers built from them.
 
+The center is read as one matrix throughout: Z = center_basis(a), whose
+rows z_j are its canonical basis.  Every trace against the center basis is
+Z applied to the traces of the basis actions, tr(z_j on M) =
+sum_i Z[j, i] tr(rho(e_i)) (`_center_traces`), and `_classes` turns rows
+into classes.
+
 The three transfer maps of a kernel (pushforward on HH_0, its adjoint, and
 the transport on HH^0) are linear.  Each is cached on the kernel as one
-matrix, the images of a center basis (from one pass over the kernel applied
-to each simple) times the map reading coordinates at the basis pivots, and
-applied to an input class.  `_solve_central` is the one place a central
-system is solved, in one elimination for all of its right-hand sides; the
-pairing's Gram is one such system, solved once per algebra for its dual
-basis.
+matrix, the images of the center basis (from one pass over the kernel
+applied to each simple) times the map reading coordinates at the basis
+pivots, and applied to an input class.  `_solve_central` is the one place
+a central system is solved, in one elimination for all of its right-hand
+sides, with Z^T turning the solution into elements; the pairing's Gram is
+one such system, solved once per algebra for its dual basis.
 
 Normalization, fixed throughout: the trace on End(M) is the ordinary
 matrix trace, and the trace on bimodule endomorphisms (central elements)
@@ -32,11 +38,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import (
-    Algebra, CentralElement, center_basis, matrix_algebra, regular_trace, tensor,
-)
+from .algebra import Algebra, center_basis, matrix_algebra, regular_trace, tensor
 from .errors import (
-    AlgebraMismatch, AugmentationNot1Dim, MissingSerreData, NotIntertwiner,
+    AlgebraMismatch, AugmentationNot1Dim, HochkitError, MissingSerreData, NotIntertwiner,
     RoutesDisagree, ShapeMismatch, SingularGram,
 )
 from .linalg import SparseMatrix, Vector, kron, rank, solve, vec
@@ -48,7 +52,11 @@ from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar
 
 
 class MukaiClass:
-    """An element of HH_0: a central element of an algebra with Frobenius data."""
+    """An element of HH_0: a central element of an algebra with Frobenius data.
+
+    Coordinates from outside are checked: their number, and that the element
+    commutes with every generator.  That suffices, because the elements
+    commuting with z form a subalgebra and products of generators span."""
 
     __slots__ = ("algebra", "coords")
 
@@ -57,7 +65,12 @@ class MukaiClass:
             raise MissingSerreData("Mukai classes need Frobenius data")
         coords = vec(coords)
         if not _checked:
-            CentralElement(algebra, coords)  # validates centrality
+            if len(coords) != algebra.dim:
+                raise ShapeMismatch(
+                    f"{len(coords)} coordinates in a {algebra.dim}-dimensional algebra")
+            for i, g in enumerate(algebra.gens):
+                if algebra.mul(coords, g) != algebra.mul(g, coords):
+                    raise HochkitError(f"element is not central (fails at generator {i})")
         self.algebra = algebra
         self.coords = coords
 
@@ -177,18 +190,6 @@ def assemble_split_map(e: SparseMatrix, g: SparseMatrix, phi: SparseMatrix,
     return SparseMatrix(dim_h * total, total, entries)
 
 
-def _partial_trace_first(mu: SparseMatrix, dim_h: int, dim_x: int) -> Vector:
-    """Tr_X of x: X -> H (x) X, a vector in H."""
-    if mu.rows != dim_h * dim_x or mu.cols != dim_x:
-        raise ShapeMismatch(f"expected {dim_h * dim_x}x{dim_x}, got {mu.rows}x{mu.cols}")
-    out = [ZERO] * dim_h
-    for r, c, v in mu.entries():
-        ih, ix = divmod(r, dim_x)
-        if ix == c:
-            out[ih] = out[ih] + v
-    return tuple(out)
-
-
 def trace_triangle_check(e: SparseMatrix, f: SparseMatrix, g: SparseMatrix,
                          dim_e: int, dim_g: int, dim_h: int) -> CheckReport:
     """For maps e: E -> H(x)E, g: G -> H(x)G and f on the split sum commuting
@@ -215,10 +216,9 @@ def trace_triangle_check(e: SparseMatrix, f: SparseMatrix, g: SparseMatrix,
         if f.entry(ih * total + dim_e + ig, dim_e + c) != v:
             report.compare("f induces g on G", False, True)
             break
-    tr_e = _partial_trace_first(e, dim_h, dim_e)
-    tr_f = _partial_trace_first(f, dim_h, total)
-    tr_g = _partial_trace_first(g, dim_h, dim_g)
-    defect = tuple(a - b + c for a, b, c in zip(tr_e, tr_f, tr_g))
+    # Tr_X of x: X -> H (x) X is the single column of its partial trace F = 1 -> H
+    defect = (generalized_trace(e, 1, dim_h, dim_e) - generalized_trace(f, 1, dim_h, total)
+              + generalized_trace(g, 1, dim_h, dim_g)).transpose().row_vector(0)
     report.compare("Tr_E(e) - Tr_F(f) + Tr_G(g)",
                    tuple(format_scalar(x) for x in defect),
                    tuple("0" for _ in defect))
@@ -240,28 +240,35 @@ def hochschild_trace(a: Algebra, z: Vector) -> CycScalar:
 def pairing_gram(a: Algebra) -> SparseMatrix:
     """Gram matrix of the pairing on the center basis; full rank exactly when
     the pairing is nondegenerate on HH_0."""
-    basis = center_basis(a)
+    z = center_basis(a)
+    basis = [z.row_vector(i) for i in range(z.rows)]
     n = len(basis)
     entries = {}
     for i in range(n):
         for j in range(n):
-            v = hochschild_trace(a, a.mul(basis[i].coords, basis[j].coords))
+            v = hochschild_trace(a, a.mul(basis[i], basis[j]))
             if v:
                 entries[(i, j)] = v
     return SparseMatrix(n, n, entries)
 
 
 def _classes(a: Algebra, m: SparseMatrix) -> list[MukaiClass]:
-    """The columns of m as classes over `a`."""
-    t = m.transpose()
-    return [MukaiClass(a, t.row_vector(j), _checked=True) for j in range(t.rows)]
+    """The rows of m, central elements of `a`, as classes over `a`."""
+    return [MukaiClass(a, m.row_vector(r), _checked=True) for r in range(m.rows)]
+
+
+def _center_traces(m: ModuleRep, f: Optional[SparseMatrix] = None) -> Vector:
+    """(tr(z_j on M))_j, or (tr(z_j|_M o f))_j when f is given, for the rows
+    z_j of center_basis: Z applied to those traces of the basis actions."""
+    acts = m.action if f is None else [act * f for act in m.action]
+    return center_basis(m.algebra).apply(tuple(act.trace() for act in acts))
 
 
 def _solve_central(a: Algebra, system: SparseMatrix, rhs: SparseMatrix,
                    why: str) -> SparseMatrix:
-    """Z_a X with system X = rhs, where Z_a holds center_basis(a) as columns.
-    Raises SingularGram(why) unless the system fixes every answer."""
-    basis = SparseMatrix.from_columns([z.coords for z in center_basis(a)], a.dim)
+    """Z_a^T X with system X = rhs, for Z_a = center_basis(a).  Raises
+    SingularGram(why) unless the system fixes every answer."""
+    basis = center_basis(a).transpose()
     if rank(system) < basis.cols:
         raise SingularGram(why)
     x = solve(system, rhs)
@@ -273,17 +280,18 @@ def _solve_central(a: Algebra, system: SparseMatrix, rhs: SparseMatrix,
 def _center_coords(a: Algebra) -> SparseMatrix:
     """The |Z_a| x a.dim map reading a central element's coordinates in
     center_basis(a): its entries at the pivots of that reduced echelon basis."""
-    pivots = [next(i for i, c in enumerate(z.coords) if c) for z in center_basis(a)]
+    z = center_basis(a)
+    pivots = [next(i for i, c in enumerate(z.row_vector(r)) if c) for r in range(z.rows)]
     return SparseMatrix(len(pivots), a.dim, {(i, p): 1 for i, p in enumerate(pivots)})
 
 
 def _dual_basis(a: Algebra) -> SparseMatrix:
-    """D_a = Z_a G_a^-1 (a.dim x |Z_a|), solved once per algebra: column j is
+    """D_a = Z_a^T G_a^-1 (a.dim x |Z_a|), solved once per algebra: column j is
     the central z_j^v with hochschild_trace(z_j^v * z_i) = [i == j] for the
     center basis z_i.  Raises SingularGram when the pairing is degenerate."""
     if a._pairing_dual is None:
         a._pairing_dual = _solve_central(a, pairing_gram(a),
-                                         SparseMatrix.identity(len(center_basis(a))),
+                                         SparseMatrix.identity(center_basis(a).rows),
                                          "trace pairing on the center is singular here")
     return a._pairing_dual
 
@@ -303,7 +311,7 @@ def iota_solve(m: ModuleRep, e: SparseMatrix) -> MukaiClass:
         raise MissingSerreData("iota_solve needs Frobenius data")
     if not is_intertwiner(e, m, m):
         raise NotIntertwiner("iota_solve needs an algebra-linear endomorphism")
-    return _from_traces(a, tuple((m.act(z.coords) * e).trace() for z in center_basis(a)))
+    return _from_traces(a, _center_traces(m, e))
 
 
 def chern(m: ModuleRep) -> MukaiClass:
@@ -313,7 +321,7 @@ def chern(m: ModuleRep) -> MukaiClass:
     a = m.algebra
     if a.serre is None:
         raise MissingSerreData("chern needs Frobenius data")
-    return _from_traces(a, tuple(m.character(z.coords) for z in center_basis(a)))
+    return _from_traces(a, _center_traces(m))
 
 
 def chern_additivity_check(m: ModuleRep, n: ModuleRep) -> CheckReport:
@@ -403,16 +411,11 @@ def adjoint_transfer(k: Bimodule, nu: MukaiClass) -> MukaiClass:
     if a.serre is None or b.serre is None:
         raise MissingSerreData("adjoint transfer needs Frobenius data on both sides")
     if "adjoint" not in k._transfer:
-        zbasis, targets = center_basis(a), center_basis(b)
-        rows: list[list[CycScalar]] = []
-        rhs: list[list[CycScalar]] = []
+        rows, rhs = [], []
         for s, applied in _applied_simples(k):
-            on_s = [s.act(z.coords) for z in zbasis]
-            on_ks = [applied.module.act(z.coords) for z in targets]
             for mu in hom_space(s, s).basis:
-                k_mu = applied.map_morphism(mu)
-                rows.append([(act * mu).trace() for act in on_s])
-                rhs.append([(act * k_mu).trace() for act in on_ks])
+                rows.append(_center_traces(s, mu))
+                rhs.append(_center_traces(applied.module, applied.map_morphism(mu)))
         images = _solve_central(a, SparseMatrix.from_dense(rows), SparseMatrix.from_dense(rhs),
                                 "character system of the simples does not determine z")
         k._transfer["adjoint"] = images * _center_coords(b)
@@ -439,20 +442,20 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
         zbasis = center_basis(a)
         # route A
         system = SparseMatrix.from_columns([chern(s).coords for s in simples_of(a)], a.dim)
-        expansions = solve(system, SparseMatrix.from_columns([z.coords for z in zbasis], a.dim))
+        expansions = solve(system, zbasis.transpose())
         if expansions is None:
             raise SingularGram("simples' Chern characters do not span the center")
         pushed = SparseMatrix.from_columns(
             [chern(applied.module).coords for _, applied in _applied_simples(k)], b.dim)
         route_a = pushed * expansions
         # route B
-        pulled = [adjoint_transfer(k, MukaiClass(b, z.coords, _checked=True))
-                  for z in center_basis(b)]
-        rhs = [[hochschild_trace(a, a.mul(p.coords, z.coords)) for z in zbasis]
-               for p in pulled]
+        pulled = [adjoint_transfer(k, nu) for nu in _classes(b, center_basis(b))]
+        za = _classes(a, zbasis)
+        rhs = [[hochschild_trace(a, a.mul(p.coords, z.coords)) for z in za] for p in pulled]
         route_b = _dual_basis(b) * SparseMatrix.from_dense(rhs)
         if route_a != route_b:
-            for image_a, image_b in zip(_classes(b, route_a), _classes(b, route_b)):
+            for image_a, image_b in zip(_classes(b, route_a.transpose()),
+                                        _classes(b, route_b.transpose())):
                 if image_a != image_b:
                     raise RoutesDisagree(
                         f"pushforward routes disagree: {image_a!r} vs {image_b!r}")
@@ -465,8 +468,7 @@ def adjointness_check(k: Bimodule) -> CheckReport:
     report = CheckReport("adjointness of transfer maps", "adjoint-pairing")
     dk = dual_kernel(k)
     a, b = k.source, k.target
-    za = [MukaiClass(a, z.coords, _checked=True) for z in center_basis(a)]
-    zb = [MukaiClass(b, z.coords, _checked=True) for z in center_basis(b)]
+    za, zb = _classes(a, center_basis(a)), _classes(b, center_basis(b))
     for i, vb in enumerate(zb):
         pulled = pushforward(dk, vb)
         for j, wa in enumerate(za):
@@ -481,8 +483,7 @@ def functoriality_check(k1: Bimodule, k2: Bimodule) -> CheckReport:
     report = CheckReport("pushforward functoriality", "pushforward-composition")
     composed = convolve(k1, k2)
     a = k1.source
-    for i, z in enumerate(center_basis(a)):
-        v = MukaiClass(a, z.coords, _checked=True)
+    for i, v in enumerate(_classes(a, center_basis(a))):
         direct = pushforward(composed, v)
         stepped = pushforward(k2, pushforward(k1, v))
         report.compare(f"basis vector {i}", direct, stepped)
@@ -520,12 +521,11 @@ def cohomology_transport(k: Bimodule, nu: MukaiClass) -> MukaiClass:
     if nu.algebra != a:
         raise AlgebraMismatch("element must live over the kernel's source")
     if "transport" not in k._transfer:
-        zbasis, sources = center_basis(b), center_basis(a)
         rows, rhs = [], []
         for s, applied in _applied_simples(k):
-            rows.append([applied.module.character(z.coords) for z in zbasis])
+            rows.append(_center_traces(applied.module))
             # the scalar by which each source basis vector acts on S
-            omegas = [s.act(z.coords).trace() / cyc(s.dim) for z in sources]
+            omegas = [t / cyc(s.dim) for t in _center_traces(s)]
             rhs.append([omega * cyc(applied.module.dim) for omega in omegas])
         images = _solve_central(b, SparseMatrix.from_dense(rows), SparseMatrix.from_dense(rhs),
                                 "kernel images do not determine the transported element")
@@ -544,8 +544,8 @@ def morita_isometry_check(a: Algebra, n: int,
         raise MissingSerreData("morita check needs Frobenius data")
     k = morita_kernel(a, n)
     b = k.target
-    za = [MukaiClass(a, z.coords, _checked=True) for z in center_basis(a)]
-    report.compare("HH_0 dimensions equal", len(za), len(center_basis(b)))
+    za = _classes(a, center_basis(a))
+    report.compare("HH_0 dimensions equal", len(za), center_basis(b).rows)
     images = [pushforward(k, v) for v in za]
     image_matrix = SparseMatrix.from_columns([im.coords for im in images], b.dim)
     report.compare("pushforward is injective on HH_0", rank(image_matrix), len(za))

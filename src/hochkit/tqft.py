@@ -23,9 +23,10 @@ why the evaluator requires a group algebra.  The sphere computes the
 invariants of the trivial module and the torus computes dim HH_0: the
 number of conjugacy classes.
 
-For genus >= 2 the CLI prints the commutator-solution count
-|Hom(pi_1, G)| / |G| alongside; the two normalizations differ and only
-genus 0 and 1 are hard assertions.
+Every closed surface has an independent value: a connected genus-g
+surface evaluates to `orbit_count(a, g)`, the number of orbits of G
+acting on G^g by simultaneous conjugation, and a disconnected word to the
+product over its components.  The CLI asserts each word against it.
 """
 
 from __future__ import annotations
@@ -297,27 +298,15 @@ def evaluate(a: Algebra, word: CobordismWord) -> SurfaceInvariant:
     return SurfaceInvariant(total.dim, word, a)
 
 
-def commutator_solution_count(a: Algebra, genus: int) -> int:
-    """|Hom(pi_1(Sigma_g), G)| / |G|: the tuples (a_1, b_1, .., a_g, b_g) with
-    prod [a_i, b_i] = identity, counted by g-fold convolution of the
-    histogram c[h] = #{(x, y) : [x, y] = h} in O(g |G|^2) steps.  Reported
-    alongside higher-genus evaluations; the normalizations differ."""
+def orbit_count(a: Algebra, genus: int) -> int:
+    """Orbits of G on G^genus under simultaneous conjugation, by Burnside:
+    (1/|G|) sum_h |C_G(h)|^genus, with the centralizers read off the group
+    table.  Genus 0 gives 1 and genus 1 the number of conjugacy classes."""
     if a.provenance[0] != "group":
-        raise MissingAugmentation("the commutator count needs a group algebra")
-    if genus < 1:
-        raise DegreeUnderflow(f"the commutator count needs genus >= 1, not {genus}")
-    table, identity = a.provenance[2], a.provenance[3]
+        raise MissingAugmentation("the orbit count needs a group algebra")
+    if genus < 0:
+        raise DegreeUnderflow(f"the orbit count needs genus >= 0, not {genus}")
+    table = a.provenance[2]
     n = a.dim
-    inverse = [row.index(identity) for row in table]
-    hist = [0] * n
-    for x in range(n):
-        for y in range(n):
-            hist[table[table[x][y]][table[inverse[x]][inverse[y]]]] += 1
-    counts = [int(g == identity) for g in range(n)]
-    for _ in range(genus):
-        step = [0] * n
-        for g, cg in enumerate(counts):
-            for h, ch in enumerate(hist):
-                step[table[g][h]] += cg * ch
-        counts = step
-    return counts[identity] // n
+    fixed = sum(sum(table[h][x] == table[x][h] for x in range(n)) ** genus for h in range(n))
+    return fixed // n

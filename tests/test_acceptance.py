@@ -5,6 +5,7 @@ identities are exact; the only tolerances anywhere are zero."""
 import random
 import time
 from fractions import Fraction
+from math import prod
 
 from hochkit.algebra import center_basis
 from hochkit.cli import run as cli_run
@@ -21,7 +22,7 @@ from hochkit.mukai import (
     serre_trace, trace_triangle_check,
 )
 from hochkit.scalars import ONE, ZERO, cyc
-from hochkit.tqft import commutator_solution_count, evaluate, parse_word
+from hochkit.tqft import evaluate, orbit_count, parse_word
 
 ALL_GROUPS = ["zn:2", "zn:3", "zn:4", "zn:5", "zn:6", "s3", "d4", "q8", "a4"]
 SMALL_SEMISIMPLE = ["zn:2", "zn:3", "zn:4", "zn:5", "zn:6", "s3", "mat:2"]
@@ -100,7 +101,7 @@ def test_criterion_3_hochschild_dims():
     # (b) small semisimple fixtures: degree 0 counts blocks, 1..3 vanish
     for name in SMALL_SEMISIMPLE:
         a = algebra_fixture(name)
-        blocks = len(center_basis(a))
+        blocks = center_basis(a).rows
         h = hh_homology_dims(a, 3).dims
         c = hh_cohomology_dims(a, 3).dims
         assert h == [blocks, 0, 0, 0], f"{name}: {h}"
@@ -215,15 +216,17 @@ def test_criterion_7_tqft_values():
         a = algebra_fixture(name)
         assert evaluate(a, parse_word("cap_in cap_out")).dims == 1
         assert evaluate(a, parse_word("genus:1")).dims == classes
-    # genus 2 completes; the commutator-count oracle is reported, not asserted
-    a = algebra_fixture("zn:2")
-    inv = evaluate(a, parse_word("genus:2"))
-    oracle = commutator_solution_count(a, 2)
-    print(f"\n  genus-2 over Z/2: evaluator {inv.dims}, "
-          f"|Hom(pi_1 Sigma_2, G)|/|G| = {oracle} (normalizations differ)")
-    assert inv.dims >= 0 and oracle == 8
+    # every other closed word: the product of the components' orbit counts
+    for name, text, orbits in [
+            ("zn:2", "genus:2", 4), ("s3", "genus:2", 11),
+            ("s3", "cap_in cap_in@1 pants_split@1 pants_merge@1 cap_out@1 cap_out", 3)]:
+        a = algebra_fixture(name)
+        word = parse_word(text)
+        assert evaluate(a, word).dims == orbits == \
+            prod(orbit_count(a, g) for g in word.component_genera)
     _announce(7, "tqft: sphere = 1 and torus = class count for Z/2, Z/4, "
-                 "S3, Q8; genus 2 completes with oracle reported", t0)
+                 "S3, Q8; genus 2 and a disconnected word equal the "
+                 "conjugation orbit count", t0)
 
 
 def test_criterion_8_chern_normalization(capsys):
@@ -236,9 +239,9 @@ def test_criterion_8_chern_normalization(capsys):
         for m in list(simples_of(a)) + [regular_module(a)]:
             ch = chern(m)
             coords = [ZERO] * a.dim
-            for z in zs:
+            for r in range(zs.rows):
                 c = cyc(rng.randint(-4, 4))
-                coords = [acc + c * x for acc, x in zip(coords, z.coords)]
+                coords = [acc + c * x for acc, x in zip(coords, zs.row_vector(r))]
             f = tuple(coords)
             assert hochschild_trace(a, a.mul(ch.coords, f)) == m.character(f)
     # Z/2 closed forms

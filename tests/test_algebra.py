@@ -11,8 +11,8 @@ from hochkit.algebra import (
     truncated_poly, validate,
 )
 from hochkit.errors import AlgebraDefect, NotAGroup, NotAssociative, UnitLawFails
-from hochkit.fixtures import algebra_fixture, cyclic_group
-from hochkit.linalg import unit_vector, vec
+from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture, cyclic_group
+from hochkit.linalg import rref, unit_vector, vec
 from hochkit.scalars import ONE, ZERO, cyc
 
 
@@ -45,7 +45,7 @@ def test_group_algebra_class_counts():
         a = algebra_fixture(name)
         table = a.provenance[2]
         assert conjugacy_class_count(table) == expected
-        assert len(center_basis(a)) == expected
+        assert center_basis(a).rows == expected
 
 
 def test_not_a_group_witness():
@@ -123,7 +123,7 @@ def test_matrix_algebra():
     m1 = matrix_algebra(1)
     assert m1.dim == 1
     m2 = matrix_algebra(2)
-    assert len(center_basis(m2)) == 1
+    assert center_basis(m2).rows == 1
     m3 = matrix_algebra(3)
     # commutator subspace of M_3 = traceless matrices, dim 8
     assert commutator_subspace(m3).rows == 8
@@ -133,7 +133,7 @@ def test_truncated_poly():
     d = truncated_poly(2)
     assert d.dim == 2 and d.serre is None
     t = truncated_poly(3)
-    assert len(center_basis(t)) == 3          # commutative
+    assert center_basis(t).rows == 3          # commutative
     assert commutator_subspace(t).rows == 0
     x = unit_vector(3, 1)
     x2 = t.mul(x, unit_vector(3, 2))          # x * x^2 = 0
@@ -152,7 +152,7 @@ def test_tensor_dims_and_center():
     b = algebra_fixture("s3")
     t = tensor(a, b)
     assert t.dim == 12
-    assert len(center_basis(t)) == len(center_basis(a)) * len(center_basis(b))
+    assert center_basis(t).rows == center_basis(a).rows * center_basis(b).rows
 
 
 def test_enveloping_of_z2_is_klein_group_algebra():
@@ -175,10 +175,25 @@ def test_validate_passes_on_all_fixtures():
         validate(algebra_fixture(name))
 
 
+@pytest.mark.parametrize("name", ALL_GROUP_FIXTURES + ("mat:3", "trunc:3", "tensor(zn:3,zn:4)"))
+def test_center_rows_are_central(name):
+    # oracle: each row commutes with every basis element, by dense products
+    a = algebra_fixture(name)
+    z = center_basis(a)
+    assert rref(z) == z and z is center_basis(a)
+    for r in range(z.rows):
+        v = z.row_vector(r)
+        for i in range(a.dim):
+            e = a.basis_vector(i)
+            assert a.mul(v, e) == a.mul(e, v), (r, i)
+    if a.provenance[0] == "group":
+        assert z.rows == conjugacy_class_count(a.provenance[2])
+
+
 def test_center_plus_commutator_dim_for_semisimple():
     for name in ["zn:3", "s3", "d4", "q8", "a4", "mat:2"]:
         a = algebra_fixture(name)
-        assert len(center_basis(a)) + commutator_subspace(a).rows == a.dim
+        assert center_basis(a).rows + commutator_subspace(a).rows == a.dim
 
 
 def test_regular_trace_group_algebra():
@@ -240,10 +255,11 @@ def test_semisimplicity_of_combinators_follows_their_factors():
 
 
 TYPED_INPUT_ERRORS_SCRIPT = """
-from hochkit.algebra import Algebra, CentralElement, DictSC, truncated_poly
+from hochkit.algebra import Algebra, DictSC, truncated_poly
 from hochkit.errors import HochkitError
 from hochkit.fixtures import algebra_fixture
 from hochkit.hochschild import HHResult
+from hochkit.mukai import MukaiClass
 from hochkit.scalars import CycScalar
 from hochkit.tqft import CobordismWord, SurfaceInvariant, evaluate
 
@@ -255,7 +271,7 @@ cases = {
     "Algebra labels": lambda: Algebra(1, DictSC({(0, 0): {0: 1}}), [1], labels=["a", "b"],
                                       validated=True),
     "Algebra unit": lambda: Algebra(2, DictSC({}), [1], validated=True),
-    "CentralElement": lambda: CentralElement(z2, [1]),
+    "MukaiClass": lambda: MukaiClass(z2, [1]),
     "SurfaceInvariant": lambda: SurfaceInvariant(-1, sphere, z2),
     "HHResult kind": lambda: HHResult("homotopy", [1], 0),
     "HHResult dims": lambda: HHResult("homology", [1, -1], 1),

@@ -241,11 +241,18 @@ def test_cli_tqft(capsys):
 
 
 def test_cli_tqft_genus2_reports_oracle(capsys):
-    code = run(["tqft", "zn:2", "--genus", "2"])
+    code = run(["tqft", "s3", "--genus", "2"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "invariant dimension: 4" in out
-    assert "oracle" in out and "8" in out
+    assert "invariant dimension: 11" in out
+    assert "pass  surface value equals the conjugation orbit count  11 == 11" in out
+    # a disconnected word (sphere and torus) is asserted against the product
+    code = run(["tqft", "s3", "--format", "machine", "--word",
+                "cap_in cap_in@1 pants_split@1 pants_merge@1 cap_out@1 cap_out"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [(r["check"], r["left"], r["right"], r["pass"]) for r in doc["records"]] == \
+        [("tqft-orbit-count", "3", "3", True)]
 
 
 @pytest.mark.parametrize("argv, refused", [

@@ -5,7 +5,8 @@ import pytest
 
 from hochkit.algebra import center_basis
 from hochkit.errors import (
-    AugmentationNot1Dim, MissingSerreData, NotIntertwiner, SingularGram,
+    AugmentationNot1Dim, HochkitError, MissingSerreData, NotIntertwiner, ShapeMismatch,
+    SingularGram,
 )
 from hochkit.fixtures import algebra_fixture
 from hochkit.linalg import SparseMatrix, rank, vec
@@ -37,12 +38,29 @@ def rand_matrix(rng, rows, cols):
                                      if rng.random() < 0.7})
 
 
+def center_rows(a):
+    z = center_basis(a)
+    return [z.row_vector(r) for r in range(z.rows)]
+
+
 def rand_central(rng, a):
     coords = [ZERO] * a.dim
-    for z in center_basis(a):
+    for z in center_rows(a):
         c = cyc(rng.randint(-3, 3))
-        coords = [acc + c * x for acc, x in zip(coords, z.coords)]
+        coords = [acc + c * x for acc, x in zip(coords, z)]
     return MukaiClass(a, tuple(coords), _checked=True)
+
+
+def test_mukai_class_checks_outside_coordinates():
+    s3 = algebra_fixture("s3")
+    transposition = s3.gens[0]  # e_(12) commutes with generator 0 but not with 1
+    assert s3.mul(transposition, s3.gens[0]) == s3.mul(s3.gens[0], transposition)
+    with pytest.raises(HochkitError, match=r"not central \(fails at generator 1\)"):
+        MukaiClass(s3, transposition)
+    with pytest.raises(ShapeMismatch):
+        MukaiClass(s3, [1, 0])
+    for z in center_rows(s3):
+        assert MukaiClass(s3, z).coords == z
 
 
 # --- serre trace -----------------------------------------------------------------
@@ -63,8 +81,8 @@ def test_serre_trace_of_central_action():
     # character; the trace is that scalar times the dimension
     q8 = algebra_fixture("q8")
     std = simples_of(q8)[4]
-    for z in center_basis(q8):
-        action = std.act(z.coords)
+    for z in center_rows(q8):
+        action = std.act(z)
         tr = serre_trace(std, action)
         scalar = action.trace() / cyc(std.dim)
         assert tr == scalar * cyc(std.dim)
@@ -390,8 +408,8 @@ def test_adjoint_transfer_defining_identity_on_held_out_modules():
 def test_pushforward_identity_kernel():
     s3 = algebra_fixture("s3")
     K = regular_bimodule(s3)
-    for z in center_basis(s3):
-        v = MukaiClass(s3, z.coords, _checked=True)
+    for z in center_rows(s3):
+        v = MukaiClass(s3, z, _checked=True)
         assert pushforward(K, v) == v
 
 
@@ -413,8 +431,8 @@ def test_pushforward_morita_kernel_bijective():
     from hochkit.mukai import morita_kernel
     z2 = algebra_fixture("zn:2")
     K = morita_kernel(z2, 2)
-    images = [pushforward(K, MukaiClass(z2, z.coords, _checked=True))
-              for z in center_basis(z2)]
+    images = [pushforward(K, MukaiClass(z2, z, _checked=True))
+              for z in center_rows(z2)]
     mat = SparseMatrix.from_columns([im.coords for im in images], K.target.dim)
     assert rank(mat) == 2
 
@@ -466,15 +484,15 @@ def test_cohomology_transport_is_ring_map():
     from hochkit.mukai import morita_kernel
     s3 = algebra_fixture("s3")
     K = morita_kernel(s3, 2)
-    zs = center_basis(s3)
-    t = [cohomology_transport(K, MukaiClass(s3, z.coords, _checked=True))
+    zs = center_rows(s3)
+    t = [cohomology_transport(K, MukaiClass(s3, z, _checked=True))
          for z in zs]
     one = cohomology_transport(K, MukaiClass(s3, s3.unit, _checked=True))
     assert one == MukaiClass(K.target, K.target.unit, _checked=True)
     for i in range(len(zs)):
         for j in range(len(zs)):
-            vi = MukaiClass(s3, zs[i].coords, _checked=True)
-            vj = MukaiClass(s3, zs[j].coords, _checked=True)
+            vi = MukaiClass(s3, zs[i], _checked=True)
+            vj = MukaiClass(s3, zs[j], _checked=True)
             assert cohomology_transport(K, vi.mul(vj)) == t[i].mul(t[j])
 
 
@@ -491,11 +509,11 @@ def test_isometry_of_pushforward_along_morita_kernel():
     from hochkit.mukai import morita_kernel
     z2 = algebra_fixture("zn:2")
     K = morita_kernel(z2, 2)
-    zs = center_basis(z2)
+    zs = center_rows(z2)
     for zi in zs:
         for zj in zs:
-            vi = MukaiClass(z2, zi.coords, _checked=True)
-            vj = MukaiClass(z2, zj.coords, _checked=True)
+            vi = MukaiClass(z2, zi, _checked=True)
+            vj = MukaiClass(z2, zj, _checked=True)
             assert mukai_pairing(pushforward(K, vi), pushforward(K, vj)) == \
                 mukai_pairing(vi, vj)
 
@@ -517,7 +535,7 @@ def _old_combine(a, x, basis):
     coords = [ZERO] * a.dim
     for c, z in zip(x, basis):
         if c:
-            coords = [acc + c * zc for acc, zc in zip(coords, z.coords)]
+            coords = [acc + c * zc for acc, zc in zip(coords, z)]
     return MukaiClass(a, tuple(coords), _checked=True)
 
 
@@ -525,12 +543,12 @@ def old_adjoint_transfer(k, nu):
     from hochkit.modules import apply_kernel_full
     a = k.source
     rows, rhs = [], []
-    zbasis = center_basis(a)
+    zbasis = center_rows(a)
     for s in simples_of(a):
         applied = apply_kernel_full(k, s)
         nu_action = applied.module.act(nu.coords)
         for mu in hom_space(s, s).basis:
-            rows.append([(s.act(z.coords) * mu).trace() for z in zbasis])
+            rows.append([(s.act(z) * mu).trace() for z in zbasis])
             rhs.append((nu_action * applied.map_morphism(mu)).trace())
     system = SparseMatrix.from_dense(rows)
     x = _old_solve(system, rhs)
@@ -549,10 +567,10 @@ def old_pushforward(k, v):
     for c, s in zip(x, simples):
         if c:
             route_a = route_a + chern(apply_kernel(k, s)).scale(c)
-    zbasis_b = center_basis(b)
+    zbasis_b = center_rows(b)
     gram_b = pairing_gram(b)
     rhs = [hochschild_trace(a, a.mul(old_adjoint_transfer(
-        k, MukaiClass(b, z.coords, _checked=True)).coords, v.coords)) for z in zbasis_b]
+        k, MukaiClass(b, z, _checked=True)).coords, v.coords)) for z in zbasis_b]
     route_b = _old_combine(b, _old_solve(gram_b, rhs), zbasis_b)
     assert route_a == route_b
     return route_a
@@ -561,12 +579,12 @@ def old_pushforward(k, v):
 def old_cohomology_transport(k, nu):
     from hochkit.modules import apply_kernel_full
     a, b = k.source, k.target
-    zbasis = center_basis(b)
+    zbasis = center_rows(b)
     rows, rhs = [], []
     for s in simples_of(a):
         applied = apply_kernel_full(k, s)
         omega = s.act(nu.coords).trace() / cyc(s.dim)
-        rows.append([applied.module.character(z.coords) for z in zbasis])
+        rows.append([applied.module.character(z) for z in zbasis])
         rhs.append(omega * cyc(applied.module.dim))
     system = SparseMatrix.from_dense(rows)
     x = _old_solve(system, rhs)
@@ -704,7 +722,7 @@ def test_center_coordinates_round_trip(name):
     rng = random.Random(47)
     a = _rebased(algebra_fixture("s3")) if name == "rebased s3" else algebra_fixture(name)
     assert 6 <= a.dim <= 12
-    basis = SparseMatrix.from_columns([z.coords for z in center_basis(a)], a.dim)
+    basis = center_basis(a).transpose()
     for _ in range(5):
         v = rand_central(rng, a)
         assert (basis * _center_coords(a)).apply(v.coords) == v.coords
@@ -760,7 +778,7 @@ def _gram_solve(a, traces):
     x = _old_solve(gram, traces)
     if x is None or rank(gram) < gram.rows:
         raise SingularGram("trace pairing on the center is singular here")
-    return _old_combine(a, x, center_basis(a))
+    return _old_combine(a, x, center_rows(a))
 
 
 def _rebased_module(ra, m):
@@ -791,12 +809,12 @@ def test_chern_and_iota_match_one_column_gram_solves(label, build):
     built = build()
     a, simples = built if isinstance(built, tuple) else (built, simples_of(built))
     modules = list(simples) + [simples[0].direct_sum(simples[-1])]
-    zs = center_basis(a)
+    zs = center_rows(a)
     for m in modules:
-        assert chern(m) == _gram_solve(a, [m.character(z.coords) for z in zs])
+        assert chern(m) == _gram_solve(a, [m.character(z) for z in zs])
         e = rand_intertwiner(rng, m)
         assert iota_solve(m, e) == \
-            _gram_solve(a, [(m.act(z.coords) * e).trace() for z in zs])
+            _gram_solve(a, [(m.act(z) * e).trace() for z in zs])
 
 
 def test_iota_singular_gram_on_weird_input():

@@ -10,8 +10,8 @@ from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.hochschild import hh_homology_dims
 from hochkit.modules import simples_of
 from hochkit.tqft import (
-    MAX_WORD_STEPS, CobordismWord, GeneratorKernels, commutator_solution_count, evaluate,
-    parse_word, trivial_representation,
+    MAX_WORD_STEPS, CobordismWord, GeneratorKernels, evaluate, orbit_count, parse_word,
+    trivial_representation,
 )
 
 
@@ -60,7 +60,7 @@ def test_torus_values_equal_class_count():
         a = algebra_fixture(name)
         inv = evaluate(a, parse_word("genus:1"))
         assert inv.dims == classes
-        assert inv.dims == len(center_basis(a))
+        assert inv.dims == center_basis(a).rows
 
 
 def test_torus_matches_hochschild_degree_zero():
@@ -78,22 +78,11 @@ def test_requires_group_algebra():
         evaluate(m2, parse_word("cap_in cap_out"))
 
 
-def test_genus_two_with_commutator_oracle():
-    a = algebra_fixture("zn:2")
-    inv = evaluate(a, parse_word("genus:2"))
-    oracle = commutator_solution_count(a, 2)
-    # reported side by side; the normalizations are genuinely different
-    assert inv.dims == 4
-    assert oracle == 8
-
-
-def test_commutator_count_oracle_values():
-    # Frobenius: |Hom(pi_1 Sigma_g, G)| / |G| = sum_S (|G| / dim S)^(2g - 2)
-    for name in ["zn:2", "zn:3", "s3", "q8", "a4"]:
+def test_genus_two_matches_orbit_count():
+    for name, genus, orbits in [("zn:2", 2, 4), ("zn:3", 2, 9), ("zn:2", 3, 8)]:
         a = algebra_fixture(name)
-        for genus in range(1, 7):
-            expected = sum((a.dim // s.dim) ** (2 * genus - 2) for s in simples_of(a))
-            assert commutator_solution_count(a, genus) == expected
+        assert evaluate(a, parse_word(f"genus:{genus}")).dims == orbits == \
+            orbit_count(a, genus)
 
 
 def test_word_order_robustness_sphere():
@@ -160,31 +149,33 @@ def test_connected_genus_via_components():
     assert w.genus == 2
 
 
-def brute_force_commutator_count(a, genus):
-    """#{(a_1, b_1, .., a_g, b_g) : prod [a_i, b_i] = 1} / |G|, enumerated."""
+def brute_force_orbit_count(a, genus):
+    """Orbits of G on G^genus under simultaneous conjugation, enumerated:
+    each unseen tuple's whole orbit is marked seen."""
     _, _, table, identity = a.provenance
     inverse = {g: h for g in range(a.dim) for h in range(a.dim) if table[g][h] == identity}
-    count = 0
-    for pairs in product(range(a.dim), repeat=2 * genus):
-        acc = identity
-        for x, y in zip(pairs[::2], pairs[1::2]):
-            acc = table[acc][table[table[x][y]][table[inverse[x]][inverse[y]]]]
-        count += acc == identity
-    return count // a.dim
+    seen, orbits = set(), 0
+    for t in product(range(a.dim), repeat=genus):
+        if t not in seen:
+            orbits += 1
+            seen.update(tuple(table[table[h][x]][inverse[h]] for x in t)
+                        for h in range(a.dim))
+    return orbits
 
 
 @pytest.mark.parametrize("name", ALL_GROUP_FIXTURES)
-def test_commutator_count_matches_enumeration(name):
+def test_orbit_count_matches_enumeration(name):
     a = algebra_fixture(name)
-    for genus in (1, 2):
-        assert commutator_solution_count(a, genus) == brute_force_commutator_count(a, genus)
+    for genus in (0, 1, 2):
+        assert orbit_count(a, genus) == brute_force_orbit_count(a, genus)
+    assert orbit_count(a, 1) == len(simples_of(a))  # the conjugacy classes
 
 
-def test_commutator_count_refusals():
+def test_orbit_count_refusals():
     with pytest.raises(MissingAugmentation):
-        commutator_solution_count(algebra_fixture("mat:2"), 2)
+        orbit_count(algebra_fixture("mat:2"), 2)
     with pytest.raises(DegreeUnderflow):
-        commutator_solution_count(algebra_fixture("s3"), 0)
+        orbit_count(algebra_fixture("s3"), -1)
 
 
 def test_word_and_kernel_size_guards(monkeypatch):
