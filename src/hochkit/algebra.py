@@ -9,8 +9,10 @@ multiplication table.
 Constructed algebras are validated (group tables, matrix algebras and
 file input eagerly; combinators inherit validity from their factors) and
 immutable afterwards.  Derived data (multiplication matrices, the center
-basis, the unit split) is cached on the algebra when first asked for; it
-is deterministic, so a cache filled twice holds the same value.
+basis, the trace form, the unit split) is cached on the algebra when first
+asked for; it is deterministic, so a cache filled twice holds the same
+value.  `_form(a, f)`, the matrix of (x, y) |-> f(xy), gives both the
+Frobenius Gram that `validate` checks and the regular `trace_form`.
 
 Subspaces are canonical row matrices: the center (`center_basis`) and the
 commutator subspace (`commutator_subspace`) are each the reduced echelon
@@ -90,13 +92,6 @@ class SerreData:
     def __init__(self, functional: Vector):
         self.functional = vec(functional)
 
-    def value(self, coords: Vector) -> CycScalar:
-        out = ZERO
-        for lam, c in zip(self.functional, coords):
-            if lam and c:
-                out = out + lam * c
-        return out
-
 
 class Algebra:
     def __init__(self, dim: int, sc: StructureConstants, unit: Vector,
@@ -126,6 +121,7 @@ class Algebra:
         self._right_mult: dict[int, SparseMatrix] = {}
         self._unit_split = None  # set by modules.a_unit_split
         self._center: Optional[SparseMatrix] = None  # set by center_basis
+        self._trace_form: Optional[SparseMatrix] = None  # set by trace_form
         self._pairing_dual = None  # set by mukai._dual_basis
         self._validated_on_build = not validated
         if not validated:
@@ -202,19 +198,15 @@ class Algebra:
         return f"Algebra({self.provenance[0]}, dim {self.dim})"
 
     def is_semisimple(self) -> bool:
-        """Nondegeneracy of the regular trace form, the characteristic-zero
-        criterion for semisimplicity.  In characteristic zero A (x) B is
-        semisimple iff A and B are, and op(A) iff A is, so combinators ask
-        their factors instead."""
+        """Nondegeneracy of `trace_form`, the characteristic-zero criterion
+        for semisimplicity.  In characteristic zero A (x) B is semisimple
+        iff A and B are, and op(A) iff A is, so combinators ask their
+        factors instead."""
         kind, *factors = self.provenance
         if kind in ("tensor", "opposite"):
             return all(f.is_semisimple() for f in factors)
         if self._semisimple is None:
-            traces = [regular_trace(self, self.basis_vector(k)) for k in range(self.dim)]
-            form = SparseMatrix(self.dim, self.dim, (
-                ((i, j), c * traces[k]) for i in range(self.dim) for j in range(self.dim)
-                for k, c in self.sc.product(i, j).items() if traces[k]))
-            self._semisimple = rank(form) == self.dim
+            self._semisimple = rank(trace_form(self)) == self.dim
         return self._semisimple
 
 
@@ -255,14 +247,7 @@ def validate(a: Algebra) -> None:
 
 
 def _validate_serre(a: Algebra) -> None:
-    lam = a.serre
-    entries = {}
-    for i in range(a.dim):
-        for j in range(a.dim):
-            v = lam.value(tuple(a.sc.product(i, j).get(k, ZERO) for k in range(a.dim)))
-            if v:
-                entries[(i, j)] = v
-    gram = SparseMatrix(a.dim, a.dim, entries)
+    gram = _form(a, a.serre.functional)
     if gram != gram.transpose():
         raise DegenerateFrobeniusForm("form is not symmetric")
     if rank(gram) != a.dim:
@@ -367,10 +352,9 @@ def field_algebra() -> Algebra:
 
 
 def opposite(a: Algebra) -> Algebra:
-    out = Algebra(a.dim, OppositeSC(a.sc), a.unit, labels=a.labels,
-                  serre=a.serre, field_order=a.field_order, gens=a.gens,
-                  provenance=("opposite", a), validated=True)
-    return out
+    return Algebra(a.dim, OppositeSC(a.sc), a.unit, labels=a.labels,
+                   serre=a.serre, field_order=a.field_order, gens=a.gens,
+                   provenance=("opposite", a), validated=True)
 
 
 def tensor(a: Algebra, b: Algebra) -> Algebra:
@@ -438,3 +422,19 @@ def regular_trace(a: Algebra, x: Vector) -> CycScalar:
             if c:
                 out = out + xi * c
     return out
+
+
+def _form(a: Algebra, f: Vector) -> SparseMatrix:
+    """The bilinear form (x, y) |-> f(xy) of a functional f on the basis:
+    entry (i, j) is sum_k c_ij^k f_k."""
+    return SparseMatrix(a.dim, a.dim, (
+        ((i, j), c * f[k]) for i in range(a.dim) for j in range(a.dim)
+        for k, c in a.sc.product(i, j).items() if f[k]))
+
+
+def trace_form(a: Algebra) -> SparseMatrix:
+    """The regular trace form (x, y) |-> regular_trace(xy), built once per
+    algebra: it decides semisimplicity and is the pairing on HH_0."""
+    if a._trace_form is None:
+        a._trace_form = _form(a, [regular_trace(a, a.basis_vector(k)) for k in range(a.dim)])
+    return a._trace_form

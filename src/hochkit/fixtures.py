@@ -10,12 +10,14 @@ registry is the authoritative list of simples per fixture.
     zn:<k>  s3  d4  q8  a4  mat:<n>  dual  trunc:<k>  field
     tensor(<a>,<b>)  op(<a>)  env(<a>)
 and refuses, before building it, any term whose algebra would have more
-than MAX_FIXTURE_DIM basis elements.
+than MAX_FIXTURE_DIM basis elements, or that nests deeper than
+scalars.MAX_NESTING.  Each group algebra is built once per process and
+shared.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cache, reduce
 from itertools import permutations
 
 from .algebra import (
@@ -25,7 +27,7 @@ from .algebra import (
 from .errors import DegreeCapExceeded, ParseError
 from .linalg import SparseMatrix
 from .modules import ModuleRep, attach_simples, regular_module
-from .scalars import zeta
+from .scalars import check_nesting, zeta
 
 
 def _perm_mul(p, q):
@@ -184,27 +186,20 @@ def _mat(rows):
     return SparseMatrix.from_dense(rows)
 
 
-_GROUP_CACHE: dict[str, Algebra] = {}
-
-
+@cache
 def _cyclic_algebra(n: int) -> Algebra:
-    key = f"zn:{n}"
-    if key in _GROUP_CACHE:
-        return _GROUP_CACHE[key]
     table, labels, gens = cyclic_group(n)
-    a = group_algebra(table, labels=labels, gens=gens, name=key)
+    a = group_algebra(table, labels=labels, gens=gens, name=f"zn:{n}")
     simples = []
     for k in range(n):
         action = [SparseMatrix.from_dense([[zeta(n, (k * m) % n)]]) for m in range(n)]
         simples.append(ModuleRep(a, 1, action, name=f"chi{k}", check=True))
     attach_simples(a, simples)
-    _GROUP_CACHE[key] = a
     return a
 
 
+@cache
 def _s3_algebra() -> Algebra:
-    if "s3" in _GROUP_CACHE:
-        return _GROUP_CACHE["s3"]
     table, labels, gens, elements = symmetric3_group()
     a = group_algebra(table, labels=labels, gens=gens, name="s3")
     triv = ModuleRep(a, 1, [SparseMatrix.identity(1)] * 6, name="triv", check=True)
@@ -216,13 +211,11 @@ def _s3_algebra() -> Algebra:
         [_mat([[0, 1], [1, 0]]), _mat([[0, -1], [1, -1]])],
         2, "std")
     attach_simples(a, [triv, sign, std])
-    _GROUP_CACHE["s3"] = a
     return a
 
 
+@cache
 def _d4_algebra() -> Algebra:
-    if "d4" in _GROUP_CACHE:
-        return _GROUP_CACHE["d4"]
     table, labels, gens, elements = dihedral4_group()
     a = group_algebra(table, labels=labels, gens=gens, name="d4")
     r_idx, s_idx = gens
@@ -242,13 +235,11 @@ def _d4_algebra() -> Algebra:
                             2, "std"),
     ]
     attach_simples(a, simples)
-    _GROUP_CACHE["d4"] = a
     return a
 
 
+@cache
 def _q8_algebra() -> Algebra:
-    if "q8" in _GROUP_CACHE:
-        return _GROUP_CACHE["q8"]
     table, labels, gens, elements = quaternion_group()
     a = group_algebra(table, labels=labels, gens=gens, name="q8")
     i_idx, j_idx = gens
@@ -269,13 +260,11 @@ def _q8_algebra() -> Algebra:
                             2, "std"),
     ]
     attach_simples(a, simples)
-    _GROUP_CACHE["q8"] = a
     return a
 
 
+@cache
 def _a4_algebra() -> Algebra:
-    if "a4" in _GROUP_CACHE:
-        return _GROUP_CACHE["a4"]
     table, labels, gens, elements = alternating4_group()
     a = group_algebra(table, labels=labels, gens=gens, name="a4")
     x_idx, z_idx = gens  # (12)(34), (123)
@@ -296,7 +285,6 @@ def _a4_algebra() -> Algebra:
                             3, "std"),
     ]
     attach_simples(a, simples)
-    _GROUP_CACHE["a4"] = a
     return a
 
 
@@ -314,6 +302,7 @@ def _bounded(dim: int, name: str) -> None:
 
 def algebra_fixture(name: str) -> Algebra:
     """Resolve a fixture name or combinator expression to an algebra."""
+    check_nesting(name)
     name = name.strip()
     if name.startswith("tensor(") and name.endswith(")"):
         inner = name[len("tensor("):-1]

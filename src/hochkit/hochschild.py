@@ -36,10 +36,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import SparseMatrix, Vector, rank, solve, unit_vector
-from .modules import MAX_COORDINATES, a_unit_split, check_maxdeg
+from .modules import MAX_COORDINATES, MAX_DEGREE, a_unit_split, check_maxdeg
 from .scalars import CycScalar, ONE, ZERO
 
-MAX_DEGREE = 32
 _SIGNS = (ONE, -ONE)  # (-1)^k is _SIGNS[k % 2]
 
 

@@ -33,6 +33,7 @@ from .linalg import (
 from .scalars import CycScalar, ONE, ZERO
 
 MAX_COORDINATES = 200_000  # size guard for chain, quotient and resolution spaces
+MAX_DEGREE = 32  # the highest degree an Ext or Hochschild computation reaches
 
 
 class ModuleRep:
@@ -415,9 +416,6 @@ def parallel_kernels(k1: Bimodule, k2: Bimodule) -> Bimodule:
 
 # --- Ext via the reduced bar resolution ----------------------------------------
 
-MAX_EXT_DEGREE = 32
-
-
 def check_maxdeg(maxdeg: int, degree_cap: int):
     """Refuse a maximum degree outside 0..degree_cap."""
     if maxdeg < 0:
@@ -430,7 +428,7 @@ def check_maxdeg(maxdeg: int, degree_cap: int):
 def ext_dims(m: ModuleRep, n: ModuleRep, maxdeg: int) -> list[int]:
     """dim Ext^i(M, N) for 0 <= i <= maxdeg, from the reduced bar resolution
     of M; degree 0 always agrees with hom_space."""
-    check_maxdeg(maxdeg, MAX_EXT_DEGREE)
+    check_maxdeg(maxdeg, MAX_DEGREE)
     if m.algebra != n.algebra:
         raise AlgebraMismatch("ext needs modules over the same algebra")
     a = m.algebra

@@ -20,9 +20,9 @@ Normalization, fixed throughout: the trace on End(M) is the ordinary
 matrix trace, and the trace on bimodule endomorphisms (central elements)
 is the regular trace of the algebra.  That pair is forced by asking the
 pairing to be nondegenerate and the Riemann-Roch identity to hold on the
-nose.  The Serre twist is trivial in this setting (symmetric Frobenius
-algebras only); `_tau` is the explicit hook where a nontrivial twist
-would act, and it is the identity here.
+nose.  The Serre twist is trivial (symmetric Frobenius algebras only).
+Both choices live in the trace form T = algebra.trace_form(a) alone: the
+pairing is <v, w> = v^T T w and its Gram on the center basis is Z T Z^T.
 
 Chern characters are never written down from idempotent formulas: they
 are solved from the defining trace property <ch(M), f> = tr(f on M), so
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import Algebra, center_basis, matrix_algebra, regular_trace, tensor
+from .algebra import Algebra, center_basis, matrix_algebra, regular_trace, tensor, trace_form
 from .errors import (
     AlgebraMismatch, AugmentationNot1Dim, HochkitError, MissingSerreData, NotIntertwiner,
     RoutesDisagree, ShapeMismatch, SingularGram,
@@ -108,11 +108,6 @@ class MukaiClass:
 
     def __repr__(self):
         return f"MukaiClass[{', '.join(format_scalar(c) for c in self.coords)}]"
-
-
-def _tau(v: MukaiClass) -> MukaiClass:
-    # Serre-twist hook; the twist is trivial for symmetric algebras.
-    return v
 
 
 class CheckReport:
@@ -238,18 +233,12 @@ def hochschild_trace(a: Algebra, z: Vector) -> CycScalar:
 # --- Chern characters and the pairing --------------------------------------------
 
 def pairing_gram(a: Algebra) -> SparseMatrix:
-    """Gram matrix of the pairing on the center basis; full rank exactly when
-    the pairing is nondegenerate on HH_0."""
+    """Gram matrix Z T Z^T of the pairing on the center basis Z; full rank
+    exactly when the pairing is nondegenerate on HH_0."""
+    if a.serre is None:
+        raise MissingSerreData("the pairing needs Frobenius data")
     z = center_basis(a)
-    basis = [z.row_vector(i) for i in range(z.rows)]
-    n = len(basis)
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            v = hochschild_trace(a, a.mul(basis[i], basis[j]))
-            if v:
-                entries[(i, j)] = v
-    return SparseMatrix(n, n, entries)
+    return z * trace_form(a) * z.transpose()
 
 
 def _classes(a: Algebra, m: SparseMatrix) -> list[MukaiClass]:
@@ -336,10 +325,12 @@ def chern_additivity_check(m: ModuleRep, n: ModuleRep) -> CheckReport:
 
 
 def mukai_pairing(v: MukaiClass, w: MukaiClass) -> CycScalar:
-    """<v, w> = trace_{HH}(tau(v) * w); symmetric here since the twist is trivial."""
+    """<v, w> = trace_{HH}(v * w) = v^T T w for the trace form T; symmetric,
+    since the twist is trivial."""
     if v.algebra != w.algebra:
         raise AlgebraMismatch("pairing needs classes over the same algebra")
-    return hochschild_trace(v.algebra, v.algebra.mul(_tau(v).coords, w.coords))
+    tw = trace_form(v.algebra).apply(w.coords)
+    return sum((x * y for x, y in zip(v.coords, tw) if x), ZERO)
 
 
 def euler_pairing(m: ModuleRep, n: ModuleRep) -> int:
@@ -367,7 +358,7 @@ def todd(a: Algebra, augmentation: ModuleRep) -> MukaiClass:
 def todd_hrr_check(a: Algebra, augmentation: ModuleRep, m: ModuleRep) -> CheckReport:
     report = CheckReport("euler characteristic via the structure class", "todd-euler")
     td = todd(a, augmentation)
-    lhs = hochschild_trace(a, a.mul(td.coords, chern(m).coords))
+    lhs = mukai_pairing(td, chern(m))
     chi = hom_space(augmentation, m).dim
     report.compare(f"trace(Td * ch {m.name}) = chi({m.name})", lhs, cyc(chi))
     return report
@@ -449,10 +440,9 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
             [chern(applied.module).coords for _, applied in _applied_simples(k)], b.dim)
         route_a = pushed * expansions
         # route B
-        pulled = [adjoint_transfer(k, nu) for nu in _classes(b, center_basis(b))]
-        za = _classes(a, zbasis)
-        rhs = [[hochschild_trace(a, a.mul(p.coords, z.coords)) for z in za] for p in pulled]
-        route_b = _dual_basis(b) * SparseMatrix.from_dense(rhs)
+        pulled = SparseMatrix.from_dense(
+            [adjoint_transfer(k, nu).coords for nu in _classes(b, center_basis(b))])
+        route_b = _dual_basis(b) * (pulled * trace_form(a) * zbasis.transpose())
         if route_a != route_b:
             for image_a, image_b in zip(_classes(b, route_a.transpose()),
                                         _classes(b, route_b.transpose())):

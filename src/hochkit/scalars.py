@@ -407,6 +407,19 @@ def _format_q(q: Fraction) -> str:
 
 
 MAX_PARSED_ORDER = 1024  # the largest order a parsed scalar may reach
+MAX_NESTING = 32  # the deepest parenthesis nesting a parsed expression may have
+
+
+def check_nesting(text: str) -> None:
+    """Refuse text whose parentheses nest deeper than MAX_NESTING, before a
+    recursive parser reads it."""
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    if deepest > MAX_NESTING:
+        raise ParseError(f"parentheses nest {deepest} levels deep, "
+                         f"above the bound {MAX_NESTING}")
 
 
 class _Tokens:
@@ -447,7 +460,9 @@ class _Tokens:
 def parse_scalar(text: str) -> CycScalar:
     """Parse scalar syntax such as `1/2 + 1/2*z3^1`.  No literal z<n>, and no
     sum, difference or product, may reach an order above MAX_PARSED_ORDER:
-    order n builds tables of about n * phi(n) entries."""
+    order n builds tables of about n * phi(n) entries.  Nor may parentheses
+    nest deeper than MAX_NESTING."""
+    check_nesting(text)
     toks = _Tokens(text)
     value = _parse_sum(toks)
     toks.skip_ws()

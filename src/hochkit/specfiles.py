@@ -205,6 +205,18 @@ def _parse_matrix(text: str, dim: int, lineno: int) -> SparseMatrix:
     return SparseMatrix.from_dense(grid)
 
 
+def read_spec_file(path: str) -> str:
+    """The text of a spec file.  A file that is not UTF-8 is a ParseError
+    at the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{os.path.basename(path)!r} is not UTF-8 text",
+                         line=data.count(b"\n", 0, exc.start) + 1,
+                         col=exc.start - data.rfind(b"\n", 0, exc.start)) from None
+
+
 def load_algebra_text(path: str) -> Algebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra_file(fh.read(), name=os.path.basename(path))
+    return parse_algebra_file(read_spec_file(path), name=os.path.basename(path))

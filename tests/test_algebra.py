@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 
 from hochkit.algebra import (
-    Algebra, DictSC, center_basis, commutator_subspace, enveloping,
-    group_algebra, matrix_algebra, opposite, regular_trace, tensor,
+    Algebra, DictSC, SerreData, center_basis, commutator_subspace, enveloping,
+    group_algebra, matrix_algebra, opposite, regular_trace, tensor, trace_form,
     truncated_poly, validate,
 )
-from hochkit.errors import AlgebraDefect, NotAGroup, NotAssociative, UnitLawFails
+from hochkit.errors import (
+    AlgebraDefect, DegenerateFrobeniusForm, NotAGroup, NotAssociative, UnitLawFails,
+)
 from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture, cyclic_group
 from hochkit.linalg import rref, unit_vector, vec
 from hochkit.scalars import ONE, ZERO, cyc
@@ -36,8 +38,7 @@ def conjugacy_class_count(table):
 def test_group_algebra_z2():
     a = algebra_fixture("zn:2")
     assert a.dim == 2
-    assert a.serre.value(a.unit) == ONE         # lambda(1) = 1
-    assert a.serre.value(vec([0, 1])) == ZERO   # lambda(s) = 0
+    assert a.serre.functional == vec([1, 0])    # lambda(1) = 1, lambda(s) = 0
 
 
 def test_group_algebra_class_counts():
@@ -252,6 +253,17 @@ def test_semisimplicity_of_combinators_follows_their_factors():
         assert a.is_semisimple() == by_trace_form(a), a
         verdicts.add(a.is_semisimple())
     assert verdicts == {True, False}
+
+
+def test_frobenius_gram_defects_keep_their_messages():
+    # the Frobenius Gram comes from the same form builder as the trace form
+    m2, dual = matrix_algebra(2), algebra_fixture("dual")
+    with pytest.raises(DegenerateFrobeniusForm, match="form is not symmetric"):
+        Algebra(4, m2.sc, m2.unit, serre=SerreData(vec([0, 1, 0, 0])))  # the e12 coefficient
+    with pytest.raises(DegenerateFrobeniusForm, match="gram matrix is singular"):
+        Algebra(2, dual.sc, dual.unit, serre=SerreData(vec([1, 0])))  # the constant term
+    assert trace_form(m2) == trace_form(m2).transpose()
+    assert trace_form(dual).nnz() == 1  # tr(1) = 2 alone: not semisimple
 
 
 TYPED_INPUT_ERRORS_SCRIPT = """

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ import hochkit
 from hochkit import fixtures
 from hochkit.cli import _module_over, load_algebra, run
 from hochkit.errors import AlgebraMismatch, DegreeCapExceeded, ParseError
-from hochkit.specfiles import parse_algebra_file, parse_module_file
+from hochkit.scalars import MAX_NESTING, cyc, parse_scalar
+from hochkit.specfiles import parse_algebra_file, parse_module_file, read_spec_file
 
 
 Z2_ALGEBRA_TEXT = """
@@ -105,6 +107,51 @@ def test_malformed_integer_in_spec_file_is_usage_error(kind, line, bad, tmp_path
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["hh", "{}"], ["chern", "zn:2", "{}"]], ids=["hh", "chern"])
+def test_non_utf8_spec_file_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "bad.alg"
+    path.write_bytes(b"\xff\xfe")
+    assert run([arg.format(path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'bad.alg' is not UTF-8 text (line 1, col 1)")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_spec_file_names_the_first_bad_byte(tmp_path):
+    path = tmp_path / "z2.alg"
+    path.write_bytes(b"dim = 2\nunit = [1, \xe9]\n")
+    with pytest.raises(ParseError, match=r"'z2.alg' is not UTF-8 text \(line 2, col 12\)"):
+        read_spec_file(str(path))
+
+
+DEEP_INPUTS = [
+    (["validate", "op(" * 1200 + "s3" + ")" * 1200], 1200),
+    (["validate", "tensor(field," * 1000 + "s3" + ")" * 1000], 1000),
+    (["pairing", "zn:2", "[" + "(" * 1200 + "1" + ")" * 1200 + ",0]", "[1,0]"], 1200),
+]
+
+
+@pytest.mark.parametrize("argv, depth", DEEP_INPUTS, ids=["op", "tensor", "scalar"])
+def test_deep_nesting_is_refused_before_parsing(argv, depth, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parentheses nest {depth} levels deep, "
+                          f"above the bound {MAX_NESTING}")
+    assert "Traceback" not in err
+
+
+def test_nesting_bound_is_exact(capsys):
+    assert run(["validate", "op(op(s3))"]) == 0
+    assert "op(op(s3)): ok" in capsys.readouterr().out
+    deepest = "op(" * MAX_NESTING + "s3" + ")" * MAX_NESTING
+    assert fixtures.algebra_fixture(deepest).dim == 6
+    with pytest.raises(ParseError, match=f"nest {MAX_NESTING + 1} levels deep"):
+        fixtures.algebra_fixture("op(" + deepest + ")")
+    assert parse_scalar("(" * MAX_NESTING + "1/2" + ")" * MAX_NESTING) == cyc(Fraction(1, 2))
+    with pytest.raises(ParseError, match=f"nest {MAX_NESTING + 1} levels deep"):
+        parse_scalar("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1))
 
 
 def test_load_algebra_from_file(tmp_path):

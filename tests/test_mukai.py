@@ -3,19 +3,19 @@ from fractions import Fraction
 
 import pytest
 
-from hochkit.algebra import center_basis
+from hochkit.algebra import center_basis, trace_form
 from hochkit.errors import (
     AugmentationNot1Dim, HochkitError, MissingSerreData, NotIntertwiner, ShapeMismatch,
     SingularGram,
 )
-from hochkit.fixtures import algebra_fixture
+from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.linalg import SparseMatrix, rank, vec
 from hochkit.modules import (
     ModuleRep, dual_kernel, hom_space, outer_kernel, regular_bimodule,
     regular_module, simples_of,
 )
 from hochkit.mukai import (
-    MukaiClass, adjoint_transfer, adjointness_check, assemble_split_map,
+    MukaiClass, _classes, adjoint_transfer, adjointness_check, assemble_split_map,
     cardy_check, chern, chern_additivity_check, chern_commutation_check,
     cohomology_transport, functoriality_check, generalized_trace,
     hochschild_trace, hrr_check, iota_solve, morita_isometry_check,
@@ -274,6 +274,43 @@ def test_pairing_gram_nondegenerate():
         a = algebra_fixture(name)
         gram = pairing_gram(a)
         assert rank(gram) == gram.rows
+
+
+# The per-pair formulas the trace form replaced, kept as oracles: the trace
+# of each product, and the Gram as a double loop over the center basis.
+
+def old_mukai_pairing(v, w):
+    a = v.algebra
+    return hochschild_trace(a, a.mul(v.coords, w.coords))
+
+
+def old_pairing_gram(a):
+    zs = [MukaiClass(a, z, _checked=True) for z in center_rows(a)]
+    return SparseMatrix(len(zs), len(zs), {(i, j): old_mukai_pairing(v, w)
+                                           for i, v in enumerate(zs)
+                                           for j, w in enumerate(zs)})
+
+
+@pytest.mark.parametrize("name", ALL_GROUP_FIXTURES + ("mat:2", "op(s3)", "tensor(mat:2,s3)"))
+def test_trace_form_matches_per_pair_products(name):
+    rng = random.Random(71)
+    a = algebra_fixture(name)
+    t = trace_form(a)
+    assert t == t.transpose()
+    assert trace_form(a) is t
+    assert pairing_gram(a) == old_pairing_gram(a)
+    for _ in range(5):
+        v, w = rand_central(rng, a), rand_central(rng, a)
+        assert mukai_pairing(v, w) == old_mukai_pairing(v, w)
+    # route B: the classes pulled back from zn:2, paired with the center of a
+    z2 = algebra_fixture("zn:2")
+    k = outer_kernel(simples_of(a)[-1].dual(), simples_of(z2)[1], a)
+    pulled = [adjoint_transfer(k, nu) for nu in _classes(z2, center_basis(z2))]
+    za = _classes(a, center_basis(a))
+    assert SparseMatrix.from_dense([p.coords for p in pulled]) * t * center_basis(a).transpose() \
+        == SparseMatrix.from_dense([[old_mukai_pairing(p, z) for z in za] for p in pulled])
+    v = rand_central(rng, a)
+    assert pushforward(k, v) == old_pushforward(k, v)
 
 
 # --- riemann-roch, todd, cardy -------------------------------------------------------
@@ -568,9 +605,9 @@ def old_pushforward(k, v):
         if c:
             route_a = route_a + chern(apply_kernel(k, s)).scale(c)
     zbasis_b = center_rows(b)
-    gram_b = pairing_gram(b)
-    rhs = [hochschild_trace(a, a.mul(old_adjoint_transfer(
-        k, MukaiClass(b, z, _checked=True)).coords, v.coords)) for z in zbasis_b]
+    gram_b = old_pairing_gram(b)
+    rhs = [old_mukai_pairing(old_adjoint_transfer(k, MukaiClass(b, z, _checked=True)), v)
+           for z in zbasis_b]
     route_b = _old_combine(b, _old_solve(gram_b, rhs), zbasis_b)
     assert route_a == route_b
     return route_a
@@ -774,7 +811,7 @@ def _gram_solve(a, traces):
     """The central z with hochschild_trace(z * z_j) = traces[j] for the
     center basis z_j, solved as one column against the pairing Gram: the
     per-module route the dual basis replaced, kept as the oracle."""
-    gram = pairing_gram(a)
+    gram = old_pairing_gram(a)
     x = _old_solve(gram, traces)
     if x is None or rank(gram) < gram.rows:
         raise SingularGram("trace pairing on the center is singular here")
@@ -790,7 +827,6 @@ def _rebased_module(ra, m):
 
 
 def _dual_basis_cases():
-    from hochkit.fixtures import ALL_GROUP_FIXTURES
     cases = [(name, lambda name=name: algebra_fixture(name))
              for name in ALL_GROUP_FIXTURES + ("mat:3", "tensor(zn:3,zn:4)")]
 
