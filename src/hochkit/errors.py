@@ -105,8 +105,11 @@ class RoutesDisagree(HochkitError):
 
 
 class ParseError(HochkitError):
-    def __init__(self, message: str, line: int = 1, col: int = 1):
-        super().__init__(f"{message} (line {line}, col {col})")
+    """Unreadable input; the message names its line and column where known."""
+
+    def __init__(self, message: str, line: int | None = None, col: int | None = None):
+        where = [f"{k} {v}" for k, v in (("line", line), ("col", col)) if v is not None]
+        super().__init__(f"{message} ({', '.join(where)})" if where else message)
         self.line = line
         self.col = col
 

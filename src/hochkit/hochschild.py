@@ -5,20 +5,21 @@ The chain complex C_n = A (x) Abar^(x n) carries the boundary
     b(a_0 (x) ... (x) a_n) = sum_{i<n} (-1)^i a_0 (x) .. a_i a_{i+1} .. (x) a_n
                              + (-1)^n a_n a_0 (x) a_1 (x) ... (x) a_{n-1}
 
-and the cochain complex C^n = Hom(Abar^(x n), A) the matching coboundary.
-Both builders share the word codec (`itertools.product` plus `_index`), the
-interior merges (`_merges`) and the guarded dims; each writes only its two
-end terms, one degree at a time (`_boundary`, `_coboundary`), as
-((row, col), value) terms that the `SparseMatrix` constructor sums (over Q
-straight into integer rows), so a single differential is built alone where
-only it is read (cup, cap and the class comparisons).  The alphabet
-(`_alphabet`) is the only place the two routes differ.  The reduced
-(normalized) route is the default: interior letters span a complement of
-the unit, which shrinks dim(A)^n to (dim(A)-1)^n and is what makes degree-3
-computations feasible at dim 6-8.  The unnormalized route, on which cup and
-cap live, is retained as an independent cross-check.  Ext over A (x) A^op
-(`modules.ext_dims`) builds its own coboundary and shares none of this code,
-so its agreement with HH^* is a second route.
+and the cochain complex C^n = Hom(Abar^(x n), A) the matching coboundary
+(J.-L. Loday, *Cyclic Homology*, 1.1).  A word of r letters is its index in
+base r.  `_alphabet` reads all products into one table, a `SparseMatrix`
+whose values are ints over one denominator, or CycScalars when an entry is
+irrational.  Each term of a differential adds one signed table row along
+arithmetic progressions of target and source indices (`_scatter`), so a
+differential is summed in the table's form, one degree at a time
+(`_boundary`, `_coboundary`), and built alone where only it is read (cup,
+cap and the class comparisons).  The alphabet is the only place the two
+routes differ.  The reduced (normalized) route is the default: interior
+letters span a complement of the unit, which shrinks dim(A)^n to
+(dim(A)-1)^n and makes degree-3 computations feasible at dim 6-8.  The
+unnormalized route, on which cup and cap live, is kept as an independent
+cross-check.  Ext over A (x) A^op (`modules.ext_dims`) builds its own
+coboundary and shares none of this code: a second route to HH^*.
 
 A homology dimension in degree k is only reported when both adjacent
 differentials were built (`complete_through` tracks this); the CLI marks
@@ -28,7 +29,7 @@ anything beyond as incomplete rather than guessing.
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import Algebra, center_basis, commutator_subspace
 from .errors import (
@@ -37,9 +38,7 @@ from .errors import (
 )
 from .linalg import SparseMatrix, Vector, rank, solve, unit_vector
 from .modules import MAX_COORDINATES, MAX_DEGREE, a_unit_split, check_maxdeg
-from .scalars import CycScalar, ONE, ZERO
-
-_SIGNS = (ONE, -ONE)  # (-1)^k is _SIGNS[k % 2]
+from .scalars import CycScalar, ZERO
 
 
 class ChainComplex:
@@ -55,7 +54,6 @@ class ChainComplex:
         self.step = {"down": -1, "up": 1}[direction]
         self.dims = tuple(dims)
         self.maps = dict(maps)
-        self.direction = direction
         self._rank_cache: dict[int, int] = {}
         for n, m in self.maps.items():
             t = n + self.step  # None stands for a degree outside the complex
@@ -99,7 +97,8 @@ class ChainComplex:
                 f"differentials (complete through {self.complete_through()})")
         kernel = self.dims[k] - self.rank_of_map(k)
         image = self.rank_of_map(k - self.step)
-        assert kernel - image >= 0, "d o d = 0 violated upstream"
+        if kernel < image:  # d o d = 0 violated upstream
+            raise HochkitError(f"degree {k}: image rank {image} exceeds kernel dimension {kernel}")
         return kernel - image
 
 
@@ -121,29 +120,38 @@ class HHResult:
 
 def _index(word: Sequence[int], radix: int) -> int:
     """The word read in base `radix`, first letter most significant."""
-    w = 0
-    for t in word:
-        w = w * radix + t
-    return w
+    return sum(t * radix ** k for k, t in enumerate(reversed(word)))
 
 
-def _alphabet(a: Algebra, normalized: bool):
-    """(letters, merge): the basis index of each interior letter, and the
-    product of two letters as {letter: coefficient}.  Normalized letters
-    span a complement of the unit, and merge drops the unit part."""
-    if not normalized:
-        return tuple(range(a.dim)), a.sc.product
-    split = a_unit_split(a)
-    return split.bar_indices, lambda s, t: split.bar_product(s, t)[1]
+def _alphabet(a: Algebra, normalized: bool) -> tuple[tuple[int, ...], SparseMatrix]:
+    """(letters, table): the basis index of each interior letter, and all
+    products as the rows of one matrix: e_i e_j in row i * dim(A) + j, and
+    letters s, t (of r) in row dim(A)^2 + s * r + t.  Normalized letters span
+    a complement of the unit; their products drop the unit part."""
+    d = a.dim
+    rows = [a.sc.product(i, j) for i in range(d) for j in range(d)]
+    if normalized:
+        split = a_unit_split(a)
+        letters = split.bar_indices
+        rows += [split.bar_product(s, t)[1] for s in range(d - 1) for t in range(d - 1)]
+    else:  # every basis element is a letter: the products again
+        letters, rows = tuple(range(d)), rows * 2
+    return letters, SparseMatrix(len(rows), d, (((i, k), v) for i, row in enumerate(rows)
+                                                for k, v in row.items()))
 
 
-def _merges(word: tuple[int, ...], merge) -> Iterable[tuple[tuple[int, ...], CycScalar]]:
-    """Interior terms of the bar differential: (-1)^(i+1) times the word
-    with letters i and i+1 multiplied together."""
-    for i in range(len(word) - 1):
-        sign = _SIGNS[(i + 1) % 2]
-        for t, c in merge(word[i], word[i + 1]).items():
-            yield word[:i] + (t,) + word[i + 2:], sign * c
+def _scatter(data: list[dict], v, target: int, step: int, cols: list[int]):
+    """Add v at (target + i * step, cols[i]) for each i, dropping what cancels."""
+    for c in cols:
+        row = data[target]
+        s = row.get(c)
+        if s is None:
+            row[c] = v
+        elif s := s + v:
+            row[c] = s
+        else:
+            del row[c]
+        target += step
 
 
 def _guarded_dims(a: Algebra, top: int, radix: int) -> list[int]:
@@ -151,64 +159,66 @@ def _guarded_dims(a: Algebra, top: int, radix: int) -> list[int]:
     dims = [a.dim * radix ** n for n in range(top + 1)]
     for n, size in enumerate(dims):
         if size > MAX_COORDINATES:
-            raise DegreeCapExceeded(
-                f"chain space at degree {n} has {size} coordinates "
-                f"(guard {MAX_COORDINATES})")
+            raise DegreeCapExceeded(f"chain space at degree {n} has {size} coordinates "
+                                    f"(guard {MAX_COORDINATES})")
     return dims
 
 
-def _boundary(a: Algebra, n: int, letters: tuple[int, ...], merge) -> SparseMatrix:
-    """b_n: C_n -> C_(n-1) over the alphabet `letters`, n >= 1."""
-    r = len(letters)
-    mul = a.sc.product
-    last_sign = _SIGNS[n % 2]
+def _boundary(a: Algebra, n: int, letters: tuple[int, ...], table: SparseMatrix) -> SparseMatrix:
+    """b_n: C_n -> C_(n-1) over the alphabet `letters`, n >= 1.  Column
+    a_0 * r^n + w is a_0 (x) w, the word w of n letters read in base r."""
+    d, r = a.dim, len(letters)
+    signed = table._rows, [{k: -v for k, v in row.items()} for row in table._rows]
+    low, top = r ** (n - 1), r ** n
+    data: list[dict] = [dict() for _ in range(d * low)]
+    cols = list(range(d * top))  # one int per column, shared by its entries
+    for a0 in range(d):
+        for x in range(r):
+            # (a_0 a_1) (x) a_2 .. and the cyclic (-1)^n a_n a_0 (x) a_1 .. a_(n-1)
+            for k, v in signed[0][a0 * d + letters[x]].items():
+                _scatter(data, v, k * low, 1, cols[a0 * top + x * low:a0 * top + (x + 1) * low])
+            for k, v in signed[n % 2][letters[x] * d + a0].items():
+                _scatter(data, v, k * low, 1, cols[a0 * top + x:(a0 + 1) * top:r])
+    for i in range(1, n):  # (-1)^i a_0 (x) .. a_i a_(i+1) .. (x) a_n
+        p = r ** (n - 1 - i)  # the weight of letter i + 1, and of the merged letter
+        for pair in range(r * r):
+            for t, v in signed[i % 2][d * d + pair].items():
+                for j in range(p):
+                    _scatter(data, v, t * p + j, r * p, cols[pair * p + j::r * r * p])
+    return SparseMatrix._of(d * low, d * top, data, table.den)
 
-    def terms():
-        for col, chain in enumerate(product(range(a.dim), *[range(r)] * n)):
-            a0, word = chain[0], chain[1:]
-            # i = 0: (a0 a_1) (x) a_2 ...
-            for k, v in mul(a0, letters[word[0]]).items():
-                yield (_index((k,) + word[1:], r), col), v
-            for merged, v in _merges(word, merge):
-                yield (_index((a0,) + merged, r), col), v
-            # cyclic term: (-1)^n a_n a_0 (x) a_1 ... a_{n-1}
-            for k, v in mul(letters[word[-1]], a0).items():
-                yield (_index((k,) + word[:-1], r), col), last_sign * v
 
-    return SparseMatrix(a.dim * r ** (n - 1), a.dim * r ** n, terms())
-
-
-def _coboundary(a: Algebra, n: int, letters: tuple[int, ...], merge) -> SparseMatrix:
-    """delta^n: C^n -> C^(n+1) over the alphabet `letters`, n >= 0."""
-    r, d = len(letters), a.dim
-    mul = a.sc.product
-    last_sign = _SIGNS[(n + 1) % 2]
-
-    def terms():
-        for w, word in enumerate(product(range(r), repeat=n + 1)):
-            rest, head = _index(word[1:], r) * d, _index(word[:n], r) * d
-            # a_1 f(a_2 ..): left multiplication on the output slot
-            for out in range(d):
-                for k, v in mul(letters[word[0]], out).items():
-                    yield (w * d + k, rest + out), v
-            for merged, v in _merges(word, merge):
-                col = _index(merged, r) * d
-                for out in range(d):
-                    yield (w * d + out, col + out), v
-            # (-1)^(n+1) f(a_1..a_n) a_{n+1}: right multiplication on output
-            for out in range(d):
-                for k, v in mul(out, letters[word[n]]).items():
-                    yield (w * d + k, head + out), last_sign * v
-
-    return SparseMatrix(d * r ** (n + 1), d * r ** n, terms())
+def _coboundary(a: Algebra, n: int, letters: tuple[int, ...], table: SparseMatrix) -> SparseMatrix:
+    """delta^n: C^n -> C^(n+1) over the alphabet `letters`, n >= 0.  Row
+    w * dim(A) + k is coordinate k of (delta f)(w), the word w read in base r."""
+    d, r = a.dim, len(letters)
+    signed = table._rows, [{k: -v for k, v in row.items()} for row in table._rows]
+    top = r ** n  # words of n letters
+    data: list[dict] = [dict() for _ in range(d * top * r)]
+    cols = list(range(d * top))  # one int per column, shared by its entries
+    for x in range(r):
+        for out in range(d):
+            # a_1 f(a_2 ..) and (-1)^(n+1) f(a_1 .. a_n) a_(n+1): f(u) at e_out, every u
+            for k, v in signed[0][letters[x] * d + out].items():
+                _scatter(data, v, x * top * d + k, d, cols[out::d])
+            for k, v in signed[(n + 1) % 2][out * d + letters[x]].items():
+                _scatter(data, v, x * d + k, r * d, cols[out::d])
+    for i in range(n):  # (-1)^(i+1) f(.. a_i a_(i+1) ..), letters counted from 0
+        p = r ** (n - 1 - i) * d  # the weight of letter i + 1, and of the merged letter
+        for pair in range(r * r):
+            for t, v in signed[(i + 1) % 2][d * d + pair].items():
+                for above in range(r ** i):
+                    u = (above * r + t) * p
+                    _scatter(data, v, (above * r * r + pair) * p, 1, cols[u:u + p])
+    return SparseMatrix._of(d * top * r, d * top, data, table.den)
 
 
 def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True) -> ChainComplex:
     """Hochschild chain complex C_n = A (x) Abar^(x n) through degree maxdeg."""
     check_maxdeg(maxdeg, MAX_DEGREE + 1)  # homology is complete one degree lower
-    letters, merge = _alphabet(a, normalized)
+    letters, table = _alphabet(a, normalized)
     dims = _guarded_dims(a, maxdeg, len(letters))
-    maps = {n: _boundary(a, n, letters, merge) for n in range(1, maxdeg + 1)}
+    maps = {n: _boundary(a, n, letters, table) for n in range(1, maxdeg + 1)}
     return ChainComplex(dims, maps, direction="down")
 
 
@@ -217,18 +227,15 @@ def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True) -> Cha
 
     (df)(a_1..a_{n+1}) = a_1 f(a_2..) + sum_i (-1)^i f(.. a_i a_{i+1} ..)
                           + (-1)^(n+1) f(a_1..a_n) a_{n+1}.
-    Maps are built for n = 0..maxdeg, so homology is complete through maxdeg.
-    The coordinate of f(word) at basis element `out` is _index(word) * dim(A) + out.
-    """
+    Maps are built for n = 0..maxdeg, so homology is complete through maxdeg."""
     check_maxdeg(maxdeg, MAX_DEGREE)
-    letters, merge = _alphabet(a, normalized)
+    letters, table = _alphabet(a, normalized)
     dims = _guarded_dims(a, maxdeg + 1, len(letters))
-    maps = {n: _coboundary(a, n, letters, merge) for n in range(maxdeg + 1)}
+    maps = {n: _coboundary(a, n, letters, table) for n in range(maxdeg + 1)}
     return ChainComplex(dims, maps, direction="up")
 
 
 # --- dimension reports --------------------------------------------------------
-
 
 def hh_homology_dims(a: Algebra, maxdeg: int, normalized: bool = True) -> HHResult:
     """dim HH_k for 0 <= k <= maxdeg.  Degree 0 is cross-checked against the
@@ -257,10 +264,9 @@ def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True) -> HHRe
 
 # --- cochains, cup and cap on the unnormalized complex -------------------------
 #
-# Cup and cap are implemented on the unnormalized complex, where the
-# formulas are the textbook ones with no splitting bookkeeping; the spaces
-# involved in tests are small.  Coordinates are those of the complexes above,
-# with every basis element a letter.
+# Cup and cap live on the unnormalized complex, where the formulas are the
+# textbook ones with no splitting bookkeeping; the spaces involved in tests
+# are small.  Coordinates are those above, with every basis element a letter.
 
 class _BarElement:
     """dim(A)^(degree + 1) coordinates in one degree of the unnormalized complex."""
@@ -296,21 +302,18 @@ class Chain(_BarElement):
     """An element of C_n = A^(x (n+1)) on the unnormalized complex."""
 
 
-# One differential alone, under the guards of the complex that would hold it;
-# no complex and no d o d product is built.
+# One differential alone, under the guards of its complex; no complex is built.
 
 def _unnormalized_cochain_map(a: Algebra, n: int) -> SparseMatrix:
     check_maxdeg(n, MAX_DEGREE)
-    letters, merge = _alphabet(a, False)
     _guarded_dims(a, n + 1, a.dim)
-    return _coboundary(a, n, letters, merge)
+    return _coboundary(a, n, *_alphabet(a, False))
 
 
 def _unnormalized_chain_map(a: Algebra, n: int) -> SparseMatrix:
     check_maxdeg(n, MAX_DEGREE + 1)
-    letters, merge = _alphabet(a, False)
     _guarded_dims(a, n, a.dim)
-    return _boundary(a, n, letters, merge)
+    return _boundary(a, n, *_alphabet(a, False))
 
 
 def coboundary(f: Cochain) -> Cochain:
@@ -344,8 +347,7 @@ def cup_product(f: Cochain, g: Cochain) -> Cochain:
         raise HochkitError("cup product needs a common algebra")
     if not is_cocycle(f) or not is_cocycle(g):
         raise NotACocycle("cup product requires cocycle inputs")
-    a = f.algebra
-    p, q = f.degree, g.degree
+    a, p, q = f.algebra, f.degree, g.degree
     out: list[CycScalar] = []
     for word in product(range(a.dim), repeat=p + q):
         out.extend(a.mul(f.value(word[:p]), g.value(word[p:])))
@@ -380,9 +382,7 @@ def cap_product(f: Cochain, z: Chain) -> Chain:
 
 
 def _cap_raw(f: Cochain, z: Chain) -> Chain:
-    a = f.algebra
-    d = a.dim
-    p, n = f.degree, z.degree
+    a, d, p, n = f.algebra, f.algebra.dim, f.degree, z.degree
     out = [ZERO] * (d ** (n - p + 1))
     for c, word in zip(z.coords, product(range(d), repeat=n + 1)):
         if not c:

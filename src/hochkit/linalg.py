@@ -28,6 +28,7 @@ the integer form of pivot 1.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -493,15 +494,18 @@ def _canonical_rref(data: list[dict], integral: bool) -> list[dict]:
     integer rows.
 
     Rows wait in buckets by leading column, so a pivot row only meets the
-    rows that share its lead; back substitution then runs from the last
-    pivot up, each row meeting only the pivot rows in its own support."""
+    rows that share its lead, and the waiting leads sit in a heap; back
+    substitution then runs from the last pivot up, each row meeting only the
+    pivot rows in its own support."""
     by_lead: dict[int, list[dict]] = {}
     for row in data:
         if row:
             by_lead.setdefault(min(row), []).append(row)
+    leads = list(by_lead)  # the keys of by_lead, as a heap
+    heapify(leads)
     pivot_rows: dict[int, dict] = {}  # increasing lead
-    while by_lead:
-        lead = min(by_lead)
+    while leads:
+        lead = heappop(leads)
         row, *others = by_lead.pop(lead)
         if integral:
             _divide_content(row)
@@ -513,7 +517,11 @@ def _canonical_rref(data: list[dict], integral: bool) -> list[dict]:
         for other in others:
             _clear(other, lead, row, integral)
             if other:
-                by_lead.setdefault(min(other), []).append(other)
+                new = min(other)
+                if new not in by_lead:
+                    by_lead[new] = []
+                    heappush(leads, new)
+                by_lead[new].append(other)
         pivot_rows[lead] = row
     # a pivot row below has no entry in any other pivot column, so clearing
     # one column of a row leaves its other pivot columns untouched; the

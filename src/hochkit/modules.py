@@ -442,12 +442,13 @@ def ext_dims(m: ModuleRep, n: ModuleRep, maxdeg: int) -> list[int]:
             raise DegreeCapExceeded(
                 f"cochain space at degree {p} has {size} coordinates")
         dims.append(size)
-    deltas = [_ext_delta(a, split, m, n, p) for p in range(maxdeg + 1)]
+    # ranks[p] is the rank of the coboundary into C^p, each ranked once
+    ranks = [0] + [rank(_ext_delta(a, split, m, n, p)) for p in range(maxdeg + 1)]
     out = []
     for p in range(maxdeg + 1):
-        kernel = dims[p] - rank(deltas[p])
-        image = rank(deltas[p - 1]) if p >= 1 else 0
-        assert kernel - image >= 0
+        kernel, image = dims[p] - ranks[p + 1], ranks[p]
+        if kernel < image:  # the coboundaries do not compose to zero
+            raise HochkitError(f"Ext^{p}: image rank {image} exceeds kernel dimension {kernel}")
         out.append(kernel - image)
     return out
 

@@ -154,6 +154,38 @@ def test_nesting_bound_is_exact(capsys):
         parse_scalar("(" * (MAX_NESTING + 1) + "1" + ")" * (MAX_NESTING + 1))
 
 
+UNPLACED_INPUTS = [
+    (["validate", "tensor(s3,(zn:2)"], "unknown algebra fixture '(zn:2'"),
+    (["chern", "zn:2", "nosuch"], "unknown module fixture 'nosuch'"),
+    (["pairing", "zn:2", "[1,0", "[1,0]"], "central element must be [c0,...,cn] or ch:<module>"),
+    (["pairing", "zn:2", "[1]", "[1,0]"], "expected 2 coordinates, got 1"),
+    (["pushforward", "nosuch:zn:2", "[1,0]"], "unknown kernel spec 'nosuch:zn:2'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNPLACED_INPUTS,
+                         ids=["algebra", "module", "central", "coordinates", "kernel"])
+def test_parse_errors_without_a_position_name_none(argv, message, capsys):
+    # command-line names and vectors have no line or column to report
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "(line" not in err and "col " not in err
+
+
+def test_parse_error_prints_only_known_positions():
+    assert str(ParseError("bad")) == "bad"
+    assert str(ParseError("bad", line=3)) == "bad (line 3)"
+    assert str(ParseError("bad", line=3, col=7)) == "bad (line 3, col 7)"
+    assert str(ParseError("bad", col=7)) == "bad (col 7)"
+    with pytest.raises(ParseError, match=r"^missing unit$"):
+        parse_algebra_file("dim = 2\n")
+    with pytest.raises(ParseError, match=r"^unknown key 'colour' \(line 2\)$"):
+        parse_algebra_file("dim = 2\ncolour = red\n")
+    with pytest.raises(ParseError, match=r"\(line 1, col 4\)$"):
+        parse_scalar("z3^")
+
+
 def test_load_algebra_from_file(tmp_path):
     path = tmp_path / "z2.alg"
     path.write_text(Z2_ALGEBRA_TEXT)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from hochkit import hochschild
-from hochkit.algebra import center_basis, commutator_subspace
+from hochkit.algebra import Algebra, DictSC, center_basis, commutator_subspace
 from hochkit.errors import DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle
 from hochkit.fixtures import algebra_fixture
 from hochkit.hochschild import (
@@ -18,8 +18,8 @@ from hochkit.hochschild import (
     class_difference_is_boundary, coboundary, cochain_difference_is_coboundary,
     cup_product, hh_cohomology_dims, hh_homology_dims, is_cocycle, is_cycle,
 )
-from hochkit.linalg import SparseMatrix, vec
-from hochkit.scalars import ONE, ZERO, cyc
+from hochkit.linalg import SparseMatrix, solve, vec
+from hochkit.scalars import ONE, ZERO, CycScalar, cyc, zeta
 
 
 # --- independent oracle ----------------------------------------------------
@@ -400,6 +400,140 @@ def test_unnormalized_differentials_match_entrywise_oracle(name):
         assert cochains.maps[n] == _oracle_coboundary(a, n)
 
 
+# --- entrywise oracle for the normalized differentials --------------------------
+#
+# Interior letters are the basis elements off the first coordinate i0 of the
+# unit, a basis of Abar = A / C.1.  The class of e_(i0) in Abar is
+# -(1/u_(i0)) sum_(k != i0) u_k e_k, so the class of sum_k c_k e_k has
+# coordinates c_k - c_(i0) u_k / u_(i0); the oracle projects each interior
+# product so, one term at a time, with CycScalars and `Algebra.mul`.
+
+def _letter_products(a):
+    """(letters, full, bar): full[x, y] = e_x e_y in A for basis indices, and
+    bar[s, t] the class of the product of letters s and t in Abar."""
+    i0 = next(i for i, u in enumerate(a.unit) if u)
+    letters = [i for i in range(a.dim) if i != i0]
+    full = {(x, y): a.mul(a.basis_vector(x), a.basis_vector(y))
+            for x in range(a.dim) for y in range(a.dim)}
+
+    def bar_class(coords):
+        eps = coords[i0] / a.unit[i0]
+        return [coords[k] - eps * a.unit[k] for k in letters]
+    bar = {(s, t): bar_class(full[letters[s], letters[t]])
+           for s in range(len(letters)) for t in range(len(letters))}
+    return letters, full, bar
+
+
+def _normalized_oracle_boundary(a, n):
+    """b_n on A (x) Abar^(x n), column a_0 (x) e_(w_1) (x) .. by column."""
+    letters, full, bar = _letter_products(a)
+    r = len(letters)
+    rows = {w: i for i, w in enumerate(sorted(itertools.product(range(a.dim),
+                                                                *[range(r)] * (n - 1))))}
+    cols = sorted(itertools.product(range(a.dim), *[range(r)] * n))
+    entries = {}
+    for c, (a0, *word) in enumerate(cols):
+        terms = [((k,) + tuple(word[1:]), v) for k, v in enumerate(full[a0, letters[word[0]]])]
+        for i in range(1, n):
+            for t, v in enumerate(bar[word[i - 1], word[i]]):
+                terms.append(((a0, *word[:i - 1], t, *word[i + 1:]), (-1) ** i * v))
+        terms += [((k,) + tuple(word[:-1]), (-1) ** n * v)
+                  for k, v in enumerate(full[letters[word[-1]], a0])]
+        for target, v in terms:
+            if v:
+                entries[rows[target], c] = entries.get((rows[target], c), ZERO) + v
+    return SparseMatrix(len(rows), len(cols), entries)
+
+
+def _normalized_oracle_coboundary(a, n):
+    """delta^n on Hom(Abar^(x n), A): the column of (u, out) is delta of the
+    cochain sending the letter word u to e_out and every other word to zero."""
+    letters, full, bar = _letter_products(a)
+    d, r = a.dim, len(letters)
+    rows = sorted(itertools.product(range(r), repeat=n + 1))
+    entries = {}
+    for c, (*u, out) in enumerate(sorted(itertools.product(*[range(r)] * n, range(d)))):
+        u = tuple(u)
+        for w_rank, w in enumerate(rows):
+            value = [ZERO] * d  # (delta f)(w)
+            if w[1:] == u:
+                value = [x + y for x, y in zip(value, full[letters[w[0]], out])]
+            for i in range(n):
+                for t, v in enumerate(bar[w[i], w[i + 1]]):
+                    if v and w[:i] + (t,) + w[i + 2:] == u:
+                        value[out] += (-1) ** (i + 1) * v
+            if w[:n] == u:
+                value = [x + (-1) ** (n + 1) * y
+                         for x, y in zip(value, full[out, letters[w[n]]])]
+            for k, v in enumerate(value):
+                if v:
+                    entries[w_rank * d + k, c] = v
+    return SparseMatrix(d * len(rows), d * r ** n, entries)
+
+
+def _rebased(a, basis, field_order):
+    """The algebra a in a new basis (coordinate vectors in a's basis), with
+    its structure constants in a DictSC table."""
+    d = a.dim
+    change = SparseMatrix.from_columns([vec(x) for x in basis], d)
+    images = [a.mul(vec(x), vec(y)) for x in basis for y in basis] + [a.unit]
+    coords = solve(change, SparseMatrix.from_columns(images, d))
+    table = {(i // d, i % d): {k: coords.entry(k, i) for k in range(d) if coords.entry(k, i)}
+             for i in range(d * d)}
+    return Algebra(d, DictSC(table), coords.transpose().row_vector(d * d),
+                   field_order=field_order)
+
+
+def _irrational_zn3():
+    """C[Z/3] in the basis g, 1 + zeta_3 g^2, g^2: irrational structure
+    constants and a unit 0 e_0 + e_1 - zeta_3 e_2 off the basis."""
+    w = zeta(3)
+    return _rebased(algebra_fixture("zn:3"), [(0, 1, 0), (1, 0, w), (0, 0, 1)], 3)
+
+
+@pytest.mark.parametrize("name", ["mat:2", "s3", "dual", "trunc:3", "tensor(mat:2,zn:2)",
+                                  "irrational zn:3"])
+def test_normalized_differentials_match_entrywise_oracle(name):
+    a = _irrational_zn3() if name.startswith("irrational") else algebra_fixture(name)
+    chains, cochains = bar_chain_complex(a, 2), bar_cochain_complex(a, 2)
+    for n in (1, 2):
+        assert chains.maps[n] == _normalized_oracle_boundary(a, n)
+    for n in (0, 1, 2):
+        assert cochains.maps[n] == _normalized_oracle_coboundary(a, n)
+
+
+def test_irrational_structure_constants_keep_cyclotomic_rows():
+    a = _irrational_zn3()
+    assert a.sc.product(0, 2) == {1: ONE, 2: -zeta(3)}  # g g^2 = 1
+    for normalized in (True, False):
+        chains = bar_chain_complex(a, 3, normalized).maps
+        cochains = bar_cochain_complex(a, 2, normalized).maps
+        # b_1 and delta^0 are commutators, zero on a commutative algebra
+        assert chains[1].is_zero() and cochains[0].is_zero()
+        assert chains[1].den == cochains[0].den == 1
+        for m in (chains[2], chains[3], cochains[1], cochains[2]):
+            assert m.den is None and m.field_order == 3
+    assert hh_homology_dims(a, 2).dims == hh_homology_dims(a, 2, normalized=False).dims == [3, 0, 0]
+    assert hh_cohomology_dims(a, 2).dims == [3, 0, 0]
+
+
+def test_rational_assembly_does_no_scalar_arithmetic(monkeypatch):
+    s3 = algebra_fixture("s3")
+    bar_chain_complex(s3, 1)  # computes and caches the unit split of s3
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, _name=name, _method=getattr(CycScalar, name)):
+            calls.append(_name)
+            return _method(self, other)
+        monkeypatch.setattr(CycScalar, name, counted)
+    ONE + ONE
+    assert calls == ["__add__"]  # the counters are live
+    calls.clear()
+    chains, cochains = bar_chain_complex(s3, 3), bar_cochain_complex(s3, 2)
+    assert calls == []
+    assert all(m.den == 1 for m in [*chains.maps.values(), *cochains.maps.values()])
+
+
 # --- one differential alone -----------------------------------------------------
 
 def test_single_differentials_match_the_complexes():
@@ -527,6 +661,16 @@ h.is_cocycle = lambda f: True
 verdicts = iter([True, False])
 h.is_cycle = lambda z: next(verdicts)
 expect(HochkitError, h.cap_product, one, h.Chain(dual, 0, (ONE, ZERO)))
+
+# an image rank above the kernel dimension: homology and Ext refuse it
+import hochkit.modules as modules
+from hochkit.modules import ext_dims, simples_of
+
+complex_ = h.bar_chain_complex(z2, 2)
+h.rank = modules.rank = lambda m: 10 ** 6
+expect(HochkitError, complex_.homology_dim, 0)
+trivial = simples_of(z2)[0]
+expect(HochkitError, ext_dims, trivial, trivial, 1)
 print("ok")
 """
 

@@ -274,6 +274,29 @@ def test_canonical_rref_matches_dense_gauss_jordan():
         assert _reduced_rows(_copy_rows(m), ambient, integral) == expected
 
 
+@pytest.mark.parametrize("kind, blocks", [("rational", 700), ("mixed", 40)])
+def test_canonical_rref_with_thousands_of_leads(kind, blocks):
+    # independent blocks on interleaved columns (column j of block b is
+    # j * blocks + b): one call keeps thousands of leads waiting at once, and
+    # its basis is the union of the blocks' own, each from the dense oracle
+    rng = random.Random(47)
+    make, width = _rational_matrix if kind == "rational" else _mixed_matrix, 8
+    parts = [make(rng, rng.randint(0, 10), width) if b % 3 else
+             make(rng, rng.randint(0, 10), 3) * make(rng, 3, width) for b in range(blocks)]
+    entries, offset = {}, 0
+    for b, part in enumerate(parts):
+        entries.update(((offset + r, c * blocks + b), v) for r, c, v in part.entries())
+        offset += part.rows
+    whole = SparseMatrix(offset, width * blocks, entries)
+    integral = whole.den is not None
+    expected = [{c * blocks + b: v for c, v in row.items()} for b, part in enumerate(parts)
+                for row in _row_form(_gauss_jordan(_table(part), width), integral)]
+    expected.sort(key=min)
+    got = _canonical_rref(_copy_rows(whole), integral)
+    assert got == expected
+    assert len(got) >= 2 * blocks  # 2245 pivots on the rational blocks
+
+
 def test_rref_idempotent():
     rng = random.Random(23)
     for _ in range(8):

@@ -236,6 +236,22 @@ def test_ext_dual_numbers_periodic():
     assert dims == [1, 1, 1, 1, 1]
 
 
+def test_ext_ranks_each_coboundary_once(monkeypatch):
+    import hochkit.linalg as linalg
+    import hochkit.modules as modules
+    ranked = []
+
+    def counted(m):
+        ranked.append((m.rows, m.cols))
+        return linalg.rank(m)
+    dual = algebra_fixture("dual")
+    m = ModuleRep(dual, 1, [SparseMatrix.identity(1), SparseMatrix.zero(1, 1)],
+                  name="point", check=True)
+    monkeypatch.setattr(modules, "rank", counted)
+    assert ext_dims(m, m, 4) == [1, 1, 1, 1, 1]
+    assert ranked == [(1, 1)] * 5  # delta^0 .. delta^4, one letter of Abar
+
+
 def test_ext_negative_degree_refused():
     m = simples_of(algebra_fixture("zn:2"))[0]
     with pytest.raises(DegreeUnderflow):
