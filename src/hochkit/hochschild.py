@@ -19,7 +19,8 @@ letters span a complement of the unit, which shrinks dim(A)^n to
 (dim(A)-1)^n and makes degree-3 computations feasible at dim 6-8.  The
 unnormalized route, on which cup and cap live, is kept as an independent
 cross-check.  Ext over A (x) A^op (`modules.ext_dims`) builds its own
-coboundary and shares none of this code: a second route to HH^*.
+coboundary and shares only `ChainComplex`, which checks d o d = 0 and ranks
+each differential on what its neighbour leaves: a second route to HH^*.
 
 A homology dimension in degree k is only reported when both adjacent
 differentials were built (`complete_through` tracks this); the CLI marks
@@ -47,6 +48,21 @@ class ChainComplex:
     maps[n] leaves degree n and lands in degree n + step: step is -1 for
     direction 'down' (maps[n]: C_n -> C_(n-1)) and +1 for 'up'
     (maps[n]: C^n -> C^(n+1)).  d o d = 0 is checked exactly at assembly.
+
+    Ranks are taken in degree order, each map ranked only on what its
+    neighbour maps[n - 1] leaves (the clearing of persistent homology).
+    Let g o f = 0 through a shared space Y.  If g is ranked first, its pivot
+    columns Q on Y carry coordinates that a vector of ker g has as a
+    combination of its others, and every column of f lies in ker g: the
+    rows Q of f are combinations of its other rows, and rank f is the rank
+    of f without them.  Transposed, if f is ranked first with pivot rows R
+    on Y, rank g is the rank of g without the columns R.  So b_n is ranked
+    without the rows at the pivot columns of b_(n-1), and delta^n without
+    the columns at the pivot rows of delta^(n-1); delta^n is ranked as its
+    transpose, so in both directions the cut drops rows of the matrix
+    ranked, at pivot columns of the one before it.  Those lie on the side
+    that was not cut, so they keep their indices.  This rests on d o d = 0,
+    which the constructor has proved.
     """
 
     def __init__(self, dims: Sequence[int], maps: dict[int, SparseMatrix],
@@ -55,6 +71,7 @@ class ChainComplex:
         self.dims = tuple(dims)
         self.maps = dict(maps)
         self._rank_cache: dict[int, int] = {}
+        self._pivot_cache: dict[int, tuple | None] = {}  # the ranked part's pivots
         for n, m in self.maps.items():
             t = n + self.step  # None stands for a degree outside the complex
             want = tuple(self.dims[k] if 0 <= k < len(self.dims) else None for k in (t, n))
@@ -76,9 +93,22 @@ class ChainComplex:
     def rank_of_map(self, n: int) -> int:
         if n not in self.maps:
             return 0
-        if n not in self._rank_cache:
-            self._rank_cache[n] = rank(self.maps[n])
+        for k in range(min(self.maps), n + 1):
+            if k in self.maps and k not in self._rank_cache:
+                self._rank_cache[k] = self._rank_cleared(k)
         return self._rank_cache[n]
+
+    def _rank_cleared(self, n: int) -> int:
+        """rank maps[n], eliminated without what maps[n - 1] (ranked) leaves."""
+        # maps[n] with its rows on the space it shares with maps[n - 1]
+        m = self.maps[n] if self.step == -1 else self.maps[n].transpose()
+        pivots = self._pivot_cache.get(n - 1)  # (rows, cols) of the last one ranked
+        if pivots and pivots[1]:
+            cut = set(pivots[1])
+            m = m.take_rows([i for i in range(m.rows) if i not in cut])
+        r = rank(m)
+        self._pivot_cache[n] = m.pivots
+        return r
 
     def complete_through(self) -> int:
         """Largest degree whose homology both adjacent maps determine;

@@ -15,11 +15,13 @@ basis at pivot 1, so that equal spans give equal matrices.
 Rank, nullspace, solving and cokernel computations all run Gaussian
 elimination on sparse dict rows with a fill-minimizing pivot rule (fewest
 nonzeros in row, then fewest rows in column); pivot choice only affects
-speed, never results.  There is one elimination path: `_eliminate`,
-followed by `_canonical_rref` wherever a canonical reduced basis is needed
-(`_reduced_rows`).  Only the row update depends on the field.  Over
-Q(zeta_n), n > 1, it is t <- t - (t[c]/p) r.  On integer rows it is the
-fraction-free t <- (p/g) t - (t[c]/g) r with g = gcd(p, t[c]) (Bareiss,
+speed, never results.  `rank` eliminates the shorter side and keeps its
+pivot rows and columns on the matrix, where `hochschild.ChainComplex`
+reads them to clear the next differential.  There is one elimination path:
+`_eliminate`, followed by `_canonical_rref` wherever a canonical reduced
+basis is needed (`_reduced_rows`).  Only the row update depends on the
+field.  Over Q(zeta_n), n > 1, it is t <- t - (t[c]/p) r.  On integer rows
+it is the fraction-free t <- (p/g) t - (t[c]/g) r with g = gcd(p, t[c]) (Bareiss,
 Math. Comp. 22, 1968, in its one-step form), after which the row's content
 is divided out.  A reduced integer row is primitive with a positive pivot,
 the integer form of pivot 1.
@@ -81,7 +83,7 @@ class SparseMatrix:
     ((row, col), value) pairs; values at a repeated position are summed and
     entries that cancel are dropped."""
 
-    __slots__ = ("rows", "cols", "den", "_rows")
+    __slots__ = ("rows", "cols", "den", "_rows", "_pivots")
 
     def __init__(self, rows: int, cols: int, entries=()):
         data: list[dict] = [dict() for _ in range(rows)]
@@ -110,6 +112,7 @@ class SparseMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_rows", data)
+        object.__setattr__(self, "_pivots", None)
 
     def __setattr__(self, *a):
         raise AttributeError("SparseMatrix is immutable")
@@ -170,6 +173,13 @@ class SparseMatrix:
         if self.den is not None:
             return 1
         return lcm(1, *(v.order for row in self._rows for v in row.values()))
+
+    @property
+    def pivots(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+        """(rows, cols), each increasing: the pivot positions of the one
+        elimination `rank` ran on this matrix, None before it ran.  m
+        restricted to the pivot rows, or to the pivot columns, has rank(m)."""
+        return self._pivots
 
     def row_vector(self, r: int) -> Vector:
         return tuple(self.entry(r, c) for c in range(self.cols))
@@ -234,11 +244,11 @@ class SparseMatrix:
         return SparseMatrix._of(self.rows, other.cols, data, None if den is None else den * den)
 
     def transpose(self) -> "SparseMatrix":
-        data: list[dict] = [dict() for _ in range(self.cols)]
-        for r, row in enumerate(self._rows):
-            for c, v in row.items():
-                data[c][r] = v
-        return SparseMatrix._of(self.cols, self.rows, data, self.den)
+        return SparseMatrix._of(self.cols, self.rows, _columns(self), self.den)
+
+    def take_rows(self, rows: Sequence[int]) -> "SparseMatrix":
+        """The rows at the given indices, renumbered in that order."""
+        return SparseMatrix._of(len(rows), self.cols, [self._rows[i] for i in rows], self.den)
 
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
@@ -262,6 +272,15 @@ def _scalar_rows(m: SparseMatrix) -> list[dict[int, CycScalar]]:
     if m.den is None:
         return m._rows
     return [{j: _scalar(v, m.den) for j, v in row.items()} for row in m._rows]
+
+
+def _columns(m: SparseMatrix) -> list[dict]:
+    """The columns of m as fresh sparse rows, in m's representation."""
+    data: list[dict] = [dict() for _ in range(m.cols)]
+    for r, row in enumerate(m._rows):
+        for c, v in row.items():
+            data[c][r] = v
+    return data
 
 
 def _times(m: SparseMatrix, k: int) -> list[dict[int, int]]:
@@ -448,7 +467,19 @@ def _eliminate(data: list[dict], cols: int, integral: bool, reduced: bool = Fals
 
 
 def rank(m: SparseMatrix) -> int:
-    return len(_eliminate(_copy_rows(m), m.cols, m.den is not None))
+    """The rank of m, from one elimination of its shorter side: its rows,
+    or its columns when m has more rows than columns.  The pivot rows and
+    columns of that elimination stay on m (`SparseMatrix.pivots`), so a
+    matrix is eliminated once however often it is ranked."""
+    if m._pivots is None:
+        integral = m.den is not None
+        if m.rows > m.cols:
+            pivots = [(r, c) for c, r in _eliminate(_columns(m), m.rows, integral)]
+        else:
+            pivots = _eliminate(_copy_rows(m), m.cols, integral)
+        object.__setattr__(m, "_pivots", (tuple(sorted(r for r, _ in pivots)),
+                                          tuple(sorted(c for _, c in pivots))))
+    return len(m._pivots[0])
 
 
 def _reduced_rows(rows: list[dict], ambient: int, integral: bool) -> list[dict]:

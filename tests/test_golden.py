@@ -4,7 +4,9 @@ The first three files were written by their commands before rational
 matrices were stored as integer rows; the chern, iota and pushforward files
 were written before Chern classes were solved through the dual basis of the
 pairing; the center files were written before `nullspace` returned its
-basis as a matrix.  A change that alters any byte of them fails here.
+basis as a matrix; the q8 and tensor(mat:2,zn:2) hh files were written
+before each differential was ranked on what its neighbour leaves.  A change
+that alters any byte of them fails here.
 """
 
 from pathlib import Path
@@ -28,6 +30,9 @@ COMMANDS = {
     "center_s3.txt": ["center", "s3", "--format", "machine"],
     "center_a4.txt": ["center", "a4", "--format", "machine"],
     "center_tensor.txt": ["center", "tensor(zn:3,zn:4)", "--format", "machine"],
+    "hh_q8_cohomology.txt": ["hh", "q8", "--max-degree", "3", "--cohomology",
+                             "--format", "machine"],
+    "hh_tensor.txt": ["hh", "tensor(mat:2,zn:2)", "--max-degree", "3", "--format", "machine"],
 }
 
 

@@ -11,14 +11,14 @@ import pytest
 from hochkit import hochschild
 from hochkit.algebra import Algebra, DictSC, center_basis, commutator_subspace
 from hochkit.errors import DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle
-from hochkit.fixtures import algebra_fixture
+from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.hochschild import (
     Chain, ChainComplex, Cochain, _unnormalized_chain_map, _unnormalized_cochain_map,
     bar_chain_complex, bar_cochain_complex, boundary, cap_product,
     class_difference_is_boundary, coboundary, cochain_difference_is_coboundary,
     cup_product, hh_cohomology_dims, hh_homology_dims, is_cocycle, is_cycle,
 )
-from hochkit.linalg import SparseMatrix, solve, vec
+from hochkit.linalg import SparseMatrix, rank, solve, vec
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, zeta
 
 
@@ -515,6 +515,42 @@ def test_irrational_structure_constants_keep_cyclotomic_rows():
             assert m.den is None and m.field_order == 3
     assert hh_homology_dims(a, 2).dims == hh_homology_dims(a, 2, normalized=False).dims == [3, 0, 0]
     assert hh_cohomology_dims(a, 2).dims == [3, 0, 0]
+
+
+# --- cleared ranks ---------------------------------------------------------------
+#
+# A ChainComplex ranks each differential without the rows (down) or columns
+# (up) at the pivots of the map ranked before it.  The oracle ranks every
+# whole differential on its own.
+
+@pytest.mark.parametrize("name", ALL_GROUP_FIXTURES + (
+    "mat:2", "tensor(mat:2,zn:2)", "trunc:3", "dual", "op(s3)", "irrational zn:3"))
+def test_cleared_ranks_match_whole_differentials(name):
+    a = _irrational_zn3() if name.startswith("irrational") else algebra_fixture(name)
+    for normalized in (True, False):
+        # every differential between the spaces of degree 0 .. 3
+        for complex_ in (bar_chain_complex(a, 3, normalized),
+                         bar_cochain_complex(a, 2, normalized)):
+            cleared = {n: complex_.rank_of_map(n) for n in complex_.maps}
+            # a fresh transpose, so no pivots cached by the complex are read
+            assert cleared == {n: rank(m.transpose()) for n, m in complex_.maps.items()}
+
+
+def test_clearing_ranks_the_top_boundary_on_fewer_rows(monkeypatch):
+    s3 = algebra_fixture("s3")
+    shapes = []
+
+    def recorded(m):
+        shapes.append((m.rows, m.cols))
+        return rank(m)
+    monkeypatch.setattr(hochschild, "rank", recorded)
+    assert hh_homology_dims(s3, 3).dims == [3, 0, 0, 0]
+    b3 = bar_chain_complex(s3, 3).maps[3]
+    assert (b3.rows, b3.cols) == (150, 750) and rank(b3) == 123
+    # b_1 whole, then b_2, b_3 and b_4 each without the rows at the pivot
+    # columns of the map below; b_4 whole would be 750 x 3750
+    assert len(shapes) == 4 and shapes[0] == (6, 30)
+    assert shapes[-1] == (750 - 123, 3750)
 
 
 def test_rational_assembly_does_no_scalar_arithmetic(monkeypatch):

@@ -78,6 +78,41 @@ def random_matrix(rng, rows, cols, density=0.4, order=1):
     return SparseMatrix(rows, cols, entries)
 
 
+@pytest.mark.parametrize("order", [1, 4])
+def test_rank_keeps_spanning_pivots_of_either_side(order):
+    # seeded wide, tall and rank-deficient (a product through k < rows, cols)
+    # matrices: rational for order 1, CycScalar rows for order 4
+    rng = random.Random(70 + order)
+    irrational = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        if rng.random() < 0.5:
+            m = random_matrix(rng, rows, cols, rng.choice([0.2, 0.5]), order)
+        else:
+            k = rng.randint(1, min(rows, cols))
+            m = random_matrix(rng, rows, k, 0.6, order) * random_matrix(rng, k, cols, 0.6, order)
+        assert m.pivots is None
+        r = rank(m)
+        assert r == len(_gauss_jordan(_row_vectors(m), m.cols)) == rank(m.transpose())
+        pivot_rows, pivot_cols = m.pivots
+        assert len(pivot_rows) == len(pivot_cols) == r
+        assert list(pivot_rows) == sorted(set(pivot_rows)) and set(pivot_rows) <= set(range(rows))
+        assert list(pivot_cols) == sorted(set(pivot_cols)) and set(pivot_cols) <= set(range(cols))
+        for part in (m.take_rows(pivot_rows), m.transpose().take_rows(pivot_cols)):
+            assert len(_gauss_jordan(_row_vectors(part), part.cols)) == r
+        assert rank(m) == r and m.pivots == (pivot_rows, pivot_cols)
+        irrational += m.den is None
+    assert (irrational > 10) == (order > 1)
+
+
+def test_take_rows_keeps_the_chosen_rows():
+    m = random_matrix(random.Random(77), 5, 6, order=3)
+    part = m.take_rows([4, 0, 2])
+    assert (part.rows, part.cols) == (3, 6)
+    assert _row_vectors(part) == tuple(m.row_vector(r) for r in (4, 0, 2))
+    assert m.take_rows(range(5)) == m
+
+
 def test_rank_identity_and_zero():
     assert rank(SparseMatrix.identity(5)) == 5
     assert rank(SparseMatrix.zero(3, 4)) == 0

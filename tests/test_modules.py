@@ -237,8 +237,8 @@ def test_ext_dual_numbers_periodic():
 
 
 def test_ext_ranks_each_coboundary_once(monkeypatch):
+    import hochkit.hochschild as hochschild
     import hochkit.linalg as linalg
-    import hochkit.modules as modules
     ranked = []
 
     def counted(m):
@@ -247,7 +247,7 @@ def test_ext_ranks_each_coboundary_once(monkeypatch):
     dual = algebra_fixture("dual")
     m = ModuleRep(dual, 1, [SparseMatrix.identity(1), SparseMatrix.zero(1, 1)],
                   name="point", check=True)
-    monkeypatch.setattr(modules, "rank", counted)
+    monkeypatch.setattr(hochschild, "rank", counted)
     assert ext_dims(m, m, 4) == [1, 1, 1, 1, 1]
     assert ranked == [(1, 1)] * 5  # delta^0 .. delta^4, one letter of Abar
 
