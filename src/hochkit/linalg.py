@@ -15,9 +15,9 @@ basis at pivot 1, so that equal spans give equal matrices.
 Rank, nullspace, solving and cokernel computations all run Gaussian
 elimination on sparse dict rows with a fill-minimizing pivot rule (fewest
 nonzeros in row, then fewest rows in column); pivot choice only affects
-speed, never results.  `rank` eliminates the shorter side and keeps its
-pivot rows and columns on the matrix, where `hochschild.ChainComplex`
-reads them to clear the next differential.  There is one elimination path:
+speed, never results.  `rank` keeps the pivot rows and columns of its
+elimination on the matrix, where `hochschild.ChainComplex` reads them to
+clear the next differential.  There is one elimination path:
 `_eliminate`, followed by `_canonical_rref` wherever a canonical reduced
 basis is needed (`_reduced_rows`).  Only the row update depends on the
 field.  Over Q(zeta_n), n > 1, it is t <- t - (t[c]/p) r.  On integer rows
@@ -244,7 +244,11 @@ class SparseMatrix:
         return SparseMatrix._of(self.rows, other.cols, data, None if den is None else den * den)
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix._of(self.cols, self.rows, _columns(self), self.den)
+        data: list[dict] = [dict() for _ in range(self.cols)]
+        for r, row in enumerate(self._rows):
+            for c, v in row.items():
+                data[c][r] = v
+        return SparseMatrix._of(self.cols, self.rows, data, self.den)
 
     def take_rows(self, rows: Sequence[int]) -> "SparseMatrix":
         """The rows at the given indices, renumbered in that order."""
@@ -272,15 +276,6 @@ def _scalar_rows(m: SparseMatrix) -> list[dict[int, CycScalar]]:
     if m.den is None:
         return m._rows
     return [{j: _scalar(v, m.den) for j, v in row.items()} for row in m._rows]
-
-
-def _columns(m: SparseMatrix) -> list[dict]:
-    """The columns of m as fresh sparse rows, in m's representation."""
-    data: list[dict] = [dict() for _ in range(m.cols)]
-    for r, row in enumerate(m._rows):
-        for c, v in row.items():
-            data[c][r] = v
-    return data
 
 
 def _times(m: SparseMatrix, k: int) -> list[dict[int, int]]:
@@ -467,16 +462,11 @@ def _eliminate(data: list[dict], cols: int, integral: bool, reduced: bool = Fals
 
 
 def rank(m: SparseMatrix) -> int:
-    """The rank of m, from one elimination of its shorter side: its rows,
-    or its columns when m has more rows than columns.  The pivot rows and
+    """The rank of m, from one elimination of its rows.  The pivot rows and
     columns of that elimination stay on m (`SparseMatrix.pivots`), so a
     matrix is eliminated once however often it is ranked."""
     if m._pivots is None:
-        integral = m.den is not None
-        if m.rows > m.cols:
-            pivots = [(r, c) for c, r in _eliminate(_columns(m), m.rows, integral)]
-        else:
-            pivots = _eliminate(_copy_rows(m), m.cols, integral)
+        pivots = _eliminate(_copy_rows(m), m.cols, m.den is not None)
         object.__setattr__(m, "_pivots", (tuple(sorted(r for r, _ in pivots)),
                                           tuple(sorted(c for _, c in pivots))))
     return len(m._pivots[0])

@@ -521,13 +521,15 @@ def test_irrational_structure_constants_keep_cyclotomic_rows():
 #
 # A ChainComplex ranks each differential without the rows (down) or columns
 # (up) at the pivots of the map ranked before it.  The oracle ranks every
-# whole differential on its own.
+# whole differential on its own.  The unnormalized route, dim(A)^(n+1)
+# coordinates in degree n, is checked on the algebras of dim <= 6: on a4 its
+# whole ranks through degree 3 alone take about 3 s.
 
 @pytest.mark.parametrize("name", ALL_GROUP_FIXTURES + (
     "mat:2", "tensor(mat:2,zn:2)", "trunc:3", "dual", "op(s3)", "irrational zn:3"))
 def test_cleared_ranks_match_whole_differentials(name):
     a = _irrational_zn3() if name.startswith("irrational") else algebra_fixture(name)
-    for normalized in (True, False):
+    for normalized in (True, False) if a.dim <= 6 else (True,):
         # every differential between the spaces of degree 0 .. 3
         for complex_ in (bar_chain_complex(a, 3, normalized),
                          bar_cochain_complex(a, 2, normalized)):
