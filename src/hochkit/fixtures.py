@@ -24,7 +24,7 @@ from .algebra import (
     Algebra, enveloping, field_algebra, group_algebra, matrix_algebra,
     opposite, tensor, truncated_poly,
 )
-from .errors import DegreeCapExceeded, ParseError
+from .errors import DegreeCapExceeded, NotAGroup, ParseError
 from .linalg import SparseMatrix
 from .modules import ModuleRep, attach_simples, regular_module
 from .scalars import check_nesting, zeta
@@ -178,7 +178,9 @@ def rep_from_generators(a: Algebra, gen_indices, gen_matrices, dim, name):
                     mats[h] = mats[g] * gm
                     nxt.append(h)
         frontier = nxt
-    assert len(mats) == n, "generators do not generate the group"
+    if len(mats) != n:
+        raise NotAGroup(f"the generators {list(gen_indices)} given for {name!r} reach only "
+                        f"{len(mats)} of the {n} group elements")
     return ModuleRep(a, dim, [mats[g] for g in range(n)], name=name, check=True)
 
 

@@ -9,19 +9,28 @@ right, starting and ending with empty boundary:
     pants_merge  (o)(o) -> (o)      pair of pants, two circles in
 
 A generator may carry a position suffix `@i` naming the circle it acts
-on; bystander circles pass through identity kernels.  `genus:g` expands
-to cap_in (pants_split pants_merge)^g cap_out.  Words are bounded at
-MAX_WORD_STEPS steps, and `evaluate` refuses a word whose step kernels
-would exceed the size guard before it builds any of them.
+on; the other circles are bystanders.  `genus:g` expands to cap_in
+(pants_split pants_merge)^g cap_out.  Words are bounded at MAX_WORD_STEPS
+steps, and `evaluate` refuses a word whose state would exceed the size
+guard before it builds anything.
 
-Each circle carries the group algebra A; a word evaluates by convolving
-the generator kernels, and a closed word lands in a kernel from the base
-field to itself, a plain vector space whose dimension is the invariant.
-The pants kernels are the diagonal bimodules (restriction and induction
-along g -> (g, g)), and the caps use the trivial representation, which is
-why the evaluator requires a group algebra.  The sphere computes the
-invariants of the trivial module and the torus computes dim HH_0: the
-number of conjugacy classes.
+Each circle carries the group algebra A = k[G]; the pants kernels are the
+diagonal bimodules and the caps the trivial representation.  `evaluate`
+applies them to a state, a module over A^(x arity) kept as one action
+matrix per open circle and generator of G:
+
+    cap_in       adds a circle on which G acts trivially;
+    pants_merge  restricts along the diagonal g -> (g, g): the merged
+                 circle acts by rho_i(g) rho_(i+1)(g);
+    pants_split  induces along the diagonal: k[G] (x) V, where (a, b) sends
+                 c (x) v to a c b^-1 (x) rho_i(b) v;
+    cap_out      takes the coinvariants k (x)_A V of its circle, to which
+                 the other circles descend.
+
+A closed word ends in a state over the base field whose dimension is the
+invariant: the sphere gives 1 and the torus dim HH_0, the number of
+conjugacy classes.  `GeneratorKernels` builds the same cobordisms as
+kernels, the independent route the tests convolve against this one.
 
 Every closed surface has an independent value: a connected genus-g
 surface evaluates to `orbit_count(a, g)`, the number of orbits of G
@@ -40,8 +49,10 @@ from .errors import (
 )
 from .linalg import SparseMatrix, kron
 from .modules import (
-    MAX_COORDINATES, Bimodule, ModuleRep, convolve, parallel_kernels, regular_bimodule,
+    MAX_COORDINATES, Bimodule, ModuleRep, balanced_tensor, parallel_kernels, regular_bimodule,
 )
+from .scalars import ONE, ZERO
+
 GENERATORS = {
     "cap_in": (0, 1),
     "cap_out": (1, 0),
@@ -279,23 +290,70 @@ def trivial_representation(a: Algebra) -> ModuleRep:
     return ModuleRep(a, 1, [one] * a.dim, name="triv", check=True)
 
 
-def evaluate(a: Algebra, word: CobordismWord) -> SurfaceInvariant:
-    """Convolve the generator kernels left to right; the closed word ends as
-    a kernel field -> field whose dimension is the invariant."""
-    # the elementary kernel on c + p circles has dimension d^(c + p - 1) and
-    # each bystander circle multiplies it by d
-    for i, ((gen, _), arity) in enumerate(zip(word.steps, word.arities)):
-        size = a.dim ** (arity + GENERATORS[gen][1] - 1)
-        if size > MAX_COORDINATES:
+def _group_elements(a: Algebra) -> tuple[int, ...]:
+    """The group elements that the generators of a group algebra name."""
+    if a.provenance[0] != "group":
+        raise MissingAugmentation("surface evaluation needs a group algebra")
+    for g in a.gens:
+        if g.count(ONE) != 1 or g.count(ZERO) != len(g) - 1:
+            raise MissingAugmentation(
+                f"generator {[str(c) for c in g]} of {a!r} is not a group element")
+    return tuple(g.index(ONE) for g in a.gens)
+
+
+def _check_state_sizes(a: Algebra, word: CobordismWord, gens: int) -> None:
+    """Refuse the word before any work if a state would store more than
+    MAX_COORDINATES action entries.  Only a split raises the dimension (by
+    |G|), and the state keeps arity * gens invertible matrices."""
+    dim = 1
+    for i, ((gen, _), arity) in enumerate(zip(word.steps, word.arities[1:])):
+        if gen == "pants_split":
+            dim *= a.dim
+        if dim * arity * gens > MAX_COORDINATES:
             raise DegreeCapExceeded(
-                f"step {i} ({gen} at arity {arity}) needs a kernel of dimension {size} "
-                f"over {a!r}, above the size guard {MAX_COORDINATES}")
-    gens = GeneratorKernels(a, trivial_representation(a))
-    total = None
-    for (gen, pos), arity in zip(word.steps, word.arities):
-        step = gens.step_kernel(gen, pos, arity)
-        total = step if total is None else convolve(total, step)
-    return SurfaceInvariant(total.dim, word, a)
+                f"step {i} ({gen}) of '{word}' over {a!r} leads to a state of dimension "
+                f"{dim} on {arity} circles: {dim * arity * gens} action entries for "
+                f"{gens} generator(s), above the size guard {MAX_COORDINATES}")
+
+
+def surface_states(a: Algebra, word: CobordismWord):
+    """Yield the state after each step of the word: its dimension and, per
+    open circle, the action matrices of the generators.  A split indexes
+    k[G] (x) V by c * dim V + v."""
+    elements = _group_elements(a)
+    _check_state_sizes(a, word, len(elements))
+    table, n = a.provenance[2], a.dim
+    left = [SparseMatrix(n, n, {(table[g][c], c): 1 for c in range(n)}) for g in elements]
+    right = [SparseMatrix(n, n, {(c, table[c][g]): 1 for c in range(n)}) for g in elements]
+    trivial = SparseMatrix.identity(1)
+    dim, slots = 1, []
+    for gen, pos in word.steps:
+        if gen == "cap_in":
+            slots = slots[:pos] + [[SparseMatrix.identity(dim)] * len(elements)] + slots[pos:]
+        elif gen == "pants_merge":
+            merged = [x * y for x, y in zip(slots[pos], slots[pos + 1])]
+            slots = slots[:pos] + [merged] + slots[pos + 2:]
+        elif gen == "pants_split":
+            rho = slots[pos]
+            id_n, id_v = SparseMatrix.identity(n), SparseMatrix.identity(dim)
+            others = [[kron(id_n, m) for m in slot] for slot in slots[:pos] + slots[pos + 1:]]
+            slots = others[:pos] + [[kron(x, id_v) for x in left],
+                                    [kron(x, m) for x, m in zip(right, rho)]] + others[pos:]
+            dim *= n
+        else:  # cap_out
+            acts = dict(zip(a.gens, slots[pos]))
+            bt = balanced_tensor(a, lambda g: trivial, 1, acts.__getitem__, dim)
+            slots = [[bt.descend(m) for m in slot] for slot in slots[:pos] + slots[pos + 1:]]
+            dim = bt.dim
+        yield dim, slots
+
+
+def evaluate(a: Algebra, word: CobordismWord) -> SurfaceInvariant:
+    """Carry the state through the word; the closed word ends in a state
+    over the base field whose dimension is the invariant."""
+    for dim, _ in surface_states(a, word):
+        pass
+    return SurfaceInvariant(dim, word, a)
 
 
 def orbit_count(a: Algebra, genus: int) -> int:

@@ -13,8 +13,10 @@ from hochkit.algebra import (
 from hochkit.errors import (
     AlgebraDefect, DegenerateFrobeniusForm, NotAGroup, NotAssociative, UnitLawFails,
 )
-from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture, cyclic_group
-from hochkit.linalg import rref, unit_vector, vec
+from hochkit.fixtures import (
+    ALL_GROUP_FIXTURES, algebra_fixture, cyclic_group, rep_from_generators,
+)
+from hochkit.linalg import SparseMatrix, rref, unit_vector, vec
 from hochkit.scalars import ONE, ZERO, cyc
 
 
@@ -54,6 +56,9 @@ def test_not_a_group_witness():
         group_algebra([[0, 1], [1, 1]])  # no inverses for 1
     with pytest.raises(NotAGroup):
         group_algebra([[0, 0], [0, 0]])  # no identity
+    # the element 2 of Z/4 generates only {0, 2}
+    with pytest.raises(NotAGroup, match=r"generators \[2\] given for 'x' reach only 2 of the 4"):
+        rep_from_generators(algebra_fixture("zn:4"), [2], [SparseMatrix.identity(1)], 1, "x")
 
 
 def test_validate_unit_defect():
@@ -269,8 +274,9 @@ def test_frobenius_gram_defects_keep_their_messages():
 TYPED_INPUT_ERRORS_SCRIPT = """
 from hochkit.algebra import Algebra, DictSC, truncated_poly
 from hochkit.errors import HochkitError
-from hochkit.fixtures import algebra_fixture
+from hochkit.fixtures import algebra_fixture, rep_from_generators
 from hochkit.hochschild import HHResult
+from hochkit.linalg import SparseMatrix
 from hochkit.mukai import MukaiClass
 from hochkit.scalars import CycScalar
 from hochkit.tqft import CobordismWord, SurfaceInvariant, evaluate
@@ -288,6 +294,8 @@ cases = {
     "HHResult kind": lambda: HHResult("homotopy", [1], 0),
     "HHResult dims": lambda: HHResult("homology", [1, -1], 1),
     "empty word": lambda: evaluate(z2, CobordismWord([])),
+    "rep_from_generators": lambda: rep_from_generators(
+        algebra_fixture("zn:4"), [2], [SparseMatrix.identity(1)], 1, "x"),
 }
 for name, call in cases.items():
     try:

@@ -334,6 +334,14 @@ def test_cli_tqft_genus2_reports_oracle(capsys):
         [("tqft-orbit-count", "3", "3", True)]
 
 
+def test_cli_tqft_genus9_fuzz_draw(capsys):
+    # a draw of the fuzz test below: 3^9 orbits, well inside its deadline
+    code = run(["tqft", "zn:3", "--word", "genus:9"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "pass  surface value equals the conjugation orbit count  19683 == 19683" in out
+
+
 @pytest.mark.parametrize("argv, refused", [
     (["center", "zn:100000"], "'zn:100000' would build an algebra of dimension 100000"),
     (["center", "mat:50"], "'mat:50' would build an algebra of dimension 2500"),
@@ -341,6 +349,8 @@ def test_cli_tqft_genus2_reports_oracle(capsys):
     (["tqft", "zn:2", "--genus", "99999"], "genus-99999 word has 200000 steps"),
     (["pushforward", "morita:s3:40", "[1,0,0,0,0,0]"],
      "'morita:s3:40' would build an algebra of dimension 9600"),
+    (["tqft", "s3", "--genus", "7"],
+     "step 13 (pants_split) of 'cap_in pants_split pants_merge pants_split"),
 ])
 def test_oversized_inputs_are_refused_before_building(argv, refused, capsys):
     t0 = time.monotonic()

@@ -1,17 +1,21 @@
-from itertools import product
+import random
+from itertools import islice, product
+from math import prod
 
 import pytest
 
-from hochkit.algebra import center_basis
+from hochkit import tqft
+from hochkit.algebra import Algebra, center_basis
 from hochkit.errors import (
     ArityMismatch, DegreeCapExceeded, DegreeUnderflow, MissingAugmentation, ParseError,
 )
 from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.hochschild import hh_homology_dims
-from hochkit.modules import simples_of
+from hochkit.modules import convolve, simples_of
+from hochkit.scalars import ONE
 from hochkit.tqft import (
-    MAX_WORD_STEPS, CobordismWord, GeneratorKernels, evaluate, orbit_count, parse_word,
-    trivial_representation,
+    GENERATORS, MAX_WORD_STEPS, CobordismWord, GeneratorKernels, evaluate, orbit_count,
+    parse_word, surface_states, trivial_representation,
 )
 
 
@@ -76,6 +80,12 @@ def test_requires_group_algebra():
         trivial_representation(m2)
     with pytest.raises(MissingAugmentation):
         evaluate(m2, parse_word("cap_in cap_out"))
+    # the state route acts by group elements, so every generator must be one
+    z2 = algebra_fixture("zn:2")
+    doubled = Algebra(z2.dim, z2.sc, z2.unit, serre=z2.serre, field_order=z2.field_order,
+                      gens=[(0, 2)], provenance=z2.provenance)
+    with pytest.raises(MissingAugmentation, match=r"generator \['0', '2'\] .* not a group"):
+        evaluate(doubled, parse_word("cap_in cap_out"))
 
 
 def test_genus_two_matches_orbit_count():
@@ -186,14 +196,86 @@ def test_word_and_kernel_size_guards(monkeypatch):
         CobordismWord([("cap_in", 0), ("cap_out", 0)] * 33)
     with pytest.raises(ArityMismatch, match="empty"):
         CobordismWord([])
-    # zn:2 split 17 times: the last split acts at arity 17 with a kernel of
-    # dimension 2^18, refused before any kernel is built
+    # zn:2 split 17 times: after the 14th split the state would have dimension
+    # 2^14 on 15 circles, refused before any state is built
     word = parse_word("cap_in " + "pants_split " * 17 + "pants_merge " * 17 + "cap_out")
 
     def built(*args):
-        raise AssertionError("a kernel was built before the guard")
-    monkeypatch.setattr(GeneratorKernels, "step_kernel", built)
+        raise AssertionError("a state was built before the guard")
+    monkeypatch.setattr(tqft, "kron", built)
     with pytest.raises(DegreeCapExceeded,
-                       match=r"step 17 \(pants_split at arity 17\) needs a kernel of "
-                             r"dimension 262144"):
+                       match=r"step 14 \(pants_split\) of 'cap_in pants_split .*' over .* "
+                             r"state of dimension 16384 on 15 circles: 245760"):
         evaluate(algebra_fixture("zn:2"), word)
+
+
+# --- the state route against the kernel route --------------------------------
+
+def kernel_route_dims(a, word):
+    """The kernel route, kept as the oracle of the state route: convolve the
+    step kernels left to right.  The dimension of the composite after each
+    step."""
+    gens = GeneratorKernels(a, trivial_representation(a))
+    total, dims = None, []
+    for (gen, pos), arity in zip(word.steps, word.arities):
+        step = gens.step_kernel(gen, pos, arity)
+        total = step if total is None else convolve(total, step)
+        dims.append(total.dim)
+    return dims
+
+
+def assert_routes_agree(a, word):
+    dims = [dim for dim, _ in surface_states(a, word)]
+    assert dims == kernel_route_dims(a, word)
+    assert dims[-1] == evaluate(a, word).dims == \
+        prod(orbit_count(a, g) for g in word.component_genera)
+
+
+@pytest.mark.parametrize("name", ALL_GROUP_FIXTURES)
+def test_state_route_matches_kernel_route_to_genus_two(name):
+    a = algebra_fixture(name)
+    for genus in (0, 1, 2):
+        assert_routes_agree(a, parse_word(f"genus:{genus}"))
+
+
+def random_word(rng, length, top):
+    """A closed word of at least `length` steps with at most `top` circles
+    open, its generators and positions drawn from rng."""
+    steps, arity = [], 0
+    while len(steps) < length or arity:
+        moves = ["cap_out"] * (arity > 0) + ["pants_merge"] * (arity > 1)
+        if len(steps) < length and arity < top:
+            moves += ["cap_in"] + ["pants_split"] * (arity > 0)
+        gen = rng.choice(moves)
+        consumed, produced = GENERATORS[gen]
+        steps.append((gen, rng.randint(0, arity - consumed if consumed else arity)))
+        arity += produced - consumed
+    return CobordismWord(steps)
+
+
+def test_state_route_matches_kernel_route_on_seeded_words():
+    words = []
+    for seed in range(24):
+        rng = random.Random(seed)
+        name = ("zn:2", "zn:3", "s3")[seed % 3]
+        word = random_word(rng, rng.randint(4, 8), 2 if name == "s3" else 3)
+        assert_routes_agree(algebra_fixture(name), word)
+        words.append(word)
+    # the draws include positions, bystanders and disconnected surfaces
+    assert any(pos > 0 for w in words for _, pos in w.steps)
+    assert any(arity > GENERATORS[gen][0]
+               for w in words for (gen, _), arity in zip(w.steps, w.arities))
+    assert any(len(w.component_genera) > 1 for w in words)
+
+
+def test_split_state_is_the_regular_bimodule():
+    # after cap_in pants_split the state is k[G]: the first circle acts by left
+    # multiplication, the second by right multiplication with the inverse
+    a = algebra_fixture("s3")
+    table, identity = a.provenance[2], a.provenance[3]
+    dim, (first, second) = next(islice(surface_states(a, parse_word("genus:1")), 1, None))
+    assert dim == a.dim
+    for g, left, right in zip(a.gens, first, second):
+        x = g.index(ONE)
+        assert left == a.basis_left_mult(x)
+        assert right == a.basis_right_mult(table[x].index(identity))
