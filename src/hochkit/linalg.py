@@ -7,7 +7,9 @@ are all rational holds integer rows over one positive common denominator
 rows and `den` is None.  Equal matrices therefore have equal rows, and
 every operation (`+`, `scale`, `*`, `kron`, `transpose` and the
 eliminations) runs on the stored rows.  Scalars and vectors leave this
-module as CycScalars: `entry`, `entries`, `row_vector`, `apply` and `trace`.
+module as CycScalars (`entry`, `entries`, `row_vector`, `apply`, `trace`):
+an integer entry v over `den` leaves as `rational(v, den)`, with no Fraction
+between, and a rational CycScalar enters as its numerator over `den`.
 `solve` answers with a matrix, a column per right-hand side, and `rref` and
 `nullspace` with the matrix whose rows are a canonical reduced echelon
 basis at pivot 1, so that equal spans give equal matrices.
@@ -29,13 +31,12 @@ the integer form of pivot 1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeMismatch
-from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar
+from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar, rational
 
 Vector = tuple[CycScalar, ...]
 
@@ -48,23 +49,16 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def _scalar(num: int, den: int) -> CycScalar:
-    return CycScalar(1, (Fraction(num, den),), _canonical=True)
-
-
 def _normal_form(data: list[dict], den: int | None) -> tuple[list[dict], int | None]:
-    """The one place a matrix representation is chosen.  `data` holds
-    integer rows over `den`, or (den None) rows of scalars: CycScalars, or
-    ints and Fractions.  Rows with an irrational entry stay CycScalar rows;
-    all other rows become integer rows over a lowest-terms denominator."""
+    """The one place a matrix representation is chosen.  `data` holds integer
+    rows over `den`, or (den None) CycScalar rows; those with an irrational
+    entry stay so, and all others become integer rows over a lowest-terms den."""
     if den is None:
-        if any(isinstance(v, CycScalar) and v.order != 1 for row in data for v in row.values()):
+        if any(v.order != 1 for row in data for v in row.values()):
             return data, None
-        data = [{j: v.coeffs[0] if isinstance(v, CycScalar) else v for j, v in row.items()}
-                for row in data]
-        den = lcm(*{v.denominator for row in data for v in row.values()})
+        den = lcm(*{v.den for row in data for v in row.values()})
         # the least common denominator of reduced fractions is in lowest terms
-        return [{j: v.numerator * (den // v.denominator) for j, v in row.items()}
+        return [{j: v.nums[0] * (den // v.den) for j, v in row.items()}
                 for row in data], den
     g = den
     for row in data:
@@ -87,20 +81,11 @@ class SparseMatrix:
 
     def __init__(self, rows: int, cols: int, entries=()):
         data: list[dict] = [dict() for _ in range(rows)]
-        zero = 0  # ints and Fractions are summed until an irrational value comes
         for (r, c), v in entries.items() if isinstance(entries, dict) else entries:
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError(f"entry ({r}, {c}) outside {rows}x{cols}")
-            v = cyc(v)
-            if zero is not ZERO:
-                if v.order == 1:
-                    q = v.coeffs[0]
-                    v = q.numerator if q.denominator == 1 else q
-                else:  # the first irrational value
-                    zero = ZERO
-                    data = [{j: cyc(x) for j, x in row.items()} for row in data]
             row = data[r]
-            s = row.get(c, zero) + v
+            s = row[c] + cyc(v) if c in row else cyc(v)  # no arithmetic unless repeated
             if s:
                 row[c] = s
             else:
@@ -155,12 +140,12 @@ class SparseMatrix:
         v = self._rows[r].get(c)
         if v is None:
             return ZERO
-        return v if self.den is None else _scalar(v, self.den)
+        return v if self.den is None else rational(v, self.den)
 
     def entries(self) -> Iterator[tuple[int, int, CycScalar]]:
         for r, row in enumerate(self._rows):
             for c, v in row.items():
-                yield r, c, v if self.den is None else _scalar(v, self.den)
+                yield r, c, v if self.den is None else rational(v, self.den)
 
     def nnz(self) -> int:
         return sum(len(row) for row in self._rows)
@@ -230,9 +215,8 @@ class SparseMatrix:
         if not c:
             return SparseMatrix.zero(self.rows, self.cols)
         if self.den is not None and c.order == 1:
-            q = c.coeffs[0]
-            return SparseMatrix._of(self.rows, self.cols, _times(self, q.numerator),
-                                    self.den * q.denominator)
+            return SparseMatrix._of(self.rows, self.cols, _times(self, c.nums[0]),
+                                    self.den * c.den)
         data = [{j: c * v for j, v in row.items()} for row in _scalar_rows(self)]
         return SparseMatrix._of(self.rows, self.cols, data, None)
 
@@ -260,7 +244,7 @@ class SparseMatrix:
         out = (sum((a * v[c] for c, a in row.items() if v[c]), ZERO) for row in self._rows)
         if self.den is None:
             return tuple(out)
-        inverse = Fraction(1, self.den)
+        inverse = rational(1, self.den)
         return tuple(s * inverse for s in out)
 
     def trace(self) -> CycScalar:
@@ -268,14 +252,14 @@ class SparseMatrix:
             raise ShapeMismatch(f"trace of a {self.rows}x{self.cols} matrix")
         s = sum((row[r] for r, row in enumerate(self._rows) if r in row),
                 ZERO if self.den is None else 0)
-        return s if self.den is None else _scalar(s, self.den)
+        return s if self.den is None else rational(s, self.den)
 
 
 def _scalar_rows(m: SparseMatrix) -> list[dict[int, CycScalar]]:
     """The rows of m as CycScalars (its own rows when they already are)."""
     if m.den is None:
         return m._rows
-    return [{j: _scalar(v, m.den) for j, v in row.items()} for row in m._rows]
+    return [{j: rational(v, m.den) for j, v in row.items()} for row in m._rows]
 
 
 def _times(m: SparseMatrix, k: int) -> list[dict[int, int]]:
@@ -424,12 +408,12 @@ def _eliminate(data: list[dict], cols: int, integral: bool, reduced: bool = Fals
         is_active[r] = False
         row = data[r]
         if pivot_limit is not None:
-            eligible = [j for j in row if j < pivot_limit]
+            eligible = [(len(col_rows[j]), j) for j in row if j < pivot_limit]
             if not eligible:
                 continue  # row stuck in protected columns; never a pivot
-            c = min(eligible, key=lambda j: (len(col_rows[j]), j))
+            c = min(eligible)[1]
         else:
-            c = min(row, key=lambda j: (len(col_rows[j]), j))
+            c = min([(len(col_rows[j]), j) for j in row])[1]
         piv = row[c]
         pivots.append((r, c))
         targets = [t for t in col_rows[c] if t != r and (is_active[t] or reduced)]

@@ -1,9 +1,13 @@
 """Exact arithmetic in Q and in the cyclotomic fields Q(zeta_n).
 
-Values are kept in the power basis 1, z, ..., z^(phi(n)-1) of
-Q[x]/Phi_n(x) and are always reduced to their conductor: the smallest n
-such that the value lies in Q(zeta_n).  Rationals therefore always carry
-order 1, and equality is a plain field-by-field comparison.
+A value is kept as `(order, nums, den)`: integer numerators in the power
+basis 1, z, ..., z^(phi(n)-1) of Q[x]/Phi_n(x) over one positive
+denominator, in lowest terms (the form of `linalg`'s rational rows), with
+the order always the conductor: the smallest n such that the value lies in
+Q(zeta_n).  Rationals therefore carry order 1, equality is a plain
+field-by-field comparison, and arithmetic runs on integers with one gcd per
+result.  A rational summand or factor keeps the conductor; only sums and
+products of two irrational values descend.
 
 Descent and inversion are index arithmetic; nothing here solves a linear
 system.  A value of Q(zeta_n) descends to Q(zeta_m), m = n/p for a prime
@@ -32,12 +36,9 @@ from fractions import Fraction
 from functools import cache, reduce
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .errors import ParseError, ShapeMismatch
-
-_Q0 = Fraction(0)
-_Q1 = Fraction(1)
+from .errors import HochkitError, ParseError, ShapeMismatch
 
 Coercible = Union["CycScalar", Fraction, int]
 
@@ -57,6 +58,7 @@ def _prime_divisors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("order must be positive")
@@ -78,9 +80,10 @@ def _divisors(n: int) -> list[int]:
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     # Exact division of integer polynomials, coefficients low to high.
+    if den[-1] != 1:
+        raise HochkitError(f"polynomial division by {den}, which is not monic")
     num = num[:]
     dd = len(den) - 1
-    assert den[-1] == 1, "divisor must be monic"
     q = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
@@ -88,7 +91,8 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
         if c:
             for j, dc in enumerate(den):
                 num[i - dd + j] -= c * dc
-    assert all(c == 0 for c in num), "non-exact polynomial division"
+    if any(num):
+        raise HochkitError(f"polynomial division by {den} leaves a remainder")
     return q
 
 
@@ -100,39 +104,40 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if d != n:
             poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
     out = tuple(poly)
-    assert len(out) == euler_phi(n) + 1 and out[-1] == 1
+    if len(out) != euler_phi(n) + 1 or out[-1] != 1:
+        raise HochkitError(f"Phi_{n} came out as {out}, not monic of degree {euler_phi(n)}")
     return out
 
 
 @cache
-def _power_residues(n: int) -> tuple[tuple[int, ...], ...]:
-    """x^e mod Phi_n for 0 <= e < max(n, 2*phi(n) - 1), as integer vectors."""
+def _power_residues(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^e mod Phi_n for 0 <= e < max(n, 2*phi(n) - 1), as the (k, c) pairs
+    of the nonzero integer coefficients c of x^k."""
     phi = euler_phi(n)
     top = max(n, 2 * phi - 1)
     cyclo = cyclotomic_polynomial(n)
     # x^phi == -(cyclo[0] + cyclo[1] x + ...) mod Phi_n
-    rows: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
     for e in range(top):
         if e < phi:
             row = [0] * phi
             row[e] = 1
         else:
             prev = rows[e - 1]
-            shifted = [0] + list(prev[: phi - 1])
+            row = [0] + prev[: phi - 1]
             carry = prev[phi - 1]
             if carry:
                 for k in range(phi):
-                    shifted[k] -= carry * cyclo[k]
-            row = shifted
-        rows.append(tuple(row))
-    return tuple(rows)
+                    row[k] -= carry * cyclo[k]
+        rows.append(row)
+    return tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in rows)
 
 
-def _reduce_poly(n: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
-    """Reduce a polynomial in zeta_n (exponents < len(dense)) mod Phi_n."""
+def _reduce_poly(n: int, dense: list[int]) -> list[int]:
+    """Reduce an integer polynomial in zeta_n (exponents < len(dense)) mod Phi_n."""
     phi = euler_phi(n)
     residues = _power_residues(n)
-    out = [_Q0] * phi
+    out = [0] * phi
     for e, c in enumerate(dense):
         if not c:
             continue
@@ -140,30 +145,28 @@ def _reduce_poly(n: int, dense: list[Fraction]) -> tuple[Fraction, ...]:
         if e < phi:
             out[e] += c
         else:
-            row = residues[e]
-            for k in range(phi):
-                if row[k]:
-                    out[k] += c * row[k]
-    return tuple(out)
+            for k, r in residues[e]:
+                out[k] += c * r
+    return out
 
 
 # --- descent to the conductor --------------------------------------------
 
-def _descend(n: int, p: int, coeffs: tuple[Fraction, ...]) -> Optional[tuple[Fraction, ...]]:
+def _descend(n: int, p: int, nums: list[int]) -> Optional[list[int]]:
     """Coordinates in Q(zeta_(n/p)) of a value of Q(zeta_n), or None when it
     does not lie in that subfield; p is a prime divisor of n."""
     m = n // p
     if m == 1:  # the subfield is Q, and the caller has tested for a rational
         return None
     if m % p == 0:  # Phi_n(x) = Phi_m(x^p): read the multiples of p
-        if any(c for k, c in enumerate(coeffs) if k % p):
+        if any(c for k, c in enumerate(nums) if k % p):
             return None
-        return coeffs[::p]
+        return nums[::p]
     # zeta_n^k = zeta_m^(k p' mod m) * zeta_p^(k m' mod p), p p' = 1 mod m and
     # m m' = 1 mod p; parts[j] collects the zeta_m-polynomial beside zeta_p^j
     p_inv, m_inv = pow(p, -1, m), pow(m, -1, p)
-    parts = [[_Q0] * m for _ in range(p)]
-    for k, c in enumerate(coeffs):
+    parts = [[0] * m for _ in range(p)]
+    for k, c in enumerate(nums):
         if c:
             parts[k * m_inv % p][k * p_inv % m] = c
     # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)), so the zeta_p^j part is
@@ -171,42 +174,48 @@ def _descend(n: int, p: int, coeffs: tuple[Fraction, ...]) -> Optional[tuple[Fra
     last = _reduce_poly(m, parts[-1])
     if any(_reduce_poly(m, parts[j]) != last for j in range(1, p - 1)):
         return None
-    return tuple(a - b for a, b in zip(_reduce_poly(m, parts[0]), last))
+    return [a - b for a, b in zip(_reduce_poly(m, parts[0]), last)]
 
 
-def _conductor_form(n: int, coeffs: tuple[Fraction, ...]) -> tuple[int, tuple[Fraction, ...]]:
+def _conductor_form(n: int, nums: list[int]) -> tuple[int, list[int]]:
     while n > 1:
-        if all(c == 0 for c in coeffs[1:]):
-            return 1, (coeffs[0],)
+        if not any(nums[1:]):
+            return 1, nums[:1]
         for p in _prime_divisors(n):
-            reduced = _descend(n, p, coeffs)
+            reduced = _descend(n, p, nums)
             if reduced is not None:
-                n, coeffs = n // p, reduced
+                n, nums = n // p, reduced
                 break
         else:
-            return n, coeffs
-    return n, coeffs
+            return n, nums
+    return n, nums
 
 
 class CycScalar:
-    """An element of Q(zeta_order) in reduced power-basis form."""
+    """An element of Q(zeta_order): integer power-basis numerators `nums`
+    over one positive denominator `den`, in lowest terms, at the conductor."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den")
 
     def __init__(self, order: int, coeffs: Iterable[Fraction], *, _canonical: bool = False):
-        if _canonical:  # callers pass Fractions already at the conductor
-            coeffs = tuple(coeffs)
-        else:
-            coeffs = tuple(Fraction(c) for c in coeffs)
-            if len(coeffs) != euler_phi(order):
-                raise ShapeMismatch(f"{len(coeffs)} coefficients for Q(zeta_{order}), "
+        # every descent runs here (perfbench's tracer counts these calls)
+        coeffs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        den = lcm(1, *(c.denominator for c in coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        if not _canonical:
+            if len(nums) != euler_phi(order):
+                raise ShapeMismatch(f"{len(nums)} coefficients for Q(zeta_{order}), "
                                     f"which has degree {euler_phi(order)}")
-            order, coeffs = _conductor_form(order, coeffs)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
+            order, nums = _conductor_form(order, nums)
+        _fill(self, order, nums, den)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("CycScalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions (a read-only view)."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # --- constructors ---
 
@@ -215,44 +224,48 @@ class CycScalar:
         if n < 1:
             raise ValueError("order must be positive")
         k %= n
-        dense = [_Q0] * (k + 1)
-        dense[k] = _Q1
+        dense = [0] * (k + 1)
+        dense[k] = 1
         return CycScalar(n, _reduce_poly(n, dense))
 
     # --- predicates ---
 
     def __bool__(self) -> bool:
-        return any(self.coeffs)
+        return self.order > 1 or self.nums[0] != 0  # zero is rational
 
     # --- ring operations ---
 
-    def _unify(self, other: "CycScalar"):
-        n = lcm(self.order, other.order)
-        return n, self._embed(n), other._embed(n)
-
-    def _embed(self, n: int) -> tuple[Fraction, ...]:
+    def _embed(self, n: int) -> Sequence[int]:
+        """The numerators of self in the power basis of Q(zeta_n), over self.den."""
         if n == self.order:
-            return self.coeffs
+            return self.nums
         step = n // self.order
-        dense = [_Q0] * ((len(self.coeffs) - 1) * step + 1)
-        for e, c in enumerate(self.coeffs):
+        dense = [0] * ((len(self.nums) - 1) * step + 1)
+        for e, c in enumerate(self.nums):
             if c:
                 dense[e * step] = c
         return _reduce_poly(n, dense)
 
     def __add__(self, other: Coercible) -> "CycScalar":
         other = cyc(other)
-        if self.order == 1 and other.order == 1:
-            return CycScalar(1, (self.coeffs[0] + other.coeffs[0],), _canonical=True)
-        if self.order == other.order:
-            return CycScalar(self.order, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        n, a, b = self._unify(other)
-        return CycScalar(n, tuple(x + y for x, y in zip(a, b)))
+        if self.order == 1 or other.order == 1:
+            # a rational summand shifts the constant term and keeps the conductor
+            x, q = (self, other) if other.order == 1 else (other, self)
+            if not q.nums[0]:
+                return x
+            if not x:
+                return q
+            nums = [c * q.den for c in x.nums]
+            nums[0] += q.nums[0] * x.den
+            return _lowest(x.order, nums, x.den * q.den)
+        n, s, t = lcm(self.order, other.order), other.den, self.den
+        nums = [a * s + b * t for a, b in zip(self._embed(n), other._embed(n))]
+        return CycScalar(n, nums)._scaled(1, s * t)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar(self.order, tuple(-c for c in self.coeffs), _canonical=True)
+        return _lowest(self.order, [-c for c in self.nums], self.den)
 
     def __sub__(self, other: Coercible) -> "CycScalar":
         return self + (-cyc(other))
@@ -261,35 +274,38 @@ class CycScalar:
         return cyc(other) + (-self)
 
     def __mul__(self, other: Coercible) -> "CycScalar":
+        if type(other) is int:  # integer matrix rows times scalars, in linalg
+            return self._scaled(other, 1)
         other = cyc(other)
-        if self.order == 1 and other.order == 1:
-            return CycScalar(1, (self.coeffs[0] * other.coeffs[0],), _canonical=True)
-        if self.order == 1:
-            q = self.coeffs[0]
-            return CycScalar(other.order, tuple(q * c for c in other.coeffs),
-                             _canonical=True) if q else ZERO
         if other.order == 1:
-            q = other.coeffs[0]
-            return CycScalar(self.order, tuple(q * c for c in self.coeffs),
-                             _canonical=True) if q else ZERO
-        n, a, b = (self.order, self.coeffs, other.coeffs) if self.order == other.order \
-            else self._unify(other)
-        prod = [_Q0] * (len(a) + len(b) - 1)
+            return self._scaled(other.nums[0], other.den)
+        if self.order == 1:
+            return other._scaled(self.nums[0], self.den)
+        n = lcm(self.order, other.order)
+        a, b = self._embed(n), other._embed(n)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return CycScalar(n, _reduce_poly(n, prod))
+        return CycScalar(n, _reduce_poly(n, prod))._scaled(1, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, k: int, d: int) -> "CycScalar":
+        """self * k/d, for d > 0: a rational factor keeps the conductor."""
+        if not k:
+            return ZERO
+        return _lowest(self.order, [k * c for c in self.nums], self.den * d)
 
     def inverse(self) -> "CycScalar":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
         n = self.order
         if n == 1:
-            return CycScalar(1, (1 / self.coeffs[0],), _canonical=True)
+            num = self.nums[0]
+            return _lowest(1, (self.den if num > 0 else -self.den,), abs(num))
         # the other conjugates over Q(zeta_m) are sigma_a, a = 1 mod m, a != 1
         m = n // _prime_divisors(n)[0]
         others = reduce(mul, (self._galois(a) for a in range(1 + m, n, m) if gcd(a, n) == 1))
@@ -317,11 +333,11 @@ class CycScalar:
         """The field automorphism zeta -> zeta^a, for a prime to the order; it
         keeps the conductor."""
         n = self.order
-        dense = [_Q0] * n
-        for e, c in enumerate(self.coeffs):
+        dense = [0] * n
+        for e, c in enumerate(self.nums):
             if c:
                 dense[a * e % n] = c
-        return CycScalar(n, _reduce_poly(n, dense), _canonical=True)
+        return _lowest(n, _reduce_poly(n, dense), self.den)
 
     def conjugate(self) -> "CycScalar":
         """The field automorphism zeta -> zeta^(-1) (complex conjugation)."""
@@ -334,12 +350,12 @@ class CycScalar:
             other = cyc(other)
         if not isinstance(other, CycScalar):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         if self.order == 1:
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.order, self.nums, self.den))
 
     # --- presentation ---
 
@@ -354,16 +370,36 @@ class CycScalar:
 
 # --- module-level API ------------------------------------------------------
 
-ZERO = CycScalar(1, (_Q0,), _canonical=True)
-ONE = CycScalar(1, (_Q1,), _canonical=True)
+def _fill(x: CycScalar, order: int, nums: Sequence[int], den: int) -> None:
+    """Set the fields of a new x to nums/den in lowest terms."""
+    g = gcd(den, *nums)
+    object.__setattr__(x, "order", order)
+    object.__setattr__(x, "nums", tuple(c // g for c in nums) if g > 1 else tuple(nums))
+    object.__setattr__(x, "den", den // g)
+
+
+def _lowest(order: int, nums: Sequence[int], den: int) -> CycScalar:
+    """nums/den, known to be at its conductor `order`: no descent."""
+    x = object.__new__(CycScalar)
+    _fill(x, order, nums, den)
+    return x
+
+
+ZERO = _lowest(1, (0,), 1)
+ONE = _lowest(1, (1,), 1)
 
 
 def cyc(x: Coercible) -> CycScalar:
     if isinstance(x, CycScalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return CycScalar(1, (Fraction(x),), _canonical=True)
+        return _lowest(1, (x.numerator,), x.denominator)
     raise TypeError(f"cannot coerce {type(x).__name__} to CycScalar")
+
+
+def rational(num: int, den: int) -> CycScalar:
+    """The rational num/den, for integers with den > 0."""
+    return _lowest(1, (num,), den)
 
 
 def zeta(n: int, k: int = 1) -> CycScalar:

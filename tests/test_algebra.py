@@ -278,13 +278,14 @@ from hochkit.fixtures import algebra_fixture, rep_from_generators
 from hochkit.hochschild import HHResult
 from hochkit.linalg import SparseMatrix
 from hochkit.mukai import MukaiClass
-from hochkit.scalars import CycScalar
+from hochkit.scalars import CycScalar, _poly_div_exact
 from hochkit.tqft import CobordismWord, SurfaceInvariant, evaluate
 
 z2 = algebra_fixture("zn:2")
 sphere = CobordismWord([("cap_in", 0), ("cap_out", 0)])
 cases = {
     "CycScalar length": lambda: CycScalar(3, [1]),
+    "non-monic divisor": lambda: _poly_div_exact([1, 0, 1], [1, 2]),
     "truncated_poly": lambda: truncated_poly(1),
     "Algebra labels": lambda: Algebra(1, DictSC({(0, 0): {0: 1}}), [1], labels=["a", "b"],
                                       validated=True),

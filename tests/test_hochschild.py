@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,36 @@ def test_homology_refuses_undetermined_degree():
     assert down.homology_dim(2) == 0
     with pytest.raises(HochkitError):
         down.homology_dim(3)  # would need the degree-4 differential
+
+
+@pytest.mark.parametrize("name, top", [("s3", 3), ("q8", 2)])
+def test_group_algebra_splits_by_conjugacy_class(name, top):
+    # The unnormalized complex of k[G] on the basis g_0 (x) .. (x) g_n splits
+    # by the conjugacy class of g_0 ... g_n, and the block of [g] computes
+    # H_*(C_G(g); Q): Q in degree 0 and zero above (D. Burghelea, Comment.
+    # Math. Helv. 60 (1985); Loday, Cyclic Homology, 7.4).
+    a = algebra_fixture(name)
+    _, _, table, identity = a.provenance
+    d = a.dim
+    inverse = [row.index(identity) for row in table]
+    class_of = [min(table[table[h][g]][inverse[h]] for h in range(d)) for g in range(d)]
+    classes = sorted(set(class_of))
+
+    def blocks(n):  # the class of g_0 ... g_n, coordinate by coordinate
+        return [class_of[reduce(lambda x, y: table[x][y], word)]
+                for word in itertools.product(range(d), repeat=n + 1)]
+
+    chains = bar_chain_complex(a, top + 1, normalized=False)
+    block = {n: blocks(n) for n in range(top + 2)}
+    for n in range(1, top + 2):
+        assert all(block[n - 1][r] == block[n][c] for r, c, _ in chains.maps[n].entries())
+    for k in classes:
+        coords = {n: [i for i, b in enumerate(block[n]) if b == k] for n in range(top + 2)}
+        ranks = {n: rank(chains.maps[n].take_rows(coords[n - 1]).transpose()
+                         .take_rows(coords[n])) for n in range(1, top + 2)}
+        ranks[0] = 0
+        assert [len(coords[n]) - ranks[n] - ranks[n + 1] for n in range(top + 1)] \
+            == [1] + [0] * top, (name, k)
 
 
 # --- cup and cap ---------------------------------------------------------------
