@@ -1,26 +1,34 @@
 """Bar complexes and Hochschild (co)homology with exact truncation semantics.
 
-The chain complex C_n = A (x) Abar^(x n) carries the boundary
+Every differential comes from one builder, `_coboundary`: the Hochschild
+coboundary of C^n = Hom(Abar^(x n), X) with coefficients in an A-bimodule X,
 
-    b(a_0 (x) ... (x) a_n) = sum_{i<n} (-1)^i a_0 (x) .. a_i a_{i+1} .. (x) a_n
-                             + (-1)^n a_n a_0 (x) a_1 (x) ... (x) a_{n-1}
+    (delta f)(a_1..a_(n+1)) = a_1 f(a_2..) + sum_i (-1)^i f(.. a_i a_(i+1) ..)
+                              + (-1)^(n+1) f(a_1..a_n) a_(n+1)
 
-and the cochain complex C^n = Hom(Abar^(x n), A) the matching coboundary
-(J.-L. Loday, *Cyclic Homology*, 1.1).  A word of r letters is its index in
-base r.  `_alphabet` reads all products into one table, a `SparseMatrix`
-whose values are ints over one denominator, or CycScalars when an entry is
-irrational.  Each term of a differential adds one signed table row along
-arithmetic progressions of target and source indices (`_scatter`), so a
-differential is summed in the table's form, one degree at a time
-(`_boundary`, `_coboundary`), and built alone where only it is read (cup,
-cap and the class comparisons).  The alphabet is the only place the two
-routes differ.  The reduced (normalized) route is the default: interior
-letters span a complement of the unit, which shrinks dim(A)^n to
-(dim(A)-1)^n and makes degree-3 computations feasible at dim 6-8.  The
-unnormalized route, on which cup and cap live, is kept as an independent
-cross-check.  Ext over A (x) A^op (`modules.ext_dims`) builds its own
-coboundary and shares only `ChainComplex`, which checks d o d = 0 and ranks
-each differential on what its neighbour leaves: a second route to HH^*.
+(J.-L. Loday, *Cyclic Homology*, 1.1 and 1.5; H. Cartan and S. Eilenberg,
+*Homological Algebra*, IX 4).  It reads two tables: the classes of the
+products of two interior letters (`_alphabet`), and the images of a basis of
+X under each letter acting from the left and from the right (`_table`).
+HH^* takes X = A.  HH_* takes X = A* = Hom_k(A, k), with (a.phi)(b) =
+phi(ba) and (phi.a)(b) = phi(ab): the chain complex C_n = A (x) Abar^(x n)
+is the dual of Hom(Abar^(x n), A*), so the boundary
+
+    b(a_0 (x) ... (x) a_n) = sum_{i<n} (-1)^i a_0 (x) .. a_i a_(i+1) .. (x) a_n
+                             + (-1)^n a_n a_0 (x) a_1 (x) ... (x) a_(n-1)
+
+is the transpose b_n = delta^(n-1)(A*)^T.  Ext_A(M, N) takes X = Hom_k(M, N)
+(`modules.ext_dims`).  A word of r letters is its index in base r, and each
+term adds one signed table row along arithmetic progressions of indices
+(`_scatter`): a rational differential is summed on ints over one
+denominator, an irrational one in CycScalars.
+
+The reduced (normalized) route is the default: interior letters span a
+complement of the unit, which shrinks dim(A)^n to (dim(A)-1)^n and makes
+degree-3 computations feasible at dim 6-8.  The unnormalized route, on which
+cup and cap live, is kept as an independent cross-check; the alphabet is the
+only place the two routes differ.  A `ChainComplex` checks d o d = 0 and
+ranks each differential on what its neighbour leaves.
 
 A homology dimension in degree k is only reported when both adjacent
 differentials were built (`complete_through` tracks this); the CLI marks
@@ -37,53 +45,44 @@ from .errors import (
     AlgebraMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle,
     ShapeMismatch,
 )
-from .linalg import SparseMatrix, Vector, rank, solve, unit_vector
+from .linalg import SparseMatrix, Vector, _common, hstack, rank, solve, unit_vector
 from .modules import MAX_COORDINATES, MAX_DEGREE, a_unit_split, check_maxdeg
 from .scalars import CycScalar, ZERO
 
 
 class ChainComplex:
-    """Graded spaces with differentials between adjacent degrees.
-
-    maps[n] leaves degree n and lands in degree n + step: step is -1 for
-    direction 'down' (maps[n]: C_n -> C_(n-1)) and +1 for 'up'
-    (maps[n]: C^n -> C^(n+1)).  d o d = 0 is checked exactly at assembly.
+    """Graded spaces C_0 .. C_top and maps between adjacent degrees, all in
+    one orientation: maps[n] has its rows on degree n - 1 and its columns on
+    degree n.  A chain complex hands over its boundaries, maps[n] = b_n, and
+    a cochain complex the transposes of its coboundaries,
+    maps[n + 1] = (delta^n)^T.  Either way the homology in degree k has
+    dimension dim C_k - rank maps[k] - rank maps[k + 1], and
+    maps[n] maps[n + 1] = 0 is checked exactly at assembly.
 
     Ranks are taken in degree order, each map ranked only on what its
     neighbour maps[n - 1] leaves (the clearing of persistent homology).
-    Let g o f = 0 through a shared space Y.  If g is ranked first, its pivot
-    columns Q on Y carry coordinates that a vector of ker g has as a
-    combination of its others, and every column of f lies in ker g: the
-    rows Q of f are combinations of its other rows, and rank f is the rank
-    of f without them.  Transposed, if f is ranked first with pivot rows R
-    on Y, rank g is the rank of g without the columns R.  So b_n is ranked
-    without the rows at the pivot columns of b_(n-1), and delta^n without
-    the columns at the pivot rows of delta^(n-1); delta^n is ranked as its
-    transpose, so in both directions the cut drops rows of the matrix
-    ranked, at pivot columns of the one before it.  Those lie on the side
-    that was not cut, so they keep their indices.  This rests on d o d = 0,
-    which the constructor has proved.
+    Let g f = 0 through a shared space Y, g = maps[n - 1] and f = maps[n].
+    g is ranked first, and its pivot columns Q on Y carry coordinates that
+    a vector of ker g has as a combination of its others.  Every column of
+    f lies in ker g, so the rows Q of f are combinations of its other rows,
+    and rank f is the rank of f without them.  The rows of f not cut keep
+    their indices, and its columns, on which maps[n + 1] is cut next, are
+    untouched.  This rests on d o d = 0, which the constructor has proved.
     """
 
-    def __init__(self, dims: Sequence[int], maps: dict[int, SparseMatrix],
-                 direction: str = "down"):
-        self.step = {"down": -1, "up": 1}[direction]
+    def __init__(self, dims: Sequence[int], maps: dict[int, SparseMatrix]):
         self.dims = tuple(dims)
         self.maps = dict(maps)
         self._rank_cache: dict[int, int] = {}
         self._pivot_cache: dict[int, tuple | None] = {}  # the ranked part's pivots
         for n, m in self.maps.items():
-            t = n + self.step  # None stands for a degree outside the complex
-            want = tuple(self.dims[k] if 0 <= k < len(self.dims) else None for k in (t, n))
+            want = (self.dims[n - 1], self.dims[n]) if 0 < n < len(self.dims) else None
             if (m.rows, m.cols) != want:
-                raise ShapeMismatch(f"the map from degree {n} to {t} has shape "
+                raise ShapeMismatch(f"the map between degrees {n - 1} and {n} has shape "
                                     f"{(m.rows, m.cols)}, not {want}")
-        self._check_dd()
-
-    def _check_dd(self):
         for n, m in self.maps.items():
-            nxt = self.maps.get(n + self.step)
-            if nxt is not None and not (nxt * m).is_zero():
+            nxt = self.maps.get(n + 1)
+            if nxt is not None and not (m * nxt).is_zero():
                 raise HochkitError(f"differential composite at degree {n} is nonzero")
 
     @property
@@ -99,9 +98,9 @@ class ChainComplex:
         return self._rank_cache[n]
 
     def _rank_cleared(self, n: int) -> int:
-        """rank maps[n], eliminated without what maps[n - 1] (ranked) leaves."""
-        # maps[n] with its rows on the space it shares with maps[n - 1]
-        m = self.maps[n] if self.step == -1 else self.maps[n].transpose()
+        """rank maps[n], eliminated without the rows at the pivot columns of
+        maps[n - 1] (ranked)."""
+        m = self.maps[n]
         pivots = self._pivot_cache.get(n - 1)  # (rows, cols) of the last one ranked
         if pivots and pivots[1]:
             cut = set(pivots[1])
@@ -112,11 +111,9 @@ class ChainComplex:
 
     def complete_through(self) -> int:
         """Largest degree whose homology both adjacent maps determine;
-        degree k needs the maps out of it (maps[k]) and into it
-        (maps[k - step]), each built or zero (b_0 and delta^-1)."""
+        degree k needs maps[k] and maps[k + 1], each built or zero (maps[0])."""
         for k in range(self.top_degree, -1, -1):
-            if all(n in self.maps or min(n, n + self.step) < 0
-                   for n in (k, k - self.step)):
+            if all(n in self.maps or n == 0 for n in (k, k + 1)):
                 return k
         return -1
 
@@ -125,11 +122,11 @@ class ChainComplex:
             raise HochkitError(
                 f"homology at degree {k} is not determined by the built "
                 f"differentials (complete through {self.complete_through()})")
-        kernel = self.dims[k] - self.rank_of_map(k)
-        image = self.rank_of_map(k - self.step)
-        if kernel < image:  # d o d = 0 violated upstream
-            raise HochkitError(f"degree {k}: image rank {image} exceeds kernel dimension {kernel}")
-        return kernel - image
+        ranks = self.rank_of_map(k) + self.rank_of_map(k + 1)
+        if ranks > self.dims[k]:  # d o d = 0 violated upstream
+            raise HochkitError(f"degree {k}: adjacent ranks {ranks} exceed the "
+                               f"dimension {self.dims[k]}")
+        return self.dims[k] - ranks
 
 
 class HHResult:
@@ -154,20 +151,35 @@ def _index(word: Sequence[int], radix: int) -> int:
 
 
 def _alphabet(a: Algebra, normalized: bool) -> tuple[tuple[int, ...], SparseMatrix]:
-    """(letters, table): the basis index of each interior letter, and all
-    products as the rows of one matrix: e_i e_j in row i * dim(A) + j, and
-    letters s, t (of r) in row dim(A)^2 + s * r + t.  Normalized letters span
-    a complement of the unit; their products drop the unit part."""
-    d = a.dim
-    rows = [a.sc.product(i, j) for i in range(d) for j in range(d)]
+    """(letters, merge): the basis index of each interior letter, and in row
+    s * r + t of `merge` the product of letters s and t (of r) in letter
+    coordinates.  Normalized letters span a complement of the unit; their
+    products drop the unit part."""
     if normalized:
         split = a_unit_split(a)
-        letters = split.bar_indices
-        rows += [split.bar_product(s, t)[1] for s in range(d - 1) for t in range(d - 1)]
-    else:  # every basis element is a letter: the products again
-        letters, rows = tuple(range(d)), rows * 2
-    return letters, SparseMatrix(len(rows), d, (((i, k), v) for i, row in enumerate(rows)
-                                                for k, v in row.items()))
+        return split.bar_indices, split.merge
+    d = a.dim
+    return tuple(range(d)), SparseMatrix(d * d, d, (
+        ((i * d + j, k), v) for i in range(d) for j in range(d)
+        for k, v in a.sc.product(i, j).items()))
+
+
+def _table(dim: int, left: Sequence[SparseMatrix], right: Sequence[SparseMatrix]) -> SparseMatrix:
+    """How the r letters act on a space X of dimension `dim`: row x * dim + j
+    is the image of basis element j under left[x], and row (r + x) * dim + j
+    its image under right[x]."""
+    return hstack(dim, [*left, *right]).transpose()
+
+
+def _tables(a: Algebra, normalized: bool, dual: bool = False):
+    """(merge, actions) for X = A, or with `dual` for X = A*, on which a acts
+    by the transposes of its right and left multiplications."""
+    letters, merge = _alphabet(a, normalized)
+    left = [a.basis_left_mult(x) for x in letters]
+    right = [a.basis_right_mult(x) for x in letters]
+    if dual:
+        left, right = [m.transpose() for m in right], [m.transpose() for m in left]
+    return merge, _table(a.dim, left, right)
 
 
 def _scatter(data: list[dict], v, target: int, step: int, cols: list[int]):
@@ -184,9 +196,9 @@ def _scatter(data: list[dict], v, target: int, step: int, cols: list[int]):
         target += step
 
 
-def _guarded_dims(a: Algebra, top: int, radix: int) -> list[int]:
-    """dim(A) * radix^n for n = 0..top; refuses before anything is built."""
-    dims = [a.dim * radix ** n for n in range(top + 1)]
+def _guarded_dims(dim: int, top: int, radix: int) -> list[int]:
+    """dim * radix^n for n = 0..top; refuses before anything is built."""
+    dims = [dim * radix ** n for n in range(top + 1)]
     for n, size in enumerate(dims):
         if size > MAX_COORDINATES:
             raise DegreeCapExceeded(f"chain space at degree {n} has {size} coordinates "
@@ -194,75 +206,72 @@ def _guarded_dims(a: Algebra, top: int, radix: int) -> list[int]:
     return dims
 
 
-def _boundary(a: Algebra, n: int, letters: tuple[int, ...], table: SparseMatrix) -> SparseMatrix:
-    """b_n: C_n -> C_(n-1) over the alphabet `letters`, n >= 1.  Column
-    a_0 * r^n + w is a_0 (x) w, the word w of n letters read in base r."""
-    d, r = a.dim, len(letters)
-    signed = table._rows, [{k: -v for k, v in row.items()} for row in table._rows]
-    low, top = r ** (n - 1), r ** n
-    data: list[dict] = [dict() for _ in range(d * low)]
-    cols = list(range(d * top))  # one int per column, shared by its entries
-    for a0 in range(d):
-        for x in range(r):
-            # (a_0 a_1) (x) a_2 .. and the cyclic (-1)^n a_n a_0 (x) a_1 .. a_(n-1)
-            for k, v in signed[0][a0 * d + letters[x]].items():
-                _scatter(data, v, k * low, 1, cols[a0 * top + x * low:a0 * top + (x + 1) * low])
-            for k, v in signed[n % 2][letters[x] * d + a0].items():
-                _scatter(data, v, k * low, 1, cols[a0 * top + x:(a0 + 1) * top:r])
-    for i in range(1, n):  # (-1)^i a_0 (x) .. a_i a_(i+1) .. (x) a_n
-        p = r ** (n - 1 - i)  # the weight of letter i + 1, and of the merged letter
-        for pair in range(r * r):
-            for t, v in signed[i % 2][d * d + pair].items():
-                for j in range(p):
-                    _scatter(data, v, t * p + j, r * p, cols[pair * p + j::r * r * p])
-    return SparseMatrix._of(d * low, d * top, data, table.den)
-
-
-def _coboundary(a: Algebra, n: int, letters: tuple[int, ...], table: SparseMatrix) -> SparseMatrix:
-    """delta^n: C^n -> C^(n+1) over the alphabet `letters`, n >= 0.  Row
-    w * dim(A) + k is coordinate k of (delta f)(w), the word w read in base r."""
-    d, r = a.dim, len(letters)
-    signed = table._rows, [{k: -v for k, v in row.items()} for row in table._rows]
+def _coboundary(n: int, merge: SparseMatrix, actions: SparseMatrix,
+                chains: bool = False) -> SparseMatrix:
+    """(delta^n)^T for C^n = Hom(Abar^(x n), X), n >= 0: rows on C^n, columns
+    on C^(n+1).  `merge` is the table of `_alphabet` (r = merge.cols
+    letters) and `actions` that of `_table`.  Coordinate (w, j), w a word
+    of m letters read in base r, is w * dim(X) + j; with `chains` it is
+    j * r^m + w, that of e_j (x) w in A (x) Abar^(x m), the dual of C^m
+    when X = A*."""
+    r, dx = merge.cols, actions.cols
+    merges, acts, den = _common(merge, actions)
+    negated = [{k: -v for k, v in row.items()} for row in merges]
+    signed = negated, merges  # (-1)^(i+1) at letter i
+    rights = acts[r * dx:]  # acts[x * dx + j] acts from the left
+    if n % 2 == 0:  # (-1)^(n+1)
+        rights = [{k: -v for k, v in row.items()} for row in rights]
     top = r ** n  # words of n letters
-    data: list[dict] = [dict() for _ in range(d * top * r)]
-    cols = list(range(d * top))  # one int per column, shared by its entries
+    # the strides of a word and of a coefficient, on C^n and on C^(n+1)
+    (sw, sj), (tw, tj) = ((1, top), (1, top * r)) if chains else ((dx, 1), (dx, 1))
+    data: list[dict] = [dict() for _ in range(dx * top)]
+    cols = list(range(dx * top * r))  # one int per column, shared by its entries
     for x in range(r):
-        for out in range(d):
-            # a_1 f(a_2 ..) and (-1)^(n+1) f(a_1 .. a_n) a_(n+1): f(u) at e_out, every u
-            for k, v in signed[0][letters[x] * d + out].items():
-                _scatter(data, v, x * top * d + k, d, cols[out::d])
-            for k, v in signed[(n + 1) % 2][out * d + letters[x]].items():
-                _scatter(data, v, x * d + k, r * d, cols[out::d])
-    for i in range(n):  # (-1)^(i+1) f(.. a_i a_(i+1) ..), letters counted from 0
-        p = r ** (n - 1 - i) * d  # the weight of letter i + 1, and of the merged letter
+        for j in range(dx):
+            # a_1 f(a_2 ..): (u, j) -> (x u, k), for every word u
+            for k, v in acts[x * dx + j].items():
+                start = x * top * tw + k * tj
+                _scatter(data, v, j * sj, sw, cols[start:start + top * tw:tw])
+            # f(a_1 .. a_n) a_(n+1): (u, j) -> (u x, k)
+            for k, v in rights[x * dx + j].items():
+                start = x * tw + k * tj
+                _scatter(data, v, j * sj, sw, cols[start:start + top * r * tw:r * tw])
+    for i in range(n):  # f(.. a_i a_(i+1) ..), letters counted from 0
+        # coordinate (h * r + m) * lo + b of C^n, where the merged letter m
+        # sits, and (h * r * r + pair) * lo + b of C^(n+1)
+        p = r ** (n - 1 - i)
+        hi, lo = (dx * r ** i, p) if chains else (r ** i, p * dx)
         for pair in range(r * r):
-            for t, v in signed[(i + 1) % 2][d * d + pair].items():
-                for above in range(r ** i):
-                    u = (above * r + t) * p
-                    _scatter(data, v, (above * r * r + pair) * p, 1, cols[u:u + p])
-    return SparseMatrix._of(d * top * r, d * top, data, table.den)
+            for m, v in signed[i % 2][pair].items():
+                if lo >= hi:
+                    for h in range(hi):
+                        u = (h * r * r + pair) * lo
+                        _scatter(data, v, (h * r + m) * lo, 1, cols[u:u + lo])
+                else:
+                    for b in range(lo):
+                        _scatter(data, v, m * lo + b, r * lo, cols[pair * lo + b::r * r * lo])
+    return SparseMatrix._of(dx * top, dx * top * r, data, den)
 
 
 def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True) -> ChainComplex:
-    """Hochschild chain complex C_n = A (x) Abar^(x n) through degree maxdeg."""
+    """Hochschild chain complex C_n = A (x) Abar^(x n) through degree maxdeg;
+    column a_0 * r^n + w of b_n is a_0 (x) w."""
     check_maxdeg(maxdeg, MAX_DEGREE + 1)  # homology is complete one degree lower
-    letters, table = _alphabet(a, normalized)
-    dims = _guarded_dims(a, maxdeg, len(letters))
-    maps = {n: _boundary(a, n, letters, table) for n in range(1, maxdeg + 1)}
-    return ChainComplex(dims, maps, direction="down")
+    merge, actions = _tables(a, normalized, dual=True)
+    dims = _guarded_dims(a.dim, maxdeg, merge.cols)
+    return ChainComplex(dims, {n: _coboundary(n - 1, merge, actions, chains=True)
+                               for n in range(1, maxdeg + 1)})
 
 
 def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True) -> ChainComplex:
-    """Hochschild cochain complex C^n = Hom(Abar^(x n), A) with coboundary
-
-    (df)(a_1..a_{n+1}) = a_1 f(a_2..) + sum_i (-1)^i f(.. a_i a_{i+1} ..)
-                          + (-1)^(n+1) f(a_1..a_n) a_{n+1}.
-    Maps are built for n = 0..maxdeg, so homology is complete through maxdeg."""
+    """Hochschild cochain complex C^n = Hom(Abar^(x n), A); row w * dim(A) + k
+    of (delta^n)^T is coordinate k of f(w).  Maps are built for n = 0..maxdeg,
+    so homology is complete through maxdeg."""
     check_maxdeg(maxdeg, MAX_DEGREE)
-    letters, table = _alphabet(a, normalized)
-    dims = _guarded_dims(a, maxdeg + 1, len(letters))
-    maps = {n: _coboundary(a, n, letters, table) for n in range(maxdeg + 1)}
-    return ChainComplex(dims, maps, direction="up")
+    merge, actions = _tables(a, normalized)
+    dims = _guarded_dims(a.dim, maxdeg + 1, merge.cols)
+    return ChainComplex(dims, {n + 1: _coboundary(n, merge, actions)
+                               for n in range(maxdeg + 1)})
 
 
 # --- dimension reports --------------------------------------------------------
@@ -335,15 +344,16 @@ class Chain(_BarElement):
 # One differential alone, under the guards of its complex; no complex is built.
 
 def _unnormalized_cochain_map(a: Algebra, n: int) -> SparseMatrix:
+    """delta^n itself, rows on C^(n+1)."""
     check_maxdeg(n, MAX_DEGREE)
-    _guarded_dims(a, n + 1, a.dim)
-    return _coboundary(a, n, *_alphabet(a, False))
+    _guarded_dims(a.dim, n + 1, a.dim)
+    return _coboundary(n, *_tables(a, False)).transpose()
 
 
 def _unnormalized_chain_map(a: Algebra, n: int) -> SparseMatrix:
     check_maxdeg(n, MAX_DEGREE + 1)
-    _guarded_dims(a, n, a.dim)
-    return _boundary(a, n, *_alphabet(a, False))
+    _guarded_dims(a.dim, n, a.dim)
+    return _coboundary(n - 1, *_tables(a, False, dual=True), chains=True)
 
 
 def coboundary(f: Cochain) -> Cochain:

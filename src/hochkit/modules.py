@@ -426,127 +426,50 @@ def check_maxdeg(maxdeg: int, degree_cap: int):
 
 
 def ext_dims(m: ModuleRep, n: ModuleRep, maxdeg: int) -> list[int]:
-    """dim Ext^i(M, N) for 0 <= i <= maxdeg, from the reduced bar resolution
-    of M, read off a checked `ChainComplex` of its coboundaries (delta o
-    delta = 0 exactly, each ranked on what the one below leaves); degree 0
-    always agrees with hom_space."""
+    """dim Ext^i(M, N) for 0 <= i <= maxdeg: the cohomology of the reduced
+    bar complex Hom(Abar^(x p), X) with coefficients in X = Hom_k(M, N), on
+    which A acts by (a.phi)(m) = a.phi(m) and (phi.a)(m) = phi(a.m)
+    (H. Cartan and S. Eilenberg, *Homological Algebra*, IX 4).  Basis
+    element mu * dim(N) + nu of X sends e_mu to e_nu.  The coboundaries are
+    the Hochschild ones of `hochschild._coboundary`, read off a checked
+    `ChainComplex`; degree 0 always agrees with hom_space."""
     check_maxdeg(maxdeg, MAX_DEGREE)
     if m.algebra != n.algebra:
         raise AlgebraMismatch("ext needs modules over the same algebra")
-    a = m.algebra
-    split = a_unit_split(a)
-    dbar = len(split.bar_indices)
-    # cochain spaces C^p = Hom(Abar^(x p) (x) M, N)
-    dims = []
-    for p in range(maxdeg + 2):
-        size = (dbar ** p) * m.dim * n.dim
-        if size > MAX_COORDINATES:
-            raise DegreeCapExceeded(
-                f"cochain space at degree {p} has {size} coordinates")
-        dims.append(size)
-    from .hochschild import ChainComplex  # hochschild imports this module
-    complex_ = ChainComplex(dims, {p: _ext_delta(a, split, m, n, p)
-                                   for p in range(maxdeg + 1)}, "up")
+    # hochschild imports this module
+    from .hochschild import ChainComplex, _alphabet, _coboundary, _guarded_dims, _table
+    letters, merge = _alphabet(m.algebra, True)
+    dx = m.dim * n.dim
+    dims = _guarded_dims(dx, maxdeg + 1, len(letters))
+    id_m, id_n = SparseMatrix.identity(m.dim), SparseMatrix.identity(n.dim)
+    actions = _table(dx, [kron(id_m, n.action[x]) for x in letters],
+                     [kron(m.action[x].transpose(), id_n) for x in letters])
+    complex_ = ChainComplex(dims, {p + 1: _coboundary(p, merge, actions)
+                                   for p in range(maxdeg + 1)})
     return [complex_.homology_dim(p) for p in range(maxdeg + 1)]
 
 
 class UnitSplit:
-    """A = C.unit (+) span{e_k : k != i0}, where i0 is a basis coordinate on
-    which the unit is supported.  `split` writes a coordinate vector as
-    (unit coefficient, reduced coordinates)."""
+    """A = C.unit (+) Abar, where Abar is spanned by the basis elements off
+    i0, the first coordinate on which the unit u is supported: `bar_indices`
+    are the interior letters of the reduced bar construction.  Row s * r + t
+    of `merge` is the class in Abar of the product of letters s and t (of r),
+    in which e_(i0) is -(1/u_(i0)) sum_(k != i0) u_k e_k."""
 
     def __init__(self, algebra: Algebra):
-        u = algebra.unit
-        self.algebra = algebra
-        self.i0 = next(i for i, c in enumerate(u) if c)
-        self.u0 = u[self.i0]
-        self.bar_indices = tuple(i for i in range(algebra.dim) if i != self.i0)
-        self.pos = {k: t for t, k in enumerate(self.bar_indices)}
-        self._bar_products: dict[tuple[int, int], tuple[CycScalar, dict[int, CycScalar]]] = {}
-
-    def split_sparse(self, coords: dict[int, CycScalar]) -> tuple[CycScalar, dict[int, CycScalar]]:
-        eps = coords.get(self.i0, ZERO) / self.u0
-        reduced = {}
-        support = set(coords)
-        if eps:
-            support.update(k for k, u in enumerate(self.algebra.unit) if u)
-        for k in support:
-            if k == self.i0:
-                continue
-            v = coords.get(k, ZERO)
-            u = self.algebra.unit[k]
-            adj = v - eps * u if (eps and u) else v
-            if adj:
-                reduced[self.pos[k]] = adj
-        return eps, reduced
-
-    def bar_product(self, s: int, t: int):
-        """Product of reduced basis elements s, t (positions in bar_indices),
-        split as (unit part, reduced part)."""
-        got = self._bar_products.get((s, t))
-        if got is None:
-            prod = self.algebra.sc.product(self.bar_indices[s], self.bar_indices[t])
-            got = self.split_sparse(prod)
-            self._bar_products[(s, t)] = got
-        return got
+        u, d = algebra.unit, algebra.dim
+        i0 = next(i for i, c in enumerate(u) if c)
+        self.bar_indices = letters = tuple(i for i in range(d) if i != i0)
+        r = len(letters)
+        products = SparseMatrix(r * r, d, (
+            ((s * r + t, k), v) for s, x in enumerate(letters) for t, y in enumerate(letters)
+            for k, v in algebra.sc.product(x, y).items()))
+        project = SparseMatrix(d, r, [((k, t), ONE) for t, k in enumerate(letters)]
+                               + [((i0, t), -u[k] / u[i0]) for t, k in enumerate(letters) if u[k]])
+        self.merge = products * project
 
 
 def a_unit_split(a: Algebra) -> UnitSplit:
     if a._unit_split is None:
         a._unit_split = UnitSplit(a)
     return a._unit_split
-
-
-def _ext_delta(a: Algebra, split: UnitSplit, m: ModuleRep, n: ModuleRep,
-               p: int) -> SparseMatrix:
-    """Coboundary C^p -> C^(p+1) for C^p = Hom(Abar^p (x) M, N).
-
-    Cochain coordinates: f[(word, mu) -> nu] indexed nu + n.dim * (mu + m.dim * word),
-    word in base-dbar digits, leftmost argument most significant.
-    """
-    dbar = len(split.bar_indices)
-    size_p = (dbar ** p) * m.dim * n.dim
-    size_q = (dbar ** (p + 1)) * m.dim * n.dim
-
-    def f_index(word: tuple[int, ...], mu: int, nu: int) -> int:
-        w = 0
-        for d in word:
-            w = w * dbar + d
-        return nu + n.dim * (mu + m.dim * w)
-
-    last_sign = ONE if (p + 1) % 2 == 0 else -ONE
-
-    def terms():
-        for w in range(dbar ** (p + 1)):
-            word = []
-            x = w
-            for _ in range(p + 1):
-                word.append(x % dbar)
-                x //= dbar
-            word.reverse()
-            word = tuple(word)
-            rho_first = n.action[split.bar_indices[word[0]]]
-            rho_last = m.action[split.bar_indices[word[p]]]
-            rest, head = word[1:], word[:p]
-            for mu in range(m.dim):
-                # rho_N(a_1) f(a_2..a_{p+1}, mu)
-                for r_out, nu_mid, v in rho_first.entries():
-                    yield (f_index(word, mu, r_out), f_index(rest, mu, nu_mid)), v
-                # interior merges; the unit component of a product is degenerate
-                sign = ONE
-                for i in range(p):
-                    sign = -sign
-                    _eps, reduced = split.bar_product(word[i], word[i + 1])
-                    for d, coeff in reduced.items():
-                        new_word = word[:i] + (d,) + word[i + 2:]
-                        for nu in range(n.dim):
-                            yield (f_index(word, mu, nu),
-                                   f_index(new_word, mu, nu)), sign * coeff
-                # (-1)^(p+1) f(a_1..a_p, a_{p+1}.m)
-                for r_, v in ((r_, rho_last.entry(r_, mu)) for r_ in range(m.dim)):
-                    if v:
-                        for nu in range(n.dim):
-                            yield (f_index(word, mu, nu),
-                                   f_index(head, r_, nu)), last_sign * v
-
-    return SparseMatrix(size_q, size_p, terms())

@@ -146,7 +146,8 @@ class CobordismWord:
         if len(self._closed_chis) != 1:
             return None
         chi = self._closed_chis[0]
-        assert chi % 2 == 0 and chi <= 2
+        if chi % 2 or chi > 2:
+            raise HochkitError(f"a closed orientable surface has no Euler characteristic {chi}")
         return (2 - chi) // 2
 
     @property

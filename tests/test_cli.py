@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -522,6 +523,16 @@ def test_python_m_hochkit_matches_in_process_run(capsys):
          "--format", "machine"], capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected
+
+
+def test_library_has_no_assert_statements():
+    # `python -O` strips assert statements, so a check in the library raises
+    # a typed HochkitError instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(hochkit.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_acceptance_suite_passes_under_optimize():

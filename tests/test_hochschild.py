@@ -170,7 +170,7 @@ def test_size_guard(monkeypatch):
     with pytest.raises(DegreeCapExceeded):
         hh_homology_dims(s3, 9999)
     built = []
-    monkeypatch.setattr(hochschild, "_boundary", lambda *args: built.append(args))
+    monkeypatch.setattr(hochschild, "_coboundary", lambda *args, **kw: built.append(args))
     # HH_6 needs degree 7 of the normalized complex: 6 * 5^7 = 468750 coordinates
     with pytest.raises(DegreeCapExceeded, match="degree 7 has 468750 coordinates"):
         hh_homology_dims(s3, 6)
@@ -420,15 +420,15 @@ def _oracle_coboundary(a, n):
     return SparseMatrix(len(rows), len(cols), entries)
 
 
-@pytest.mark.parametrize("name", ["mat:2", "s3", "dual", "trunc:3"])
+@pytest.mark.parametrize("name", ["mat:2", "s3", "dual", "trunc:3", "irrational zn:3"])
 def test_unnormalized_differentials_match_entrywise_oracle(name):
-    a = algebra_fixture(name)
+    a = _irrational_zn3() if name.startswith("irrational") else algebra_fixture(name)
     chains = bar_chain_complex(a, 2, normalized=False)
     cochains = bar_cochain_complex(a, 2, normalized=False)
     for n in (1, 2):
         assert chains.maps[n] == _oracle_boundary(a, n)
     for n in (0, 1, 2):
-        assert cochains.maps[n] == _oracle_coboundary(a, n)
+        assert cochains.maps[n + 1].transpose() == _oracle_coboundary(a, n)
 
 
 # --- entrywise oracle for the normalized differentials --------------------------
@@ -530,7 +530,7 @@ def test_normalized_differentials_match_entrywise_oracle(name):
     for n in (1, 2):
         assert chains.maps[n] == _normalized_oracle_boundary(a, n)
     for n in (0, 1, 2):
-        assert cochains.maps[n] == _normalized_oracle_coboundary(a, n)
+        assert cochains.maps[n + 1].transpose() == _normalized_oracle_coboundary(a, n)
 
 
 def test_irrational_structure_constants_keep_cyclotomic_rows():
@@ -539,10 +539,11 @@ def test_irrational_structure_constants_keep_cyclotomic_rows():
     for normalized in (True, False):
         chains = bar_chain_complex(a, 3, normalized).maps
         cochains = bar_cochain_complex(a, 2, normalized).maps
-        # b_1 and delta^0 are commutators, zero on a commutative algebra
-        assert chains[1].is_zero() and cochains[0].is_zero()
-        assert chains[1].den == cochains[0].den == 1
-        for m in (chains[2], chains[3], cochains[1], cochains[2]):
+        # b_1 and delta^0 (in cochains[1]) are commutators, zero on a
+        # commutative algebra
+        assert chains[1].is_zero() and cochains[1].is_zero()
+        assert chains[1].den == cochains[1].den == 1
+        for m in (chains[2], chains[3], cochains[2], cochains[3]):
             assert m.den is None and m.field_order == 3
     assert hh_homology_dims(a, 2).dims == hh_homology_dims(a, 2, normalized=False).dims == [3, 0, 0]
     assert hh_cohomology_dims(a, 2).dims == [3, 0, 0]
@@ -550,8 +551,8 @@ def test_irrational_structure_constants_keep_cyclotomic_rows():
 
 # --- cleared ranks ---------------------------------------------------------------
 #
-# A ChainComplex ranks each differential without the rows (down) or columns
-# (up) at the pivots of the map ranked before it.  The oracle ranks every
+# A ChainComplex ranks each differential without the rows at the pivot
+# columns of the map ranked before it.  The oracle ranks every
 # whole differential on its own.  The unnormalized route, dim(A)^(n+1)
 # coordinates in degree n, is checked on the algebras of dim <= 6: on a4 its
 # whole ranks through degree 3 alone take about 3 s.
@@ -587,7 +588,9 @@ def test_clearing_ranks_the_top_boundary_on_fewer_rows(monkeypatch):
 
 
 def test_rational_assembly_does_no_scalar_arithmetic(monkeypatch):
+    from hochkit.modules import ext_dims, simples_of
     s3 = algebra_fixture("s3")
+    std = simples_of(s3)[2]
     bar_chain_complex(s3, 1)  # computes and caches the unit split of s3
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
@@ -599,6 +602,7 @@ def test_rational_assembly_does_no_scalar_arithmetic(monkeypatch):
     assert calls == ["__add__"]  # the counters are live
     calls.clear()
     chains, cochains = bar_chain_complex(s3, 3), bar_cochain_complex(s3, 2)
+    assert ext_dims(std, std, 2) == [1, 0, 0]
     assert calls == []
     assert all(m.den == 1 for m in [*chains.maps.values(), *cochains.maps.values()])
 
@@ -613,13 +617,12 @@ def test_single_differentials_match_the_complexes():
         for n in range(1, top + 1):
             assert _unnormalized_chain_map(a, n) == chains.maps[n]
         for n in range(top):
-            assert _unnormalized_cochain_map(a, n) == cochains.maps[n]
+            assert _unnormalized_cochain_map(a, n) == cochains.maps[n + 1].transpose()
 
 
 def test_single_differentials_keep_the_guards(monkeypatch):
     def refuse(*args):
         raise AssertionError("a differential was built past its guard")
-    monkeypatch.setattr(hochschild, "_boundary", refuse)
     monkeypatch.setattr(hochschild, "_coboundary", refuse)
     s3 = algebra_fixture("s3")
     for build in (_unnormalized_chain_map, _unnormalized_cochain_map):
@@ -635,7 +638,8 @@ def _whole_complex_route(monkeypatch):
     monkeypatch.setattr(hochschild, "_unnormalized_chain_map",
                         lambda a, n: bar_chain_complex(a, n, normalized=False).maps[n])
     monkeypatch.setattr(hochschild, "_unnormalized_cochain_map",
-                        lambda a, n: bar_cochain_complex(a, n, normalized=False).maps[n])
+                        lambda a, n: bar_cochain_complex(a, n, normalized=False)
+                        .maps[n + 1].transpose())
 
 
 def _count_complexes(monkeypatch):
