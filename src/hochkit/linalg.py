@@ -17,16 +17,20 @@ basis at pivot 1, so that equal spans give equal matrices.
 Rank, nullspace, solving and cokernel computations all run Gaussian
 elimination on sparse dict rows with a fill-minimizing pivot rule (fewest
 nonzeros in row, then fewest rows in column); pivot choice only affects
-speed, never results.  `rank` keeps the pivot rows and columns of its
-elimination on the matrix, where `hochschild.ChainComplex` reads them to
-clear the next differential.  There is one elimination path:
-`_eliminate`, followed by `_canonical_rref` wherever a canonical reduced
-basis is needed (`_reduced_rows`).  Only the row update depends on the
-field.  Over Q(zeta_n), n > 1, it is t <- t - (t[c]/p) r.  On integer rows
-it is the fraction-free t <- (p/g) t - (t[c]/g) r with g = gcd(p, t[c]) (Bareiss,
-Math. Comp. 22, 1968, in its one-step form), after which the row's content
-is divided out.  A reduced integer row is primitive with a positive pivot,
-the integer form of pivot 1.
+speed, never results.  There is one elimination path: `_eliminate`, followed
+by `_canonical_rref` wherever a canonical reduced basis is needed
+(`_reduced_rows`).  `rank` peels, then eliminates the core: a row with the
+only nonzero left in a column is independent of the rest, so
+rank(m) = 1 + rank(m without it), and removing it can leave more such
+columns.  The peel takes them all with no arithmetic (LaMacchia and Odlyzko,
+CRYPTO '90; the "compress" of Bauer, Kerber and Reininghaus, 2014).  Its
+pairs and the core's pivots form a nonsingular block-triangular minor, kept
+on the matrix for `hochschild.ChainComplex` to clear the next map.  Only the
+row update depends on the field: t <- t - (t[c]/p) r over Q(zeta_n), n > 1.
+On integer rows it is the fraction-free t <- (p/g) t - (t[c]/g) r with
+g = gcd(p, t[c]) (Bareiss, Math. Comp. 22, 1968, in its one-step form),
+after which the row's content is divided out.  A reduced integer row is
+primitive with a positive pivot, the integer form of pivot 1.
 """
 
 from __future__ import annotations
@@ -161,8 +165,8 @@ class SparseMatrix:
 
     @property
     def pivots(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """(rows, cols), each increasing: the pivot positions of the one
-        elimination `rank` ran on this matrix, None before it ran.  m
+        """(rows, cols), each increasing: the pivot positions `rank` found on
+        this matrix (its peel and elimination), None before it ran.  m
         restricted to the pivot rows, or to the pivot columns, has rank(m)."""
         return self._pivots
 
@@ -445,12 +449,38 @@ def _eliminate(data: list[dict], cols: int, integral: bool, reduced: bool = Fals
     return pivots
 
 
+def _peel(rows: list[dict], cols: int) -> list[tuple[int, int]]:
+    """(row, col) pairs of the rows that own a singleton column, removed until
+    none is left; col is the row's highest singleton column as it is removed."""
+    count, owner = [0] * cols, [0] * cols  # owner: the sum of a column's rows
+    for r, row in enumerate(rows):
+        for j in row:
+            count[j] += 1
+            owner[j] += r
+    stack, peeled = [j for j in range(cols) if count[j] == 1], []
+    while stack:
+        c = stack.pop()
+        if count[c] == 1:  # 0 once its row was peeled for another column
+            r = owner[c]
+            peeled.append((r, max(j for j in rows[r] if count[j] == 1)))
+            for j in rows[r]:
+                count[j] -= 1
+                owner[j] -= r
+                if count[j] == 1:
+                    stack.append(j)
+    return peeled
+
+
 def rank(m: SparseMatrix) -> int:
-    """The rank of m, from one elimination of its rows.  The pivot rows and
-    columns of that elimination stay on m (`SparseMatrix.pivots`), so a
-    matrix is eliminated once however often it is ranked."""
+    """The rank of m: `_peel`, then `_eliminate` on the rows left.  The pivot
+    rows and columns of both stay on m (`SparseMatrix.pivots`), so a matrix
+    is ranked once however often it is asked."""
     if m._pivots is None:
-        pivots = _eliminate(_copy_rows(m), m.cols, m.den is not None)
+        pivots = _peel(m._rows, m.cols)
+        peeled = {r for r, _ in pivots}
+        core = [r for r in range(m.rows) if r not in peeled]
+        pivots += [(core[r], c) for r, c in _eliminate(
+            [dict(m._rows[r]) for r in core], m.cols, m.den is not None)]
         object.__setattr__(m, "_pivots", (tuple(sorted(r for r, _ in pivots)),
                                           tuple(sorted(c for _, c in pivots))))
     return len(m._pivots[0])

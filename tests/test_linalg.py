@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hochkit import linalg
 from hochkit.errors import ShapeMismatch
 from hochkit.linalg import (
-    SparseMatrix, _canonical_rref, _copy_rows, _reduced_rows,
+    SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel, _reduced_rows,
     cokernel_projector, hstack, kron, nullspace, rank, rref, solve, unit_vector, vec,
 )
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, zeta
@@ -81,12 +82,17 @@ def random_matrix(rng, rows, cols, density=0.4, order=1):
 @pytest.mark.parametrize("order", [1, 4])
 def test_rank_keeps_spanning_pivots_of_either_side(order):
     # seeded wide, tall and rank-deficient (a product through k < rows, cols)
-    # matrices: rational for order 1, CycScalar rows for order 4
+    # matrices: rational for order 1, CycScalar rows for order 4; then sparse
+    # 30 x 60 ones, on which the peel of singleton columns fires
     rng = random.Random(70 + order)
-    irrational = 0
-    for _ in range(60):
+    irrational = peeled = 0
+    for i in range(70):
         rows, cols = rng.randint(1, 9), rng.randint(1, 9)
-        if rng.random() < 0.5:
+        if i >= 60:
+            rows, cols = 30, 60
+            m = random_matrix(rng, rows, cols, 0.05, order)
+            peeled += bool(_peel(m._rows, m.cols))
+        elif rng.random() < 0.5:
             m = random_matrix(rng, rows, cols, rng.choice([0.2, 0.5]), order)
         else:
             k = rng.randint(1, min(rows, cols))
@@ -102,7 +108,86 @@ def test_rank_keeps_spanning_pivots_of_either_side(order):
             assert len(_gauss_jordan(_row_vectors(part), part.cols)) == r
         assert rank(m) == r and m.pivots == (pivot_rows, pivot_cols)
         irrational += m.den is None
-    assert (irrational > 10) == (order > 1)
+    assert (irrational > 10) == (order > 1) and peeled == 10
+
+
+# --- the peel of singleton columns in `rank` ----------------------------------
+
+def _core_rows(monkeypatch):
+    """The rows each `_eliminate` call of `rank` receives, recorded."""
+    received = []
+    eliminate = linalg._eliminate
+
+    def recorded(data, *args, **kw):
+        received.append([dict(row) for row in data])
+        return eliminate(data, *args, **kw)
+    monkeypatch.setattr(linalg, "_eliminate", recorded)
+    return received
+
+
+def _shuffled(m, rng):
+    rows, cols = list(range(m.rows)), list(range(m.cols))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    return SparseMatrix(m.rows, m.cols, {(rows[r], cols[c]): v for r, c, v in m.entries()})
+
+
+def test_shuffled_triangular_matrix_peels_completely(monkeypatch):
+    rng = random.Random(81)
+    received = _core_rows(monkeypatch)
+    for n in (1, 7, 25):
+        entries = {(r, c): rng.randint(1, 4) * rng.choice([-1, 1])
+                   for r in range(n) for c in range(r, n) if c == r or rng.random() < 0.5}
+        m = _shuffled(SparseMatrix(n, n, entries), rng)
+        assert rank(m) == n and m.pivots == (tuple(range(n)), tuple(range(n)))
+    assert received and not any(row for data in received for row in data)
+
+
+def test_staircase_peels_row_by_row(monkeypatch):
+    # row i is e_i + e_(i+1), and the last row e_(n-1): column 0 is the only
+    # singleton at first, and column i + 1 becomes one only once row i is gone
+    n = 12
+    m = SparseMatrix(n, n, {(i, j): 1 for i in range(n) for j in (i, i + 1) if j < n})
+    assert [c for c in range(n) if sum(c in row for row in m._rows) == 1] == [0]
+    assert _peel(m._rows, m.cols) == [(i, i) for i in range(n)]
+    received = _core_rows(monkeypatch)
+    assert rank(m) == n and m.pivots == (tuple(range(n)), tuple(range(n)))
+    assert received == [[]]
+
+
+def test_rank_without_singleton_columns_is_the_elimination():
+    rng = random.Random(83)
+    for order in (1, 4):
+        for _ in range(10):
+            rows, cols = rng.randint(2, 9), rng.randint(1, 9)
+            m = random_matrix(rng, rows, cols, 0.5, order)
+            extra = {(r, c): 1 for c in range(cols) for r in rng.sample(range(rows), 2)}
+            m = SparseMatrix(rows, cols, {**extra, **{(r, c): v for r, c, v in m.entries()}})
+            assert _peel(m._rows, m.cols) == []
+            pivots = _eliminate(_copy_rows(m), m.cols, m.den is not None)
+            assert rank(m) == len(pivots)
+            assert m.pivots == (tuple(sorted(r for r, _ in pivots)),
+                                tuple(sorted(c for _, c in pivots)))
+
+
+def test_cyclotomic_peel_does_no_scalar_arithmetic(monkeypatch):
+    rng = random.Random(85)
+    n = 10
+    entries = {(r, c): zeta(4, rng.randint(0, 3)) * rng.randint(1, 3)
+               for r in range(n) for c in range(r, n) if c == r or rng.random() < 0.5}
+    m = _shuffled(SparseMatrix(n, n, entries), rng)
+    assert m.den is None
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
+        def counted(self, other, _name=name, _method=getattr(CycScalar, name)):
+            calls.append(_name)
+            return _method(self, other)
+        monkeypatch.setattr(CycScalar, name, counted)
+    ONE + ONE
+    assert calls == ["__add__"]  # the counters are live
+    calls.clear()
+    assert rank(m) == n
+    assert calls == []
 
 
 def test_take_rows_keeps_the_chosen_rows():
@@ -115,7 +200,9 @@ def test_take_rows_keeps_the_chosen_rows():
 
 def test_rank_identity_and_zero():
     assert rank(SparseMatrix.identity(5)) == 5
-    assert rank(SparseMatrix.zero(3, 4)) == 0
+    for rows, cols in [(3, 4), (0, 4), (4, 0), (0, 0)]:
+        m = SparseMatrix.zero(rows, cols)
+        assert rank(m) == 0 and m.pivots == ((), ())
 
 
 def test_rank_all_ones():
