@@ -122,7 +122,7 @@ class Algebra:
         self._unit_split = None  # set by modules.a_unit_split
         self._center: Optional[SparseMatrix] = None  # set by center_basis
         self._trace_form: Optional[SparseMatrix] = None  # set by trace_form
-        self._pairing_dual = None  # set by mukai._dual_basis
+        self._transfer: dict = {}  # the algebra-side halves of mukai's maps, filled by mukai
         self._validated_on_build = not validated
         if not validated:
             validate(self)

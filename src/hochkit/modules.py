@@ -182,6 +182,8 @@ def multiplicity_vector(m: ModuleRep, simples: Sequence[ModuleRep]) -> tuple[int
 # --- simples registry ---------------------------------------------------------
 
 def attach_simples(a: Algebra, simples: Sequence[ModuleRep]) -> None:
+    if a.simple_reps is not None:  # mukai keeps data derived from them on `a`
+        raise HochkitError(f"simples are already attached to {a!r}")
     a.simple_reps = tuple(simples)
 
 

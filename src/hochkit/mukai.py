@@ -11,10 +11,10 @@ The three transfer maps of a kernel (pushforward on HH_0, its adjoint, and
 the transport on HH^0) are linear.  Each is cached on the kernel as one
 matrix, the images of the center basis (from one pass over the kernel
 applied to each simple) times the map reading coordinates at the basis
-pivots, and applied to an input class.  `_solve_central` is the one place
-a central system is solved, in one elimination for all of its right-hand
-sides, with Z^T turning the solution into elements; the pairing's Gram is
-one such system, solved once per algebra for its dual basis.
+pivots, and applied to an input class.  What depends on the algebra alone
+(the pairing's dual basis, the simples' Chern expansion, endomorphisms,
+traces and character system) is solved once and cached on the algebra, so
+per kernel only the transport solves a system (`_solve_central`).
 
 Normalization, fixed throughout: the trace on End(M) is the ordinary
 matrix trace, and the trace on bimodule endomorphisms (central elements)
@@ -269,20 +269,22 @@ def _solve_central(a: Algebra, system: SparseMatrix, rhs: SparseMatrix,
 def _center_coords(a: Algebra) -> SparseMatrix:
     """The |Z_a| x a.dim map reading a central element's coordinates in
     center_basis(a): its entries at the pivots of that reduced echelon basis."""
-    z = center_basis(a)
-    pivots = [next(i for i, c in enumerate(z.row_vector(r)) if c) for r in range(z.rows)]
-    return SparseMatrix(len(pivots), a.dim, {(i, p): 1 for i, p in enumerate(pivots)})
+    if "coords" not in a._transfer:
+        z = center_basis(a)
+        a._transfer["coords"] = SparseMatrix(z.rows, a.dim, {
+            (r, next(i for i, c in enumerate(z.row_vector(r)) if c)): 1 for r in range(z.rows)})
+    return a._transfer["coords"]
 
 
 def _dual_basis(a: Algebra) -> SparseMatrix:
     """D_a = Z_a^T G_a^-1 (a.dim x |Z_a|), solved once per algebra: column j is
     the central z_j^v with hochschild_trace(z_j^v * z_i) = [i == j] for the
     center basis z_i.  Raises SingularGram when the pairing is degenerate."""
-    if a._pairing_dual is None:
-        a._pairing_dual = _solve_central(a, pairing_gram(a),
-                                         SparseMatrix.identity(center_basis(a).rows),
-                                         "trace pairing on the center is singular here")
-    return a._pairing_dual
+    if "dual" not in a._transfer:
+        a._transfer["dual"] = _solve_central(a, pairing_gram(a),
+                                             SparseMatrix.identity(center_basis(a).rows),
+                                             "trace pairing on the center is singular here")
+    return a._transfer["dual"]
 
 
 def _from_traces(a: Algebra, traces: Vector) -> MukaiClass:
@@ -391,25 +393,42 @@ def _applied_simples(k: Bimodule) -> list[tuple[ModuleRep, AppliedKernel]]:
     return k._transfer["applied"]
 
 
+def _character_system(a: Algebra) -> tuple:
+    """(End(S) bases, P, W_a, Q, C) once per algebra, for S_a with rows tr(z_j|_S o mu)
+    (simples S, basis intertwiners mu), its pivot rows P, other rows Q, W_a = Z_a^T S_a[P]^-1
+    and C = S_a[Q] S_a[P]^-1: S_a X = R is solvable iff C R[P] = R[Q], then Z_a^T X = W_a R[P]."""
+    if "character" not in a._transfer:
+        ends = [hom_space(s, s).basis for s in simples_of(a)]
+        system = SparseMatrix.from_dense([_center_traces(s, mu) for s, basis
+                                          in zip(simples_of(a), ends) for mu in basis])
+        if rank(system) < center_basis(a).rows:
+            raise SingularGram("character system of the simples does not determine z")
+        pivots = system.pivots[0]
+        others = [r for r in range(system.rows) if r not in pivots]
+        inverse = solve(system.take_rows(pivots), SparseMatrix.identity(len(pivots)))
+        a._transfer["character"] = (ends, pivots, center_basis(a).transpose() * inverse,
+                                    others, system.take_rows(others) * inverse)
+    return a._transfer["character"]
+
+
 def adjoint_transfer(k: Bimodule, nu: MukaiClass) -> MukaiClass:
     """Pull a class on the target back along the kernel: the unique central z
     over the source with trace(z on S o mu) = trace(nu on K(S) o K(mu)) for
-    every simple S and every basis intertwiner mu of End(S).  The images of
-    the target center basis are solved once per kernel."""
+    every simple S and basis intertwiner mu of End(S); see `_character_system`."""
     a, b = k.source, k.target
     if nu.algebra != b:
         raise AlgebraMismatch("class must live over the kernel's target")
     if a.serre is None or b.serre is None:
         raise MissingSerreData("adjoint transfer needs Frobenius data on both sides")
     if "adjoint" not in k._transfer:
-        rows, rhs = [], []
-        for s, applied in _applied_simples(k):
-            for mu in hom_space(s, s).basis:
-                rows.append(_center_traces(s, mu))
-                rhs.append(_center_traces(applied.module, applied.map_morphism(mu)))
-        images = _solve_central(a, SparseMatrix.from_dense(rows), SparseMatrix.from_dense(rhs),
-                                "character system of the simples does not determine z")
-        k._transfer["adjoint"] = images * _center_coords(b)
+        ends, pivots, weights, others, residual = _character_system(a)
+        rhs = SparseMatrix.from_dense([
+            _center_traces(applied.module, applied.map_morphism(mu))
+            for (_, applied), basis in zip(_applied_simples(k), ends) for mu in basis])
+        head = rhs.take_rows(pivots)
+        if residual * head != rhs.take_rows(others):
+            raise SingularGram("character system of the simples does not determine z")
+        k._transfer["adjoint"] = weights * head * _center_coords(b)
     return MukaiClass(a, k._transfer["adjoint"].apply(nu.coords), _checked=True)
 
 
@@ -419,7 +438,7 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
     agree exactly:
 
     route A: expand each basis vector over the Chern characters of the
-    source simples and map ch(S) to ch(K(S));
+    source simples (solved once per source algebra) and map ch(S) to ch(K(S));
     route B: pair the adjoint transfer of each target basis vector nu with
     v, which gives <nu, w>, and apply the target's dual basis.
 
@@ -432,13 +451,14 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
     if "pushforward" not in k._transfer:
         zbasis = center_basis(a)
         # route A
-        system = SparseMatrix.from_columns([chern(s).coords for s in simples_of(a)], a.dim)
-        expansions = solve(system, zbasis.transpose())
-        if expansions is None:
-            raise SingularGram("simples' Chern characters do not span the center")
+        if "expand" not in a._transfer:
+            system = SparseMatrix.from_columns([chern(s).coords for s in simples_of(a)], a.dim)
+            if (expansions := solve(system, zbasis.transpose())) is None:
+                raise SingularGram("simples' Chern characters do not span the center")
+            a._transfer["expand"] = expansions
         pushed = SparseMatrix.from_columns(
             [chern(applied.module).coords for _, applied in _applied_simples(k)], b.dim)
-        route_a = pushed * expansions
+        route_a = pushed * a._transfer["expand"]
         # route B
         pulled = SparseMatrix.from_dense(
             [adjoint_transfer(k, nu).coords for nu in _classes(b, center_basis(b))])
@@ -459,10 +479,11 @@ def adjointness_check(k: Bimodule) -> CheckReport:
     dk = dual_kernel(k)
     a, b = k.source, k.target
     za, zb = _classes(a, center_basis(a)), _classes(b, center_basis(b))
+    pushed = [pushforward(k, wa) for wa in za]
     for i, vb in enumerate(zb):
         pulled = pushforward(dk, vb)
         for j, wa in enumerate(za):
-            lhs = mukai_pairing(vb, pushforward(k, wa))
+            lhs = mukai_pairing(vb, pushed[j])
             rhs = mukai_pairing(pulled, wa)
             report.compare(f"pair ({i}, {j})", lhs, rhs)
     return report
@@ -512,10 +533,12 @@ def cohomology_transport(k: Bimodule, nu: MukaiClass) -> MukaiClass:
         raise AlgebraMismatch("element must live over the kernel's source")
     if "transport" not in k._transfer:
         rows, rhs = [], []
-        for s, applied in _applied_simples(k):
+        if "traces" not in a._transfer:
+            a._transfer["traces"] = [_center_traces(s) for s in simples_of(a)]
+        for (s, applied), traces in zip(_applied_simples(k), a._transfer["traces"]):
             rows.append(_center_traces(applied.module))
             # the scalar by which each source basis vector acts on S
-            omegas = [t / cyc(s.dim) for t in _center_traces(s)]
+            omegas = [t / cyc(s.dim) for t in traces]
             rhs.append([omega * cyc(applied.module.dim) for omega in omegas])
         images = _solve_central(b, SparseMatrix.from_dense(rows), SparseMatrix.from_dense(rhs),
                                 "kernel images do not determine the transported element")

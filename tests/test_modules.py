@@ -81,6 +81,18 @@ def test_sign_tensor_sign():
     assert t.dim == 1
 
 
+def test_simples_are_attached_once():
+    # data derived from an algebra's simples is cached on it, so the list
+    # may not be replaced; a derived list counts as attached once derived
+    from hochkit.modules import attach_simples
+    for name in ["s3", "mat:2"]:
+        a = algebra_fixture(name)
+        simples = simples_of(a)
+        with pytest.raises(HochkitError, match="already attached"):
+            attach_simples(a, simples[:1])
+        assert simples_of(a) is simples
+
+
 def test_tensor_over_refuses_non_semisimple_middle():
     dual = algebra_fixture("dual")
     reg = regular_module(dual)

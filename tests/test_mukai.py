@@ -779,7 +779,7 @@ def test_pairing_gram_built_once_per_algebra(monkeypatch):
     monkeypatch.setattr(mukai, "pairing_gram", counted)
     rng = random.Random(61)
     s3 = algebra_fixture("s3")
-    monkeypatch.setattr(s3, "_pairing_dual", None)  # the fixture is shared
+    monkeypatch.setattr(s3, "_transfer", {})  # the fixture is shared
     for m in simples_of(s3):
         chern(m)
         iota_solve(m, rand_intertwiner(rng, m))
@@ -865,3 +865,142 @@ def test_iota_singular_gram_on_weird_input():
                   name="pt", check=True)
     with pytest.raises(SingularGram):
         iota_solve(m, SparseMatrix.identity(1))
+
+
+# --- the algebra-side halves of the transfer maps, once per algebra ---------------
+
+def per_kernel_transfer_matrices(k):
+    """The adjoint and pushforward matrices of k with every system solved for
+    this kernel alone: the character rows built from hom_space and solved by
+    `_solve_central`, and the simples' Chern expansion solved again.  The
+    route the per-algebra caches replaced, kept as their oracle."""
+    from hochkit.linalg import solve
+    from hochkit.modules import apply_kernel_full
+    from hochkit.mukai import _center_coords, _center_traces, _solve_central
+    a, b = k.source, k.target
+    applied = [(s, apply_kernel_full(k, s)) for s in simples_of(a)]
+    rows, rhs = [], []
+    for s, image in applied:
+        for mu in hom_space(s, s).basis:
+            rows.append(_center_traces(s, mu))
+            rhs.append(_center_traces(image.module, image.map_morphism(mu)))
+    adjoint = _solve_central(a, SparseMatrix.from_dense(rows), SparseMatrix.from_dense(rhs),
+                             "character system of the simples does not determine z")
+    system = SparseMatrix.from_columns([chern(s).coords for s in simples_of(a)], a.dim)
+    pushed = SparseMatrix.from_columns([chern(image.module).coords for _, image in applied],
+                                       b.dim)
+    expansions = solve(system, center_basis(a).transpose())
+    return adjoint * _center_coords(b), pushed * expansions * _center_coords(a)
+
+
+def _cached_transfer_matrices(k):
+    pushforward(k, MukaiClass(k.source, k.source.unit, _checked=True))
+    return k._transfer["adjoint"], k._transfer["pushforward"]
+
+
+def _zn3_with(picks):
+    """A fresh zn:3 whose attached simples are the characters chi_p, p in picks."""
+    from hochkit.algebra import group_algebra
+    from hochkit.fixtures import cyclic_group
+    from hochkit.modules import attach_simples
+    from hochkit.scalars import zeta
+    table, labels, gens = cyclic_group(3)
+    a = group_algebra(table, labels=labels, gens=gens, name="zn:3")
+    attach_simples(a, [ModuleRep(a, 1, [SparseMatrix.from_dense([[zeta(3, p * g % 3)]])
+                                        for g in range(3)], name=f"chi{p}", check=True)
+                       for p in picks])
+    return a
+
+
+def _cached_transfer_kernels():
+    from hochkit.cli import _kernel_library
+    from hochkit.modules import convolve
+    from hochkit.mukai import morita_kernel
+    library = _kernel_library(random.Random(20245), 10)
+    z3, z4 = algebra_fixture("zn:3"), algebra_fixture("zn:4")
+    mixed = outer_kernel(simples_of(z3)[1].dual(), simples_of(z4)[3], z3)
+    return library + [dual_kernel(k) for k in library] + [
+        mixed, morita_kernel(algebra_fixture("s3"), 2), convolve(library[0], library[1])]
+
+
+def test_cached_transfer_matrices_match_per_kernel_solves():
+    kernels = _cached_transfer_kernels()
+    assert kernels[0].target == kernels[1].source  # the convolution is defined
+    assert kernels[-3].target.field_order == 4 and kernels[-3].source.field_order == 3
+    got = [_cached_transfer_matrices(k) for k in kernels]
+    assert got == [per_kernel_transfer_matrices(k) for k in kernels]
+
+
+def test_overdetermined_character_system():
+    from hochkit.mukai import _applied_simples, _character_system
+    z4 = algebra_fixture("zn:4")
+
+    def kernel(a):
+        return outer_kernel(simples_of(a)[1].dual(), simples_of(z4)[3], a)
+
+    once, twice = _zn3_with([0, 1, 2]), _zn3_with([0, 1, 2, 1])
+    assert _character_system(once)[3] == []
+    assert _character_system(twice)[3] != []  # a row outside the pivots
+    assert _cached_transfer_matrices(kernel(twice)) == _cached_transfer_matrices(kernel(once))
+    assert _cached_transfer_matrices(kernel(twice)) == per_kernel_transfer_matrices(kernel(once))
+    # the repeated chi1 sent where chi2 goes: its rows of the right-hand side
+    # contradict those of the first chi1
+    k = kernel(twice)
+    applied = _applied_simples(k)
+    k._transfer["applied"] = applied[:3] + [(applied[3][0], applied[2][1])]
+    with pytest.raises(SingularGram, match="character system"):
+        adjoint_transfer(k, MukaiClass(z4, z4.unit, _checked=True))
+    assert "adjoint" not in k._transfer
+
+
+def test_failed_algebra_side_solves_cache_nothing():
+    from hochkit.algebra import Algebra, DictSC, SerreData
+    from hochkit.linalg import unit_vector
+    from hochkit.mukai import _dual_basis
+    z4 = algebra_fixture("zn:4")
+    a = _zn3_with([0, 1])  # chi2 missing: neither system spans the center
+    k = outer_kernel(simples_of(a)[1].dual(), simples_of(z4)[3], a)
+    with pytest.raises(SingularGram, match="do not span"):
+        pushforward(k, MukaiClass(a, a.unit, _checked=True))
+    assert "expand" not in a._transfer
+    with pytest.raises(SingularGram, match="character system"):
+        adjoint_transfer(k, MukaiClass(z4, z4.unit, _checked=True))
+    assert "character" not in a._transfer
+    sc = DictSC({(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE}, (1, 1): {}})
+    weird = Algebra(2, sc, unit_vector(2, 0), serre=SerreData(vec([0, 1])),
+                    provenance=("custom", "dual-with-form"))
+    with pytest.raises(SingularGram, match="singular"):
+        _dual_basis(weird)
+    assert "dual" not in weird._transfer
+
+
+def test_algebra_side_systems_solved_once_per_source(monkeypatch):
+    # outer kernels that share their sources: hom_space(S, S) on the source
+    # simples and mukai's solves run once per algebra, not once per kernel
+    import hochkit.mukai as mukai
+    z3, z4, s3 = (algebra_fixture(n) for n in ("zn:3", "zn:4", "s3"))
+    for a in (z3, z4, s3):
+        monkeypatch.setattr(a, "_transfer", {})  # the fixtures are shared
+    ends, solves = [], []
+    real_hom, real_solve = mukai.hom_space, mukai.solve
+
+    def counted_hom(m, n):
+        if m is n:
+            ends.append(m)
+        return real_hom(m, n)
+
+    def counted_solve(m, rhs):
+        solves.append((m.rows, m.cols))
+        return real_solve(m, rhs)
+
+    monkeypatch.setattr(mukai, "hom_space", counted_hom)
+    monkeypatch.setattr(mukai, "solve", counted_solve)
+    picks = [(z3, 1, z4, 3), (z3, 2, z4, 1), (z3, 1, s3, 2), (s3, 2, z3, 1),
+             (s3, 0, z4, 3), (s3, 1, s3, 2), (z3, 0, s3, 0), (s3, 2, z4, 2)]
+    for a, i, b, j in picks:
+        k = outer_kernel(simples_of(a)[i].dual(), simples_of(b)[j], a)
+        pushforward(k, MukaiClass(a, a.unit, _checked=True))
+    sources = (z3, s3)
+    assert sorted(map(id, ends)) == sorted(id(s) for a in sources for s in simples_of(a))
+    # per source its Chern expansion and character system, per algebra its dual basis
+    assert len(solves) == 2 * len(sources) + 3
