@@ -119,7 +119,7 @@ class Algebra:
         self._semisimple: Optional[bool] = None
         self._left_mult: dict[int, SparseMatrix] = {}
         self._right_mult: dict[int, SparseMatrix] = {}
-        self._unit_split = None  # set by modules.a_unit_split
+        self._unit_split = None  # set by a_unit_split
         self._center: Optional[SparseMatrix] = None  # set by center_basis
         self._trace_form: Optional[SparseMatrix] = None  # set by trace_form
         self._transfer: dict = {}  # the algebra-side halves of mukai's maps, filled by mukai
@@ -438,3 +438,29 @@ def trace_form(a: Algebra) -> SparseMatrix:
     if a._trace_form is None:
         a._trace_form = _form(a, [regular_trace(a, a.basis_vector(k)) for k in range(a.dim)])
     return a._trace_form
+
+
+class UnitSplit:
+    """A = C.unit (+) Abar, where Abar is spanned by the basis elements off
+    i0, the first coordinate on which the unit u is supported: `bar_indices`
+    are the interior letters of the reduced bar construction.  Row s * r + t
+    of `merge` is the class in Abar of the product of letters s and t (of r),
+    in which e_(i0) is -(1/u_(i0)) sum_(k != i0) u_k e_k."""
+
+    def __init__(self, algebra: Algebra):
+        u, d = algebra.unit, algebra.dim
+        i0 = next(i for i, c in enumerate(u) if c)
+        self.bar_indices = letters = tuple(i for i in range(d) if i != i0)
+        r = len(letters)
+        products = SparseMatrix(r * r, d, (
+            ((s * r + t, k), v) for s, x in enumerate(letters) for t, y in enumerate(letters)
+            for k, v in algebra.sc.product(x, y).items()))
+        project = SparseMatrix(d, r, [((k, t), ONE) for t, k in enumerate(letters)]
+                               + [((i0, t), -u[k] / u[i0]) for t, k in enumerate(letters) if u[k]])
+        self.merge = products * project
+
+
+def a_unit_split(a: Algebra) -> UnitSplit:
+    if a._unit_split is None:
+        a._unit_split = UnitSplit(a)
+    return a._unit_split

@@ -47,11 +47,11 @@ from .modules import (
 from .mukai import (
     CheckReport, MukaiClass, adjointness_check, cardy_check, chern,
     chern_commutation_check, functoriality_check, generalized_trace,
-    hrr_check, iota_solve, morita_isometry_check,
-    assemble_split_map, mukai_pairing, serre_trace, trace_triangle_check,
+    hrr_check, iota_solve, morita_isometry_check, morita_kernel,
+    assemble_split_map, mukai_pairing, pushforward, serre_trace, trace_triangle_check,
 )
 from .scalars import cyc, format_scalar, parse_scalar
-from .specfiles import load_algebra_text, parse_module_file, read_spec_file
+from .specfiles import _parse_matrix, load_algebra_text, parse_module_file, read_spec_file
 from .tqft import evaluate as tqft_evaluate, orbit_count, parse_word
 
 SCHEMA_VERSION = 1
@@ -200,7 +200,6 @@ def _resolve_kernel(spec: str):
     if spec.startswith("morita:"):
         rest = spec[len("morita:"):]
         alg_name, _, n_text = rest.rpartition(":")
-        from .mukai import morita_kernel
         a, n = load_algebra(alg_name), fixtures._positive_int(n_text, spec)
         fixtures._bounded(n * n * a.dim, spec)  # the target is tensor(mat:n, a)
         return morita_kernel(a, n)
@@ -457,7 +456,6 @@ def _cmd_chern(args, report: Report) -> int:
 def _cmd_iota(args, report: Report) -> int:
     _, m = _module_over(args.algebra, args.module)
     if args.endo:
-        from .specfiles import _parse_matrix
         e = _parse_matrix(args.endo, m.dim, 1)
     else:
         e = SparseMatrix.identity(m.dim)
@@ -483,7 +481,6 @@ def _cmd_pairing(args, report: Report) -> int:
 def _cmd_pushforward(args, report: Report) -> int:
     k = _resolve_kernel(args.kernel)
     v = _parse_central(k.source, args.z)
-    from .mukai import pushforward
     out = pushforward(k, v)
     report.line("pushforward = [" +
                 ", ".join(format_scalar(c) for c in out.coords) + "]")

@@ -7,6 +7,10 @@ without string-scraping.
 
 from __future__ import annotations
 
+from typing import Callable
+
+MAX_COORDINATES = 200_000  # size guard for chain, quotient and state spaces
+
 
 class HochkitError(Exception):
     """Base class for all toolkit errors."""
@@ -86,8 +90,15 @@ class DegreeUnderflow(HochkitError):
 
 
 class DegreeCapExceeded(HochkitError):
-    def __init__(self, detail: str):
-        super().__init__(detail)
+    """A construction was refused before it was built: its size is above a guard."""
+
+
+def check_size(size: int, bound: int, what: Callable[[], str]) -> None:
+    """Refuse work of `size` above `bound` before it is built.  `what()`
+    names what was about to be built, with its size; it is called only on
+    refusal, so a guard on a hot path formats no message."""
+    if size > bound:
+        raise DegreeCapExceeded(f"{what()}, above the guard {bound}")
 
 
 class SingularGram(HochkitError):

@@ -24,9 +24,9 @@ from .algebra import (
     Algebra, enveloping, field_algebra, group_algebra, matrix_algebra,
     opposite, tensor, truncated_poly,
 )
-from .errors import DegreeCapExceeded, NotAGroup, ParseError
+from .errors import NotAGroup, ParseError, check_size
 from .linalg import SparseMatrix
-from .modules import ModuleRep, attach_simples, regular_module
+from .modules import ModuleRep, attach_simples, regular_module, simples_of
 from .scalars import check_nesting, zeta
 
 
@@ -297,9 +297,8 @@ MAX_FIXTURE_DIM = 64  # largest algebra dimension the fixture grammar builds
 
 def _bounded(dim: int, name: str) -> None:
     """Refuse a fixture of dimension above MAX_FIXTURE_DIM before building it."""
-    if dim > MAX_FIXTURE_DIM:
-        raise DegreeCapExceeded(f"{name!r} would build an algebra of dimension {dim}, "
-                                f"above the fixture bound {MAX_FIXTURE_DIM}")
+    check_size(dim, MAX_FIXTURE_DIM,
+               lambda: f"{name!r} would build an algebra of dimension {dim}")
 
 
 def algebra_fixture(name: str) -> Algebra:
@@ -384,7 +383,6 @@ def module_fixture(a: Algebra, name: str) -> ModuleRep:
     name = name.strip()
     if name == "reg":
         return regular_module(a)
-    from .modules import simples_of
     simples = simples_of(a)
     if name.startswith("simple:"):
         return simples[_simple_index(name[len("simple:"):], len(simples), name)]

@@ -40,14 +40,22 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .algebra import Algebra, center_basis, commutator_subspace
+from .algebra import Algebra, a_unit_split, center_basis, commutator_subspace
 from .errors import (
-    AlgebraMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle,
-    ShapeMismatch,
+    MAX_COORDINATES, AlgebraMismatch, DegreeUnderflow, HochkitError, NotACocycle,
+    ShapeMismatch, check_size,
 )
 from .linalg import SparseMatrix, Vector, _common, hstack, rank, solve, unit_vector
-from .modules import MAX_COORDINATES, MAX_DEGREE, a_unit_split, check_maxdeg
 from .scalars import CycScalar, ZERO
+
+MAX_DEGREE = 32  # the highest degree an Ext or Hochschild computation reaches
+
+
+def check_maxdeg(maxdeg: int, degree_cap: int):
+    """Refuse a maximum degree outside 0..degree_cap."""
+    if maxdeg < 0:
+        raise DegreeUnderflow(f"maximum degree {maxdeg} is negative")
+    check_size(maxdeg, degree_cap, lambda: f"maximum degree {maxdeg}")
 
 
 class ChainComplex:
@@ -200,9 +208,8 @@ def _guarded_dims(dim: int, top: int, radix: int) -> list[int]:
     """dim * radix^n for n = 0..top; refuses before anything is built."""
     dims = [dim * radix ** n for n in range(top + 1)]
     for n, size in enumerate(dims):
-        if size > MAX_COORDINATES:
-            raise DegreeCapExceeded(f"chain space at degree {n} has {size} coordinates "
-                                    f"(guard {MAX_COORDINATES})")
+        check_size(size, MAX_COORDINATES,
+                   lambda: f"chain space at degree {n} has {size} coordinates")
     return dims
 
 
@@ -253,14 +260,20 @@ def _coboundary(n: int, merge: SparseMatrix, actions: SparseMatrix,
     return SparseMatrix._of(dx * top, dx * top * r, data, den)
 
 
+def _bar_complex(merge: SparseMatrix, actions: SparseMatrix, top: int,
+                 chains: bool = False) -> ChainComplex:
+    """The complex on degrees 0..top with maps[n + 1] = `_coboundary(n, ...)`
+    for n < top, every degree guarded before any map is built."""
+    dims = _guarded_dims(actions.cols, top, merge.cols)
+    return ChainComplex(dims, {n + 1: _coboundary(n, merge, actions, chains)
+                               for n in range(top)})
+
+
 def bar_chain_complex(a: Algebra, maxdeg: int, normalized: bool = True) -> ChainComplex:
     """Hochschild chain complex C_n = A (x) Abar^(x n) through degree maxdeg;
     column a_0 * r^n + w of b_n is a_0 (x) w."""
     check_maxdeg(maxdeg, MAX_DEGREE + 1)  # homology is complete one degree lower
-    merge, actions = _tables(a, normalized, dual=True)
-    dims = _guarded_dims(a.dim, maxdeg, merge.cols)
-    return ChainComplex(dims, {n: _coboundary(n - 1, merge, actions, chains=True)
-                               for n in range(1, maxdeg + 1)})
+    return _bar_complex(*_tables(a, normalized, dual=True), maxdeg, chains=True)
 
 
 def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True) -> ChainComplex:
@@ -268,10 +281,7 @@ def bar_cochain_complex(a: Algebra, maxdeg: int, normalized: bool = True) -> Cha
     of (delta^n)^T is coordinate k of f(w).  Maps are built for n = 0..maxdeg,
     so homology is complete through maxdeg."""
     check_maxdeg(maxdeg, MAX_DEGREE)
-    merge, actions = _tables(a, normalized)
-    dims = _guarded_dims(a.dim, maxdeg + 1, merge.cols)
-    return ChainComplex(dims, {n + 1: _coboundary(n, merge, actions)
-                               for n in range(maxdeg + 1)})
+    return _bar_complex(*_tables(a, normalized), maxdeg + 1)
 
 
 # --- dimension reports --------------------------------------------------------
@@ -327,14 +337,6 @@ class Cochain(_BarElement):
         d = self.algebra.dim
         w = _index(word, d) * d
         return self.coords[w:w + d]
-
-    @staticmethod
-    def from_element(algebra: Algebra, coords: Vector) -> "Cochain":
-        return Cochain(algebra, 0, coords)
-
-    @staticmethod
-    def unit_cocycle(algebra: Algebra) -> "Cochain":
-        return Cochain(algebra, 0, algebra.unit)
 
 
 class Chain(_BarElement):

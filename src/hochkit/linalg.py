@@ -40,7 +40,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeMismatch
-from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar, rational
+from .scalars import CycScalar, ONE, ZERO, cyc, rational
 
 Vector = tuple[CycScalar, ...]
 
@@ -172,14 +172,6 @@ class SparseMatrix:
 
     def row_vector(self, r: int) -> Vector:
         return tuple(self.entry(r, c) for c in range(self.cols))
-
-    def dump(self) -> str:
-        """Debug format: header `rows cols field_order`, then one
-        `(row, col, scalar)` triplet per line, row-major order."""
-        lines = [f"{self.rows} {self.cols} {self.field_order}"]
-        for r, c, v in self.entries():
-            lines.append(f"({r}, {c}, {format_scalar(v)})")
-        return "\n".join(lines)
 
     # --- algebra ---
 

@@ -24,16 +24,14 @@ from typing import Callable, Sequence
 
 from .algebra import Algebra, opposite, tensor
 from .errors import (
-    AlgebraMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError,
-    MiddleNotSemisimple, MissingSerreData, MissingSimples, ModuleDefect, ShapeMismatch,
+    MAX_COORDINATES, AlgebraMismatch, HochkitError, MiddleNotSemisimple, MissingSerreData,
+    MissingSimples, ModuleDefect, ShapeMismatch, check_size,
 )
+from .hochschild import MAX_DEGREE, _alphabet, _bar_complex, _table, check_maxdeg
 from .linalg import (
     SparseMatrix, Vector, cokernel_projector, hstack, kron, nullspace, unit_vector,
 )
 from .scalars import CycScalar, ONE, ZERO
-
-MAX_COORDINATES = 200_000  # size guard for chain, quotient and resolution spaces
-MAX_DEGREE = 32  # the highest degree an Ext or Hochschild computation reaches
 
 
 class ModuleRep:
@@ -264,8 +262,8 @@ def balanced_tensor(mid: Algebra,
         raise MiddleNotSemisimple(
             f"balanced tensor over non-semisimple algebra {mid!r} refused")
     ambient = m_dim * n_dim
-    if ambient > MAX_COORDINATES:
-        raise DegreeCapExceeded(f"tensor ambient {ambient} exceeds size guard")
+    check_size(ambient, MAX_COORDINATES, lambda: f"the balanced tensor over {mid!r} has an "
+               f"ambient of {m_dim} x {n_dim} = {ambient} coordinates")
     id_m = SparseMatrix.identity(m_dim)
     id_n = SparseMatrix.identity(n_dim)
     relations = hstack(ambient, [kron(right_act(g), id_n) - kron(id_m, left_act(g))
@@ -303,14 +301,6 @@ class Bimodule:
         self.dim = dim
         self.name = name
         self._transfer: dict = {}  # transfer data, filled lazily by mukai
-
-    @property
-    def underlying(self) -> ModuleRep:
-        """The same kernel as one module over tensor(target, opposite(source)),
-        built on each call; the library itself never needs it."""
-        action = [lt * rs for lt in self.left.action for rs in self.right.action]
-        return ModuleRep(tensor(self.target, opposite(self.source)), self.dim, action,
-                         name=self.name, check=False)
 
     def left_action(self, coords_target: Vector) -> SparseMatrix:
         """Action of an element of the target algebra (the left structure)."""
@@ -418,60 +408,20 @@ def parallel_kernels(k1: Bimodule, k2: Bimodule) -> Bimodule:
 
 # --- Ext via the reduced bar resolution ----------------------------------------
 
-def check_maxdeg(maxdeg: int, degree_cap: int):
-    """Refuse a maximum degree outside 0..degree_cap."""
-    if maxdeg < 0:
-        raise DegreeUnderflow(f"maximum degree {maxdeg} is negative")
-    if maxdeg > degree_cap:
-        raise DegreeCapExceeded(
-            f"degree {maxdeg} exceeds the configured cap {degree_cap}")
-
-
 def ext_dims(m: ModuleRep, n: ModuleRep, maxdeg: int) -> list[int]:
     """dim Ext^i(M, N) for 0 <= i <= maxdeg: the cohomology of the reduced
     bar complex Hom(Abar^(x p), X) with coefficients in X = Hom_k(M, N), on
     which A acts by (a.phi)(m) = a.phi(m) and (phi.a)(m) = phi(a.m)
     (H. Cartan and S. Eilenberg, *Homological Algebra*, IX 4).  Basis
-    element mu * dim(N) + nu of X sends e_mu to e_nu.  The coboundaries are
-    the Hochschild ones of `hochschild._coboundary`, read off a checked
-    `ChainComplex`; degree 0 always agrees with hom_space."""
+    element mu * dim(N) + nu of X sends e_mu to e_nu.  The complex is the
+    Hochschild one of `hochschild._bar_complex`, guarded and checked like
+    HH^*; degree 0 always agrees with hom_space."""
     check_maxdeg(maxdeg, MAX_DEGREE)
     if m.algebra != n.algebra:
         raise AlgebraMismatch("ext needs modules over the same algebra")
-    # hochschild imports this module
-    from .hochschild import ChainComplex, _alphabet, _coboundary, _guarded_dims, _table
     letters, merge = _alphabet(m.algebra, True)
-    dx = m.dim * n.dim
-    dims = _guarded_dims(dx, maxdeg + 1, len(letters))
     id_m, id_n = SparseMatrix.identity(m.dim), SparseMatrix.identity(n.dim)
-    actions = _table(dx, [kron(id_m, n.action[x]) for x in letters],
+    actions = _table(m.dim * n.dim, [kron(id_m, n.action[x]) for x in letters],
                      [kron(m.action[x].transpose(), id_n) for x in letters])
-    complex_ = ChainComplex(dims, {p + 1: _coboundary(p, merge, actions)
-                                   for p in range(maxdeg + 1)})
+    complex_ = _bar_complex(merge, actions, maxdeg + 1)
     return [complex_.homology_dim(p) for p in range(maxdeg + 1)]
-
-
-class UnitSplit:
-    """A = C.unit (+) Abar, where Abar is spanned by the basis elements off
-    i0, the first coordinate on which the unit u is supported: `bar_indices`
-    are the interior letters of the reduced bar construction.  Row s * r + t
-    of `merge` is the class in Abar of the product of letters s and t (of r),
-    in which e_(i0) is -(1/u_(i0)) sum_(k != i0) u_k e_k."""
-
-    def __init__(self, algebra: Algebra):
-        u, d = algebra.unit, algebra.dim
-        i0 = next(i for i, c in enumerate(u) if c)
-        self.bar_indices = letters = tuple(i for i in range(d) if i != i0)
-        r = len(letters)
-        products = SparseMatrix(r * r, d, (
-            ((s * r + t, k), v) for s, x in enumerate(letters) for t, y in enumerate(letters)
-            for k, v in algebra.sc.product(x, y).items()))
-        project = SparseMatrix(d, r, [((k, t), ONE) for t, k in enumerate(letters)]
-                               + [((i0, t), -u[k] / u[i0]) for t, k in enumerate(letters) if u[k]])
-        self.merge = products * project
-
-
-def a_unit_split(a: Algebra) -> UnitSplit:
-    if a._unit_split is None:
-        a._unit_split = UnitSplit(a)
-    return a._unit_split

@@ -43,6 +43,7 @@ from .errors import (
     AlgebraMismatch, AugmentationNot1Dim, HochkitError, MissingSerreData, NotIntertwiner,
     RoutesDisagree, ShapeMismatch, SingularGram,
 )
+from .hochschild import hh_cohomology_dims, hh_homology_dims
 from .linalg import SparseMatrix, Vector, kron, rank, solve, vec
 from .modules import (
     AppliedKernel, Bimodule, ModuleRep, apply_kernel, apply_kernel_full, convolve,
@@ -587,7 +588,6 @@ def morita_isometry_check(a: Algebra, n: int,
                 pushforward(k, vi.mul(vj)),
                 transports[i].mul(images[j]))
     if hh_maxdeg is not None:
-        from .hochschild import hh_cohomology_dims, hh_homology_dims
         report.compare("homology dims equal",
                        hh_homology_dims(a, hh_maxdeg).dims,
                        hh_homology_dims(b, hh_maxdeg).dims)

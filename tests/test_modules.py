@@ -2,6 +2,7 @@ import gc
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -9,22 +10,30 @@ from pathlib import Path
 
 import pytest
 
-from hochkit.algebra import field_algebra, matrix_algebra, opposite, tensor
+from hochkit.algebra import a_unit_split, field_algebra, matrix_algebra, opposite, tensor
 from hochkit.errors import (
-    AlgebraMismatch, DegreeUnderflow, HochkitError, MiddleNotSemisimple,
-    MissingSerreData, ModuleDefect, ShapeMismatch,
+    MAX_COORDINATES, AlgebraMismatch, DegreeCapExceeded, DegreeUnderflow, HochkitError,
+    MiddleNotSemisimple, MissingSerreData, ModuleDefect, ShapeMismatch,
 )
 from hochkit.fixtures import algebra_fixture
 from hochkit.hochschild import ChainComplex
 from hochkit.linalg import SparseMatrix, kron, unit_vector
 from hochkit.modules import (
-    Bimodule, ModuleRep, a_unit_split, apply_kernel, apply_kernel_full, balanced_tensor,
+    Bimodule, ModuleRep, apply_kernel, apply_kernel_full, balanced_tensor,
     convolve, dual_kernel, ext_dims, hom_space, is_intertwiner, multiplicity_vector,
     outer_kernel, parallel_kernels, regular_bimodule, regular_module, simples_of,
     tensor_over, validate_module,
 )
 from hochkit.scalars import ONE
 from hochkit.tqft import trivial_representation
+
+
+def underlying(k):
+    """The kernel k as one module over tensor(target, opposite(source)), on
+    which t (x) s acts by k.left.action[t] * k.right.action[s]."""
+    action = [lt * rs for lt in k.left.action for rs in k.right.action]
+    return ModuleRep(tensor(k.target, opposite(k.source)), k.dim, action,
+                     name=k.name, check=False)
 
 
 def test_hom_schur():
@@ -159,12 +168,12 @@ def test_convolution_unit_laws():
     V = simples_of(z2)[0].dual()
     W = simples_of(s3)[2]
     K = outer_kernel(V, W, z2)
-    env_simples = simples_of(K.underlying.algebra)
+    env_simples = simples_of(underlying(K).algebra)
     for composed in (convolve(K, regular_bimodule(s3)),
                      convolve(regular_bimodule(z2), K)):
         assert composed.dim == K.dim
-        assert multiplicity_vector(composed.underlying, env_simples) == \
-            multiplicity_vector(K.underlying, env_simples)
+        assert multiplicity_vector(underlying(composed), env_simples) == \
+            multiplicity_vector(underlying(K), env_simples)
 
 
 def test_dual_kernel_requires_serre():
@@ -181,9 +190,9 @@ def test_dual_kernel_self_dual_regular():
     z2 = algebra_fixture("zn:2")
     K = regular_bimodule(z2)
     DK = dual_kernel(K)
-    env_simples = simples_of(K.underlying.algebra)
-    assert multiplicity_vector(DK.underlying, env_simples) == \
-        multiplicity_vector(K.underlying, env_simples)
+    env_simples = simples_of(underlying(K).algebra)
+    assert multiplicity_vector(underlying(DK), env_simples) == \
+        multiplicity_vector(underlying(K), env_simples)
 
 
 def test_dual_kernel_swaps_outer_factors():
@@ -196,9 +205,9 @@ def test_dual_kernel_swaps_outer_factors():
     assert DK.dim == K.dim
     # involution up to canonical isomorphism
     DDK = dual_kernel(DK)
-    simples_env = simples_of(K.underlying.algebra)
-    assert multiplicity_vector(DDK.underlying, simples_env) == \
-        multiplicity_vector(K.underlying, simples_env)
+    simples_env = simples_of(underlying(K).algebra)
+    assert multiplicity_vector(underlying(DDK), simples_env) == \
+        multiplicity_vector(underlying(K), simples_env)
 
 
 def test_dual_kernel_adjunction_dims():
@@ -272,6 +281,25 @@ def test_ext_negative_degree_refused():
         ext_dims(m, m, -1)
 
 
+def test_ext_size_guard_refuses_before_any_coboundary(monkeypatch):
+    import hochkit.hochschild as hochschild
+    built = []
+    monkeypatch.setattr(hochschild, "_coboundary", lambda *args, **kw: built.append(args))
+    reg = regular_module(algebra_fixture("s3"))
+    # Ext^5 needs degree 6 of Hom(Abar^(x p), Hom_k(M, M)): 36 * 5^6 = 562500
+    with pytest.raises(DegreeCapExceeded, match="degree 6 has 562500 coordinates"):
+        ext_dims(reg, reg, 5)
+    assert built == []
+
+
+def test_balanced_tensor_refusal_names_its_operands():
+    s3 = algebra_fixture("s3")
+    with pytest.raises(DegreeCapExceeded, match=re.escape(
+            f"the balanced tensor over {s3!r} has an ambient of 500 x 401 = 200500 "
+            f"coordinates, above the guard {MAX_COORDINATES}")):
+        balanced_tensor(s3, None, 500, None, 401)  # refused before any action is read
+
+
 def test_unit_split_does_not_pin_algebra():
     a = matrix_algebra(2)
     assert a_unit_split(a) is a_unit_split(a)
@@ -305,7 +333,7 @@ def test_ext_over_enveloping_recovers_hochschild_cohomology():
     from hochkit.hochschild import hh_cohomology_dims
     for name, deg in [("dual", 3), ("zn:2", 3), ("trunc:3", 2)]:
         a = algebra_fixture(name)
-        diag = regular_bimodule(a).underlying
+        diag = underlying(regular_bimodule(a))
         assert ext_dims(diag, diag, deg) == hh_cohomology_dims(a, deg).dims
 
 
@@ -548,8 +576,8 @@ def _ref_generators(a, aug):
 
 def _agree(k, ref):
     assert (k.source, k.target, k.dim) == (ref.source, ref.target, ref.dim)
-    assert k.underlying.algebra == ref.module.algebra
-    assert k.underlying.action == ref.module.action
+    assert underlying(k).algebra == ref.module.algebra
+    assert underlying(k).action == ref.module.action
 
 
 def _outer_pair(source, v_name, target, w_name):
@@ -576,7 +604,7 @@ def kernel_pairs():
 def test_constructors_match_enveloping_oracle(kernel_pairs):
     for k, ref in kernel_pairs.values():
         _agree(k, ref)
-        validate_module(k.underlying)  # the two actions commute
+        validate_module(underlying(k))  # the two actions commute
     for name in ("zn:3->s3", "s3->q8", "id_s3"):
         k, ref = kernel_pairs[name]
         _agree(dual_kernel(k), _ref_dual(ref))
