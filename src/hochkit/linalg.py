@@ -14,23 +14,25 @@ between, and a rational CycScalar enters as its numerator over `den`.
 `nullspace` with the matrix whose rows are a canonical reduced echelon
 basis at pivot 1, so that equal spans give equal matrices.
 
-Rank, nullspace, solving and cokernel computations all run Gaussian
-elimination on sparse dict rows with a fill-minimizing pivot rule (fewest
-nonzeros in row, then fewest rows in column); pivot choice only affects
-speed, never results.  There is one elimination path: `_eliminate`, followed
-by `_canonical_rref` wherever a canonical reduced basis is needed
-(`_reduced_rows`).  `rank` peels, then eliminates the core: a row with the
-only nonzero left in a column is independent of the rest, so
-rank(m) = 1 + rank(m without it), and removing it can leave more such
-columns.  The peel takes them all with no arithmetic (LaMacchia and Odlyzko,
-CRYPTO '90; the "compress" of Bauer, Kerber and Reininghaus, 2014).  Its
-pairs and the core's pivots form a nonsingular block-triangular minor, kept
-on the matrix for `hochschild.ChainComplex` to clear the next map.  Only the
-row update depends on the field: t <- t - (t[c]/p) r over Q(zeta_n), n > 1.
-On integer rows it is the fraction-free t <- (p/g) t - (t[c]/g) r with
-g = gcd(p, t[c]) (Bareiss, Math. Comp. 22, 1968, in its one-step form),
-after which the row's content is divided out.  A reduced integer row is
-primitive with a positive pivot, the integer form of pivot 1.
+There are two eliminations on sparse dict rows, each with one job.  `rank`
+peels, then runs `_eliminate` on the core: a row with the only nonzero left
+in a column is independent of the rest, so rank(m) = 1 + rank(m without
+it), and removing it can leave more such columns.  The peel takes them all
+with no arithmetic (LaMacchia and Odlyzko, CRYPTO '90; the "compress" of
+Bauer, Kerber and Reininghaus, 2014), and `_eliminate` is forward
+elimination with a fill-minimizing pivot rule (fewest nonzeros in row, then
+fewest rows in column).  The peeled pairs and the core's pivots form a
+nonsingular block-triangular minor, kept on the matrix for
+`hochschild.ChainComplex` to clear the next map.  Every canonical answer
+(`rref`, `nullspace`, `solve`, `cokernel_projector`) comes from
+`_canonical_rref` alone, Gauss-Jordan with leading-column pivots: the
+reduced echelon form does not depend on the pivot order, so it takes the
+order that ends there.  Only the row update depends on the field:
+t <- t - (t[c]/p) r over Q(zeta_n), n > 1.  On integer rows it is the
+fraction-free t <- (p/g) t - (t[c]/g) r with g = gcd(p, t[c]) (Bareiss,
+Math. Comp. 22, 1968, in its one-step form), after which the row's content
+is divided out.  A reduced integer row is primitive with a positive pivot,
+the integer form of pivot 1.
 """
 
 from __future__ import annotations
@@ -347,20 +349,13 @@ def _factor(t: dict, c: int, piv, integral: bool):
     return factor
 
 
-def _eliminate(data: list[dict], cols: int, integral: bool, reduced: bool = False,
-               pivot_limit: int | None = None) -> list[tuple[int, int]]:
-    """In-place forward elimination with fill-minimizing pivoting.
+def _eliminate(data: list[dict], integral: bool) -> list[tuple[int, int]]:
+    """In-place forward elimination with fill-minimizing pivoting, for `rank`:
+    the pivots as (row_index, col) pairs, in the order they were taken.
 
     Pivot rule: a minimum-nnz active row, then its least-populated column.
-    Returns pivots as (row_index, col) pairs sorted by column.  With
-    `reduced`, pivot rows are cleared above as well, and over Q(zeta_n),
-    n > 1, normalized to pivot 1.  Columns >= pivot_limit are never chosen
-    as pivots (used by `solve` to protect the augmented columns); rows
-    supported only there are left alone.
-
-    Pivot positions need not be at leading columns, so the result is an
-    echelon basis but not the canonical reduced form; `_canonical_rref`
-    finishes the job where canonical output matters.
+    A pivot clears its column in the active rows only, so the pivot rows end
+    as an echelon basis in some column order, not a reduced one.
     """
     zero = 0 if integral else ZERO
     nrows = len(data)
@@ -403,17 +398,10 @@ def _eliminate(data: list[dict], cols: int, integral: bool, reduced: bool = Fals
         row_len[r] = 0
         is_active[r] = False
         row = data[r]
-        if pivot_limit is not None:
-            eligible = [(len(col_rows[j]), j) for j in row if j < pivot_limit]
-            if not eligible:
-                continue  # row stuck in protected columns; never a pivot
-            c = min(eligible)[1]
-        else:
-            c = min([(len(col_rows[j]), j) for j in row])[1]
+        c = min([(len(col_rows[j]), j) for j in row])[1]
         piv = row[c]
         pivots.append((r, c))
-        targets = [t for t in col_rows[c] if t != r and (is_active[t] or reduced)]
-        for t in targets:
+        for t in [t for t in col_rows[c] if is_active[t]]:
             trow = data[t]
             factor = _factor(trow, c, piv, integral)
             for j, v in row.items():
@@ -428,16 +416,8 @@ def _eliminate(data: list[dict], cols: int, integral: bool, reduced: bool = Fals
                         col_rows[j].pop(t, None)
             if integral:
                 _divide_content(trow)
-            if is_active[t]:
-                rebucket(t)
+            rebucket(t)
         col_rows[c] = {r: None}
-    if reduced and not integral:
-        for r, c in pivots:
-            piv = data[r][c]
-            if piv != ONE:
-                inv = piv.inverse()
-                data[r] = {j: inv * v for j, v in data[r].items()}
-    pivots.sort(key=lambda rc: rc[1])
     return pivots
 
 
@@ -472,26 +452,16 @@ def rank(m: SparseMatrix) -> int:
         peeled = {r for r, _ in pivots}
         core = [r for r in range(m.rows) if r not in peeled]
         pivots += [(core[r], c) for r, c in _eliminate(
-            [dict(m._rows[r]) for r in core], m.cols, m.den is not None)]
+            [dict(m._rows[r]) for r in core], m.den is not None)]
         object.__setattr__(m, "_pivots", (tuple(sorted(r for r, _ in pivots)),
                                           tuple(sorted(c for _, c in pivots))))
     return len(m._pivots[0])
 
 
-def _reduced_rows(rows: list[dict], ambient: int, integral: bool) -> list[dict]:
-    """Canonical reduced echelon basis of the span of sparse rows, sorted by
-    pivot; each row's pivot is min(row).  Consumes `rows`."""
-    data = [row for row in rows if row]
-    rows.clear()
-    # thin out with the fill-minimizing eliminator, then canonicalize
-    pivots = _eliminate(data, ambient, integral, reduced=True)
-    return _canonical_rref([data[r] for r, _ in pivots], integral)
-
-
 def _basis_matrix(rows: list[dict], cols: int, integral: bool) -> SparseMatrix:
     """The canonical reduced echelon basis of the span of `rows` (consumed)
     as a matrix, one row per basis vector, each scaled to pivot 1."""
-    rows = _reduced_rows(rows, cols, integral)
+    rows = _canonical_rref(rows, integral)
     if not integral:  # already at pivot 1
         return SparseMatrix._of(len(rows), cols, rows, None)
     leads = [row[min(row)] for row in rows]
@@ -515,10 +485,10 @@ def _clear(row: dict, c: int, pivot_row: dict, integral: bool):
 
 
 def _canonical_rref(data: list[dict], integral: bool) -> list[dict]:
-    """Gauss-Jordan with leading-column pivots on an already-thin row list;
-    output rows are the canonical reduced echelon basis, sorted by pivot:
-    pivot 1 over Q(zeta_n), n > 1; primitive with a positive pivot on
-    integer rows.
+    """Gauss-Jordan with leading-column pivots on the rows of `data`, which
+    it consumes: the canonical reduced echelon basis of their span, sorted
+    by pivot, each row's pivot its leading column min(row): pivot 1 over
+    Q(zeta_n), n > 1; primitive with a positive pivot on integer rows.
 
     Rows wait in buckets by leading column, so a pivot row only meets the
     rows that share its lead, and the waiting leads sit in a heap; back
@@ -570,9 +540,7 @@ def nullspace(m: SparseMatrix) -> SparseMatrix:
     """The canonical reduced echelon basis of { v : m.apply(v) = 0 }, as the
     rows of a matrix, in the form `rref` gives."""
     integral = m.den is not None
-    data = _copy_rows(m)
-    pivots = _eliminate(data, m.cols, integral, reduced=True)
-    pivot_of = {c: data[r] for r, c in pivots}
+    pivot_of = {min(row): row for row in _canonical_rref(_copy_rows(m), integral)}
     basis = []
     for f in range(m.cols):
         if f in pivot_of:
@@ -590,23 +558,26 @@ def nullspace(m: SparseMatrix) -> SparseMatrix:
 
 
 def solve(m: SparseMatrix, b: SparseMatrix) -> SparseMatrix | None:
-    """Some X with m * X = b, from one elimination of [m | b] with b's columns
-    at m.cols + j, never pivots; None when a column of b is inconsistent."""
+    """The X with m * X = b that is zero at the free variables: row i of X
+    is zero unless column i of m is a pivot of `rref(m)`.  It is read off
+    the canonical reduced form of [m | b], b's columns at m.cols + j; a row
+    there that leads at or past m.cols is an equation 0 = nonzero, and then
+    a column of b is inconsistent and the answer is None."""
     if b.rows != m.rows:
         raise ShapeMismatch(f"{m.rows}x{m.cols} system with {b.rows}x{b.cols} right-hand sides")
     left, right, den = _common(m, b)
     integral = den is not None
     n = m.cols
-    data = [{**row, **{n + j: v for j, v in rb.items()}} for row, rb in zip(left, right)]
-    pivots = _eliminate(data, n + b.cols, integral, reduced=True, pivot_limit=n)
-    pivot_rows = {r for r, _ in pivots}
-    if any(row for r, row in enumerate(data) if r not in pivot_rows):
+    rows = _canonical_rref([{**row, **{n + j: v for j, v in rb.items()}}
+                            for row, rb in zip(left, right)], integral)
+    leads = [min(row) for row in rows]
+    if leads and leads[-1] >= n:
         return None  # a residual equation 0 = nonzero
     x: list[dict] = [dict() for _ in range(n)]
-    den = lcm(1, *(data[r][c] for r, c in pivots)) if integral else None
-    for r, c in pivots:  # x[c] = row[n + j] / row[c], and row[c] is 1 off the integers
-        scale = den // data[r][c] if integral else 1
-        x[c] = {j - n: v if scale == 1 else scale * v for j, v in data[r].items() if j >= n}
+    den = lcm(1, *(row[c] for row, c in zip(rows, leads))) if integral else None
+    for row, c in zip(rows, leads):  # x[c] = row[n + j] / row[c]; row[c] is 1 off Q
+        scale = den // row[c] if integral else 1
+        x[c] = {j - n: v if scale == 1 else scale * v for j, v in row.items() if j >= n}
     return SparseMatrix._of(n, b.cols, x, den)
 
 
@@ -617,7 +588,7 @@ def cokernel_projector(m: SparseMatrix) -> tuple[tuple[int, ...], SparseMatrix]:
     onto them.  projection * m = 0, and the projection is the identity on
     the free coordinates."""
     integral = m.den is not None
-    colspace = _reduced_rows(m.transpose()._rows, m.rows, integral)
+    colspace = _canonical_rref(m.transpose()._rows, integral)
     pivot_coords = [min(row) for row in colspace]
     pivot_set = set(pivot_coords)
     free = tuple(i for i in range(m.rows) if i not in pivot_set)

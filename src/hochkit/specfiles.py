@@ -123,6 +123,8 @@ def parse_algebra_file(text: str, name: str = "file") -> Algebra:
         words = key.split()
         if words[0] == "dim":
             dim = _int_at(value, "dim", lineno)
+            if dim < 1:
+                raise ParseError(f"dim must be at least 1, got {dim}", line=lineno)
         elif words[0] == "field_order":
             field_order = _int_at(value, "field_order", lineno)
         elif words[0] == "label":

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -111,6 +112,19 @@ def test_malformed_integer_in_spec_file_is_usage_error(kind, line, bad, tmp_path
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["center"], ["hh"], ["hh", "--cohomology"],
+                                     ["hh", "--unnormalized"]],
+                         ids=["validate", "center", "hh", "cohomology", "unnormalized"])
+@pytest.mark.parametrize("dim", [0, -2])
+def test_algebra_file_without_a_basis_is_usage_error(command, dim, tmp_path, capsys):
+    path = tmp_path / "empty.alg"
+    path.write_text(f"# no basis\ndim = {dim}\nunit = []\n")
+    assert run([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dim must be at least 1, got {dim} (line 2)")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [["hh", "{}"], ["chern", "zn:2", "{}"]], ids=["hh", "chern"])
@@ -555,6 +569,24 @@ def test_library_imports_at_module_level():
                       if any("modules" in name.split(".") for name in
                              [getattr(node, "module", None) or "", *(a.name for a in node.names)])}
     assert found == set()
+
+
+def test_every_private_definition_is_used():
+    # a module-level `_name` function or class that no code of the package
+    # reaches through a name or an attribute, outside its own body, is dead;
+    # a mention in a docstring does not count
+    def names(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(hochkit.__file__).parent.glob("*.py"))}
+    used = sum((names(tree) for tree in trees.values()), Counter())
+    dead = [f"{name}:{node.lineno} {node.name}" for name, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and used[node.name] == names(node)[node.name]]
+    assert dead == []
 
 
 @pytest.mark.parametrize("build, bound", [

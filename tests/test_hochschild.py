@@ -568,7 +568,7 @@ def test_cleared_ranks_match_whole_differentials(name):
         for complex_ in (bar_chain_complex(a, 3, normalized),
                          bar_cochain_complex(a, 2, normalized)):
             cleared = {n: complex_.rank_of_map(n) for n in complex_.maps}
-            assert cleared == {n: len(_eliminate(_copy_rows(m), m.cols, m.den is not None))
+            assert cleared == {n: len(_eliminate(_copy_rows(m), m.den is not None))
                                for n, m in complex_.maps.items()}
 
 
@@ -609,7 +609,7 @@ def test_cleared_ranks_make_no_more_row_updates_than_whole_elimination(
     for n in sorted(complex_.maps):
         m = complex_.maps[n]
         m = m.take_rows([i for i in range(m.rows) if i not in cut])
-        pivots = _eliminate(_copy_rows(m), m.cols, m.den is not None)
+        pivots = _eliminate(_copy_rows(m), m.den is not None)
         whole.append(len(pivots))
         cut = {c for _, c in pivots}
     replaced = len(updates)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hochkit import linalg
 from hochkit.errors import ShapeMismatch
 from hochkit.linalg import (
-    SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel, _reduced_rows,
+    SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel,
     cokernel_projector, hstack, kron, nullspace, rank, rref, solve, unit_vector, vec,
 )
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, format_scalar, zeta
@@ -164,10 +164,32 @@ def test_rank_without_singleton_columns_is_the_elimination():
             extra = {(r, c): 1 for c in range(cols) for r in rng.sample(range(rows), 2)}
             m = SparseMatrix(rows, cols, {**extra, **{(r, c): v for r, c, v in m.entries()}})
             assert _peel(m._rows, m.cols) == []
-            pivots = _eliminate(_copy_rows(m), m.cols, m.den is not None)
+            pivots = _eliminate(_copy_rows(m), m.den is not None)
             assert rank(m) == len(pivots)
             assert m.pivots == (tuple(sorted(r for r, _ in pivots)),
                                 tuple(sorted(c for _, c in pivots)))
+
+
+def test_rank_eliminates_and_canonical_answers_canonicalize(monkeypatch):
+    # one elimination per job: `rank` runs `_eliminate` alone, and rref,
+    # nullspace, solve and cokernel_projector run `_canonical_rref` alone
+    calls = []
+    for name in ("_eliminate", "_canonical_rref"):
+        def counted(*args, _name=name, _run=getattr(linalg, name)):
+            calls.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(linalg, name, counted)
+    rng = random.Random(87)
+    for order in (1, 8):
+        m, b = random_matrix(rng, 6, 5, 0.6, order), random_matrix(rng, 6, 2, 0.6, order)
+        for answer, args in ((rref, (m,)), (nullspace, (m,)), (solve, (m, b)),
+                             (cokernel_projector, (m,))):
+            calls.clear()
+            answer(*args)
+            assert calls and set(calls) == {"_canonical_rref"}
+        calls.clear()
+        rank(m)
+        assert calls == ["_eliminate"]
 
 
 def test_cyclotomic_peel_does_no_scalar_arithmetic(monkeypatch):
@@ -393,7 +415,6 @@ def test_canonical_rref_matches_dense_gauss_jordan():
         integral = m.den is not None
         expected = _row_form(_gauss_jordan(_table(m), ambient), integral)
         assert _canonical_rref(_copy_rows(m), integral) == expected
-        assert _reduced_rows(_copy_rows(m), ambient, integral) == expected
 
 
 @pytest.mark.parametrize("kind, blocks", [("rational", 700), ("mixed", 40)])
@@ -729,7 +750,8 @@ def test_block_solve_matches_per_column_oracle():
             columns[rng.randrange(1, k)] = [_random_scalar(rng, field) for _ in range(rows)]
         b = SparseMatrix.from_columns([tuple(col) for col in columns], rows)
         x = solve(m, b)
-        rank_m = len(_gauss_jordan(ta, cols))
+        reduced_m = _gauss_jordan(ta, cols)
+        rank_m = len(reduced_m)
         per_column = [_gauss_jordan([row + [y] for row, y in zip(ta, col)], cols + 1)
                       for col in columns]
         consistent = [len(reduced) == rank_m for reduced in per_column]
@@ -744,11 +766,16 @@ def test_block_solve_matches_per_column_oracle():
             continue
         assert (x.rows, x.cols) == (cols, k)
         assert m * x == b
+        # every free variable is zero: X lives on the leads of rref(m)
+        leads = {next(c for c, v in enumerate(row) if v) for row in reduced_m}
+        assert all(not any(row) for c, row in enumerate(_table(x)) if c not in leads)
+        if rank_m < cols and not x.is_zero():
+            seen.add("free variables")
         if rank_m == cols:  # the solution is unique: each column's last entries
             seen.update({"unique"} if k else ())
             assert _table(x) == _transposed([[row[-1] for row in reduced]
                                              for reduced in per_column], cols)
-    assert seen == {"no columns", "zero row", "later column", "unique"}
+    assert seen == {"no columns", "zero row", "later column", "unique", "free variables"}
 
 
 def test_constructor_sums_repeated_positions():
