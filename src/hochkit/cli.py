@@ -14,9 +14,12 @@ Algebras resolve in order: an existing file path, a file named
 `<name>.alg` under $HOCHKIT_FIXTURES, then the built-in fixture grammar
 (zn:<k>, s3, d4, q8, a4, mat:<n>, dual, trunc:<k>, field, tensor(a,b),
 op(a), env(a)).  Modules are `<algebra>#<name>` with names from the
-bundled simples plus reg, simple:<i>, sum:<i,j,..>, or a module file path.
-Central elements are coordinate vectors `[c0,...,cn]` in scalar syntax or
-`ch:<module name>`.
+bundled simples plus reg, simple:<i>, sum:<i,j,..>, or a module file path;
+a bare name is a module of the command's algebra.  Central elements are
+coordinate vectors `[c0,...,cn]` in scalar syntax or `ch:<module>`, where
+<module> is any module reference that `chern` accepts.  Lists, integers,
+vectors and matrices are read by the readers of `specfiles`, so an empty
+item or an out-of-range integer is a usage error here as in a file.
 
 Exit codes: 0 all identities hold, 1 at least one mismatch, 2 usage or
 precondition errors.  With --format machine the output is a single JSON
@@ -50,8 +53,10 @@ from .mukai import (
     hrr_check, iota_solve, morita_isometry_check, morita_kernel,
     assemble_split_map, mukai_pairing, pushforward, serre_trace, trace_triangle_check,
 )
-from .scalars import cyc, format_scalar, parse_scalar
-from .specfiles import _parse_matrix, load_algebra_text, parse_module_file, read_spec_file
+from .scalars import cyc, format_scalar
+from .specfiles import (
+    _parse_matrix, _parse_vector, load_algebra_text, parse_int, parse_module_file, read_spec_file,
+)
 from .tqft import evaluate as tqft_evaluate, orbit_count, parse_word
 
 SCHEMA_VERSION = 1
@@ -161,13 +166,20 @@ def load_module(ref: str) -> tuple[Algebra, ModuleRep]:
     return a, fixtures.module_fixture(a, mod_name)
 
 
-def _module_over(algebra: str, ref: str) -> tuple[Algebra, ModuleRep]:
-    """The module `ref` over `algebra`: a bare name means `<algebra>#<name>`;
-    a module file or any other `<algebra>#<name>` must be over `algebra`."""
+def _module_ref(a: Algebra, ref: str) -> ModuleRep:
+    """The module `ref`: a bare name is a fixture module of `a`; a module
+    file or an `<algebra>#<name>` is loaded as it says."""
     if "#" not in ref and not os.path.isfile(ref):
-        return load_module(f"{algebra}#{ref}")
-    a, m = load_module(ref)
-    if a != load_algebra(algebra):
+        return fixtures.module_fixture(a, ref)
+    return load_module(ref)[1]
+
+
+def _module_over(algebra: str, ref: str) -> tuple[Algebra, ModuleRep]:
+    """The module `ref` over `algebra`; a module file or an `<algebra>#<name>`
+    must be over `algebra`."""
+    a = load_algebra(algebra)
+    m = _module_ref(a, ref)
+    if m.algebra != a:
         raise AlgebraMismatch(f"module {ref!r} is not over {algebra}")
     return a, m
 
@@ -175,21 +187,10 @@ def _module_over(algebra: str, ref: str) -> tuple[Algebra, ModuleRep]:
 def _parse_central(a: Algebra, text: str) -> MukaiClass:
     text = text.strip()
     if text.startswith("ch:"):
-        _, m = load_module(f"{_fixture_name_of(a)}#{text[3:]}") \
-            if "#" not in text[3:] else load_module(text[3:])
-        return chern(m)
+        return chern(_module_ref(a, text[3:]))
     if not (text.startswith("[") and text.endswith("]")):
         raise ParseError("central element must be [c0,...,cn] or ch:<module>")
-    parts = [p for p in text[1:-1].split(",") if p.strip()]
-    if len(parts) != a.dim:
-        raise ParseError(f"expected {a.dim} coordinates, got {len(parts)}")
-    return MukaiClass(a, tuple(parse_scalar(p) for p in parts))
-
-
-def _fixture_name_of(a: Algebra) -> str:
-    if a.provenance[0] == "group":
-        return a.provenance[1]
-    raise ParseError("ch:<module> shorthand needs a named group fixture")
+    return MukaiClass(a, _parse_vector(text, a.dim))
 
 
 def _resolve_kernel(spec: str):
@@ -200,7 +201,7 @@ def _resolve_kernel(spec: str):
     if spec.startswith("morita:"):
         rest = spec[len("morita:"):]
         alg_name, _, n_text = rest.rpartition(":")
-        a, n = load_algebra(alg_name), fixtures._positive_int(n_text, spec)
+        a, n = load_algebra(alg_name), parse_int(n_text, "morita size", low=1)
         fixtures._bounded(n * n * a.dim, spec)  # the target is tensor(mat:n, a)
         return morita_kernel(a, n)
     if spec.startswith("outer(") and spec.endswith(")"):
@@ -406,12 +407,16 @@ def _cmd_validate(args, report: Report) -> int:
     return 0
 
 
+def _vector_text(coords) -> str:
+    return "[" + ", ".join(format_scalar(c) for c in coords) + "]"
+
+
 def _cmd_center(args, report: Report) -> int:
     a = load_algebra(args.algebra)
     zs = center_basis(a)
     report.line(f"center dimension: {zs.rows}")
     for r in range(zs.rows):
-        report.line("  [" + ", ".join(format_scalar(c) for c in zs.row_vector(r)) + "]")
+        report.line("  " + _vector_text(zs.row_vector(r)))
     return 0
 
 
@@ -435,12 +440,10 @@ def _cmd_hh(args, report: Report) -> int:
 def _cmd_chern(args, report: Report) -> int:
     a, m = _module_over(args.algebra, args.module)
     ch = chern(m)
-    report.line(f"ch({m.name}) = [" +
-                ", ".join(format_scalar(c) for c in ch.coords) + "]")
+    report.line(f"ch({m.name}) = {_vector_text(ch.coords)}")
     scaled = ch.scale(m.dim)
-    report.line(f"idempotent normalization: dim(M) * ch = ["
-                + ", ".join(format_scalar(c) for c in scaled.coords)
-                + "]  (the block idempotent when M is irreducible; the solved "
+    report.line(f"idempotent normalization: dim(M) * ch = {_vector_text(scaled.coords)}"
+                "  (the block idempotent when M is irreducible; the solved "
                 "class carries a 1/dim factor relative to it)")
     rng = random.Random(args.seed)
     zs = center_basis(a)
@@ -456,12 +459,11 @@ def _cmd_chern(args, report: Report) -> int:
 def _cmd_iota(args, report: Report) -> int:
     _, m = _module_over(args.algebra, args.module)
     if args.endo:
-        e = _parse_matrix(args.endo, m.dim, 1)
+        e = _parse_matrix(args.endo, m.dim)
     else:
         e = SparseMatrix.identity(m.dim)
     z = iota_solve(m, e)
-    report.line(f"iota({m.name}, endo) = [" +
-                ", ".join(format_scalar(c) for c in z.coords) + "]")
+    report.line(f"iota({m.name}, endo) = {_vector_text(z.coords)}")
     if not args.endo:
         report.add(Record("iota of the identity is the chern class",
                           "chern-defining-property", f"{args.algebra}#{m.name}",
@@ -482,8 +484,7 @@ def _cmd_pushforward(args, report: Report) -> int:
     k = _resolve_kernel(args.kernel)
     v = _parse_central(k.source, args.z)
     out = pushforward(k, v)
-    report.line("pushforward = [" +
-                ", ".join(format_scalar(c) for c in out.coords) + "]")
+    report.line(f"pushforward = {_vector_text(out.coords)}")
     report.line("(route A and route B agreed)")
     return 0
 

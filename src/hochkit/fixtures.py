@@ -28,6 +28,7 @@ from .errors import NotAGroup, ParseError, check_size
 from .linalg import SparseMatrix
 from .modules import ModuleRep, attach_simples, regular_module, simples_of
 from .scalars import check_nesting, zeta
+from .specfiles import parse_int, split_items
 
 
 def _perm_mul(p, q):
@@ -317,17 +318,15 @@ def algebra_fixture(name: str) -> Algebra:
         _bounded(a.dim * a.dim, name)
         return enveloping(a)
     if name.startswith("zn:"):
-        n = _positive_int(name[3:], name)
+        n = parse_int(name[3:], "cyclic order", low=1)
         _bounded(n, name)
         return _cyclic_algebra(n)
     if name.startswith("mat:"):
-        n = _positive_int(name[4:], name)
+        n = parse_int(name[4:], "matrix size", low=1)
         _bounded(n * n, name)
         return matrix_algebra(n)
     if name.startswith("trunc:"):
-        k = _positive_int(name[6:], name)
-        if k < 2:
-            raise ParseError(f"trunc:{k} needs k >= 2")
+        k = parse_int(name[6:], "truncation degree", low=2)
         _bounded(k, name)
         return truncated_poly(k)
     if name == "dual":
@@ -345,36 +344,11 @@ def algebra_fixture(name: str) -> Algebra:
     raise ParseError(f"unknown algebra fixture {name!r}")
 
 
-def _split_args(inner: str, context: str) -> tuple[str, str]:
-    depth = 0
-    for i, ch in enumerate(inner):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return inner[:i], inner[i + 1:]
-    raise ParseError(f"expected two comma-separated arguments in {context!r}")
-
-
-def _positive_int(text: str, context: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise ParseError(f"expected an integer in {context!r}") from None
-    if n < 1:
-        raise ParseError(f"expected a positive integer in {context!r}")
-    return n
-
-
-def _simple_index(text: str, count: int, context: str) -> int:
-    try:
-        idx = int(text)
-    except ValueError:
-        raise ParseError(f"expected a simple index in {context!r}") from None
-    if not 0 <= idx < count:
-        raise ParseError(f"simple index {idx} out of range in {context!r} (have {count})")
-    return idx
+def _split_args(inner: str, context: str) -> list[str]:
+    args = split_items(inner)
+    if len(args) != 2:
+        raise ParseError(f"expected two comma-separated arguments in {context!r}")
+    return args
 
 
 def module_fixture(a: Algebra, name: str) -> ModuleRep:
@@ -384,11 +358,14 @@ def module_fixture(a: Algebra, name: str) -> ModuleRep:
     if name == "reg":
         return regular_module(a)
     simples = simples_of(a)
+
+    def simple(index: str) -> ModuleRep:
+        return simples[parse_int(index, "simple index", low=0, high=len(simples) - 1)]
+
     if name.startswith("simple:"):
-        return simples[_simple_index(name[len("simple:"):], len(simples), name)]
+        return simple(name[len("simple:"):])
     if name.startswith("sum:"):
-        parts = [simples[_simple_index(x, len(simples), name)]
-                 for x in name[len("sum:"):].split(",") if x]
+        parts = [simple(x) for x in split_items(name[len("sum:"):])]
         if not parts:
             raise ParseError("empty direct sum")
         return reduce(ModuleRep.direct_sum, parts)

@@ -19,8 +19,16 @@ Module file:
     action 0 = [[1]]
     action 1 = [[-1]]
 
-Scalars use the shared text syntax (`1/2 + 1/2*z3^1`).  Parse errors carry
-the line and column of the offending token.
+Scalars use the shared text syntax (`1/2 + 1/2*z3^1`).  Each key is given
+once, `label i` and `action i` once per index and `mult i j` once per pair,
+and a sparse vector names each index once.  A list may not hold an empty
+item, and an integer outside its range (`dim` and `field_order` at least 1,
+an index inside its dimension) is refused.  Parse errors carry the line and
+column of the offending token.
+
+The same readers (`split_items`, `parse_int`, `_parse_vector`,
+`_parse_matrix`) read the fixture grammar and the command line, whose input
+has no line: their errors carry no position.
 """
 
 from __future__ import annotations
@@ -35,70 +43,26 @@ from .modules import ModuleRep
 from .scalars import CycScalar, parse_scalar
 
 
-def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _parse_assignments(text: str) -> list[tuple[int, str, str]]:
+def _parse_assignments(text: str) -> list[tuple[int, list[str], str]]:
+    """Each line's number, the words of its key and its value; comments and
+    blank lines are skipped."""
     out = []
-    for lineno, line in _lines(text):
-        if "=" not in line:
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        key, eq, value = raw.split("#", 1)[0].partition("=")
+        words = key.split()
+        if not (eq or words):
+            continue
+        if not (eq and words):
             raise ParseError("expected 'key = value'", line=lineno)
-        key, _, value = line.partition("=")
-        out.append((lineno, key.strip(), value.strip()))
+        out.append((lineno, words, value.strip()))
     return out
 
 
-def _scalar_at(text: str, lineno: int) -> CycScalar:
-    try:
-        return parse_scalar(text)
-    except ParseError as exc:
-        raise ParseError(f"bad scalar {text!r}: {exc}", line=lineno) from None
-
-
-def _parse_vector(text: str, dim: int, lineno: int) -> tuple[CycScalar, ...]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("expected [ ... ] vector", line=lineno)
-    inner = text[1:-1].strip()
-    parts = _split_top_level(inner) if inner else []
-    if len(parts) != dim:
-        raise ParseError(f"expected {dim} coordinates, got {len(parts)}", line=lineno)
-    return tuple(_scalar_at(p, lineno) for p in parts)
-
-
-def _int_at(text: str, what: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"bad {what} {text!r}", line=lineno) from None
-
-
-def _parse_sparse(text: str, dim: int, lineno: int) -> dict[int, CycScalar]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("expected [ k:scalar, ... ]", line=lineno)
-    inner = text[1:-1].strip()
-    out: dict[int, CycScalar] = {}
-    if not inner:
-        return out
-    for part in _split_top_level(inner):
-        if ":" not in part:
-            raise ParseError(f"expected k:scalar in {part!r}", line=lineno)
-        k_text, _, s_text = part.partition(":")
-        k = _int_at(k_text, "index", lineno)
-        if not (0 <= k < dim):
-            raise ParseError(f"index {k} out of range 0..{dim - 1}", line=lineno)
-        v = _scalar_at(s_text, lineno)
-        if v:
-            out[k] = v
-    return out
-
-
-def _split_top_level(text: str) -> list[str]:
+def split_items(text: str, line: Optional[int] = None) -> list[str]:
+    """The comma-separated items of `text` at bracket depth 0, stripped; none
+    for blank text.  An empty item is refused."""
+    if not text.strip():
+        return []
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch in "([":
@@ -109,7 +73,65 @@ def _split_top_level(text: str) -> list[str]:
             parts.append(text[start:i].strip())
             start = i + 1
     parts.append(text[start:].strip())
-    return [p for p in parts if p]
+    if "" in parts:
+        raise ParseError(f"empty item in {text!r}", line=line)
+    return parts
+
+
+def parse_int(text: str, what: str, line: Optional[int] = None,
+              low: Optional[int] = None, high: Optional[int] = None) -> int:
+    """The integer `text`, refused outside low..high (a `high` needs a `low`)."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}", line=line) from None
+    if high is not None and not low <= n <= high:
+        raise ParseError(f"{what} {n} out of range {low}..{high}", line=line)
+    if low is not None and n < low:
+        raise ParseError(f"{what} must be at least {low}, got {n}", line=line)
+    return n
+
+
+def _scalar_at(text: str, line: Optional[int]) -> CycScalar:
+    try:
+        return parse_scalar(text)
+    except ParseError as exc:
+        if line is None:
+            raise
+        raise ParseError(f"bad scalar {text!r}: {exc}", line=line) from None
+
+
+def _parse_vector(text: str, dim: int, line: Optional[int] = None) -> tuple[CycScalar, ...]:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ParseError("expected [ ... ] vector", line=line)
+    parts = split_items(text[1:-1], line)
+    if len(parts) != dim:
+        raise ParseError(f"expected {dim} coordinates, got {len(parts)}", line=line)
+    return tuple(_scalar_at(p, line) for p in parts)
+
+
+def _parse_sparse(text: str, dim: int, line: int) -> dict[int, CycScalar]:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ParseError("expected [ k:scalar, ... ]", line=line)
+    out: dict[int, CycScalar] = {}
+    for part in split_items(text[1:-1], line):
+        if ":" not in part:
+            raise ParseError(f"expected k:scalar in {part!r}", line=line)
+        k_text, _, s_text = part.partition(":")
+        k = parse_int(k_text, "index", line, 0, dim - 1)
+        if k in out:
+            raise ParseError(f"repeated index {k}", line=line)
+        out[k] = _scalar_at(s_text, line)
+    return {k: v for k, v in out.items() if v}
+
+
+def _first(seen: set, key: tuple, line: int) -> None:
+    """Refuse a second assignment to `key`, a key word and its indices."""
+    if key in seen:
+        raise ParseError(f"repeated key {' '.join(map(str, key))!r}", line=line)
+    seen.add(key)
 
 
 def parse_algebra_file(text: str, name: str = "file") -> Algebra:
@@ -117,44 +139,43 @@ def parse_algebra_file(text: str, name: str = "file") -> Algebra:
     field_order = 1
     unit = None
     frobenius = None
-    labels: dict[int, str] = {}
+    label_lines: list[tuple[int, str, str]] = []
     mult: dict[tuple[int, int], dict[int, CycScalar]] = {}
-    for lineno, key, value in _parse_assignments(text):
-        words = key.split()
+    seen: set = set()
+    for lineno, words, value in _parse_assignments(text):
+        if words[0] in ("dim", "field_order", "unit", "frobenius"):
+            _first(seen, (words[0],), lineno)
+        if words[0] in ("unit", "mult", "frobenius") and dim is None:
+            raise ParseError(f"dim must come before {words[0]}", line=lineno)
         if words[0] == "dim":
-            dim = _int_at(value, "dim", lineno)
-            if dim < 1:
-                raise ParseError(f"dim must be at least 1, got {dim}", line=lineno)
+            dim = parse_int(value, "dim", lineno, low=1)
         elif words[0] == "field_order":
-            field_order = _int_at(value, "field_order", lineno)
+            field_order = parse_int(value, "field_order", lineno, low=1)
         elif words[0] == "label":
-            labels[_int_at(" ".join(words[1:]), "label index", lineno)] = value
+            label_lines.append((lineno, " ".join(words[1:]), value))
         elif words[0] == "unit":
-            if dim is None:
-                raise ParseError("dim must come before unit", line=lineno)
             unit = _parse_vector(value, dim, lineno)
         elif words[0] == "mult":
-            if dim is None:
-                raise ParseError("dim must come before mult", line=lineno)
             if len(words) != 3:
                 raise ParseError("expected 'mult i j = [...]'", line=lineno)
-            i, j = (_int_at(w, "mult index", lineno) for w in words[1:])
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ParseError(f"mult indices ({i}, {j}) out of range", line=lineno)
+            i, j = (parse_int(w, "mult index", lineno, 0, dim - 1) for w in words[1:])
+            _first(seen, ("mult", i, j), lineno)
             mult[(i, j)] = _parse_sparse(value, dim, lineno)
         elif words[0] == "frobenius":
-            if dim is None:
-                raise ParseError("dim must come before frobenius", line=lineno)
             frobenius = _parse_vector(value, dim, lineno)
         else:
             raise ParseError(f"unknown key {words[0]!r}", line=lineno)
     if dim is None:
         raise ParseError("missing dim")
+    labels = [f"e{i}" for i in range(dim)]
+    for lineno, index_text, value in label_lines:  # a label may come before dim
+        i = parse_int(index_text, "label index", lineno, 0, dim - 1)
+        _first(seen, ("label", i), lineno)
+        labels[i] = value
     if unit is None:
         raise ParseError("missing unit")
-    label_list = [labels.get(i, f"e{i}") for i in range(dim)]
     serre = SerreData(frobenius) if frobenius is not None else None
-    return Algebra(dim, DictSC(mult), unit, labels=label_list, serre=serre,
+    return Algebra(dim, DictSC(mult), unit, labels=labels, serre=serre,
                    field_order=field_order, provenance=("custom", name))
 
 
@@ -163,18 +184,19 @@ def parse_module_file(text: str, resolve_algebra: Callable[[str], Algebra],
     algebra: Optional[Algebra] = None
     dim: Optional[int] = None
     actions: dict[int, SparseMatrix] = {}
-    for lineno, key, value in _parse_assignments(text):
-        words = key.split()
+    seen: set = set()
+    for lineno, words, value in _parse_assignments(text):
+        if words[0] in ("algebra", "dim"):
+            _first(seen, (words[0],), lineno)
         if words[0] == "algebra":
             algebra = resolve_algebra(value)
         elif words[0] == "dim":
-            dim = _int_at(value, "dim", lineno)
+            dim = parse_int(value, "dim", lineno, low=1)
         elif words[0] == "action":
             if algebra is None or dim is None:
                 raise ParseError("algebra and dim must come before actions", line=lineno)
-            i = _int_at(" ".join(words[1:]), "action index", lineno)
-            if not (0 <= i < algebra.dim):
-                raise ParseError(f"action index {i} out of range", line=lineno)
+            i = parse_int(" ".join(words[1:]), "action index", lineno, 0, algebra.dim - 1)
+            _first(seen, ("action", i), lineno)
             actions[i] = _parse_matrix(value, dim, lineno)
         else:
             raise ParseError(f"unknown key {words[0]!r}", line=lineno)
@@ -188,23 +210,14 @@ def parse_module_file(text: str, resolve_algebra: Callable[[str], Algebra],
     return module
 
 
-def _parse_matrix(text: str, dim: int, lineno: int) -> SparseMatrix:
+def _parse_matrix(text: str, dim: int, line: Optional[int] = None) -> SparseMatrix:
     text = text.strip()
     if not (text.startswith("[[") and text.endswith("]]")):
-        raise ParseError("expected [[row], [row], ...]", line=lineno)
-    rows_text = _split_top_level(text[1:-1])
-    if len(rows_text) != dim:
-        raise ParseError(f"expected {dim} rows, got {len(rows_text)}", line=lineno)
-    grid = []
-    for row_text in rows_text:
-        row_text = row_text.strip()
-        if not (row_text.startswith("[") and row_text.endswith("]")):
-            raise ParseError("expected [ ... ] row", line=lineno)
-        entries = _split_top_level(row_text[1:-1])
-        if len(entries) != dim:
-            raise ParseError(f"expected {dim} entries per row", line=lineno)
-        grid.append([_scalar_at(e, lineno) for e in entries])
-    return SparseMatrix.from_dense(grid)
+        raise ParseError("expected [[row], [row], ...]", line=line)
+    rows = split_items(text[1:-1], line)
+    if len(rows) != dim:
+        raise ParseError(f"expected {dim} rows, got {len(rows)}", line=line)
+    return SparseMatrix.from_dense([_parse_vector(row, dim, line) for row in rows])
 
 
 def read_spec_file(path: str) -> str:

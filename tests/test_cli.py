@@ -20,7 +20,9 @@ from hochkit.errors import MAX_COORDINATES, AlgebraMismatch, DegreeCapExceeded, 
 from hochkit.hochschild import MAX_DEGREE
 from hochkit.modules import balanced_tensor
 from hochkit.scalars import MAX_NESTING, cyc, parse_scalar
-from hochkit.specfiles import parse_algebra_file, parse_module_file, read_spec_file
+from hochkit.specfiles import (
+    parse_algebra_file, parse_int, parse_module_file, read_spec_file, split_items,
+)
 from hochkit.tqft import MAX_WORD_STEPS
 
 
@@ -98,6 +100,7 @@ def test_bad_simple_index_is_usage_error(module, capsys):
 @pytest.mark.parametrize("kind, line, bad", [
     ("alg", "dim = 2", "dim = x"),
     ("alg", "field_order = 2", "field_order = q"),
+    ("alg", "field_order = 2", "field_order = 0"),
     ("alg", "label 0 = e", "label x = a"),
     ("alg", "mult 0 1 = [1:1]", "mult 0 x = [1:1]"),
     ("mod", "dim = 1", "dim = y"),
@@ -125,6 +128,108 @@ def test_algebra_file_without_a_basis_is_usage_error(command, dim, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith(f"error: dim must be at least 1, got {dim} (line 2)")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["chern", "iota"])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_module_file_without_a_basis_is_usage_error(command, dim, tmp_path, capsys):
+    path = tmp_path / "empty.mod"
+    path.write_text(f"algebra = zn:2\ndim = {dim}\naction 0 = [[1]]\naction 1 = [[-1]]\n")
+    assert run([command, "zn:2", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dim must be at least 1, got {dim} (line 2)")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, command, line, edited, refused", [
+    ("alg", "center", "mult 1 1 = [0:1]", "mult 1 1 = [0:1, 0:5]", "repeated index 0 (line 11)"),
+    ("alg", "hh", "frobenius = [1, 0]", "frobenius = [1, 0]\nmult 1 1 = [0:1]",
+     "repeated key 'mult 1 1' (line 13)"),
+    ("alg", "validate", "frobenius = [1, 0]", "frobenius = [1, 0]\nlabel 01 = t",
+     "repeated key 'label 1' (line 13)"),
+    ("alg", "validate", "frobenius = [1, 0]", "frobenius = [1, 0]\ndim = 2",
+     "repeated key 'dim' (line 13)"),
+    ("alg", "validate", "frobenius = [1, 0]", "frobenius = [1, 0]\nunit = [1, 0]",
+     "repeated key 'unit' (line 13)"),
+    ("alg", "validate", "frobenius = [1, 0]", "frobenius = [1, 0]\nfield_order = 2",
+     "repeated key 'field_order' (line 13)"),
+    ("alg", "validate", "frobenius = [1, 0]", "frobenius = [1, 0]\nfrobenius = [1, 0]",
+     "repeated key 'frobenius' (line 13)"),
+    ("alg", "validate", "frobenius = [1, 0]", "frobenius = [1, 0]\nlabel 2 = t",
+     "label index 2 out of range 0..1 (line 13)"),
+    ("mod", "chern", "action 1 = [[-1]]", "action 1 = [[-1]]\naction 1 = [[1]]",
+     "repeated key 'action 1' (line 6)"),
+    ("mod", "iota", "action 1 = [[-1]]", "action 1 = [[-1]]\nalgebra = zn:2",
+     "repeated key 'algebra' (line 6)"),
+], ids=["sparse-index", "mult", "label", "dim", "unit", "field-order", "frobenius",
+        "label-range", "action", "algebra"])
+def test_repeated_key_in_spec_file_is_usage_error(kind, command, line, edited, refused,
+                                                  tmp_path, capsys):
+    # a repeat used to replace what came before it, without a word
+    text = Z2_ALGEBRA_TEXT if kind == "alg" else SIGN_MODULE_TEXT
+    assert line in text
+    path = tmp_path / f"repeat.{kind}"
+    path.write_text(text.replace(line, edited))
+    assert run([command, str(path)] if kind == "alg" else [command, "zn:2", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {refused}") and "Traceback" not in err
+
+
+def test_label_may_come_before_dim():
+    a = parse_algebra_file("label 1 = s\n" + Z2_ALGEBRA_TEXT.replace("label 1 = s\n", ""))
+    assert a.labels == ("e", "s")
+
+
+SHARED_READER_REFUSALS = [
+    ["pairing", "zn:2", "[1,,0]", "[1,0]"],
+    ["pairing", "zn:2", "[1,0,]", "[1,0]"],
+    ["iota", "zn:3", "chi1", "--endo", "[[2,]]"],
+    ["chern", "s3", "sum:0,,1"],
+    ["validate", "{unit = [1,,0]}"],
+    ["validate", "{= 3}"],
+    ["hh", "tensor(zn:2,zn:2,zn:3)"],
+    ["pushforward", "outer(zn:2#chi1,s3#std,zn:3#chi0)", "[1,0]"],
+]
+
+
+@pytest.mark.parametrize("argv", SHARED_READER_REFUSALS,
+                         ids=["double-comma", "trailing-comma", "endo", "sum", "unit",
+                              "keyless-line", "tensor", "outer"])
+def test_empty_or_extra_items_are_usage_errors(argv, tmp_path, capsys):
+    # "{line}" stands for an algebra file holding that line; the first five
+    # inputs once read as if the empty item were not there
+    for i, arg in enumerate(argv):
+        if arg.startswith("{"):
+            path = tmp_path / "bad.alg"
+            path.write_text(Z2_ALGEBRA_TEXT.replace("unit = [1, 0]", arg[1:-1]))
+            argv = [*argv[:i], str(path), *argv[i + 1:]]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_shared_readers():
+    assert split_items(" a, (b,c) ,[d, e]") == ["a", "(b,c)", "[d, e]"]
+    assert split_items("  ") == []
+    with pytest.raises(ParseError, match=r"^empty item in '1,,0' \(line 4\)$"):
+        split_items("1,,0", line=4)
+    assert parse_int(" 3", "dim", low=1) == 3
+    with pytest.raises(ParseError, match=r"^bad dim 'x'$"):
+        parse_int("x", "dim")
+    with pytest.raises(ParseError, match=r"^dim must be at least 1, got 0 \(line 2\)$"):
+        parse_int("0", "dim", line=2, low=1)
+    with pytest.raises(ParseError, match=r"^index 2 out of range 0..1$"):
+        parse_int("2", "index", low=0, high=1)
+
+
+def test_central_chern_accepts_every_module_reference(tmp_path, capsys):
+    # ch:<module> reads a module the way chern does, not only a group fixture's
+    assert run(["pairing", "mat:2", "ch:col2", "ch:col2"]) == 0
+    assert capsys.readouterr().out.startswith("<ch:col2, ch:col2> = 1 ")
+    path = tmp_path / "sign.mod"
+    path.write_text(SIGN_MODULE_TEXT)
+    assert run(["pairing", "zn:2", f"ch:{path}", "ch:chi1"]) == 0
+    assert "> = 1 " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["hh", "{}"], ["chern", "zn:2", "{}"]], ids=["hh", "chern"])
@@ -178,11 +283,12 @@ UNPLACED_INPUTS = [
     (["pairing", "zn:2", "[1,0", "[1,0]"], "central element must be [c0,...,cn] or ch:<module>"),
     (["pairing", "zn:2", "[1]", "[1,0]"], "expected 2 coordinates, got 1"),
     (["pushforward", "nosuch:zn:2", "[1,0]"], "unknown kernel spec 'nosuch:zn:2'"),
+    (["iota", "s3", "std", "--endo", "[[1,0]]"], "expected 2 rows, got 1"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", UNPLACED_INPUTS,
-                         ids=["algebra", "module", "central", "coordinates", "kernel"])
+                         ids=["algebra", "module", "central", "coordinates", "kernel", "endo"])
 def test_parse_errors_without_a_position_name_none(argv, message, capsys):
     # command-line names and vectors have no line or column to report
     assert run(argv) == 2
