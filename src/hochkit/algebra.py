@@ -8,11 +8,14 @@ multiplication table.
 
 Constructed algebras are validated (group tables, matrix algebras and
 file input eagerly; combinators inherit validity from their factors) and
-immutable afterwards.  Derived data (multiplication matrices, the center
-basis, the trace form, the unit split) is cached on the algebra when first
-asked for; it is deterministic, so a cache filled twice holds the same
-value.  `_form(a, f)`, the matrix of (x, y) |-> f(xy), gives both the
-Frobenius Gram that `validate` checks and the regular `trace_form`.
+immutable afterwards.  Data derived from an immutable object is built by a
+`derived` function, which keeps it in the object's one `_derived` dict:
+here the multiplication matrices, the center basis, the trace form, the
+unit split and tensor structure constants; in `mukai` the transfer data
+of algebras and kernels; in `tqft` and `hochschild` the generator kernels
+and the ranks of a complex.  `_form(a, f)`, the matrix of (x, y) |-> f(xy),
+gives both the Frobenius Gram that `validate` checks and the regular
+`trace_form`.
 
 Subspaces are canonical row matrices: the center (`center_basis`) and the
 commutator subspace (`commutator_subspace`) are each the reduced echelon
@@ -22,6 +25,7 @@ are equal matrices.
 
 from __future__ import annotations
 
+from functools import wraps
 from math import lcm
 from typing import Optional, Sequence
 
@@ -33,6 +37,19 @@ from .linalg import SparseMatrix, Vector, nullspace, rank, rref, unit_vector, ve
 from .scalars import CycScalar, ONE, ZERO
 
 SparseVec = dict[int, CycScalar]
+
+
+def derived(build):
+    """`build(obj, *args)`, built once per object and arguments and kept in
+    `obj._derived`; a build that raises keeps nothing."""
+    @wraps(build)
+    def get(obj, *args):
+        try:
+            return obj._derived[(build, *args)]
+        except KeyError:
+            value = obj._derived[(build, *args)] = build(obj, *args)
+            return value
+    return get
 
 
 class StructureConstants:
@@ -56,12 +73,10 @@ class TensorSC(StructureConstants):
     def __init__(self, a: "Algebra", b: "Algebra"):
         self.a = a
         self.b = b
-        self._cache: dict[tuple[int, int], SparseVec] = {}
+        self._derived: dict = {}
 
+    @derived
     def product(self, i, j):
-        got = self._cache.get((i, j))
-        if got is not None:
-            return got
         db = self.b.dim
         ia, ib = divmod(i, db)
         ja, jb = divmod(j, db)
@@ -71,7 +86,6 @@ class TensorSC(StructureConstants):
         for ka, va in pa.items():
             for kb, vb in pb.items():
                 out[ka * db + kb] = va * vb
-        self._cache[(i, j)] = out
         return out
 
 
@@ -116,13 +130,7 @@ class Algebra:
             else tuple(unit_vector(dim, i) for i in range(dim))
         self.provenance = provenance
         self.simple_reps: Optional[tuple] = None  # attached by fixtures
-        self._semisimple: Optional[bool] = None
-        self._left_mult: dict[int, SparseMatrix] = {}
-        self._right_mult: dict[int, SparseMatrix] = {}
-        self._unit_split = None  # set by a_unit_split
-        self._center: Optional[SparseMatrix] = None  # set by center_basis
-        self._trace_form: Optional[SparseMatrix] = None  # set by trace_form
-        self._transfer: dict = {}  # the algebra-side halves of mukai's maps, filled by mukai
+        self._derived: dict = {}
         self._validated_on_build = not validated
         if not validated:
             validate(self)
@@ -161,19 +169,13 @@ class Algebra:
             ((r, k), xj * c) for j, xj in enumerate(x) if xj
             for k in range(self.dim) for r, c in self.sc.product(k, j).items()))
 
+    @derived
     def basis_left_mult(self, i: int) -> SparseMatrix:
-        m = self._left_mult.get(i)
-        if m is None:
-            m = self.left_mult_matrix(self.basis_vector(i))
-            self._left_mult[i] = m
-        return m
+        return self.left_mult_matrix(self.basis_vector(i))
 
+    @derived
     def basis_right_mult(self, i: int) -> SparseMatrix:
-        m = self._right_mult.get(i)
-        if m is None:
-            m = self.right_mult_matrix(self.basis_vector(i))
-            self._right_mult[i] = m
-        return m
+        return self.right_mult_matrix(self.basis_vector(i))
 
     # --- identity / comparison ---
 
@@ -201,13 +203,12 @@ class Algebra:
         """Nondegeneracy of `trace_form`, the characteristic-zero criterion
         for semisimplicity.  In characteristic zero A (x) B is semisimple
         iff A and B are, and op(A) iff A is, so combinators ask their
-        factors instead."""
+        factors instead.  `rank` keeps its pivots on the cached form, so a
+        second call does no elimination."""
         kind, *factors = self.provenance
         if kind in ("tensor", "opposite"):
             return all(f.is_semisimple() for f in factors)
-        if self._semisimple is None:
-            self._semisimple = rank(trace_form(self)) == self.dim
-        return self._semisimple
+        return rank(trace_form(self)) == self.dim
 
 
 # --- validation -------------------------------------------------------------
@@ -381,21 +382,20 @@ def enveloping(a: Algebra) -> Algebra:
 
 # --- structural operations ---------------------------------------------------
 
+@derived
 def center_basis(a: Algebra) -> SparseMatrix:
     """Z(A) = { z : z e_i = e_i z for all i } as the rows of its canonical
     reduced echelon basis (`nullspace` of the commutator system), computed
     once per algebra; a central element's coordinates in it are its entries
     at the row pivots."""
-    if a._center is None:
-        def terms():  # coordinate k of e_j e_i - e_i e_j, for every i and j
-            for i in range(a.dim):
-                for j in range(a.dim):
-                    for k, v in a.sc.product(j, i).items():
-                        yield (i * a.dim + k, j), v
-                    for k, v in a.sc.product(i, j).items():
-                        yield (i * a.dim + k, j), -v
-        a._center = nullspace(SparseMatrix(a.dim * a.dim, a.dim, terms()))
-    return a._center
+    def terms():  # coordinate k of e_j e_i - e_i e_j, for every i and j
+        for i in range(a.dim):
+            for j in range(a.dim):
+                for k, v in a.sc.product(j, i).items():
+                    yield (i * a.dim + k, j), v
+                for k, v in a.sc.product(i, j).items():
+                    yield (i * a.dim + k, j), -v
+    return nullspace(SparseMatrix(a.dim * a.dim, a.dim, terms()))
 
 
 def commutator_subspace(a: Algebra) -> SparseMatrix:
@@ -432,12 +432,11 @@ def _form(a: Algebra, f: Vector) -> SparseMatrix:
         for k, c in a.sc.product(i, j).items() if f[k]))
 
 
+@derived
 def trace_form(a: Algebra) -> SparseMatrix:
     """The regular trace form (x, y) |-> regular_trace(xy), built once per
     algebra: it decides semisimplicity and is the pairing on HH_0."""
-    if a._trace_form is None:
-        a._trace_form = _form(a, [regular_trace(a, a.basis_vector(k)) for k in range(a.dim)])
-    return a._trace_form
+    return _form(a, [regular_trace(a, a.basis_vector(k)) for k in range(a.dim)])
 
 
 class UnitSplit:
@@ -460,7 +459,4 @@ class UnitSplit:
         self.merge = products * project
 
 
-def a_unit_split(a: Algebra) -> UnitSplit:
-    if a._unit_split is None:
-        a._unit_split = UnitSplit(a)
-    return a._unit_split
+a_unit_split = derived(UnitSplit)

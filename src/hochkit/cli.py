@@ -218,6 +218,10 @@ def _resolve_kernel(spec: str):
 
 HRR_FIXTURES = list(fixtures.ALL_GROUP_FIXTURES)
 KERNEL_FIXTURES = ["zn:2", "zn:3", "s3"]
+CARDY_INSTANCES = 50  # random Cardy instances per fixture
+ADJOINT_KERNELS = 10  # kernels in the adjointness suite
+FUNCTORIAL_CHECKS = 6  # composable pairs in the functoriality suite
+TRACE_INSTANCES = 100  # random instances of each trace identity
 
 
 def _random_intertwiner(rng, m: ModuleRep, span=None) -> SparseMatrix:
@@ -233,8 +237,8 @@ def _random_matrix(rng, rows, cols) -> SparseMatrix:
                                      for r in range(rows) for c in range(cols)))
 
 
-def suite_hrr(report: Report, names: Sequence[str], rng):
-    for name in names:
+def suite_hrr(report: Report, rng, names: Optional[Sequence[str]]):
+    for name in names or HRR_FIXTURES:
         a = load_algebra(name)
         simples = simples_of(a)
         t0 = time.monotonic()
@@ -246,11 +250,11 @@ def suite_hrr(report: Report, names: Sequence[str], rng):
                 t0 = time.monotonic()
 
 
-def suite_cardy(report: Report, names: Sequence[str], rng, instances: int = 50):
-    for name in names:
+def suite_cardy(report: Report, rng, names: Optional[Sequence[str]]):
+    for name in names or HRR_FIXTURES:
         a = load_algebra(name)
         simples = simples_of(a)
-        for i in range(instances):
+        for i in range(CARDY_INSTANCES):
             e_mod = simples[rng.randrange(len(simples))].direct_sum(
                 simples[rng.randrange(len(simples))])
             f_mod = simples[rng.randrange(len(simples))].direct_sum(
@@ -290,20 +294,20 @@ def _kernel_library(rng, count: int = 10):
     return kernels
 
 
-def suite_adjoint(report: Report, rng, count: int = 10):
-    for idx, k in enumerate(_kernel_library(rng, count)):
+def suite_adjoint(report: Report, rng, names):
+    for idx, k in enumerate(_kernel_library(rng, ADJOINT_KERNELS)):
         t0 = time.monotonic()
         rep = adjointness_check(k)
         report.add_report(rep, inputs=f"kernel {idx}: {k.name}",
                           elapsed=time.monotonic() - t0)
 
 
-def suite_functorial(report: Report, rng, count: int = 6):
-    kernels = _kernel_library(rng, count + 2)
+def suite_functorial(report: Report, rng, names):
+    kernels = _kernel_library(rng, FUNCTORIAL_CHECKS + 2)
     made = 0
     for k1 in kernels:
         for k2 in kernels:
-            if k1.target != k2.source or made >= count:
+            if k1.target != k2.source or made >= FUNCTORIAL_CHECKS:
                 continue
             made += 1
             t0 = time.monotonic()
@@ -318,7 +322,7 @@ def suite_functorial(report: Report, rng, count: int = 6):
         report.add_report(rep, inputs=f"{k.name} on {m.name}")
 
 
-def suite_morita(report: Report, rng):
+def suite_morita(report: Report, rng, names):
     for name, degree in [("field", 2), ("zn:2", 3), ("s3", None)]:
         a = load_algebra(name)
         t0 = time.monotonic()
@@ -342,12 +346,12 @@ def suite_morita(report: Report, rng):
                           str(ca), str(cb), ca == cb, time.monotonic() - t0))
 
 
-def suite_traces(report: Report, rng, instances: int = 100):
+def suite_traces(report: Report, rng, names):
     z2 = load_algebra("zn:2")
     s3 = load_algebra("s3")
     pool = [simples_of(s3)[i] for i in range(3)] + [simples_of(z2)[i] for i in range(2)]
     # commutativity of the trace on intertwiners
-    for i in range(instances):
+    for i in range(TRACE_INSTANCES):
         m = pool[rng.randrange(len(pool))]
         other = pool[rng.randrange(len(pool))]
         m2 = m.direct_sum(other) if other.algebra == m.algebra else m
@@ -360,7 +364,7 @@ def suite_traces(report: Report, rng, instances: int = 100):
                           m2.name, format_scalar(lhs), format_scalar(rhs),
                           lhs == rhs))
     # naturality of the partial trace
-    for i in range(instances):
+    for i in range(TRACE_INSTANCES):
         fd, gd, hd, ed = (rng.randint(1, 3) for _ in range(4))
         mu = _random_matrix(rng, gd * ed, fd * ed)
         nu = _random_matrix(rng, hd, gd)
@@ -374,7 +378,7 @@ def suite_traces(report: Report, rng, instances: int = 100):
                           f"dims f={fd} g={gd} h={hd} e={ed}",
                           "lhs", "rhs", lhs == rhs))
     # additivity over split triples
-    for i in range(instances):
+    for i in range(TRACE_INSTANCES):
         de, dg, dh = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
         e = _random_matrix(rng, dh * de, de)
         g = _random_matrix(rng, dh * dg, dg)
@@ -386,14 +390,8 @@ def suite_traces(report: Report, rng, instances: int = 100):
                           rep.ok))
 
 
-SUITES = {
-    "hrr": lambda rep, rng, names: suite_hrr(rep, names or HRR_FIXTURES, rng),
-    "cardy": lambda rep, rng, names: suite_cardy(rep, names or HRR_FIXTURES, rng),
-    "adjoint": lambda rep, rng, names: suite_adjoint(rep, rng),
-    "functorial": lambda rep, rng, names: suite_functorial(rep, rng),
-    "morita": lambda rep, rng, names: suite_morita(rep, rng),
-    "traces": lambda rep, rng, names: suite_traces(rep, rng),
-}
+SUITES = {"hrr": suite_hrr, "cardy": suite_cardy, "adjoint": suite_adjoint,
+          "functorial": suite_functorial, "morita": suite_morita, "traces": suite_traces}
 
 
 # --- commands --------------------------------------------------------------------
@@ -422,10 +420,9 @@ def _cmd_center(args, report: Report) -> int:
 
 def _cmd_hh(args, report: Report) -> int:
     a = load_algebra(args.algebra)
-    maxdeg = args.max_degree if args.max_degree is not None else 2
     fn = hh_cohomology_dims if args.cohomology else hh_homology_dims
     t0 = time.monotonic()
-    result = fn(a, maxdeg, normalized=not args.unnormalized)
+    result = fn(a, args.max_degree, normalized=not args.unnormalized)
     elapsed = time.monotonic() - t0
     kind = "cohomology" if args.cohomology else "homology"
     report.line(f"hochschild {kind} dims of {args.algebra} "
@@ -546,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hh", parents=[common],
                        help="hochschild (co)homology dimensions")
     p.add_argument("algebra")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--cohomology", action="store_true")
     p.add_argument("--unnormalized", action="store_true")
     p.set_defaults(fn=_cmd_hh)

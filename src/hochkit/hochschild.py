@@ -40,7 +40,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .algebra import Algebra, a_unit_split, center_basis, commutator_subspace
+from .algebra import Algebra, a_unit_split, center_basis, commutator_subspace, derived
 from .errors import (
     MAX_COORDINATES, AlgebraMismatch, DegreeUnderflow, HochkitError, NotACocycle,
     ShapeMismatch, check_size,
@@ -81,8 +81,7 @@ class ChainComplex:
     def __init__(self, dims: Sequence[int], maps: dict[int, SparseMatrix]):
         self.dims = tuple(dims)
         self.maps = dict(maps)
-        self._rank_cache: dict[int, int] = {}
-        self._pivot_cache: dict[int, tuple | None] = {}  # the ranked part's pivots
+        self._derived: dict = {}
         for n, m in self.maps.items():
             want = (self.dims[n - 1], self.dims[n]) if 0 < n < len(self.dims) else None
             if (m.rows, m.cols) != want:
@@ -98,24 +97,17 @@ class ChainComplex:
         return len(self.dims) - 1
 
     def rank_of_map(self, n: int) -> int:
-        if n not in self.maps:
-            return 0
-        for k in range(min(self.maps), n + 1):
-            if k in self.maps and k not in self._rank_cache:
-                self._rank_cache[k] = self._rank_cleared(k)
-        return self._rank_cache[n]
+        return self._rank_cleared(n)[0] if n in self.maps else 0
 
-    def _rank_cleared(self, n: int) -> int:
-        """rank maps[n], eliminated without the rows at the pivot columns of
-        maps[n - 1] (ranked)."""
+    @derived
+    def _rank_cleared(self, n: int) -> tuple[int, tuple]:
+        """(rank maps[n], the (rows, cols) pivots of what was ranked): maps[n]
+        is eliminated without the rows at the pivot columns of maps[n - 1],
+        itself ranked first."""
         m = self.maps[n]
-        pivots = self._pivot_cache.get(n - 1)  # (rows, cols) of the last one ranked
-        if pivots and pivots[1]:
-            cut = set(pivots[1])
+        if n - 1 in self.maps and (cut := set(self._rank_cleared(n - 1)[1][1])):
             m = m.take_rows([i for i in range(m.rows) if i not in cut])
-        r = rank(m)
-        self._pivot_cache[n] = m.pivots
-        return r
+        return rank(m), m.pivots
 
     def complete_through(self) -> int:
         """Largest degree whose homology both adjacent maps determine;

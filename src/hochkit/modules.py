@@ -180,7 +180,7 @@ def multiplicity_vector(m: ModuleRep, simples: Sequence[ModuleRep]) -> tuple[int
 # --- simples registry ---------------------------------------------------------
 
 def attach_simples(a: Algebra, simples: Sequence[ModuleRep]) -> None:
-    if a.simple_reps is not None:  # mukai keeps data derived from them on `a`
+    if a.simple_reps is not None:  # `derived` data on `a` may already rest on them
         raise HochkitError(f"simples are already attached to {a!r}")
     a.simple_reps = tuple(simples)
 
@@ -300,7 +300,7 @@ class Bimodule:
         self.right = ModuleRep(opposite(source), dim, right, name=name, check=False)
         self.dim = dim
         self.name = name
-        self._transfer: dict = {}  # transfer data, filled lazily by mukai
+        self._derived: dict = {}
 
     def left_action(self, coords_target: Vector) -> SparseMatrix:
         """Action of an element of the target algebra (the left structure)."""

@@ -8,13 +8,13 @@ sum_i Z[j, i] tr(rho(e_i)) (`_center_traces`), and `_classes` turns rows
 into classes.
 
 The three transfer maps of a kernel (pushforward on HH_0, its adjoint, and
-the transport on HH^0) are linear.  Each is cached on the kernel as one
-matrix, the images of the center basis (from one pass over the kernel
+the transport on HH^0) are linear.  Each is one `derived` matrix of the
+kernel, the images of the center basis (from one pass over the kernel
 applied to each simple) times the map reading coordinates at the basis
-pivots, and applied to an input class.  What depends on the algebra alone
-(the pairing's dual basis, the simples' Chern expansion, endomorphisms,
-traces and character system) is solved once and cached on the algebra, so
-per kernel only the transport solves a system (`_solve_central`).
+pivots, applied to an input class.  What depends on the algebra alone (the
+pairing's dual basis, the simples' Chern expansion, endomorphisms, traces
+and character system) is `derived` from the algebra, so per kernel only
+the transport solves a system (`_solve_central`).
 
 Normalization, fixed throughout: the trace on End(M) is the ordinary
 matrix trace, and the trace on bimodule endomorphisms (central elements)
@@ -38,7 +38,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import Algebra, center_basis, matrix_algebra, regular_trace, tensor, trace_form
+from .algebra import (
+    Algebra, center_basis, derived, matrix_algebra, regular_trace, tensor, trace_form,
+)
 from .errors import (
     AlgebraMismatch, AugmentationNot1Dim, HochkitError, MissingSerreData, NotIntertwiner,
     RoutesDisagree, ShapeMismatch, SingularGram,
@@ -267,25 +269,22 @@ def _solve_central(a: Algebra, system: SparseMatrix, rhs: SparseMatrix,
     return basis * x
 
 
+@derived
 def _center_coords(a: Algebra) -> SparseMatrix:
     """The |Z_a| x a.dim map reading a central element's coordinates in
     center_basis(a): its entries at the pivots of that reduced echelon basis."""
-    if "coords" not in a._transfer:
-        z = center_basis(a)
-        a._transfer["coords"] = SparseMatrix(z.rows, a.dim, {
-            (r, next(i for i, c in enumerate(z.row_vector(r)) if c)): 1 for r in range(z.rows)})
-    return a._transfer["coords"]
+    z = center_basis(a)
+    return SparseMatrix(z.rows, a.dim, {
+        (r, next(i for i, c in enumerate(z.row_vector(r)) if c)): 1 for r in range(z.rows)})
 
 
+@derived
 def _dual_basis(a: Algebra) -> SparseMatrix:
     """D_a = Z_a^T G_a^-1 (a.dim x |Z_a|), solved once per algebra: column j is
     the central z_j^v with hochschild_trace(z_j^v * z_i) = [i == j] for the
     center basis z_i.  Raises SingularGram when the pairing is degenerate."""
-    if "dual" not in a._transfer:
-        a._transfer["dual"] = _solve_central(a, pairing_gram(a),
-                                             SparseMatrix.identity(center_basis(a).rows),
-                                             "trace pairing on the center is singular here")
-    return a._transfer["dual"]
+    return _solve_central(a, pairing_gram(a), SparseMatrix.identity(center_basis(a).rows),
+                          "trace pairing on the center is singular here")
 
 
 def _from_traces(a: Algebra, traces: Vector) -> MukaiClass:
@@ -387,29 +386,40 @@ def cardy_check(e_mod: ModuleRep, f_mod: ModuleRep,
 
 # --- transfer maps ----------------------------------------------------------------
 
+@derived
 def _applied_simples(k: Bimodule) -> list[tuple[ModuleRep, AppliedKernel]]:
     """(S, K applied to S) for every simple S of the source, once per kernel."""
-    if "applied" not in k._transfer:
-        k._transfer["applied"] = [(s, apply_kernel_full(k, s)) for s in simples_of(k.source)]
-    return k._transfer["applied"]
+    return [(s, apply_kernel_full(k, s)) for s in simples_of(k.source)]
 
 
+@derived
 def _character_system(a: Algebra) -> tuple:
     """(End(S) bases, P, W_a, Q, C) once per algebra, for S_a with rows tr(z_j|_S o mu)
     (simples S, basis intertwiners mu), its pivot rows P, other rows Q, W_a = Z_a^T S_a[P]^-1
     and C = S_a[Q] S_a[P]^-1: S_a X = R is solvable iff C R[P] = R[Q], then Z_a^T X = W_a R[P]."""
-    if "character" not in a._transfer:
-        ends = [hom_space(s, s).basis for s in simples_of(a)]
-        system = SparseMatrix.from_dense([_center_traces(s, mu) for s, basis
-                                          in zip(simples_of(a), ends) for mu in basis])
-        if rank(system) < center_basis(a).rows:
-            raise SingularGram("character system of the simples does not determine z")
-        pivots = system.pivots[0]
-        others = [r for r in range(system.rows) if r not in pivots]
-        inverse = solve(system.take_rows(pivots), SparseMatrix.identity(len(pivots)))
-        a._transfer["character"] = (ends, pivots, center_basis(a).transpose() * inverse,
-                                    others, system.take_rows(others) * inverse)
-    return a._transfer["character"]
+    ends = [hom_space(s, s).basis for s in simples_of(a)]
+    system = SparseMatrix.from_dense([_center_traces(s, mu) for s, basis
+                                      in zip(simples_of(a), ends) for mu in basis])
+    if rank(system) < center_basis(a).rows:
+        raise SingularGram("character system of the simples does not determine z")
+    pivots = system.pivots[0]
+    others = [r for r in range(system.rows) if r not in pivots]
+    inverse = solve(system.take_rows(pivots), SparseMatrix.identity(len(pivots)))
+    return (ends, pivots, center_basis(a).transpose() * inverse,
+            others, system.take_rows(others) * inverse)
+
+
+@derived
+def _adjoint_matrix(k: Bimodule) -> SparseMatrix:
+    """W_a R[P] on target center coordinates, R the character rows of the K(S)."""
+    ends, pivots, weights, others, residual = _character_system(k.source)
+    rhs = SparseMatrix.from_dense([
+        _center_traces(applied.module, applied.map_morphism(mu))
+        for (_, applied), basis in zip(_applied_simples(k), ends) for mu in basis])
+    head = rhs.take_rows(pivots)
+    if residual * head != rhs.take_rows(others):
+        raise SingularGram("character system of the simples does not determine z")
+    return weights * head * _center_coords(k.target)
 
 
 def adjoint_transfer(k: Bimodule, nu: MukaiClass) -> MukaiClass:
@@ -421,16 +431,37 @@ def adjoint_transfer(k: Bimodule, nu: MukaiClass) -> MukaiClass:
         raise AlgebraMismatch("class must live over the kernel's target")
     if a.serre is None or b.serre is None:
         raise MissingSerreData("adjoint transfer needs Frobenius data on both sides")
-    if "adjoint" not in k._transfer:
-        ends, pivots, weights, others, residual = _character_system(a)
-        rhs = SparseMatrix.from_dense([
-            _center_traces(applied.module, applied.map_morphism(mu))
-            for (_, applied), basis in zip(_applied_simples(k), ends) for mu in basis])
-        head = rhs.take_rows(pivots)
-        if residual * head != rhs.take_rows(others):
-            raise SingularGram("character system of the simples does not determine z")
-        k._transfer["adjoint"] = weights * head * _center_coords(b)
-    return MukaiClass(a, k._transfer["adjoint"].apply(nu.coords), _checked=True)
+    return MukaiClass(a, _adjoint_matrix(k).apply(nu.coords), _checked=True)
+
+
+@derived
+def _chern_expansion(a: Algebra) -> SparseMatrix:
+    """E_a, whose column j expands the center basis vector z_j over the ch(S)."""
+    system = SparseMatrix.from_columns([chern(s).coords for s in simples_of(a)], a.dim)
+    if (expansions := solve(system, center_basis(a).transpose())) is None:
+        raise SingularGram("simples' Chern characters do not span the center")
+    return expansions
+
+
+@derived
+def _pushforward_matrix(k: Bimodule) -> SparseMatrix:
+    """The pushforward of `k` on coordinates, by the two routes of `pushforward`."""
+    a, b = k.source, k.target
+    expansions = _chern_expansion(a)  # route A
+    pushed = SparseMatrix.from_columns(
+        [chern(applied.module).coords for _, applied in _applied_simples(k)], b.dim)
+    route_a = pushed * expansions
+    # route B
+    pulled = SparseMatrix.from_dense(
+        [adjoint_transfer(k, nu).coords for nu in _classes(b, center_basis(b))])
+    route_b = _dual_basis(b) * (pulled * trace_form(a) * center_basis(a).transpose())
+    if route_a != route_b:
+        for image_a, image_b in zip(_classes(b, route_a.transpose()),
+                                    _classes(b, route_b.transpose())):
+            if image_a != image_b:
+                raise RoutesDisagree(
+                    f"pushforward routes disagree: {image_a!r} vs {image_b!r}")
+    return route_a * _center_coords(a)
 
 
 def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
@@ -446,32 +477,9 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
     Disagreement raises RoutesDisagree: it indicates an implementation bug
     and is never swallowed.
     """
-    a, b = k.source, k.target
-    if v.algebra != a:
+    if v.algebra != k.source:
         raise AlgebraMismatch("class must live over the kernel's source")
-    if "pushforward" not in k._transfer:
-        zbasis = center_basis(a)
-        # route A
-        if "expand" not in a._transfer:
-            system = SparseMatrix.from_columns([chern(s).coords for s in simples_of(a)], a.dim)
-            if (expansions := solve(system, zbasis.transpose())) is None:
-                raise SingularGram("simples' Chern characters do not span the center")
-            a._transfer["expand"] = expansions
-        pushed = SparseMatrix.from_columns(
-            [chern(applied.module).coords for _, applied in _applied_simples(k)], b.dim)
-        route_a = pushed * a._transfer["expand"]
-        # route B
-        pulled = SparseMatrix.from_dense(
-            [adjoint_transfer(k, nu).coords for nu in _classes(b, center_basis(b))])
-        route_b = _dual_basis(b) * (pulled * trace_form(a) * zbasis.transpose())
-        if route_a != route_b:
-            for image_a, image_b in zip(_classes(b, route_a.transpose()),
-                                        _classes(b, route_b.transpose())):
-                if image_a != image_b:
-                    raise RoutesDisagree(
-                        f"pushforward routes disagree: {image_a!r} vs {image_b!r}")
-        k._transfer["pushforward"] = route_a * _center_coords(a)
-    return MukaiClass(b, k._transfer["pushforward"].apply(v.coords), _checked=True)
+    return MukaiClass(k.target, _pushforward_matrix(k).apply(v.coords), _checked=True)
 
 
 def adjointness_check(k: Bimodule) -> CheckReport:
@@ -523,28 +531,36 @@ def morita_kernel(a: Algebra, n: int) -> Bimodule:
                     name=f"morita({n})")
 
 
+@derived
+def _simple_traces(a: Algebra) -> list[Vector]:
+    """(tr(z_j on S))_j for every simple S of `a`."""
+    return [_center_traces(s) for s in simples_of(a)]
+
+
+@derived
+def _transport_matrix(k: Bimodule) -> SparseMatrix:
+    """`cohomology_transport` on coordinates: its images of the center basis."""
+    rows, rhs = [], []
+    for (s, applied), traces in zip(_applied_simples(k), _simple_traces(k.source)):
+        rows.append(_center_traces(applied.module))
+        # the scalar by which each source basis vector acts on S
+        omegas = [t / cyc(s.dim) for t in traces]
+        rhs.append([omega * cyc(applied.module.dim) for omega in omegas])
+    images = _solve_central(k.target, SparseMatrix.from_dense(rows),
+                            SparseMatrix.from_dense(rhs),
+                            "kernel images do not determine the transported element")
+    return images * _center_coords(k.source)
+
+
 def cohomology_transport(k: Bimodule, nu: MukaiClass) -> MukaiClass:
     """Transport a central element along an equivalence kernel: the unique
     central element of the target acting on each K(S) by the same scalar by
     which nu acts on the simple S.  This is the degree-0 piece of the ring
     isomorphism on cohomology (distinct from the pushforward on homology).
     The images of the source center basis are solved once per kernel."""
-    a, b = k.source, k.target
-    if nu.algebra != a:
+    if nu.algebra != k.source:
         raise AlgebraMismatch("element must live over the kernel's source")
-    if "transport" not in k._transfer:
-        rows, rhs = [], []
-        if "traces" not in a._transfer:
-            a._transfer["traces"] = [_center_traces(s) for s in simples_of(a)]
-        for (s, applied), traces in zip(_applied_simples(k), a._transfer["traces"]):
-            rows.append(_center_traces(applied.module))
-            # the scalar by which each source basis vector acts on S
-            omegas = [t / cyc(s.dim) for t in traces]
-            rhs.append([omega * cyc(applied.module.dim) for omega in omegas])
-        images = _solve_central(b, SparseMatrix.from_dense(rows), SparseMatrix.from_dense(rhs),
-                                "kernel images do not determine the transported element")
-        k._transfer["transport"] = images * _center_coords(a)
-    return MukaiClass(b, k._transfer["transport"].apply(nu.coords), _checked=True)
+    return MukaiClass(k.target, _transport_matrix(k).apply(nu.coords), _checked=True)
 
 
 def morita_isometry_check(a: Algebra, n: int,

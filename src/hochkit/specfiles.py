@@ -20,11 +20,12 @@ Module file:
     action 1 = [[-1]]
 
 Scalars use the shared text syntax (`1/2 + 1/2*z3^1`).  Each key is given
-once, `label i` and `action i` once per index and `mult i j` once per pair,
-and a sparse vector names each index once.  A list may not hold an empty
-item, and an integer outside its range (`dim` and `field_order` at least 1,
-an index inside its dimension) is refused.  Parse errors carry the line and
-column of the offending token.
+once, and a one-word key as one word; `label i` and `action i` once per
+index and `mult i j` once per pair, and a sparse vector names each index
+once.  A list may not hold an empty item, and an integer outside its range
+(`dim` and `field_order` at least 1, an index inside its dimension) is
+refused.  Parse errors carry the line and column of the offending token; an
+`algebra` value that does not resolve is refused with its line.
 
 The same readers (`split_items`, `parse_int`, `_parse_vector`,
 `_parse_matrix`) read the fixture grammar and the command line, whose input
@@ -79,16 +80,17 @@ def split_items(text: str, line: Optional[int] = None) -> list[str]:
 
 
 def parse_int(text: str, what: str, line: Optional[int] = None,
-              low: Optional[int] = None, high: Optional[int] = None) -> int:
+              low: Optional[int] = None, high: Optional[int] = None,
+              col: Optional[int] = None) -> int:
     """The integer `text`, refused outside low..high (a `high` needs a `low`)."""
     try:
         n = int(text)
     except ValueError:
-        raise ParseError(f"bad {what} {text!r}", line=line) from None
+        raise ParseError(f"bad {what} {text!r}", line=line, col=col) from None
     if high is not None and not low <= n <= high:
-        raise ParseError(f"{what} {n} out of range {low}..{high}", line=line)
+        raise ParseError(f"{what} {n} out of range {low}..{high}", line=line, col=col)
     if low is not None and n < low:
-        raise ParseError(f"{what} must be at least {low}, got {n}", line=line)
+        raise ParseError(f"{what} must be at least {low}, got {n}", line=line, col=col)
     return n
 
 
@@ -134,6 +136,13 @@ def _first(seen: set, key: tuple, line: int) -> None:
     seen.add(key)
 
 
+def _single(seen: set, words: list[str], line: int) -> None:
+    """Refuse more words after a one-word key, and a second assignment to it."""
+    if len(words) != 1:
+        raise ParseError(f"expected '{words[0]} = ...', got {' '.join(words)!r}", line=line)
+    _first(seen, (words[0],), line)
+
+
 def parse_algebra_file(text: str, name: str = "file") -> Algebra:
     dim: Optional[int] = None
     field_order = 1
@@ -144,7 +153,7 @@ def parse_algebra_file(text: str, name: str = "file") -> Algebra:
     seen: set = set()
     for lineno, words, value in _parse_assignments(text):
         if words[0] in ("dim", "field_order", "unit", "frobenius"):
-            _first(seen, (words[0],), lineno)
+            _single(seen, words, lineno)
         if words[0] in ("unit", "mult", "frobenius") and dim is None:
             raise ParseError(f"dim must come before {words[0]}", line=lineno)
         if words[0] == "dim":
@@ -187,9 +196,12 @@ def parse_module_file(text: str, resolve_algebra: Callable[[str], Algebra],
     seen: set = set()
     for lineno, words, value in _parse_assignments(text):
         if words[0] in ("algebra", "dim"):
-            _first(seen, (words[0],), lineno)
+            _single(seen, words, lineno)
         if words[0] == "algebra":
-            algebra = resolve_algebra(value)
+            try:
+                algebra = resolve_algebra(value)
+            except ParseError as exc:
+                raise ParseError(f"bad algebra {value!r}: {exc}", line=lineno) from None
         elif words[0] == "dim":
             dim = parse_int(value, "dim", lineno, low=1)
         elif words[0] == "action":

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebra import Algebra, field_algebra, tensor
+from .algebra import Algebra, derived, field_algebra, tensor
 from .errors import (
     MAX_COORDINATES, ArityMismatch, DegreeUnderflow, HochkitError, MissingAugmentation,
     ParseError, check_size,
@@ -50,6 +50,7 @@ from .errors import (
 from .linalg import SparseMatrix, kron
 from .modules import Bimodule, ModuleRep, balanced_tensor, parallel_kernels, regular_bimodule
 from .scalars import ONE, ZERO
+from .specfiles import parse_int
 
 GENERATORS = {
     "cap_in": (0, 1),
@@ -155,12 +156,7 @@ class CobordismWord:
 def parse_word(text: str) -> CobordismWord:
     text = text.strip()
     if text.startswith("genus:"):
-        try:
-            g = int(text[len("genus:"):])
-        except ValueError:
-            raise ParseError(f"invalid genus in {text!r}") from None
-        if g < 0:
-            raise ParseError("genus must be non-negative")
+        g = parse_int(text[len("genus:"):], "genus", low=0)
         check_size(2 * g + 2, MAX_WORD_STEPS, lambda: f"the genus-{g} word has {2 * g + 2} steps")
         steps = [("cap_in", 0)]
         steps += [("pants_split", 0), ("pants_merge", 0)] * g
@@ -170,10 +166,7 @@ def parse_word(text: str) -> CobordismWord:
     for col, token in _tokens_with_columns(text):
         if "@" in token:
             gen, _, pos_text = token.partition("@")
-            try:
-                pos = int(pos_text)
-            except ValueError:
-                raise ParseError(f"invalid position in {token!r}", col=col) from None
+            pos = parse_int(pos_text, "position", low=0, col=col)
         else:
             gen, pos = token, 0
         if gen not in GENERATORS:
@@ -205,49 +198,41 @@ class GeneratorKernels:
         self.algebra = a
         self.augmentation = augmentation
         self.field = field_algebra()
-        self._cache: dict[str, Bimodule] = {}
+        self._derived: dict = {}
 
+    @derived
     def cap_in(self) -> Bimodule:
         """field -> A: the structure module as a kernel."""
-        if "cap_in" not in self._cache:
-            self._cache["cap_in"] = Bimodule(
-                self.field, self.algebra, 1, self.augmentation.action,
-                [SparseMatrix.identity(1)], name="cap_in")
-        return self._cache["cap_in"]
+        return Bimodule(self.field, self.algebra, 1, self.augmentation.action,
+                        [SparseMatrix.identity(1)], name="cap_in")
 
+    @derived
     def cap_out(self) -> Bimodule:
         """A -> field: the structure module on the other side."""
-        if "cap_out" not in self._cache:
-            self._cache["cap_out"] = Bimodule(
-                self.algebra, self.field, 1, [SparseMatrix.identity(1)],
-                self.augmentation.action, name="cap_out")
-        return self._cache["cap_out"]
+        return Bimodule(self.algebra, self.field, 1, [SparseMatrix.identity(1)],
+                        self.augmentation.action, name="cap_out")
 
+    @derived
     def pants_split(self) -> Bimodule:
         """A -> A(x)A: induction along the diagonal; A(x)A with the regular
         left action and the diagonal right action."""
-        if "pants_split" not in self._cache:
-            a, d = self.algebra, self.algebra.dim
-            self._cache["pants_split"] = Bimodule(
-                a, tensor(a, a), d * d,
-                [kron(a.basis_left_mult(l1), a.basis_left_mult(l2))
-                 for l1 in range(d) for l2 in range(d)],
-                [kron(a.basis_right_mult(g), a.basis_right_mult(g)) for g in range(d)],
-                name="pants_split")
-        return self._cache["pants_split"]
+        a, d = self.algebra, self.algebra.dim
+        return Bimodule(a, tensor(a, a), d * d,
+                        [kron(a.basis_left_mult(l1), a.basis_left_mult(l2))
+                         for l1 in range(d) for l2 in range(d)],
+                        [kron(a.basis_right_mult(g), a.basis_right_mult(g)) for g in range(d)],
+                        name="pants_split")
 
+    @derived
     def pants_merge(self) -> Bimodule:
         """A(x)A -> A: restriction along the diagonal; A(x)A with the
         diagonal left action and the regular right action."""
-        if "pants_merge" not in self._cache:
-            a, d = self.algebra, self.algebra.dim
-            self._cache["pants_merge"] = Bimodule(
-                tensor(a, a), a, d * d,
-                [kron(a.basis_left_mult(g), a.basis_left_mult(g)) for g in range(d)],
-                [kron(a.basis_right_mult(r1), a.basis_right_mult(r2))
-                 for r1 in range(d) for r2 in range(d)],
-                name="pants_merge")
-        return self._cache["pants_merge"]
+        a, d = self.algebra, self.algebra.dim
+        return Bimodule(tensor(a, a), a, d * d,
+                        [kron(a.basis_left_mult(g), a.basis_left_mult(g)) for g in range(d)],
+                        [kron(a.basis_right_mult(r1), a.basis_right_mult(r2))
+                         for r1 in range(d) for r2 in range(d)],
+                        name="pants_merge")
 
     def step_kernel(self, gen: str, pos: int, arity: int) -> Bimodule:
         """Kernel of one generator acting at `pos` with identity kernels on

@@ -260,6 +260,36 @@ def test_semisimplicity_of_combinators_follows_their_factors():
     assert verdicts == {True, False}
 
 
+def test_derived_builds_once_per_object_and_arguments():
+    from hochkit.algebra import derived
+
+    class Owner:
+        def __init__(self):
+            self._derived = {}
+
+    builds = []
+
+    @derived
+    def scaled(obj, factor):
+        builds.append(factor)
+        if factor < 0:
+            raise ValueError(factor)
+        return [factor] * 2
+
+    first, second = Owner(), Owner()
+    kept = scaled(first, 2)
+    assert scaled(first, 2) is kept and builds == [2]
+    assert scaled(first, 3) == [3, 3] and builds == [2, 3]
+    assert scaled(second, 2) is not kept and builds == [2, 3, 2]
+    before = dict(first._derived)
+    with pytest.raises(ValueError):
+        scaled(first, -1)
+    assert first._derived == before
+    with pytest.raises(ValueError):
+        scaled(first, -1)  # a failed build is not remembered either
+    assert builds == [2, 3, 2, -1, -1]
+
+
 def test_frobenius_gram_defects_keep_their_messages():
     # the Frobenius Gram comes from the same form builder as the trace form
     m2, dual = matrix_algebra(2), algebra_fixture("dual")

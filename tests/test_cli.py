@@ -175,6 +175,59 @@ def test_repeated_key_in_spec_file_is_usage_error(kind, command, line, edited, r
     assert err.startswith(f"error: {refused}") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, line, edited", [
+    ("alg", "dim = 2", "dim 7 = 2"),
+    ("alg", "field_order = 2", "field_order x = 1"),
+    ("alg", "unit = [1, 0]", "unit junk = [1, 0]"),
+    ("alg", "frobenius = [1, 0]", "frobenius junk = [1, 0]"),
+    ("mod", "algebra = zn:2", "algebra junk = zn:2"),
+    ("mod", "dim = 1", "dim junk = 1"),
+], ids=["dim", "field-order", "unit", "frobenius", "algebra", "module-dim"])
+def test_extra_words_after_a_one_word_key_are_usage_errors(kind, line, edited,
+                                                           tmp_path, capsys):
+    # the extra words used to be dropped, and `dim 7 = 2` read as `dim = 2`
+    text = Z2_ALGEBRA_TEXT if kind == "alg" else SIGN_MODULE_TEXT
+    lineno = text.splitlines().index(line) + 1
+    path = tmp_path / f"extra.{kind}"
+    path.write_text(text.replace(line, edited))
+    assert run(["validate", str(path)] if kind == "alg" else ["chern", "zn:2", str(path)]) == 2
+    key = edited.partition("=")[0].strip()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: expected '{key.split()[0]} = ...', got {key!r} "
+                          f"(line {lineno})")
+    assert "Traceback" not in err
+
+
+def test_module_file_algebra_that_does_not_resolve_names_its_line(tmp_path, capsys):
+    path = tmp_path / "lost.mod"
+    path.write_text(SIGN_MODULE_TEXT.replace("algebra = zn:2", "algebra = nosuch"))
+    assert run(["chern", "zn:2", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad algebra 'nosuch': unknown algebra fixture 'nosuch' "
+                          "(line 2)")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("word, refused", [
+    ("genus:-1", "genus must be at least 0, got -1"),
+    ("genus:x", "bad genus 'x'"),
+    ("cap_in@x cap_out", "bad position 'x' (col 1)"),
+    ("cap_in cap_in@-1 pants_merge cap_out", "position must be at least 0, got -1 (col 8)"),
+])
+def test_word_integers_are_read_by_the_shared_reader(word, refused, capsys):
+    assert run(["tqft", "zn:2", "--word", word]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {refused}") and "Traceback" not in err
+
+
+def test_every_suite_takes_report_rng_and_names():
+    import inspect
+    from hochkit import cli
+    for name, suite in cli.SUITES.items():
+        assert suite is getattr(cli, f"suite_{name}")
+        assert list(inspect.signature(suite).parameters) == ["report", "rng", "names"]
+
+
 def test_label_may_come_before_dim():
     a = parse_algebra_file("label 1 = s\n" + Z2_ALGEBRA_TEXT.replace("label 1 = s\n", ""))
     assert a.labels == ("e", "s")

@@ -779,7 +779,7 @@ def test_pairing_gram_built_once_per_algebra(monkeypatch):
     monkeypatch.setattr(mukai, "pairing_gram", counted)
     rng = random.Random(61)
     s3 = algebra_fixture("s3")
-    monkeypatch.setattr(s3, "_transfer", {})  # the fixture is shared
+    monkeypatch.setattr(s3, "_derived", {})  # the fixture is shared
     for m in simples_of(s3):
         chern(m)
         iota_solve(m, rand_intertwiner(rng, m))
@@ -893,9 +893,16 @@ def per_kernel_transfer_matrices(k):
     return adjoint * _center_coords(b), pushed * expansions * _center_coords(a)
 
 
+def _kept(obj, builder):
+    """Whether `obj._derived` holds a value built by the `derived` function `builder`."""
+    return any(key[0] is builder.__wrapped__ for key in obj._derived)
+
+
 def _cached_transfer_matrices(k):
+    from hochkit.mukai import _adjoint_matrix, _pushforward_matrix
     pushforward(k, MukaiClass(k.source, k.source.unit, _checked=True))
-    return k._transfer["adjoint"], k._transfer["pushforward"]
+    assert _kept(k, _adjoint_matrix) and _kept(k, _pushforward_matrix)
+    return _adjoint_matrix(k), _pushforward_matrix(k)
 
 
 def _zn3_with(picks):
@@ -931,8 +938,9 @@ def test_cached_transfer_matrices_match_per_kernel_solves():
     assert got == [per_kernel_transfer_matrices(k) for k in kernels]
 
 
-def test_overdetermined_character_system():
-    from hochkit.mukai import _applied_simples, _character_system
+def test_overdetermined_character_system(monkeypatch):
+    import hochkit.mukai as mukai
+    from hochkit.mukai import _adjoint_matrix, _applied_simples, _character_system
     z4 = algebra_fixture("zn:4")
 
     def kernel(a):
@@ -947,31 +955,32 @@ def test_overdetermined_character_system():
     # contradict those of the first chi1
     k = kernel(twice)
     applied = _applied_simples(k)
-    k._transfer["applied"] = applied[:3] + [(applied[3][0], applied[2][1])]
+    monkeypatch.setattr(mukai, "_applied_simples",
+                        lambda _: applied[:3] + [(applied[3][0], applied[2][1])])
     with pytest.raises(SingularGram, match="character system"):
         adjoint_transfer(k, MukaiClass(z4, z4.unit, _checked=True))
-    assert "adjoint" not in k._transfer
+    assert not _kept(k, _adjoint_matrix)
 
 
 def test_failed_algebra_side_solves_cache_nothing():
     from hochkit.algebra import Algebra, DictSC, SerreData
     from hochkit.linalg import unit_vector
-    from hochkit.mukai import _dual_basis
+    from hochkit.mukai import _character_system, _chern_expansion, _dual_basis
     z4 = algebra_fixture("zn:4")
     a = _zn3_with([0, 1])  # chi2 missing: neither system spans the center
     k = outer_kernel(simples_of(a)[1].dual(), simples_of(z4)[3], a)
     with pytest.raises(SingularGram, match="do not span"):
         pushforward(k, MukaiClass(a, a.unit, _checked=True))
-    assert "expand" not in a._transfer
+    assert _kept(a, _dual_basis) and not _kept(a, _chern_expansion)
     with pytest.raises(SingularGram, match="character system"):
         adjoint_transfer(k, MukaiClass(z4, z4.unit, _checked=True))
-    assert "character" not in a._transfer
+    assert not _kept(a, _character_system)
     sc = DictSC({(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE}, (1, 1): {}})
     weird = Algebra(2, sc, unit_vector(2, 0), serre=SerreData(vec([0, 1])),
                     provenance=("custom", "dual-with-form"))
     with pytest.raises(SingularGram, match="singular"):
         _dual_basis(weird)
-    assert "dual" not in weird._transfer
+    assert not _kept(weird, _dual_basis)
 
 
 def test_algebra_side_systems_solved_once_per_source(monkeypatch):
@@ -980,7 +989,7 @@ def test_algebra_side_systems_solved_once_per_source(monkeypatch):
     import hochkit.mukai as mukai
     z3, z4, s3 = (algebra_fixture(n) for n in ("zn:3", "zn:4", "s3"))
     for a in (z3, z4, s3):
-        monkeypatch.setattr(a, "_transfer", {})  # the fixtures are shared
+        monkeypatch.setattr(a, "_derived", {})  # the fixtures are shared
     ends, solves = [], []
     real_hom, real_solve = mukai.hom_space, mukai.solve
 
