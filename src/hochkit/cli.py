@@ -8,7 +8,10 @@
     hochkit pairing <algebra> <z1> <z2>
     hochkit pushforward <kernel> <z>
     hochkit tqft <algebra> (--word "<word>" | --genus N)
-    hochkit verify {hrr,cardy,adjoint,functorial,morita,traces,all} [fixtures..]
+    hochkit verify {hrr,cardy,all} [fixtures..]
+    hochkit verify {adjoint,functorial,morita,traces}
+
+Only hrr and cardy read a fixture list; `verify all` hands it to them.
 
 Algebras resolve in order: an existing file path, a file named
 `<name>.alg` under $HOCHKIT_FIXTURES, then the built-in fixture grammar
@@ -392,6 +395,7 @@ def suite_traces(report: Report, rng, names):
 
 SUITES = {"hrr": suite_hrr, "cardy": suite_cardy, "adjoint": suite_adjoint,
           "functorial": suite_functorial, "morita": suite_morita, "traces": suite_traces}
+FIXTURE_SUITES = ("hrr", "cardy", "all")  # the verify arguments that take fixture names
 
 
 # --- commands --------------------------------------------------------------------
@@ -515,6 +519,8 @@ def _cmd_tqft(args, report: Report) -> int:
 
 
 def _cmd_verify(args, report: Report) -> int:
+    if args.fixtures and args.suite not in FIXTURE_SUITES:
+        raise ParseError(f"verify {args.suite} takes no fixtures")
     rng = random.Random(args.seed)
     names = args.fixtures or None
     for suite_name in SUITES if args.suite == "all" else [args.suite]:

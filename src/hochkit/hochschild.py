@@ -27,8 +27,11 @@ The reduced (normalized) route is the default: interior letters span a
 complement of the unit, which shrinks dim(A)^n to (dim(A)-1)^n and makes
 degree-3 computations feasible at dim 6-8.  The unnormalized route, on which
 cup and cap live, is kept as an independent cross-check; the alphabet is the
-only place the two routes differ.  A `ChainComplex` checks d o d = 0 and
-ranks each differential on what its neighbour leaves.
+only place the two routes differ.  A `ChainComplex` ranks each differential
+on what its neighbour leaves and proves d o d = 0 on the pivot rows of each
+rank, by induction in degree: the first map is ranked whole, and once
+maps[n - 1] maps[n] = 0 is proved, the rows clearing cut from maps[n] are
+combinations of the rows it kept, so its pivot rows span all of its rows.
 
 A homology dimension in degree k is only reported when both adjacent
 differentials were built (`complete_through` tracks this); the CLI marks
@@ -64,8 +67,7 @@ class ChainComplex:
     degree n.  A chain complex hands over its boundaries, maps[n] = b_n, and
     a cochain complex the transposes of its coboundaries,
     maps[n + 1] = (delta^n)^T.  Either way the homology in degree k has
-    dimension dim C_k - rank maps[k] - rank maps[k + 1], and
-    maps[n] maps[n + 1] = 0 is checked exactly at assembly.
+    dimension dim C_k - rank maps[k] - rank maps[k + 1].
 
     Ranks are taken in degree order, each map ranked only on what its
     neighbour maps[n - 1] leaves (the clearing of persistent homology).
@@ -75,7 +77,15 @@ class ChainComplex:
     f lies in ker g, so the rows Q of f are combinations of its other rows,
     and rank f is the rank of f without them.  The rows of f not cut keep
     their indices, and its columns, on which maps[n + 1] is cut next, are
-    untouched.  This rests on d o d = 0, which the constructor has proved.
+    untouched.
+
+    The constructor proves maps[n] maps[n + 1] = 0 exactly, in degree order,
+    on the pivot rows P_n of the cleared rank of maps[n] alone.  P_1 spans
+    the rows of maps[1], which nothing cuts.  Once maps[n - 1] maps[n] = 0 is
+    proved, the rows cut from maps[n] are combinations of the rows kept, so
+    P_n spans all its rows, and maps[n] maps[n + 1] = 0 if and only if its
+    rows P_n times maps[n + 1] are zero (Bauer, Kerber and Reininghaus,
+    *Clear and Compress*, 2014; Chen and Kerber, 2011).
     """
 
     def __init__(self, dims: Sequence[int], maps: dict[int, SparseMatrix]):
@@ -87,27 +97,32 @@ class ChainComplex:
             if (m.rows, m.cols) != want:
                 raise ShapeMismatch(f"the map between degrees {n - 1} and {n} has shape "
                                     f"{(m.rows, m.cols)}, not {want}")
-        for n, m in self.maps.items():
-            nxt = self.maps.get(n + 1)
-            if nxt is not None and not (m * nxt).is_zero():
-                raise HochkitError(f"differential composite at degree {n} is nonzero")
+        for n in sorted(self.maps):
+            if n + 1 in self.maps:
+                on_pivots = self.maps[n].take_rows(self._pivots_cleared(n)[0])
+                if not (on_pivots * self.maps[n + 1]).is_zero():
+                    raise HochkitError(f"differential composite at degree {n} is nonzero")
 
     @property
     def top_degree(self) -> int:
         return len(self.dims) - 1
 
     def rank_of_map(self, n: int) -> int:
-        return self._rank_cleared(n)[0] if n in self.maps else 0
+        return len(self._pivots_cleared(n)[0]) if n in self.maps else 0
 
     @derived
-    def _rank_cleared(self, n: int) -> tuple[int, tuple]:
-        """(rank maps[n], the (rows, cols) pivots of what was ranked): maps[n]
-        is eliminated without the rows at the pivot columns of maps[n - 1],
-        itself ranked first."""
+    def _pivots_cleared(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (rows, cols) pivots of maps[n], rows in its own indices: it is
+        ranked without the rows at the pivot columns of maps[n - 1], itself
+        ranked first."""
         m = self.maps[n]
-        if n - 1 in self.maps and (cut := set(self._rank_cleared(n - 1)[1][1])):
-            m = m.take_rows([i for i in range(m.rows) if i not in cut])
-        return rank(m), m.pivots
+        kept = range(m.rows)
+        if n - 1 in self.maps and (cut := set(self._pivots_cleared(n - 1)[1])):
+            kept = [i for i in kept if i not in cut]
+            m = m.take_rows(kept)
+        rank(m)
+        rows, cols = m.pivots
+        return tuple(kept[i] for i in rows), cols
 
     def complete_through(self) -> int:
         """Largest degree whose homology both adjacent maps determine;
@@ -335,8 +350,10 @@ class Chain(_BarElement):
     """An element of C_n = A^(x (n+1)) on the unnormalized complex."""
 
 
-# One differential alone, under the guards of its complex; no complex is built.
+# One differential alone, under the guards of its complex; no complex is
+# built, and each is built once per algebra and degree.
 
+@derived
 def _unnormalized_cochain_map(a: Algebra, n: int) -> SparseMatrix:
     """delta^n itself, rows on C^(n+1)."""
     check_maxdeg(n, MAX_DEGREE)
@@ -344,6 +361,7 @@ def _unnormalized_cochain_map(a: Algebra, n: int) -> SparseMatrix:
     return _coboundary(n, *_tables(a, False)).transpose()
 
 
+@derived
 def _unnormalized_chain_map(a: Algebra, n: int) -> SparseMatrix:
     check_maxdeg(n, MAX_DEGREE + 1)
     _guarded_dims(a.dim, n, a.dim)

@@ -293,18 +293,16 @@ def hstack(rows: int, blocks: Sequence[SparseMatrix]) -> SparseMatrix:
 
 
 def _row_products(left: list[dict], right: list[dict], zero) -> list[dict]:
-    """Rows of left * right; entries that cancel are dropped on the spot."""
+    """Rows of left * right; entries that cancel are dropped once a row is summed."""
     data = []
     for row in left:
         acc = {}
         for k, a in row.items():
             for c, b in right[k].items():
-                s = acc.get(c, zero) + a * b
-                if s:
-                    acc[c] = s
-                elif c in acc:
-                    del acc[c]
-        data.append(acc)
+                acc[c] = acc.get(c, zero) + a * b
+        # no test per term; a dict does not shrink, so a row that kept a zero is
+        # copied, and the rows of a zero product are fresh empty dicts
+        data.append(acc if all(acc.values()) else {c: v for c, v in acc.items() if v})
     return data
 
 
@@ -433,13 +431,16 @@ def _peel(rows: list[dict], cols: int) -> list[tuple[int, int]]:
     while stack:
         c = stack.pop()
         if count[c] == 1:  # 0 once its row was peeled for another column
-            r = owner[c]
-            peeled.append((r, max(j for j in rows[r] if count[j] == 1)))
+            r, top = owner[c], c
+            # the row's singleton columns are those its one decrement pass empties
             for j in rows[r]:
                 count[j] -= 1
                 owner[j] -= r
                 if count[j] == 1:
                     stack.append(j)
+                elif not count[j] and j > top:
+                    top = j
+            peeled.append((r, top))
     return peeled
 
 

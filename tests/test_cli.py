@@ -627,6 +627,18 @@ def test_cli_verify_cardy_fixture_filter(capsys):
     assert "0 failed" in out
 
 
+@pytest.mark.parametrize("suite", ["hrr", "cardy", "adjoint", "functorial", "morita",
+                                   "traces", "all"])
+def test_cli_verify_refuses_an_unknown_fixture_in_every_suite(suite, capsys):
+    assert run(["verify", suite, "nosuch"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    if suite in ("hrr", "cardy", "all"):  # `all` hands its names to hrr and cardy
+        assert "unknown algebra fixture 'nosuch'" in captured.err
+    else:
+        assert captured.err == f"error: verify {suite} takes no fixtures\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["hh", "s3", "--max-degree", "-1"],
     ["hh", "s3", "--max-degree", "-1", "--cohomology"],

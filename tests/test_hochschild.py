@@ -11,7 +11,9 @@ import pytest
 
 from hochkit import hochschild, linalg
 from hochkit.algebra import Algebra, DictSC, center_basis, commutator_subspace
-from hochkit.errors import DegreeCapExceeded, DegreeUnderflow, HochkitError, NotACocycle
+from hochkit.errors import (
+    DegreeCapExceeded, DegreeUnderflow, HochkitError, MissingSimples, NotACocycle,
+)
 from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.hochschild import (
     Chain, ChainComplex, Cochain, _unnormalized_chain_map, _unnormalized_cochain_map,
@@ -559,8 +561,11 @@ def test_irrational_structure_constants_keep_cyclotomic_rows():
 # checked on the algebras of dim <= 6: on a4 its whole ranks through degree
 # 3 alone take about 3 s.
 
-@pytest.mark.parametrize("name", ALL_GROUP_FIXTURES + (
-    "mat:2", "tensor(mat:2,zn:2)", "trunc:3", "dual", "op(s3)", "irrational zn:3"))
+CLEARED_FIXTURES = ALL_GROUP_FIXTURES + (
+    "mat:2", "tensor(mat:2,zn:2)", "trunc:3", "dual", "op(s3)", "irrational zn:3")
+
+
+@pytest.mark.parametrize("name", CLEARED_FIXTURES)
 def test_cleared_ranks_match_whole_differentials(name):
     a = _irrational_zn3() if name.startswith("irrational") else algebra_fixture(name)
     for normalized in (True, False) if a.dim <= 6 else (True,):
@@ -570,6 +575,85 @@ def test_cleared_ranks_match_whole_differentials(name):
             cleared = {n: complex_.rank_of_map(n) for n in complex_.maps}
             assert cleared == {n: len(_eliminate(_copy_rows(m), m.den is not None))
                                for n, m in complex_.maps.items()}
+
+
+def _first_nonzero_composite(maps: dict) -> int | None:
+    """The whole-product oracle: the least n with maps[n] maps[n + 1] != 0."""
+    return next((n for n in sorted(maps)
+                 if n + 1 in maps and not (maps[n] * maps[n + 1]).is_zero()), None)
+
+
+@pytest.mark.parametrize("name", CLEARED_FIXTURES)
+def test_whole_composites_vanish_on_every_complex(name, monkeypatch):
+    import hochkit.modules as modules
+    a = _irrational_zn3() if name.startswith("irrational") else algebra_fixture(name)
+    complexes = [build(a, top, normalized)
+                 for normalized in ((True, False) if a.dim <= 6 else (True,))
+                 for build, top in ((bar_chain_complex, 3), (bar_cochain_complex, 2))]
+    built = []
+    bar_complex = modules._bar_complex
+
+    def recorded(*args):
+        built.append(bar_complex(*args))
+        return built[-1]
+    monkeypatch.setattr(modules, "_bar_complex", recorded)
+    try:
+        mods = modules.simples_of(a)
+    except MissingSimples:
+        mods = (modules.regular_module(a),)
+    modules.ext_dims(mods[0], mods[-1], 2)
+    assert len(built) == 1
+    for complex_ in complexes + built:
+        assert len(complex_.maps) == 3
+        assert _first_nonzero_composite(complex_.maps) is None
+
+
+def test_products_are_formed_on_the_pivot_rows(monkeypatch):
+    # the left factor of each d o d product is maps[n] on its rank's pivot rows
+    shapes = []
+    mul = SparseMatrix.__mul__
+
+    def recorded(self, other):
+        shapes.append((self.rows, self.cols))
+        return mul(self, other)
+    monkeypatch.setattr(SparseMatrix, "__mul__", recorded)
+    for name, top, normalized in [("s3", 3, True), ("dual", 4, False),
+                                  ("tensor(mat:2,dual)", 3, True)]:
+        a = algebra_fixture(name)
+        bar_chain_complex(a, 1)  # computes and caches the unit split of a
+        for build, degree in ((bar_chain_complex, top), (bar_cochain_complex, top - 1)):
+            shapes.clear()
+            complex_ = build(a, degree, normalized)
+            ranks = [(complex_.rank_of_map(n), complex_.dims[n - 1], complex_.dims[n])
+                     for n in sorted(complex_.maps) if n + 1 in complex_.maps]
+            assert shapes == [(r, cols) for r, _, cols in ranks]
+            assert any(r < rows for r, rows, _ in ranks)
+
+
+def test_a_wrong_entry_anywhere_names_the_first_nonzero_composite():
+    # delta^0 .. delta^2 of a non-commutative algebra with homology in every
+    # degree: maps[2] has pivot rows, rows cut by the pivot columns of
+    # maps[1], and a row that is neither
+    c = bar_cochain_complex(algebra_fixture("tensor(mat:2,dual)"), 2)
+    m, nxt = c.maps[2], c.maps[3]
+    pivots, cut = c._pivots_cleared(2)[0], c._pivots_cleared(1)[1]
+    assert cut and not set(pivots) & set(cut)
+    # neither pivot nor cut, and a zero column of maps[1], so that only the
+    # composite at degree 2 can see an entry planted there
+    above = c.maps[1].transpose()
+    free = next(i for i in range(m.rows)
+                if i not in pivots and i not in cut and not any(above.row_vector(i)))
+    j = next(j for j in range(nxt.rows) if any(nxt.row_vector(j)))
+    seen = set()
+    for i in (pivots[0], cut[0], free):
+        maps = dict(c.maps)
+        maps[2] = m + SparseMatrix(m.rows, m.cols, {(i, j): 1})
+        first = _first_nonzero_composite(maps)
+        assert first is not None
+        seen.add(first)
+        with pytest.raises(HochkitError, match=f"composite at degree {first} is nonzero"):
+            ChainComplex(c.dims, maps)
+    assert seen == {1, 2}
 
 
 def test_clearing_ranks_the_top_boundary_on_fewer_rows(monkeypatch):
@@ -584,9 +668,11 @@ def test_clearing_ranks_the_top_boundary_on_fewer_rows(monkeypatch):
     b3 = bar_chain_complex(s3, 3).maps[3]
     assert (b3.rows, b3.cols) == (150, 750) and rank(b3) == 123
     # b_1 whole, then b_2, b_3 and b_4 each without the rows at the pivot
-    # columns of the map below; b_4 whole would be 750 x 3750
-    assert len(shapes) == 4 and shapes[0] == (6, 30)
-    assert shapes[-1] == (750 - 123, 3750)
+    # columns of the map below; b_4 whole would be 750 x 3750.  The second
+    # complex ranks b_1 and b_2 again as it is built, for its d o d check.
+    assert len(shapes) == 6 and shapes[0] == (6, 30)
+    assert shapes[3] == (750 - 123, 3750)
+    assert shapes[4:] == shapes[:2]
 
 
 @pytest.mark.parametrize("name, top, normalized", [
@@ -596,8 +682,8 @@ def test_cleared_ranks_make_no_more_row_updates_than_whole_elimination(
     # Work counted, not timed: a row update is one `_factor` call.  The pivot
     # columns a rank records decide which rows of the next map are cut, so a
     # poor choice of them costs every later elimination.  The reference is
-    # the same clearing with each map ranked by `_eliminate` alone.
-    complex_ = bar_chain_complex(algebra_fixture(name), top, normalized)
+    # the same clearing with each map ranked by `_eliminate` alone.  The
+    # complex ranks all but its top map as it is built.
     updates = []
     factor = linalg._factor
 
@@ -605,6 +691,10 @@ def test_cleared_ranks_make_no_more_row_updates_than_whole_elimination(
         updates.append(None)
         return factor(*args)
     monkeypatch.setattr(linalg, "_factor", counted)
+    complex_ = bar_chain_complex(algebra_fixture(name), top, normalized)
+    cleared = [complex_.rank_of_map(n) for n in sorted(complex_.maps)]
+    cleared_updates = len(updates)
+    updates.clear()
     whole, cut = [], set()
     for n in sorted(complex_.maps):
         m = complex_.maps[n]
@@ -612,10 +702,8 @@ def test_cleared_ranks_make_no_more_row_updates_than_whole_elimination(
         pivots = _eliminate(_copy_rows(m), m.den is not None)
         whole.append(len(pivots))
         cut = {c for _, c in pivots}
-    replaced = len(updates)
-    updates.clear()
-    assert [complex_.rank_of_map(n) for n in sorted(complex_.maps)] == whole
-    assert len(updates) <= replaced
+    assert cleared == whole
+    assert cleared_updates <= len(updates)
 
 
 def test_rational_assembly_does_no_scalar_arithmetic(monkeypatch):
@@ -661,6 +749,22 @@ def test_single_differentials_keep_the_guards(monkeypatch):
             build(s3, -1)
         with pytest.raises(DegreeCapExceeded):
             build(s3, 7)  # 6^8 coordinates
+
+
+def test_single_differentials_are_built_once_per_algebra_and_degree(monkeypatch):
+    built = []
+    build = hochschild._coboundary
+    monkeypatch.setattr(hochschild, "_coboundary",
+                        lambda n, *args, **kw: built.append(n) or build(n, *args, **kw))
+    mat2 = algebra_fixture("mat:2")  # a fresh algebra, with nothing kept on it
+    f = Cochain(mat2, 1, (ZERO,) * 16)
+    assert is_cocycle(f) and is_cocycle(f)
+    assert built == [1]  # delta^1
+    cup_product(f, f)  # the cocycle checks of f, f and f cup f
+    assert built == [1, 2]
+    z = Chain(mat2, 2, (ZERO,) * 64)
+    assert is_cycle(z) and is_cycle(z)
+    assert built == [1, 2, 1]  # b_2, the transpose of delta^1 on A*
 
 
 def _whole_complex_route(monkeypatch):
@@ -767,11 +871,10 @@ h.is_cycle = lambda z: next(verdicts)
 expect(HochkitError, h.cap_product, one, h.Chain(dual, 0, (ONE, ZERO)))
 
 # an image rank above the kernel dimension: homology and Ext refuse it
-import hochkit.modules as modules
 from hochkit.modules import ext_dims, simples_of
 
 complex_ = h.bar_chain_complex(z2, 2)
-h.rank = modules.rank = lambda m: 10 ** 6
+h.ChainComplex.rank_of_map = lambda self, n: 10 ** 6
 expect(HochkitError, complex_.homology_dim, 0)
 trivial = simples_of(z2)[0]
 expect(HochkitError, ext_dims, trivial, trivial, 1)

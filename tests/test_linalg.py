@@ -507,6 +507,18 @@ def test_matmul_and_trace():
     assert a.trace() == cyc(5)
 
 
+def test_a_cancelled_product_row_is_a_fresh_dict():
+    # a dict does not shrink when keys are deleted, so a product row whose
+    # terms all cancel must not be the accumulator that grew to hold them
+    for unit in (ONE, zeta(4)):
+        left = SparseMatrix.from_dense([[unit, unit], [unit, 0]])
+        right = SparseMatrix.from_dense([[unit * k for k in range(1, 9)],
+                                         [-unit * k for k in range(1, 9)]])
+        product = left * right
+        assert product.take_rows([1]) == right.take_rows([0]).scale(unit)
+        assert product._rows[0] == {} and sys.getsizeof(product._rows[0]) == sys.getsizeof({})
+
+
 def dump(m):
     """Debug format: header `rows cols field_order`, then one
     `(row, col, scalar)` triplet per line, row-major order."""
