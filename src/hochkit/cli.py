@@ -52,11 +52,11 @@ from .modules import (
 )
 from .mukai import (
     CheckReport, MukaiClass, adjointness_check, cardy_check, chern,
-    chern_commutation_check, functoriality_check, generalized_trace,
+    chern_commutation_check, format_value, functoriality_check, generalized_trace,
     hrr_check, iota_solve, morita_isometry_check, morita_kernel,
     assemble_split_map, mukai_pairing, pushforward, serre_trace, trace_triangle_check,
 )
-from .scalars import cyc, format_scalar
+from .scalars import cyc
 from .specfiles import (
     _parse_matrix, _parse_vector, load_algebra_text, parse_int, parse_module_file, read_spec_file,
 )
@@ -65,54 +65,32 @@ from .tqft import evaluate as tqft_evaluate, orbit_count, parse_word
 SCHEMA_VERSION = 1
 
 
-class Record:
-    def __init__(self, name: str, check: str, inputs: str, left: str, right: str,
-                 ok: bool, elapsed: float = 0.0):
-        self.name = name
-        self.check = check
-        self.inputs = inputs
-        self.left = left
-        self.right = right
-        self.ok = ok
-        self.elapsed = elapsed
-
-    def as_json(self) -> dict:
-        return {
-            "name": self.name,
-            "check": self.check,
-            "inputs": self.inputs,
-            "left": self.left,
-            "right": self.right,
-            "pass": self.ok,
-        }
-
-
 class Report:
     def __init__(self, command: str, seed: int):
         self.command = command
         self.seed = seed
-        self.records: list[Record] = []
+        self.records: list[tuple[dict, float]] = []  # (machine row, seconds) per comparison
         self.lines: list[str] = []  # free-form context for table output
 
-    def add(self, record: Record):
-        self.records.append(record)
-
     def add_report(self, rep: CheckReport, inputs: str, elapsed: float = 0.0):
+        """One row per comparison of `rep`, named `<report>: <label>` or by
+        the report alone when unlabeled; the report's notes become lines."""
         for label, left, right, ok in rep.comparisons:
-            self.add(Record(f"{rep.name}: {label}", rep.check_id, inputs,
-                            left, right, ok, elapsed))
-        for note in rep.notes:
-            self.lines.append(note)
+            row = {"name": f"{rep.name}: {label}" if label else rep.name,
+                   "check": rep.check_id, "inputs": inputs,
+                   "left": left, "right": right, "pass": ok}
+            self.records.append((row, elapsed))
+        self.lines.extend(rep.notes)
 
     def line(self, text: str):
         self.lines.append(text)
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.records)
+        return all(row["pass"] for row, _ in self.records)
 
     def summary(self) -> dict:
-        passed = sum(1 for r in self.records if r.ok)
+        passed = sum(1 for row, _ in self.records if row["pass"])
         return {"pass": passed, "fail": len(self.records) - passed,
                 "total": len(self.records)}
 
@@ -121,7 +99,7 @@ class Report:
             "schema": SCHEMA_VERSION,
             "command": self.command,
             "seed": self.seed,
-            "records": [r.as_json() for r in self.records],
+            "records": [row for row, _ in self.records],
             "notes": self.lines,
             "summary": self.summary(),
         }
@@ -132,12 +110,12 @@ class Report:
         for text in self.lines:
             out.append(text)
         if self.records:
-            name_w = min(64, max(len(r.name) for r in self.records))
-            for r in self.records:
-                status = "pass" if r.ok else "FAIL"
-                timing = f"  [{r.elapsed:.2f}s]" if r.elapsed else ""
-                out.append(f"{status}  {r.name[:name_w]:<{name_w}}  "
-                           f"{r.left} == {r.right}{timing}")
+            name_w = min(64, max(len(row["name"]) for row, _ in self.records))
+            for row, elapsed in self.records:
+                status = "pass" if row["pass"] else "FAIL"
+                timing = f"  [{elapsed:.2f}s]" if elapsed else ""
+                out.append(f"{status}  {row['name'][:name_w]:<{name_w}}  "
+                           f"{row['left']} == {row['right']}{timing}")
             s = self.summary()
             out.append(f"summary: {s['pass']} passed, {s['fail']} failed "
                        f"(seed {self.seed})")
@@ -272,11 +250,10 @@ def suite_cardy(report: Report, rng, names: Optional[Sequence[str]]):
                 rep = cardy_check(x, y, SparseMatrix.identity(x.dim),
                                   SparseMatrix.identity(y.dim))
                 hrr = hrr_check(x, y)
-                same = rep.comparisons[0][1] == hrr.comparisons[0][1]
-                report.add(Record(
-                    f"cardy degenerates to riemann-roch ({x.name}, {y.name})",
-                    "cardy", name, rep.comparisons[0][1], hrr.comparisons[0][1],
-                    same and rep.ok and hrr.ok))
+                report.add_report(CheckReport.single(
+                    f"cardy degenerates to riemann-roch ({x.name}, {y.name})", "cardy",
+                    rep.comparisons[0][1], hrr.comparisons[0][1], given=rep.ok and hrr.ok),
+                    inputs=name)
 
 
 def _kernel_library(rng, count: int = 10):
@@ -337,16 +314,12 @@ def suite_morita(report: Report, rng, names):
     for name in ["dual", "zn:2"]:
         a = load_algebra(name)
         b = load_algebra(f"tensor(mat:2,{name})")
-        t0 = time.monotonic()
-        ha, hb = hh_homology_dims(a, 3).dims, hh_homology_dims(b, 3).dims
-        report.add(Record(f"hochschild homology invariance ({name})",
-                          "morita-invariance", f"{name} vs tensor(mat:2,{name})",
-                          str(ha), str(hb), ha == hb, time.monotonic() - t0))
-        t0 = time.monotonic()
-        ca, cb = hh_cohomology_dims(a, 3).dims, hh_cohomology_dims(b, 3).dims
-        report.add(Record(f"hochschild cohomology invariance ({name})",
-                          "morita-invariance", f"{name} vs tensor(mat:2,{name})",
-                          str(ca), str(cb), ca == cb, time.monotonic() - t0))
+        for kind, fn in [("homology", hh_homology_dims), ("cohomology", hh_cohomology_dims)]:
+            t0 = time.monotonic()
+            rep = CheckReport.single(f"hochschild {kind} invariance ({name})",
+                                     "morita-invariance", fn(a, 3).dims, fn(b, 3).dims)
+            report.add_report(rep, inputs=f"{name} vs tensor(mat:2,{name})",
+                              elapsed=time.monotonic() - t0)
 
 
 def suite_traces(report: Report, rng, names):
@@ -361,11 +334,9 @@ def suite_traces(report: Report, rng, names):
         span = hom_space(m2, m2)
         f = _random_intertwiner(rng, m2, span)
         g = _random_intertwiner(rng, m2, span)
-        lhs = serre_trace(m2, g * f)
-        rhs = serre_trace(m2, f * g)
-        report.add(Record(f"trace commutation instance {i}", "trace-commutation",
-                          m2.name, format_scalar(lhs), format_scalar(rhs),
-                          lhs == rhs))
+        report.add_report(CheckReport.single(
+            f"trace commutation instance {i}", "trace-commutation",
+            serre_trace(m2, g * f), serre_trace(m2, f * g)), inputs=m2.name)
     # naturality of the partial trace
     for i in range(TRACE_INSTANCES):
         fd, gd, hd, ed = (rng.randint(1, 3) for _ in range(4))
@@ -374,12 +345,10 @@ def suite_traces(report: Report, rng, names):
         lifted = SparseMatrix(hd * ed, gd * ed,
                               {(r * ed + k, c * ed + k): v
                                for r, c, v in nu.entries() for k in range(ed)})
-        lhs = generalized_trace(lifted * mu, fd, hd, ed)
-        rhs = nu * generalized_trace(mu, fd, gd, ed)
-        report.add(Record(f"partial trace naturality instance {i}",
-                          "partial-trace-naturality",
-                          f"dims f={fd} g={gd} h={hd} e={ed}",
-                          "lhs", "rhs", lhs == rhs))
+        report.add_report(CheckReport.single(
+            f"partial trace naturality instance {i}", "partial-trace-naturality",
+            generalized_trace(lifted * mu, fd, hd, ed), nu * generalized_trace(mu, fd, gd, ed)),
+            inputs=f"dims f={fd} g={gd} h={hd} e={ed}")
     # additivity over split triples
     for i in range(TRACE_INSTANCES):
         de, dg, dh = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
@@ -388,9 +357,10 @@ def suite_traces(report: Report, rng, names):
         phi = _random_matrix(rng, dh * de, dg)
         f = assemble_split_map(e, g, phi, de, dg, dh)
         rep = trace_triangle_check(e, f, g, de, dg, dh)
-        report.add(Record(f"trace triangle instance {i}", "trace-additivity",
-                          f"dims E={de} G={dg} H={dh}", "alternating sum", "0",
-                          rep.ok))
+        _, defect, zero, _ = rep.comparisons[-1]  # the hypotheses come before it
+        report.add_report(CheckReport.single(
+            f"trace triangle instance {i}", "trace-additivity", defect, zero, given=rep.ok),
+            inputs=f"dims E={de} G={dg} H={dh}")
 
 
 SUITES = {"hrr": suite_hrr, "cardy": suite_cardy, "adjoint": suite_adjoint,
@@ -409,16 +379,12 @@ def _cmd_validate(args, report: Report) -> int:
     return 0
 
 
-def _vector_text(coords) -> str:
-    return "[" + ", ".join(format_scalar(c) for c in coords) + "]"
-
-
 def _cmd_center(args, report: Report) -> int:
     a = load_algebra(args.algebra)
     zs = center_basis(a)
     report.line(f"center dimension: {zs.rows}")
     for r in range(zs.rows):
-        report.line("  " + _vector_text(zs.row_vector(r)))
+        report.line("  " + format_value(zs.row_vector(r)))
     return 0
 
 
@@ -441,19 +407,18 @@ def _cmd_hh(args, report: Report) -> int:
 def _cmd_chern(args, report: Report) -> int:
     a, m = _module_over(args.algebra, args.module)
     ch = chern(m)
-    report.line(f"ch({m.name}) = {_vector_text(ch.coords)}")
+    report.line(f"ch({m.name}) = {format_value(ch.coords)}")
     scaled = ch.scale(m.dim)
-    report.line(f"idempotent normalization: dim(M) * ch = {_vector_text(scaled.coords)}"
+    report.line(f"idempotent normalization: dim(M) * ch = {format_value(scaled.coords)}"
                 "  (the block idempotent when M is irreducible; the solved "
                 "class carries a 1/dim factor relative to it)")
     rng = random.Random(args.seed)
     zs = center_basis(a)
     fcoords = zs.transpose().apply(tuple(cyc(rng.randint(-3, 3)) for _ in range(zs.rows)))
-    lhs = mukai_pairing(ch, MukaiClass(a, fcoords, _checked=True))
-    rhs = m.character(fcoords)
-    report.add(Record("chern defining property on held-out central element",
-                      "chern-defining-property", f"{args.algebra}#{m.name}",
-                      format_scalar(lhs), format_scalar(rhs), lhs == rhs))
+    report.add_report(CheckReport.single(
+        "chern defining property on held-out central element", "chern-defining-property",
+        mukai_pairing(ch, MukaiClass(a, fcoords, _checked=True)), m.character(fcoords)),
+        inputs=f"{args.algebra}#{m.name}")
     return 0 if report.ok else 1
 
 
@@ -464,11 +429,11 @@ def _cmd_iota(args, report: Report) -> int:
     else:
         e = SparseMatrix.identity(m.dim)
     z = iota_solve(m, e)
-    report.line(f"iota({m.name}, endo) = {_vector_text(z.coords)}")
+    report.line(f"iota({m.name}, endo) = {format_value(z.coords)}")
     if not args.endo:
-        report.add(Record("iota of the identity is the chern class",
-                          "chern-defining-property", f"{args.algebra}#{m.name}",
-                          repr(z), repr(chern(m)), z == chern(m)))
+        report.add_report(CheckReport.single(
+            "iota of the identity is the chern class", "chern-defining-property",
+            z, chern(m)), inputs=f"{args.algebra}#{m.name}")
     return 0 if report.ok else 1
 
 
@@ -476,7 +441,7 @@ def _cmd_pairing(args, report: Report) -> int:
     a = load_algebra(args.algebra)
     v = _parse_central(a, args.z1)
     w = _parse_central(a, args.z2)
-    report.line(f"<{args.z1}, {args.z2}> = {format_scalar(mukai_pairing(v, w))}  "
+    report.line(f"<{args.z1}, {args.z2}> = {format_value(mukai_pairing(v, w))}  "
                 "[trace-of-central-product]")
     return 0
 
@@ -485,7 +450,7 @@ def _cmd_pushforward(args, report: Report) -> int:
     k = _resolve_kernel(args.kernel)
     v = _parse_central(k.source, args.z)
     out = pushforward(k, v)
-    report.line(f"pushforward = {_vector_text(out.coords)}")
+    report.line(f"pushforward = {format_value(out.coords)}")
     report.line("(route A and route B agreed)")
     return 0
 
@@ -502,19 +467,16 @@ def _cmd_tqft(args, report: Report) -> int:
     if g is not None:
         report.line(f"genus: {g}")
     if g == 0:
-        report.add(Record("sphere value", "tqft-sphere", args.algebra,
-                          str(inv.dims), "1", inv.dims == 1, elapsed))
+        rep = CheckReport.single("sphere value", "tqft-sphere", inv.dims, 1)
     elif g == 1:
-        classes = center_basis(a).rows
-        report.add(Record("torus value equals dim HH_0", "tqft-torus",
-                          args.algebra, str(inv.dims), str(classes),
-                          inv.dims == classes, elapsed))
+        rep = CheckReport.single("torus value equals dim HH_0", "tqft-torus",
+                                 inv.dims, center_basis(a).rows)
     else:
         # Burnside: conjugation orbits on G^g, one factor per component
-        orbits = prod(orbit_count(a, h) for h in word.component_genera)
-        report.add(Record("surface value equals the conjugation orbit count",
-                          "tqft-orbit-count", args.algebra, str(inv.dims), str(orbits),
-                          inv.dims == orbits, elapsed))
+        rep = CheckReport.single("surface value equals the conjugation orbit count",
+                                 "tqft-orbit-count", inv.dims,
+                                 prod(orbit_count(a, h) for h in word.component_genera))
+    report.add_report(rep, inputs=args.algebra, elapsed=elapsed)
     return 0 if report.ok else 1
 
 

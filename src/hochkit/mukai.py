@@ -110,12 +110,14 @@ class MukaiClass:
         return any(self.coords)
 
     def __repr__(self):
-        return f"MukaiClass[{', '.join(format_scalar(c) for c in self.coords)}]"
+        return f"MukaiClass{format_value(self.coords)}"
 
 
 class CheckReport:
-    """Outcome of one identity check: every compared pair of scalars, and
-    whether all of them matched exactly."""
+    """Outcome of one identity check: every compared pair, each side as
+    `format_value` prints it, and whether all of them matched exactly.
+
+    A comparison with an empty label is named by the report alone."""
 
     def __init__(self, name: str, check_id: str):
         self.name = name
@@ -123,9 +125,18 @@ class CheckReport:
         self.comparisons: list[tuple[str, str, str, bool]] = []
         self.notes: list[str] = []
 
-    def compare(self, label: str, left, right) -> bool:
-        ok = left == right
-        self.comparisons.append((label, _fmt(left), _fmt(right), ok))
+    @classmethod
+    def single(cls, name: str, check_id: str, left, right, given: bool = True) -> "CheckReport":
+        """A report of the one unlabeled comparison of left with right."""
+        report = cls(name, check_id)
+        report.compare("", left, right, given)
+        return report
+
+    def compare(self, label: str, left, right, given: bool = True) -> bool:
+        """Record left == right; a comparison resting on earlier checks passes
+        only when `given`, their verdict, holds too."""
+        ok = left == right and given
+        self.comparisons.append((label, format_value(left), format_value(right), ok))
         return ok
 
     def note(self, text: str):
@@ -143,11 +154,16 @@ class CheckReport:
         return f"CheckReport({self.name}: {status}, {len(self.comparisons)} comparisons)"
 
 
-def _fmt(x) -> str:
+def format_value(x) -> str:
+    """A compared value as text: a scalar in scalar syntax, a vector or list
+    as [a, b, ...], a matrix as its list of rows, anything else (ints, bools,
+    Mukai classes, text already formatted) as str prints it."""
     if isinstance(x, CycScalar):
         return format_scalar(x)
-    if isinstance(x, MukaiClass):
-        return repr(x)
+    if isinstance(x, SparseMatrix):
+        x = [x.row_vector(r) for r in range(x.rows)]
+    if isinstance(x, (list, tuple)):
+        return "[" + ", ".join(format_value(v) for v in x) + "]"
     return str(x)
 
 
@@ -192,7 +208,8 @@ def trace_triangle_check(e: SparseMatrix, f: SparseMatrix, g: SparseMatrix,
                          dim_e: int, dim_g: int, dim_h: int) -> CheckReport:
     """For maps e: E -> H(x)E, g: G -> H(x)G and f on the split sum commuting
     with the inclusion and projection, the alternating sum of partial traces
-    vanishes: Tr_E(e) - Tr_F(f) + Tr_G(g) = 0 in H."""
+    vanishes: Tr_E(e) - Tr_F(f) + Tr_G(g) = 0 in H.  The split hypotheses
+    are compared first; the last comparison is that defect vector against 0."""
     report = CheckReport("trace triangle additivity", "trace-additivity")
     total = dim_e + dim_g
     if f.rows != dim_h * total or f.cols != total:
@@ -217,11 +234,7 @@ def trace_triangle_check(e: SparseMatrix, f: SparseMatrix, g: SparseMatrix,
     # Tr_X of x: X -> H (x) X is the single column of its partial trace F = 1 -> H
     defect = (generalized_trace(e, 1, dim_h, dim_e) - generalized_trace(f, 1, dim_h, total)
               + generalized_trace(g, 1, dim_h, dim_g)).transpose().row_vector(0)
-    report.compare("Tr_E(e) - Tr_F(f) + Tr_G(g)",
-                   tuple(format_scalar(x) for x in defect),
-                   tuple("0" for _ in defect))
-    if not report.ok:
-        report.note(f"defect vector in H: {[format_scalar(x) for x in defect]}")
+    report.compare("Tr_E(e) - Tr_F(f) + Tr_G(g)", defect, (ZERO,) * dim_h)
     return report
 
 
@@ -322,7 +335,7 @@ def chern_additivity_check(m: ModuleRep, n: ModuleRep) -> CheckReport:
     report.compare("ch(M (+) N) = ch(M) + ch(N)", both, summed)
     if not report.ok:
         diff = both - summed
-        report.note(f"defect vector: {[format_scalar(c) for c in diff.coords]}")
+        report.note(f"defect vector: {format_value(diff.coords)}")
     return report
 
 

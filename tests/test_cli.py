@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -18,7 +19,9 @@ from hochkit import fixtures
 from hochkit.cli import _module_over, load_algebra, run
 from hochkit.errors import MAX_COORDINATES, AlgebraMismatch, DegreeCapExceeded, ParseError
 from hochkit.hochschild import MAX_DEGREE
+from hochkit.linalg import SparseMatrix
 from hochkit.modules import balanced_tensor
+from hochkit.mukai import CheckReport
 from hochkit.scalars import MAX_NESTING, cyc, parse_scalar
 from hochkit.specfiles import (
     parse_algebra_file, parse_int, parse_module_file, read_spec_file, split_items,
@@ -625,6 +628,84 @@ def test_cli_verify_cardy_fixture_filter(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "0 failed" in out
+
+
+def test_cardy_degeneration_fails_with_a_failing_riemann_roch_check(monkeypatch, capsys):
+    # equal pairings are not enough: the record also needs both checks to hold
+    real = hochkit.cli.hrr_check
+
+    def failing(x, y):
+        rep = real(x, y)
+        rep.compare("planted", 0, 1)
+        return rep
+    monkeypatch.setattr(hochkit.cli, "hrr_check", failing)
+    assert run(["verify", "cardy", "zn:2", "--format", "machine"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    degenerate = [r for r in records if r["name"].startswith("cardy degenerates")]
+    assert len(degenerate) == 4
+    assert all(r["left"] == r["right"] and not r["pass"] for r in degenerate)
+    assert all(r["pass"] for r in records if r not in degenerate)
+
+
+def test_trace_triangle_fails_on_a_failing_split_hypothesis(monkeypatch, capsys):
+    # a zero defect is not enough: the record also needs the split hypotheses
+    real = hochkit.cli.trace_triangle_check
+
+    def failing(*args):
+        rep = CheckReport("trace triangle additivity", "trace-additivity")
+        rep.compare("f induces g on G", False, True)
+        rep.comparisons += real(*args).comparisons
+        return rep
+    monkeypatch.setattr(hochkit.cli, "trace_triangle_check", failing)
+    assert run(["verify", "traces", "--format", "machine"]) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    triangles = [r for r in records if r["check"] == "trace-additivity"]
+    assert len(triangles) == 100
+    assert all(r["left"] == r["right"] and not r["pass"] for r in triangles)
+    assert all(r["pass"] for r in records if r not in triangles)
+
+
+def test_every_verify_record_shows_its_compared_values(capsys):
+    assert run(["verify", "all", "--seed", "0", "--format", "machine"]) == 0
+    sides = [r[side] for r in json.loads(capsys.readouterr().out)["records"]
+             for side in ("left", "right")]
+    assert not {"lhs", "rhs", "alternating sum"} & set(sides)
+    assert [s for s in sides if "object at 0x" in s] == []
+
+
+def test_a_failing_record_prints_both_values_in_table_output(monkeypatch, capsys):
+    # a split map whose E block is off by one at (0, 0) leaves the defect -1 there
+    real = hochkit.cli.assemble_split_map
+    monkeypatch.setattr(hochkit.cli, "assemble_split_map", lambda e, g, phi, de, dg, dh: real(
+        e + SparseMatrix(e.rows, e.cols, {(0, 0): 1}), g, phi, de, dg, dh))
+    assert run(["verify", "traces"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 100
+    for line in failed:
+        assert re.fullmatch(r"FAIL  trace triangle instance \d+ +\[-1(, 0)*\] == \[0(, 0)*\]",
+                            line), line
+
+
+def test_only_add_report_builds_an_output_row():
+    # every record is a CheckReport turned into rows by Report.add_report, so
+    # no second path with its own formatting can come back
+    assert not hasattr(hochkit.cli, "Record") and not hasattr(hochkit.cli.Report, "add")
+    tree = ast.parse(Path(hochkit.cli.__file__).read_text())
+    builders = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            call = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(call, ast.Name) and call.id == "Record"
+                    or isinstance(call, ast.Attribute) and call.attr == "add"
+                    and isinstance(call.value, ast.Name) and call.value.id in ("report", "self")
+                    or isinstance(call, ast.Attribute) and isinstance(call.value, ast.Attribute)
+                    and call.value.attr == "records"
+                    or isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute)
+                    and node.target.attr == "records"):
+                builders.add(fn.name)
+    assert builders == {"add_report"}
 
 
 @pytest.mark.parametrize("suite", ["hrr", "cardy", "adjoint", "functorial", "morita",

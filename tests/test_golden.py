@@ -5,8 +5,15 @@ matrices were stored as integer rows; the chern, iota and pushforward files
 were written before Chern classes were solved through the dual basis of the
 pairing; the center files were written before `nullspace` returned its
 basis as a matrix; the q8 and tensor(mat:2,zn:2) hh files were written
-before each differential was ranked on what its neighbour leaves.  A change
-that alters any byte of them fails here.
+before each differential was ranked on what its neighbour leaves.  The
+tqft, pairing and validate files were written before every record of a
+command was built from a `CheckReport`.  The `left` and `right` sides of
+the 100 `partial trace naturality instance i` and 100 `trace triangle
+instance i` records of verify_all.txt then changed from the placeholders
+"lhs"/"rhs" and "alternating sum"/"0" to the compared values: the two
+partial-trace matrices, and the defect vector against the zero vector.
+No other byte of that file changed.  A change that alters any byte of
+them fails here.
 """
 
 from pathlib import Path
@@ -33,6 +40,9 @@ COMMANDS = {
     "hh_q8_cohomology.txt": ["hh", "q8", "--max-degree", "3", "--cohomology",
                              "--format", "machine"],
     "hh_tensor.txt": ["hh", "tensor(mat:2,zn:2)", "--max-degree", "3", "--format", "machine"],
+    "tqft_s3_genus2.txt": ["tqft", "s3", "--genus", "2", "--format", "machine"],
+    "pairing_zn3.txt": ["pairing", "zn:3", "ch:chi1", "[1,z3^1,0]", "--format", "machine"],
+    "validate_s3.txt": ["validate", "s3", "--format", "machine"],
 }
 
 

@@ -17,7 +17,7 @@ from hochkit.modules import (
 from hochkit.mukai import (
     MukaiClass, _classes, adjoint_transfer, adjointness_check, assemble_split_map,
     cardy_check, chern, chern_additivity_check, chern_commutation_check,
-    cohomology_transport, functoriality_check, generalized_trace,
+    cohomology_transport, format_value, functoriality_check, generalized_trace,
     hochschild_trace, hrr_check, iota_solve, morita_isometry_check,
     mukai_pairing, pairing_gram, pushforward, serre_trace, todd,
     todd_hrr_check, trace_triangle_check,
@@ -154,6 +154,20 @@ def test_trace_triangle_reports_defect():
     g_bad = g + SparseMatrix(4, 2, {(0, 0): ONE})
     report = trace_triangle_check(e, f, g_bad, 2, 2, 2)
     assert not report.ok
+    # the defect is the last comparison, shown as the vector it is
+    assert report.comparisons[-1] == ("Tr_E(e) - Tr_F(f) + Tr_G(g)", "[1, 0]", "[0, 0]", False)
+
+
+def test_format_value_prints_every_kind_of_side():
+    s3 = algebra_fixture("s3")
+    assert format_value(cyc(1) / cyc(3)) == "1/3"
+    assert format_value(7) == "7" and format_value(True) == "True"
+    assert format_value([2, 1, 1]) == str([2, 1, 1])
+    assert format_value(vec([1, -2])) == "[1, -2]"
+    assert format_value(SparseMatrix(2, 2, {(0, 1): 3, (1, 0): ONE / cyc(2)})) \
+        == "[[0, 3], [1/2, 0]]"
+    assert format_value(chern(simples_of(s3)[0])) == repr(chern(simples_of(s3)[0]))
+    assert format_value("already text") == "already text"
 
 
 # --- hochschild trace and chern -----------------------------------------------------
