@@ -10,17 +10,18 @@ Constructed algebras are validated (group tables, matrix algebras and
 file input eagerly; combinators inherit validity from their factors) and
 immutable afterwards.  Data derived from an immutable object is built by a
 `derived` function, which keeps it in the object's one `_derived` dict:
-here the multiplication matrices, the center basis, the trace form, the
-unit split and tensor structure constants; in `mukai` the transfer data
-of algebras and kernels; in `tqft` and `hochschild` the generator kernels
-and the ranks of a complex.  `_form(a, f)`, the matrix of (x, y) |-> f(xy),
-gives both the Frobenius Gram that `validate` checks and the regular
-`trace_form`.
+here the product table, the multiplication matrices, the center basis, the
+trace form, the unit split and tensor structure constants; in `mukai` the
+transfer data of algebras and kernels; in `tqft` and `hochschild` the
+generator kernels and the ranks of a complex.  `_form(a, f)`, the matrix
+of (x, y) |-> f(xy), gives both the Frobenius Gram that `validate` checks
+and the regular `trace_form`; every other matrix of products (multiplication,
+the unit split, the bar tables of `hochschild`) is read off `product_table`.
 
 Subspaces are canonical row matrices: the center (`center_basis`) and the
 commutator subspace (`commutator_subspace`) are each the reduced echelon
 basis `linalg.rref` gives, one row per basis vector, so equal subspaces
-are equal matrices.
+are equal matrices; both are read off the generators' `commutator_maps`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import (
     AlgebraDefect, DegenerateFrobeniusForm, HochkitError, NotAGroup, NotAssociative,
     ShapeMismatch, UnitLawFails,
 )
-from .linalg import SparseMatrix, Vector, nullspace, rank, rref, unit_vector, vec
+from .linalg import SparseMatrix, Vector, hstack, kron, nullspace, rank, rref, unit_vector, vec
 from .scalars import CycScalar, ONE, ZERO
 
 SparseVec = dict[int, CycScalar]
@@ -158,24 +159,22 @@ class Algebra:
         return unit_vector(self.dim, i)
 
     def left_mult_matrix(self, x: Vector) -> SparseMatrix:
-        """Matrix of a |-> x * a on the basis."""
-        return SparseMatrix(self.dim, self.dim, (
-            ((r, k), xi * c) for i, xi in enumerate(x) if xi
-            for k in range(self.dim) for r, c in self.sc.product(i, k).items()))
+        """Matrix of a |-> x * a on the basis: column k is x e_k."""
+        return (kron(SparseMatrix.from_dense([x]), SparseMatrix.identity(self.dim))
+                * product_table(self)).transpose()
 
     def right_mult_matrix(self, x: Vector) -> SparseMatrix:
-        """Matrix of a |-> a * x on the basis."""
-        return SparseMatrix(self.dim, self.dim, (
-            ((r, k), xj * c) for j, xj in enumerate(x) if xj
-            for k in range(self.dim) for r, c in self.sc.product(k, j).items()))
+        """Matrix of a |-> a * x on the basis: column k is e_k x."""
+        return (kron(SparseMatrix.identity(self.dim), SparseMatrix.from_dense([x]))
+                * product_table(self)).transpose()
 
     @derived
     def basis_left_mult(self, i: int) -> SparseMatrix:
-        return self.left_mult_matrix(self.basis_vector(i))
+        return product_table(self).take_rows(range(i * self.dim, (i + 1) * self.dim)).transpose()
 
     @derived
     def basis_right_mult(self, i: int) -> SparseMatrix:
-        return self.right_mult_matrix(self.basis_vector(i))
+        return product_table(self).take_rows(range(i, self.dim ** 2, self.dim)).transpose()
 
     # --- identity / comparison ---
 
@@ -383,32 +382,36 @@ def enveloping(a: Algebra) -> Algebra:
 # --- structural operations ---------------------------------------------------
 
 @derived
+def product_table(a: Algebra) -> SparseMatrix:
+    """Row i * dim + j is e_i e_j: the structure constants, read once per algebra."""
+    d = a.dim
+    return SparseMatrix(d * d, d, (((i * d + j, k), v) for i in range(d) for j in range(d)
+                                   for k, v in a.sc.product(i, j).items()))
+
+
+@derived
+def commutator_maps(a: Algebra) -> tuple[SparseMatrix, ...]:
+    """For each generator g, the matrix of x |-> gx - xg; its column j is [g, e_j]."""
+    return tuple(a.left_mult_matrix(g) - a.right_mult_matrix(g) for g in a.gens)
+
+
+@derived
 def center_basis(a: Algebra) -> SparseMatrix:
-    """Z(A) = { z : z e_i = e_i z for all i } as the rows of its canonical
-    reduced echelon basis (`nullspace` of the commutator system), computed
-    once per algebra; a central element's coordinates in it are its entries
-    at the row pivots."""
-    def terms():  # coordinate k of e_j e_i - e_i e_j, for every i and j
-        for i in range(a.dim):
-            for j in range(a.dim):
-                for k, v in a.sc.product(j, i).items():
-                    yield (i * a.dim + k, j), v
-                for k, v in a.sc.product(i, j).items():
-                    yield (i * a.dim + k, j), -v
-    return nullspace(SparseMatrix(a.dim * a.dim, a.dim, terms()))
+    """Z(A) as the rows of its canonical reduced echelon basis: the
+    `nullspace` of the maps x |-> gx - xg stacked over the generators,
+    computed once per algebra; a central element's coordinates in it are its
+    entries at the row pivots.  The generators suffice: what commutes with
+    each generator commutes with their products, and those span."""
+    return nullspace(hstack(a.dim, [m.transpose() for m in commutator_maps(a)]).transpose())
 
 
 def commutator_subspace(a: Algebra) -> SparseMatrix:
-    """Span of all e_i e_j - e_j e_i, as the rows of its canonical reduced
-    echelon basis (`rref`); its codimension is dim HH_0."""
-    def terms():  # row i * dim + j holds e_i e_j - e_j e_i, for i < j
-        for i in range(a.dim):
-            for j in range(i + 1, a.dim):
-                for k, v in a.sc.product(i, j).items():
-                    yield (i * a.dim + j, k), v
-                for k, v in a.sc.product(j, i).items():
-                    yield (i * a.dim + j, k), -v
-    return rref(SparseMatrix(a.dim * a.dim, a.dim, terms()))
+    """[A, A] as the rows of its canonical reduced echelon basis (`rref` of
+    the commutators [g, e_j] of generators g with basis elements); its
+    codimension is dim HH_0.  They span: [gw, c] = [g, wc] + [w, cg] for a
+    generator g and a word w, so by induction on its length the commutator
+    of every word in the generators with anything lies in their span."""
+    return rref(hstack(a.dim, commutator_maps(a)).transpose())
 
 
 def regular_trace(a: Algebra, x: Vector) -> CycScalar:
@@ -450,11 +453,9 @@ class UnitSplit:
         u, d = algebra.unit, algebra.dim
         i0 = next(i for i, c in enumerate(u) if c)
         self.bar_indices = letters = tuple(i for i in range(d) if i != i0)
-        r = len(letters)
-        products = SparseMatrix(r * r, d, (
-            ((s * r + t, k), v) for s, x in enumerate(letters) for t, y in enumerate(letters)
-            for k, v in algebra.sc.product(x, y).items()))
-        project = SparseMatrix(d, r, [((k, t), ONE) for t, k in enumerate(letters)]
+        products = product_table(algebra).take_rows([x * d + y for x in letters
+                                                     for y in letters])
+        project = SparseMatrix(d, len(letters), [((k, t), ONE) for t, k in enumerate(letters)]
                                + [((i0, t), -u[k] / u[i0]) for t, k in enumerate(letters) if u[k]])
         self.merge = products * project
 

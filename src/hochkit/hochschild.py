@@ -9,7 +9,8 @@ coboundary of C^n = Hom(Abar^(x n), X) with coefficients in an A-bimodule X,
 (J.-L. Loday, *Cyclic Homology*, 1.1 and 1.5; H. Cartan and S. Eilenberg,
 *Homological Algebra*, IX 4).  It reads two tables: the classes of the
 products of two interior letters (`_alphabet`), and the images of a basis of
-X under each letter acting from the left and from the right (`_table`).
+X under each letter acting from the left and from the right (`_table`);
+for X = A or A* both are read off the rows e_i e_j of `product_table`.
 HH^* takes X = A.  HH_* takes X = A* = Hom_k(A, k), with (a.phi)(b) =
 phi(ba) and (phi.a)(b) = phi(ab): the chain complex C_n = A (x) Abar^(x n)
 is the dual of Hom(Abar^(x n), A*), so the boundary
@@ -43,7 +44,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .algebra import Algebra, a_unit_split, center_basis, commutator_subspace, derived
+from .algebra import (
+    Algebra, a_unit_split, center_basis, commutator_subspace, derived, product_table,
+)
 from .errors import (
     MAX_COORDINATES, AlgebraMismatch, DegreeUnderflow, HochkitError, NotACocycle,
     ShapeMismatch, check_size,
@@ -173,10 +176,7 @@ def _alphabet(a: Algebra, normalized: bool) -> tuple[tuple[int, ...], SparseMatr
     if normalized:
         split = a_unit_split(a)
         return split.bar_indices, split.merge
-    d = a.dim
-    return tuple(range(d)), SparseMatrix(d * d, d, (
-        ((i * d + j, k), v) for i in range(d) for j in range(d)
-        for k, v in a.sc.product(i, j).items()))
+    return tuple(range(a.dim)), product_table(a)
 
 
 def _table(dim: int, left: Sequence[SparseMatrix], right: Sequence[SparseMatrix]) -> SparseMatrix:
@@ -188,13 +188,16 @@ def _table(dim: int, left: Sequence[SparseMatrix], right: Sequence[SparseMatrix]
 
 def _tables(a: Algebra, normalized: bool, dual: bool = False):
     """(merge, actions) for X = A, or with `dual` for X = A*, on which a acts
-    by the transposes of its right and left multiplications."""
+    by the transposes of its right and left multiplications: rows of the
+    product table, x * dim + j for e_x e_j and j * dim + x for e_j e_x."""
     letters, merge = _alphabet(a, normalized)
-    left = [a.basis_left_mult(x) for x in letters]
-    right = [a.basis_right_mult(x) for x in letters]
+    d, table = a.dim, product_table(a)
+    lefts = [range(x * d, x * d + d) for x in letters]
+    rights = [range(x, d * d, d) for x in letters]
     if dual:
-        left, right = [m.transpose() for m in right], [m.transpose() for m in left]
-    return merge, _table(a.dim, left, right)
+        return merge, _table(d, [table.take_rows(r) for r in rights],
+                             [table.take_rows(r) for r in lefts])
+    return merge, table.take_rows([i for r in lefts + rights for i in r])
 
 
 def _scatter(data: list[dict], v, target: int, step: int, cols: list[int]):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -288,6 +289,30 @@ def test_derived_builds_once_per_object_and_arguments():
     with pytest.raises(ValueError):
         scaled(first, -1)  # a failed build is not remembered either
     assert builds == [2, 3, 2, -1, -1]
+
+
+def test_only_the_product_table_reads_structure_constants_into_matrices():
+    # every matrix of products is read off algebra.product_table; .sc.product is
+    # read elsewhere only by the element-wise multiplication, equality, the
+    # regular trace, the form builder and the structure constants themselves
+    import hochkit
+    allowed = {"product_table", "Algebra.mul", "Algebra.__eq__", "regular_trace", "_form"}
+    readers = set()
+    for path in sorted(Path(hochkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        classes = [c for c in tree.body if isinstance(c, ast.ClassDef)
+                   and "StructureConstants" not in [c.name] + [getattr(b, "id", None)
+                                                               for b in c.bases]]
+        scopes = [(f"{c.name}.{f.name}", f) for c in classes
+                  for f in c.body if isinstance(f, ast.FunctionDef)]
+        scopes += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        for name, fn in scopes:
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Attribute) and node.attr == "product"
+                        and (isinstance(node.value, ast.Attribute) and node.value.attr == "sc"
+                             or isinstance(node.value, ast.Name) and node.value.id == "sc")):
+                    readers.add(name)
+    assert readers == allowed
 
 
 def test_frobenius_gram_defects_keep_their_messages():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from hochkit import hochschild, linalg
-from hochkit.algebra import Algebra, DictSC, center_basis, commutator_subspace
+from hochkit.algebra import Algebra, DictSC, a_unit_split, center_basis, commutator_subspace
 from hochkit.errors import (
     DegreeCapExceeded, DegreeUnderflow, HochkitError, MissingSimples, NotACocycle,
 )
@@ -935,3 +935,144 @@ def test_benchmark_tracer_still_wraps_the_transfer_maps():
     assert proc.returncode == 0, proc.stderr
     solves, pushforwards, cherns, descents = map(int, proc.stdout.split())
     assert solves > 0 and pushforwards > 0 and cherns > 0 and descents > 0
+
+
+# --- the product table's readers against the structure constants ------------
+#
+# The oracle builds every matrix the way it was built before the product
+# table existed: one structure constant at a time, the center and the
+# commutators from all pairs of basis elements.
+
+def _oracle_left(a, x):
+    return SparseMatrix(a.dim, a.dim, (
+        ((r, k), xi * c) for i, xi in enumerate(x) if xi
+        for k in range(a.dim) for r, c in a.sc.product(i, k).items()))
+
+
+def _oracle_right(a, x):
+    return SparseMatrix(a.dim, a.dim, (
+        ((r, k), xj * c) for j, xj in enumerate(x) if xj
+        for k in range(a.dim) for r, c in a.sc.product(k, j).items()))
+
+
+def _oracle_alphabet(a, normalized):
+    d = a.dim
+    if not normalized:
+        return tuple(range(d)), SparseMatrix(d * d, d, (
+            ((i * d + j, k), v) for i in range(d) for j in range(d)
+            for k, v in a.sc.product(i, j).items()))
+    u = a.unit
+    i0 = next(i for i, c in enumerate(u) if c)
+    letters = tuple(i for i in range(d) if i != i0)
+    r = len(letters)
+    products = SparseMatrix(r * r, d, (
+        ((s * r + t, k), v) for s, x in enumerate(letters) for t, y in enumerate(letters)
+        for k, v in a.sc.product(x, y).items()))
+    project = SparseMatrix(d, r, [((k, t), ONE) for t, k in enumerate(letters)]
+                           + [((i0, t), -u[k] / u[i0]) for t, k in enumerate(letters) if u[k]])
+    return letters, products * project
+
+
+def _oracle_tables(a, normalized, dual):
+    letters, merge = _oracle_alphabet(a, normalized)
+    basis = [tuple(ONE if j == x else ZERO for j in range(a.dim)) for x in letters]
+    left = [_oracle_left(a, e) for e in basis]
+    right = [_oracle_right(a, e) for e in basis]
+    if dual:
+        left, right = [m.transpose() for m in right], [m.transpose() for m in left]
+    return merge, linalg.hstack(a.dim, [*left, *right]).transpose()
+
+
+def _oracle_center(a):
+    def terms():  # coordinate k of e_j e_i - e_i e_j, for every i and j
+        for i in range(a.dim):
+            for j in range(a.dim):
+                for k, v in a.sc.product(j, i).items():
+                    yield (i * a.dim + k, j), v
+                for k, v in a.sc.product(i, j).items():
+                    yield (i * a.dim + k, j), -v
+    return linalg.nullspace(SparseMatrix(a.dim * a.dim, a.dim, terms()))
+
+
+def _oracle_commutators(a):
+    def terms():  # row i * dim + j holds e_i e_j - e_j e_i, for i < j
+        for i in range(a.dim):
+            for j in range(i + 1, a.dim):
+                for k, v in a.sc.product(i, j).items():
+                    yield (i * a.dim + j, k), v
+                for k, v in a.sc.product(j, i).items():
+                    yield (i * a.dim + j, k), -v
+    return linalg.rref(SparseMatrix(a.dim * a.dim, a.dim, terms()))
+
+
+def _relabeled(a, seed, keep_gens=True):
+    """a with basis vector i renamed perm[i] for a seeded permutation, its
+    structure constants in a fresh DictSC; without `keep_gens` its
+    generators default to its basis."""
+    perm = list(range(a.dim))
+    random.Random(seed).shuffle(perm)
+
+    def move(coords):
+        out = [ZERO] * a.dim
+        for i, c in enumerate(coords):
+            out[perm[i]] = c
+        return out
+    sc = {(perm[i], perm[j]): {perm[k]: v for k, v in a.sc.product(i, j).items()}
+          for i in range(a.dim) for j in range(a.dim)}
+    return Algebra(a.dim, DictSC(sc), move(a.unit), field_order=a.field_order,
+                   gens=[move(g) for g in a.gens] if keep_gens else None, validated=True)
+
+
+def _table_fixture(name):
+    if name.startswith("irrational"):
+        return _irrational_zn3()
+    if name.startswith("relabeled"):
+        return _relabeled(algebra_fixture("s3"), 7, keep_gens=name.endswith("gens"))
+    return algebra_fixture(name)
+
+
+TABLE_FIXTURES = CLEARED_FIXTURES + ("relabeled s3 with its gens", "relabeled s3 on its basis")
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_product_table_readers_match_the_structure_constants(name):
+    a = _table_fixture(name)
+    if name == "relabeled s3 with its gens":
+        assert len(a.gens) == 2
+    if name == "relabeled s3 on its basis":
+        assert len(a.gens) == a.dim
+    rng = random.Random(len(name))
+    w = zeta(a.field_order)
+    x = vec([rng.randint(-3, 3) + rng.randint(-1, 1) * w for _ in range(a.dim)])
+    assert a.left_mult_matrix(x) == _oracle_left(a, x)
+    assert a.right_mult_matrix(x) == _oracle_right(a, x)
+    for i in range(a.dim):
+        e = tuple(ONE if j == i else ZERO for j in range(a.dim))
+        assert a.basis_left_mult(i) == _oracle_left(a, e)
+        assert a.basis_right_mult(i) == _oracle_right(a, e)
+    assert a_unit_split(a).merge == _oracle_alphabet(a, True)[1]
+    for normalized in (True, False):
+        for dual in (False, True):
+            assert hochschild._tables(a, normalized, dual) == _oracle_tables(a, normalized, dual)
+
+
+@pytest.mark.parametrize("name", TABLE_FIXTURES)
+def test_generator_center_and_commutators_match_all_basis_pairs(name):
+    a = _table_fixture(name)
+    assert center_basis(a) == _oracle_center(a)
+    assert commutator_subspace(a) == _oracle_commutators(a)
+
+
+def test_one_cohomology_computation_reads_each_structure_constant_once():
+    # everything HH^* needs, the center cross-check included, is read off the
+    # product table, which reads each of the dim^2 products of basis elements once
+    for name, degree in (("s3", 2), ("a4", 1), ("tensor(mat:2,zn:2)", 2)):
+        a = _relabeled(algebra_fixture(name), 11)
+        product, calls = a.sc.product, []
+
+        def counted(i, j):
+            calls.append((i, j))
+            return product(i, j)
+        a.sc.product = counted
+        hh_cohomology_dims(a, degree)
+        assert sorted(calls) == [(i, j) for i in range(a.dim) for j in range(a.dim)]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hochkit.algebra import center_basis, trace_form
+from hochkit.algebra import Algebra, center_basis, trace_form
 from hochkit.errors import (
     AugmentationNot1Dim, HochkitError, MissingSerreData, NotIntertwiner, ShapeMismatch,
     SingularGram,
@@ -59,6 +59,21 @@ def test_mukai_class_checks_outside_coordinates():
         MukaiClass(s3, transposition)
     with pytest.raises(ShapeMismatch):
         MukaiClass(s3, [1, 0])
+    for z in center_rows(s3):
+        assert MukaiClass(s3, z).coords == z
+
+
+def test_mukai_class_checks_centrality_on_the_generator_maps(monkeypatch):
+    # the check applies the maps x |-> gx - xg; no dense product is formed
+    s3 = algebra_fixture("s3")
+
+    def no_products(*args):
+        raise AssertionError("Algebra.mul called")
+    monkeypatch.setattr(Algebra, "mul", no_products)
+    with pytest.raises(HochkitError, match=r"not central \(fails at generator 0\)"):
+        MukaiClass(s3, s3.gens[1])  # the 3-cycle does not commute with a transposition
+    with pytest.raises(HochkitError, match=r"not central \(fails at generator 1\)"):
+        MukaiClass(s3, s3.gens[0])
     for z in center_rows(s3):
         assert MukaiClass(s3, z).coords == z
 
@@ -156,6 +171,29 @@ def test_trace_triangle_reports_defect():
     assert not report.ok
     # the defect is the last comparison, shown as the vector it is
     assert report.comparisons[-1] == ("Tr_E(e) - Tr_F(f) + Tr_G(g)", "[1, 0]", "[0, 0]", False)
+
+
+def test_trace_triangle_shows_the_block_of_f_that_breaks_a_split_hypothesis():
+    # E, G and H of dimensions 2, 3 and 2; f index (i_H * 5 + j), E at j < 2
+    rng = random.Random(17)
+    de, dg, dh = 2, 3, 2
+    e, g = rand_matrix(rng, dh * de, de), rand_matrix(rng, dh * dg, dg)
+    f = assemble_split_map(e, g, rand_matrix(rng, dh * de, dg), de, dg, dh)
+    passing = trace_triangle_check(e, f, g, de, dg, dh)
+    assert passing.comparisons == [("split hypothesis (no E->G block)", "True", "True", True),
+                                   ("Tr_E(e) - Tr_F(f) + Tr_G(g)", "[0, 0]", "[0, 0]", True)]
+    planted = 7 * ONE  # at row 5 i_H + j, column c of f and the matching entry of its block
+    cases = [("f restricts to e on E", (5 + 1, 0), e, SparseMatrix(dh * de, de, {(3, 0): planted})),
+             ("f induces g on G", (5 + 3, 4), g, SparseMatrix(dh * dg, dg, {(4, 2): planted})),
+             ("split hypothesis (no E->G block)", (5 + 4, 1), SparseMatrix.zero(dh * dg, de),
+              SparseMatrix(dh * dg, de, {(5, 1): planted}))]
+    for label, at, want, offset in cases:
+        wrong = f + SparseMatrix(f.rows, f.cols, {at: planted})
+        report = trace_triangle_check(e, wrong, g, de, dg, dh)
+        assert not report.ok
+        failed = [(l, left, right) for l, left, right, ok in report.comparisons if not ok]
+        # the block of f as it is, against what it should be: they differ at the plant
+        assert (label, format_value(want + offset), format_value(want)) in failed
 
 
 def test_format_value_prints_every_kind_of_side():
