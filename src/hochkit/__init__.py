@@ -30,8 +30,8 @@ from .linalg import (
 )
 from .modules import (
     Bimodule, HomBasis, ModuleRep, apply_kernel, convolve, dual_kernel,
-    ext_dims, hom_space, multiplicity_vector, outer_kernel, regular_bimodule,
-    regular_module, simples_of, tensor_over,
+    ext_dims, hom_space, outer_kernel, regular_bimodule, regular_module,
+    simples_of,
 )
 from .mukai import (
     CheckReport, MukaiClass, adjoint_transfer,

@@ -10,6 +10,8 @@ eliminations) runs on the stored rows.  Scalars and vectors leave this
 module as CycScalars (`entry`, `entries`, `row_vector`, `apply`, `trace`):
 an integer entry v over `den` leaves as `rational(v, den)`, with no Fraction
 between, and a rational CycScalar enters as its numerator over `den`.
+`apply` sums each output once (`scalars.matvec`): one integer polynomial in
+zeta_n per row, reduced and descended once.
 `solve` answers with a matrix, a column per right-hand side, and `rref` and
 `nullspace` with the matrix whose rows are a canonical reduced echelon
 basis at pivot 1, so that equal spans give equal matrices.
@@ -42,7 +44,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeMismatch
-from .scalars import CycScalar, ONE, ZERO, cyc, rational
+from .scalars import CycScalar, ONE, ZERO, cyc, matvec, rational
 
 Vector = tuple[CycScalar, ...]
 
@@ -239,11 +241,7 @@ class SparseMatrix:
     def apply(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise ShapeMismatch(f"{self.rows}x{self.cols} applied to a vector of length {len(v)}")
-        out = (sum((a * v[c] for c, a in row.items() if v[c]), ZERO) for row in self._rows)
-        if self.den is None:
-            return tuple(out)
-        inverse = rational(1, self.den)
-        return tuple(s * inverse for s in out)
+        return matvec(self._rows, self.den, v)
 
     def trace(self) -> CycScalar:
         if self.rows != self.cols:

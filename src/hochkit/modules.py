@@ -171,12 +171,6 @@ def hom_space(m: ModuleRep, n: ModuleRep) -> HomBasis:
     return HomBasis(m, n, [SparseMatrix(n.dim, m.dim, e) for e in entries])
 
 
-def multiplicity_vector(m: ModuleRep, simples: Sequence[ModuleRep]) -> tuple[int, ...]:
-    """Hom dimensions against a fixed list of simples; the working notion of
-    isomorphism class for semisimple fixtures."""
-    return tuple(hom_space(s, m).dim for s in simples)
-
-
 # --- simples registry ---------------------------------------------------------
 
 def attach_simples(a: Algebra, simples: Sequence[ModuleRep]) -> None:
@@ -272,15 +266,6 @@ def balanced_tensor(mid: Algebra,
     include = SparseMatrix(ambient, len(free_coords),
                            {(f, k): ONE for k, f in enumerate(free_coords)})
     return BalancedTensor(len(free_coords), project, include, relations)
-
-
-def tensor_over(m: ModuleRep, n: ModuleRep) -> BalancedTensor:
-    """M (x)_A N for M a right A-module (carried over opposite(A)) and N a
-    left A-module."""
-    a = n.algebra
-    if m.algebra != opposite(a):
-        raise AlgebraMismatch("left factor must be a module over opposite(A)")
-    return balanced_tensor(a, lambda g: m.act(g), m.dim, lambda g: n.act(g), n.dim)
 
 
 # --- bimodule kernels -----------------------------------------------------------

@@ -52,7 +52,7 @@ from .modules import (
     AppliedKernel, Bimodule, ModuleRep, apply_kernel, apply_kernel_full, convolve,
     dual_kernel, hom_space, is_intertwiner, simples_of,
 )
-from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar
+from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar, matvec
 
 
 class MukaiClass:
@@ -341,7 +341,7 @@ def mukai_pairing(v: MukaiClass, w: MukaiClass) -> CycScalar:
     if v.algebra != w.algebra:
         raise AlgebraMismatch("pairing needs classes over the same algebra")
     tw = trace_form(v.algebra).apply(w.coords)
-    return sum((x * y for x, y in zip(v.coords, tw) if x), ZERO)
+    return matvec([{i: x for i, x in enumerate(v.coords) if x}], None, tw)[0]
 
 
 def euler_pairing(m: ModuleRep, n: ModuleRep) -> int:

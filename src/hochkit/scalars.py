@@ -7,7 +7,8 @@ the order always the conductor: the smallest n such that the value lies in
 Q(zeta_n).  Rationals therefore carry order 1, equality is a plain
 field-by-field comparison, and arithmetic runs on integers with one gcd per
 result.  A rational summand or factor keeps the conductor; only sums and
-products of two irrational values descend.
+products of two irrational values descend, and `matvec` descends once per
+output.
 
 Descent and inversion are index arithmetic; nothing here solves a linear
 system.  A value of Q(zeta_n) descends to Q(zeta_m), m = n/p for a prime
@@ -400,6 +401,50 @@ def cyc(x: Coercible) -> CycScalar:
 def rational(num: int, den: int) -> CycScalar:
     """The rational num/den, for integers with den > 0."""
     return _lowest(1, (num,), den)
+
+
+def matvec(rows: Sequence[dict], den: Optional[int],
+           v: Sequence[Coercible]) -> tuple[CycScalar, ...]:
+    """The sparse rows (integer rows over `den`, or CycScalar rows when den
+    is None) applied to v.  v is lifted once to Q(zeta_n), n the lcm of all
+    orders, over one denominator; each output is summed as one integer
+    polynomial in zeta_n and reduced mod Phi_n once, and an irrational one
+    descends once (delayed reduction: Dumas, Giorgi and Pernet, ACM TOMS 35,
+    2008)."""
+    v = [cyc(x) for x in v]
+    n = lcm(1, *{x.order for x in v},
+            *({a.order for row in rows for a in row.values()} if den is None else ()))
+    dv = lcm(1, *(x.den for x in v))
+
+    def power_basis(x: CycScalar) -> Sequence[int]:
+        return x._embed(n) if x.order > 1 else x.nums  # a rational is its constant term
+
+    lifted = [[(k, c * (dv // x.den)) for k, c in enumerate(power_basis(x)) if c] for x in v]
+    phi = euler_phi(n)
+    out = []
+    for row in rows:
+        if den is None:  # products of two polynomials of degree < phi
+            d = lcm(1, *(a.den for a in row.values()))
+            acc = [0] * (2 * phi - 1)
+            for c, a in row.items():
+                if lifted[c]:
+                    s = d // a.den
+                    for i, x in enumerate(power_basis(a)):
+                        if x:
+                            x *= s
+                            for k, y in lifted[c]:
+                                acc[i + k] += x * y
+            acc = _reduce_poly(n, acc)
+        else:
+            d, acc = den, [0] * phi
+            for c, a in row.items():
+                for k, y in lifted[c]:
+                    acc[k] += a * y
+        if any(acc[1:]):
+            out.append(CycScalar(n, acc)._scaled(1, d * dv))
+        else:  # a rational output, zero included, is at its conductor
+            out.append(_lowest(1, acc[:1], d * dv))
+    return tuple(out)
 
 
 def zeta(n: int, k: int = 1) -> CycScalar:

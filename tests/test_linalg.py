@@ -724,7 +724,7 @@ def test_operations_match_dense_oracle():
         if field == "z4" and (a * a.transpose()).den is not None and a.den is None:
             cancelled += 1  # an irrational matrix whose product landed in Q
         v = tuple(_random_scalar(rng, rng.choice(["q", field])) for _ in range(cols))
-        assert a.apply(v) == tuple(sum((x * y for x, y in zip(row, v)), ZERO) for row in ta)
+        assert _fields(a.apply(v)) == _fields(_per_term(ta, v))
         if rows == cols:
             assert a.trace() == sum((ta[i][i] for i in range(rows)), ZERO)
         reduced = _gauss_jordan(ta, cols)
@@ -745,6 +745,85 @@ def test_operations_match_dense_oracle():
             if x is not None:
                 assert a * x == b
     assert cancelled > 0 and solved == {True, False}
+
+
+def _fields(values):
+    return tuple((x.order, x.nums, x.den) for x in values)
+
+
+def _per_term(table, v):
+    """The oracle for `apply`: each output summed one product at a time."""
+    return tuple(sum((cyc(x) * cyc(y) for x, y in zip(row, v)), ZERO) for row in table)
+
+
+def _assert_apply(table, cols, v):
+    m = SparseMatrix(len(table), cols, _nonzero(table))
+    got = m.apply(v)
+    assert _fields(got) == _fields(_per_term(table, v))
+    return m, got
+
+
+def test_apply_matches_the_per_term_sum_across_fields():
+    z3, z4, z12 = zeta(3), zeta(4), zeta(12)
+    # a Q(zeta_3) vector against a Q(zeta_4) matrix lifts to Q(zeta_12)
+    _, got = _assert_apply([[z4, ONE + z4], [cyc(Fraction(1, 2)), ZERO]], 2, (z3, z3 + 2))
+    assert {x.order for x in got} == {12, 3}
+    # sums over Q(zeta_12) that descend to Q(zeta_3), to Q and to zero
+    table = [[z12, z3 - z12], [z12, cyc(Fraction(1, 2)) - z12], [z12, -z12],
+             [z12 ** 3, z12], [z12 * 2, ZERO]]
+    _, got = _assert_apply(table, 2, (ONE, ONE))
+    assert [x.order for x in got] == [3, 1, 1, 12, 12] and not got[2]
+    _, got = _assert_apply(table[3:], 2, (z12, z12 ** 11))
+    assert [x.order for x in got] == [3, 3]  # zeta_12^4 = zeta_3, and 2 zeta_12^2
+    # integer rows over a denominator > 1 against an irrational vector
+    m, _ = _assert_apply([[cyc(Fraction(1, 2)), cyc(Fraction(1, 3))],
+                          [cyc(Fraction(2, 3)), ZERO]], 2, (zeta(8), z3 + Fraction(1, 5)))
+    assert m.den == 6
+    # ints and Fractions inside v
+    _assert_apply([[z4, ONE, z3], [ONE, cyc(2), ONE]], 3, (3, Fraction(1, 3), z4))
+    _assert_apply([[ONE, cyc(2)]], 2, (Fraction(-2, 7), 5))
+    # empty rows, and shapes 0 x n and n x 0
+    _, got = _assert_apply([[ZERO, ZERO], [z12, ONE], [ZERO, ZERO]], 2, (z3, z4))
+    assert not got[0] and not got[2]
+    assert SparseMatrix.zero(0, 3).apply((z3, ONE, 2)) == ()
+    assert _fields(SparseMatrix.zero(3, 0).apply(())) == _fields((ZERO,) * 3)
+    rng = random.Random(61)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        table = _random_table(rng, rows, cols, rng.choice(["q", "z4", "z8", "z12", "mixed"]))
+        other = rng.choice(["q", "z4", "z8", "z12"])
+        v = tuple(rng.choice([_random_scalar(rng, other), 0, -2, Fraction(3, 4)])
+                  for _ in range(cols))
+        _assert_apply(table, cols, v)
+
+
+def test_apply_builds_one_scalar_per_output(monkeypatch):
+    # each output is summed as one integer polynomial and descended once:
+    # one constructor call per row, and no product or sum of scalars
+    rng = random.Random(63)
+    r, c = 5, 6
+    entries = {(i, j): zeta(12, rng.randrange(12)) + rng.randint(-2, 2)
+               for i in range(r) for j in range(c)}
+    m = SparseMatrix(r, c, entries)
+    v = tuple(zeta(12, rng.randrange(12)) * Fraction(rng.randint(1, 5), 3) for _ in range(c))
+    assert m.den is None and m.field_order == 12
+    calls = []
+    init = CycScalar.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls.append("__init__")
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(CycScalar, "__init__", counted_init)
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(self, other, _name=name, _method=getattr(CycScalar, name)):
+            calls.append(_name)
+            return _method(self, other)
+        monkeypatch.setattr(CycScalar, name, counted)
+    ONE + ONE
+    assert calls == ["__add__"]  # the counters are live
+    calls.clear()
+    m.apply(v)
+    assert calls.count("__init__") <= r and set(calls) <= {"__init__"}
 
 
 def test_block_solve_matches_per_column_oracle():

@@ -20,12 +20,26 @@ from hochkit.hochschild import ChainComplex
 from hochkit.linalg import SparseMatrix, kron, unit_vector
 from hochkit.modules import (
     Bimodule, ModuleRep, apply_kernel, apply_kernel_full, balanced_tensor,
-    convolve, dual_kernel, ext_dims, hom_space, is_intertwiner, multiplicity_vector,
-    outer_kernel, parallel_kernels, regular_bimodule, regular_module, simples_of,
-    tensor_over, validate_module,
+    convolve, dual_kernel, ext_dims, hom_space, is_intertwiner, outer_kernel,
+    parallel_kernels, regular_bimodule, regular_module, simples_of, validate_module,
 )
 from hochkit.scalars import ONE
 from hochkit.tqft import trivial_representation
+
+
+def multiplicity_vector(m, simples):
+    """Hom dimensions against a fixed list of simples; the working notion of
+    isomorphism class for semisimple fixtures."""
+    return tuple(hom_space(s, m).dim for s in simples)
+
+
+def tensor_over(m, n):
+    """M (x)_A N for M a right A-module (carried over opposite(A)) and N a
+    left A-module."""
+    a = n.algebra
+    if m.algebra != opposite(a):
+        raise AlgebraMismatch("left factor must be a module over opposite(A)")
+    return balanced_tensor(a, lambda g: m.act(g), m.dim, lambda g: n.act(g), n.dim)
 
 
 def underlying(k):
