@@ -42,9 +42,6 @@ from .mukai import (
     todd, todd_hrr_check, trace_triangle_check,
 )
 from .scalars import CycScalar, cyc, format_scalar, parse_scalar, zeta
-from .tqft import (
-    CobordismWord, SurfaceInvariant, evaluate, orbit_count, parse_word,
-    trivial_representation,
-)
+from .tqft import CobordismWord, SurfaceInvariant, evaluate, orbit_count, parse_word
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -48,10 +48,9 @@ from .algebra import (
     Algebra, a_unit_split, center_basis, commutator_subspace, derived, product_table,
 )
 from .errors import (
-    MAX_COORDINATES, AlgebraMismatch, DegreeUnderflow, HochkitError, NotACocycle,
-    ShapeMismatch, check_size,
+    MAX_COORDINATES, DegreeUnderflow, HochkitError, NotACocycle, ShapeMismatch, check_size,
 )
-from .linalg import SparseMatrix, Vector, _common, hstack, rank, solve, unit_vector
+from .linalg import SparseMatrix, Vector, _common, hstack, rank, unit_vector
 from .scalars import CycScalar, ZERO
 
 MAX_DEGREE = 32  # the highest degree an Ext or Hochschild computation reaches
@@ -449,30 +448,3 @@ def _cap_raw(f: Cochain, z: Chain) -> Chain:
                 out[w] = out[w] + c * v
     return Chain(a, n - p, tuple(out))
 
-
-def _difference(x: _BarElement, y: _BarElement) -> Vector:
-    """x - y for two chains or two cochains of one degree over one algebra."""
-    if x.degree != y.degree:
-        raise ShapeMismatch(f"cannot compare degrees {x.degree} and {y.degree}")
-    if x.algebra != y.algebra:
-        raise AlgebraMismatch("cannot compare classes over different algebras")
-    return tuple(a - b for a, b in zip(x.coords, y.coords))
-
-
-def class_difference_is_boundary(x: Chain, y: Chain) -> bool:
-    """Whether two cycles agree in homology (difference is a boundary)."""
-    diff = _difference(x, y)
-    if not any(diff):
-        return True
-    b = _unnormalized_chain_map(x.algebra, x.degree + 1)
-    return solve(b, SparseMatrix.from_columns([diff], b.rows)) is not None
-
-
-def cochain_difference_is_coboundary(x: Cochain, y: Cochain) -> bool:
-    diff = _difference(x, y)
-    if not any(diff):
-        return True
-    if x.degree == 0:
-        return False  # no (-1)-cochains
-    delta = _unnormalized_cochain_map(x.algebra, x.degree - 1)
-    return solve(delta, SparseMatrix.from_columns([diff], delta.rows)) is not None

@@ -16,6 +16,13 @@ pairing's dual basis, the simples' Chern expansion, endomorphisms, traces
 and character system) is `derived` from the algebra, so per kernel only
 the transport solves a system (`_solve_central`).
 
+The transfer identities are matrix equations in those matrices, compared
+entry by entry: adjointness Z_b T_b P_k Z_a^T = (P_dk Z_b^T)^T T_a Z_a^T for
+the pushforwards P of a kernel k and of its dual dk, functoriality
+P_(k2 o k1) Z^T = P_k2 P_k1 Z^T, and the Morita isometry Y T_b Y^T = Z T_a Z^T
+for Y = Z P_k^T.  Row i |Z| + j of kron(Z, Z) times the product table is
+z_i z_j, so the ring and module transports compare products with R_k and P_k.
+
 Normalization, fixed throughout: the trace on End(M) is the ordinary
 matrix trace, and the trace on bimodule endomorphisms (central elements)
 is the regular trace of the algebra.  That pair is forced by asking the
@@ -39,8 +46,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import (
-    Algebra, center_basis, commutator_maps, derived, matrix_algebra, regular_trace, tensor,
-    trace_form,
+    Algebra, center_basis, commutator_maps, derived, matrix_algebra, product_table,
+    regular_trace, tensor, trace_form,
 )
 from .errors import (
     AlgebraMismatch, AugmentationNot1Dim, HochkitError, MissingSerreData, NotIntertwiner,
@@ -491,19 +498,26 @@ def pushforward(k: Bimodule, v: MukaiClass) -> MukaiClass:
     return MukaiClass(k.target, _pushforward_matrix(k).apply(v.coords), _checked=True)
 
 
+def _compare_pairs(report: CheckReport, n: int, algebra: Optional[Algebra], *sides):
+    """Record entry r of each (name, left, right) in turn as f"{name} ({r // n}, {r % n})":
+    entries of the matrices in row-major order, or their rows as classes over `algebra`."""
+    def values(m: SparseMatrix) -> list:
+        return _classes(algebra, m) if algebra else [
+            m.entry(r, c) for r in range(m.rows) for c in range(m.cols)]
+    sides = [(name, values(left), values(right)) for name, left, right in sides]
+    for r in range(len(sides[0][1])):
+        for name, left, right in sides:
+            report.compare(f"{name} ({r // n}, {r % n})", left[r], right[r])
+
+
 def adjointness_check(k: Bimodule) -> CheckReport:
     """<v, K_* w>_target = <(dual K)_* v, w>_source on all center basis pairs."""
     report = CheckReport("adjointness of transfer maps", "adjoint-pairing")
     dk = dual_kernel(k)
-    a, b = k.source, k.target
-    za, zb = _classes(a, center_basis(a)), _classes(b, center_basis(b))
-    pushed = [pushforward(k, wa) for wa in za]
-    for i, vb in enumerate(zb):
-        pulled = pushforward(dk, vb)
-        for j, wa in enumerate(za):
-            lhs = mukai_pairing(vb, pushed[j])
-            rhs = mukai_pairing(pulled, wa)
-            report.compare(f"pair ({i}, {j})", lhs, rhs)
+    za_t, zb = center_basis(k.source).transpose(), center_basis(k.target)
+    pushed = zb * trace_form(k.target) * _pushforward_matrix(k) * za_t
+    pulled = (_pushforward_matrix(dk) * zb.transpose()).transpose() * trace_form(k.source) * za_t
+    _compare_pairs(report, za_t.cols, None, ("pair", pushed, pulled))
     return report
 
 
@@ -511,11 +525,11 @@ def functoriality_check(k1: Bimodule, k2: Bimodule) -> CheckReport:
     """(K2 o K1)_* = (K2)_* o (K1)_* on the source center basis."""
     report = CheckReport("pushforward functoriality", "pushforward-composition")
     composed = convolve(k1, k2)
-    a = k1.source
-    for i, v in enumerate(_classes(a, center_basis(a))):
-        direct = pushforward(composed, v)
-        stepped = pushforward(k2, pushforward(k1, v))
-        report.compare(f"basis vector {i}", direct, stepped)
+    z = center_basis(k1.source)
+    direct = z * _pushforward_matrix(composed).transpose()
+    stepped = z * _pushforward_matrix(k1).transpose() * _pushforward_matrix(k2).transpose()
+    for i, (one, two) in enumerate(zip(_classes(k2.target, direct), _classes(k2.target, stepped))):
+        report.compare(f"basis vector {i}", one, two)
     return report
 
 
@@ -583,35 +597,20 @@ def morita_isometry_check(a: Algebra, n: int,
         raise MissingSerreData("morita check needs Frobenius data")
     k = morita_kernel(a, n)
     b = k.target
-    za = _classes(a, center_basis(a))
-    report.compare("HH_0 dimensions equal", len(za), center_basis(b).rows)
-    images = [pushforward(k, v) for v in za]
-    image_matrix = SparseMatrix.from_columns([im.coords for im in images], b.dim)
-    report.compare("pushforward is injective on HH_0", rank(image_matrix), len(za))
-    # isometry on all basis pairs
-    for i, vi in enumerate(za):
-        for j, vj in enumerate(za):
-            report.compare(
-                f"pairing preserved ({i}, {j})",
-                mukai_pairing(images[i], images[j]),
-                mukai_pairing(vi, vj))
-    # ring structure on HH^0 transports multiplicatively
-    transports = [cohomology_transport(k, v) for v in za]
-    unit_a = MukaiClass(a, a.unit, _checked=True)
+    z = center_basis(a)
+    report.compare("HH_0 dimensions equal", z.rows, center_basis(b).rows)
+    push_t, move_t = _pushforward_matrix(k).transpose(), _transport_matrix(k).transpose()
+    images, moved = z * push_t, z * move_t
+    report.compare("pushforward is injective on HH_0", rank(images), z.rows)
+    _compare_pairs(report, z.rows, None, (
+        "pairing preserved", images * trace_form(b) * images.transpose(), pairing_gram(a)))
     report.compare("ring transport sends unit to unit",
-                   cohomology_transport(k, unit_a),
+                   cohomology_transport(k, MukaiClass(a, a.unit, _checked=True)),
                    MukaiClass(b, b.unit, _checked=True))
-    for i, vi in enumerate(za):
-        for j, vj in enumerate(za):
-            report.compare(
-                f"ring transport multiplicative ({i}, {j})",
-                cohomology_transport(k, vi.mul(vj)),
-                transports[i].mul(transports[j]))
-            # homology is a module over cohomology, and both maps respect it
-            report.compare(
-                f"central module structure intertwined ({i}, {j})",
-                pushforward(k, vi.mul(vj)),
-                transports[i].mul(images[j]))
+    products, table = kron(z, z) * product_table(a), product_table(b)
+    _compare_pairs(report, z.rows, b, (
+        "ring transport multiplicative", products * move_t, kron(moved, moved) * table), (
+        "central module structure intertwined", products * push_t, kron(moved, images) * table))
     if hh_maxdeg is not None:
         report.compare("homology dims equal",
                        hh_homology_dims(a, hh_maxdeg).dims,

@@ -261,15 +261,6 @@ class SurfaceInvariant:
         return f"SurfaceInvariant(dim {self.dims} for word '{self.word}')"
 
 
-def trivial_representation(a: Algebra) -> ModuleRep:
-    """The trivial representation of a group algebra: every group element
-    acts as 1."""
-    if a.provenance[0] != "group":
-        raise MissingAugmentation("trivial representation needs a group algebra")
-    one = SparseMatrix.identity(1)
-    return ModuleRep(a, 1, [one] * a.dim, name="triv", check=True)
-
-
 def _group_elements(a: Algebra) -> tuple[int, ...]:
     """The group elements that the generators of a group algebra name."""
     if a.provenance[0] != "group":

@@ -24,7 +24,6 @@ from hochkit.modules import (
     parallel_kernels, regular_bimodule, regular_module, simples_of, validate_module,
 )
 from hochkit.scalars import ONE
-from hochkit.tqft import trivial_representation
 
 
 def multiplicity_vector(m, simples):
@@ -646,7 +645,7 @@ def test_morita_and_surface_kernels_match_enveloping_oracle():
     for name in ("s3", "zn:3"):
         a = algebra_fixture(name)
         _agree(morita_kernel(a, 2), _ref_morita(a, 2))
-        aug = trivial_representation(a)
+        aug = ModuleRep(a, 1, [SparseMatrix.identity(1)] * a.dim, name="triv")
         gens, refs = GeneratorKernels(a, aug), _ref_generators(a, aug)
         for gen, ref in refs.items():
             _agree(getattr(gens, gen)(), ref)

@@ -9,17 +9,17 @@ from hochkit.errors import (
     SingularGram,
 )
 from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
-from hochkit.linalg import SparseMatrix, rank, vec
+from hochkit.linalg import SparseMatrix, rank, unit_vector, vec
 from hochkit.modules import (
-    ModuleRep, dual_kernel, hom_space, outer_kernel, regular_bimodule,
+    ModuleRep, convolve, dual_kernel, hom_space, outer_kernel, regular_bimodule,
     regular_module, simples_of,
 )
 from hochkit.mukai import (
-    MukaiClass, _classes, adjoint_transfer, adjointness_check, assemble_split_map,
+    CheckReport, MukaiClass, _classes, adjoint_transfer, adjointness_check, assemble_split_map,
     cardy_check, chern, chern_additivity_check, chern_commutation_check,
     cohomology_transport, format_value, functoriality_check, generalized_trace,
     hochschild_trace, hrr_check, iota_solve, morita_isometry_check,
-    mukai_pairing, pairing_gram, pushforward, serre_trace, todd,
+    morita_kernel, mukai_pairing, pairing_gram, pushforward, serre_trace, todd,
     todd_hrr_check, trace_triangle_check,
 )
 from hochkit.scalars import ONE, ZERO, cyc
@@ -1065,3 +1065,220 @@ def test_algebra_side_systems_solved_once_per_source(monkeypatch):
     assert sorted(map(id, ends)) == sorted(id(s) for a in sources for s in simples_of(a))
     # per source its Chern expansion and character system, per algebra its dual basis
     assert len(solves) == 2 * len(sources) + 3
+
+
+# --- the transfer verifiers as matrix identities -----------------------------------
+#
+# The per-pair loops the verifiers replaced: every pair of center basis vectors
+# goes through classes, the public transfer maps, the pairing and products of
+# classes.  They stay here as oracles.
+
+def old_adjointness_check(k):
+    report = CheckReport("adjointness of transfer maps", "adjoint-pairing")
+    dk = dual_kernel(k)
+    a, b = k.source, k.target
+    za, zb = _classes(a, center_basis(a)), _classes(b, center_basis(b))
+    pushed = [pushforward(k, wa) for wa in za]
+    for i, vb in enumerate(zb):
+        pulled = pushforward(dk, vb)
+        for j, wa in enumerate(za):
+            report.compare(f"pair ({i}, {j})", mukai_pairing(vb, pushed[j]),
+                           mukai_pairing(pulled, wa))
+    return report
+
+
+def old_functoriality_check(k1, k2):
+    report = CheckReport("pushforward functoriality", "pushforward-composition")
+    composed = convolve(k1, k2)
+    for i, v in enumerate(_classes(k1.source, center_basis(k1.source))):
+        report.compare(f"basis vector {i}", pushforward(composed, v),
+                       pushforward(k2, pushforward(k1, v)))
+    return report
+
+
+def old_morita_isometry_check(a, n):
+    report = CheckReport(f"morita invariance vs M_{n} amplification", "morita-invariance")
+    k = morita_kernel(a, n)
+    b = k.target
+    za = _classes(a, center_basis(a))
+    report.compare("HH_0 dimensions equal", len(za), center_basis(b).rows)
+    images = [pushforward(k, v) for v in za]
+    image_matrix = SparseMatrix.from_columns([im.coords for im in images], b.dim)
+    report.compare("pushforward is injective on HH_0", rank(image_matrix), len(za))
+    for i, vi in enumerate(za):
+        for j, vj in enumerate(za):
+            report.compare(f"pairing preserved ({i}, {j})",
+                           mukai_pairing(images[i], images[j]), mukai_pairing(vi, vj))
+    transports = [cohomology_transport(k, v) for v in za]
+    report.compare("ring transport sends unit to unit",
+                   cohomology_transport(k, MukaiClass(a, a.unit, _checked=True)),
+                   MukaiClass(b, b.unit, _checked=True))
+    for i, vi in enumerate(za):
+        for j, vj in enumerate(za):
+            report.compare(f"ring transport multiplicative ({i}, {j})",
+                           cohomology_transport(k, vi.mul(vj)),
+                           transports[i].mul(transports[j]))
+            report.compare(f"central module structure intertwined ({i}, {j})",
+                           pushforward(k, vi.mul(vj)), transports[i].mul(images[j]))
+    report.note("hochschild dimension comparison skipped (no degree requested)")
+    return report
+
+
+def _outer(src, i, dst, j):
+    a, b = algebra_fixture(src), algebra_fixture(dst)
+    return outer_kernel(simples_of(a)[i].dual(), simples_of(b)[j], a)
+
+
+def _record(report):
+    return report.name, report.check_id, report.comparisons, report.notes
+
+
+ADJOINT_CASES = {
+    "outer zn:3 -> zn:4": lambda: _outer("zn:3", 1, "zn:4", 3),
+    "outer s3 -> q8": lambda: _outer("s3", 2, "q8", 4),
+    "outer zn:4 -> a4": lambda: _outer("zn:4", 1, "a4", 3),
+    "regular s3": lambda: regular_bimodule(algebra_fixture("s3")),
+}
+FUNCTORIAL_CASES = {
+    "zn:2 -> zn:3 -> s3": lambda: (_outer("zn:2", 1, "zn:3", 2), _outer("zn:3", 1, "s3", 2)),
+    "zn:2 -> s3 -> s3": lambda: (_outer("zn:2", 0, "s3", 2),
+                                 regular_bimodule(algebra_fixture("s3"))),
+    "zn:3 -> zn:4 -> a4": lambda: (_outer("zn:3", 1, "zn:4", 3), _outer("zn:4", 2, "a4", 3)),
+}
+MORITA_CASES = [("field", 2), ("zn:2", 2), ("zn:3", 2), ("s3", 2), ("zn:2", 3)]
+
+
+@pytest.mark.parametrize("label", ADJOINT_CASES)
+def test_adjointness_matrix_identity_matches_per_pair_loop(label):
+    k = ADJOINT_CASES[label]()
+    report = adjointness_check(k)
+    assert report.ok
+    assert _record(report) == _record(old_adjointness_check(k))
+
+
+@pytest.mark.parametrize("label", FUNCTORIAL_CASES)
+def test_functoriality_matrix_identity_matches_per_vector_loop(label):
+    k1, k2 = FUNCTORIAL_CASES[label]()
+    report = functoriality_check(k1, k2)
+    assert report.ok
+    assert _record(report) == _record(old_functoriality_check(k1, k2))
+
+
+@pytest.mark.parametrize("name,n", MORITA_CASES)
+def test_morita_matrix_identities_match_per_pair_loops(name, n):
+    a = algebra_fixture(name)
+    report = morita_isometry_check(a, n)
+    assert report.ok
+    assert _record(report) == _record(old_morita_isometry_check(a, n))
+
+
+def _plant(monkeypatch, builder, hit, r, c, delta=ONE):
+    """Add delta at entry (r, c) of `builder`'s matrix on the kernels `hit` picks."""
+    import hochkit.mukai as mukai
+    real = getattr(mukai, builder)
+
+    def planted(k):
+        m = real(k)
+        return m + SparseMatrix(m.rows, m.cols, {(r, c): delta}) if hit(k) else m
+    monkeypatch.setattr(mukai, builder, planted)
+
+
+def _pivot(z, i):
+    """The pivot column of row i of a reduced echelon basis."""
+    return next(c for c, x in enumerate(z.row_vector(i)) if x)
+
+
+def test_adjointness_fails_exactly_on_the_pairs_of_a_wrong_dual_entry(monkeypatch):
+    k = _outer("s3", 2, "q8", 4)
+    a, b = k.source, k.target
+    zb, za = center_basis(b), center_basis(a)
+    i0, r = 2, 0
+    c = _pivot(zb, i0)  # only basis vector i0 of the target reads column c
+    paired = (trace_form(a) * za.transpose()).row_vector(r)
+    clean = [mukai_pairing(MukaiClass(b, zb.row_vector(i0), _checked=True),
+                           pushforward(k, w)) for w in _classes(a, za)]
+    assert adjointness_check(k).ok
+    _plant(monkeypatch, "_pushforward_matrix", lambda kern: kern.source == b, r, c, cyc(3))
+    report = adjointness_check(k)
+    assert not report.ok
+    shift = cyc(3) * zb.entry(i0, c)
+    expected = [(f"pair ({i0}, {j})", format_value(x), format_value(x + shift * t))
+                for j, (x, t) in enumerate(zip(clean, paired)) if t]
+    assert expected and len(expected) < len(report.comparisons)
+    assert report.failures() == expected
+    assert _record(report) == _record(old_adjointness_check(k))
+
+
+def test_functoriality_fails_exactly_on_the_basis_vector_of_a_wrong_inner_entry(monkeypatch):
+    from hochkit.mukai import _pushforward_matrix
+    k1, k2 = _outer("zn:2", 1, "zn:3", 2), _outer("zn:3", 1, "s3", 2)
+    za = center_basis(k1.source)
+    i0 = 1
+    c = _pivot(za, i0)  # only basis vector i0 of the source reads column c
+    columns = _pushforward_matrix(k2).transpose()
+    r = next(r for r in range(columns.rows) if any(columns.row_vector(r)))
+    clean = pushforward(k2, pushforward(k1, _classes(k1.source, za)[i0]))
+    assert functoriality_check(k1, k2).ok
+    _plant(monkeypatch, "_pushforward_matrix", lambda kern: kern is k1, r, c)
+    report = functoriality_check(k1, k2)
+    assert not report.ok
+    shift = MukaiClass(k2.target, columns.row_vector(r), _checked=True).scale(za.entry(i0, c))
+    assert report.failures() == [(f"basis vector {i0}", repr(clean), repr(clean + shift))]
+    assert _record(report) == _record(old_functoriality_check(k1, k2))
+
+
+def test_morita_fails_exactly_on_the_products_of_a_wrong_transport_entry(monkeypatch):
+    a = algebra_fixture("zn:2")  # center basis 1, g with g g = 1
+    k = morita_kernel(a, 2)
+    b = k.target
+    one, g = _classes(a, center_basis(a))
+    image_one, image_g, t_g = pushforward(k, one), pushforward(k, g), cohomology_transport(k, g)
+    assert morita_isometry_check(a, 2).ok
+    r = 3
+    _plant(monkeypatch, "_transport_matrix", lambda kern: kern.target == b, r, 1)
+    t_g = t_g + MukaiClass(b, unit_vector(b.dim, r), _checked=True)
+    report = morita_isometry_check(a, 2)
+    assert not report.ok
+    # 1 goes to the unit, so both sides of multiplicative (0, 1) and (1, 0)
+    # change alike, and g g = 1 leaves the left sides at (1, 1) as they were
+    expected = [
+        ("central module structure intertwined (1, 0)", image_g, t_g.mul(image_one)),
+        ("ring transport multiplicative (1, 1)", cohomology_transport(k, one),
+         t_g.mul(t_g)),
+        ("central module structure intertwined (1, 1)", image_one, t_g.mul(image_g)),
+    ]
+    assert report.failures() == [(label, repr(x), repr(y)) for label, x, y in expected]
+    assert _record(report) == _record(old_morita_isometry_check(a, 2))
+
+
+def test_transfer_verifiers_pair_no_classes(monkeypatch):
+    import hochkit.mukai as mukai
+    calls = {"mukai_pairing": 0, "pushforward": 0, "cohomology_transport": 0, "mul": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("mukai_pairing", "pushforward", "cohomology_transport"):
+        monkeypatch.setattr(mukai, name, counted(name, getattr(mukai, name)))
+    monkeypatch.setattr(MukaiClass, "mul", counted("mul", MukaiClass.mul))
+    assert adjointness_check(_outer("zn:3", 1, "zn:4", 3)).ok
+    assert functoriality_check(*FUNCTORIAL_CASES["zn:2 -> zn:3 -> s3"]()).ok
+    assert morita_isometry_check(algebra_fixture("s3"), 2).ok
+    # the unit alone goes through the public transport
+    assert calls == {"mukai_pairing": 0, "pushforward": 0, "cohomology_transport": 1, "mul": 0}
+
+
+@pytest.mark.parametrize("name", ["trunc:3", "dual"])
+def test_transfer_verifiers_refuse_algebras_without_frobenius_data(name):
+    from hochkit.errors import MiddleNotSemisimple
+    a = algebra_fixture(name)
+    k = regular_bimodule(a)
+    with pytest.raises(MissingSerreData):
+        adjointness_check(k)
+    with pytest.raises(MiddleNotSemisimple):
+        functoriality_check(k, k)
+    with pytest.raises(MissingSerreData):
+        morita_isometry_check(a, 2)

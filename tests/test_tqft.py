@@ -11,12 +11,21 @@ from hochkit.errors import (
 )
 from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.hochschild import hh_homology_dims
-from hochkit.modules import convolve, simples_of
+from hochkit.linalg import SparseMatrix
+from hochkit.modules import ModuleRep, convolve, simples_of
 from hochkit.scalars import ONE
 from hochkit.tqft import (
     GENERATORS, MAX_WORD_STEPS, CobordismWord, GeneratorKernels, evaluate, orbit_count,
-    parse_word, surface_states, trivial_representation,
+    parse_word, surface_states,
 )
+
+
+def trivial_representation(a):
+    """The trivial representation of a group algebra: every group element
+    acts as 1."""
+    if a.provenance[0] != "group":
+        raise MissingAugmentation("trivial representation needs a group algebra")
+    return ModuleRep(a, 1, [SparseMatrix.identity(1)] * a.dim, name="triv")
 
 
 def test_parse_sphere_and_torus():
