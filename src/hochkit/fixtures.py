@@ -1,10 +1,12 @@
 """Bundled fixtures: group algebras with their simple modules.
 
-Groups are built from explicit element models (residues, permutations,
-quaternion units); simple modules are given by matrices on a generating
-set and extended along a factorization of each element, then validated in
-full.  Irreducible decompositions are never computed at runtime: this
-registry is the authoritative list of simples per fixture.
+The bundled groups are data: one table, `GROUPS`, gives each its element
+model (a permutation group closed from its generators, or the quaternion
+units) and its simples, each a name and its matrices on the generators.
+One builder makes the group algebra of an entry, or of `zn:<k>` with the
+characters chi_j, extends every simple along a factorization of each
+element and validates it in full.  Irreducible decompositions are never
+computed at runtime: the table is the authoritative list of simples.
 
 `algebra_fixture` accepts the combinator grammar used by the CLI:
     zn:<k>  s3  d4  q8  a4  mat:<n>  dual  trunc:<k>  field
@@ -18,7 +20,6 @@ shared.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import permutations
 
 from .algebra import (
     Algebra, enveloping, field_algebra, group_algebra, matrix_algebra,
@@ -34,31 +35,6 @@ from .specfiles import parse_int, split_items
 def _perm_mul(p, q):
     # (p*q)(x) = p(q(x))
     return tuple(p[q[i]] for i in range(len(p)))
-
-
-def _close_group(generators):
-    gens = [tuple(g) for g in generators]
-    n = len(gens[0])
-    identity = tuple(range(n))
-    elements = [identity]
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = _perm_mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    elements.append(y)
-                    nxt.append(y)
-        frontier = nxt
-    return elements
-
-
-def _table_from_elements(elements, mul):
-    index = {x: i for i, x in enumerate(elements)}
-    return [[index[mul(a, b)] for b in elements] for a in elements]
 
 
 def _perm_label(p) -> str:
@@ -80,7 +56,13 @@ def _perm_label(p) -> str:
     return "".join(cycles) if cycles else "e"
 
 
-# --- group models -------------------------------------------------------------
+# --- group models: (table, labels, generator indices) ---------------------------
+
+def _tabulate(elements, mul, gens):
+    index = {x: i for i, x in enumerate(elements)}
+    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    return table, [index[g] for g in gens]
+
 
 def cyclic_group(n: int):
     elements = list(range(n))
@@ -90,22 +72,19 @@ def cyclic_group(n: int):
     return table, labels, gens
 
 
-def symmetric3_group():
-    elements = _close_group([(1, 0, 2), (1, 2, 0)])
-    table = _table_from_elements(elements, _perm_mul)
-    labels = [_perm_label(p) for p in elements]
-    gens = [elements.index((1, 0, 2)), elements.index((1, 2, 0))]
-    return table, labels, gens, elements
-
-
-def dihedral4_group():
-    r = (1, 2, 3, 0)
-    s = (1, 0, 3, 2)  # reflection
-    elements = _close_group([r, s])
-    table = _table_from_elements(elements, _perm_mul)
-    labels = [_perm_label(p) for p in elements]
-    gens = [elements.index(r), elements.index(s)]
-    return table, labels, gens, elements
+def _permutation_model(gens, key=None):
+    """The group generated by permutations, in breadth-first order from the
+    identity unless `key` sorts it; elements are labelled by their cycles."""
+    elements = [tuple(range(len(gens[0])))]
+    for x in elements:  # the list grows while it is read: a breadth-first queue
+        for g in gens:
+            y = _perm_mul(x, g)
+            if y not in elements:
+                elements.append(y)
+    if key is not None:
+        elements.sort(key=key)
+    table, gen_indices = _tabulate(elements, _perm_mul, gens)
+    return table, [_perm_label(p) for p in elements], gen_indices
 
 
 def quaternion_group():
@@ -124,40 +103,9 @@ def quaternion_group():
         s, u = mul_axis[(a[1], b[1])]
         return (a[0] * b[0] * s, u)
 
-    table = _table_from_elements(elements, mul)
+    table, gens = _tabulate(elements, mul, [(1, "i"), (1, "j")])
     labels = [("" if s == 1 else "-") + u for (s, u) in elements]
-    gens = [elements.index((1, "i")), elements.index((1, "j"))]
-    return table, labels, gens, elements
-
-
-def alternating4_group():
-    elements = [p for p in permutations(range(4))
-                if _perm_parity(p) == 1]
-    # stable ordering: identity first, then double transpositions, then 3-cycles
-    elements.sort(key=lambda p: (p != tuple(range(4)), _perm_label(p)))
-    table = _table_from_elements(elements, _perm_mul)
-    labels = [_perm_label(p) for p in elements]
-    x = (1, 0, 3, 2)   # (12)(34)
-    z = (1, 2, 0, 3)   # (123)
-    gens = [elements.index(x), elements.index(z)]
-    return table, labels, gens, elements
-
-
-def _perm_parity(p) -> int:
-    seen = [False] * len(p)
-    parity = 1
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            parity = -parity
-    return parity
+    return table, labels, gens
 
 
 # --- simple-module construction -------------------------------------------------
@@ -185,109 +133,60 @@ def rep_from_generators(a: Algebra, gen_indices, gen_matrices, dim, name):
     return ModuleRep(a, dim, [mats[g] for g in range(n)], name=name, check=True)
 
 
-def _mat(rows):
-    return SparseMatrix.from_dense(rows)
+# --- the bundled groups ---------------------------------------------------------
+
+# name -> (model, simples); a simple is its name and its matrices on the
+# model's generators, in the order of the generators
+GROUPS = {
+    # generators (12), (123)
+    "s3": (_permutation_model([(1, 0, 2), (1, 2, 0)]), [
+        ("triv", [[[1]], [[1]]]),
+        ("sign", [[[-1]], [[1]]]),
+        ("std", [[[0, 1], [1, 0]], [[0, -1], [1, -1]]]),
+    ]),
+    # generators r = (1234), the reflection s = (12)(34)
+    "d4": (_permutation_model([(1, 2, 3, 0), (1, 0, 3, 2)]), [
+        ("triv", [[[1]], [[1]]]),
+        ("chi_s", [[[1]], [[-1]]]),
+        ("chi_r", [[[-1]], [[1]]]),
+        ("chi_rs", [[[-1]], [[-1]]]),
+        ("std", [[[0, -1], [1, 0]], [[1, 0], [0, -1]]]),
+    ]),
+    # generators i, j
+    "q8": (quaternion_group(), [
+        ("triv", [[[1]], [[1]]]),
+        ("chi_j", [[[1]], [[-1]]]),
+        ("chi_i", [[[-1]], [[1]]]),
+        ("chi_ij", [[[-1]], [[-1]]]),
+        ("std", [[[zeta(4), 0], [0, -zeta(4)]], [[0, -1], [1, 0]]]),
+    ]),
+    # generators (12)(34), (123); identity first, then double transpositions,
+    # then 3-cycles
+    "a4": (_permutation_model([(1, 0, 3, 2), (1, 2, 0, 3)],
+                              key=lambda p: (p != (0, 1, 2, 3), _perm_label(p))), [
+        ("triv", [[[1]], [[1]]]),
+        ("omega", [[[1]], [[zeta(3)]]]),
+        ("omega2", [[[1]], [[zeta(3, 2)]]]),
+        ("std", [[[1, 0, 0], [0, -1, 0], [0, 0, -1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]),
+    ]),
+}
 
 
 @cache
-def _cyclic_algebra(n: int) -> Algebra:
-    table, labels, gens = cyclic_group(n)
-    a = group_algebra(table, labels=labels, gens=gens, name=f"zn:{n}")
-    simples = []
-    for k in range(n):
-        action = [SparseMatrix.from_dense([[zeta(n, (k * m) % n)]]) for m in range(n)]
-        simples.append(ModuleRep(a, 1, action, name=f"chi{k}", check=True))
-    attach_simples(a, simples)
-    return a
-
-
-@cache
-def _s3_algebra() -> Algebra:
-    table, labels, gens, elements = symmetric3_group()
-    a = group_algebra(table, labels=labels, gens=gens, name="s3")
-    triv = ModuleRep(a, 1, [SparseMatrix.identity(1)] * 6, name="triv", check=True)
-    sign = ModuleRep(a, 1, [_mat([[_perm_parity(p)]]) for p in elements],
-                     name="sign", check=True)
-    s, r = gens  # transposition (12), 3-cycle (123)
-    std = rep_from_generators(
-        a, [s, r],
-        [_mat([[0, 1], [1, 0]]), _mat([[0, -1], [1, -1]])],
-        2, "std")
-    attach_simples(a, [triv, sign, std])
-    return a
-
-
-@cache
-def _d4_algebra() -> Algebra:
-    table, labels, gens, elements = dihedral4_group()
-    a = group_algebra(table, labels=labels, gens=gens, name="d4")
-    r_idx, s_idx = gens
-    one = SparseMatrix.identity(1)
-
-    def one_dim(r_val, s_val, name):
-        return rep_from_generators(a, [r_idx, s_idx],
-                                   [_mat([[r_val]]), _mat([[s_val]])], 1, name)
-
-    simples = [
-        one_dim(1, 1, "triv"),
-        one_dim(1, -1, "chi_s"),
-        one_dim(-1, 1, "chi_r"),
-        one_dim(-1, -1, "chi_rs"),
-        rep_from_generators(a, [r_idx, s_idx],
-                            [_mat([[0, -1], [1, 0]]), _mat([[1, 0], [0, -1]])],
-                            2, "std"),
-    ]
-    attach_simples(a, simples)
-    return a
-
-
-@cache
-def _q8_algebra() -> Algebra:
-    table, labels, gens, elements = quaternion_group()
-    a = group_algebra(table, labels=labels, gens=gens, name="q8")
-    i_idx, j_idx = gens
-
-    def one_dim(i_val, j_val, name):
-        return rep_from_generators(a, [i_idx, j_idx],
-                                   [_mat([[i_val]]), _mat([[j_val]])], 1, name)
-
-    z4 = zeta(4)
-    simples = [
-        one_dim(1, 1, "triv"),
-        one_dim(1, -1, "chi_j"),
-        one_dim(-1, 1, "chi_i"),
-        one_dim(-1, -1, "chi_ij"),
-        rep_from_generators(a, [i_idx, j_idx],
-                            [SparseMatrix.from_dense([[z4, 0], [0, -z4]]),
-                             _mat([[0, -1], [1, 0]])],
-                            2, "std"),
-    ]
-    attach_simples(a, simples)
-    return a
-
-
-@cache
-def _a4_algebra() -> Algebra:
-    table, labels, gens, elements = alternating4_group()
-    a = group_algebra(table, labels=labels, gens=gens, name="a4")
-    x_idx, z_idx = gens  # (12)(34), (123)
-    w = zeta(3)
-    simples = [
-        rep_from_generators(a, [x_idx, z_idx],
-                            [SparseMatrix.identity(1), SparseMatrix.identity(1)],
-                            1, "triv"),
-        rep_from_generators(a, [x_idx, z_idx],
-                            [SparseMatrix.identity(1),
-                             SparseMatrix.from_dense([[w]])], 1, "omega"),
-        rep_from_generators(a, [x_idx, z_idx],
-                            [SparseMatrix.identity(1),
-                             SparseMatrix.from_dense([[w * w]])], 1, "omega2"),
-        rep_from_generators(a, [x_idx, z_idx],
-                            [_mat([[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
-                             _mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])],
-                            3, "std"),
-    ]
-    attach_simples(a, simples)
+def _group_fixture(name: str) -> Algebra:
+    """The group algebra of a `GROUPS` entry, or of `zn:<k>` with the
+    characters chi_j sending the generator to zeta_k^j, with its simples."""
+    if name in GROUPS:
+        (table, labels, gens), simples = GROUPS[name]
+    else:
+        k = int(name[len("zn:"):])
+        table, labels, gens = cyclic_group(k)
+        simples = [(f"chi{j}", [[[zeta(k, j)]]]) for j in range(k)]
+    a = group_algebra(table, labels=labels, gens=gens, name=name)
+    attach_simples(a, [
+        rep_from_generators(a, gens, [SparseMatrix.from_dense(m) for m in mats],
+                            len(mats[0]), simple)
+        for simple, mats in simples])
     return a
 
 
@@ -320,7 +219,7 @@ def algebra_fixture(name: str) -> Algebra:
     if name.startswith("zn:"):
         n = parse_int(name[3:], "cyclic order", low=1)
         _bounded(n, name)
-        return _cyclic_algebra(n)
+        return _group_fixture(f"zn:{n}")
     if name.startswith("mat:"):
         n = parse_int(name[4:], "matrix size", low=1)
         _bounded(n * n, name)
@@ -333,14 +232,8 @@ def algebra_fixture(name: str) -> Algebra:
         return truncated_poly(2)
     if name == "field":
         return field_algebra()
-    if name == "s3":
-        return _s3_algebra()
-    if name == "d4":
-        return _d4_algebra()
-    if name == "q8":
-        return _q8_algebra()
-    if name == "a4":
-        return _a4_algebra()
+    if name in GROUPS:
+        return _group_fixture(name)
     raise ParseError(f"unknown algebra fixture {name!r}")
 
 

@@ -101,11 +101,6 @@ class MukaiClass:
         c = cyc(c)
         return MukaiClass(self.algebra, tuple(c * x for x in self.coords), _checked=True)
 
-    def mul(self, other: "MukaiClass") -> "MukaiClass":
-        self._same(other)
-        return MukaiClass(self.algebra, self.algebra.mul(self.coords, other.coords),
-                          _checked=True)
-
     def _same(self, other: "MukaiClass"):
         if self.algebra != other.algebra:
             raise AlgebraMismatch("Mukai classes live over different algebras")

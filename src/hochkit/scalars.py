@@ -503,6 +503,12 @@ def check_nesting(text: str) -> None:
                          f"above the bound {MAX_NESTING}")
 
 
+def _is_digits(text: str) -> bool:
+    """Whether `text` is a nonempty run of ASCII digits 0-9; `str.isdigit`
+    also accepts digits such as "²" that `int` refuses."""
+    return text.isascii() and text.isdigit()
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -531,7 +537,7 @@ class _Tokens:
     def int_(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digits(self.text[self.pos]):
             self.pos += 1
         if self.pos == start:
             self.error("expected integer")
@@ -600,7 +606,7 @@ def _parse_atom(toks: _Tokens) -> CycScalar:
             toks.take()
             k = toks.int_()
         return zeta(n, k)
-    if c.isdigit():
+    if _is_digits(c):
         num = toks.int_()
         if toks.peek() == "/":
             toks.take()

@@ -41,7 +41,7 @@ from .algebra import Algebra, DictSC, SerreData
 from .errors import ParseError
 from .linalg import SparseMatrix
 from .modules import ModuleRep
-from .scalars import CycScalar, parse_scalar
+from .scalars import CycScalar, _is_digits, parse_scalar
 
 
 def _parse_assignments(text: str) -> list[tuple[int, list[str], str]]:
@@ -82,11 +82,12 @@ def split_items(text: str, line: Optional[int] = None) -> list[str]:
 def parse_int(text: str, what: str, line: Optional[int] = None,
               low: Optional[int] = None, high: Optional[int] = None,
               col: Optional[int] = None) -> int:
-    """The integer `text`, refused outside low..high (a `high` needs a `low`)."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise ParseError(f"bad {what} {text!r}", line=line, col=col) from None
+    """The integer `text`: ASCII digits 0-9 with an optional sign, refused
+    outside low..high (a `high` needs a `low`)."""
+    digits = text.strip()
+    if not _is_digits(digits[1:] if digits[:1] in ("+", "-") else digits):
+        raise ParseError(f"bad {what} {text!r}", line=line, col=col)
+    n = int(digits)
     if high is not None and not low <= n <= high:
         raise ParseError(f"{what} {n} out of range {low}..{high}", line=line, col=col)
     if low is not None and n < low:

@@ -18,6 +18,7 @@ from hochkit.fixtures import (
     ALL_GROUP_FIXTURES, algebra_fixture, cyclic_group, rep_from_generators,
 )
 from hochkit.linalg import SparseMatrix, rref, unit_vector, vec
+from hochkit.modules import simples_of
 from hochkit.scalars import ONE, ZERO, cyc
 
 
@@ -180,6 +181,78 @@ def test_validate_passes_on_all_fixtures():
                  "dual", "trunc:4", "tensor(zn:2,zn:3)", "env(zn:2)",
                  "op(s3)", "tensor(mat:2,zn:2)"]:
         validate(algebra_fixture(name))
+
+
+# name -> (labels, identity, generator indices, simples); a simple is its
+# name, dimension and matrices on the generators, entries in scalar syntax
+_FIXTURE_PINS = {
+    "zn:1": (["e"], 0, [0], [("chi0", 1, [[["1"]]])]),
+    "zn:2": (["e", "g"], 0, [1], [("chi0", 1, [[["1"]]]), ("chi1", 1, [[["-1"]]])]),
+    "zn:3": (["e", "g", "g^2"], 0, [1], [
+        ("chi0", 1, [[["1"]]]),
+        ("chi1", 1, [[["z3^1"]]]),
+        ("chi2", 1, [[["-1 - z3^1"]]]),
+    ]),
+    "zn:4": (["e", "g", "g^2", "g^3"], 0, [1], [
+        ("chi0", 1, [[["1"]]]),
+        ("chi1", 1, [[["z4^1"]]]),
+        ("chi2", 1, [[["-1"]]]),
+        ("chi3", 1, [[["-z4^1"]]]),
+    ]),
+    "zn:5": (["e", "g", "g^2", "g^3", "g^4"], 0, [1], [
+        ("chi0", 1, [[["1"]]]),
+        ("chi1", 1, [[["z5^1"]]]),
+        ("chi2", 1, [[["z5^2"]]]),
+        ("chi3", 1, [[["z5^3"]]]),
+        ("chi4", 1, [[["-1 - z5^1 - z5^2 - z5^3"]]]),
+    ]),
+    "zn:6": (["e", "g", "g^2", "g^3", "g^4", "g^5"], 0, [1], [
+        ("chi0", 1, [[["1"]]]),
+        ("chi1", 1, [[["1 + z3^1"]]]),
+        ("chi2", 1, [[["z3^1"]]]),
+        ("chi3", 1, [[["-1"]]]),
+        ("chi4", 1, [[["-1 - z3^1"]]]),
+        ("chi5", 1, [[["-z3^1"]]]),
+    ]),
+    "s3": (["e", "(12)", "(123)", "(23)", "(13)", "(132)"], 0, [1, 2], [
+        ("triv", 1, [[["1"]], [["1"]]]),
+        ("sign", 1, [[["-1"]], [["1"]]]),
+        ("std", 2, [[["0", "1"], ["1", "0"]], [["0", "-1"], ["1", "-1"]]]),
+    ]),
+    "d4": (["e", "(1234)", "(12)(34)", "(13)(24)", "(13)", "(24)", "(1432)", "(14)(23)"],
+           0, [1, 2], [
+        ("triv", 1, [[["1"]], [["1"]]]),
+        ("chi_s", 1, [[["1"]], [["-1"]]]),
+        ("chi_r", 1, [[["-1"]], [["1"]]]),
+        ("chi_rs", 1, [[["-1"]], [["-1"]]]),
+        ("std", 2, [[["0", "-1"], ["1", "0"]], [["1", "0"], ["0", "-1"]]]),
+    ]),
+    "q8": (["1", "-1", "i", "-i", "j", "-j", "k", "-k"], 0, [2, 4], [
+        ("triv", 1, [[["1"]], [["1"]]]),
+        ("chi_j", 1, [[["1"]], [["-1"]]]),
+        ("chi_i", 1, [[["-1"]], [["1"]]]),
+        ("chi_ij", 1, [[["-1"]], [["-1"]]]),
+        ("std", 2, [[["z4^1", "0"], ["0", "-z4^1"]], [["0", "-1"], ["1", "0"]]]),
+    ]),
+    "a4": (["e", "(12)(34)", "(123)", "(124)", "(13)(24)", "(132)", "(134)", "(14)(23)",
+            "(142)", "(143)", "(234)", "(243)"], 0, [1, 2], [
+        ("triv", 1, [[["1"]], [["1"]]]),
+        ("omega", 1, [[["1"]], [["z3^1"]]]),
+        ("omega2", 1, [[["1"]], [["-1 - z3^1"]]]),
+        ("std", 3, [[["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "-1"]],
+                    [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]]]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_PINS))
+def test_bundled_group_fixtures_keep_their_elements_and_simples(name):
+    a = algebra_fixture(name)
+    gens = [g.index(ONE) for g in a.gens]
+    simples = [(s.name, s.dim, [[[repr(s.action[g].entry(r, c)) for c in range(s.dim)]
+                                 for r in range(s.dim)] for g in gens])
+               for s in simples_of(a)]
+    assert (list(a.labels), a.provenance[3], gens, simples) == _FIXTURE_PINS[name]
 
 
 @pytest.mark.parametrize("name", ALL_GROUP_FIXTURES + ("mat:3", "trunc:3", "tensor(zn:3,zn:4)"))

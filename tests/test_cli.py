@@ -276,6 +276,24 @@ def test_shared_readers():
         parse_int("0", "dim", line=2, low=1)
     with pytest.raises(ParseError, match=r"^index 2 out of range 0..1$"):
         parse_int("2", "index", low=0, high=1)
+    assert parse_int("+3", "dim") == 3 and parse_int("-3", "dim") == -3
+    # an integer is ASCII digits: int() would read these as 10, 3 and 2
+    for text in ["1_0", "\u0663", "\uff12", "+-1", "", "-"]:
+        with pytest.raises(ParseError, match="^bad dim "):
+            parse_int(text, "dim")
+
+
+@pytest.mark.parametrize("argv, refused", [
+    (["pairing", "zn:3", "[\u00b2,0,0]", "[1,0,0]"], "unexpected '\u00b2' (line 1, col 1)"),
+    (["pairing", "zn:3", "[z\u00b3,0,0]", "[1,0,0]"], "expected integer (line 1, col 2)"),
+    (["pairing", "zn:3", "[1/\u00b2,0,0]", "[1,0,0]"], "expected integer (line 1, col 3)"),
+    (["hh", "zn:1_0"], "bad cyclic order '1_0'"),
+    (["hh", "zn:\u0663"], "bad cyclic order '\u0663'"),
+])
+def test_non_ascii_digits_are_usage_errors(argv, refused, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {refused}") and "Traceback" not in err
 
 
 def test_central_chern_accepts_every_module_reference(tmp_path, capsys):
@@ -871,7 +889,7 @@ def test_acceptance_suite_passes_under_optimize():
 
 _JUNK = st.sampled_from(["", " ", "x", "-1", "9", "[", "]", "[1,", ",", ":", "#", "z",
                          "z0", "1/0", "()", "sum:", "simple:", "genus:", "@", "--max-degree",
-                         "zn:0", "mat:x", "tensor(s3)"])
+                         "zn:0", "mat:x", "tensor(s3)", "[\u00b2]", "[[\u00b2]]"])
 _DIMS = {"field": 1, "dual": 2, "zn:2": 2, "zn:3": 3, "s3": 6}
 
 

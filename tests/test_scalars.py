@@ -232,6 +232,12 @@ def test_parse_error_position():
     with pytest.raises(ParseError):
         parse_scalar("1/0")
 
+    # only ASCII digits are digits: str.isdigit() also takes these
+    for text, col in [("\u00b2", 1), ("z\u00b3", 2), ("3/\u00b2", 3), ("z3^\u0661", 4)]:
+        with pytest.raises(ParseError) as exc:
+            parse_scalar(text)
+        assert exc.value.col == col
+
 
 def test_hash_consistency():
     assert hash(zeta(6, 2)) == hash(zeta(3))
