@@ -457,7 +457,7 @@ def _cmd_pushforward(args, report: Report) -> int:
 
 def _cmd_tqft(args, report: Report) -> int:
     a = load_algebra(args.algebra)
-    word = parse_word(args.word if args.word else f"genus:{args.genus}")
+    word = parse_word(args.word if args.word is not None else f"genus:{args.genus}")
     t0 = time.monotonic()
     inv = tqft_evaluate(a, word)
     elapsed = time.monotonic() - t0

@@ -275,16 +275,27 @@ def _common(a: SparseMatrix, b: SparseMatrix) -> tuple[list[dict], list[dict], i
     return _times(a, den // a.den), _times(b, den // b.den), den
 
 
+def _common_rows(ms: Sequence[SparseMatrix]) -> tuple[list[list[dict]], int | None]:
+    """The rows of every matrix of ms in one representation, as `_common`
+    gives them for two (which stays apart: it runs in every `+`, `*` and
+    `kron`), and den."""
+    dens = [m.den for m in ms]
+    if None in dens:
+        return [_scalar_rows(m) for m in ms], None
+    den = lcm(*dens)
+    return [_times(m, den // m.den) for m in ms], den
+
+
 def hstack(rows: int, blocks: Sequence[SparseMatrix]) -> SparseMatrix:
     """The blocks, each with `rows` rows, side by side, joined on their stored
     rows: integer rows over a common denominator unless a block is irrational."""
     if any(b.rows != rows for b in blocks):
         raise ShapeMismatch(f"blocks of {[b.rows for b in blocks]} rows in a stack of {rows}")
-    den = None if any(b.den is None for b in blocks) else lcm(1, *(b.den for b in blocks))
+    parts, den = _common_rows(blocks)
     data: list[dict] = [dict() for _ in range(rows)]
     offset = 0
-    for b in blocks:
-        for row, part in zip(data, _scalar_rows(b) if den is None else _times(b, den // b.den)):
+    for b, part_rows in zip(blocks, parts):
+        for row, part in zip(data, part_rows):
             row.update((offset + c, v) for c, v in part.items())
         offset += b.cols
     return SparseMatrix._of(rows, offset, data, den)

@@ -16,11 +16,14 @@ Conventions (fixed once, used everywhere):
 
 Balanced tensor products over a non-semisimple algebra are refused: the
 underived tensor would not compute the honest (derived) convolution there.
+`balanced_tensor` takes the two factors' action matrices of the middle
+algebra's generators, in `gens` order, and writes its relations in one pass
+over their stored rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import Algebra, opposite, tensor
 from .errors import (
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .hochschild import MAX_DEGREE, _alphabet, _bar_complex, _table, check_maxdeg
 from .linalg import (
-    SparseMatrix, Vector, cokernel_projector, hstack, kron, nullspace, unit_vector,
+    SparseMatrix, Vector, _common_rows, cokernel_projector, kron, nullspace, unit_vector,
 )
 from .scalars import CycScalar, ONE, ZERO
 
@@ -247,25 +250,58 @@ class BalancedTensor:
 
 
 def balanced_tensor(mid: Algebra,
-                    right_act: Callable[[Vector], SparseMatrix], m_dim: int,
-                    left_act: Callable[[Vector], SparseMatrix], n_dim: int) -> BalancedTensor:
+                    right_acts: Sequence[SparseMatrix], m_dim: int,
+                    left_acts: Sequence[SparseMatrix], n_dim: int) -> BalancedTensor:
     """Quotient of M (x) N by span{ m.a (x) n - m (x) a.n } over the
     generators of `mid` (products of generators are spanned, so this is the
-    full relation space).  Index convention: (mu, nu) -> mu * n_dim + nu."""
+    full relation space).  `right_acts` and `left_acts` hold the action
+    matrices of the generators on M and on N, in `mid.gens` order.  Index
+    convention: (mu, nu) -> mu * n_dim + nu.
+
+    The relation matrix is hstack([kron(R, I_n) - kron(I_m, L) ...]) over
+    the generators, written in one pass over the actions' stored rows: row
+    (mu, nu) of a generator's block holds R[mu, j] at (j, nu) and -L[nu, j]
+    at (mu, j), which meet only at (mu, nu)."""
     if not mid.is_semisimple():
         raise MiddleNotSemisimple(
             f"balanced tensor over non-semisimple algebra {mid!r} refused")
     ambient = m_dim * n_dim
     check_size(ambient, MAX_COORDINATES, lambda: f"the balanced tensor over {mid!r} has an "
                f"ambient of {m_dim} x {n_dim} = {ambient} coordinates")
-    id_m = SparseMatrix.identity(m_dim)
-    id_n = SparseMatrix.identity(n_dim)
-    relations = hstack(ambient, [kron(right_act(g), id_n) - kron(id_m, left_act(g))
-                                 for g in mid.gens])
+    gens = len(mid.gens)
+    if len(right_acts) != gens or len(left_acts) != gens:
+        raise ShapeMismatch(f"{len(right_acts)} and {len(left_acts)} action matrices for "
+                            f"the {gens} generator(s) of {mid!r}")
+    for act, d in [*((r, m_dim) for r in right_acts), *((a, n_dim) for a in left_acts)]:
+        if (act.rows, act.cols) != (d, d):
+            raise ShapeMismatch(f"a {act.rows}x{act.cols} action matrix on a factor of "
+                                f"dimension {d}")
+    rows, den = _common_rows([*right_acts, *left_acts])
+    blocks = [(g * ambient, rows[g], rows[gens + g]) for g in range(gens)]
+    zero = ZERO if den is None else 0
+    data = []
+    for mu in range(m_dim):
+        for nu in range(n_dim):
+            row = {}
+            for offset, rights, lefts in blocks:
+                r_row, l_row = rights[mu], lefts[nu]
+                row.update((offset + j * n_dim + nu, v) for j, v in r_row.items())
+                at = offset + mu * n_dim
+                row.update((at + j, -v) for j, v in l_row.items())
+                if nu in l_row:  # where the two terms meet, their difference
+                    s = r_row.get(mu, zero) - l_row[nu]
+                    if s:
+                        row[at + nu] = s
+                    else:
+                        del row[at + nu]
+            data.append(row)
+    relations = SparseMatrix._of(ambient, gens * ambient, data, den)
     free_coords, project = cokernel_projector(relations)
-    include = SparseMatrix(ambient, len(free_coords),
-                           {(f, k): ONE for k, f in enumerate(free_coords)})
-    return BalancedTensor(len(free_coords), project, include, relations)
+    include = [dict() for _ in range(ambient)]
+    for k, f in enumerate(free_coords):
+        include[f] = {k: 1}
+    return BalancedTensor(len(free_coords), project,
+                          SparseMatrix._of(ambient, len(free_coords), include, 1), relations)
 
 
 # --- bimodule kernels -----------------------------------------------------------
@@ -334,8 +370,9 @@ class AppliedKernel:
 def apply_kernel_full(k: Bimodule, m: ModuleRep) -> AppliedKernel:
     if m.algebra != k.source:
         raise AlgebraMismatch("module must live over the kernel's source algebra")
-    bt = balanced_tensor(k.source, lambda g: k.right_action(g), k.dim,
-                         lambda g: m.act(g), m.dim)
+    gens = k.source.gens
+    bt = balanced_tensor(k.source, [k.right_action(g) for g in gens], k.dim,
+                         [m.act(g) for g in gens], m.dim)
     id_m = SparseMatrix.identity(m.dim)
     # well-definedness on target generators; unit and products descend with them
     for g in k.target.gens:
@@ -355,8 +392,9 @@ def convolve(k1: Bimodule, k2: Bimodule) -> Bimodule:
     """Composite kernel: apply(convolve(k1, k2)) = apply(k2) o apply(k1)."""
     if k1.target != k2.source:
         raise AlgebraMismatch("middle algebras do not match")
-    bt = balanced_tensor(k1.target, lambda g: k2.right_action(g), k2.dim,
-                         lambda g: k1.left_action(g), k1.dim)
+    gens = k1.target.gens
+    bt = balanced_tensor(k1.target, [k2.right_action(g) for g in gens], k2.dim,
+                         [k1.left_action(g) for g in gens], k1.dim)
     a, c = k1.source, k2.target
     id1, id2 = SparseMatrix.identity(k1.dim), SparseMatrix.identity(k2.dim)
     # well-definedness on the outer generators

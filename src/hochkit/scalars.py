@@ -200,9 +200,12 @@ class CycScalar:
 
     def __init__(self, order: int, coeffs: Iterable[Fraction], *, _canonical: bool = False):
         # every descent runs here (perfbench's tracer counts these calls)
-        coeffs = [c if type(c) is int else Fraction(c) for c in coeffs]
-        den = lcm(1, *(c.denominator for c in coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in coeffs]
+        nums = coeffs if type(coeffs) is list else list(coeffs)
+        den = 1
+        if not all(type(c) is int for c in nums):  # internal callers pass ints
+            coeffs = [c if type(c) is int else Fraction(c) for c in nums]
+            den = lcm(1, *(c.denominator for c in coeffs))
+            nums = [c.numerator * (den // c.denominator) for c in coeffs]
         if not _canonical:
             if len(nums) != euler_phi(order):
                 raise ShapeMismatch(f"{len(nums)} coefficients for Q(zeta_{order}), "

@@ -27,6 +27,9 @@ matrix per open circle and generator of G:
     cap_out      takes the coinvariants k (x)_A V of its circle, to which
                  the other circles descend.
 
+The left and right regular permutation matrices of the generators are read
+off the group table once per group algebra and kept on it (`derived`).
+
 A closed word ends in a state over the base field whose dimension is the
 invariant: the sphere gives 1 and the torus dim HH_0, the number of
 conjugacy classes.  `GeneratorKernels` builds the same cobordisms as
@@ -272,6 +275,24 @@ def _group_elements(a: Algebra) -> tuple[int, ...]:
     return tuple(g.index(ONE) for g in a.gens)
 
 
+@derived
+def _regular_actions(a: Algebra) -> tuple[tuple[int, ...], tuple[SparseMatrix, ...],
+                                          tuple[SparseMatrix, ...]]:
+    """(elements, left, right), built once per group algebra: the group
+    elements g that its generators name, with e_c -> e_gc in left and
+    e_cg -> e_c in right, integer rows read off the group table."""
+    elements = _group_elements(a)
+    table, n = a.provenance[2], a.dim
+    left, right = [], []
+    for g in elements:
+        rows: list[dict] = [dict() for _ in range(n)]
+        for c in range(n):
+            rows[table[g][c]] = {c: 1}
+        left.append(SparseMatrix._of(n, n, rows, 1))
+        right.append(SparseMatrix._of(n, n, [{table[c][g]: 1} for c in range(n)], 1))
+    return elements, tuple(left), tuple(right)
+
+
 def _check_state_sizes(a: Algebra, word: CobordismWord, gens: int) -> None:
     """Refuse the word before any work if a state would store more than
     MAX_COORDINATES action entries.  Only a split raises the dimension (by
@@ -290,12 +311,10 @@ def surface_states(a: Algebra, word: CobordismWord):
     """Yield the state after each step of the word: its dimension and, per
     open circle, the action matrices of the generators.  A split indexes
     k[G] (x) V by c * dim V + v."""
-    elements = _group_elements(a)
+    elements, left, right = _regular_actions(a)
     _check_state_sizes(a, word, len(elements))
-    table, n = a.provenance[2], a.dim
-    left = [SparseMatrix(n, n, {(table[g][c], c): 1 for c in range(n)}) for g in elements]
-    right = [SparseMatrix(n, n, {(c, table[c][g]): 1 for c in range(n)}) for g in elements]
-    trivial = SparseMatrix.identity(1)
+    n = a.dim
+    trivial = [SparseMatrix.identity(1)] * len(elements)
     dim, slots = 1, []
     for gen, pos in word.steps:
         if gen == "cap_in":
@@ -311,8 +330,7 @@ def surface_states(a: Algebra, word: CobordismWord):
                                     [kron(x, m) for x, m in zip(right, rho)]] + others[pos:]
             dim *= n
         else:  # cap_out
-            acts = dict(zip(a.gens, slots[pos]))
-            bt = balanced_tensor(a, lambda g: trivial, 1, acts.__getitem__, dim)
+            bt = balanced_tensor(a, trivial, 1, slots[pos], dim)
             slots = [[bt.descend(m) for m in slot] for slot in slots[:pos] + slots[pos + 1:]]
             dim = bt.dim
         yield dim, slots

@@ -216,6 +216,8 @@ def test_module_file_algebra_that_does_not_resolve_names_its_line(tmp_path, caps
     ("genus:x", "bad genus 'x'"),
     ("cap_in@x cap_out", "bad position 'x' (col 1)"),
     ("cap_in cap_in@-1 pants_merge cap_out", "position must be at least 0, got -1 (col 8)"),
+    ("", "empty cobordism word"),
+    ("   ", "empty cobordism word"),
 ])
 def test_word_integers_are_read_by_the_shared_reader(word, refused, capsys):
     assert run(["tqft", "zn:2", "--word", word]) == 2

@@ -17,7 +17,7 @@ from hochkit.errors import (
 )
 from hochkit.fixtures import algebra_fixture
 from hochkit.hochschild import ChainComplex
-from hochkit.linalg import SparseMatrix, kron, unit_vector
+from hochkit.linalg import SparseMatrix, cokernel_projector, hstack, kron, solve, unit_vector
 from hochkit.modules import (
     Bimodule, ModuleRep, apply_kernel, apply_kernel_full, balanced_tensor,
     convolve, dual_kernel, ext_dims, hom_space, is_intertwiner, outer_kernel,
@@ -38,7 +38,8 @@ def tensor_over(m, n):
     a = n.algebra
     if m.algebra != opposite(a):
         raise AlgebraMismatch("left factor must be a module over opposite(A)")
-    return balanced_tensor(a, lambda g: m.act(g), m.dim, lambda g: n.act(g), n.dim)
+    return balanced_tensor(a, [m.act(g) for g in a.gens], m.dim,
+                           [n.act(g) for g in a.gens], n.dim)
 
 
 def underlying(k):
@@ -313,6 +314,75 @@ def test_balanced_tensor_refusal_names_its_operands():
         balanced_tensor(s3, None, 500, None, 401)  # refused before any action is read
 
 
+def test_balanced_tensor_refuses_actions_that_do_not_fit():
+    s3 = algebra_fixture("s3")
+    one, two = SparseMatrix.identity(1), SparseMatrix.identity(2)
+    with pytest.raises(ShapeMismatch, match=r"1 and 2 action matrices for the 2 generator"):
+        balanced_tensor(s3, [one], 1, [two, two], 2)
+    with pytest.raises(ShapeMismatch, match="a 2x2 action matrix on a factor of dimension 1"):
+        balanced_tensor(s3, [one, two], 1, [two, two], 2)
+
+
+def _ref_balanced_tensor(mid, right_acts, m_dim, left_acts, n_dim):
+    """(relations, include, project) of M (x)_mid N built from identities,
+    Kronecker products and hstack: the oracle of balanced_tensor's one-pass
+    assembly on the actions' stored rows."""
+    ambient = m_dim * n_dim
+    id_m, id_n = SparseMatrix.identity(m_dim), SparseMatrix.identity(n_dim)
+    relations = hstack(ambient, [kron(r, id_n) - kron(id_m, a)
+                                 for r, a in zip(right_acts, left_acts)])
+    free, project = cokernel_projector(relations)
+    include = SparseMatrix(ambient, len(free), {(f, k): ONE for k, f in enumerate(free)})
+    return relations, include, project
+
+
+def _conjugated(m, rows):
+    """m with every action matrix conjugated by the invertible matrix `rows`."""
+    p = SparseMatrix.from_dense(rows)
+    p_inv = solve(p, SparseMatrix.identity(p.rows))
+    return ModuleRep(m.algebra, m.dim, [p * x * p_inv for x in m.action],
+                     name=f"{m.name}^p", check=True)
+
+
+def _factor_pairs(case):
+    """(M, N) pairs for M (x)_A N, M a right module (over opposite(A))."""
+    if case == "rational":
+        s3 = algebra_fixture("s3")
+        mods = [*simples_of(s3), regular_module(s3)]
+        return [(m.dual(), n) for m in mods for n in mods]
+    z3 = algebra_fixture("zn:3")
+    chi1 = simples_of(z3)[1]
+    if case == "cyclotomic":  # rows over Q(zeta_3)
+        return [(chi1.dual(), n) for n in (*simples_of(z3), regular_module(z3))] + \
+            [(regular_module(z3).dual(), chi1)]
+    std = simples_of(algebra_fixture("s3"))[2]
+    thirds = _conjugated(std, [[1, 0], [1, 3]]).dual()
+    halves = _conjugated(std, [[2, 1], [0, 1]])
+    regular = _conjugated(regular_module(z3), [[1, 0, 0], [1, 3, 0], [0, 1, 2]])
+    return [(thirds, halves), (thirds, std), (regular.dual(), chi1), (chi1.dual(), regular)]
+
+
+F = frozenset
+
+
+@pytest.mark.parametrize("case, dens", [
+    ("rational", {(F({1}), F({1}))}),
+    ("cyclotomic", {(F({None}), F({1})), (F({None}), F({None})), (F({1}), F({None}))}),
+    ("denominators", {(F({3}), F({2})), (F({3}), F({1})), (F({6}), F({None})),
+                      (F({None}), F({6}))}),
+])
+def test_balanced_tensor_matches_the_kron_oracle(case, dens):
+    seen = set()  # the dens of the two factors' actions: None is irrational
+    for m, n in _factor_pairs(case):
+        a = n.algebra
+        rights, lefts = [m.act(g) for g in a.gens], [n.act(g) for g in a.gens]
+        bt = balanced_tensor(a, rights, m.dim, lefts, n.dim)
+        assert (bt.relations, bt.include, bt.project) == \
+            _ref_balanced_tensor(a, rights, m.dim, lefts, n.dim)
+        seen.add((F(x.den for x in rights), F(x.den for x in lefts)))
+    assert seen == dens
+
+
 def test_unit_split_does_not_pin_algebra():
     a = matrix_algebra(2)
     assert a_unit_split(a) is a_unit_split(a)
@@ -551,7 +621,9 @@ def _ref_parallel(k1, k2):
 
 
 def _ref_convolve(k1, k2):
-    bt = balanced_tensor(k1.target, k2.right_action, k2.dim, k1.left_action, k1.dim)
+    gens = k1.target.gens
+    bt = balanced_tensor(k1.target, [k2.right_action(g) for g in gens], k2.dim,
+                         [k1.left_action(g) for g in gens], k1.dim)
     a, c = k1.source, k2.target
     action = [bt.descend(kron(k2.left_action(unit_vector(c.dim, i)),
                               k1.right_action(unit_vector(a.dim, j))), check=False)
@@ -560,7 +632,9 @@ def _ref_convolve(k1, k2):
 
 
 def _ref_apply(k, m):
-    bt = balanced_tensor(k.source, k.right_action, k.dim, m.act, m.dim)
+    gens = k.source.gens
+    bt = balanced_tensor(k.source, [k.right_action(g) for g in gens], k.dim,
+                         [m.act(g) for g in gens], m.dim)
     return [bt.descend(kron(k.left_action(unit_vector(k.target.dim, i)),
                             SparseMatrix.identity(m.dim)), check=False)
             for i in range(k.target.dim)]

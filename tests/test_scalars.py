@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hochkit.errors import ParseError
+from hochkit.errors import ParseError, ShapeMismatch
 from hochkit.scalars import (
     CycScalar, cyc, euler_phi, cyclotomic_polynomial, format_scalar, parse_scalar,
     zeta, ONE, ZERO,
@@ -101,6 +101,21 @@ def test_conductor_reduction():
     assert zeta(8, 2).order == 4
     assert zeta(6).order == 3  # Q(zeta_6) = Q(zeta_3)
     assert (zeta(5) - zeta(5)).order == 1
+
+
+@pytest.mark.parametrize("order, ints", [
+    (1, [6]), (3, [4, -2]), (4, [0, 3]), (6, [2, 2]), (12, [0, 0, 6, 0]), (12, [0, 0, 0, 0]),
+])
+def test_int_fraction_and_mixed_coefficients_agree(order, ints):
+    # all-int coefficients take their own path through the constructor
+    fractions = [Fraction(2 * c, 2) for c in ints]
+    mixed = [Fraction(c) if k % 2 else c for k, c in enumerate(ints)]
+    values = [CycScalar(order, c) for c in (ints, tuple(ints), iter(ints), fractions, mixed)]
+    assert len({(v.order, v.nums, v.den) for v in values}) == 1
+    assert values[0] == CycScalar(order, [Fraction(c, 3) for c in ints]) * 3
+    for wrong in (ints + [1], [Fraction(c) for c in ints] + [Fraction(1, 2)]):
+        with pytest.raises(ShapeMismatch, match=f"coefficients for Q\\(zeta_{order}\\)"):
+            CycScalar(order, wrong)
 
 
 def _embedded_coords(m, n, coeffs):

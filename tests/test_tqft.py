@@ -11,7 +11,7 @@ from hochkit.errors import (
 )
 from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.hochschild import hh_homology_dims
-from hochkit.linalg import SparseMatrix
+from hochkit.linalg import SparseMatrix, kron
 from hochkit.modules import ModuleRep, convolve, simples_of
 from hochkit.scalars import ONE
 from hochkit.tqft import (
@@ -275,6 +275,26 @@ def test_state_route_matches_kernel_route_on_seeded_words():
     assert any(arity > GENERATORS[gen][0]
                for w in words for (gen, _), arity in zip(w.steps, w.arities))
     assert any(len(w.component_genera) > 1 for w in words)
+
+
+def test_regular_actions_are_built_once_per_algebra(monkeypatch):
+    z3 = algebra_fixture("zn:3")  # a fresh copy: nothing is derived on it yet
+    a = Algebra(z3.dim, z3.sc, z3.unit, serre=z3.serre, field_order=z3.field_order,
+                gens=z3.gens, provenance=z3.provenance)
+    elements = tqft._group_elements
+    named = []
+    monkeypatch.setattr(tqft, "_group_elements", lambda b: named.append(b) or elements(b))
+    reads = []
+    for _ in range(2):
+        firsts = []  # the left factor of every Kronecker product of a step
+        monkeypatch.setattr(tqft, "kron", lambda x, y: firsts.append(x) or kron(x, y))
+        assert evaluate(a, parse_word("genus:1")).dims == 3
+        reads.append(firsts)
+    assert named == [a]
+    _, left, right = tqft._regular_actions(a)
+    for firsts in reads:  # the split reads the stored matrices themselves
+        assert len(firsts) == len(left + right)
+        assert all(x is y for x, y in zip(firsts, left + right))
 
 
 def test_split_state_is_the_regular_bimodule():
