@@ -22,7 +22,7 @@ is the transpose b_n = delta^(n-1)(A*)^T.  Ext_A(M, N) takes X = Hom_k(M, N)
 (`modules.ext_dims`).  A word of r letters is its index in base r, and each
 term adds one signed table row along arithmetic progressions of indices
 (`_scatter`): a rational differential is summed on ints over one
-denominator, an irrational one in CycScalars.
+denominator, an irrational one in CycScalars and realified once.
 
 The reduced (normalized) route is the default: interior letters span a
 complement of the unit, which shrinks dim(A)^n to (dim(A)-1)^n and makes
@@ -33,6 +33,8 @@ on what its neighbour leaves and proves d o d = 0 on the pivot rows of each
 rank, by induction in degree: the first map is ranked whole, and once
 maps[n - 1] maps[n] = 0 is proved, the rows clearing cut from maps[n] are
 combinations of the rows it kept, so its pivot rows span all of its rows.
+A complex over Q(zeta_n) does all of this on its realification, a complex
+over Q with phi(n) times the dimensions and homology.
 
 A homology dimension in degree k is only reported when both adjacent
 differentials were built (`complete_through` tracks this); the CLI marks
@@ -42,6 +44,7 @@ anything beyond as incomplete rather than guessing.
 from __future__ import annotations
 
 from itertools import product
+from math import lcm
 from typing import Sequence
 
 from .algebra import (
@@ -50,8 +53,8 @@ from .algebra import (
 from .errors import (
     MAX_COORDINATES, DegreeUnderflow, HochkitError, NotACocycle, ShapeMismatch, check_size,
 )
-from .linalg import SparseMatrix, Vector, _common, hstack, rank, unit_vector
-from .scalars import CycScalar, ZERO
+from .linalg import SparseMatrix, Vector, _common, hstack, rank, realified, unit_vector
+from .scalars import CycScalar, ZERO, euler_phi
 
 MAX_DEGREE = 32  # the highest degree an Ext or Hochschild computation reaches
 
@@ -88,6 +91,11 @@ class ChainComplex:
     P_n spans all its rows, and maps[n] maps[n + 1] = 0 if and only if its
     rows P_n times maps[n + 1] are zero (Bauer, Kerber and Reininghaus,
     *Clear and Compress*, 2014; Chen and Kerber, 2011).
+
+    Over Q(zeta_n), n the lcm of the maps' orders, the clearing, the ranks
+    and the check run on the realified maps (`_real`), rational matrices of
+    phi(n) times the dimensions, whose ranks are phi(n) times those over
+    Q(zeta_n); `maps` keep the maps as given.
     """
 
     def __init__(self, dims: Sequence[int], maps: dict[int, SparseMatrix]):
@@ -99,10 +107,14 @@ class ChainComplex:
             if (m.rows, m.cols) != want:
                 raise ShapeMismatch(f"the map between degrees {n - 1} and {n} has shape "
                                     f"{(m.rows, m.cols)}, not {want}")
-        for n in sorted(self.maps):
-            if n + 1 in self.maps:
-                on_pivots = self.maps[n].take_rows(self._pivots_cleared(n)[0])
-                if not (on_pivots * self.maps[n + 1]).is_zero():
+        order = lcm(1, *(m.field_order for m in self.maps.values()))
+        self._phi = euler_phi(order)
+        self._real = {n: realified(m, order) for n, m in self.maps.items()} \
+            if order > 1 else self.maps
+        for n in sorted(self._real):
+            if n + 1 in self._real:
+                on_pivots = self._real[n].take_rows(self._pivots_cleared(n)[0])
+                if not (on_pivots * self._real[n + 1]).is_zero():
                     raise HochkitError(f"differential composite at degree {n} is nonzero")
 
     @property
@@ -110,16 +122,16 @@ class ChainComplex:
         return len(self.dims) - 1
 
     def rank_of_map(self, n: int) -> int:
-        return len(self._pivots_cleared(n)[0]) if n in self.maps else 0
+        return len(self._pivots_cleared(n)[0]) // self._phi if n in self.maps else 0
 
     @derived
     def _pivots_cleared(self, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The (rows, cols) pivots of maps[n], rows in its own indices: it is
-        ranked without the rows at the pivot columns of maps[n - 1], itself
-        ranked first."""
-        m = self.maps[n]
+        """The (rows, cols) pivots of the realified maps[n], rows in its own
+        indices: it is ranked without the rows at the pivot columns of
+        maps[n - 1], itself ranked first."""
+        m = self._real[n]
         kept = range(m.rows)
-        if n - 1 in self.maps and (cut := set(self._pivots_cleared(n - 1)[1])):
+        if n - 1 in self._real and (cut := set(self._pivots_cleared(n - 1)[1])):
             kept = [i for i in kept if i not in cut]
             m = m.take_rows(kept)
         rank(m)
@@ -231,7 +243,11 @@ def _coboundary(n: int, merge: SparseMatrix, actions: SparseMatrix,
     j * r^m + w, that of e_j (x) w in A (x) Abar^(x m), the dual of C^m
     when X = A*."""
     r, dx = merge.cols, actions.cols
-    merges, acts, den = _common(merge, actions)
+    irrational = merge.field_order > 1 or actions.field_order > 1
+    if irrational:  # summed in CycScalars, realified once below
+        merges, acts = _entries_by_row(merge), _entries_by_row(actions)
+    else:
+        merges, acts, den, _ = _common(merge, actions)
     negated = [{k: -v for k, v in row.items()} for row in merges]
     signed = negated, merges  # (-1)^(i+1) at letter i
     rights = acts[r * dx:]  # acts[x * dx + j] acts from the left
@@ -266,7 +282,18 @@ def _coboundary(n: int, merge: SparseMatrix, actions: SparseMatrix,
                 else:
                     for b in range(lo):
                         _scatter(data, v, m * lo + b, r * lo, cols[pair * lo + b::r * r * lo])
+    if irrational:
+        return SparseMatrix(dx * top, dx * top * r,
+                            (((i, j), v) for i, row in enumerate(data) for j, v in row.items()))
     return SparseMatrix._of(dx * top, dx * top * r, data, den)
+
+
+def _entries_by_row(m: SparseMatrix) -> list[dict[int, CycScalar]]:
+    """The entries of m as dict rows of CycScalars."""
+    rows: list[dict] = [dict() for _ in range(m.rows)]
+    for r, c, v in m.entries():
+        rows[r][c] = v
+    return rows
 
 
 def _bar_complex(merge: SparseMatrix, actions: SparseMatrix, top: int,

@@ -34,7 +34,7 @@ from .hochschild import MAX_DEGREE, _alphabet, _bar_complex, _table, check_maxde
 from .linalg import (
     SparseMatrix, Vector, _common_rows, cokernel_projector, kron, nullspace, unit_vector,
 )
-from .scalars import CycScalar, ONE, ZERO
+from .scalars import CycScalar, ONE, ZERO, euler_phi
 
 
 class ModuleRep:
@@ -244,9 +244,10 @@ class BalancedTensor:
     def descend(self, big: SparseMatrix, check: bool = True) -> SparseMatrix:
         """Induced map on the quotient of an ambient map; with check, verify
         the map preserves the relation subspace (well-definedness)."""
-        if check and not (self.project * (big * self.relations)).is_zero():
+        moved = self.project * big
+        if check and not (moved * self.relations).is_zero():
             raise HochkitError("ambient map does not descend to the quotient")
-        return self.project * (big * self.include)
+        return moved * self.include
 
 
 def balanced_tensor(mid: Algebra,
@@ -261,7 +262,8 @@ def balanced_tensor(mid: Algebra,
     The relation matrix is hstack([kron(R, I_n) - kron(I_m, L) ...]) over
     the generators, written in one pass over the actions' stored rows: row
     (mu, nu) of a generator's block holds R[mu, j] at (j, nu) and -L[nu, j]
-    at (mu, j), which meet only at (mu, nu)."""
+    at (mu, j), which meet only at (mu, nu).  Over Q(zeta_n) the rows are
+    realified, and each of those entries is a block."""
     if not mid.is_semisimple():
         raise MiddleNotSemisimple(
             f"balanced tensor over non-semisimple algebra {mid!r} refused")
@@ -276,26 +278,50 @@ def balanced_tensor(mid: Algebra,
         if (act.rows, act.cols) != (d, d):
             raise ShapeMismatch(f"a {act.rows}x{act.cols} action matrix on a factor of "
                                 f"dimension {d}")
-    rows, den = _common_rows([*right_acts, *left_acts])
-    blocks = [(g * ambient, rows[g], rows[gens + g]) for g in range(gens)]
-    zero = ZERO if den is None else 0
-    data = []
-    for mu in range(m_dim):
-        for nu in range(n_dim):
-            row = {}
-            for offset, rights, lefts in blocks:
-                r_row, l_row = rights[mu], lefts[nu]
-                row.update((offset + j * n_dim + nu, v) for j, v in r_row.items())
-                at = offset + mu * n_dim
-                row.update((at + j, -v) for j, v in l_row.items())
-                if nu in l_row:  # where the two terms meet, their difference
-                    s = r_row.get(mu, zero) - l_row[nu]
-                    if s:
-                        row[at + nu] = s
-                    else:
-                        del row[at + nu]
-            data.append(row)
-    relations = SparseMatrix._of(ambient, gens * ambient, data, den)
+    rows, den, order = _common_rows([*right_acts, *left_acts])
+    phi, data = euler_phi(order), []
+    if phi == 1:
+        blocks = [(g * ambient, rows[g], rows[gens + g]) for g in range(gens)]
+        for mu in range(m_dim):
+            for nu in range(n_dim):
+                row = {}
+                for offset, rights, lefts in blocks:
+                    r_row, l_row = rights[mu], lefts[nu]
+                    row.update((offset + j * n_dim + nu, v) for j, v in r_row.items())
+                    at = offset + mu * n_dim
+                    row.update((at + j, -v) for j, v in l_row.items())
+                    if nu in l_row:  # where the two terms meet, their difference
+                        if diff := r_row.get(mu, 0) - l_row[nu]:
+                            row[at + nu] = diff
+                        else:
+                            del row[at + nu]
+                data.append(row)
+    else:  # the same on realified rows, each index owning a block of phi
+        # R[mu, j] lands at (j, nu) for every nu: column j * n_dim of its block, plus nu
+        blocks = [(g * ambient * phi, [{j // phi * n_dim * phi + j % phi: v
+                                        for j, v in row.items()} for row in rows[g]],
+                   rows[gens + g]) for g in range(gens)]
+        block = range(phi)
+        for mu in range(m_dim):
+            mu_col = mu * n_dim * phi
+            parts = [(offset, offset + mu_col, rights[mu * phi:mu * phi + phi], lefts)
+                     for offset, rights, lefts in blocks]
+            for nu in range(n_dim):
+                first = nu * phi
+                for s in block:
+                    row = {}
+                    for offset, at, r_rows, lefts in parts:
+                        r_row, l_row = r_rows[s], lefts[first + s]
+                        row.update((offset + first + k, v) for k, v in r_row.items())
+                        row.update((at + j, -v) for j, v in l_row.items())
+                        for t in block:  # where the two terms meet
+                            if (lv := l_row.get(first + t)) is not None:
+                                if diff := r_row.get(mu_col + t, 0) - lv:
+                                    row[at + first + t] = diff
+                                else:
+                                    del row[at + first + t]
+                    data.append(row)
+    relations = SparseMatrix._of(ambient, gens * ambient, data, den, order)
     free_coords, project = cokernel_projector(relations)
     include = [dict() for _ in range(ambient)]
     for k, f in enumerate(free_coords):

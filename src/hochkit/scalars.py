@@ -2,13 +2,15 @@
 
 A value is kept as `(order, nums, den)`: integer numerators in the power
 basis 1, z, ..., z^(phi(n)-1) of Q[x]/Phi_n(x) over one positive
-denominator, in lowest terms (the form of `linalg`'s rational rows), with
-the order always the conductor: the smallest n such that the value lies in
+denominator, in lowest terms (the form of `linalg`'s rows), with the order
+always the conductor: the smallest n such that the value lies in
 Q(zeta_n).  Rationals therefore carry order 1, equality is a plain
 field-by-field comparison, and arithmetic runs on integers with one gcd per
 result.  A rational summand or factor keeps the conductor; only sums and
-products of two irrational values descend, and `matvec` descends once per
-output.
+products of two irrational values descend, and `scalar` descends once per
+value it builds from integer coordinates.  `multiplication_block` writes a
+value as the integer matrix of multiplication by it on the power basis, the
+block in which `linalg` stores each entry of a matrix over Q(zeta_n), n > 1.
 
 Descent and inversion are index arithmetic; nothing here solves a linear
 system.  A value of Q(zeta_n) descends to Q(zeta_m), m = n/p for a prime
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
@@ -178,6 +180,39 @@ def _descend(n: int, p: int, nums: list[int]) -> Optional[list[int]]:
     return [a - b for a, b in zip(_reduce_poly(m, parts[0]), last)]
 
 
+def embed(nums: Sequence[int], order: int, n: int) -> Sequence[int]:
+    """Power-basis coordinates in Q(zeta_n), order | n, of the value with
+    coordinates `nums` in Q(zeta_order): zeta_order = zeta_n^(n/order)."""
+    if n == order:
+        return nums
+    step = n // order
+    dense = [0] * ((len(nums) - 1) * step + 1)
+    for e, c in enumerate(nums):
+        if c:
+            dense[e * step] = c
+    return _reduce_poly(n, dense)
+
+
+@lru_cache(maxsize=4096)
+def multiplication_block(nums: tuple[int, ...], order: int,
+                         n: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero entries (s, t, v) of the phi(n) x phi(n) integer matrix of
+    multiplication by x = sum_k nums[k] zeta_order^k, order | n, on the power
+    basis of Q(zeta_n): column t holds the coordinates of x zeta_n^t, and
+    column 0 those of x."""
+    phi = euler_phi(n)
+    if order == 1:
+        return tuple((s, s, nums[0]) for s in range(phi)) if nums[0] else ()
+    col, cyclo, out = list(embed(nums, order, n)), cyclotomic_polynomial(n), []
+    for t in range(phi):
+        out.extend((s, t, v) for s, v in enumerate(col) if v)
+        carry = col[-1]  # times zeta: shift up, and zeta^phi = -(cyclo[0] + ...)
+        col = [0] + col[:-1]
+        if carry:
+            col = [a - carry * k for a, k in zip(col, cyclo)]
+    return tuple(out)
+
+
 def _conductor_form(n: int, nums: list[int]) -> tuple[int, list[int]]:
     while n > 1:
         if not any(nums[1:]):
@@ -241,14 +276,7 @@ class CycScalar:
 
     def _embed(self, n: int) -> Sequence[int]:
         """The numerators of self in the power basis of Q(zeta_n), over self.den."""
-        if n == self.order:
-            return self.nums
-        step = n // self.order
-        dense = [0] * ((len(self.nums) - 1) * step + 1)
-        for e, c in enumerate(self.nums):
-            if c:
-                dense[e * step] = c
-        return _reduce_poly(n, dense)
+        return embed(self.nums, self.order, n)
 
     def __add__(self, other: Coercible) -> "CycScalar":
         other = cyc(other)
@@ -278,7 +306,7 @@ class CycScalar:
         return cyc(other) + (-self)
 
     def __mul__(self, other: Coercible) -> "CycScalar":
-        if type(other) is int:  # integer matrix rows times scalars, in linalg
+        if type(other) is int:  # an integer factor needs no coercion
             return self._scaled(other, 1)
         other = cyc(other)
         if other.order == 1:
@@ -401,53 +429,12 @@ def cyc(x: Coercible) -> CycScalar:
     raise TypeError(f"cannot coerce {type(x).__name__} to CycScalar")
 
 
-def rational(num: int, den: int) -> CycScalar:
-    """The rational num/den, for integers with den > 0."""
-    return _lowest(1, (num,), den)
-
-
-def matvec(rows: Sequence[dict], den: Optional[int],
-           v: Sequence[Coercible]) -> tuple[CycScalar, ...]:
-    """The sparse rows (integer rows over `den`, or CycScalar rows when den
-    is None) applied to v.  v is lifted once to Q(zeta_n), n the lcm of all
-    orders, over one denominator; each output is summed as one integer
-    polynomial in zeta_n and reduced mod Phi_n once, and an irrational one
-    descends once (delayed reduction: Dumas, Giorgi and Pernet, ACM TOMS 35,
-    2008)."""
-    v = [cyc(x) for x in v]
-    n = lcm(1, *{x.order for x in v},
-            *({a.order for row in rows for a in row.values()} if den is None else ()))
-    dv = lcm(1, *(x.den for x in v))
-
-    def power_basis(x: CycScalar) -> Sequence[int]:
-        return x._embed(n) if x.order > 1 else x.nums  # a rational is its constant term
-
-    lifted = [[(k, c * (dv // x.den)) for k, c in enumerate(power_basis(x)) if c] for x in v]
-    phi = euler_phi(n)
-    out = []
-    for row in rows:
-        if den is None:  # products of two polynomials of degree < phi
-            d = lcm(1, *(a.den for a in row.values()))
-            acc = [0] * (2 * phi - 1)
-            for c, a in row.items():
-                if lifted[c]:
-                    s = d // a.den
-                    for i, x in enumerate(power_basis(a)):
-                        if x:
-                            x *= s
-                            for k, y in lifted[c]:
-                                acc[i + k] += x * y
-            acc = _reduce_poly(n, acc)
-        else:
-            d, acc = den, [0] * phi
-            for c, a in row.items():
-                for k, y in lifted[c]:
-                    acc[k] += a * y
-        if any(acc[1:]):
-            out.append(CycScalar(n, acc)._scaled(1, d * dv))
-        else:  # a rational output, zero included, is at its conductor
-            out.append(_lowest(1, acc[:1], d * dv))
-    return tuple(out)
+def scalar(n: int, nums: Sequence[int], den: int) -> CycScalar:
+    """The value with integer power-basis numerators `nums` in Q(zeta_n) over
+    den > 0, at its conductor; a rational one, zero included, needs no descent."""
+    if any(nums[1:]):
+        return CycScalar(n, nums)._scaled(1, den)
+    return _lowest(1, nums[:1], den) if nums[0] else ZERO
 
 
 def zeta(n: int, k: int = 1) -> CycScalar:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,8 @@ from hochkit.hochschild import (
     bar_chain_complex, bar_cochain_complex, boundary, cap_product, coboundary,
     cup_product, hh_cohomology_dims, hh_homology_dims, is_cocycle, is_cycle,
 )
-from hochkit.linalg import SparseMatrix, _copy_rows, _eliminate, rank, solve, vec
-from hochkit.scalars import ONE, ZERO, CycScalar, cyc, zeta
+from hochkit.linalg import SparseMatrix, _copy_rows, _eliminate, rank, realified, solve, vec
+from hochkit.scalars import ONE, ZERO, CycScalar, cyc, euler_phi, zeta
 
 
 # --- independent oracle ----------------------------------------------------
@@ -564,6 +565,27 @@ def test_normalized_differentials_match_entrywise_oracle(name):
         assert cochains.maps[n + 1].transpose() == _normalized_oracle_coboundary(a, n)
 
 
+def _cyclotomic_copy(name, seed):
+    """The fixture in a seeded upper unitriangular basis over Q(zeta_3), with
+    entries in {0, 1, -1, zeta_3, 2 zeta_3 + 1} above the diagonal."""
+    a, rng, w = algebra_fixture(name), random.Random(seed), zeta(3)
+    entries = (ZERO, ONE, -ONE, w, 2 * w + 1)
+    basis = [[ONE if j == i else rng.choice(entries) if j > i else ZERO for j in range(a.dim)]
+             for i in range(a.dim)]
+    return _rebased(a, basis, lcm(a.field_order, 3))
+
+
+@pytest.mark.parametrize("name, top, seed", [("s3", 1, 5), ("zn:4", 2, 7)])
+def test_cyclotomic_copies_keep_the_hochschild_dimensions(name, top, seed):
+    # transport of structure: an isomorphic copy has the fixture's HH, and
+    # its complexes over Q(zeta_3) are ranked on their realifications
+    a, b = _cyclotomic_copy(name, seed), algebra_fixture(name)
+    assert any(v.order == 3 for i in range(a.dim) for j in range(a.dim)
+               for v in a.sc.product(i, j).values())
+    assert hh_homology_dims(a, top).dims == hh_homology_dims(b, top).dims
+    assert hh_cohomology_dims(a, top).dims == hh_cohomology_dims(b, top).dims
+
+
 def test_irrational_structure_constants_keep_cyclotomic_rows():
     a = _irrational_zn3()
     assert a.sc.product(0, 2) == {1: ONE, 2: -zeta(3)}  # g g^2 = 1
@@ -574,8 +596,13 @@ def test_irrational_structure_constants_keep_cyclotomic_rows():
         # commutative algebra
         assert chains[1].is_zero() and cochains[1].is_zero()
         assert chains[1].den == cochains[1].den == 1
+        assert chains[1].field_order == cochains[1].field_order == 1
         for m in (chains[2], chains[3], cochains[2], cochains[3]):
-            assert m.den is None and m.field_order == 3
+            # realified over Q(zeta_3): integer rows, a block of two per row
+            assert m.field_order == 3 and len(m._rows) == 2 * m.rows
+            assert all(type(v) is int for row in m._rows for v in row.values())
+            assert m == SparseMatrix(m.rows, m.cols, {(r, c): v for r, c, v in m.entries()})
+            assert any(v.order == 3 for _, _, v in m.entries())
     assert hh_homology_dims(a, 2).dims == hh_homology_dims(a, 2, normalized=False).dims == [3, 0, 0]
     assert hh_cohomology_dims(a, 2).dims == [3, 0, 0]
 
@@ -602,8 +629,10 @@ def test_cleared_ranks_match_whole_differentials(name):
         for complex_ in (bar_chain_complex(a, 3, normalized),
                          bar_cochain_complex(a, 2, normalized)):
             cleared = {n: complex_.rank_of_map(n) for n in complex_.maps}
-            assert cleared == {n: len(_eliminate(_copy_rows(m), m.den is not None))
-                               for n, m in complex_.maps.items()}
+            order = max(m.field_order for m in complex_.maps.values())
+            # over Q(zeta_n), phi(n) times the rank: that of the realification
+            assert cleared == {n: len(_eliminate(_copy_rows(realified(m, order))))
+                               // euler_phi(order) for n, m in complex_.maps.items()}
 
 
 def _first_nonzero_composite(maps: dict) -> int | None:
@@ -728,7 +757,7 @@ def test_cleared_ranks_make_no_more_row_updates_than_whole_elimination(
     for n in sorted(complex_.maps):
         m = complex_.maps[n]
         m = m.take_rows([i for i in range(m.rows) if i not in cut])
-        pivots = _eliminate(_copy_rows(m), m.den is not None)
+        pivots = _eliminate(_copy_rows(m))
         whole.append(len(pivots))
         cut = {c for _, c in pivots}
     assert cleared == whole

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hochkit import linalg
-from hochkit.errors import ShapeMismatch
+from hochkit.errors import DegreeCapExceeded, HochkitError, ShapeMismatch
 from hochkit.linalg import (
-    SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel,
-    cokernel_projector, hstack, kron, nullspace, rank, rref, solve, unit_vector, vec,
+    SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel, cokernel_projector, hstack,
+    kron, nullspace, product_trace, rank, rref, solve, unit_vector, vec,
 )
-from hochkit.scalars import ONE, ZERO, CycScalar, cyc, format_scalar, zeta
+from hochkit.scalars import ONE, ZERO, CycScalar, cyc, embed, euler_phi, format_scalar, zeta
+
+import cyclotomic_rows
 
 _entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -82,8 +84,8 @@ def random_matrix(rng, rows, cols, density=0.4, order=1):
 @pytest.mark.parametrize("order", [1, 4])
 def test_rank_keeps_spanning_pivots_of_either_side(order):
     # seeded wide, tall and rank-deficient (a product through k < rows, cols)
-    # matrices: rational for order 1, CycScalar rows for order 4; then sparse
-    # 30 x 60 ones, on which the peel of singleton columns fires
+    # matrices: rational for order 1, realified over Q(zeta_4) for order 4;
+    # then sparse 30 x 60 ones, on which the peel of singleton columns fires
     rng = random.Random(70 + order)
     irrational = peeled = 0
     for i in range(70):
@@ -91,7 +93,7 @@ def test_rank_keeps_spanning_pivots_of_either_side(order):
         if i >= 60:
             rows, cols = 30, 60
             m = random_matrix(rng, rows, cols, 0.05, order)
-            peeled += bool(_peel(m._rows, m.cols))
+            peeled += bool(_peel(m._rows, m.cols * euler_phi(m.field_order)))
         elif rng.random() < 0.5:
             m = random_matrix(rng, rows, cols, rng.choice([0.2, 0.5]), order)
         else:
@@ -107,7 +109,7 @@ def test_rank_keeps_spanning_pivots_of_either_side(order):
         for part in (m.take_rows(pivot_rows), m.transpose().take_rows(pivot_cols)):
             assert len(_gauss_jordan(_row_vectors(part), part.cols)) == r
         assert rank(m) == r and m.pivots == (pivot_rows, pivot_cols)
-        irrational += m.den is None
+        irrational += m.field_order > 1
     assert (irrational > 10) == (order > 1) and peeled == 10
 
 
@@ -163,11 +165,18 @@ def test_rank_without_singleton_columns_is_the_elimination():
             m = random_matrix(rng, rows, cols, 0.5, order)
             extra = {(r, c): 1 for c in range(cols) for r in rng.sample(range(rows), 2)}
             m = SparseMatrix(rows, cols, {**extra, **{(r, c): v for r, c, v in m.entries()}})
-            assert _peel(m._rows, m.cols) == []
-            pivots = _eliminate(_copy_rows(m), m.den is not None)
-            assert rank(m) == len(pivots)
-            assert m.pivots == (tuple(sorted(r for r, _ in pivots)),
-                                tuple(sorted(c for _, c in pivots)))
+            phi = euler_phi(m.field_order)
+            assert _peel(m._rows, m.cols * phi) == []
+            pivots = _eliminate(_copy_rows(m))
+            assert rank(m) * phi == len(pivots)
+            if phi == 1:
+                assert m.pivots == (tuple(sorted(r for r, _ in pivots)),
+                                    tuple(sorted(c for _, c in pivots)))
+            else:  # whole blocks, read off the leading columns over Q of M_Q
+                # and of its transpose: the first independent rows and columns
+                table = _table(m)
+                assert m.pivots == (_first_independent(table, m.cols),
+                                    _first_independent(_transposed(table, m.cols), m.rows))
 
 
 def test_rank_eliminates_and_canonical_answers_canonicalize(monkeypatch):
@@ -198,7 +207,7 @@ def test_cyclotomic_peel_does_no_scalar_arithmetic(monkeypatch):
     entries = {(r, c): zeta(4, rng.randint(0, 3)) * rng.randint(1, 3)
                for r in range(n) for c in range(r, n) if c == r or rng.random() < 0.5}
     m = _shuffled(SparseMatrix(n, n, entries), rng)
-    assert m.den is None
+    assert m.field_order == 4
     calls = []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__truediv__"):
         def counted(self, other, _name=name, _method=getattr(CycScalar, name)):
@@ -388,17 +397,25 @@ def _gauss_jordan(table, ambient):
     return m[:top]
 
 
-def _row_form(dense_rows, integral):
-    """Reduced rows as the linalg stores them: pivot 1 over Q(zeta_n), and
-    primitive integer rows with a positive pivot over Q."""
-    out = []
+def _row_form(dense_rows, order=1):
+    """Reduced rows as `_canonical_rref` leaves them: the rows of their
+    realification at `order` (each K-row a block of phi rows), each made
+    primitive with a positive pivot."""
+    phi, out = euler_phi(order), []
     for row in dense_rows:
-        if integral:
-            scale = lcm(*(x.coeffs[0].denominator for x in row))
-            out.append({j: int(x.coeffs[0] * scale) for j, x in enumerate(row) if x})
-        else:
-            out.append({j: x for j, x in enumerate(row) if x})
+        for s in range(phi):
+            q = {j * phi + t: c for j, x in enumerate(row) if x
+                 for t in range(phi) if (c := _coordinate(x * zeta(order, t), s, order))}
+            scale = lcm(*(c.denominator for c in q.values()))
+            ints = {j: int(c * scale) for j, c in q.items()}
+            g = gcd(*ints.values())
+            out.append({j: v // g for j, v in ints.items()})
     return out
+
+
+def _coordinate(x, s, order):
+    """Coordinate s of x in the power basis of Q(zeta_order), a Fraction."""
+    return Fraction(embed(x.nums, x.order, order)[s], x.den)
 
 
 def test_canonical_rref_matches_dense_gauss_jordan():
@@ -412,9 +429,8 @@ def test_canonical_rref_matches_dense_gauss_jordan():
             m = make(rng, count, ambient)
         else:  # rank at most 2: dependent rows
             m = make(rng, count, 2) * make(rng, 2, ambient)
-        integral = m.den is not None
-        expected = _row_form(_gauss_jordan(_table(m), ambient), integral)
-        assert _canonical_rref(_copy_rows(m), integral) == expected
+        expected = _row_form(_gauss_jordan(_table(m), ambient), m.field_order)
+        assert _canonical_rref(_copy_rows(m)) == expected
 
 
 @pytest.mark.parametrize("kind, blocks", [("rational", 700), ("mixed", 40)])
@@ -431,11 +447,13 @@ def test_canonical_rref_with_thousands_of_leads(kind, blocks):
         entries.update(((offset + r, c * blocks + b), v) for r, c, v in part.entries())
         offset += part.rows
     whole = SparseMatrix(offset, width * blocks, entries)
-    integral = whole.den is not None
-    expected = [{c * blocks + b: v for c, v in row.items()} for b, part in enumerate(parts)
-                for row in _row_form(_gauss_jordan(_table(part), width), integral)]
+    n = whole.field_order
+    phi = euler_phi(n)  # column c * phi + t of block b's part lands at (c * blocks + b) * phi + t
+    expected = [{(c // phi * blocks + b) * phi + c % phi: v for c, v in row.items()}
+                for b, part in enumerate(parts)
+                for row in _row_form(_gauss_jordan(_table(part), width), n)]
     expected.sort(key=min)
-    got = _canonical_rref(_copy_rows(whole), integral)
+    got = _canonical_rref(_copy_rows(whole))
     assert got == expected
     assert len(got) >= 2 * blocks  # 2245 pivots on the rational blocks
 
@@ -562,8 +580,9 @@ def test_mixed_field_orders_under_elimination():
 
 # --- the stored representation against a dense CycScalar oracle -------------
 #
-# A rational matrix holds integer rows over one lowest-terms denominator, any
-# other matrix CycScalar rows.  Every operation is checked against dense
+# A matrix holds integer rows over one lowest-terms denominator: its entries
+# over Q, and over Q(zeta_n), n > 1 the conductor of its entries, the blocks
+# of multiplication by them.  Every operation is checked against dense
 # CycScalar arithmetic kept here, on rational, Q(zeta_8), Q(zeta_12),
 # mixed-field and Q(zeta_4) matrices (whose products and multiples by
 # zeta_4 cancel into Q).
@@ -610,20 +629,26 @@ def _nonzero(table):
 
 
 def _check(m, rows, cols, table):
-    """m has the given shape and entries, and stores them in normal form."""
+    """m has the given shape and entries, and stores them in normal form:
+    at the conductor of its entries, in lowest terms, and over Q(zeta_n),
+    n > 1, the realification, whose block (r, c) has column t x zeta_n^t
+    for x = table[r][c]."""
     assert (m.rows, m.cols) == (rows, cols)
     assert _table(m) == table
     assert {(r, c): v for r, c, v in m.entries()} == _nonzero(table)
     assert m == SparseMatrix(rows, cols, _nonzero(table))
+    n = lcm(1, *(x.order for row in table for x in row))
+    phi = euler_phi(n)
+    assert m.field_order == n and m.nnz() == len(_nonzero(table))
+    assert len(m._rows) == rows * phi
     values = [v for row in m._rows for v in row.values()]
-    assert len(values) == len(_nonzero(table))
-    if all(x.order == 1 for row in table for x in row):
-        assert type(m.den) is int and m.den > 0
-        assert all(type(v) is int for v in values)
-        assert gcd(m.den, *values) == 1  # lowest terms
-    else:
-        assert m.den is None
-        assert all(isinstance(v, CycScalar) for v in values)
+    assert type(m.den) is int and m.den > 0
+    assert all(type(v) is int and v for v in values)
+    assert gcd(m.den, *values) == 1  # lowest terms
+    blocks = {(r * phi + s, c * phi + t): q * m.den
+              for (r, c), x in _nonzero(table).items() for t in range(phi) for s in range(phi)
+              if (q := _coordinate(x * zeta(n, t), s, n))}
+    assert {(r, c): v for r, row in enumerate(m._rows) for c, v in row.items()} == blocks
 
 
 def _d_mul(a, b, inner, cols):
@@ -637,6 +662,16 @@ def _d_kron(a, b):
 
 def _transposed(table, cols):
     return [[row[c] for row in table] for c in range(cols)]
+
+
+def _first_independent(table, cols):
+    """The indices of the rows of a dense table, in order, that are
+    independent of the rows before them."""
+    kept = []
+    for i, row in enumerate(table):
+        if len(_gauss_jordan([table[k] for k in kept] + [row], cols)) > len(kept):
+            kept.append(i)
+    return tuple(kept)
 
 
 def _summed_pairs(rng, rows, cols, table, field):
@@ -721,7 +756,7 @@ def test_operations_match_dense_oracle():
         _check(kron(SparseMatrix(len(small), min(cols, 3), _nonzero(small)),
                     SparseMatrix(2, 3, _nonzero(ts))),
                2 * len(small), 3 * min(cols, 3), _d_kron(small, ts))
-        if field == "z4" and (a * a.transpose()).den is not None and a.den is None:
+        if field == "z4" and (a * a.transpose()).field_order == 1 and a.field_order > 1:
             cancelled += 1  # an irrational matrix whose product landed in Q
         v = tuple(_random_scalar(rng, rng.choice(["q", field])) for _ in range(cols))
         assert _fields(a.apply(v)) == _fields(_per_term(ta, v))
@@ -806,7 +841,7 @@ def test_apply_builds_one_scalar_per_output(monkeypatch):
                for i in range(r) for j in range(c)}
     m = SparseMatrix(r, c, entries)
     v = tuple(zeta(12, rng.randrange(12)) * Fraction(rng.randint(1, 5), 3) for _ in range(c))
-    assert m.den is None and m.field_order == 12
+    assert m.field_order == 12 and len(m._rows) == r * euler_phi(12)
     calls = []
     init = CycScalar.__init__
 
@@ -875,7 +910,7 @@ def test_constructor_sums_repeated_positions():
     assert m == SparseMatrix(2, 2, {(0, 0): Fraction(3, 2)})
     assert (m.den, m._rows) == (2, [{0: 3}, {}])
     m = SparseMatrix(1, 2, [((0, 0), zeta(4)), ((0, 1), zeta(4)), ((0, 1), 1)])
-    assert m.den is None and m.entry(0, 1) == zeta(4) + 1
+    assert m.field_order == 4 and m.entry(0, 1) == zeta(4) + 1
     m = SparseMatrix(1, 2, [((0, 0), zeta(4)), ((0, 1), Fraction(1, 2) * zeta(4))])
     assert m.scale(zeta(4)) == SparseMatrix(1, 2, {(0, 0): -1, (0, 1): Fraction(-1, 2)})
     assert (m.scale(zeta(4)).den, m.scale(zeta(4))._rows) == (2, [{0: -2, 1: -1}])
@@ -895,7 +930,7 @@ def test_hstack_matches_dense_oracle():
 SHAPE_ERRORS_SCRIPT = """
 from hochkit.errors import ShapeMismatch
 from hochkit.hochschild import ChainComplex
-from hochkit.linalg import SparseMatrix, solve, vec
+from hochkit.linalg import SparseMatrix, product_trace, solve, vec
 
 m = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
 cases = {
@@ -907,6 +942,10 @@ cases = {
     "trace": lambda: m.trace(),
     "solve": lambda: solve(m, SparseMatrix.from_dense([[1], [2], [3]])),
     "ChainComplex": lambda: ChainComplex([2, 3], {1: m.transpose()}),
+    "negative shape": lambda: SparseMatrix(-1, 2),
+    "negative identity": lambda: SparseMatrix.identity(-2),
+    "entry outside": lambda: SparseMatrix(2, 2, {(0, 2): 1}),
+    "product_trace": lambda: product_trace(m, m),
 }
 for name, call in cases.items():
     try:
@@ -925,3 +964,143 @@ def test_shape_errors_are_typed_under_optimize():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_constructors_refuse_negative_shapes_and_entries_outside():
+    for make in (lambda: SparseMatrix(-1, 2), lambda: SparseMatrix(2, -1),
+                 lambda: SparseMatrix.identity(-2), lambda: SparseMatrix.zero(0, -1)):
+        with pytest.raises(ShapeMismatch, match="cannot have shape"):
+            make()
+    for at in ((2, 0), (0, 3), (-1, 1), (1, -1)):
+        with pytest.raises(ShapeMismatch, match=r"outside 2x3"):
+            SparseMatrix(2, 3, {at: zeta(3)})
+    assert issubclass(ShapeMismatch, HochkitError)
+    assert SparseMatrix(0, 0) == SparseMatrix.identity(0) == SparseMatrix.zero(0, 0)
+
+
+def test_realification_is_guarded_before_it_allocates(monkeypatch):
+    # phi(12)^2 = 16 stored entries per entry over Q(zeta_12); a bound of 100
+    # admits six entries and refuses seven, and a Q(zeta_3) matrix meeting a
+    # Q(zeta_4) one is realified again at order 12 under the same bound
+    monkeypatch.setattr(linalg, "MAX_REALIFIED", 100)
+    z = zeta(12)
+    assert SparseMatrix(2, 3, {(r, c): z for r in range(2) for c in range(3)}).nnz() == 6
+    with pytest.raises(DegreeCapExceeded, match=r"realification of a 1x7 matrix with 7 entries "
+                       r"over Q\(zeta_12\) has 7 x 4\^2 = 112 stored entries, above the guard 100"):
+        SparseMatrix(1, 7, {(0, c): z for c in range(7)})
+    thirds = SparseMatrix(1, 7, {(0, c): zeta(3) for c in range(7)})  # 7 x 2^2 = 28
+    with pytest.raises(DegreeCapExceeded, match="1x7 matrix with 7 entries over Q"):
+        thirds * SparseMatrix.from_dense([[zeta(4)]] * 7)
+
+
+# --- realified matrices against the CycScalar-row oracle ----------------------
+#
+# `cyclotomic_rows` keeps the Gauss-Jordan on CycScalar rows that ran before
+# cyclotomic matrices were stored realified.  Seeded draws over Q(zeta_n),
+# n in 3, 4, 5, 8, 12, alone, mixed with each other and with rational
+# matrices: every operation against dense CycScalar arithmetic, and every
+# elimination against both the dense oracle and the row oracle.
+
+def _field_scalar(rng, orders):
+    order = rng.choice(orders)
+    q = cyc(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    if order == 1 or rng.random() < 0.3:
+        return q
+    return q * zeta(order, rng.randrange(order)) + rng.randint(-1, 1)
+
+
+def _field_table(rng, rows, cols, orders, density=0.5):
+    return [[_field_scalar(rng, orders) if rng.random() < density else ZERO
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _from_rows(rows, cols):
+    """The dense table of CycScalar dict rows."""
+    return tuple(tuple(row.get(c, ZERO) for c in range(cols)) for row in rows)
+
+
+@pytest.mark.parametrize("orders", [(3,), (4,), (5,), (8,), (12,), (1, 3), (1, 4), (1, 5),
+                                    (1, 8), (1, 12), (3, 4), (1, 5, 8)])
+def test_realified_matrices_match_the_cyclotomic_row_oracle(orders):
+    rng = random.Random(1000 + 37 * sum(orders) + len(orders))
+    for _ in range(10):
+        rows, cols, k = rng.randint(0, 5), rng.randint(0, 5), rng.randint(0, 3)
+        ta = _field_table(rng, rows, cols, orders)
+        if rows > 1 and rng.random() < 0.4:  # a row that depends on the others
+            ta[-1] = [sum((x * y for x, y in zip(col, (ZERO, *map(cyc, range(1, rows))))), ZERO)
+                      for col in _transposed(ta[:-1] + [[ZERO] * cols], cols)]
+        a = SparseMatrix(rows, cols, _nonzero(ta))
+        _check(a, rows, cols, ta)
+        # operations
+        mix = orders + (1,)
+        tb = _field_table(rng, rows, cols, mix)
+        b = SparseMatrix(rows, cols, _nonzero(tb))
+        _check(a + b, rows, cols, [[x + y for x, y in zip(p, q)] for p, q in zip(ta, tb)])
+        x = _field_scalar(rng, mix) or ONE
+        _check(a.scale(x), rows, cols, [[x * y for y in row] for row in ta])
+        _check(a.transpose(), cols, rows, _transposed(ta, cols))
+        picked = [rng.randrange(rows) for _ in range(k)] if rows else []
+        _check(a.take_rows(picked), len(picked), cols, [ta[i] for i in picked])
+        tc = _field_table(rng, cols, k, mix)
+        c = SparseMatrix(cols, k, _nonzero(tc))
+        _check(a * c, rows, k, _d_mul(ta, tc, cols, k))
+        _check(hstack(rows, [a, b]), rows, 2 * cols, [p + q for p, q in zip(ta, tb)])
+        ts = _field_table(rng, 2, 2, mix)
+        _check(kron(a, SparseMatrix(2, 2, _nonzero(ts))), 2 * rows, 2 * cols, _d_kron(ta, ts))
+        _check(kron(SparseMatrix(2, 2, _nonzero(ts)), a), 2 * rows, 2 * cols, _d_kron(ts, ta))
+        v = tuple(_field_scalar(rng, mix) for _ in range(cols))
+        assert _fields(a.apply(v)) == _fields(_per_term(ta, v))
+        tt = _field_table(rng, cols, rows, mix)
+        assert product_trace(a, SparseMatrix(cols, rows, _nonzero(tt))) == \
+            sum((x for i, row in enumerate(_d_mul(ta, tt, cols, rows)) for x in row[i:i + 1]),
+                ZERO)
+        # eliminations: the dense oracle, the row oracle and the realified engine
+        reduced = tuple(map(tuple, _gauss_jordan(ta, cols)))
+        assert _from_rows(cyclotomic_rows.canonical_rref(cyclotomic_rows.scalar_rows(a)),
+                          cols) == reduced
+        assert rank(a) == len(reduced) and _row_vectors(rref(a)) == reduced
+        null = _row_vectors(nullspace(a))
+        assert null == _oracle_nullspace(ta, cols) == _from_rows(
+            cyclotomic_rows.nullspace(cyclotomic_rows.scalar_rows(a), cols), cols)
+        free, proj = cokernel_projector(a)
+        row_free, row_proj = cyclotomic_rows.cokernel_projector(
+            cyclotomic_rows.scalar_rows(a), rows, cols)
+        assert (free, _row_vectors(proj)) == (row_free, _from_rows(row_proj, rows))
+        assert (free, proj) == (lambda f, e: (f, SparseMatrix(len(f), rows, e)))(
+            *_oracle_cokernel(ta, rows, cols))
+        rhs = SparseMatrix(rows, k, _nonzero(_d_mul(ta, tc, cols, k)))
+        x = solve(a, rhs)
+        expected = cyclotomic_rows.solve(cyclotomic_rows.scalar_rows(a),
+                                         cyclotomic_rows.scalar_rows(rhs), cols)
+        assert x is not None and _row_vectors(x) == _from_rows(expected, k)
+        assert a * x == rhs
+        # pivots over the field: rows and columns on which a has rank(a)
+        pivot_rows, pivot_cols = a.pivots
+        assert len(pivot_rows) == len(pivot_cols) == len(reduced)
+        assert len(_gauss_jordan([ta[i] for i in pivot_rows], cols)) == len(reduced)
+        assert len(_gauss_jordan([[row[j] for j in pivot_cols] for row in ta],
+                                 len(pivot_cols))) == len(reduced)
+
+
+def test_results_are_stored_at_their_conductor():
+    z5, z12 = zeta(5), zeta(12)
+    # a product of conjugates over Q(zeta_5) that lands in Q
+    a = SparseMatrix.from_dense([[z5, z5 ** 2, 1], [2 * z5, 0, 0]])
+    b = SparseMatrix.from_dense([[z5 ** 4, z5 ** 4 / 2], [z5 ** 3, 0], [1, 0]])
+    product = a * b
+    assert product.field_order == 1 and product == SparseMatrix.from_dense([[3, Fraction(1, 2)],
+                                                                           [2, 1]])
+    assert (product.den, product._rows) == (2, [{0: 6, 1: 1}, {0: 4, 1: 2}])
+    # a Q(zeta_12) product whose entries lie in Q(zeta_4), and one in Q(zeta_3)
+    left = SparseMatrix.from_dense([[z12, 1]])
+    right = SparseMatrix.from_dense([[z12 ** 2, z12 ** 8], [z12 ** 3, 0]])
+    built = SparseMatrix.from_dense([[2 * zeta(4), zeta(4) ** 3]])
+    assert (left * right).field_order == 4 and left * right == built
+    assert (left * right)._rows == built._rows
+    thirds = SparseMatrix.from_dense([[z12, 1]]) * SparseMatrix.from_dense([[z12 ** 3], [z12 ** 4]])
+    assert thirds.field_order == 3 and thirds == SparseMatrix.from_dense([[2 * zeta(3)]])
+    # eliminations that leave the field: the rref of a multiple of a rational row
+    assert rref(SparseMatrix.from_dense([[z12, 2 * z12, 0]])) == \
+        SparseMatrix.from_dense([[1, 2, 0]])
+    assert rref(SparseMatrix.from_dense([[z12, 2 * z12, 0]])).field_order == 1
+    assert nullspace(SparseMatrix.from_dense([[z5, z5]])) == SparseMatrix.from_dense([[1, -1]])

@@ -366,20 +366,22 @@ F = frozenset
 
 
 @pytest.mark.parametrize("case, dens", [
-    ("rational", {(F({1}), F({1}))}),
-    ("cyclotomic", {(F({None}), F({1})), (F({None}), F({None})), (F({1}), F({None}))}),
-    ("denominators", {(F({3}), F({2})), (F({3}), F({1})), (F({6}), F({None})),
-                      (F({None}), F({6}))}),
+    ("rational", {(F({(1, 1)}), F({(1, 1)}))}),
+    ("cyclotomic", {(F({(3, 1)}), F({(1, 1)})), (F({(3, 1)}), F({(3, 1)})),
+                    (F({(1, 1)}), F({(3, 1)}))}),
+    ("denominators", {(F({(1, 3)}), F({(1, 2)})), (F({(1, 3)}), F({(1, 1)})),
+                      (F({(1, 6)}), F({(3, 1)})), (F({(3, 1)}), F({(1, 6)}))}),
 ])
 def test_balanced_tensor_matches_the_kron_oracle(case, dens):
-    seen = set()  # the dens of the two factors' actions: None is irrational
+    seen = set()  # the (field order, den) of the two factors' actions
     for m, n in _factor_pairs(case):
         a = n.algebra
         rights, lefts = [m.act(g) for g in a.gens], [n.act(g) for g in a.gens]
         bt = balanced_tensor(a, rights, m.dim, lefts, n.dim)
         assert (bt.relations, bt.include, bt.project) == \
             _ref_balanced_tensor(a, rights, m.dim, lefts, n.dim)
-        seen.add((F(x.den for x in rights), F(x.den for x in lefts)))
+        seen.add((F((x.field_order, x.den) for x in rights),
+                  F((x.field_order, x.den) for x in lefts)))
     assert seen == dens
 
 
