@@ -21,8 +21,9 @@ is the dual of Hom(Abar^(x n), A*), so the boundary
 is the transpose b_n = delta^(n-1)(A*)^T.  Ext_A(M, N) takes X = Hom_k(M, N)
 (`modules.ext_dims`).  A word of r letters is its index in base r, and each
 term adds one signed table row along arithmetic progressions of indices
-(`_scatter`): a rational differential is summed on ints over one
-denominator, an irrational one in CycScalars and realified once.
+(`_scatter`), summed on ints over one denominator; over Q(zeta_n) each
+table entry is an entry of its multiplication block, scattered into the
+same place of the block it lands in.
 
 The reduced (normalized) route is the default: interior letters span a
 complement of the unit, which shrinks dim(A)^n to (dim(A)-1)^n and makes
@@ -243,57 +244,56 @@ def _coboundary(n: int, merge: SparseMatrix, actions: SparseMatrix,
     j * r^m + w, that of e_j (x) w in A (x) Abar^(x m), the dual of C^m
     when X = A*."""
     r, dx = merge.cols, actions.cols
-    irrational = merge.field_order > 1 or actions.field_order > 1
-    if irrational:  # summed in CycScalars, realified once below
-        merges, acts = _entries_by_row(merge), _entries_by_row(actions)
-    else:
-        merges, acts, den, _ = _common(merge, actions)
+    merges, acts, den, order = _common(merge, actions)
+    # over Q(zeta_n) every index owns a block of phi, so every stride is phi
+    # times its own; a table entry at (i * phi + s, k * phi + t) is entry
+    # (s, t) of its block, and lands at the same place of the block it is
+    # scattered to
+    phi = euler_phi(order)
     negated = [{k: -v for k, v in row.items()} for row in merges]
     signed = negated, merges  # (-1)^(i+1) at letter i
-    rights = acts[r * dx:]  # acts[x * dx + j] acts from the left
+    rights = acts[r * dx * phi:]  # acts[(x * dx + j) * phi + s] acts from the left
     if n % 2 == 0:  # (-1)^(n+1)
         rights = [{k: -v for k, v in row.items()} for row in rights]
     top = r ** n  # words of n letters
     # the strides of a word and of a coefficient, on C^n and on C^(n+1)
-    (sw, sj), (tw, tj) = ((1, top), (1, top * r)) if chains else ((dx, 1), (dx, 1))
-    data: list[dict] = [dict() for _ in range(dx * top)]
-    cols = list(range(dx * top * r))  # one int per column, shared by its entries
+    (sw, sj), (tw, tj) = ((phi, top * phi), (phi, top * r * phi)) if chains else \
+        ((dx * phi, phi), (dx * phi, phi))
+    data: list[dict] = [dict() for _ in range(dx * top * phi)]
+    cols = list(range(dx * top * r * phi))  # one int per column, shared by its entries
     for x in range(r):
         for j in range(dx):
-            # a_1 f(a_2 ..): (u, j) -> (x u, k), for every word u
-            for k, v in acts[x * dx + j].items():
-                start = x * top * tw + k * tj
-                _scatter(data, v, j * sj, sw, cols[start:start + top * tw:tw])
-            # f(a_1 .. a_n) a_(n+1): (u, j) -> (u x, k)
-            for k, v in rights[x * dx + j].items():
-                start = x * tw + k * tj
-                _scatter(data, v, j * sj, sw, cols[start:start + top * r * tw:r * tw])
+            for s in range(phi):
+                row, target = (x * dx + j) * phi + s, j * sj + s
+                # a_1 f(a_2 ..): (u, j) -> (x u, k), for every word u
+                for kt, v in acts[row].items():
+                    k, t = divmod(kt, phi)
+                    start = x * top * tw + k * tj + t
+                    _scatter(data, v, target, sw, cols[start:start + top * tw:tw])
+                # f(a_1 .. a_n) a_(n+1): (u, j) -> (u x, k)
+                for kt, v in rights[row].items():
+                    k, t = divmod(kt, phi)
+                    start = x * tw + k * tj + t
+                    _scatter(data, v, target, sw, cols[start:start + top * r * tw:r * tw])
     for i in range(n):  # f(.. a_i a_(i+1) ..), letters counted from 0
         # coordinate (h * r + m) * lo + b of C^n, where the merged letter m
-        # sits, and (h * r * r + pair) * lo + b of C^(n+1)
+        # sits, and (h * r * r + pair) * lo + b of C^(n+1), counted on the
+        # realification: lo is a multiple of phi, and b % phi == s on C^n
         p = r ** (n - 1 - i)
-        hi, lo = (dx * r ** i, p) if chains else (r ** i, p * dx)
+        hi, lo = (dx * r ** i, p * phi) if chains else (r ** i, p * dx * phi)
         for pair in range(r * r):
-            for m, v in signed[i % 2][pair].items():
-                if lo >= hi:
-                    for h in range(hi):
-                        u = (h * r * r + pair) * lo
-                        _scatter(data, v, (h * r + m) * lo, 1, cols[u:u + lo])
-                else:
-                    for b in range(lo):
-                        _scatter(data, v, m * lo + b, r * lo, cols[pair * lo + b::r * r * lo])
-    if irrational:
-        return SparseMatrix(dx * top, dx * top * r,
-                            (((i, j), v) for i, row in enumerate(data) for j, v in row.items()))
-    return SparseMatrix._of(dx * top, dx * top * r, data, den)
-
-
-def _entries_by_row(m: SparseMatrix) -> list[dict[int, CycScalar]]:
-    """The entries of m as dict rows of CycScalars."""
-    rows: list[dict] = [dict() for _ in range(m.rows)]
-    for r, c, v in m.entries():
-        rows[r][c] = v
-    return rows
+            for s in range(phi):
+                for mt, v in signed[i % 2][pair * phi + s].items():
+                    m, t = divmod(mt, phi)
+                    if lo >= hi * phi:
+                        for h in range(hi):
+                            u = (h * r * r + pair) * lo + t
+                            _scatter(data, v, (h * r + m) * lo + s, phi, cols[u:u + lo:phi])
+                    else:
+                        for b in range(s, lo, phi):
+                            _scatter(data, v, m * lo + b, r * lo,
+                                     cols[pair * lo + b - s + t::r * r * lo])
+    return SparseMatrix._of(dx * top, dx * top * r, data, den, order)
 
 
 def _bar_complex(merge: SparseMatrix, actions: SparseMatrix, top: int,

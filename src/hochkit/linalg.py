@@ -16,8 +16,7 @@ matrices have equal rows; operands of two orders meet at their lcm
 phi(n)^2 entries per entry would pass MAX_REALIFIED.  `rows`, `cols`,
 `nnz` and `pivots` keep their meaning over K; `entry`, `entries`,
 `row_vector`, `apply` and `trace` read a block's first column back as a
-CycScalar, and `apply` sums each output as one coordinate vector;
-`product_trace(a, b)` is trace(a b), read without forming the product.
+CycScalar, and `apply` sums each output as one coordinate vector.
 
 `solve` answers with a matrix, a column per right-hand side, and `rref` and
 `nullspace` with the matrix whose rows are a canonical reduced echelon basis
@@ -450,23 +449,6 @@ def _row_products(left: list[dict], right: list[dict]) -> list[dict]:
         # copied, and the rows of a zero product are fresh empty dicts
         data.append(acc if all(acc.values()) else {c: v for c, v in acc.items() if v})
     return data
-
-
-def product_trace(a: SparseMatrix, b: SparseMatrix) -> CycScalar:
-    """trace(a * b) without forming the product: entry (r, c) of a meets
-    entry (c, r) of b.  Over Q(zeta_n) it is read off the first columns of
-    the diagonal blocks of A_Q B_Q."""
-    if (a.rows, a.cols) != (b.cols, b.rows):
-        raise ShapeMismatch(f"trace of {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    left, right, den, n = _common(a, b)
-    phi = euler_phi(n)
-    acc = [0] * phi
-    for r in range(0, len(left), phi):
-        for s in range(phi):
-            for c, x in left[r + s].items():
-                if y := right[c].get(r):
-                    acc[s] += x * y
-    return scalar(n, acc, den * den)
 
 
 def kron(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:

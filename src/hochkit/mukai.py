@@ -54,7 +54,7 @@ from .errors import (
     RoutesDisagree, ShapeMismatch, SingularGram,
 )
 from .hochschild import hh_cohomology_dims, hh_homology_dims
-from .linalg import SparseMatrix, Vector, kron, product_trace, rank, solve, vec
+from .linalg import SparseMatrix, Vector, kron, rank, solve, vec
 from .modules import (
     AppliedKernel, Bimodule, ModuleRep, apply_kernel, apply_kernel_full, convolve,
     dual_kernel, hom_space, is_intertwiner, simples_of,
@@ -263,8 +263,8 @@ def _classes(a: Algebra, m: SparseMatrix) -> list[MukaiClass]:
 def _center_traces(m: ModuleRep, f: Optional[SparseMatrix] = None) -> Vector:
     """(tr(z_j on M))_j, or (tr(z_j|_M o f))_j when f is given, for the rows
     z_j of center_basis: Z applied to those traces of the basis actions."""
-    traces = (act.trace() if f is None else product_trace(act, f) for act in m.action)
-    return center_basis(m.algebra).apply(tuple(traces))
+    acts = m.action if f is None else [act * f for act in m.action]
+    return center_basis(m.algebra).apply(tuple(act.trace() for act in acts))
 
 
 def _solve_central(a: Algebra, system: SparseMatrix, rhs: SparseMatrix,

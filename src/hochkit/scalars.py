@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from functools import cache, lru_cache, reduce
+from functools import cache, reduce
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
@@ -193,7 +193,6 @@ def embed(nums: Sequence[int], order: int, n: int) -> Sequence[int]:
     return _reduce_poly(n, dense)
 
 
-@lru_cache(maxsize=4096)
 def multiplication_block(nums: tuple[int, ...], order: int,
                          n: int) -> tuple[tuple[int, int, int], ...]:
     """The nonzero entries (s, t, v) of the phi(n) x phi(n) integer matrix of

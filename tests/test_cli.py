@@ -571,6 +571,16 @@ def test_fixture_bound_keeps_the_test_and_benchmark_fixtures():
             fixtures.algebra_fixture(name)
 
 
+def test_high_order_transfer_systems_are_refused_by_the_realification_guard(capsys):
+    # the characters of zn:47 lie in Q(zeta_47): a 47 x 47 transfer system
+    # would realify to 2209 blocks of 46 x 46, above linalg.MAX_REALIFIED
+    coords = "[" + ",".join(["1"] + ["0"] * 46) + "]"
+    assert run(["pushforward", "regular:zn:47", coords]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the realification of a 47x47 matrix with 2209 entries over "
+                          "Q(zeta_47)") and err.rstrip().endswith("above the guard 2000000")
+
+
 def test_cli_machine_format_deterministic(capsys):
     code = run(["verify", "hrr", "zn:3", "--format", "machine", "--seed", "5"])
     first = capsys.readouterr().out

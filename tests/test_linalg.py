@@ -13,7 +13,7 @@ from hochkit import linalg
 from hochkit.errors import DegreeCapExceeded, HochkitError, ShapeMismatch
 from hochkit.linalg import (
     SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel, cokernel_projector, hstack,
-    kron, nullspace, product_trace, rank, rref, solve, unit_vector, vec,
+    kron, nullspace, rank, rref, solve, unit_vector, vec,
 )
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, embed, euler_phi, format_scalar, zeta
 
@@ -930,7 +930,7 @@ def test_hstack_matches_dense_oracle():
 SHAPE_ERRORS_SCRIPT = """
 from hochkit.errors import ShapeMismatch
 from hochkit.hochschild import ChainComplex
-from hochkit.linalg import SparseMatrix, product_trace, solve, vec
+from hochkit.linalg import SparseMatrix, solve, vec
 
 m = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
 cases = {
@@ -945,7 +945,6 @@ cases = {
     "negative shape": lambda: SparseMatrix(-1, 2),
     "negative identity": lambda: SparseMatrix.identity(-2),
     "entry outside": lambda: SparseMatrix(2, 2, {(0, 2): 1}),
-    "product_trace": lambda: product_trace(m, m),
 }
 for name, call in cases.items():
     try:
@@ -1050,10 +1049,6 @@ def test_realified_matrices_match_the_cyclotomic_row_oracle(orders):
         _check(kron(SparseMatrix(2, 2, _nonzero(ts)), a), 2 * rows, 2 * cols, _d_kron(ts, ta))
         v = tuple(_field_scalar(rng, mix) for _ in range(cols))
         assert _fields(a.apply(v)) == _fields(_per_term(ta, v))
-        tt = _field_table(rng, cols, rows, mix)
-        assert product_trace(a, SparseMatrix(cols, rows, _nonzero(tt))) == \
-            sum((x for i, row in enumerate(_d_mul(ta, tt, cols, rows)) for x in row[i:i + 1]),
-                ZERO)
         # eliminations: the dense oracle, the row oracle and the realified engine
         reduced = tuple(map(tuple, _gauss_jordan(ta, cols)))
         assert _from_rows(cyclotomic_rows.canonical_rref(cyclotomic_rows.scalar_rows(a)),
