@@ -13,10 +13,11 @@ rank_K(M) = rank_Q(M_Q) / phi(n), the image being a K-space.  Each result
 is settled once (`_normal_form`), at the conductor of its entries, so equal
 matrices have equal rows; operands of two orders meet at their lcm
 (`_rows_at`).  A realification is refused before it is built when its
-phi(n)^2 entries per entry would pass MAX_REALIFIED.  `rows`, `cols`,
-`nnz` and `pivots` keep their meaning over K; `entry`, `entries`,
-`row_vector`, `apply` and `trace` read a block's first column back as a
-CycScalar, and `apply` sums each output as one coordinate vector.
+phi(n)^2 entries per entry would pass MAX_REALIFIED.  `rows`, `cols` and
+`nnz` keep their meaning over K, and `pivots` are those `rank` took on M_Q;
+`entry`, `entries`, `row_vector`, `apply` and `trace` read a block's first
+column back as a CycScalar, and `apply` sums each output as one coordinate
+vector.
 
 `solve` answers with a matrix, a column per right-hand side, and `rref` and
 `nullspace` with the matrix whose rows are a canonical reduced echelon basis
@@ -34,8 +35,8 @@ with no arithmetic (LaMacchia and Odlyzko, CRYPTO '90; the "compress" of
 Bauer, Kerber and Reininghaus, 2014), and `_eliminate` is forward
 elimination with a fill-minimizing pivot rule (fewest nonzeros in row, then
 fewest rows in column).  The peeled pairs and the core's pivots form a
-nonsingular block-triangular minor, kept on a rational matrix for
-`hochschild.ChainComplex` to clear the next map.  Every canonical answer
+nonsingular block-triangular minor, kept on the matrix (`pivots`), which
+`hochschild.ChainComplex` reads to clear the next map.  Every canonical answer
 (`rref`, `nullspace`, `solve`, `cokernel_projector`) comes from
 `_canonical_rref` alone, Gauss-Jordan with leading-column pivots: the
 reduced echelon form does not depend on the pivot order, so it takes the
@@ -164,8 +165,7 @@ class SparseMatrix:
     ((row, col), value) pairs; values at a repeated position are summed and
     entries that cancel are dropped."""
 
-    # _pivots is set once `rank` ran: over Q(zeta_n), n > 1, to the rank until
-    # the pivots are read
+    # _pivots is set once `rank` ran
     __slots__ = ("rows", "cols", "den", "field_order", "_rows", "_pivots")
 
     def __init__(self, rows: int, cols: int, entries=()):
@@ -233,11 +233,15 @@ class SparseMatrix:
     # --- inspection ---
 
     def entry(self, r: int, c: int) -> CycScalar:
+        if not (0 <= r < self.rows and 0 <= c < self.cols):
+            raise ShapeMismatch(f"entry ({r}, {c}) outside {self.rows}x{self.cols}")
         phi = euler_phi(self.field_order)
         return scalar(self.field_order, [self._rows[r * phi + s].get(c * phi, 0)
                                          for s in range(phi)], self.den)
 
     def row_vector(self, r: int) -> Vector:
+        if not 0 <= r < self.rows:
+            raise ShapeMismatch(f"row {r} outside {self.rows}x{self.cols}")
         found = _row_entries(self._rows, euler_phi(self.field_order), r)
         return tuple(scalar(self.field_order, found[c], self.den) if c in found else ZERO
                      for c in range(self.cols))
@@ -257,19 +261,10 @@ class SparseMatrix:
 
     @property
     def pivots(self) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-        """(rows, cols), each increasing, on which m has rank(m); None before
-        `rank` ran.  Over Q they are those `rank` found (its peel and
-        elimination).  Over Q(zeta_n), n > 1, where a Q-pivot of M_Q need not
-        own its block, they are read on first use off two leading-column
-        eliminations, each choosing whole blocks: the pivot columns of the
-        reduced forms of M_Q and of its transpose."""
-        if type(pivots := getattr(self, "_pivots", None)) is int:
-            phi = euler_phi(self.field_order)
-            pivots = tuple(tuple(min(row) // phi for row in _canonical_rref(rows)[::phi])
-                           for rows in (_transposed(self._rows, self.cols * phi),
-                                        _copy_rows(self)))
-            object.__setattr__(self, "_pivots", pivots)
-        return pivots
+        """The (rows, cols), each increasing, of the pivots `rank` took on the
+        stored rows: m's own over Q, M_Q's over Q(zeta_n), phi(n) per unit of
+        rank; None before `rank` ran."""
+        return getattr(self, "_pivots", None)
 
     # --- algebra ---
 
@@ -336,6 +331,9 @@ class SparseMatrix:
 
     def take_rows(self, rows: Sequence[int]) -> "SparseMatrix":
         """The rows at the given indices, renumbered in that order."""
+        if rows and not (0 <= min(rows) and max(rows) < self.rows):
+            raise ShapeMismatch(f"rows {min(rows)} to {max(rows)} taken from "
+                                f"{self.rows}x{self.cols}")
         phi = euler_phi(self.field_order)
         data = [self._rows[i] for i in rows] if phi == 1 else \
             [self._rows[i * phi + s] for i in rows for s in range(phi)]
@@ -609,22 +607,18 @@ def _peel(rows: list[dict], cols: int) -> list[tuple[int, int]]:
 
 def rank(m: SparseMatrix) -> int:
     """The rank of m: `_peel`, then `_eliminate` on the rows left, of M_Q
-    over Q(zeta_n), whose rank is phi(n) times that of m.  The rank stays on
-    m, with the pivots of a rational m (`SparseMatrix.pivots`), so a matrix
-    is ranked once however often it is asked."""
-    pivots = getattr(m, "_pivots", None)
-    if pivots is None:
-        phi = euler_phi(m.field_order)
+    over Q(zeta_n), whose rank is phi(n) times that of m.  The pivots stay
+    on m (`SparseMatrix.pivots`), so a matrix is ranked once however often
+    it is asked."""
+    phi = euler_phi(m.field_order)
+    if (pivots := getattr(m, "_pivots", None)) is None:
         pivots = _peel(m._rows, m.cols * phi)
         peeled = {r for r, _ in pivots}
         core = [r for r in range(len(m._rows)) if r not in peeled]
         pivots += [(core[r], c) for r, c in _eliminate([dict(m._rows[r]) for r in core])]
-        if phi > 1:
-            object.__setattr__(m, "_pivots", len(pivots) // phi)
-            return len(pivots) // phi
         object.__setattr__(m, "_pivots", pivots := (tuple(sorted(r for r, _ in pivots)),
                                                     tuple(sorted(c for _, c in pivots))))
-    return pivots if type(pivots) is int else len(pivots[0])
+    return len(pivots[0]) // phi
 
 
 def _clear(row: dict, c: int, pivot_row: dict):

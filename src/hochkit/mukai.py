@@ -405,32 +405,30 @@ def _applied_simples(k: Bimodule) -> list[tuple[ModuleRep, AppliedKernel]]:
 
 @derived
 def _character_system(a: Algebra) -> tuple:
-    """(End(S) bases, P, W_a, Q, C) once per algebra, for S_a with rows tr(z_j|_S o mu)
-    (simples S, basis intertwiners mu), its pivot rows P, other rows Q, W_a = Z_a^T S_a[P]^-1
-    and C = S_a[Q] S_a[P]^-1: S_a X = R is solvable iff C R[P] = R[Q], then Z_a^T X = W_a R[P]."""
+    """(End(S) bases, S_a, L_a) once per algebra: S_a has rows tr(z_j|_S o mu)
+    (simples S, basis intertwiners mu) and full column rank, and L_a, with
+    L_a S_a = 1, is a left inverse.  S_a X = R has at most one solution, and
+    it has one, X = L_a R, iff S_a L_a R = R."""
     ends = [hom_space(s, s).basis for s in simples_of(a)]
     system = SparseMatrix.from_dense([_center_traces(s, mu) for s, basis
                                       in zip(simples_of(a), ends) for mu in basis])
     if rank(system) < center_basis(a).rows:
         raise SingularGram("character system of the simples does not determine z")
-    pivots = system.pivots[0]
-    others = [r for r in range(system.rows) if r not in pivots]
-    inverse = solve(system.take_rows(pivots), SparseMatrix.identity(len(pivots)))
-    return (ends, pivots, center_basis(a).transpose() * inverse,
-            others, system.take_rows(others) * inverse)
+    return ends, system, solve(system.transpose(), SparseMatrix.identity(system.cols)).transpose()
 
 
 @derived
 def _adjoint_matrix(k: Bimodule) -> SparseMatrix:
-    """W_a R[P] on target center coordinates, R the character rows of the K(S)."""
-    ends, pivots, weights, others, residual = _character_system(k.source)
+    """Z_a^T X on target center coordinates, X = L_a R the one solution of
+    S_a X = R, R the character rows of the K(S)."""
+    ends, system, left_inverse = _character_system(k.source)
     rhs = SparseMatrix.from_dense([
         _center_traces(applied.module, applied.map_morphism(mu))
         for (_, applied), basis in zip(_applied_simples(k), ends) for mu in basis])
-    head = rhs.take_rows(pivots)
-    if residual * head != rhs.take_rows(others):
+    x = left_inverse * rhs
+    if system * x != rhs:
         raise SingularGram("character system of the simples does not determine z")
-    return weights * head * _center_coords(k.target)
+    return center_basis(k.source).transpose() * x * _center_coords(k.target)
 
 
 def adjoint_transfer(k: Bimodule, nu: MukaiClass) -> MukaiClass:

@@ -64,7 +64,7 @@ def _prime_divisors(n: int) -> tuple[int, ...]:
 @cache
 def euler_phi(n: int) -> int:
     if n < 1:
-        raise ValueError("order must be positive")
+        raise HochkitError(f"order must be positive, not {n}")
     result = n
     for p in _prime_divisors(n):
         result -= result // p
@@ -260,7 +260,7 @@ class CycScalar:
     @staticmethod
     def zeta(n: int, k: int = 1) -> "CycScalar":
         if n < 1:
-            raise ValueError("order must be positive")
+            raise HochkitError(f"order must be positive, not {n}")
         k %= n
         dense = [0] * (k + 1)
         dense[k] = 1

@@ -401,12 +401,12 @@ def test_frobenius_gram_defects_keep_their_messages():
 
 TYPED_INPUT_ERRORS_SCRIPT = """
 from hochkit.algebra import Algebra, DictSC, truncated_poly
-from hochkit.errors import HochkitError
+from hochkit.errors import HochkitError, ShapeMismatch
 from hochkit.fixtures import algebra_fixture, rep_from_generators
 from hochkit.hochschild import HHResult
 from hochkit.linalg import SparseMatrix
 from hochkit.mukai import MukaiClass
-from hochkit.scalars import CycScalar, _poly_div_exact
+from hochkit.scalars import CycScalar, _poly_div_exact, euler_phi, zeta
 from hochkit.tqft import CobordismWord, SurfaceInvariant, evaluate
 
 z2 = algebra_fixture("zn:2")
@@ -425,13 +425,27 @@ cases = {
     "empty word": lambda: evaluate(z2, CobordismWord([])),
     "rep_from_generators": lambda: rep_from_generators(
         algebra_fixture("zn:4"), [2], [SparseMatrix.identity(1)], 1, "x"),
+    "zeta(0)": lambda: zeta(0),
+    "euler_phi(0)": lambda: euler_phi(0),
 }
-for name, call in cases.items():
+square = SparseMatrix.from_dense([[1, 2], [3, 4]])
+for field, m in (("Q", square), ("Q(zeta_3)", square.scale(zeta(3)))):
+    cases.update({f"{field} {name}": (ShapeMismatch, call) for name, call in (
+        ("entry(0, -1)", lambda m=m: m.entry(0, -1)),
+        ("entry(0, 5)", lambda m=m: m.entry(0, 5)),
+        ("entry(2, 0)", lambda m=m: m.entry(2, 0)),
+        ("row_vector(-1)", lambda m=m: m.row_vector(-1)),
+        ("row_vector(2)", lambda m=m: m.row_vector(2)),
+        ("take_rows([-1])", lambda m=m: m.take_rows([-1])),
+        ("take_rows([0, 2])", lambda m=m: m.take_rows([0, 2])),
+    )})
+for name, case in cases.items():
+    error, call = case if isinstance(case, tuple) else (HochkitError, case)
     try:
         call()
-    except HochkitError:
+    except error:
         continue
-    raise SystemExit(f"{name} did not raise a HochkitError")
+    raise SystemExit(f"{name} did not raise a {error.__name__}")
 print("ok")
 """
 

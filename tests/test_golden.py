@@ -12,8 +12,11 @@ the 100 `partial trace naturality instance i` and 100 `trace triangle
 instance i` records of verify_all.txt then changed from the placeholders
 "lhs"/"rhs" and "alternating sum"/"0" to the compared values: the two
 partial-trace matrices, and the defect vector against the zero vector.
-No other byte of that file changed.  A change that alters any byte of
-them fails here.
+No other byte of that file changed.  pushforward_outer_zn11.txt was written
+before the character system was solved through a left inverse; its source
+field Q(zeta_11) has phi = 10, and the kernel's mixed order is 55, the
+highest conductor of any file here.  A change that alters any byte of them
+fails here.
 """
 
 from pathlib import Path
@@ -32,6 +35,8 @@ COMMANDS = {
     "iota_q8.txt": ["iota", "q8", "std", "--format", "machine"],
     "pushforward_outer.txt": ["pushforward", "outer(zn:3#chi1,zn:4#chi3)", "ch:chi1",
                               "--format", "machine"],
+    "pushforward_outer_zn11.txt": ["pushforward", "outer(zn:11#chi2,zn:5#chi3)", "ch:chi2",
+                                   "--format", "machine"],
     "pushforward_morita_s3.txt": ["pushforward", "morita:s3:2", "ch:std",
                                   "--format", "machine"],
     "center_s3.txt": ["center", "s3", "--format", "machine"],

@@ -25,6 +25,8 @@ from hochkit.hochschild import (
 from hochkit.linalg import SparseMatrix, _copy_rows, _eliminate, rank, realified, solve, vec
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, euler_phi, zeta
 
+from transport import rebased
+
 
 # --- independent oracle ----------------------------------------------------
 #
@@ -534,24 +536,11 @@ def _normalized_oracle_coboundary(a, n):
     return SparseMatrix(d * len(rows), d * r ** n, entries)
 
 
-def _rebased(a, basis, field_order):
-    """The algebra a in a new basis (coordinate vectors in a's basis), with
-    its structure constants in a DictSC table."""
-    d = a.dim
-    change = SparseMatrix.from_columns([vec(x) for x in basis], d)
-    images = [a.mul(vec(x), vec(y)) for x in basis for y in basis] + [a.unit]
-    coords = solve(change, SparseMatrix.from_columns(images, d))
-    table = {(i // d, i % d): {k: coords.entry(k, i) for k in range(d) if coords.entry(k, i)}
-             for i in range(d * d)}
-    return Algebra(d, DictSC(table), coords.transpose().row_vector(d * d),
-                   field_order=field_order)
-
-
 def _irrational_zn3():
     """C[Z/3] in the basis g, 1 + zeta_3 g^2, g^2: irrational structure
     constants and a unit 0 e_0 + e_1 - zeta_3 e_2 off the basis."""
     w = zeta(3)
-    return _rebased(algebra_fixture("zn:3"), [(0, 1, 0), (1, 0, w), (0, 0, 1)], 3)
+    return rebased(algebra_fixture("zn:3"), [(0, 1, 0), (1, 0, w), (0, 0, 1)], 3)
 
 
 @pytest.mark.parametrize("name", ["mat:2", "s3", "dual", "trunc:3", "tensor(mat:2,zn:2)",
@@ -572,7 +561,7 @@ def _cyclotomic_copy(name, seed):
     entries = (ZERO, ONE, -ONE, w, 2 * w + 1)
     basis = [[ONE if j == i else rng.choice(entries) if j > i else ZERO for j in range(a.dim)]
              for i in range(a.dim)]
-    return _rebased(a, basis, lcm(a.field_order, 3))
+    return rebased(a, basis, lcm(a.field_order, 3))
 
 
 @pytest.mark.parametrize("name, top, seed", [("s3", 1, 5), ("zn:4", 2, 7)])

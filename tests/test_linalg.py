@@ -13,7 +13,7 @@ from hochkit import linalg
 from hochkit.errors import DegreeCapExceeded, HochkitError, ShapeMismatch
 from hochkit.linalg import (
     SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel, cokernel_projector, hstack,
-    kron, nullspace, rank, rref, solve, unit_vector, vec,
+    kron, nullspace, rank, realified, rref, solve, unit_vector, vec,
 )
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, embed, euler_phi, format_scalar, zeta
 
@@ -100,15 +100,20 @@ def test_rank_keeps_spanning_pivots_of_either_side(order):
             k = rng.randint(1, min(rows, cols))
             m = random_matrix(rng, rows, k, 0.6, order) * random_matrix(rng, k, cols, 0.6, order)
         assert m.pivots is None
-        r = rank(m)
+        r, phi = rank(m), euler_phi(m.field_order)
         assert r == len(_gauss_jordan(_row_vectors(m), m.cols)) == rank(m.transpose())
+        # rows and columns of M_Q, phi of them per unit of rank, spanning M_Q
         pivot_rows, pivot_cols = m.pivots
-        assert len(pivot_rows) == len(pivot_cols) == r
-        assert list(pivot_rows) == sorted(set(pivot_rows)) and set(pivot_rows) <= set(range(rows))
-        assert list(pivot_cols) == sorted(set(pivot_cols)) and set(pivot_cols) <= set(range(cols))
-        for part in (m.take_rows(pivot_rows), m.transpose().take_rows(pivot_cols)):
-            assert len(_gauss_jordan(_row_vectors(part), part.cols)) == r
+        assert len(pivot_rows) == len(pivot_cols) == r * phi
+        assert list(pivot_rows) == sorted(set(pivot_rows)) and \
+            set(pivot_rows) <= set(range(rows * phi))
+        assert list(pivot_cols) == sorted(set(pivot_cols)) and \
+            set(pivot_cols) <= set(range(cols * phi))
+        real = realified(m, m.field_order)
+        for part in (real.take_rows(pivot_rows), real.transpose().take_rows(pivot_cols)):
+            assert len(_gauss_jordan(_row_vectors(part), part.cols)) == r * phi
         assert rank(m) == r and m.pivots == (pivot_rows, pivot_cols)
+        assert rank(real) == r * phi and real.pivots == m.pivots
         irrational += m.field_order > 1
     assert (irrational > 10) == (order > 1) and peeled == 10
 
@@ -167,21 +172,16 @@ def test_rank_without_singleton_columns_is_the_elimination():
             m = SparseMatrix(rows, cols, {**extra, **{(r, c): v for r, c, v in m.entries()}})
             phi = euler_phi(m.field_order)
             assert _peel(m._rows, m.cols * phi) == []
-            pivots = _eliminate(_copy_rows(m))
+            pivots = _eliminate(_copy_rows(m))  # on M_Q over Q(zeta_4)
             assert rank(m) * phi == len(pivots)
-            if phi == 1:
-                assert m.pivots == (tuple(sorted(r for r, _ in pivots)),
-                                    tuple(sorted(c for _, c in pivots)))
-            else:  # whole blocks, read off the leading columns over Q of M_Q
-                # and of its transpose: the first independent rows and columns
-                table = _table(m)
-                assert m.pivots == (_first_independent(table, m.cols),
-                                    _first_independent(_transposed(table, m.cols), m.rows))
+            assert m.pivots == (tuple(sorted(r for r, _ in pivots)),
+                                tuple(sorted(c for _, c in pivots)))
 
 
 def test_rank_eliminates_and_canonical_answers_canonicalize(monkeypatch):
     # one elimination per job: `rank` runs `_eliminate` alone, and rref,
-    # nullspace, solve and cokernel_projector run `_canonical_rref` alone
+    # nullspace, solve and cokernel_projector run `_canonical_rref` alone;
+    # `pivots`, over Q(zeta_n) too, reads what `rank` stored
     calls = []
     for name in ("_eliminate", "_canonical_rref"):
         def counted(*args, _name=name, _run=getattr(linalg, name)):
@@ -197,8 +197,10 @@ def test_rank_eliminates_and_canonical_answers_canonicalize(monkeypatch):
             answer(*args)
             assert calls and set(calls) == {"_canonical_rref"}
         calls.clear()
-        rank(m)
+        assert m.pivots is None and (m.field_order > 1) == (order > 1)
+        r = rank(m)
         assert calls == ["_eliminate"]
+        assert len(m.pivots[0]) == r * euler_phi(m.field_order) and calls == ["_eliminate"]
 
 
 def test_cyclotomic_peel_does_no_scalar_arithmetic(monkeypatch):
@@ -664,16 +666,6 @@ def _transposed(table, cols):
     return [[row[c] for row in table] for c in range(cols)]
 
 
-def _first_independent(table, cols):
-    """The indices of the rows of a dense table, in order, that are
-    independent of the rows before them."""
-    kept = []
-    for i, row in enumerate(table):
-        if len(_gauss_jordan([table[k] for k in kept] + [row], cols)) > len(kept):
-            kept.append(i)
-    return tuple(kept)
-
-
 def _summed_pairs(rng, rows, cols, table, field):
     """((r, c), value) pairs that sum to the table: each entry split in two,
     plus pairs that cancel at zero positions; ints and Fractions raw."""
@@ -1069,12 +1061,10 @@ def test_realified_matrices_match_the_cyclotomic_row_oracle(orders):
                                          cyclotomic_rows.scalar_rows(rhs), cols)
         assert x is not None and _row_vectors(x) == _from_rows(expected, k)
         assert a * x == rhs
-        # pivots over the field: rows and columns on which a has rank(a)
-        pivot_rows, pivot_cols = a.pivots
-        assert len(pivot_rows) == len(pivot_cols) == len(reduced)
-        assert len(_gauss_jordan([ta[i] for i in pivot_rows], cols)) == len(reduced)
-        assert len(_gauss_jordan([[row[j] for j in pivot_cols] for row in ta],
-                                 len(pivot_cols))) == len(reduced)
+        # the pivots `rank` took on A_Q, those of the realification ranked alone
+        real = realified(a, a.field_order)
+        assert rank(real) == len(reduced) * euler_phi(a.field_order) == len(a.pivots[0])
+        assert a.pivots == real.pivots
 
 
 def test_results_are_stored_at_their_conductor():

@@ -24,6 +24,8 @@ from hochkit.mukai import (
 )
 from hochkit.scalars import ONE, ZERO, cyc
 
+from transport import rebased
+
 
 def rand_intertwiner(rng, m):
     out = SparseMatrix.zero(m.dim, m.dim)
@@ -781,40 +783,18 @@ def test_pushforward_routes_disagree_is_raised(monkeypatch):
     assert pushforward(K, v) == chern(simples_of(z3)[2])
 
 
-def _rebased(a):
+def _shifted(a):
     """`a` in the basis f_i = e_i + e_(i+1) (f_last = e_last), so that its
     center basis is no longer made of class sums with equal entries."""
-    from hochkit.algebra import Algebra, DictSC, SerreData
     n = a.dim
-
-    def to_e(i):
-        return {i: ONE, i + 1: ONE} if i + 1 < n else {i: ONE}
-
-    def to_f(x):
-        y = []
-        for k in range(n):
-            y.append(x[k] - (y[k - 1] if k else ZERO))
-        return tuple(y)
-
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            prod = [ZERO] * n
-            for p, u in to_e(i).items():
-                for q, w in to_e(j).items():
-                    for k, c in a.sc.product(p, q).items():
-                        prod[k] = prod[k] + u * w * c
-            table[(i, j)] = dict(enumerate(to_f(prod)))
-    functional = [sum((a.serre.functional[k] for k in to_e(i)), ZERO) for i in range(n)]
-    return Algebra(n, DictSC(table), to_f(a.unit), serre=SerreData(functional),
-                   field_order=a.field_order, provenance=("custom", "rebased"))
+    return rebased(a, [[ONE if k in (i, i + 1) else ZERO for k in range(n)] for i in range(n)])
 
 
 @pytest.mark.parametrize("name", ["s3", "zn:6", "d4", "q8", "mat:3", "a4", "rebased s3"])
 def test_center_coordinates_round_trip(name):
     from hochkit.mukai import _center_coords
     rng = random.Random(47)
-    a = _rebased(algebra_fixture("s3")) if name == "rebased s3" else algebra_fixture(name)
+    a = _shifted(algebra_fixture("s3")) if name == "rebased s3" else algebra_fixture(name)
     assert 6 <= a.dim <= 12
     basis = center_basis(a).transpose()
     for _ in range(5):
@@ -875,32 +855,18 @@ def _gram_solve(a, traces):
     return _old_combine(a, x, center_rows(a))
 
 
-def _rebased_module(ra, m):
-    """The module m of `a` as a module of _rebased(a): f_i acts as e_i + e_(i+1)."""
-    n = ra.dim
-    action = [m.act(tuple(ONE if k in (i, i + 1) else ZERO for k in range(n)))
-              for i in range(n)]
-    return ModuleRep(ra, m.dim, action, name=m.name, check=True)
-
-
 def _dual_basis_cases():
     cases = [(name, lambda name=name: algebra_fixture(name))
              for name in ALL_GROUP_FIXTURES + ("mat:3", "tensor(zn:3,zn:4)")]
-
-    def rebased():
-        s3 = algebra_fixture("s3")
-        ra = _rebased(s3)
-        return ra, tuple(_rebased_module(ra, m) for m in simples_of(s3))
-
-    return cases + [("rebased s3", rebased)]
+    return cases + [("rebased s3", lambda: _shifted(algebra_fixture("s3")))]
 
 
 @pytest.mark.parametrize("label,build", _dual_basis_cases(),
                          ids=[label for label, _ in _dual_basis_cases()])
 def test_chern_and_iota_match_one_column_gram_solves(label, build):
     rng = random.Random(67)
-    built = build()
-    a, simples = built if isinstance(built, tuple) else (built, simples_of(built))
+    a = build()
+    simples = simples_of(a)
     modules = list(simples) + [simples[0].direct_sum(simples[-1])]
     zs = center_rows(a)
     for m in modules:
@@ -1003,11 +969,16 @@ def test_overdetermined_character_system(monkeypatch):
     def kernel(a):
         return outer_kernel(simples_of(a)[1].dual(), simples_of(z4)[3], a)
 
-    once, twice = _zn3_with([0, 1, 2]), _zn3_with([0, 1, 2, 1])
-    assert _character_system(once)[3] == []
-    assert _character_system(twice)[3] != []  # a row outside the pivots
+    # chi1 repeated after the other characters, and before them: a dependent
+    # row of S_a ahead of independent ones
+    once, twice, early = (_zn3_with(picks) for picks in ([0, 1, 2], [0, 1, 2, 1], [1, 1, 0, 2]))
+    for a in (once, twice, early):
+        _, system, left_inverse = _character_system(a)
+        assert (system.rows, system.cols) == (len(simples_of(a)), 3)
+        assert left_inverse * system == SparseMatrix.identity(3)
     assert _cached_transfer_matrices(kernel(twice)) == _cached_transfer_matrices(kernel(once))
     assert _cached_transfer_matrices(kernel(twice)) == per_kernel_transfer_matrices(kernel(once))
+    assert _cached_transfer_matrices(kernel(early)) == per_kernel_transfer_matrices(kernel(early))
     # the repeated chi1 sent where chi2 goes: its rows of the right-hand side
     # contradict those of the first chi1
     k = kernel(twice)
