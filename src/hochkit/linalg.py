@@ -67,6 +67,8 @@ def vec(values: Iterable) -> Vector:
 
 
 def unit_vector(n: int, i: int) -> Vector:
+    if not 0 <= i < n:
+        raise ShapeMismatch(f"unit vector {i} of length {n}")
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
@@ -362,12 +364,7 @@ class SparseMatrix:
         return tuple(out)
 
     def trace(self) -> CycScalar:
-        if self.rows != self.cols:
-            raise ShapeMismatch(f"trace of a {self.rows}x{self.cols} matrix")
-        phi = euler_phi(self.field_order)
-        return scalar(self.field_order, [sum(self._rows[r * phi + s].get(r * phi, 0)
-                                             for r in range(self.rows)) for s in range(phi)],
-                      self.den)
+        return trace_matrix([[self]]).entry(0, 0)
 
 
 def _times(rows: list[dict], k: int) -> list[dict[int, int]]:
@@ -394,6 +391,23 @@ def realified(m: SparseMatrix, n: int) -> SparseMatrix:
     phi(n) times the rows and columns of m."""
     phi = euler_phi(n)
     return SparseMatrix._of(m.rows * phi, m.cols * phi, _rows_at(m, n), m.den)
+
+
+def trace_matrix(action_lists: Sequence[Sequence[SparseMatrix]]) -> SparseMatrix:
+    """Row i holds the traces of the square matrices action_lists[i]: each is the first
+    column of the sum of a matrix's diagonal blocks, read off its integer rows, and all
+    are realified at their common order over their common denominator, with no scalar."""
+    rows, cols = len(action_lists), len(action_lists[0]) if action_lists else 0
+    ms = [m for acts in action_lists for m in acts]
+    if any(len(acts) != cols for acts in action_lists) or any(m.rows != m.cols for m in ms):
+        raise ShapeMismatch("traces of non-square matrices or of lists of unequal lengths")
+    n, den, entries = lcm(1, *[m.field_order for m in ms]), lcm(1, *[m.den for m in ms]), []
+    for at, m in enumerate(ms):
+        phi, data = euler_phi(m.field_order), m._rows
+        nums = [sum(data[r * phi + s].get(r * phi, 0) for r in range(m.rows)) for s in range(phi)]
+        if any(nums):
+            entries.append((at // cols, at % cols, nums, m.field_order, den // m.den))
+    return SparseMatrix._of(rows, cols, _blocks(rows, cols, entries, n), den, n)
 
 
 def _common(a: SparseMatrix, b: SparseMatrix) -> tuple[list[dict], list[dict], int, int]:

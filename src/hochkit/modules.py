@@ -32,9 +32,10 @@ from .errors import (
 )
 from .hochschild import MAX_DEGREE, _alphabet, _bar_complex, _table, check_maxdeg
 from .linalg import (
-    SparseMatrix, Vector, _common_rows, cokernel_projector, kron, nullspace, unit_vector,
+    SparseMatrix, Vector, _common_rows, cokernel_projector, kron, nullspace, trace_matrix,
+    unit_vector,
 )
-from .scalars import CycScalar, ONE, ZERO, euler_phi
+from .scalars import CycScalar, ONE, euler_phi
 
 
 class ModuleRep:
@@ -67,11 +68,7 @@ class ModuleRep:
         return sum(terms[1:], terms[0]) if terms else SparseMatrix.zero(self.dim, self.dim)
 
     def character(self, coords: Vector) -> CycScalar:
-        out = ZERO
-        for i, c in enumerate(coords):
-            if c:
-                out = out + c * self.action[i].trace()
-        return out
+        return trace_matrix([self.action]).apply(coords)[0]
 
     def direct_sum(self, other: "ModuleRep") -> "ModuleRep":
         if self.algebra != other.algebra:

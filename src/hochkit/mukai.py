@@ -2,19 +2,19 @@
 maps, and the identity verifiers built from them.
 
 The center is read as one matrix throughout: Z = center_basis(a), whose
-rows z_j are its canonical basis.  Every trace against the center basis is
-Z applied to the traces of the basis actions, tr(z_j on M) =
-sum_i Z[j, i] tr(rho(e_i)) (`_center_traces`), and `_classes` turns rows
-into classes.
+rows z_j are its canonical basis.  Each character system is one product
+trace_matrix(L) Z^T (`_center_characters`), whose row i holds the traces
+tr(z_j through L[i]) = sum_k Z[j, k] tr(L[i][k]) of a list L[i] of basis
+actions, with no scalar trace; `_classes` turns rows into classes.
 
 The three transfer maps of a kernel (pushforward on HH_0, its adjoint, and
 the transport on HH^0) are linear.  Each is one `derived` matrix of the
-kernel, the images of the center basis (from one pass over the kernel
-applied to each simple) times the map reading coordinates at the basis
-pivots, applied to an input class.  What depends on the algebra alone (the
-pairing's dual basis, the simples' Chern expansion, endomorphisms, traces
-and character system) is `derived` from the algebra, so per kernel only
-the transport solves a system (`_solve_central`).
+kernel, from one pass over the kernel applied to each simple, applied to an
+input class; route B of the pushforward is the target center basis times
+the adjoint matrix.  What depends on the algebra alone (the pairing's dual
+basis, the simples' Chern expansion, endomorphisms and character system) is
+`derived` from the algebra, so per kernel only the transport solves a
+system (`_solve_central`).
 
 The transfer identities are matrix equations in those matrices, compared
 entry by entry: adjointness Z_b T_b P_k Z_a^T = (P_dk Z_b^T)^T T_a Z_a^T for
@@ -54,7 +54,7 @@ from .errors import (
     RoutesDisagree, ShapeMismatch, SingularGram,
 )
 from .hochschild import hh_cohomology_dims, hh_homology_dims
-from .linalg import SparseMatrix, Vector, kron, rank, solve, vec
+from .linalg import SparseMatrix, Vector, kron, rank, solve, trace_matrix, vec
 from .modules import (
     AppliedKernel, Bimodule, ModuleRep, apply_kernel, apply_kernel_full, convolve,
     dual_kernel, hom_space, is_intertwiner, simples_of,
@@ -260,11 +260,10 @@ def _classes(a: Algebra, m: SparseMatrix) -> list[MukaiClass]:
     return [MukaiClass(a, m.row_vector(r), _checked=True) for r in range(m.rows)]
 
 
-def _center_traces(m: ModuleRep, f: Optional[SparseMatrix] = None) -> Vector:
-    """(tr(z_j on M))_j, or (tr(z_j|_M o f))_j when f is given, for the rows
-    z_j of center_basis: Z applied to those traces of the basis actions."""
-    acts = m.action if f is None else [act * f for act in m.action]
-    return center_basis(m.algebra).apply(tuple(act.trace() for act in acts))
+def _center_characters(a: Algebra, action_lists: list[list[SparseMatrix]]) -> SparseMatrix:
+    """Row i is (tr(z_j acting through action_lists[i]))_j for the rows z_j of
+    center_basis(a), the traces of the basis actions times Z_a^T."""
+    return trace_matrix(action_lists) * center_basis(a).transpose()
 
 
 def _solve_central(a: Algebra, system: SparseMatrix, rhs: SparseMatrix,
@@ -298,10 +297,11 @@ def _dual_basis(a: Algebra) -> SparseMatrix:
                           "trace pairing on the center is singular here")
 
 
-def _from_traces(a: Algebra, traces: Vector) -> MukaiClass:
-    """The unique central z with hochschild_trace(z * z_j) = traces[j] for
-    the center basis z_j, which is sum_j traces[j] z_j^v."""
-    return MukaiClass(a, _dual_basis(a).apply(traces), _checked=True)
+def _from_traces(a: Algebra, acts: list[SparseMatrix]) -> MukaiClass:
+    """The unique central z with hochschild_trace(z * z_j) = t_j, t the row of
+    `_center_characters` of the basis actions `acts`: sum_j t_j z_j^v."""
+    traces = _center_characters(a, [acts])
+    return MukaiClass(a, (traces * _dual_basis(a).transpose()).row_vector(0), _checked=True)
 
 
 def iota_solve(m: ModuleRep, e: SparseMatrix) -> MukaiClass:
@@ -313,7 +313,7 @@ def iota_solve(m: ModuleRep, e: SparseMatrix) -> MukaiClass:
         raise MissingSerreData("iota_solve needs Frobenius data")
     if not is_intertwiner(e, m, m):
         raise NotIntertwiner("iota_solve needs an algebra-linear endomorphism")
-    return _from_traces(a, _center_traces(m, e))
+    return _from_traces(a, [act * e for act in m.action])
 
 
 def chern(m: ModuleRep) -> MukaiClass:
@@ -323,7 +323,7 @@ def chern(m: ModuleRep) -> MukaiClass:
     a = m.algebra
     if a.serre is None:
         raise MissingSerreData("chern needs Frobenius data")
-    return _from_traces(a, _center_traces(m))
+    return _from_traces(a, m.action)
 
 
 def chern_additivity_check(m: ModuleRep, n: ModuleRep) -> CheckReport:
@@ -410,8 +410,8 @@ def _character_system(a: Algebra) -> tuple:
     L_a S_a = 1, is a left inverse.  S_a X = R has at most one solution, and
     it has one, X = L_a R, iff S_a L_a R = R."""
     ends = [hom_space(s, s).basis for s in simples_of(a)]
-    system = SparseMatrix.from_dense([_center_traces(s, mu) for s, basis
-                                      in zip(simples_of(a), ends) for mu in basis])
+    system = _center_characters(a, [[act * mu for act in s.action]
+                                    for s, basis in zip(simples_of(a), ends) for mu in basis])
     if rank(system) < center_basis(a).rows:
         raise SingularGram("character system of the simples does not determine z")
     return ends, system, solve(system.transpose(), SparseMatrix.identity(system.cols)).transpose()
@@ -422,9 +422,9 @@ def _adjoint_matrix(k: Bimodule) -> SparseMatrix:
     """Z_a^T X on target center coordinates, X = L_a R the one solution of
     S_a X = R, R the character rows of the K(S)."""
     ends, system, left_inverse = _character_system(k.source)
-    rhs = SparseMatrix.from_dense([
-        _center_traces(applied.module, applied.map_morphism(mu))
-        for (_, applied), basis in zip(_applied_simples(k), ends) for mu in basis])
+    rhs = _center_characters(k.target, [[act * f for act in applied.module.action]
+                                        for (_, applied), basis in zip(_applied_simples(k), ends)
+                                        for f in map(applied.map_morphism, basis)])
     x = left_inverse * rhs
     if system * x != rhs:
         raise SingularGram("character system of the simples does not determine z")
@@ -456,20 +456,16 @@ def _chern_expansion(a: Algebra) -> SparseMatrix:
 def _pushforward_matrix(k: Bimodule) -> SparseMatrix:
     """The pushforward of `k` on coordinates, by the two routes of `pushforward`."""
     a, b = k.source, k.target
-    expansions = _chern_expansion(a)  # route A
-    pushed = SparseMatrix.from_columns(
-        [chern(applied.module).coords for _, applied in _applied_simples(k)], b.dim)
-    route_a = pushed * expansions
-    # route B
-    pulled = SparseMatrix.from_dense(
-        [adjoint_transfer(k, nu).coords for nu in _classes(b, center_basis(b))])
+    expansions = _chern_expansion(a)  # route A: ch(S) -> ch(K(S))
+    images = _center_characters(b, [applied.module.action for _, applied in _applied_simples(k)])
+    route_a = _dual_basis(b) * images.transpose() * expansions
+    # route B: row j of pulled is the adjoint transfer of z_j
+    pulled = center_basis(b) * _adjoint_matrix(k).transpose()
     route_b = _dual_basis(b) * (pulled * trace_form(a) * center_basis(a).transpose())
     if route_a != route_b:
-        for image_a, image_b in zip(_classes(b, route_a.transpose()),
-                                    _classes(b, route_b.transpose())):
-            if image_a != image_b:
-                raise RoutesDisagree(
-                    f"pushforward routes disagree: {image_a!r} vs {image_b!r}")
+        image_a, image_b = next((x, y) for x, y in zip(
+            _classes(b, route_a.transpose()), _classes(b, route_b.transpose())) if x != y)
+        raise RoutesDisagree(f"pushforward routes disagree: {image_a!r} vs {image_b!r}")
     return route_a * _center_coords(a)
 
 
@@ -548,22 +544,15 @@ def morita_kernel(a: Algebra, n: int) -> Bimodule:
 
 
 @derived
-def _simple_traces(a: Algebra) -> list[Vector]:
-    """(tr(z_j on S))_j for every simple S of `a`."""
-    return [_center_traces(s) for s in simples_of(a)]
-
-
-@derived
 def _transport_matrix(k: Bimodule) -> SparseMatrix:
-    """`cohomology_transport` on coordinates: its images of the center basis."""
-    rows, rhs = [], []
-    for (s, applied), traces in zip(_applied_simples(k), _simple_traces(k.source)):
-        rows.append(_center_traces(applied.module))
-        # the scalar by which each source basis vector acts on S
-        omegas = [t / cyc(s.dim) for t in traces]
-        rhs.append([omega * cyc(applied.module.dim) for omega in omegas])
-    images = _solve_central(k.target, SparseMatrix.from_dense(rows),
-                            SparseMatrix.from_dense(rhs),
+    """`cohomology_transport` on coordinates: its images of the center basis.  Row S of
+    the right-hand side is dim K(S) times tr(z_j on S) / dim S, the scalar of z_j on S."""
+    applied = _applied_simples(k)
+    dims = SparseMatrix(len(applied), len(applied), {
+        (i, i): cyc(image.module.dim) / cyc(s.dim) for i, (s, image) in enumerate(applied)})
+    rhs = dims * _center_characters(k.source, [s.action for s, _ in applied])
+    rows = _center_characters(k.target, [image.module.action for _, image in applied])
+    images = _solve_central(k.target, rows, rhs,
                             "kernel images do not determine the transported element")
     return images * _center_coords(k.source)
 

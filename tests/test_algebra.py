@@ -404,7 +404,7 @@ from hochkit.algebra import Algebra, DictSC, truncated_poly
 from hochkit.errors import HochkitError, ShapeMismatch
 from hochkit.fixtures import algebra_fixture, rep_from_generators
 from hochkit.hochschild import HHResult
-from hochkit.linalg import SparseMatrix
+from hochkit.linalg import SparseMatrix, unit_vector
 from hochkit.mukai import MukaiClass
 from hochkit.scalars import CycScalar, _poly_div_exact, euler_phi, zeta
 from hochkit.tqft import CobordismWord, SurfaceInvariant, evaluate
@@ -439,6 +439,13 @@ for field, m in (("Q", square), ("Q(zeta_3)", square.scale(zeta(3)))):
         ("take_rows([-1])", lambda m=m: m.take_rows([-1])),
         ("take_rows([0, 2])", lambda m=m: m.take_rows([0, 2])),
     )})
+cases.update({name: (ShapeMismatch, call) for name, call in (
+    ("unit_vector(3, 5)", lambda: unit_vector(3, 5)),
+    ("unit_vector(3, -1)", lambda: unit_vector(3, -1)),
+    ("unit_vector(0, 0)", lambda: unit_vector(0, 0)),
+    ("basis_vector(7)", lambda: algebra_fixture("zn:3").basis_vector(7)),
+    ("basis_vector(-1)", lambda: algebra_fixture("zn:3").basis_vector(-1)),
+)})
 for name, case in cases.items():
     error, call = case if isinstance(case, tuple) else (HochkitError, case)
     try:

@@ -13,7 +13,7 @@ from hochkit import linalg
 from hochkit.errors import DegreeCapExceeded, HochkitError, ShapeMismatch
 from hochkit.linalg import (
     SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel, cokernel_projector, hstack,
-    kron, nullspace, rank, realified, rref, solve, unit_vector, vec,
+    kron, nullspace, rank, realified, rref, solve, trace_matrix, unit_vector, vec,
 )
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, embed, euler_phi, format_scalar, zeta
 
@@ -919,10 +919,55 @@ def test_hstack_matches_dense_oracle():
         hstack(2, [SparseMatrix.identity(2), SparseMatrix.identity(3)])
 
 
+def _scalar_in(rng, n):
+    """A random element of Q(zeta_n): zero one time in five, else a sum of up
+    to three powers of zeta_n with rational coefficients, so that it may also
+    lie in a subfield."""
+    if rng.random() < 0.2:
+        return ZERO
+    return sum((cyc(Fraction(rng.randint(-9, 9), rng.randint(1, 4))) * zeta(n, rng.randrange(n))
+                for _ in range(rng.randint(1, 3))), ZERO)
+
+
+TRACE_ORDERS = {"Q": [1], "Q(zeta_3)": [3], "Q(zeta_4)": [4], "Q(zeta_8)": [8],
+                "mixed orders": [1, 3, 4, 8]}
+
+
+@pytest.mark.parametrize("label", TRACE_ORDERS)
+def test_trace_matrix_matches_the_dense_scalar_oracle(label):
+    # the oracle sums the diagonal of each dense table one CycScalar at a time;
+    # `_check` also pins the stored normal form: conductor, lowest terms, blocks
+    rng = random.Random(61)
+    for _ in range(8):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        lists, oracle = [], []
+        for _ in range(rows):
+            tables = []
+            for _ in range(cols):
+                d, n = rng.randint(1, 4), rng.choice(TRACE_ORDERS[label])
+                tables.append([[_scalar_in(rng, n) for _ in range(d)] for _ in range(d)])
+            lists.append([SparseMatrix.from_dense(t) for t in tables])
+            oracle.append([sum((t[i][i] for i in range(len(t))), ZERO) for t in tables])
+        _check(trace_matrix(lists), rows, cols, oracle)
+        assert [[m.trace() for m in acts] for acts in lists] == oracle
+
+
+def test_trace_matrix_of_empty_lists_and_refused_shapes():
+    assert trace_matrix([]) == SparseMatrix.zero(0, 0)
+    assert trace_matrix([[], []]) == SparseMatrix.zero(2, 0)
+    nilpotent = SparseMatrix.from_dense([[0, zeta(3)], [0, 0]])
+    assert trace_matrix([[nilpotent, SparseMatrix.zero(3, 3)]]) == SparseMatrix.zero(1, 2)
+    square, wide = SparseMatrix.identity(2), SparseMatrix.zero(2, 3)
+    for lists in ([[wide]], [[square, wide.scale(zeta(8))]], [[square], [square, square]],
+                  [[square, square], [square]]):
+        with pytest.raises(ShapeMismatch):
+            trace_matrix(lists)
+
+
 SHAPE_ERRORS_SCRIPT = """
 from hochkit.errors import ShapeMismatch
 from hochkit.hochschild import ChainComplex
-from hochkit.linalg import SparseMatrix, solve, vec
+from hochkit.linalg import SparseMatrix, solve, trace_matrix, vec
 
 m = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
 cases = {
@@ -932,6 +977,7 @@ cases = {
     "__mul__": lambda: m * m,
     "apply": lambda: m.apply(vec([1, 2])),
     "trace": lambda: m.trace(),
+    "trace_matrix": lambda: trace_matrix([[SparseMatrix.identity(2), m]]),
     "solve": lambda: solve(m, SparseMatrix.from_dense([[1], [2], [3]])),
     "ChainComplex": lambda: ChainComplex([2, 3], {1: m.transpose()}),
     "negative shape": lambda: SparseMatrix(-1, 2),

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -769,18 +771,65 @@ def test_pushforward_routes_disagree_is_raised(monkeypatch):
     from hochkit.errors import RoutesDisagree
     z2, z3 = algebra_fixture("zn:2"), algebra_fixture("zn:3")
     K = outer_kernel(simples_of(z2)[1].dual(), simples_of(z3)[2], z2)
-    real = mukai.chern
+    real = mukai._chern_expansion
 
-    def corrupted(m):
-        # doubles the classes of route A's images on the target side only
-        return real(m).scale(2) if m.algebra == z3 else real(m)
+    def corrupted(a):
+        # doubles route A's expansion over the source simples, which route B does not read
+        return real(a).scale(2) if a == z2 else real(a)
 
-    monkeypatch.setattr(mukai, "chern", corrupted)
+    monkeypatch.setattr(mukai, "_chern_expansion", corrupted)
     with pytest.raises(RoutesDisagree, match="pushforward routes disagree"):
         pushforward(K, MukaiClass(z2, z2.unit, _checked=True))
     monkeypatch.undo()
     v = chern(simples_of(z2)[1])
     assert pushforward(K, v) == chern(simples_of(z3)[2])
+
+
+def _transfer_workload_slots():
+    """The (source, target, choices of V, choices of W) kernel slots of the
+    benchmark's transfer workload, read off perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    return next(ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "KERNEL_SLOTS")
+
+
+@pytest.mark.parametrize("slot", _transfer_workload_slots(), ids=lambda s: f"{s[0]}->{s[1]}")
+def test_route_b_is_one_product_with_the_adjoint_matrix(slot):
+    # the per-vector loop route B ran before: one public adjoint_transfer per
+    # target center basis vector, stacked; kept here as the oracle of the product
+    from hochkit.mukai import _adjoint_matrix, _dual_basis, _pushforward_matrix
+    src, dst, v_names, w_names = slot
+    a, b = algebra_fixture(src), algebra_fixture(dst)
+    sources, targets = ({s.name: s for s in simples_of(x)} for x in (a, b))
+    for v in v_names:
+        for w in w_names:
+            k = outer_kernel(sources[v].dual(), targets[w], a)
+            pulled = center_basis(b) * _adjoint_matrix(k).transpose()
+            stacked = SparseMatrix.from_dense(
+                [adjoint_transfer(k, nu).coords for nu in _classes(b, center_basis(b))])
+            assert pulled == stacked
+            za_t = center_basis(a).transpose()
+            assert _pushforward_matrix(k) * za_t == \
+                _dual_basis(b) * (stacked * trace_form(a) * za_t)
+
+
+def test_pushforward_matrix_calls_no_per_vector_route(monkeypatch):
+    # from cold caches: both routes are products of matrices, and no class or
+    # vector goes through adjoint_transfer or SparseMatrix.apply
+    import hochkit.mukai as mukai
+    a, b = _zn3_with([0, 1, 2]), _zn3_with([2, 0, 1])
+    k = outer_kernel(simples_of(a)[1].dual(), simples_of(b)[2], a)
+
+    def refused(*args):
+        raise AssertionError("per-vector call while building the pushforward matrix")
+
+    monkeypatch.setattr(mukai, "adjoint_transfer", refused)
+    monkeypatch.setattr(SparseMatrix, "apply", refused)
+    pushed = mukai._pushforward_matrix(k)
+    monkeypatch.undo()
+    assert pushed == per_kernel_transfer_matrices(k)[1]
+    assert pushforward(k, chern(simples_of(a)[1])) == chern(simples_of(b)[2])
 
 
 def _shifted(a):
@@ -892,21 +941,31 @@ def test_iota_singular_gram_on_weird_input():
 
 # --- the algebra-side halves of the transfer maps, once per algebra ---------------
 
+def center_traces(m, f):
+    """(tr(z_j|_M o f))_j for the rows z_j of center_basis, each trace of a
+    basis action summed one diagonal entry at a time: the vector route
+    `linalg.trace_matrix` replaced."""
+    products = [act * f for act in m.action]
+    return center_basis(m.algebra).apply(tuple(
+        sum((x.entry(i, i) for i in range(x.rows)), ZERO) for x in products))
+
+
 def per_kernel_transfer_matrices(k):
     """The adjoint and pushforward matrices of k with every system solved for
-    this kernel alone: the character rows built from hom_space and solved by
-    `_solve_central`, and the simples' Chern expansion solved again.  The
-    route the per-algebra caches replaced, kept as their oracle."""
+    this kernel alone: the character rows built from hom_space, one scalar
+    trace at a time, and solved by `_solve_central`, and the simples' Chern
+    expansion solved again.  The route the per-algebra caches replaced, kept
+    as their oracle."""
     from hochkit.linalg import solve
     from hochkit.modules import apply_kernel_full
-    from hochkit.mukai import _center_coords, _center_traces, _solve_central
+    from hochkit.mukai import _center_coords, _solve_central
     a, b = k.source, k.target
     applied = [(s, apply_kernel_full(k, s)) for s in simples_of(a)]
     rows, rhs = [], []
     for s, image in applied:
         for mu in hom_space(s, s).basis:
-            rows.append(_center_traces(s, mu))
-            rhs.append(_center_traces(image.module, image.map_morphism(mu)))
+            rows.append(center_traces(s, mu))
+            rhs.append(center_traces(image.module, image.map_morphism(mu)))
     adjoint = _solve_central(a, SparseMatrix.from_dense(rows), SparseMatrix.from_dense(rhs),
                              "character system of the simples does not determine z")
     system = SparseMatrix.from_columns([chern(s).coords for s in simples_of(a)], a.dim)
