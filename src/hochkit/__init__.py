@@ -7,7 +7,8 @@ The layers, bottom up:
 * linalg    - sparse rank / rref / nullspace / solving / cokernels over Q(zeta_n)
 * algebra   - unital associative algebras with optional Frobenius data
 * modules   - representations, bimodule kernels, convolution, Ext
-* hochschild- bar complexes, HH_* and HH^* dims, cup and cap products
+* hochschild- bar complexes, HH_* and HH^* dims, cup and cap as matrices
+              on the normalized complexes
 * mukai     - traces, the pairing on HH_0, Chern characters, and the
               identity verifiers (Riemann-Roch, Cardy, adjointness,
               functoriality, Morita invariance)
@@ -21,9 +22,8 @@ from .algebra import (
     regular_trace, tensor, truncated_poly, validate,
 )
 from .hochschild import (
-    ChainComplex, Chain, Cochain, HHResult, bar_chain_complex,
-    bar_cochain_complex, cap_product, cup_product, hh_cohomology_dims,
-    hh_homology_dims,
+    ChainComplex, HHResult, bar_chain_complex, bar_cochain_complex,
+    cap_product, cup_product, hh_cohomology_dims, hh_homology_dims,
 )
 from .linalg import (
     SparseMatrix, cokernel_projector, kron, nullspace, rank, rref, solve,

@@ -13,10 +13,11 @@ immutable afterwards.  Data derived from an immutable object is built by a
 here the product table, the multiplication matrices, the center basis, the
 trace form, the unit split and tensor structure constants; in `mukai` the
 transfer data of algebras and kernels; in `tqft` and `hochschild` the
-generator kernels and the ranks of a complex.  `_form(a, f)`, the matrix
-of (x, y) |-> f(xy), gives both the Frobenius Gram that `validate` checks
-and the regular `trace_form`; every other matrix of products (multiplication,
-the unit split, the bar tables of `hochschild`) is read off `product_table`.
+generator kernels, the ranks of a complex and the cup and cap matrices.
+`_form(a, f)`, the matrix of (x, y) |-> f(xy), gives both the Frobenius Gram
+that `validate` checks and the regular `trace_form`; every other matrix of
+products (multiplication, the unit split, the bar tables and cup and cap of
+`hochschild`) is read off `product_table`.
 
 Subspaces are canonical row matrices: the center (`center_basis`) and the
 commutator subspace (`commutator_subspace`) are each the reduced echelon

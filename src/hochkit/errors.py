@@ -77,10 +77,6 @@ class NotIntertwiner(HochkitError):
     pass
 
 
-class NotACocycle(HochkitError):
-    pass
-
-
 class ShapeMismatch(HochkitError):
     pass
 

@@ -27,15 +27,17 @@ same place of the block it lands in.
 
 The reduced (normalized) route is the default: interior letters span a
 complement of the unit, which shrinks dim(A)^n to (dim(A)-1)^n and makes
-degree-3 computations feasible at dim 6-8.  The unnormalized route, on which
-cup and cap live, is kept as an independent cross-check; the alphabet is the
-only place the two routes differ.  A `ChainComplex` ranks each differential
-on what its neighbour leaves and proves d o d = 0 on the pivot rows of each
-rank, by induction in degree: the first map is ranked whole, and once
-maps[n - 1] maps[n] = 0 is proved, the rows clearing cut from maps[n] are
-combinations of the rows it kept, so its pivot rows span all of its rows.
-A complex over Q(zeta_n) does all of this on its realification, a complex
-over Q with phi(n) times the dimensions and homology.
+degree-3 computations feasible at dim 6-8.  The unnormalized route is kept
+as an independent cross-check of the dimensions; the alphabet is the only
+place the two routes differ.  Cup and cap are matrices on the normalized
+complexes, which both preserve (Loday, *Cyclic Homology*, 1.1), built once
+per algebra and degrees from `product_table`, `kron` and 0/1 relabellings.
+A `ChainComplex` ranks each differential on what its neighbour leaves and
+proves d o d = 0 on the pivot rows of each rank, by induction in degree: the
+first map is ranked whole, and once maps[n - 1] maps[n] = 0 is proved, the
+rows clearing cut from maps[n] are combinations of the rows it kept, so its
+pivot rows span all of its rows.  A complex over Q(zeta_n) does all of this
+on its realification, over Q with phi(n) times the dimensions and homology.
 
 A homology dimension in degree k is only reported when both adjacent
 differentials were built (`complete_through` tracks this); the CLI marks
@@ -44,18 +46,15 @@ anything beyond as incomplete rather than guessing.
 
 from __future__ import annotations
 
-from itertools import product
 from math import lcm
 from typing import Sequence
 
 from .algebra import (
     Algebra, a_unit_split, center_basis, commutator_subspace, derived, product_table,
 )
-from .errors import (
-    MAX_COORDINATES, DegreeUnderflow, HochkitError, NotACocycle, ShapeMismatch, check_size,
-)
-from .linalg import SparseMatrix, Vector, _common, hstack, rank, realified, unit_vector
-from .scalars import CycScalar, ZERO, euler_phi
+from .errors import MAX_COORDINATES, DegreeUnderflow, HochkitError, ShapeMismatch, check_size
+from .linalg import SparseMatrix, _common, hstack, kron, rank, realified
+from .scalars import euler_phi
 
 MAX_DEGREE = 32  # the highest degree an Ext or Hochschild computation reaches
 
@@ -174,11 +173,6 @@ class HHResult:
 
 
 # --- bar complexes ----------------------------------------------------------
-
-def _index(word: Sequence[int], radix: int) -> int:
-    """The word read in base `radix`, first letter most significant."""
-    return sum(t * radix ** k for k, t in enumerate(reversed(word)))
-
 
 def _alphabet(a: Algebra, normalized: bool) -> tuple[tuple[int, ...], SparseMatrix]:
     """(letters, merge): the basis index of each interior letter, and in row
@@ -347,131 +341,54 @@ def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True) -> HHRe
     return HHResult("cohomology", dims, maxdeg)
 
 
-# --- cochains, cup and cap on the unnormalized complex -------------------------
-#
-# Cup and cap live on the unnormalized complex, where the formulas are the
-# textbook ones with no splitting bookkeeping; the spaces involved in tests
-# are small.  Coordinates are those above, with every basis element a letter.
+# --- cup and cap on the normalized complexes -----------------------------------
 
-class _BarElement:
-    """dim(A)^(degree + 1) coordinates in one degree of the unnormalized complex."""
-
-    def __init__(self, algebra: Algebra, degree: int, coords: Vector):
-        if len(coords) != algebra.dim ** (degree + 1):
-            raise ShapeMismatch(
-                f"a degree-{degree} {type(self).__name__.lower()} needs "
-                f"{algebra.dim ** (degree + 1)} coordinates, got {len(coords)}")
-        self.algebra = algebra
-        self.degree = degree
-        self.coords = tuple(coords)
-
-
-class Cochain(_BarElement):
-    """An element of C^p = Hom(A^(x p), A) on the unnormalized complex."""
-
-    def value(self, word: tuple[int, ...]) -> Vector:
-        d = self.algebra.dim
-        w = _index(word, d) * d
-        return self.coords[w:w + d]
-
-
-class Chain(_BarElement):
-    """An element of C_n = A^(x (n+1)) on the unnormalized complex."""
-
-
-# One differential alone, under the guards of its complex; no complex is
-# built, and each is built once per algebra and degree.
-
-@derived
-def _unnormalized_cochain_map(a: Algebra, n: int) -> SparseMatrix:
-    """delta^n itself, rows on C^(n+1)."""
-    check_maxdeg(n, MAX_DEGREE)
-    _guarded_dims(a.dim, n + 1, a.dim)
-    return _coboundary(n, *_tables(a, False)).transpose()
+def _swap(m: int, n: int) -> SparseMatrix:
+    """The 0/1 relabelling of coordinate (i, j), i * n + j, as (j, i), j * m + i."""
+    return SparseMatrix._of(m * n, m * n, [{i * n + j: 1} for j in range(n) for i in range(m)], 1)
 
 
 @derived
-def _unnormalized_chain_map(a: Algebra, n: int) -> SparseMatrix:
-    check_maxdeg(n, MAX_DEGREE + 1)
-    _guarded_dims(a.dim, n, a.dim)
-    return _coboundary(n - 1, *_tables(a, False, dual=True), chains=True)
+def cup_product(a: Algebra, p: int, q: int) -> SparseMatrix:
+    """cup_{p,q}: C^p (x) C^q -> C^(p+q), (f cup g)(w_1 w_2) = f(w_1) g(w_2)
+    for words w_1 of p letters and w_2 of q.  For cochains stored as columns
+    f cup g = cup_product(a, p, q) * kron(F, G); a batch of cochains gives
+    every pairwise product in one product.  It is kron(I, X), where X =
+    kron(I, T^T), T = `product_table(a)`, relabelled so that column
+    (k, w_2, l) meets row (w_2, m).  Exact matrix identities: the Leibniz rule
+
+        delta cup_{p,q} = cup_{p+1,q} (delta (x) 1) + (-1)^p cup_{p,q+1} (1 (x) delta),
+
+    so cocycles cup to cocycles and cup descends to HH^*; strict
+    associativity; and cup_{0,0} = T^T, the multiplication of A."""
+    for n in (p, q, p + q):
+        check_maxdeg(n, MAX_DEGREE + 1)
+    _guarded_dims(a.dim, p + q, a.dim - 1)  # C^p, C^q and C^(p+q) among them
+    d, words = a.dim, (a.dim - 1) ** q
+    x = kron(SparseMatrix.identity(words), product_table(a).transpose()) \
+        * kron(_swap(d, words), SparseMatrix.identity(d))
+    return kron(SparseMatrix.identity((d - 1) ** p), x)
 
 
-def coboundary(f: Cochain) -> Cochain:
-    delta = _unnormalized_cochain_map(f.algebra, f.degree)
-    return Cochain(f.algebra, f.degree + 1, delta.apply(f.coords))
+@derived
+def cap_product(a: Algebra, p: int, n: int) -> SparseMatrix:
+    """cap_{p,n}: C^p (x) C_n -> C_(n-p), sending (w_1, k) (x) (e_j, w_1 w_2)
+    to (e_j e_k) (x) w_2, that is f cap (a_0 (x) a_1 .. a_n) =
+    a_0 f(a_1 .. a_p) (x) a_(p+1) .. a_n, in the column order of `kron`.  It
+    is kron(M, I), M = T^T (factors swapped) times the 0/1 selector of
+    [w_1 = w_1'] in that order, which has dim(A)^2 rows and one entry per
+    row and word w_1.  The Leibniz rule holds as a matrix identity,
 
+        b cap_{p,n} = (-1)^p (cap_{p,n-1} (1 (x) b) - cap_{p+1,n} (delta (x) 1)),
 
-def boundary(z: Chain) -> Chain:
-    if z.degree == 0:
-        return Chain(z.algebra, 0, (ZERO,) * z.algebra.dim)
-    b = _unnormalized_chain_map(z.algebra, z.degree)
-    return Chain(z.algebra, z.degree - 1, b.apply(z.coords))
-
-
-def is_cocycle(f: Cochain) -> bool:
-    return not any(coboundary(f).coords)
-
-
-def is_cycle(z: Chain) -> bool:
-    return z.degree == 0 or not any(boundary(z).coords)
-
-
-def cup_product(f: Cochain, g: Cochain) -> Cochain:
-    """(f cup g)(a_1..a_{p+q}) = f(a_1..a_p) * g(a_{p+1}..a_{p+q}).
-
-    Requires cocycle inputs; the output is a cocycle, the product is
-    strictly associative at the cochain level, and on classes it realizes
-    the Yoneda product (degree 0 recovers multiplication in the center).
-    """
-    if f.algebra != g.algebra:
-        raise HochkitError("cup product needs a common algebra")
-    if not is_cocycle(f) or not is_cocycle(g):
-        raise NotACocycle("cup product requires cocycle inputs")
-    a, p, q = f.algebra, f.degree, g.degree
-    out: list[CycScalar] = []
-    for word in product(range(a.dim), repeat=p + q):
-        out.extend(a.mul(f.value(word[:p]), g.value(word[p:])))
-    result = Cochain(a, p + q, tuple(out))
-    if not is_cocycle(result):
-        raise HochkitError("cup product of cocycles is not a cocycle")
-    return result
-
-
-# Leibniz sign convention, verified exactly by the test suite:
-#     b(f cap z) = (-1)^p [ f cap b(z) ] - (-1)^p [ (df) cap z ]
-# for f of degree p, i.e. b(f cap z) = (-1)^p (f cap bz - df cap z).
-def cap_product(f: Cochain, z: Chain) -> Chain:
-    """f cap (a_0 (x) ... (x) a_n) = (a_0 * f(a_1..a_p)) (x) a_{p+1} ... a_n.
-
-    Requires a cocycle and a cycle; the output is a cycle and the operation
-    descends to HH^p (x) HH_n -> HH_{n-p}.
-    """
-    if f.algebra != z.algebra:
-        raise HochkitError("cap product needs a common algebra")
-    p, n = f.degree, z.degree
+    so a cocycle caps a cycle to a cycle, and cap descends to HH^p (x) HH_n."""
+    for k in (p, n):
+        check_maxdeg(k, MAX_DEGREE + 1)
     if p > n:
         raise DegreeUnderflow(f"cannot cap degree {p} against chain degree {n}")
-    if not is_cocycle(f):
-        raise NotACocycle("cap product requires a cocycle")
-    if not is_cycle(z):
-        raise NotACocycle("cap product requires a cycle")
-    result = _cap_raw(f, z)
-    if not is_cycle(result):
-        raise HochkitError("cap product of a cocycle and a cycle is not a cycle")
-    return result
-
-
-def _cap_raw(f: Cochain, z: Chain) -> Chain:
-    a, d, p, n = f.algebra, f.algebra.dim, f.degree, z.degree
-    out = [ZERO] * (d ** (n - p + 1))
-    for c, word in zip(z.coords, product(range(d), repeat=n + 1)):
-        if not c:
-            continue
-        head = a.mul(unit_vector(d, word[0]), f.value(word[1:p + 1]))
-        for k, v in enumerate(head):
-            if v:
-                w = _index((k,) + word[p + 1:], d)
-                out[w] = out[w] + c * v
-    return Chain(a, n - p, tuple(out))
-
+    _guarded_dims(a.dim, n, a.dim - 1)  # C^p, C_n and C_(n-p) among them
+    d, words = a.dim, (a.dim - 1) ** p
+    table = product_table(a).transpose() * _swap(d, d)  # column k * d + j is e_j e_k
+    select = SparseMatrix._of(d * d, d * d * words * words, [  # (w, k, j, w) from (k, j)
+        {(w * d * d + kj) * words + w: 1 for w in range(words)} for kj in range(d * d)], 1)
+    return kron(table * select, SparseMatrix.identity((d - 1) ** (n - p)))

@@ -441,6 +441,42 @@ def test_cardy_random_instances():
                                rand_intertwiner(rng, f_mod)).ok
 
 
+def _wrong_dual_basis(monkeypatch):
+    """One wrong entry in the dual basis of the pairing on the center."""
+    import hochkit.mukai as mukai
+    real = mukai._dual_basis
+
+    def planted(a):
+        d = real(a)
+        return d + SparseMatrix(d.rows, d.cols, {(0, 0): ONE})
+    monkeypatch.setattr(mukai, "_dual_basis", planted)
+
+
+def test_hrr_and_todd_fail_on_a_wrong_dual_basis_entry(monkeypatch):
+    z3 = algebra_fixture("zn:3")
+    chi0, chi1, _ = simples_of(z3)
+    assert hrr_check(chi0, chi1).ok and todd_hrr_check(z3, chi0, chi1).ok
+    _wrong_dual_basis(monkeypatch)
+    for report in (hrr_check(chi0, chi1), todd_hrr_check(z3, chi0, chi1)):
+        assert not report.ok
+        assert [(left, right) for _, left, right in report.failures()] == [("5", "0")]
+
+
+def test_cardy_fails_on_a_wrong_hom_coordinate(monkeypatch):
+    import hochkit.modules as modules
+    s3 = algebra_fixture("s3")
+    std = simples_of(s3)[2]
+    both = std.direct_sum(std)
+    one = SparseMatrix.identity(both.dim)
+    assert cardy_check(both, both, one, one).ok
+    real = modules.HomBasis.coordinates_of
+    monkeypatch.setattr(modules.HomBasis, "coordinates_of",
+                        lambda self, t: (real(self, t)[0] + ONE, *real(self, t)[1:]))
+    report = cardy_check(both, both, one, one)
+    assert not report.ok
+    assert [(left, right) for _, left, right in report.failures()] == [("4", "5")]
+
+
 # --- iota ---------------------------------------------------------------------------
 
 def test_iota_identity_is_chern():
