@@ -314,22 +314,14 @@ def matrix_algebra(n: int) -> Algebra:
 
     def idx(i, j):
         return i * n + j
-    table: dict[tuple[int, int], SparseVec] = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        table[(idx(i, j), idx(k, l))] = {idx(i, l): ONE}
+    table: dict[tuple[int, int], SparseVec] = {
+        (idx(i, j), idx(j, l)): {idx(i, l): ONE} for i in range(n) for j in range(n)
+        for l in range(n)}
     labels = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     unit = [ONE if i == j else ZERO for i in range(n) for j in range(n)]
-    functional = [ONE if i == j else ZERO for i in range(n) for j in range(n)]
-    if n == 1:
-        gens = [vec([1])]
-    else:
-        gens = [unit_vector(n * n, idx(i, (i + 1) % n)) for i in range(n)]
+    gens = [vec([1])] if n == 1 else [unit_vector(n * n, idx(i, (i + 1) % n)) for i in range(n)]
     return Algebra(n * n, DictSC(table), unit, labels=labels,
-                   serre=SerreData(functional), field_order=1, gens=gens,
+                   serre=SerreData(unit), field_order=1, gens=gens,
                    provenance=("matrix", n))
 
 
@@ -366,11 +358,8 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
     if a.serre is not None and b.serre is not None:
         serre = SerreData(tuple(x * y for x in a.serre.functional
                                 for y in b.serre.functional))
-    gens = []
-    for g in a.gens:
-        gens.append(tuple(ga * ub for ga in g for ub in b.unit))
-    for g in b.gens:
-        gens.append(tuple(ua * gb for ua in a.unit for gb in g))
+    gens = [tuple(ga * ub for ga in g for ub in b.unit) for g in a.gens] + \
+        [tuple(ua * gb for ua in a.unit for gb in g) for g in b.gens]
     return Algebra(a.dim * db, TensorSC(a, b), unit, labels=labels, serre=serre,
                    field_order=lcm(a.field_order, b.field_order), gens=gens,
                    provenance=("tensor", a, b), validated=True)

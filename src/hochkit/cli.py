@@ -106,9 +106,7 @@ class Report:
         return json.dumps(doc, sort_keys=True, indent=2)
 
     def render_table(self) -> str:
-        out = []
-        for text in self.lines:
-            out.append(text)
+        out = list(self.lines)
         if self.records:
             name_w = min(64, max(len(row["name"]) for row, _ in self.records))
             for row, elapsed in self.records:
@@ -568,10 +566,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except RoutesDisagree as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 1
-    except (HochkitError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (HochkitError, FileNotFoundError) as exc:  # ParseError is a HochkitError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     output = report.render_machine() if args.format == "machine" else report.render_table()

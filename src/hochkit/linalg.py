@@ -410,6 +410,20 @@ def trace_matrix(action_lists: Sequence[Sequence[SparseMatrix]]) -> SparseMatrix
     return SparseMatrix._of(rows, cols, _blocks(rows, cols, entries, n), den, n)
 
 
+def vec_rows(ms: Sequence[SparseMatrix]) -> SparseMatrix:
+    """Row i is vec(ms[i]), the entries of ms[i] in row-major order, for matrices
+    of one shape: their stored rows laid end to end at their common order, with
+    no scalar.  Over Q(zeta_n) row r of a matrix's blocks lands at r * cols."""
+    rows, cols = (ms[0].rows, ms[0].cols) if ms else (0, 0)
+    if any((m.rows, m.cols) != (rows, cols) for m in ms):
+        raise ShapeMismatch("vecs of matrices of unequal shapes")
+    parts, den, n = _common_rows(ms)
+    phi = euler_phi(n)
+    return SparseMatrix._of(len(ms), rows * cols, [
+        {r * cols * phi + j: v for r in range(rows) for j, v in part[r * phi + s].items()}
+        for part in parts for s in range(phi)], den, n)
+
+
 def _common(a: SparseMatrix, b: SparseMatrix) -> tuple[list[dict], list[dict], int, int]:
     """The rows of a and b, read-only, realified at the lcm n of their orders
     over their common denominator den, and den and n."""

@@ -189,26 +189,16 @@ def simples_of(a: Algebra) -> tuple[ModuleRep, ...]:
         result = (ModuleRep(a, 1, [SparseMatrix.identity(1)], name="1", check=False),)
     elif kind == "matrix":
         n = a.provenance[1]
-        action = []
-        for i in range(n):
-            for j in range(n):
-                action.append(SparseMatrix(n, n, {(i, j): ONE}))
+        action = [SparseMatrix(n, n, {(i, j): ONE}) for i in range(n) for j in range(n)]
         result = (ModuleRep(a, n, action, name=f"col{n}", check=False),)
     elif kind == "opposite":
         base = a.provenance[1]
         result = tuple(_as_module_over(s.dual(), a) for s in simples_of(base))
     elif kind == "tensor":
-        left, right = a.provenance[1], a.provenance[2]
-        out = []
-        for s in simples_of(left):
-            for t in simples_of(right):
-                action = []
-                for i in range(left.dim):
-                    for j in range(right.dim):
-                        action.append(kron(s.action[i], t.action[j]))
-                out.append(ModuleRep(a, s.dim * t.dim, action,
-                                     name=f"{s.name}(x){t.name}", check=False))
-        result = tuple(out)
+        pairs = [(s, t) for s in simples_of(a.provenance[1]) for t in simples_of(a.provenance[2])]
+        result = tuple(ModuleRep(a, s.dim * t.dim, [kron(x, y) for x in s.action
+                                                    for y in t.action],
+                                 name=f"{s.name}(x){t.name}", check=False) for s, t in pairs)
     else:
         raise MissingSimples(f"no simple modules known for {a!r}")
     a.simple_reps = result

@@ -3,16 +3,16 @@ maps, and the identity verifiers built from them.
 
 The center is read as one matrix throughout: Z = center_basis(a), whose
 rows z_j are its canonical basis.  Each character system is one product
-trace_matrix(L) Z^T (`_center_characters`), whose row i holds the traces
-tr(z_j through L[i]) = sum_k Z[j, k] tr(L[i][k]) of a list L[i] of basis
-actions, with no scalar trace; `_classes` turns rows into classes.
+trace_matrix(L) Z^T, whose row i holds the traces tr(z_j through L[i]) =
+sum_k Z[j, k] tr(L[i][k]) of a list L[i] of basis actions, with no scalar
+trace; `_classes` turns rows into classes.
 
 The three transfer maps of a kernel (pushforward on HH_0, its adjoint, and
 the transport on HH^0) are linear.  Each is one `derived` matrix of the
-kernel, from one pass over the kernel applied to each simple, applied to an
-input class; route B of the pushforward is the target center basis times
-the adjoint matrix.  What depends on the algebra alone (the pairing's dual
-basis, the simples' Chern expansion, endomorphisms and character system) is
+kernel, read off its traces W_k (`_kernel_traces`, no balanced tensor) and
+applied to an input class; route B of the pushforward is the target center
+basis times the adjoint matrix.  What depends on the algebra alone (the
+pairing's dual basis, the simples' Chern expansion and character system) is
 `derived` from the algebra, so per kernel only the transport solves a
 system (`_solve_central`).
 
@@ -50,14 +50,14 @@ from .algebra import (
     regular_trace, tensor, trace_form,
 )
 from .errors import (
-    AlgebraMismatch, AugmentationNot1Dim, HochkitError, MissingSerreData, NotIntertwiner,
-    RoutesDisagree, ShapeMismatch, SingularGram,
+    AlgebraMismatch, AugmentationNot1Dim, HochkitError, MiddleNotSemisimple, MissingSerreData,
+    NotIntertwiner, RoutesDisagree, ShapeMismatch, SingularGram,
 )
 from .hochschild import hh_cohomology_dims, hh_homology_dims
-from .linalg import SparseMatrix, Vector, kron, rank, solve, trace_matrix, vec
+from .linalg import SparseMatrix, Vector, kron, rank, solve, trace_matrix, vec, vec_rows
 from .modules import (
-    AppliedKernel, Bimodule, ModuleRep, apply_kernel, apply_kernel_full, convolve,
-    dual_kernel, hom_space, is_intertwiner, simples_of,
+    Bimodule, ModuleRep, apply_kernel, convolve, dual_kernel, hom_space, is_intertwiner,
+    simples_of,
 )
 from .scalars import CycScalar, ONE, ZERO, cyc, format_scalar
 
@@ -92,10 +92,7 @@ class MukaiClass:
                           _checked=True)
 
     def __sub__(self, other: "MukaiClass") -> "MukaiClass":
-        self._same(other)
-        return MukaiClass(self.algebra,
-                          tuple(a - b for a, b in zip(self.coords, other.coords)),
-                          _checked=True)
+        return self + other.scale(-1)
 
     def scale(self, c) -> "MukaiClass":
         c = cyc(c)
@@ -260,12 +257,6 @@ def _classes(a: Algebra, m: SparseMatrix) -> list[MukaiClass]:
     return [MukaiClass(a, m.row_vector(r), _checked=True) for r in range(m.rows)]
 
 
-def _center_characters(a: Algebra, action_lists: list[list[SparseMatrix]]) -> SparseMatrix:
-    """Row i is (tr(z_j acting through action_lists[i]))_j for the rows z_j of
-    center_basis(a), the traces of the basis actions times Z_a^T."""
-    return trace_matrix(action_lists) * center_basis(a).transpose()
-
-
 def _solve_central(a: Algebra, system: SparseMatrix, rhs: SparseMatrix,
                    why: str) -> SparseMatrix:
     """Z_a^T X with system X = rhs, for Z_a = center_basis(a).  Raises
@@ -297,11 +288,12 @@ def _dual_basis(a: Algebra) -> SparseMatrix:
                           "trace pairing on the center is singular here")
 
 
-def _from_traces(a: Algebra, acts: list[SparseMatrix]) -> MukaiClass:
-    """The unique central z with hochschild_trace(z * z_j) = t_j, t the row of
-    `_center_characters` of the basis actions `acts`: sum_j t_j z_j^v."""
-    traces = _center_characters(a, [acts])
-    return MukaiClass(a, (traces * _dual_basis(a).transpose()).row_vector(0), _checked=True)
+@derived
+def _trace_classes(a: Algebra) -> SparseMatrix:
+    """Z_a^T D_a^T, once per algebra.  A row t of traces of basis actions times
+    it is sum_j (t Z_a^T)_j z_j^v: the central z with hochschild_trace(z * z_j)
+    equal to the trace of z_j through those actions, for every j."""
+    return center_basis(a).transpose() * _dual_basis(a).transpose()
 
 
 def iota_solve(m: ModuleRep, e: SparseMatrix) -> MukaiClass:
@@ -313,7 +305,8 @@ def iota_solve(m: ModuleRep, e: SparseMatrix) -> MukaiClass:
         raise MissingSerreData("iota_solve needs Frobenius data")
     if not is_intertwiner(e, m, m):
         raise NotIntertwiner("iota_solve needs an algebra-linear endomorphism")
-    return _from_traces(a, [act * e for act in m.action])
+    return MukaiClass(a, (trace_matrix([[act * e for act in m.action]]) * _trace_classes(a))
+                      .row_vector(0), _checked=True)
 
 
 def chern(m: ModuleRep) -> MukaiClass:
@@ -323,7 +316,8 @@ def chern(m: ModuleRep) -> MukaiClass:
     a = m.algebra
     if a.serre is None:
         raise MissingSerreData("chern needs Frobenius data")
-    return _from_traces(a, m.action)
+    return MukaiClass(a, (trace_matrix([m.action]) * _trace_classes(a)).row_vector(0),
+                      _checked=True)
 
 
 def chern_additivity_check(m: ModuleRep, n: ModuleRep) -> CheckReport:
@@ -385,12 +379,8 @@ def cardy_check(e_mod: ModuleRep, f_mod: ModuleRep,
         raise NotIntertwiner("cardy check needs intertwiner endomorphisms")
     pairing = mukai_pairing(iota_solve(e_mod, e), iota_solve(f_mod, f))
     homs = hom_space(e_mod, f_mod)
-    operator_trace = ZERO
-    if homs.dim:
-        images = [f * t * e for t in homs.basis]
-        for i, img in enumerate(images):
-            coords = homs.coordinates_of(img)
-            operator_trace = operator_trace + coords[i]
+    operator_trace = sum((homs.coordinates_of(f * t * e)[i] for i, t in enumerate(homs.basis)),
+                         ZERO)
     report.compare("<iota(e), iota(f)> = tr(T -> f T e)", pairing, operator_trace)
     return report
 
@@ -398,33 +388,53 @@ def cardy_check(e_mod: ModuleRep, f_mod: ModuleRep,
 # --- transfer maps ----------------------------------------------------------------
 
 @derived
-def _applied_simples(k: Bimodule) -> list[tuple[ModuleRep, AppliedKernel]]:
-    """(S, K applied to S) for every simple S of the source, once per kernel."""
-    return [(s, apply_kernel_full(k, s)) for s in simples_of(k.source)]
+def _character_system(a: Algebra) -> tuple:
+    """(P_a, S_a, L_a) once per semisimple algebra.  Row (S, mu) of Y_a holds
+    tr(rho_S(e_j) o mu) for a simple S, first at mu = 1 (row S, the character),
+    then at each basis intertwiner mu != 1 of End(S).  S_a = Y_a Z_a^T has full
+    column rank, and L_a, with L_a S_a = 1, is a left inverse: S_a X = R has at
+    most one solution, and it has one, X = L_a R, iff S_a L_a R = R.
+    P_a = Y_a T_a^-1 for the invertible T_a = trace_form(a)."""
+    if not a.is_semisimple():
+        raise MiddleNotSemisimple(f"transfer maps from non-semisimple algebra {a!r} refused")
+    simples = simples_of(a)
+    traces = trace_matrix([s.action for s in simples] + [
+        [act * mu for act in s.action] for s in simples for mu in hom_space(s, s).basis
+        if mu != SparseMatrix.identity(s.dim)])
+    system = traces * center_basis(a).transpose()
+    if rank(system) < center_basis(a).rows:
+        raise SingularGram("character system of the simples does not determine z")
+    return (solve(trace_form(a), traces.transpose()).transpose(), system,
+            solve(system.transpose(), SparseMatrix.identity(system.cols)).transpose())
 
 
 @derived
-def _character_system(a: Algebra) -> tuple:
-    """(End(S) bases, S_a, L_a) once per algebra: S_a has rows tr(z_j|_S o mu)
-    (simples S, basis intertwiners mu) and full column rank, and L_a, with
-    L_a S_a = 1, is a left inverse.  S_a X = R has at most one solution, and
-    it has one, X = L_a R, iff S_a L_a R = R."""
-    ends = [hom_space(s, s).basis for s in simples_of(a)]
-    system = _center_characters(a, [[act * mu for act in s.action]
-                                    for s, basis in zip(simples_of(a), ends) for mu in basis])
-    if rank(system) < center_basis(a).rows:
-        raise SingularGram("character system of the simples does not determine z")
-    return ends, system, solve(system.transpose(), SparseMatrix.identity(system.cols)).transpose()
+def _kernel_traces(k: Bimodule) -> SparseMatrix:
+    """W_k: row (S, mu) of `_character_system` holds tr(e_t on K (x)_A S o K(mu))
+    over the target basis e_t.  The Casimir element c = sum_ij (T_a^-1)_ij
+    e_i (x) e_j of the source's trace form has m(c) = 1 and (g (x) 1) c =
+    c (1 (x) g) (M. Aguiar, Bol. Acad. Nac. Cienc. Cordoba 65, 2000), so
+    pi = sum_ij (T_a^-1)_ij R_i (x) rho_S(e_j) is a projector on K (x) S with
+    the balanced relations as kernel, commuting with L_t (x) mu.  The trace is
+    tr(pi o (L_t (x) mu)), and W_k = P_a V_R V_L^T for V_R with rows vec(R_i)
+    and V_L with rows vec(L_t^T).  The actions must commute on generators."""
+    casimir, rights = _character_system(k.source)[0], [k.right_action(h) for h in k.source.gens]
+    for i, g in enumerate(k.target.gens):
+        left = k.left_action(g)
+        for j, right in enumerate(rights):
+            if left * right != right * left:
+                raise HochkitError(f"kernel actions do not commute at target generator {i} "
+                                   f"and source generator {j}")
+    return casimir * vec_rows(k.right.action) * \
+        vec_rows([m.transpose() for m in k.left.action]).transpose()
 
 
 @derived
 def _adjoint_matrix(k: Bimodule) -> SparseMatrix:
     """Z_a^T X on target center coordinates, X = L_a R the one solution of
-    S_a X = R, R the character rows of the K(S)."""
-    ends, system, left_inverse = _character_system(k.source)
-    rhs = _center_characters(k.target, [[act * f for act in applied.module.action]
-                                        for (_, applied), basis in zip(_applied_simples(k), ends)
-                                        for f in map(applied.map_morphism, basis)])
+    S_a X = R, R = W_k Z_b^T the character rows of the K(S) through K(mu)."""
+    rhs = _kernel_traces(k) * center_basis(k.target).transpose()
+    _, system, left_inverse = _character_system(k.source)
     x = left_inverse * rhs
     if system * x != rhs:
         raise SingularGram("character system of the simples does not determine z")
@@ -457,7 +467,7 @@ def _pushforward_matrix(k: Bimodule) -> SparseMatrix:
     """The pushforward of `k` on coordinates, by the two routes of `pushforward`."""
     a, b = k.source, k.target
     expansions = _chern_expansion(a)  # route A: ch(S) -> ch(K(S))
-    images = _center_characters(b, [applied.module.action for _, applied in _applied_simples(k)])
+    images = _kernel_traces(k).take_rows(range(len(simples_of(a)))) * center_basis(b).transpose()
     route_a = _dual_basis(b) * images.transpose() * expansions
     # route B: row j of pulled is the adjoint transfer of z_j
     pulled = center_basis(b) * _adjoint_matrix(k).transpose()
@@ -546,15 +556,16 @@ def morita_kernel(a: Algebra, n: int) -> Bimodule:
 @derived
 def _transport_matrix(k: Bimodule) -> SparseMatrix:
     """`cohomology_transport` on coordinates: its images of the center basis.  Row S of
-    the right-hand side is dim K(S) times tr(z_j on S) / dim S, the scalar of z_j on S."""
-    applied = _applied_simples(k)
-    dims = SparseMatrix(len(applied), len(applied), {
-        (i, i): cyc(image.module.dim) / cyc(s.dim) for i, (s, image) in enumerate(applied)})
-    rhs = dims * _center_characters(k.source, [s.action for s, _ in applied])
-    rows = _center_characters(k.target, [image.module.action for _, image in applied])
-    images = _solve_central(k.target, rows, rhs,
+    the right-hand side is dim K(S) times tr(z_j on S) / dim S, the scalar of z_j on S,
+    and dim K(S) is the trace of the unit in row S of W_k."""
+    a, b = k.source, k.target
+    simples, traces, system = simples_of(a), _kernel_traces(k), _character_system(a)[1]
+    dims = SparseMatrix(len(simples), system.rows, {
+        (i, i): x / cyc(s.dim) for i, (x, s) in enumerate(zip(traces.apply(b.unit), simples))})
+    rows = traces.take_rows(range(len(simples))) * center_basis(b).transpose()
+    images = _solve_central(b, rows, dims * system,
                             "kernel images do not determine the transported element")
-    return images * _center_coords(k.source)
+    return images * _center_coords(a)
 
 
 def cohomology_transport(k: Bimodule, nu: MukaiClass) -> MukaiClass:

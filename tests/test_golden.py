@@ -15,8 +15,11 @@ partial-trace matrices, and the defect vector against the zero vector.
 No other byte of that file changed.  pushforward_outer_zn11.txt was written
 before the character system was solved through a left inverse; its source
 field Q(zeta_11) has phi = 10, and the kernel's mixed order is 55, the
-highest conductor of any file here.  A change that alters any byte of them
-fails here.
+highest conductor of any file here.  pushforward_regular_a4.txt (a
+non-commutative kernel over Q(zeta_3)) and pushforward_morita_zn3.txt (a
+tensor target) were written before the transfer maps read the kernel's
+traces through the Casimir projector instead of a balanced tensor per
+simple.  A change that alters any byte of them fails here.
 """
 
 from pathlib import Path
@@ -39,6 +42,9 @@ COMMANDS = {
                                    "--format", "machine"],
     "pushforward_morita_s3.txt": ["pushforward", "morita:s3:2", "ch:std",
                                   "--format", "machine"],
+    "pushforward_regular_a4.txt": ["pushforward", "regular:a4", "ch:std", "--format", "machine"],
+    "pushforward_morita_zn3.txt": ["pushforward", "morita:zn:3:2", "ch:chi1",
+                                   "--format", "machine"],
     "center_s3.txt": ["center", "s3", "--format", "machine"],
     "center_a4.txt": ["center", "a4", "--format", "machine"],
     "center_tensor.txt": ["center", "tensor(zn:3,zn:4)", "--format", "machine"],

@@ -13,7 +13,7 @@ from hochkit import linalg
 from hochkit.errors import DegreeCapExceeded, HochkitError, ShapeMismatch
 from hochkit.linalg import (
     SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel, cokernel_projector, hstack,
-    kron, nullspace, rank, realified, rref, solve, trace_matrix, unit_vector, vec,
+    kron, nullspace, rank, realified, rref, solve, trace_matrix, unit_vector, vec, vec_rows,
 )
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, embed, euler_phi, format_scalar, zeta
 
@@ -963,6 +963,38 @@ def test_trace_matrix_of_empty_lists_and_refused_shapes():
         with pytest.raises(ShapeMismatch):
             trace_matrix(lists)
 
+
+
+@pytest.mark.parametrize("label", TRACE_ORDERS)
+def test_vec_rows_matches_the_dense_scalar_oracle(label):
+    # row i of the oracle lists the entries of the dense table i row by row
+    rng = random.Random(67)
+    for _ in range(8):
+        count, rows, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        tables = [[[_scalar_in(rng, rng.choice(TRACE_ORDERS[label])) for _ in range(cols)]
+                   for _ in range(rows)] for _ in range(count)]
+        stacked = vec_rows([SparseMatrix.from_dense(t) for t in tables])
+        _check(stacked, count, rows * cols, [[x for row in t for x in row] for t in tables])
+
+
+def test_vec_rows_pairs_into_traces_of_products():
+    # vec(A) . vec(B^T) = tr(A B): the products W_k of mukai are read this way
+    rng = random.Random(71)
+    lefts = [SparseMatrix.from_dense([[_scalar_in(rng, 3) for _ in range(3)] for _ in range(3)])
+             for _ in range(4)]
+    rights = [SparseMatrix.from_dense([[_scalar_in(rng, 4) for _ in range(3)] for _ in range(3)])
+              for _ in range(2)]
+    pairs = vec_rows(lefts) * vec_rows([m.transpose() for m in rights]).transpose()
+    assert pairs == trace_matrix([[x * y for y in rights] for x in lefts])
+
+
+def test_vec_rows_of_no_matrices_and_refused_shapes():
+    assert vec_rows([]) == SparseMatrix.zero(0, 0)
+    assert vec_rows([SparseMatrix.zero(2, 3)]) == SparseMatrix.zero(1, 6)
+    for ms in ([SparseMatrix.identity(2), SparseMatrix.identity(3)],
+               [SparseMatrix.zero(2, 3), SparseMatrix.zero(3, 2).scale(zeta(3))]):
+        with pytest.raises(ShapeMismatch):
+            vec_rows(ms)
 
 SHAPE_ERRORS_SCRIPT = """
 from hochkit.errors import ShapeMismatch

@@ -457,6 +457,8 @@ def test_hrr_and_todd_fail_on_a_wrong_dual_basis_entry(monkeypatch):
     chi0, chi1, _ = simples_of(z3)
     assert hrr_check(chi0, chi1).ok and todd_hrr_check(z3, chi0, chi1).ok
     _wrong_dual_basis(monkeypatch)
+    # chern reads Z^T D^T, kept on the shared fixture: rebuild it from the planted D
+    monkeypatch.setattr(z3, "_derived", {})
     for report in (hrr_check(chi0, chi1), todd_hrr_check(z3, chi0, chi1)):
         assert not report.ok
         assert [(left, right) for _, left, right in report.failures()] == [("5", "0")]
@@ -781,16 +783,24 @@ def test_transfer_maps_match_per_vector_routes(label, build):
     assert ([pushforward(k, v) for v in sources], pulled, transported) == expected
 
 
-def test_transfer_applies_kernel_once_per_simple(monkeypatch):
+def test_transfer_applies_kernel_to_no_simple(monkeypatch):
+    # the three maps read W_k, whose two vec_rows stacks are built once per
+    # kernel; no balanced tensor is formed and no simple goes through K
+    import hochkit.modules as modules
     import hochkit.mukai as mukai
-    calls = []
-    real = mukai.apply_kernel_full
+    stacks = []
+    real = mukai.vec_rows
 
-    def counted(k, m):
-        calls.append(m.name)
-        return real(k, m)
+    def refused(*args):
+        raise AssertionError("a balanced tensor was built for a transfer map")
 
-    monkeypatch.setattr(mukai, "apply_kernel_full", counted)
+    def counted(ms):
+        stacks.append(len(ms))
+        return real(ms)
+
+    for name in ("apply_kernel_full", "balanced_tensor"):
+        monkeypatch.setattr(modules, name, refused)
+    monkeypatch.setattr(mukai, "vec_rows", counted)
     rng = random.Random(43)
     s3 = algebra_fixture("s3")
     K = regular_bimodule(s3)
@@ -799,7 +809,7 @@ def test_transfer_applies_kernel_once_per_simple(monkeypatch):
         assert pushforward(K, v) == v
     adjoint_transfer(K, rand_central(rng, s3))
     cohomology_transport(K, rand_central(rng, s3))
-    assert sorted(calls) == sorted(s.name for s in simples_of(s3))
+    assert stacks == [s3.dim, s3.dim]  # the right actions, then the left ones
 
 
 def test_pushforward_routes_disagree_is_raised(monkeypatch):
@@ -1024,15 +1034,20 @@ def _cached_transfer_matrices(k):
 
 
 def _zn3_with(picks):
-    """A fresh zn:3 whose attached simples are the characters chi_p, p in picks."""
+    """A fresh zn:3 whose attached simples are the characters chi_p, p in
+    picks; a pair (p, q) attaches chi_p (+) chi_q, whose End has dimension 4
+    when p == q."""
     from hochkit.algebra import group_algebra
     from hochkit.fixtures import cyclic_group
     from hochkit.modules import attach_simples
     from hochkit.scalars import zeta
     table, labels, gens = cyclic_group(3)
     a = group_algebra(table, labels=labels, gens=gens, name="zn:3")
-    attach_simples(a, [ModuleRep(a, 1, [SparseMatrix.from_dense([[zeta(3, p * g % 3)]])
-                                        for g in range(3)], name=f"chi{p}", check=True)
+
+    def chi(p):
+        return ModuleRep(a, 1, [SparseMatrix.from_dense([[zeta(3, p * g % 3)]])
+                                for g in range(3)], name=f"chi{p}", check=True)
+    attach_simples(a, [chi(p[0]).direct_sum(chi(p[1])) if isinstance(p, tuple) else chi(p)
                        for p in picks])
     return a
 
@@ -1058,7 +1073,7 @@ def test_cached_transfer_matrices_match_per_kernel_solves():
 
 def test_overdetermined_character_system(monkeypatch):
     import hochkit.mukai as mukai
-    from hochkit.mukai import _adjoint_matrix, _applied_simples, _character_system
+    from hochkit.mukai import _adjoint_matrix, _character_system, _kernel_traces
     z4 = algebra_fixture("zn:4")
 
     def kernel(a):
@@ -1074,12 +1089,12 @@ def test_overdetermined_character_system(monkeypatch):
     assert _cached_transfer_matrices(kernel(twice)) == _cached_transfer_matrices(kernel(once))
     assert _cached_transfer_matrices(kernel(twice)) == per_kernel_transfer_matrices(kernel(once))
     assert _cached_transfer_matrices(kernel(early)) == per_kernel_transfer_matrices(kernel(early))
-    # the repeated chi1 sent where chi2 goes: its rows of the right-hand side
-    # contradict those of the first chi1
+    # the repeated chi1 sent where chi2 goes: its row of W_k, and so of the
+    # right-hand side, contradicts that of the first chi1
     k = kernel(twice)
-    applied = _applied_simples(k)
-    monkeypatch.setattr(mukai, "_applied_simples",
-                        lambda _: applied[:3] + [(applied[3][0], applied[2][1])])
+    traces = _kernel_traces(k)
+    assert traces.row_vector(3) == traces.row_vector(1) != traces.row_vector(2)
+    monkeypatch.setattr(mukai, "_kernel_traces", lambda _: traces.take_rows([0, 1, 2, 2]))
     with pytest.raises(SingularGram, match="character system"):
         adjoint_transfer(k, MukaiClass(z4, z4.unit, _checked=True))
     assert not _kept(k, _adjoint_matrix)
@@ -1134,8 +1149,9 @@ def test_algebra_side_systems_solved_once_per_source(monkeypatch):
         pushforward(k, MukaiClass(a, a.unit, _checked=True))
     sources = (z3, s3)
     assert sorted(map(id, ends)) == sorted(id(s) for a in sources for s in simples_of(a))
-    # per source its Chern expansion and character system, per algebra its dual basis
-    assert len(solves) == 2 * len(sources) + 3
+    # per source its Chern expansion, character system and P_a = Y_a T_a^-1
+    # (`_kernel_traces`), per algebra its dual basis
+    assert len(solves) == 3 * len(sources) + 3
 
 
 # --- the transfer verifiers as matrix identities -----------------------------------
@@ -1352,3 +1368,183 @@ def test_transfer_verifiers_refuse_algebras_without_frobenius_data(name):
         functoriality_check(k, k)
     with pytest.raises(MissingSerreData):
         morita_isometry_check(a, 2)
+
+
+# --- W_k: the kernel's traces through the Casimir projector ------------------------
+
+def module_route_traces(k):
+    """W_k read off the module route: row (S, mu), first mu = 1 for each simple
+    S and then each basis intertwiner mu != 1 of End(S), holds the traces of
+    e_t on K(S) = K (x)_A S composed with K(mu), one scalar trace at a time."""
+    from hochkit.modules import apply_kernel_full
+    simples = simples_of(k.source)
+    pairs = [(s, SparseMatrix.identity(s.dim)) for s in simples] + [
+        (s, mu) for s in simples for mu in hom_space(s, s).basis
+        if mu != SparseMatrix.identity(s.dim)]
+    rows = []
+    for s, mu in pairs:
+        applied = apply_kernel_full(k, s)
+        image = applied.map_morphism(mu)
+        rows.append([(t * image).trace() for t in applied.module.action])
+    return SparseMatrix.from_dense(rows)
+
+
+def _attached_kernel(picks):
+    """An outer kernel from a fresh `_zn3_with(picks)`, through its last simple, to zn:4."""
+    a = _zn3_with(picks)
+    return outer_kernel(simples_of(a)[-1].dual(), simples_of(algebra_fixture("zn:4"))[3], a)
+
+
+KERNEL_TRACE_CASES = {
+    "outer over Q": lambda: _outer("zn:2", 1, "zn:2", 0),
+    "outer over Q(zeta_3)": lambda: _outer("zn:3", 1, "zn:3", 2),
+    "outer over Q(zeta_4)": lambda: _outer("zn:4", 3, "zn:4", 1),
+    "outer zn:3 -> zn:4 over Q(zeta_12)": lambda: _outer("zn:3", 1, "zn:4", 3),
+    "regular s3": lambda: regular_bimodule(algebra_fixture("s3")),
+    "regular q8": lambda: regular_bimodule(algebra_fixture("q8")),
+    "morita s3 2": lambda: morita_kernel(algebra_fixture("s3"), 2),
+    "dual of outer s3 -> q8": lambda: dual_kernel(_outer("s3", 2, "q8", 4)),
+    "convolved zn:2 -> zn:3 -> s3": lambda: convolve(*FUNCTORIAL_CASES["zn:2 -> zn:3 -> s3"]()),
+    "chi1 attached twice": lambda: _attached_kernel([0, 1, 2, 1]),
+    "End(S) of dimension 4": lambda: _attached_kernel([0, 1, (2, 2)]),
+}
+
+
+@pytest.mark.parametrize("label", KERNEL_TRACE_CASES)
+def test_kernel_traces_match_the_module_route(label):
+    from hochkit.mukai import _kernel_traces
+    k = KERNEL_TRACE_CASES[label]()
+    traces = _kernel_traces(k)
+    assert traces == module_route_traces(k)
+    assert _kernel_traces(k) is traces
+    if label == "outer zn:3 -> zn:4 over Q(zeta_12)":  # the product runs at order 12
+        assert (k.source.field_order, k.target.field_order) == (3, 4)
+    if label == "End(S) of dimension 4":
+        # chi0, chi1 and chi2 (+) chi2 at mu = 1, then the four matrix units of
+        # End(chi2 (+) chi2), none of them the identity
+        assert (traces.rows, traces.cols) == (3 + 4, 4)
+
+
+@pytest.mark.parametrize("picks", [[0, 1, 2, 1], [0, 1, (2, 2)], [(1, 1), 0, 2]],
+                         ids=["chi1 twice", "chi2 doubled", "chi1 doubled first"])
+def test_transfer_maps_on_attached_simples_match_per_kernel_solves(picks):
+    # the three maps read W_k; with End(S) larger than the scalars the
+    # characters are the rows at mu = 1, ahead of the matrix units
+    k = _attached_kernel(picks)
+    a, b = k.source, k.target
+    assert _cached_transfer_matrices(k) == per_kernel_transfer_matrices(k)
+    rng = random.Random(83)
+    sources = [rand_central(rng, a) for _ in range(2)] + [MukaiClass(a, a.unit, _checked=True)]
+    assert [_outcome(cohomology_transport, k, v) for v in sources] == \
+        [_outcome(old_cohomology_transport, k, v) for v in sources]
+    nu = rand_central(rng, b)
+    assert adjoint_transfer(k, nu) == old_adjoint_transfer(k, nu)
+
+
+@pytest.mark.parametrize("label,build", _dual_basis_cases(),
+                         ids=[label for label, _ in _dual_basis_cases()])
+def test_casimir_of_the_regular_trace_is_a_separability_idempotent(label, build):
+    # c = sum_ij (T^-1)_ij e_i (x) e_j, stored as the matrix C = T^-1 of its
+    # coefficients: m(c) = 1, and (g (x) 1) c = c (1 (x) g) reads L_g C = C R_g^T
+    from hochkit.algebra import product_table
+    from hochkit.linalg import solve
+    from hochkit.mukai import _character_system
+    a = build()
+    d = a.dim
+    c = solve(trace_form(a), SparseMatrix.identity(d))
+    assert trace_form(a) * c == SparseMatrix.identity(d)
+    flat = SparseMatrix(1, d * d, {(0, i * d + j): x for i, j, x in c.entries()})
+    assert (flat * product_table(a)).row_vector(0) == a.unit
+    for g in a.gens:
+        assert a.left_mult_matrix(g) * c == c * a.right_mult_matrix(g).transpose()
+    # P_a of the character system is Y_a T^-1 for the traces Y_a of the simples
+    simples = simples_of(a)
+    traces = [[s.act(unit_vector(d, j)).trace() for j in range(d)] for s in simples] + [
+        [(s.act(unit_vector(d, j)) * mu).trace() for j in range(d)]
+        for s in simples for mu in hom_space(s, s).basis if mu != SparseMatrix.identity(s.dim)]
+    assert _character_system(a)[0] == SparseMatrix.from_dense(traces) * c
+
+
+def _commuting_left_actions():
+    """s3 acting by left multiplication on both sides: a kernel whose two
+    actions do not commute, since s3 is not commutative."""
+    from hochkit.modules import Bimodule
+    s3 = algebra_fixture("s3")
+    lefts = [s3.basis_left_mult(i) for i in range(s3.dim)]
+    return Bimodule(s3, s3, s3.dim, lefts, lefts, name="left-left")
+
+
+def _frobenius_not_semisimple():
+    """Q[x]/x^2 with the Frobenius form reading the coefficient of x, its
+    one simple attached: its regular trace form is singular."""
+    from hochkit.algebra import Algebra, DictSC, SerreData
+    from hochkit.modules import attach_simples
+    sc = DictSC({(0, 0): {0: ONE}, (0, 1): {1: ONE}, (1, 0): {1: ONE}, (1, 1): {}})
+    a = Algebra(2, sc, unit_vector(2, 0), serre=SerreData(vec([0, 1])),
+                provenance=("custom", "dual-with-form"))
+    attach_simples(a, [ModuleRep(a, 1, [SparseMatrix.identity(1), SparseMatrix.zero(1, 1)],
+                                 name="pt", check=True)])
+    return a
+
+
+def test_kernel_with_non_commuting_actions_is_refused():
+    from hochkit.mukai import _kernel_traces, _pushforward_matrix
+    k = _commuting_left_actions()
+    a = k.source
+    with pytest.raises(HochkitError, match="kernel actions do not commute at target generator"):
+        pushforward(k, MukaiClass(a, a.unit, _checked=True))
+    assert not _kept(k, _kernel_traces) and not _kept(k, _pushforward_matrix)
+    for transfer in (adjoint_transfer, cohomology_transport):
+        with pytest.raises(HochkitError, match="do not commute"):
+            transfer(k, MukaiClass(a, a.unit, _checked=True))
+    assert not k._derived
+
+
+def test_transfer_maps_refuse_a_frobenius_source_that_is_not_semisimple():
+    from hochkit.errors import MiddleNotSemisimple
+    from hochkit.mukai import _character_system
+    a = _frobenius_not_semisimple()
+    assert a.serre is not None and not a.is_semisimple()
+    k = regular_bimodule(a)
+    one = MukaiClass(a, a.unit, _checked=True)
+    for transfer in (adjoint_transfer, cohomology_transport):
+        with pytest.raises(MiddleNotSemisimple, match="non-semisimple"):
+            transfer(k, one)
+    assert not k._derived and not _kept(a, _character_system)
+    # the pushforward expands over Chern characters first, whose pairing is singular
+    with pytest.raises(SingularGram):
+        pushforward(k, one)
+
+
+TRANSFER_REFUSALS_SCRIPT = """
+import sys
+sys.path.insert(0, %r)
+from test_mukai import _commuting_left_actions, _frobenius_not_semisimple
+from hochkit.errors import HochkitError, MiddleNotSemisimple
+from hochkit.modules import regular_bimodule
+from hochkit.mukai import MukaiClass, cohomology_transport, pushforward
+for build, call, error in ((_commuting_left_actions, pushforward, HochkitError),
+                           (lambda: regular_bimodule(_frobenius_not_semisimple()),
+                            cohomology_transport, MiddleNotSemisimple)):
+    k = build()
+    try:
+        call(k, MukaiClass(k.source, k.source.unit, _checked=True))
+    except error as exc:
+        if k._derived:
+            raise SystemExit(f"{exc!r} left derived data on the kernel")
+        continue
+    raise SystemExit(f"{call.__name__} did not raise a {error.__name__}")
+print("ok")
+"""
+
+
+def test_transfer_refusals_are_typed_under_optimize():
+    import os
+    import subprocess
+    import sys
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run([sys.executable, "-O", "-c", TRANSFER_REFUSALS_SCRIPT % str(here)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(here.parent / "src")))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == "ok\n"
