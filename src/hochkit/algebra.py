@@ -1,23 +1,24 @@
 """Finite-dimensional unital associative algebras over Q(zeta_n).
 
-An Algebra packages sparse structure constants, the unit, optional
-symmetric Frobenius trace data and a provenance record.  Combinators
-(tensor, opposite, enveloping) derive their structure constants lazily
-from the factors, so large tensor algebras never materialize a full
-multiplication table.
+An Algebra packages its multiplication, the unit, optional symmetric
+Frobenius trace data and a provenance record.  The multiplication is read
+in one place, `product_table(a)`, the dim^2 x dim matrix T whose row
+i * dim + j is e_i e_j: from the structure constants of a custom algebra
+(a `DictSC`), from the factors' tables for a tensor product or an opposite.
+Everything else that multiplies is a product with T: `mul`, equality, the
+multiplication matrices, the regular traces and the forms (through
+`linalg.reshape`), the identities `validate` checks, and the unit split,
+bar tables and cup and cap of `hochschild`.
 
 Constructed algebras are validated (group tables, matrix algebras and
 file input eagerly; combinators inherit validity from their factors) and
 immutable afterwards.  Data derived from an immutable object is built by a
 `derived` function, which keeps it in the object's one `_derived` dict:
-here the product table, the multiplication matrices, the center basis, the
-trace form, the unit split and tensor structure constants; in `mukai` the
-transfer data of algebras and kernels; in `tqft` and `hochschild` the
-generator kernels, the ranks of a complex and the cup and cap matrices.
-`_form(a, f)`, the matrix of (x, y) |-> f(xy), gives both the Frobenius Gram
-that `validate` checks and the regular `trace_form`; every other matrix of
-products (multiplication, the unit split, the bar tables and cup and cap of
-`hochschild`) is read off `product_table`.
+here the product table, a combinator's structure constants, the
+multiplication matrices, the trace column, the center basis, the trace
+form and the unit split; in `mukai` the transfer data of algebras and
+kernels; in `tqft` and `hochschild` the generator kernels, the ranks of a
+complex and the cup and cap matrices.
 
 Subspaces are canonical row matrices: the center (`center_basis`) and the
 commutator subspace (`commutator_subspace`) are each the reduced echelon
@@ -35,7 +36,9 @@ from .errors import (
     AlgebraDefect, DegenerateFrobeniusForm, HochkitError, NotAGroup, NotAssociative,
     ShapeMismatch, UnitLawFails,
 )
-from .linalg import SparseMatrix, Vector, hstack, kron, nullspace, rank, rref, unit_vector, vec
+from .linalg import (
+    SparseMatrix, Vector, hstack, kron, nullspace, rank, reshape, rref, swap, unit_vector, vec,
+)
 from .scalars import CycScalar, ONE, ZERO
 
 SparseVec = dict[int, CycScalar]
@@ -54,49 +57,15 @@ def derived(build):
     return get
 
 
-class StructureConstants:
-    """Products of basis elements: (i, j) -> sparse coordinate dict of e_i*e_j."""
+class DictSC:
+    """Structure constants as given: (i, j) -> sparse coordinate dict of
+    e_i*e_j, the input form of a custom algebra, read by `product_table`."""
 
-    def product(self, i: int, j: int) -> SparseVec:
-        raise NotImplementedError
-
-
-class DictSC(StructureConstants):
     def __init__(self, table: dict[tuple[int, int], SparseVec]):
         self.table = {ij: {k: v for k, v in row.items() if v} for ij, row in table.items()}
 
     def product(self, i, j):
         return self.table.get((i, j), {})
-
-
-class TensorSC(StructureConstants):
-    """Structure constants of A (x) B, derived from the factors on demand."""
-
-    def __init__(self, a: "Algebra", b: "Algebra"):
-        self.a = a
-        self.b = b
-        self._derived: dict = {}
-
-    @derived
-    def product(self, i, j):
-        db = self.b.dim
-        ia, ib = divmod(i, db)
-        ja, jb = divmod(j, db)
-        pa = self.a.sc.product(ia, ja)
-        pb = self.b.sc.product(ib, jb)
-        out: SparseVec = {}
-        for ka, va in pa.items():
-            for kb, vb in pb.items():
-                out[ka * db + kb] = va * vb
-        return out
-
-
-class OppositeSC(StructureConstants):
-    def __init__(self, base: StructureConstants):
-        self.base = base
-
-    def product(self, i, j):
-        return self.base.product(j, i)
 
 
 class SerreData:
@@ -110,7 +79,7 @@ class SerreData:
 
 
 class Algebra:
-    def __init__(self, dim: int, sc: StructureConstants, unit: Vector,
+    def __init__(self, dim: int, sc: Optional[DictSC], unit: Vector,
                  labels: Optional[Sequence[str]] = None,
                  serre: Optional[SerreData] = None,
                  field_order: int = 1,
@@ -118,7 +87,7 @@ class Algebra:
                  provenance: tuple = ("custom",),
                  validated: bool = False):
         self.dim = dim
-        self.sc = sc
+        self._sc = sc  # None for a combinator, whose table comes from its factors
         self.unit = vec(unit)
         self.labels = tuple(labels) if labels else tuple(f"e{i}" for i in range(dim))
         if len(self.labels) != dim or len(self.unit) != dim:
@@ -137,24 +106,18 @@ class Algebra:
         if not validated:
             validate(self)
 
+    @property
+    def sc(self) -> DictSC:
+        """The structure constants: a custom algebra's own, a combinator's
+        read off its product table once."""
+        return self._sc if self._sc is not None else _table_constants(self)
+
     # --- multiplication ---
 
     def mul(self, x: Vector, y: Vector) -> Vector:
-        out: SparseVec = {}
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                coeff = xi * yj
-                for k, c in self.sc.product(i, j).items():
-                    s = out.get(k, ZERO) + coeff * c
-                    if s:
-                        out[k] = s
-                    elif k in out:
-                        del out[k]
-        return tuple(out.get(k, ZERO) for k in range(self.dim))
+        """xy = kron(x, y) T."""
+        return (kron(SparseMatrix.from_dense([x]), SparseMatrix.from_dense([y]))
+                * product_table(self)).row_vector(0)
 
     def basis_vector(self, i: int) -> Vector:
         return unit_vector(self.dim, i)
@@ -188,10 +151,7 @@ class Algebra:
             return False
         if self.provenance == other.provenance and self.provenance[0] != "custom":
             return True
-        if self.unit != other.unit:
-            return False
-        return all(self.sc.product(i, j) == other.sc.product(i, j)
-                   for i in range(self.dim) for j in range(self.dim))
+        return self.unit == other.unit and product_table(self) == product_table(other)
 
     def __hash__(self):
         return hash((self.dim, self.field_order, self.unit))
@@ -214,41 +174,39 @@ class Algebra:
 # --- validation -------------------------------------------------------------
 
 def validate(a: Algebra) -> None:
-    """Check unit laws, that products of the generators span the algebra,
-    associativity on (generator, basis, basis) triples, and (if present)
-    symmetry and nondegeneracy of the Frobenius form.  Raises the first
-    defect found, with its witness.
+    """Check the unit laws L(u) = R(u) = 1, that products of the generators
+    span the algebra (growing the reduced rows W by W L(g)^T), associativity
+    kron(L(g)^T, 1) T = T L(g)^T for each generator g, whose row j * dim + k
+    reads (g e_j) e_k = g (e_j e_k), and (if present) symmetry and
+    nondegeneracy of the Frobenius form, for L and R the multiplication
+    matrices and T = `product_table(a)`.  Raises the first defect found, with
+    its witness: the lowest basis index failing a unit law, or the first
+    generator and then the lowest pair (j, k).
 
     Associativity on all triples follows by induction on word length: the x
     with (xy)z = x(yz) for all y, z form a subspace holding the unit and
     closed under left multiplication by each generator that passed."""
-    for i in range(a.dim):
-        e = a.basis_vector(i)
-        if a.mul(a.unit, e) != e or a.mul(e, a.unit) != e:
-            raise UnitLawFails(i)
+    one = SparseMatrix.identity(a.dim)
+    defects = [m - one for m in (a.left_mult_matrix(a.unit), a.right_mult_matrix(a.unit))]
+    if not all(m.is_zero() for m in defects):
+        raise UnitLawFails(min(c for m in defects for _, c, _ in m.entries()))
+    left_t = [a.left_mult_matrix(g).transpose() for g in a.gens]
     words = rref(SparseMatrix.from_dense([a.unit]))
     while words.rows < a.dim:
-        span = [words.row_vector(r) for r in range(words.rows)]
-        grown = rref(SparseMatrix.from_dense(span + [a.mul(g, w) for g in a.gens
-                                                     for w in span]))
+        grown = rref(hstack(a.dim, [words.transpose()] + [
+            (words * m).transpose() for m in left_t]).transpose())
         if grown.rows == words.rows:
             raise AlgebraDefect(f"products of the {len(a.gens)} generators span "
                                 f"{words.rows} of {a.dim} dimensions")
         words = grown
-    for i, g in enumerate(a.gens):
-        for j in range(a.dim):
-            ej = a.basis_vector(j)
-            left = a.mul(g, ej)
-            for k in range(a.dim):
-                ek = a.basis_vector(k)
-                if a.mul(left, ek) != a.mul(g, a.mul(ej, ek)):
-                    raise NotAssociative(i, j, k)
-    if a.serre is not None:
-        _validate_serre(a)
-
-
-def _validate_serre(a: Algebra) -> None:
-    gram = _form(a, a.serre.functional)
+    table = product_table(a)
+    for i, m in enumerate(left_t):
+        defect = kron(m, one) * table - table * m
+        if not defect.is_zero():
+            raise NotAssociative(i, *divmod(next(defect.entries())[0], a.dim))
+    if a.serre is None:
+        return
+    gram = _form(a, SparseMatrix.from_columns([a.serre.functional], a.dim))
     if gram != gram.transpose():
         raise DegenerateFrobeniusForm("form is not symmetric")
     if rank(gram) != a.dim:
@@ -345,13 +303,12 @@ def field_algebra() -> Algebra:
 
 
 def opposite(a: Algebra) -> Algebra:
-    return Algebra(a.dim, OppositeSC(a.sc), a.unit, labels=a.labels,
+    return Algebra(a.dim, None, a.unit, labels=a.labels,
                    serre=a.serre, field_order=a.field_order, gens=a.gens,
                    provenance=("opposite", a), validated=True)
 
 
 def tensor(a: Algebra, b: Algebra) -> Algebra:
-    db = b.dim
     unit = tuple(ua * ub for ua in a.unit for ub in b.unit)
     labels = [f"{la}(x){lb}" for la in a.labels for lb in b.labels]
     serre = None
@@ -360,7 +317,7 @@ def tensor(a: Algebra, b: Algebra) -> Algebra:
                                 for y in b.serre.functional))
     gens = [tuple(ga * ub for ga in g for ub in b.unit) for g in a.gens] + \
         [tuple(ua * gb for ua in a.unit for gb in g) for g in b.gens]
-    return Algebra(a.dim * db, TensorSC(a, b), unit, labels=labels, serre=serre,
+    return Algebra(a.dim * b.dim, None, unit, labels=labels, serre=serre,
                    field_order=lcm(a.field_order, b.field_order), gens=gens,
                    provenance=("tensor", a, b), validated=True)
 
@@ -373,10 +330,31 @@ def enveloping(a: Algebra) -> Algebra:
 
 @derived
 def product_table(a: Algebra) -> SparseMatrix:
-    """Row i * dim + j is e_i e_j: the structure constants, read once per algebra."""
+    """Row i * dim + j is e_i e_j, built once per algebra: a custom algebra's
+    structure constants; for A (x) B the Kronecker product of the factors'
+    tables, whose rows (i_a, j_a, i_b, j_b) are relabelled (i_a, i_b, j_a, j_b)
+    by 1 (x) swap (x) 1; for op(A) the table of A, rows (i, j) and (j, i)
+    exchanged."""
     d = a.dim
+    kind, *factors = a.provenance
+    if kind == "opposite":
+        return swap(d, d) * product_table(factors[0])
+    if kind == "tensor":
+        x, y = factors
+        relabel = kron(SparseMatrix.identity(x.dim),
+                       kron(swap(x.dim, y.dim), SparseMatrix.identity(y.dim)))
+        return relabel * kron(product_table(x), product_table(y))
     return SparseMatrix(d * d, d, (((i * d + j, k), v) for i in range(d) for j in range(d)
                                    for k, v in a.sc.product(i, j).items()))
+
+
+@derived
+def _table_constants(a: Algebra) -> DictSC:
+    """A combinator's structure constants, read off its product table."""
+    table: dict[tuple[int, int], SparseVec] = {}
+    for r, k, v in product_table(a).entries():
+        table.setdefault(divmod(r, a.dim), {})[k] = v
+    return DictSC(table)
 
 
 @derived
@@ -404,32 +382,30 @@ def commutator_subspace(a: Algebra) -> SparseMatrix:
     return rref(hstack(a.dim, commutator_maps(a)).transpose())
 
 
+@derived
+def _trace_column(a: Algebra) -> SparseMatrix:
+    """tau, the column of regular traces tr L(e_i) = sum_j c_ij^j: row i of
+    reshape(T, dim, dim^2) holds c_ij^k at j * dim + k, and vec(1) picks k = j."""
+    d = a.dim
+    return reshape(product_table(a), d, d * d) * reshape(SparseMatrix.identity(d), d * d, 1)
+
+
 def regular_trace(a: Algebra, x: Vector) -> CycScalar:
-    """Trace of left multiplication by x on the algebra itself."""
-    out = ZERO
-    for i, xi in enumerate(x):
-        if not xi:
-            continue
-        for k in range(a.dim):
-            c = a.sc.product(i, k).get(k)
-            if c:
-                out = out + xi * c
-    return out
+    """Trace of left multiplication by x on the algebra itself: x tau."""
+    return _trace_column(a).transpose().apply(x)[0]
 
 
-def _form(a: Algebra, f: Vector) -> SparseMatrix:
-    """The bilinear form (x, y) |-> f(xy) of a functional f on the basis:
-    entry (i, j) is sum_k c_ij^k f_k."""
-    return SparseMatrix(a.dim, a.dim, (
-        ((i, j), c * f[k]) for i in range(a.dim) for j in range(a.dim)
-        for k, c in a.sc.product(i, j).items() if f[k]))
+def _form(a: Algebra, f: SparseMatrix) -> SparseMatrix:
+    """The bilinear form (x, y) |-> f(xy) of a functional f, a column on the
+    basis: T f holds f(e_i e_j) at row i * dim + j, reshaped as dim x dim."""
+    return reshape(product_table(a) * f, a.dim, a.dim)
 
 
 @derived
 def trace_form(a: Algebra) -> SparseMatrix:
     """The regular trace form (x, y) |-> regular_trace(xy), built once per
     algebra: it decides semisimplicity and is the pairing on HH_0."""
-    return _form(a, [regular_trace(a, a.basis_vector(k)) for k in range(a.dim)])
+    return _form(a, _trace_column(a))
 
 
 class UnitSplit:

@@ -53,7 +53,7 @@ from .algebra import (
     Algebra, a_unit_split, center_basis, commutator_subspace, derived, product_table,
 )
 from .errors import MAX_COORDINATES, DegreeUnderflow, HochkitError, ShapeMismatch, check_size
-from .linalg import SparseMatrix, _common, hstack, kron, rank, realified
+from .linalg import SparseMatrix, _common, hstack, kron, rank, realified, swap
 from .scalars import euler_phi
 
 MAX_DEGREE = 32  # the highest degree an Ext or Hochschild computation reaches
@@ -343,11 +343,6 @@ def hh_cohomology_dims(a: Algebra, maxdeg: int, normalized: bool = True) -> HHRe
 
 # --- cup and cap on the normalized complexes -----------------------------------
 
-def _swap(m: int, n: int) -> SparseMatrix:
-    """The 0/1 relabelling of coordinate (i, j), i * n + j, as (j, i), j * m + i."""
-    return SparseMatrix._of(m * n, m * n, [{i * n + j: 1} for j in range(n) for i in range(m)], 1)
-
-
 @derived
 def cup_product(a: Algebra, p: int, q: int) -> SparseMatrix:
     """cup_{p,q}: C^p (x) C^q -> C^(p+q), (f cup g)(w_1 w_2) = f(w_1) g(w_2)
@@ -366,7 +361,7 @@ def cup_product(a: Algebra, p: int, q: int) -> SparseMatrix:
     _guarded_dims(a.dim, p + q, a.dim - 1)  # C^p, C^q and C^(p+q) among them
     d, words = a.dim, (a.dim - 1) ** q
     x = kron(SparseMatrix.identity(words), product_table(a).transpose()) \
-        * kron(_swap(d, words), SparseMatrix.identity(d))
+        * kron(swap(d, words), SparseMatrix.identity(d))
     return kron(SparseMatrix.identity((d - 1) ** p), x)
 
 
@@ -388,7 +383,7 @@ def cap_product(a: Algebra, p: int, n: int) -> SparseMatrix:
         raise DegreeUnderflow(f"cannot cap degree {p} against chain degree {n}")
     _guarded_dims(a.dim, n, a.dim - 1)  # C^p, C_n and C_(n-p) among them
     d, words = a.dim, (a.dim - 1) ** p
-    table = product_table(a).transpose() * _swap(d, d)  # column k * d + j is e_j e_k
+    table = product_table(a).transpose() * swap(d, d)  # column k * d + j is e_j e_k
     select = SparseMatrix._of(d * d, d * d * words * words, [  # (w, k, j, w) from (k, j)
         {(w * d * d + kj) * words + w: 1 for w in range(words)} for kj in range(d * d)], 1)
     return kron(table * select, SparseMatrix.identity((d - 1) ** (n - p)))

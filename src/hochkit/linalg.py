@@ -2,8 +2,8 @@
 
 Matrices are immutable lists of sparse integer dict rows over one positive
 denominator `den`, in lowest terms, and every operation (`+`, `scale`, `*`,
-`kron`, `transpose`, `take_rows`, `hstack` and the eliminations) runs on
-those rows.  A matrix over Q stores its entries.  A matrix over
+`kron`, `transpose`, `take_rows`, `reshape`, `hstack` and the eliminations)
+runs on those rows.  A matrix over Q stores its entries.  A matrix over
 K = Q(zeta_n), n > 1 the conductor of its entries (`field_order`), stores
 its realification M_Q: entry x becomes the phi(n) x phi(n) block of
 multiplication by x on the power basis (`scalars.multiplication_block`), so
@@ -408,6 +408,26 @@ def trace_matrix(action_lists: Sequence[Sequence[SparseMatrix]]) -> SparseMatrix
         if any(nums):
             entries.append((at // cols, at % cols, nums, m.field_order, den // m.den))
     return SparseMatrix._of(rows, cols, _blocks(rows, cols, entries, n), den, n)
+
+
+def swap(m: int, n: int) -> SparseMatrix:
+    """The 0/1 relabelling of coordinate (i, j), i * n + j, as (j, i), j * m + i."""
+    return SparseMatrix._of(m * n, m * n, [{i * n + j: 1} for j in range(n) for i in range(m)], 1)
+
+
+def reshape(m: SparseMatrix, rows: int, cols: int) -> SparseMatrix:
+    """m's entries relabelled in row-major order as a rows x cols matrix:
+    entry (r, c) moves to divmod(r * m.cols + c, cols).  Over Q(zeta_n) each
+    block moves whole."""
+    if rows * cols != m.rows * m.cols:
+        raise ShapeMismatch(f"a {m.rows}x{m.cols} matrix reshaped as {rows}x{cols}")
+    phi = euler_phi(m.field_order)
+    data: list[dict] = [dict() for _ in range(rows * phi)]
+    for i, row in enumerate(m._rows):
+        for j, v in row.items():
+            at, to = divmod(i // phi * m.cols + j // phi, cols)
+            data[at * phi + i % phi][to * phi + j % phi] = v
+    return SparseMatrix._of(rows, cols, data, m.den, m.field_order)
 
 
 def vec_rows(ms: Sequence[SparseMatrix]) -> SparseMatrix:

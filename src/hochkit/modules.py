@@ -33,7 +33,7 @@ from .errors import (
 from .hochschild import MAX_DEGREE, _alphabet, _bar_complex, _table, check_maxdeg
 from .linalg import (
     SparseMatrix, Vector, _common_rows, cokernel_projector, kron, nullspace, trace_matrix,
-    unit_vector,
+    vec_rows,
 )
 from .scalars import CycScalar, ONE, euler_phi
 
@@ -93,18 +93,20 @@ class ModuleRep:
 
 
 def validate_module(m: ModuleRep) -> None:
-    """Unit and multiplicativity on (generator, basis) pairs: products of
-    generators span the algebra, so rho(x) rho(y) = rho(xy) follows for
-    every pair by induction on word length."""
+    """The unit acts as 1, and per generator g vec_rows(rho(g) rho(e_j))_j =
+    L(g)^T vec_rows(rho), whose row j reads rho(g) rho(e_j) = rho(g e_j):
+    products of generators span the algebra, so rho(x) rho(y) = rho(xy)
+    follows for every pair by induction on word length."""
     a = m.algebra
     if m.act(a.unit) != SparseMatrix.identity(m.dim):
         raise ModuleDefect("unit does not act as the identity")
+    rho = vec_rows(m.action)
     for g in a.gens:
         act_g = m.act(g)
-        for j in range(a.dim):
-            if act_g * m.action[j] != m.act(a.mul(g, unit_vector(a.dim, j))):
-                raise ModuleDefect(
-                    f"action is not multiplicative at generator {list(g)} and basis element {j}")
+        defect = vec_rows([act_g * x for x in m.action]) - a.left_mult_matrix(g).transpose() * rho
+        if not defect.is_zero():
+            raise ModuleDefect(f"action is not multiplicative at generator {list(g)} and "
+                               f"basis element {next(defect.entries())[0]}")
 
 
 def regular_module(a: Algebra) -> ModuleRep:

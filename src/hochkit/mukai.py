@@ -387,6 +387,11 @@ def cardy_check(e_mod: ModuleRep, f_mod: ModuleRep,
 
 # --- transfer maps ----------------------------------------------------------------
 
+def _refuse_non_semisimple(a: Algebra) -> None:
+    if not a.is_semisimple():
+        raise MiddleNotSemisimple(f"transfer maps from non-semisimple algebra {a!r} refused")
+
+
 @derived
 def _character_system(a: Algebra) -> tuple:
     """(P_a, S_a, L_a) once per semisimple algebra.  Row (S, mu) of Y_a holds
@@ -395,8 +400,7 @@ def _character_system(a: Algebra) -> tuple:
     column rank, and L_a, with L_a S_a = 1, is a left inverse: S_a X = R has at
     most one solution, and it has one, X = L_a R, iff S_a L_a R = R.
     P_a = Y_a T_a^-1 for the invertible T_a = trace_form(a)."""
-    if not a.is_semisimple():
-        raise MiddleNotSemisimple(f"transfer maps from non-semisimple algebra {a!r} refused")
+    _refuse_non_semisimple(a)
     simples = simples_of(a)
     traces = trace_matrix([s.action for s in simples] + [
         [act * mu for act in s.action] for s in simples for mu in hom_space(s, s).basis
@@ -466,6 +470,7 @@ def _chern_expansion(a: Algebra) -> SparseMatrix:
 def _pushforward_matrix(k: Bimodule) -> SparseMatrix:
     """The pushforward of `k` on coordinates, by the two routes of `pushforward`."""
     a, b = k.source, k.target
+    _refuse_non_semisimple(a)
     expansions = _chern_expansion(a)  # route A: ch(S) -> ch(K(S))
     images = _kernel_traces(k).take_rows(range(len(simples_of(a)))) * center_basis(b).transpose()
     route_a = _dual_basis(b) * images.transpose() * expansions

@@ -1,25 +1,28 @@
 import ast
 import os
+import random
 import subprocess
 import sys
+from math import lcm
 from pathlib import Path
 
 import pytest
 
 from hochkit.algebra import (
     Algebra, DictSC, SerreData, center_basis, commutator_subspace, enveloping,
-    group_algebra, matrix_algebra, opposite, regular_trace, tensor, trace_form,
+    group_algebra, matrix_algebra, opposite, product_table, regular_trace, tensor, trace_form,
     truncated_poly, validate,
 )
 from hochkit.errors import (
-    AlgebraDefect, DegenerateFrobeniusForm, NotAGroup, NotAssociative, UnitLawFails,
+    AlgebraDefect, DegenerateFrobeniusForm, HochkitError, ModuleDefect, NotAGroup,
+    NotAssociative, UnitLawFails,
 )
 from hochkit.fixtures import (
     ALL_GROUP_FIXTURES, algebra_fixture, cyclic_group, rep_from_generators,
 )
 from hochkit.linalg import SparseMatrix, rref, unit_vector, vec
-from hochkit.modules import simples_of
-from hochkit.scalars import ONE, ZERO, cyc
+from hochkit.modules import ModuleRep, simples_of
+from hochkit.scalars import ONE, ZERO, cyc, zeta
 
 
 def conjugacy_class_count(table):
@@ -365,17 +368,17 @@ def test_derived_builds_once_per_object_and_arguments():
 
 
 def test_only_the_product_table_reads_structure_constants_into_matrices():
-    # every matrix of products is read off algebra.product_table; .sc.product is
-    # read elsewhere only by the element-wise multiplication, equality, the
-    # regular trace, the form builder and the structure constants themselves
+    # the multiplication is read in one place: every product, trace, form and
+    # validation identity is a product with algebra.product_table, and a
+    # combinator's table is built from its factors' tables, not their constants
     import hochkit
-    allowed = {"product_table", "Algebra.mul", "Algebra.__eq__", "regular_trace", "_form"}
+    import hochkit.algebra
+    for gone in ("StructureConstants", "TensorSC", "OppositeSC"):
+        assert not hasattr(hochkit.algebra, gone)
     readers = set()
     for path in sorted(Path(hochkit.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        classes = [c for c in tree.body if isinstance(c, ast.ClassDef)
-                   and "StructureConstants" not in [c.name] + [getattr(b, "id", None)
-                                                               for b in c.bases]]
+        classes = [c for c in tree.body if isinstance(c, ast.ClassDef)]
         scopes = [(f"{c.name}.{f.name}", f) for c in classes
                   for f in c.body if isinstance(f, ast.FunctionDef)]
         scopes += [(f.name, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
@@ -385,7 +388,7 @@ def test_only_the_product_table_reads_structure_constants_into_matrices():
                         and (isinstance(node.value, ast.Attribute) and node.value.attr == "sc"
                              or isinstance(node.value, ast.Name) and node.value.id == "sc")):
                     readers.add(name)
-    assert readers == allowed
+    assert readers == {"product_table"}
 
 
 def test_frobenius_gram_defects_keep_their_messages():
@@ -464,3 +467,226 @@ def test_input_errors_are_typed_under_optimize():
                           env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == "ok\n"
+
+
+# --- the one multiplication against the per-pair loops it replaced ------------
+#
+# The oracles read the structure constants one pair at a time, the way the
+# combinators, the regular trace, the forms and validation did before all of
+# them were read off algebra.product_table.
+
+def _oracle_product(a, i, j):
+    """e_i e_j as a sparse dict: op(A) swaps the factors, A (x) B multiplies
+    the factors' coordinates pair by pair."""
+    kind, *factors = a.provenance
+    if kind == "opposite":
+        return _oracle_product(factors[0], j, i)
+    if kind == "tensor":
+        x, y = factors
+        (ia, ib), (ja, jb) = divmod(i, y.dim), divmod(j, y.dim)
+        return {ka * y.dim + kb: va * vb for ka, va in _oracle_product(x, ia, ja).items()
+                for kb, vb in _oracle_product(y, ib, jb).items()}
+    return a.sc.product(i, j)
+
+
+def _oracle_mul(a, x, y):
+    out = [ZERO] * a.dim
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if xi and yj:
+                for k, c in _oracle_product(a, i, j).items():
+                    out[k] = out[k] + xi * yj * c
+    return tuple(out)
+
+
+def _oracle_form(a, f):
+    """(x, y) |-> f(xy): entry (i, j) is sum_k c_ij^k f_k."""
+    d = a.dim
+    return SparseMatrix(d, d, (((i, j), c * f[k]) for i in range(d) for j in range(d)
+                               for k, c in _oracle_product(a, i, j).items() if f[k]))
+
+
+def _zeta3_copy(name):
+    """The fixture in the basis f_i = e_i + zeta_3 e_(i+1) (f_last = e_last),
+    so that its structure constants, unit and forms leave Q."""
+    from transport import rebased
+    a, w = algebra_fixture(name), zeta(3)
+    return rebased(a, [[ONE if k == i else w if k == i + 1 else ZERO for k in range(a.dim)]
+                       for i in range(a.dim)], lcm(a.field_order, 3))
+
+
+@pytest.mark.parametrize("name", ["tensor(dual,trunc:3)", "tensor(zn:3,zn:4)", "tensor(s3,mat:2)",
+                                  "op(q8)", "env(zn:3)", "zeta_3 copies"])
+def test_combinator_tables_match_the_per_pair_products(name):
+    if name == "zeta_3 copies":  # irrational tables: kron and swap on realified rows
+        z3, dual = _zeta3_copy("zn:3"), algebra_fixture("dual")
+        algebras = [tensor(z3, dual), opposite(tensor(dual, z3)), enveloping(z3)]
+        assert product_table(z3).field_order == 3
+    else:
+        algebras = [algebra_fixture(name)]
+    for a in algebras:
+        d = a.dim
+        assert product_table(a) == SparseMatrix(d * d, d, (
+            ((i * d + j, k), v) for i in range(d) for j in range(d)
+            for k, v in _oracle_product(a, i, j).items()))
+        assert all(a.sc.product(i, j) == _oracle_product(a, i, j)
+                   for i in range(d) for j in range(d))
+        assert a.sc is a.sc  # read off the table once
+
+
+FORM_FIXTURES = ALL_GROUP_FIXTURES + (
+    "field", "mat:2", "mat:3", "dual", "trunc:4", "tensor(zn:2,zn:3)", "env(zn:2)", "op(s3)",
+    "tensor(mat:2,zn:2)", "zeta_3 copy of s3")
+
+
+@pytest.mark.parametrize("name", FORM_FIXTURES)
+def test_traces_and_forms_match_the_scalar_loops(name):
+    from hochkit.algebra import _form
+    a = _zeta3_copy("s3") if name.startswith("zeta_3") else algebra_fixture(name)
+    taus = [sum((_oracle_product(a, i, k).get(k, ZERO) for k in range(a.dim)), ZERO)
+            for i in range(a.dim)]
+    assert [regular_trace(a, unit_vector(a.dim, i)) for i in range(a.dim)] == taus
+    rng = random.Random(a.dim)
+    x = vec([rng.randint(-3, 3) + rng.randint(-1, 1) * zeta(a.field_order) for _ in taus])
+    assert regular_trace(a, x) == sum((xi * t for xi, t in zip(x, taus)), ZERO)
+    assert trace_form(a) == _oracle_form(a, taus)
+    if a.serre is not None:
+        functional = a.serre.functional
+        assert _form(a, SparseMatrix.from_columns([functional], a.dim)) \
+            == _oracle_form(a, functional)
+    y = vec([rng.randint(-2, 2) for _ in taus])
+    assert a.mul(x, y) == _oracle_mul(a, x, y)
+
+
+def _oracle_algebra_defect(dim, table, unit, gens):
+    """The first defect the element-wise loops of validation found, or None."""
+    a = Algebra(dim, DictSC(table), unit, gens=gens, validated=True)
+    basis = [unit_vector(dim, i) for i in range(dim)]
+    for i, e in enumerate(basis):
+        if _oracle_mul(a, a.unit, e) != e or _oracle_mul(a, e, a.unit) != e:
+            return UnitLawFails(i)
+    words = rref(SparseMatrix.from_dense([a.unit]))
+    while words.rows < dim:
+        span = [words.row_vector(r) for r in range(words.rows)]
+        grown = rref(SparseMatrix.from_dense(span + [_oracle_mul(a, g, w) for g in a.gens
+                                                     for w in span]))
+        if grown.rows == words.rows:
+            return AlgebraDefect(f"products of the {len(a.gens)} generators span "
+                                 f"{words.rows} of {dim} dimensions")
+        words = grown
+    for i, g in enumerate(a.gens):
+        for j, ej in enumerate(basis):
+            left = _oracle_mul(a, g, ej)
+            for k, ek in enumerate(basis):
+                if _oracle_mul(a, left, ek) != _oracle_mul(a, g, _oracle_mul(a, ej, ek)):
+                    return NotAssociative(i, j, k)
+    return None
+
+
+def _oracle_module_defect(m_algebra, dim, action):
+    def act(x):
+        return sum((m.scale(c) for m, c in zip(action, x) if c), SparseMatrix.zero(dim, dim))
+    if act(m_algebra.unit) != SparseMatrix.identity(dim):
+        return ModuleDefect("unit does not act as the identity")
+    for g in m_algebra.gens:
+        for j in range(m_algebra.dim):
+            if act(g) * action[j] != act(_oracle_mul(m_algebra, g, unit_vector(m_algebra.dim, j))):
+                return ModuleDefect(
+                    f"action is not multiplicative at generator {list(g)} and basis element {j}")
+    return None
+
+
+def planted_defects():
+    """(label, build, oracle) for inputs with one planted defect each: build()
+    constructs them, with validation, and oracle() is what the loops found."""
+    s3, m2 = algebra_fixture("s3"), matrix_algebra(2)
+    e = s3.provenance[3]
+    std = next(s for s in simples_of(s3) if s.dim == 2)
+
+    def table_of(a):
+        return {(i, j): dict(a.sc.product(i, j)) for i in range(a.dim) for j in range(a.dim)}
+
+    def algebra_case(label, a, table, unit=None, gens=None):
+        args = (a.dim, table, a.unit if unit is None else vec(unit),
+                a.gens if gens is None else gens)
+        return (label, lambda: Algebra(args[0], DictSC(args[1]), args[2], gens=args[3]),
+                lambda: _oracle_algebra_defect(*args))
+
+    # unit e0, x = e1 and y = e2, x killing both, y y = x and y x = y: every
+    # triple led by x associates, and (y y) y = 0 differs from y (y y) = y
+    xy = Algebra(3, DictSC({(0, 0): {0: ONE}, (0, 1): {1: ONE}, (0, 2): {2: ONE},
+                            (1, 0): {1: ONE}, (2, 0): {2: ONE}}), unit_vector(3, 0),
+                 gens=[unit_vector(3, 1), unit_vector(3, 2)], validated=True)
+
+    def module_case(label, action):
+        return (label, lambda: ModuleRep(s3, std.dim, action),
+                lambda: _oracle_module_defect(s3, std.dim, action))
+
+    cases = []
+    t = table_of(s3)
+    t[(e, 4)], t[(3, e)] = {4: ONE, 1: ONE}, {2: ONE}
+    cases.append(algebra_case("s3, wrong unit products at 4 and 3", s3, t))
+    cases.append(algebra_case("s3, wrong unit vector", s3, table_of(s3),
+                              unit=[ONE if g in (e, 5) else ZERO for g in range(6)]))
+    t = table_of(m2)
+    t[(1, 2)] = {0: ONE, 3: ONE}  # e12 e21 = e11 + e22
+    cases.append(algebra_case("mat:2, e12 e21 = 1", m2, t))
+    rng = random.Random(38)
+    for n in range(4):
+        i, j = rng.choice([g for g in range(6) if g != e]), rng.choice([g for g in range(6) if g != e])
+        t = table_of(s3)
+        t[(i, j)] = {rng.choice([g for g in range(6) if g not in t[(i, j)]]): ONE}
+        cases.append(algebra_case(f"s3, e{i} e{j} moved", s3, t))
+    t = table_of(xy)
+    t[(2, 1)], t[(2, 2)] = {2: ONE}, {1: ONE}
+    cases.append(algebra_case("x and y, y y = x, y x = y", xy, t))
+    cases.append(algebra_case("s3, one generator", s3, table_of(s3), gens=s3.gens[:1]))
+    cases.append(algebra_case("s3, the other generator", s3, table_of(s3), gens=s3.gens[1:]))
+    doubled = list(std.action)
+    doubled[4] = doubled[4].scale(2)
+    cases.append(module_case("std, e4 acting doubled", doubled))
+    swapped = list(std.action)
+    swapped[e], swapped[1] = swapped[1], swapped[e]
+    cases.append(module_case("std, e and e1 exchanged", swapped))
+    return cases
+
+
+@pytest.mark.parametrize("label, build, oracle", planted_defects(),
+                         ids=[c[0] for c in planted_defects()])
+def test_planted_defects_raise_the_witness_of_the_loops(label, build, oracle):
+    expected = oracle()
+    assert expected is not None
+    with pytest.raises(HochkitError) as exc:
+        build()
+    assert (type(exc.value), str(exc.value)) == (type(expected), str(expected))
+
+
+def test_planted_defects_cover_every_check():
+    kinds = {type(oracle()) for _, _, oracle in planted_defects()}
+    assert kinds == {UnitLawFails, AlgebraDefect, NotAssociative, ModuleDefect}
+
+
+PLANTED_DEFECTS_SCRIPT = """
+import sys
+sys.path.insert(0, %r)
+from test_algebra import planted_defects
+from hochkit.errors import HochkitError
+for label, build, _ in planted_defects():
+    try:
+        build()
+    except HochkitError as e:
+        print(f"{label}: {type(e).__name__}: {e}")
+    else:
+        print(f"{label}: accepted")
+"""
+
+
+def test_planted_defects_are_caught_under_optimize():
+    here = Path(__file__).resolve().parent
+    proc = subprocess.run([sys.executable, "-O", "-c", PLANTED_DEFECTS_SCRIPT % str(here)],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(here.parent / "src")))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    expected = [f"{label}: {type(e).__name__}: {e}"
+                for label, _, oracle in planted_defects() for e in [oracle()]]
+    assert proc.stdout.splitlines() == expected

@@ -19,7 +19,12 @@ highest conductor of any file here.  pushforward_regular_a4.txt (a
 non-commutative kernel over Q(zeta_3)) and pushforward_morita_zn3.txt (a
 tensor target) were written before the transfer maps read the kernel's
 traces through the Casimir projector instead of a balanced tensor per
-simple.  A change that alters any byte of them fails here.
+simple.  validate_mat3.txt (eager validation of a matrix algebra),
+center_env_zn3.txt (an opposite inside a tensor, over Q(zeta_3)) and
+tqft_s3_disconnected.txt (a disconnected word whose value is the product of
+its components' orbit counts, 1 x 3 = 3) were written before every product,
+trace, form and validation identity was read off the product table.  A
+change that alters any byte of them fails here.
 """
 
 from pathlib import Path
@@ -54,6 +59,11 @@ COMMANDS = {
     "tqft_s3_genus2.txt": ["tqft", "s3", "--genus", "2", "--format", "machine"],
     "pairing_zn3.txt": ["pairing", "zn:3", "ch:chi1", "[1,z3^1,0]", "--format", "machine"],
     "validate_s3.txt": ["validate", "s3", "--format", "machine"],
+    "validate_mat3.txt": ["validate", "mat:3", "--format", "machine"],
+    "center_env_zn3.txt": ["center", "env(zn:3)", "--format", "machine"],
+    "tqft_s3_disconnected.txt": ["tqft", "s3", "--word",
+                                 "cap_in cap_out cap_in pants_split pants_merge cap_out",
+                                 "--format", "machine"],
 }
 
 

@@ -25,6 +25,7 @@ from hochkit.hochschild import (
 from hochkit.linalg import SparseMatrix, _copy_rows, _eliminate, rank, realified, solve, vec
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, euler_phi, zeta
 
+from test_algebra import _oracle_product
 from transport import rebased
 
 
@@ -321,7 +322,7 @@ def test_cup_strictly_associative_and_commutative_up_to_coboundary():
         for p, q in ((1, 1), (1, 2)):
             zp, zq = _cocycles(delta, p), _cocycles(delta, q)
             flipped = (cup_product(a, q, p) * linalg.kron(zq, zp)
-                       * hochschild._swap(zp.cols, zq.cols))
+                       * linalg.swap(zp.cols, zq.cols))
             difference = cup_product(a, p, q) * linalg.kron(zp, zq) \
                 - flipped.scale(-1 if p * q % 2 else 1)
             assert solve(delta(p + q - 1), difference) is not None, (name, p, q)
@@ -1042,22 +1043,56 @@ def test_benchmark_tracer_still_wraps_the_transfer_maps():
     assert solves > 0 and pushforwards > 0 and cherns > 0 and descents > 0
 
 
+WORKLOADS_SCRIPT = """
+import tracer
+import workloads
+import hochkit.tqft
+from hochkit.fixtures import algebra_fixture
+
+wrong = []
+for name in ("hh", "transfer", "tqft"):
+    for job in workloads.build(name, 0, "smoke"):
+        for op in job:
+            if not op.check(op.run())[0]:
+                wrong.append(f"{name}: {op.name}")
+t = tracer.install()
+t.active = True
+word = hochkit.tqft.CobordismWord([("cap_in", 0), ("pants_split", 0), ("pants_merge", 0),
+                                   ("cap_out", 0)])
+value = hochkit.tqft.evaluate(algebra_fixture("zn:3"), word).dims
+print(len(wrong), value, t.calls["tqft.evaluate"], t.calls["modules.balanced_tensor"])
+print(*wrong, sep="\\n")
+"""
+
+
+def test_benchmark_workloads_run_on_what_they_import():
+    # every smoke operation of the three workloads (the hh one reads a.sc.product
+    # of tensor(mat:2,zn:2) to relabel it) answers its own check, and the traced
+    # surface route still passes through the wrapped evaluate and balanced tensor
+    proc = _run_python(WORKLOADS_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    wrong, value, evaluations, tensors = proc.stdout.split()[:4]
+    assert wrong == "0", proc.stdout
+    assert (value, evaluations) == ("3", "1") and int(tensors) > 0
+
+
 # --- the product table's readers against the structure constants ------------
 #
 # The oracle builds every matrix the way it was built before the product
-# table existed: one structure constant at a time, the center and the
-# commutators from all pairs of basis elements.
+# table existed: one structure constant at a time (a combinator's by the
+# per-pair formulas of `test_algebra._oracle_product`, not off its table),
+# the center and the commutators from all pairs of basis elements.
 
 def _oracle_left(a, x):
     return SparseMatrix(a.dim, a.dim, (
         ((r, k), xi * c) for i, xi in enumerate(x) if xi
-        for k in range(a.dim) for r, c in a.sc.product(i, k).items()))
+        for k in range(a.dim) for r, c in _oracle_product(a, i, k).items()))
 
 
 def _oracle_right(a, x):
     return SparseMatrix(a.dim, a.dim, (
         ((r, k), xj * c) for j, xj in enumerate(x) if xj
-        for k in range(a.dim) for r, c in a.sc.product(k, j).items()))
+        for k in range(a.dim) for r, c in _oracle_product(a, k, j).items()))
 
 
 def _oracle_alphabet(a, normalized):
@@ -1065,12 +1100,12 @@ def _oracle_alphabet(a, normalized):
     if not normalized:
         return tuple(range(d)), SparseMatrix(d * d, d, (
             ((i * d + j, k), v) for i in range(d) for j in range(d)
-            for k, v in a.sc.product(i, j).items()))
+            for k, v in _oracle_product(a, i, j).items()))
     letters, project = _oracle_projection(a)
     r = len(letters)
     products = SparseMatrix(r * r, d, (
         ((s * r + t, k), v) for s, x in enumerate(letters) for t, y in enumerate(letters)
-        for k, v in a.sc.product(x, y).items()))
+        for k, v in _oracle_product(a, x, y).items()))
     return letters, products * project
 
 
@@ -1100,9 +1135,9 @@ def _oracle_center(a):
     def terms():  # coordinate k of e_j e_i - e_i e_j, for every i and j
         for i in range(a.dim):
             for j in range(a.dim):
-                for k, v in a.sc.product(j, i).items():
+                for k, v in _oracle_product(a, j, i).items():
                     yield (i * a.dim + k, j), v
-                for k, v in a.sc.product(i, j).items():
+                for k, v in _oracle_product(a, i, j).items():
                     yield (i * a.dim + k, j), -v
     return linalg.nullspace(SparseMatrix(a.dim * a.dim, a.dim, terms()))
 
@@ -1111,9 +1146,9 @@ def _oracle_commutators(a):
     def terms():  # row i * dim + j holds e_i e_j - e_j e_i, for i < j
         for i in range(a.dim):
             for j in range(i + 1, a.dim):
-                for k, v in a.sc.product(i, j).items():
+                for k, v in _oracle_product(a, i, j).items():
                     yield (i * a.dim + j, k), v
-                for k, v in a.sc.product(j, i).items():
+                for k, v in _oracle_product(a, j, i).items():
                     yield (i * a.dim + j, k), -v
     return linalg.rref(SparseMatrix(a.dim * a.dim, a.dim, terms()))
 

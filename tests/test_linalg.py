@@ -13,7 +13,8 @@ from hochkit import linalg
 from hochkit.errors import DegreeCapExceeded, HochkitError, ShapeMismatch
 from hochkit.linalg import (
     SparseMatrix, _canonical_rref, _copy_rows, _eliminate, _peel, cokernel_projector, hstack,
-    kron, nullspace, rank, realified, rref, solve, trace_matrix, unit_vector, vec, vec_rows,
+    kron, nullspace, rank, realified, reshape, rref, solve, swap, trace_matrix, unit_vector, vec,
+    vec_rows,
 )
 from hochkit.scalars import ONE, ZERO, CycScalar, cyc, embed, euler_phi, format_scalar, zeta
 
@@ -988,6 +989,24 @@ def test_vec_rows_pairs_into_traces_of_products():
     assert pairs == trace_matrix([[x * y for y in rights] for x in lefts])
 
 
+@pytest.mark.parametrize("label", TRACE_ORDERS)
+def test_reshape_and_swap_match_the_dense_scalar_oracle(label):
+    # reshape reads the entries in row-major order; swap(m, n) moves (i, j) to (j, i)
+    rng = random.Random(73)
+    for _ in range(8):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        table = [[_scalar_in(rng, rng.choice(TRACE_ORDERS[label])) for _ in range(cols)]
+                 for _ in range(rows)]
+        flat = [x for row in table for x in row]
+        width = rng.choice([w for w in range(1, rows * cols + 1) if rows * cols % w == 0])
+        m = SparseMatrix.from_dense(table)
+        _check(reshape(m, rows * cols // width, width), rows * cols // width, width,
+               [flat[r:r + width] for r in range(0, len(flat), width)])
+        column = reshape(m, rows * cols, 1)
+        _check(swap(rows, cols) * column, rows * cols, 1,
+               [[table[i][j]] for j in range(cols) for i in range(rows)])
+
+
 def test_vec_rows_of_no_matrices_and_refused_shapes():
     assert vec_rows([]) == SparseMatrix.zero(0, 0)
     assert vec_rows([SparseMatrix.zero(2, 3)]) == SparseMatrix.zero(1, 6)
@@ -999,7 +1018,7 @@ def test_vec_rows_of_no_matrices_and_refused_shapes():
 SHAPE_ERRORS_SCRIPT = """
 from hochkit.errors import ShapeMismatch
 from hochkit.hochschild import ChainComplex
-from hochkit.linalg import SparseMatrix, solve, trace_matrix, vec
+from hochkit.linalg import SparseMatrix, reshape, solve, trace_matrix, vec
 
 m = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
 cases = {
@@ -1010,6 +1029,7 @@ cases = {
     "apply": lambda: m.apply(vec([1, 2])),
     "trace": lambda: m.trace(),
     "trace_matrix": lambda: trace_matrix([[SparseMatrix.identity(2), m]]),
+    "reshape": lambda: reshape(m, 4, 2),
     "solve": lambda: solve(m, SparseMatrix.from_dense([[1], [2], [3]])),
     "ChainComplex": lambda: ChainComplex([2, 3], {1: m.transpose()}),
     "negative shape": lambda: SparseMatrix(-1, 2),

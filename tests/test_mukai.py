@@ -13,7 +13,7 @@ from hochkit.errors import (
 from hochkit.fixtures import ALL_GROUP_FIXTURES, algebra_fixture
 from hochkit.linalg import SparseMatrix, rank, unit_vector, vec
 from hochkit.modules import (
-    ModuleRep, convolve, dual_kernel, hom_space, outer_kernel, regular_bimodule,
+    ModuleRep, apply_kernel, convolve, dual_kernel, hom_space, outer_kernel, regular_bimodule,
     regular_module, simples_of,
 )
 from hochkit.mukai import (
@@ -1314,6 +1314,58 @@ def test_functoriality_fails_exactly_on_the_basis_vector_of_a_wrong_inner_entry(
     assert _record(report) == _record(old_functoriality_check(k1, k2))
 
 
+def test_chern_additivity_fails_on_a_planted_direct_sum_entry(monkeypatch):
+    s3 = algebra_fixture("s3")
+    m, n = simples_of(s3)[0], simples_of(s3)[2]
+    assert chern_additivity_check(m, n).ok
+    real, e = ModuleRep.direct_sum, s3.provenance[3]
+
+    def planted(self, other):  # the identity acts with one wrong diagonal entry
+        total = real(self, other)
+        action = list(total.action)
+        action[e] = action[e] + SparseMatrix(total.dim, total.dim, {(0, 0): ONE})
+        return ModuleRep(total.algebra, total.dim, action, name=total.name, check=False)
+    monkeypatch.setattr(ModuleRep, "direct_sum", planted)
+    report = chern_additivity_check(m, n)
+    both, summed = chern(planted(m, n)), chern(m) + chern(n)
+    assert not report.ok and both != summed
+    assert report.failures() == [("ch(M (+) N) = ch(M) + ch(N)", repr(both), repr(summed))]
+    assert report.notes == [f"defect vector: {format_value((both - summed).coords)}"]
+
+
+def test_chern_commutation_fails_on_a_planted_pushforward_entry(monkeypatch):
+    k = _outer("zn:2", 1, "zn:3", 2)
+    sa = simples_of(k.source)
+    m = sa[1].direct_sum(sa[0])
+    v, clean = chern(m).coords, chern(apply_kernel(k, m))
+    assert chern_commutation_check(k, m).ok and pushforward(k, chern(m)) == clean
+    r, c = 1, next(i for i, x in enumerate(v) if x)
+    _plant(monkeypatch, "_pushforward_matrix", lambda kern: kern is k, r, c)
+    report = chern_commutation_check(k, m)
+    shift = MukaiClass(k.target, unit_vector(k.target.dim, r), _checked=True).scale(v[c])
+    assert not report.ok
+    assert report.failures() == [(f"K_* ch({m.name}) = ch(K {m.name})",
+                                  repr(clean + shift), repr(clean))]
+
+
+def test_a_planted_kernel_trace_fails_verify_functorial_with_exit_1(monkeypatch, capsys):
+    import json
+    from hochkit.cli import run
+    argv = ["verify", "functorial", "--seed", "0"]
+    assert run(argv + ["--format", "machine"]) == 0
+    clean = json.loads(capsys.readouterr().out)
+    assert clean["summary"]["fail"] == 0 and clean["summary"]["pass"] > 0
+    _plant(monkeypatch, "_kernel_traces", lambda kern: True, 0, 0)
+    assert run(argv + ["--format", "machine"]) == 1
+    planted = json.loads(capsys.readouterr().out)
+    failed = [r for r in planted["records"] if not r["pass"]]
+    assert planted["summary"]["fail"] == len(failed) > 0
+    assert all(r["left"] != r["right"] for r in failed)
+    assert {r["check"] for r in failed} == {"pushforward-composition", "chern-commutation"}
+    assert run(argv) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_morita_fails_exactly_on_the_products_of_a_wrong_transport_entry(monkeypatch):
     a = algebra_fixture("zn:2")  # center basis 1, g with g g = 1
     k = morita_kernel(a, 2)
@@ -1502,18 +1554,16 @@ def test_kernel_with_non_commuting_actions_is_refused():
 
 def test_transfer_maps_refuse_a_frobenius_source_that_is_not_semisimple():
     from hochkit.errors import MiddleNotSemisimple
-    from hochkit.mukai import _character_system
+    from hochkit.mukai import _character_system, _chern_expansion
     a = _frobenius_not_semisimple()
     assert a.serre is not None and not a.is_semisimple()
     k = regular_bimodule(a)
     one = MukaiClass(a, a.unit, _checked=True)
-    for transfer in (adjoint_transfer, cohomology_transport):
+    for transfer in (adjoint_transfer, cohomology_transport, pushforward):
         with pytest.raises(MiddleNotSemisimple, match="non-semisimple"):
             transfer(k, one)
-    assert not k._derived and not _kept(a, _character_system)
-    # the pushforward expands over Chern characters first, whose pairing is singular
-    with pytest.raises(SingularGram):
-        pushforward(k, one)
+    # the pushforward asks before route A expands over the Chern characters
+    assert not k._derived and not _kept(a, _character_system) and not _kept(a, _chern_expansion)
 
 
 TRANSFER_REFUSALS_SCRIPT = """
@@ -1525,7 +1575,9 @@ from hochkit.modules import regular_bimodule
 from hochkit.mukai import MukaiClass, cohomology_transport, pushforward
 for build, call, error in ((_commuting_left_actions, pushforward, HochkitError),
                            (lambda: regular_bimodule(_frobenius_not_semisimple()),
-                            cohomology_transport, MiddleNotSemisimple)):
+                            cohomology_transport, MiddleNotSemisimple),
+                           (lambda: regular_bimodule(_frobenius_not_semisimple()),
+                            pushforward, MiddleNotSemisimple)):
     k = build()
     try:
         call(k, MukaiClass(k.source, k.source.unit, _checked=True))
